@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Verify entrypoint: tier-1 test suite plus an observability smoke check.
+# Verify entrypoint: tier-1 test suite plus the smoke checks and gates.
 #
 #   ./scripts/check.sh
 #
@@ -8,20 +8,10 @@
 # 2. runs a LUBM query with tracing enabled and asserts the exported
 #    JSONL trace parses and its span tree is well-formed
 #    (scripts/trace_smoke.py);
-# 3. smoke-runs the data-plane micro-benchmark at tiny scale and asserts
-#    BENCH_micro.json / BENCH_join.json / BENCH_plan.json /
-#    BENCH_store.json / BENCH_partial.json are produced and well-formed,
-#    runs a dictionary round-trip check, re-runs the columnar join,
-#    compiled-plan and array-substrate suites as perf-regression gates
-#    against the checked-in BENCH_join.json / BENCH_plan.json /
-#    BENCH_store.json — including the merge-beats-hash and
-#    >=1e5-triple scale gates — and audits the committed
-#    BENCH_plan.json metadata workload and BENCH_partial.json
-#    partial-evaluation workload (>=2x intermediate-row reduction on
-#    crossing-heavy queries, one partial round per endpoint,
-#    row-identical answers, auto picker within 10% of the better fixed
-#    strategy, fragment plan-cache sharing)
-#    (scripts/microbench_smoke.py);
+# 3. runs the performance ledger's own smoke: every workload at tiny
+#    scale through the same code path as the benchmark, every answer
+#    checked against the union-store oracle (benchmarks/ledger/test_smoke.py;
+#    wall-clock numbers live on the ledger, see benchmarks/ledger/README.md);
 # 4. runs one LUBM query under the seeded transient-fault profile and
 #    asserts the retry layer recovers deterministically
 #    (scripts/chaos_smoke.py);
@@ -55,8 +45,8 @@ python -m pytest -x -q
 echo "== trace round-trip smoke =="
 python scripts/trace_smoke.py
 
-echo "== microbench + dictionary smoke =="
-python scripts/microbench_smoke.py
+echo "== performance ledger smoke =="
+python -m pytest benchmarks/ledger -q
 
 echo "== seeded chaos smoke =="
 python scripts/chaos_smoke.py

@@ -35,6 +35,7 @@ from repro.core.execution.partial import (
     choose_strategy,
 )
 from repro.core.execution.scheduler import (
+    MIN_BLOCK,
     BranchScheduler,
     SchedulerConfig,
     adaptive_block_size,
@@ -65,8 +66,8 @@ class LusailConfig:
     enable_delay: bool = True
     block_size: int = 500
     #: Adaptive bound-join blocks: each delayed subquery's block shrinks
-    #: with its COUNT-estimated rows-per-binding, never below min_block.
-    min_block: int = 50
+    #: with its COUNT-estimated rows-per-binding, never below
+    #: :data:`~repro.core.execution.scheduler.MIN_BLOCK`.
     adaptive_block_size: bool = True
     pool_size: int = 8
     refine_sources: bool = True
@@ -100,7 +101,6 @@ class LusailConfig:
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
             block_size=self.block_size,
-            min_block=self.min_block,
             adaptive_block_size=self.adaptive_block_size,
             refine_sources=self.refine_sources,
             greedy_join_order=self.greedy_join_order,
@@ -555,12 +555,12 @@ class LusailEngine(FederatedEngine):
             )
         bindings = max(1, int(min(shared_cards)))
         planned = adaptive_block_size(
-            self.config.block_size, self.config.min_block, cardinality, bindings
+            self.config.block_size, MIN_BLOCK, cardinality, bindings
         )
         return (
             f"bound-join block size: {planned} "
             f"(adaptive, est. {cardinality / bindings:.1f} rows/binding, "
-            f"clamp [{min(self.config.min_block, self.config.block_size)}, "
+            f"clamp [{min(MIN_BLOCK, self.config.block_size)}, "
             f"{self.config.block_size}])"
         )
 

@@ -43,6 +43,10 @@ from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
 
 
+#: Smallest block the adaptive bound join may shrink to.
+MIN_BLOCK = 50
+
+
 def adaptive_block_size(
     block_size: int, min_block: int, estimated_rows: float, bindings: int
 ) -> int:
@@ -67,8 +71,6 @@ class SchedulerConfig:
     """Tunable execution knobs (defaults follow the paper)."""
 
     block_size: int = 500
-    #: Smallest block the adaptive bound join may shrink to.
-    min_block: int = 50
     #: Scale each delayed subquery's block size by its COUNT-estimated
     #: rows-per-binding (see :func:`adaptive_block_size`).
     adaptive_block_size: bool = True
@@ -231,7 +233,7 @@ class BranchScheduler:
         if self.config.adaptive_block_size:
             block_size = adaptive_block_size(
                 self.config.block_size,
-                self.config.min_block,
+                MIN_BLOCK,
                 subquery.estimated_cardinality,
                 len(binding_rows),
             )

@@ -154,27 +154,33 @@ class SharedSubqueryCache:
         )
 
 
-class _SharingScheduler(BranchScheduler):
-    """BranchScheduler that consults the batch cache for eager subqueries."""
+def _sharing_scheduler(cache: SharedSubqueryCache) -> type[BranchScheduler]:
+    """A BranchScheduler class that consults ``cache`` for eager subqueries.
 
-    shared_cache: SharedSubqueryCache | None = None
+    The engine instantiates its scheduler class itself, so the class is
+    where a batch's cache has to be bound — one class per batch, so that
+    batches running on other engines or threads, or nested inside this
+    one, can neither see this cache nor switch it off.
+    """
 
-    def _execute_subquery(self, subquery, at_ms, kind=None):
-        cache = self.shared_cache
-        projection = subquery.projection(self.needed_vars) or tuple(
-            sorted(subquery.variables(), key=lambda v: v.name)
-        )
-        if cache is not None and subquery.optional_group is None:
-            reused = cache.get(subquery, projection)
-            if reused is not None:
-                return reused, at_ms
-        if kind is None:
-            relation, end = super()._execute_subquery(subquery, at_ms)
-        else:
-            relation, end = super()._execute_subquery(subquery, at_ms, kind)
-        if cache is not None and subquery.optional_group is None and not subquery.delayed:
-            cache.put(subquery, relation)
-        return relation, end
+    class SharingScheduler(BranchScheduler):
+        def _execute_subquery(self, subquery, at_ms, kind=None):
+            projection = subquery.projection(self.needed_vars) or tuple(
+                sorted(subquery.variables(), key=lambda v: v.name)
+            )
+            if subquery.optional_group is None:
+                reused = cache.get(subquery, projection)
+                if reused is not None:
+                    return reused, at_ms
+            if kind is None:
+                relation, end = super()._execute_subquery(subquery, at_ms)
+            else:
+                relation, end = super()._execute_subquery(subquery, at_ms, kind)
+            if subquery.optional_group is None and not subquery.delayed:
+                cache.put(subquery, relation)
+            return relation, end
+
+    return SharingScheduler
 
 
 @dataclass
@@ -199,13 +205,11 @@ class MultiQueryExecutor:
     def execute_batch(self, queries: list[SelectQuery | str]) -> BatchOutcome:
         cache = SharedSubqueryCache()
         original = self.engine.scheduler_class
-        _SharingScheduler.shared_cache = cache
-        self.engine.scheduler_class = _SharingScheduler
+        self.engine.scheduler_class = _sharing_scheduler(cache)
         try:
             outcomes = [self.engine.execute(query) for query in queries]
         finally:
             self.engine.scheduler_class = original
-            _SharingScheduler.shared_cache = None
         total_requests = sum(outcome.metrics.request_count() for outcome in outcomes)
         return BatchOutcome(
             outcomes=outcomes,

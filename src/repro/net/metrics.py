@@ -118,7 +118,7 @@ class QueryMetrics:
         """Planner metadata requests (ASK / check / COUNT / stats fetches).
 
         The "metadata requests per query" line in the profile CLI and
-        the BENCH_plan metadata gate are built on this count.
+        the >=5x charset-statistics reduction test are built on this count.
         """
         return self.request_count(*METADATA_KINDS, include_cached=include_cached)
 

@@ -21,9 +21,8 @@ path only when a key column actually contains ``None``, and a streaming
 The :class:`RowStore` wrapper keeps the external contract unchanged:
 iterating, indexing or comparing ``relation.rows`` yields plain term
 tuples, and ``extend``/``append`` accept them — encode on the way in,
-decode on the way out.  The pre-columnar row runtime survives as
-:class:`repro.relational.reference.RowRelation`, the property-test
-oracle and benchmark baseline.
+decode on the way out.  The pre-columnar row runtime survives as the
+property-test oracle ``tests/reference_relational.py``.
 """
 
 from __future__ import annotations

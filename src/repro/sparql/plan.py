@@ -33,9 +33,9 @@ Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
 caches must drop plans whose :attr:`CompiledPlan.valid` is False.
 
-The interpretive evaluator remains the correctness oracle: property
-tests assert compiled results match it (and
-:mod:`repro.sparql.reference` behind it) on randomized queries.
+The interpretive evaluator is the correctness oracle only — no
+execution path here calls it — and property tests assert compiled
+results match it on randomized queries.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import itemgetter
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.exceptions import EvaluationError
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, typed_literal
@@ -71,8 +71,6 @@ from repro.sparql.evaluator import (
     SelectResult,
     _Evaluator,
     estimate_pattern,
-    evaluate_ask,
-    evaluate_select,
     pick_next_pattern,
     sort_id_rows,
 )
@@ -109,21 +107,6 @@ def split_parameters(query: Query) -> tuple[Query, tuple]:
         else:
             elements.append(element)
     return _replace_where(query, GroupPattern(elements)), tuple(params)
-
-
-def bind_parameters(query: Query, params: Sequence[Sequence]) -> Query:
-    """Inverse of :func:`split_parameters`: put row blocks back in."""
-    slots = [el for el in query.where.elements if isinstance(el, ValuesPattern)]
-    if len(slots) != len(params):
-        raise EvaluationError(
-            f"expected {len(slots)} parameter blocks, got {len(params)}"
-        )
-    blocks = iter(params)
-    elements = [
-        ValuesPattern(el.vars, next(blocks)) if isinstance(el, ValuesPattern) else el
-        for el in query.where.elements
-    ]
-    return _replace_where(query, GroupPattern(elements))
 
 
 def _replace_where(query: Query, where: GroupPattern) -> Query:
@@ -229,10 +212,9 @@ class _ProbeOp:
         self.estimate: int | None = None
         self.pattern_text = ""
         #: Variables this probe's matches arrive sorted by (per input
-        #: row), from :meth:`TripleStore.match_order`; ``None`` when the
-        #: store backend makes no ordering promise.  Feeds the pipeline
+        #: row), from :meth:`TripleStore.match_order`.  Feeds the pipeline
         #: sort-order metadata (:func:`_pipeline_sort_order`).
-        self.sort_vars: tuple | None = None
+        self.sort_vars: tuple = ()
         self._n_new = len(self.new_positions)
         self._first_new = self.new_positions[0] if self.new_positions else None
         self._extract = itemgetter(*self.new_positions) if self._n_new >= 2 else None
@@ -715,12 +697,12 @@ def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
     Every operator except UNION emits its per-input-row output
     contiguously and in input order, so an established leading sort order
     survives the rest of the pipeline non-strictly.  While the chain is
-    still *strictly* sorted — seed row through consecutive probes over
-    the sorted store backend, with row-dropping filters in between — each
-    probe's own sorted match iteration extends the order by its fresh
-    positions.  VALUES, OPTIONAL and sub-SELECT joins stop the extension
-    (their per-row outputs have their own ordering) but preserve the
-    prefix; UNION interleaves branches and resets the order entirely.
+    still *strictly* sorted — seed row through consecutive probes, with
+    row-dropping filters in between — each probe's own sorted match
+    iteration extends the order by its fresh positions.  VALUES, OPTIONAL
+    and sub-SELECT joins stop the extension (their per-row outputs have
+    their own ordering) but preserve the prefix; UNION interleaves
+    branches and resets the order entirely.
     """
     order: list[Variable] = []
     seeded = False
@@ -729,16 +711,10 @@ def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
         if isinstance(op, _ProbeOp):
             if not seeded:
                 seeded = True
-                if op.sort_vars is None:
-                    extendable = False
-                else:
-                    order = list(op.sort_vars)
-                    extendable = True
+                order = list(op.sort_vars)
+                extendable = True
             elif extendable:
-                if op.sort_vars is None:
-                    extendable = False
-                else:
-                    order.extend(var for var in op.sort_vars if var not in order)
+                order.extend(var for var in op.sort_vars if var not in order)
         elif isinstance(op, (_IdEqOp, _FilterOp, _ExistsFilterOp)):
             # Row-dropping only: a subsequence of a (strictly) sorted
             # sequence keeps both the order and its strictness.
@@ -803,10 +779,13 @@ class _Compiler:
     never change.
     """
 
-    def __init__(self, store: TripleStore, lazy: bool = False):
+    def __init__(self, store: TripleStore, lazy: bool = False, nullable=frozenset()):
         self.store = store
         self.dictionary = store.dictionary
         self.lazy = lazy
+        #: ``(parameter slot, column)`` pairs whose bound blocks may hold
+        #: UNDEF; every other parameter column is certainly bound.
+        self.nullable = nullable
 
     # ------------------------------------------------------------- groups
 
@@ -936,14 +915,13 @@ class _Compiler:
             consts[1] is not None or slots[1] is not None,
             consts[2] is not None or slots[2] is not None,
         )
-        if order is not None:
-            positions = pattern.positions()
-            sort_vars: list[Variable] = []
-            for index in order:
-                variable = positions[index]
-                if isinstance(variable, Variable) and variable not in sort_vars:
-                    sort_vars.append(variable)
-            op.sort_vars = tuple(sort_vars)
+        positions = pattern.positions()
+        sort_vars: list[Variable] = []
+        for index in order:
+            variable = positions[index]
+            if isinstance(variable, Variable) and variable not in sort_vars:
+                sort_vars.append(variable)
+        op.sort_vars = tuple(sort_vars)
         return op
 
     # ------------------------------------------------------------- VALUES
@@ -976,10 +954,11 @@ class _Compiler:
                     certain.add(var)
         else:
             fixed_rows = ()
-            # Parameter blocks are UNDEF-free by contract: executions
-            # with None in a bound row fall back to the interpretive
-            # evaluator (CompiledPlan._needs_fallback).
-            certain.update(element.vars)
+            certain.update(
+                var
+                for j, var in enumerate(element.vars)
+                if (slot, j) not in self.nullable
+            )
         passthrough = base == 0 and targets == list(range(len(element.vars)))
         ops.append(
             _ValuesOp(slot, fixed_rows, tuple(targets), len(new_vars), passthrough)
@@ -1381,15 +1360,17 @@ class CompiledPlan:
 
     ``params`` to the execute methods supplies one block of term rows
     per parameter slot (top-level VALUES clause, in order); omitted, the
-    rows the query was compiled with are used.  Executions whose bound
-    rows contain UNDEF fall back to the interpretive evaluator — the
-    compiler assumes parameter columns are fully bound.
+    rows the query was compiled with are used.  :attr:`core` assumes
+    every parameter column is bound; a block whose rows contain UNDEF
+    runs a variant compiled, on first need, for exactly the columns that
+    hold one (:meth:`_bind`).
     """
 
     __slots__ = (
         "store",
         "query",
         "core",
+        "_nullable_cores",
         "param_specs",
         "default_params",
         "store_version",
@@ -1400,6 +1381,7 @@ class CompiledPlan:
         self.store = store
         self.query = query
         self.core = core
+        self._nullable_cores: dict[frozenset, _SelectCore] = {}
         self.param_specs = param_specs
         self.default_params = default_params
         self.store_version = store.version
@@ -1414,9 +1396,9 @@ class CompiledPlan:
     def sort_order(self) -> tuple:
         """Projected variables the result rows are sorted by (id order).
 
-        Non-empty only when the store backend promises sorted match
-        iteration and the compiled pipeline preserves it end to end;
-        mediators use it to chain merge joins without re-sorting.
+        Non-empty only when the compiled pipeline preserves the store's
+        sorted match iteration end to end; mediators use it to chain
+        merge joins without re-sorting.
         """
         return self.core.sort_order
 
@@ -1432,16 +1414,12 @@ class CompiledPlan:
         estimate against the measured matches-per-input-row.  Pure
         local re-execution: no store mutation, no cache-counter
         traffic, so the EXPLAIN ANALYZE layer can call it without
-        perturbing plan-cache statistics or virtual time.  Empty for
-        parameter blocks that need the interpretive fallback.
+        perturbing plan-cache statistics or virtual time.
         """
-        params = self._resolve_params(params)
-        if _needs_fallback(params):
-            return []
-        ctx = _ExecutionContext(self.store, self._encode_params(params))
+        core, ctx = self._bind(params)
         records: list[dict] = []
         rows = list(_SEED)
-        for op in self.core.plan.ops:
+        for op in core.plan.ops:
             n_in = len(rows)
             if not n_in:
                 break
@@ -1466,19 +1444,13 @@ class CompiledPlan:
         return self.execute_select(params, max_rows=max_rows)
 
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
-        params = self._resolve_params(params)
-        if _needs_fallback(params):
-            result = evaluate_select(self.store, bind_parameters(self.query, params))
-            if max_rows is not None:
-                result.rows = result.rows[:max_rows]
-            return result
-        ctx = _ExecutionContext(self.store, self._encode_params(params))
-        projected, id_rows = self.core.id_result(ctx, max_rows)
+        core, ctx = self._bind(params)
+        projected, id_rows = core.id_result(ctx, max_rows)
         decode_row = self.store.dictionary.decode_row
         return SelectResult(
             projected,
             [decode_row(row) for row in id_rows],
-            sort_order=self.core.sort_order,
+            sort_order=core.sort_order,
         )
 
     def execute_select_sharded(
@@ -1493,19 +1465,14 @@ class CompiledPlan:
         rows independently and in order, so the concatenation is
         byte-identical to the unsharded run.  Returns the result plus one
         stats dict per shard for the endpoint's lane metrics.  Plans that
-        cannot be sharded safely (UNION, interpretive fallback) run
-        unsharded and report no shard stats.
+        cannot be sharded safely (UNION) run unsharded and report no
+        shard stats.
         """
-        params = self._resolve_params(params)
-        if (
-            shards <= 1
-            or self.is_ask
-            or _needs_fallback(params)
-            or not _ops_shardable(self.core.plan.ops)
-        ):
+        # Every variant of the plan has the same operators in the same
+        # nesting (UNDEF columns only move filters), so one check serves.
+        if shards <= 1 or self.is_ask or not _ops_shardable(self.core.plan.ops):
             return self.execute_select(params, max_rows=max_rows), []
-        core = self.core
-        ctx = _ExecutionContext(self.store, self._encode_params(params))
+        core, ctx = self._bind(params)
         ops = core.plan.ops
         rest = ops
         base_rows = list(_SEED)
@@ -1554,11 +1521,8 @@ class CompiledPlan:
         return result, shard_stats
 
     def execute_ask(self, params=None) -> bool:
-        params = self._resolve_params(params)
-        if _needs_fallback(params):
-            return evaluate_ask(self.store, bind_parameters(self.query, params))
-        ctx = _ExecutionContext(self.store, self._encode_params(params))
-        return self.core.ask(ctx)
+        core, ctx = self._bind(params)
+        return core.ask(ctx)
 
     # ------------------------------------------------------------- params
 
@@ -1579,15 +1543,57 @@ class CompiledPlan:
                     )
         return params
 
-    def _encode_params(self, params) -> tuple:
-        encode = self.store.dictionary.encode
-        return tuple(
-            tuple(tuple(map(encode, row)) for row in block) for block in params
+    def _bind(self, params) -> tuple["_SelectCore", _ExecutionContext]:
+        """The core that fits ``params`` and a context over its encoding.
+
+        Which parameter columns hold UNDEF is read off the block itself:
+        none selects :attr:`core`; otherwise those columns key a variant
+        that treats just them as possibly unbound.
+        """
+        params = self._resolve_params(params)
+        dictionary = self.store.dictionary
+        if not any(None in row for block in params for row in block):
+            encode = dictionary.encode
+            rows = tuple(
+                tuple(tuple(map(encode, row)) for row in block) for block in params
+            )
+            return self.core, _ExecutionContext(self.store, rows)
+        nullable = frozenset(
+            (slot, j)
+            for slot, block in enumerate(params)
+            for row in block
+            for j, value in enumerate(row)
+            if value is None
         )
+        core = self._nullable_cores.get(nullable)
+        if core is None:
+            core = _compile_core(self.store, self.query, nullable)
+            self._nullable_cores[nullable] = core
+        encode_row = dictionary.encode_row
+        rows = tuple(tuple(map(encode_row, block)) for block in params)
+        return core, _ExecutionContext(self.store, rows)
 
 
-def _needs_fallback(params) -> bool:
-    return any(None in row for block in params for row in block)
+def _compile_core(store: TripleStore, query: Query, nullable=frozenset()) -> _SelectCore:
+    """Compile ``query`` with its top-level VALUES as parameter slots."""
+    param_slots: dict[int, int] = {}
+    for element in query.where.elements:
+        if isinstance(element, ValuesPattern):
+            param_slots[id(element)] = len(param_slots)
+    if isinstance(query, AskQuery):
+        # ASK wants one solution: stream every probe.
+        return _Compiler(store, True, nullable).compile_ask(query, param_slots)
+    if isinstance(query, SelectQuery):
+        # LIMIT without ORDER BY / aggregation can stop the pipeline as
+        # soon as enough rows exist, so probes stream instead of
+        # memoizing full match lists.
+        lazy = (
+            query.limit is not None
+            and not query.order_by
+            and query.aggregate is None
+        )
+        return _Compiler(store, lazy, nullable).compile_select(query, param_slots)
+    raise EvaluationError(f"unsupported query type {type(query).__name__}")
 
 
 def compile_query(store: TripleStore, query: Query) -> CompiledPlan:
@@ -1597,36 +1603,12 @@ def compile_query(store: TripleStore, query: Query) -> CompiledPlan:
     become the plan's default parameters, so ``compile_query(q).execute()``
     is a drop-in for ``evaluate(store, q)``.
     """
-    param_slots: dict[int, int] = {}
-    param_specs: list[tuple] = []
-    default_params: list[tuple] = []
-    for element in query.where.elements:
-        if isinstance(element, ValuesPattern):
-            param_slots[id(element)] = len(param_specs)
-            param_specs.append(element.vars)
-            default_params.append(element.rows)
-    if isinstance(query, AskQuery):
-        # ASK wants one solution: stream every probe.
-        core = _Compiler(store, lazy=True).compile_ask(query, param_slots)
-        is_ask = True
-    elif isinstance(query, SelectQuery):
-        # LIMIT without ORDER BY / aggregation can stop the pipeline as
-        # soon as enough rows exist, so probes stream instead of
-        # memoizing full match lists.
-        lazy = (
-            query.limit is not None
-            and not query.order_by
-            and query.aggregate is None
-        )
-        core = _Compiler(store, lazy=lazy).compile_select(query, param_slots)
-        is_ask = False
-    else:
-        raise EvaluationError(f"unsupported query type {type(query).__name__}")
+    slots = [el for el in query.where.elements if isinstance(el, ValuesPattern)]
     return CompiledPlan(
-        store, query, core, tuple(param_specs), tuple(default_params), is_ask
+        store,
+        query,
+        _compile_core(store, query),
+        tuple(el.vars for el in slots),
+        tuple(el.rows for el in slots),
+        isinstance(query, AskQuery),
     )
-
-
-def execute_compiled(store: TripleStore, query: Query):
-    """Compile and execute in one step (uncached convenience entry)."""
-    return compile_query(store, query).execute()

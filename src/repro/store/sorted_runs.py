@@ -1,13 +1,12 @@
 """Sorted-run columnar index: three parallel ``array('q')`` id columns.
 
-This is the array-backed substrate behind :class:`~repro.store.TripleStore`'s
-default backend.  One :class:`SortedRunIndex` holds one permutation (SPO,
-POS or OSP) as three parallel signed-64-bit columns sorted lexicographically
-by ``(a, b, c)`` — the RDF-3X layout, minus compression.  Compared to the
-nested dict-of-sets indexes it replaces, the run answers every bound-prefix
+This is the array-backed substrate behind :class:`~repro.store.TripleStore`.
+One :class:`SortedRunIndex` holds one permutation (SPO, POS or OSP) as three
+parallel signed-64-bit columns sorted lexicographically by ``(a, b, c)`` —
+the RDF-3X layout, minus compression.  The run answers every bound-prefix
 probe with binary searches (``bisect`` runs at C speed over ``array``), the
 result of any probe comes back *sorted*, and storage is ~24 bytes/triple of
-columns instead of hundreds of bytes of dict/set overhead.
+columns.
 
 Mutations do not rewrite the run: inserts land in an unsorted ``tail`` set
 and deletes of run-resident rows land in a ``tombstones`` set.  Probes merge
@@ -241,15 +240,3 @@ def _iter_distinct(values: Iterable[int]) -> Iterator[int]:
 
 def _count_distinct(values: Iterable[int]) -> int:
     return sum(1 for __ in _iter_distinct(values))
-
-
-def sort_permutations(rows: Iterable[IdRow]) -> tuple[list, list, list]:
-    """Sort one (s, p, o) row block into all three permutation orders.
-
-    Returns (spo, pos, osp) row lists, each sorted and deduplicated — the
-    bulk-load path: three list sorts total, no per-row index churn.
-    """
-    spo = sorted(set(rows))
-    pos = sorted((p, o, s) for s, p, o in spo)
-    osp = sorted((o, s, p) for s, p, o in spo)
-    return spo, pos, osp

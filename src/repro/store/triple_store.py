@@ -7,31 +7,25 @@ and then maintains three permutation indexes (SPO, POS, OSP) *keyed on
 those ids*, which lets any triple pattern with at least one bound position
 be answered by integer lookups rather than scans or string re-hashing.
 
-Two index backends implement the same contract:
-
-``backend="sorted"`` (the default) keeps each permutation as a
-:class:`~repro.store.sorted_runs.SortedRunIndex` — three parallel
-``array('q')`` columns sorted lexicographically, probed with binary
-searches.  Every ``match_ids`` result comes back sorted in the probing
-permutation's order (see :meth:`TripleStore.match_order`), which is what
-lets compiled plans chain merge joins without re-sorting, and bulk loads
-build each permutation with one list sort instead of per-row dict churn.
-
-``backend="dict"`` is the original nested dict-of-sets layout, kept as the
-property-test oracle: same results, no ordering guarantees, hundreds of
-bytes per triple instead of ~tens.
+Each permutation is a :class:`~repro.store.sorted_runs.SortedRunIndex` —
+three parallel ``array('q')`` columns sorted lexicographically, probed
+with binary searches.  Every ``match_ids`` result comes back sorted in
+the probing permutation's order (see :meth:`TripleStore.match_order`),
+which is what lets compiled plans chain merge joins without re-sorting,
+and bulk loads build each permutation with one list sort instead of
+per-row index maintenance.
 
 The public API still speaks :class:`~repro.rdf.terms.Term`; the id-space
-surface (``match_ids`` / ``count_ids`` / ``ask_ids`` / ``scan_ids`` /
-``range_ids`` and the ``dictionary`` attribute) is what the SPARQL
-evaluator runs on.  Terms are decoded back only when a caller asks for
+surface (``match_ids`` / ``count_ids`` / ``ask_ids`` / ``scan_ids`` and
+the ``dictionary`` attribute) is what the SPARQL evaluator runs on.
+Terms are decoded back only when a caller asks for
 :class:`~repro.rdf.triple.Triple` objects.
 
 Per-predicate statistics (triple counts, distinct subjects) are maintained
-incrementally in both backends.  The paper notes that "cardinality
-statistics per predicate are usually collected by RDF engines for their
-runtime query optimization" — SAPE's COUNT probe queries and SPLENDID's
-VoID index both read these numbers.
+incrementally.  The paper notes that "cardinality statistics per
+predicate are usually collected by RDF engines for their runtime query
+optimization" — SAPE's COUNT probe queries and SPLENDID's VoID index both
+read these numbers.
 """
 
 from __future__ import annotations
@@ -44,15 +38,13 @@ from repro.rdf.triple import Triple, TriplePattern
 from repro.store.dictionary import TermDictionary
 from repro.store.sorted_runs import SortedRunIndex
 
-_Index = dict  # nested: level1 id -> level2 id -> set(level3 id)
-
 #: An encoded triple: (subject id, predicate id, object id).
 IdTriple = tuple
 
 #: For each (s bound, p bound, o bound) mask: the triple positions a
-#: ``match_ids`` iteration is sorted by under the sorted backend, in
-#: priority order.  E.g. predicate-bound probes run on POS, so rows come
-#: back sorted by object then subject: ``(2, 0)``.
+#: ``match_ids`` iteration is sorted by, in priority order.  E.g.
+#: predicate-bound probes run on POS, so rows come back sorted by object
+#: then subject: ``(2, 0)``.
 MATCH_ORDERS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
     (True, True, True): (),
     (True, True, False): (2,),
@@ -65,242 +57,6 @@ MATCH_ORDERS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
 }
 
 
-def _index_add(index: _Index, a: int, b: int, c: int) -> None:
-    index.setdefault(a, {}).setdefault(b, set()).add(c)
-
-
-def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
-    second = index.get(a)
-    if second is None:
-        return
-    third = second.get(b)
-    if third is None:
-        return
-    third.discard(c)
-    if not third:
-        del second[b]
-        if not second:
-            del index[a]
-
-
-class _DictIndexes:
-    """Nested dict-of-sets permutation indexes (the oracle backend)."""
-
-    kind = "dict"
-
-    __slots__ = ("_spo", "_pos", "_osp")
-
-    def __init__(self) -> None:
-        self._spo: _Index = {}
-        self._pos: _Index = {}
-        self._osp: _Index = {}
-
-    def add(self, s: int, p: int, o: int) -> None:
-        _index_add(self._spo, s, p, o)
-        _index_add(self._pos, p, o, s)
-        _index_add(self._osp, o, s, p)
-
-    def remove(self, s: int, p: int, o: int) -> None:
-        _index_remove(self._spo, s, p, o)
-        _index_remove(self._pos, p, o, s)
-        _index_remove(self._osp, o, s, p)
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.get(s, {}).get(p)
-        return objects is not None and o in objects
-
-    def clear(self) -> None:
-        self._spo.clear()
-        self._pos.clear()
-        self._osp.clear()
-
-    def match_ids(self, s: int | None, p: int | None, o: int | None) -> Iterator[IdTriple]:
-        if s is not None and p is not None and o is not None:
-            if self.contains(s, p, o):
-                return iter(((s, p, o),))
-            return iter(())
-        if s is not None and p is not None:
-            objects = self._spo.get(s, {}).get(p, ())
-            return ((s, p, obj) for obj in objects)
-        if p is not None and o is not None:
-            subjects = self._pos.get(p, {}).get(o, ())
-            return ((subj, p, o) for subj in subjects)
-        if s is not None and o is not None:
-            predicates = self._osp.get(o, {}).get(s, ())
-            return ((s, pred, o) for pred in predicates)
-        if s is not None:
-            return (
-                (s, pred, obj)
-                for pred, objects in self._spo.get(s, {}).items()
-                for obj in objects
-            )
-        if p is not None:
-            return (
-                (subj, p, obj)
-                for obj, subjects in self._pos.get(p, {}).items()
-                for subj in subjects
-            )
-        if o is not None:
-            return (
-                (subj, pred, o)
-                for subj, predicates in self._osp.get(o, {}).items()
-                for pred in predicates
-            )
-        return self.iter_spo()
-
-    def iter_spo(self) -> Iterator[IdTriple]:
-        return (
-            (subj, pred, obj)
-            for subj, by_predicate in self._spo.items()
-            for pred, objects in by_predicate.items()
-            for obj in objects
-        )
-
-    def count_ids(self, s: int | None, p: int | None, o: int | None) -> int:
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if p is not None and o is not None and s is None:
-            return len(self._pos.get(p, {}).get(o, ()))
-        return sum(1 for __ in self.match_ids(s, p, o))
-
-    def match_order(self, s_bound: bool, p_bound: bool, o_bound: bool) -> None:
-        return None
-
-    def scan_rows(self, order: str) -> Iterator[IdTriple]:
-        rows = list(self.iter_spo())
-        if order == "spo":
-            rows.sort()
-        elif order == "pos":
-            rows.sort(key=lambda row: (row[1], row[2], row[0]))
-        else:
-            rows.sort(key=lambda row: (row[2], row[0], row[1]))
-        return iter(rows)
-
-    def distinct_subjects_all(self) -> int:
-        return len(self._spo)
-
-    def distinct_objects_all(self) -> int:
-        return len(self._osp)
-
-    def distinct_objects_of(self, p: int) -> int:
-        return len(self._pos.get(p, {}))
-
-    def iter_object_ids_of(self, p: int) -> Iterator[int]:
-        return iter(self._pos.get(p, ()))
-
-    def nbytes(self) -> None:
-        return None
-
-    def compact(self) -> None:
-        return None
-
-
-class _SortedIndexes:
-    """Sorted-run ``array('q')`` permutation indexes (the default backend)."""
-
-    kind = "sorted"
-
-    __slots__ = ("spo", "pos", "osp")
-
-    def __init__(self) -> None:
-        self.spo = SortedRunIndex()
-        self.pos = SortedRunIndex()
-        self.osp = SortedRunIndex()
-
-    def add(self, s: int, p: int, o: int) -> None:
-        self.spo.add((s, p, o))
-        self.pos.add((p, o, s))
-        self.osp.add((o, s, p))
-
-    def remove(self, s: int, p: int, o: int) -> None:
-        self.spo.remove((s, p, o))
-        self.pos.remove((p, o, s))
-        self.osp.remove((o, s, p))
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return self.spo.contains((s, p, o))
-
-    def clear(self) -> None:
-        self.spo.clear()
-        self.pos.clear()
-        self.osp.clear()
-
-    def bulk_add(self, spo_rows: list[IdTriple]) -> None:
-        """Merge new rows (sorted by (s, p, o), deduped, all fresh)."""
-        self.spo.bulk_insert(spo_rows)
-        self.pos.bulk_insert(sorted((p, o, s) for s, p, o in spo_rows))
-        self.osp.bulk_insert(sorted((o, s, p) for s, p, o in spo_rows))
-
-    def match_ids(self, s: int | None, p: int | None, o: int | None) -> Iterator[IdTriple]:
-        if s is not None:
-            if p is not None:
-                if o is not None:
-                    if self.spo.contains((s, p, o)):
-                        return iter(((s, p, o),))
-                    return iter(())
-                return ((s, p, obj) for obj in self.spo.thirds(s, p))
-            if o is not None:
-                return ((s, pred, o) for pred in self.osp.thirds(o, s))
-            return self.spo.iter_prefix((s,))
-        if p is not None:
-            if o is not None:
-                return ((subj, p, o) for subj in self.pos.thirds(p, o))
-            return ((row[2], p, row[1]) for row in self.pos.iter_prefix((p,)))
-        if o is not None:
-            return ((row[1], row[2], o) for row in self.osp.iter_prefix((o,)))
-        return self.spo.iter_prefix(())
-
-    def iter_spo(self) -> Iterator[IdTriple]:
-        return self.spo.iter_prefix(())
-
-    def count_ids(self, s: int | None, p: int | None, o: int | None) -> int:
-        if s is not None:
-            if p is not None:
-                if o is not None:
-                    return 1 if self.spo.contains((s, p, o)) else 0
-                return self.spo.count_prefix((s, p))
-            if o is not None:
-                return self.osp.count_prefix((o, s))
-            return self.spo.count_prefix((s,))
-        if p is not None:
-            if o is not None:
-                return self.pos.count_prefix((p, o))
-            return self.pos.count_prefix((p,))
-        if o is not None:
-            return self.osp.count_prefix((o,))
-        return len(self.spo)
-
-    def match_order(self, s_bound: bool, p_bound: bool, o_bound: bool) -> tuple[int, ...]:
-        return MATCH_ORDERS[(s_bound, p_bound, o_bound)]
-
-    def scan_rows(self, order: str) -> Iterator[IdTriple]:
-        if order == "spo":
-            return self.spo.iter_prefix(())
-        if order == "pos":
-            return ((row[2], row[0], row[1]) for row in self.pos.iter_prefix(()))
-        return ((row[1], row[2], row[0]) for row in self.osp.iter_prefix(()))
-
-    def distinct_subjects_all(self) -> int:
-        return self.spo.distinct_firsts()
-
-    def distinct_objects_all(self) -> int:
-        return self.osp.distinct_firsts()
-
-    def distinct_objects_of(self, p: int) -> int:
-        return self.pos.distinct_seconds(p)
-
-    def iter_object_ids_of(self, p: int) -> Iterator[int]:
-        return self.pos.iter_distinct_seconds(p)
-
-    def nbytes(self) -> int:
-        return self.spo.nbytes() + self.pos.nbytes() + self.osp.nbytes()
-
-    def compact(self) -> None:
-        self.spo.flush()
-        self.pos.flush()
-        self.osp.flush()
-
-
 class TripleStore:
     """A set of triples with id-keyed SPO / POS / OSP permutation indexes.
 
@@ -309,24 +65,15 @@ class TripleStore:
     wildcard.
     """
 
-    def __init__(
-        self,
-        name: str = "store",
-        dictionary: TermDictionary | None = None,
-        backend: str = "sorted",
-    ):
+    def __init__(self, name: str = "store", dictionary: TermDictionary | None = None):
         self.name = name
         #: The per-endpoint term dictionary.  Ids are stable for the
         #: lifetime of the store (``clear`` empties the indexes but keeps
         #: the dictionary, so cached encodings stay valid).
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        if backend == "sorted":
-            self._idx: _SortedIndexes | _DictIndexes = _SortedIndexes()
-        elif backend == "dict":
-            self._idx = _DictIndexes()
-        else:
-            raise ValueError(f"unknown TripleStore backend {backend!r}")
-        self.backend = backend
+        self._spo = SortedRunIndex()
+        self._pos = SortedRunIndex()
+        self._osp = SortedRunIndex()
         self._size = 0
         #: Data version, bumped on every mutation (add/remove/clear).
         #: Compiled plans (:mod:`repro.sparql.plan`) are pinned to the
@@ -340,9 +87,9 @@ class TripleStore:
         # distinct_subjects(p) is then an O(1) len() instead of the full
         # SPO scan it used to be.
         self._predicate_subjects: dict[int, dict[int, int]] = {}
-        # Derived statistics that cost a scan under the sorted backend
-        # (store-wide distinct subjects/objects, distinct objects per
-        # predicate), memoized per data version.
+        # Derived statistics that cost a scan (store-wide distinct
+        # subjects/objects, distinct objects per predicate), memoized per
+        # data version.
         self._stats_cache: dict = {}
 
     def _bump(self) -> None:
@@ -363,11 +110,11 @@ class TripleStore:
         o = lookup(triple.object)
         if o is None:
             return False
-        return self._idx.contains(s, p, o)
+        return self._spo.contains((s, p, o))
 
     def __iter__(self) -> Iterator[Triple]:
         decode = self.dictionary.decode
-        for s, p, o in self._idx.iter_spo():
+        for s, p, o in self._spo.iter_prefix(()):
             yield Triple(decode(s), decode(p), decode(o))
 
     def __repr__(self) -> str:
@@ -381,9 +128,11 @@ class TripleStore:
         s = encode(triple.subject)
         p = encode(triple.predicate)
         o = encode(triple.object)
-        if self._idx.contains(s, p, o):
+        if self._spo.contains((s, p, o)):
             return False
-        self._idx.add(s, p, o)
+        self._spo.add((s, p, o))
+        self._pos.add((p, o, s))
+        self._osp.add((o, s, p))
         self._size += 1
         self._bump()
         self._predicate_counts[p] += 1
@@ -394,17 +143,10 @@ class TripleStore:
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns how many were new.
 
-        Under the sorted backend this is the bulk-load fast path: encode
-        everything, sort/dedupe once, and merge each permutation in one
-        pass — no per-row index maintenance.
+        This is the bulk-load fast path: encode everything, sort/dedupe
+        once, and merge each permutation in one pass — no per-row index
+        maintenance.
         """
-        idx = self._idx
-        if idx.kind != "sorted":
-            added = 0
-            for triple in triples:
-                if self.add(triple):
-                    added += 1
-            return added
         encode = self.dictionary.encode
         rows = sorted(
             {
@@ -412,11 +154,13 @@ class TripleStore:
                 for triple in triples
             }
         )
-        contains = idx.contains
-        fresh = [row for row in rows if not contains(*row)]
+        contains = self._spo.contains
+        fresh = [row for row in rows if not contains(row)]
         if not fresh:
             return 0
-        idx.bulk_add(fresh)
+        self._spo.bulk_insert(fresh)
+        self._pos.bulk_insert(sorted((p, o, s) for s, p, o in fresh))
+        self._osp.bulk_insert(sorted((o, s, p) for s, p, o in fresh))
         counts = self._predicate_counts
         subjects_by_predicate = self._predicate_subjects
         for s, p, __ in fresh:
@@ -435,7 +179,9 @@ class TripleStore:
         s = lookup(triple.subject)
         p = lookup(triple.predicate)
         o = lookup(triple.object)
-        self._idx.remove(s, p, o)
+        self._spo.remove((s, p, o))
+        self._pos.remove((p, o, s))
+        self._osp.remove((o, s, p))
         self._size -= 1
         self._bump()
         self._predicate_counts[p] -= 1
@@ -503,54 +249,53 @@ class TripleStore:
 
         This is the hot matching path the SPARQL evaluator drives: no
         :class:`Triple` objects are built and every comparison is an int.
-        Under the sorted backend the iteration is additionally *sorted* in
-        the probing permutation's order — see :meth:`match_order`.
+        The iteration is *sorted* in the probing permutation's order —
+        see :meth:`match_order`.
         """
-        return self._idx.match_ids(s, p, o)
+        if s is not None:
+            if p is not None:
+                if o is not None:
+                    if self._spo.contains((s, p, o)):
+                        return iter(((s, p, o),))
+                    return iter(())
+                return ((s, p, obj) for obj in self._spo.thirds(s, p))
+            if o is not None:
+                return ((s, pred, o) for pred in self._osp.thirds(o, s))
+            return self._spo.iter_prefix((s,))
+        if p is not None:
+            if o is not None:
+                return ((subj, p, o) for subj in self._pos.thirds(p, o))
+            return ((row[2], p, row[1]) for row in self._pos.iter_prefix((p,)))
+        if o is not None:
+            return ((row[1], row[2], o) for row in self._osp.iter_prefix((o,)))
+        return self._spo.iter_prefix(())
 
     def match_order(
         self, s_bound: bool = False, p_bound: bool = False, o_bound: bool = False
-    ) -> tuple[int, ...] | None:
-        """Triple positions a ``match_ids`` iteration is sorted by, or None.
+    ) -> tuple[int, ...]:
+        """Triple positions a ``match_ids`` iteration is sorted by.
 
         For a pattern with the given bound positions, returns the unbound
         triple positions (0=subject, 1=predicate, 2=object) in sort
         priority order — e.g. predicate-bound probes run on POS, so rows
-        arrive sorted by object then subject: ``(2, 0)``.  ``None`` means
-        the backend makes no ordering promise (the dict oracle).  Compiled
-        plans read this to carry sort-order metadata through probe
-        pipelines.
+        arrive sorted by object then subject: ``(2, 0)``.  Compiled plans
+        read this to carry sort-order metadata through probe pipelines.
         """
-        return self._idx.match_order(s_bound, p_bound, o_bound)
+        return MATCH_ORDERS[(s_bound, p_bound, o_bound)]
 
     def scan_ids(self, order: str = "spo") -> Iterator[IdTriple]:
         """Full scan of ``(s, p, o)`` id triples sorted by a permutation.
 
-        ``order`` is one of ``"spo"``, ``"pos"``, ``"osp"``.  The sorted
-        backend streams straight off the corresponding run; the dict
-        oracle materializes and sorts, so both backends yield identical
-        sequences.
+        ``order`` is one of ``"spo"``, ``"pos"``, ``"osp"``; rows stream
+        straight off the corresponding run.
         """
-        if order not in ("spo", "pos", "osp"):
-            raise ValueError(f"unknown scan order {order!r}")
-        return self._idx.scan_rows(order)
-
-    def range_ids(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> list[IdTriple]:
-        """Matching id triples as a list sorted by :meth:`match_order`.
-
-        Unlike :meth:`match_ids`, the ordering is guaranteed on *both*
-        backends (the dict oracle sorts the materialized rows), so callers
-        that need deterministic sorted ranges — merge-join feeds, the
-        property oracle — can use either interchangeably.
-        """
-        mask = (s is not None, p is not None, o is not None)
-        rows = self._idx.match_ids(s, p, o)
-        if self._idx.match_order(*mask) is not None:
-            return list(rows)
-        priority = MATCH_ORDERS[mask]
-        return sorted(rows, key=lambda row: tuple(row[i] for i in priority))
+        if order == "spo":
+            return self._spo.iter_prefix(())
+        if order == "pos":
+            return ((row[2], row[0], row[1]) for row in self._pos.iter_prefix(()))
+        if order == "osp":
+            return ((row[1], row[2], row[0]) for row in self._osp.iter_prefix(()))
+        raise ValueError(f"unknown scan order {order!r}")
 
     def match_pattern(self, pattern: TriplePattern) -> Iterator[Triple]:
         """Iterate triples matching a :class:`TriplePattern`."""
@@ -579,15 +324,24 @@ class TripleStore:
     def count_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> int:
         """Number of matching id triples (no repeated-variable semantics).
 
-        Statistics shapes are O(1); under the sorted backend every other
-        shape is a pair of binary searches per bound level rather than an
-        iteration.
+        Statistics shapes are O(1); every other shape is a pair of binary
+        searches per bound level rather than an iteration.
         """
-        if s is None and o is None:
-            if p is None:
-                return self._size
+        if s is not None:
+            if p is not None:
+                if o is not None:
+                    return 1 if self._spo.contains((s, p, o)) else 0
+                return self._spo.count_prefix((s, p))
+            if o is not None:
+                return self._osp.count_prefix((o, s))
+            return self._spo.count_prefix((s,))
+        if o is not None:
+            if p is not None:
+                return self._pos.count_prefix((p, o))
+            return self._osp.count_prefix((o,))
+        if p is not None:
             return self._predicate_counts.get(p, 0)
-        return self._idx.count_ids(s, p, o)
+        return self._size
 
     def ask(
         self,
@@ -627,7 +381,7 @@ class TripleStore:
         if predicate is None:
             cached = self._stats_cache.get("distinct_subjects")
             if cached is None:
-                cached = self._idx.distinct_subjects_all()
+                cached = self._spo.distinct_firsts()
                 self._stats_cache["distinct_subjects"] = cached
             return cached
         p = self.dictionary.lookup(predicate)
@@ -639,7 +393,7 @@ class TripleStore:
         if predicate is None:
             cached = self._stats_cache.get("distinct_objects")
             if cached is None:
-                cached = self._idx.distinct_objects_all()
+                cached = self._osp.distinct_firsts()
                 self._stats_cache["distinct_objects"] = cached
             return cached
         p = self.dictionary.lookup(predicate)
@@ -648,7 +402,7 @@ class TripleStore:
         key = ("distinct_objects_of", p)
         cached = self._stats_cache.get(key)
         if cached is None:
-            cached = self._idx.distinct_objects_of(p)
+            cached = self._pos.distinct_seconds(p)
             self._stats_cache[key] = cached
         return cached
 
@@ -677,7 +431,7 @@ class TripleStore:
             return set()
         decode = self.dictionary.decode
         authorities = set()
-        for o in self._idx.iter_object_ids_of(p):
+        for o in self._pos.iter_distinct_seconds(p):
             obj = decode(o)
             if isinstance(obj, IRI):
                 authorities.add(obj.authority)
@@ -685,26 +439,15 @@ class TripleStore:
 
     # -------------------------------------------------------------- storage
 
-    def index_nbytes(self) -> int | None:
-        """Bytes held by the permutation index columns (sorted backend).
-
-        ``None`` under the dict backend, whose nested containers have no
-        cheap exact size.  Benchmarks report this as bytes-per-triple.
-        """
-        return self._idx.nbytes()
-
-    def compact(self) -> None:
-        """Flush tail/tombstone deltas into the sorted runs (no-op on dict).
-
-        Results are unchanged; this just restores the pure-run fast paths
-        after a burst of incremental mutations.  Does not bump the data
-        version — compaction is not a visible mutation.
-        """
-        self._idx.compact()
+    def index_nbytes(self) -> int:
+        """Bytes held by the three permutation indexes' columns."""
+        return self._spo.nbytes() + self._pos.nbytes() + self._osp.nbytes()
 
     def clear(self) -> None:
         """Drop all triples.  The dictionary is kept: ids stay valid."""
-        self._idx.clear()
+        self._spo.clear()
+        self._pos.clear()
+        self._osp.clear()
         self._predicate_counts.clear()
         self._predicate_subjects.clear()
         self._size = 0

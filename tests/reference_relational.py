@@ -2,16 +2,11 @@
 
 This preserves the pre-columnar relation runtime (dictionary-encoded
 rows, one Python tuple per row, per-pair compatibility merges) exactly
-as it shipped, for two jobs — mirroring how
-:mod:`repro.sparql.reference` anchors the encoded evaluator:
-
-* **property-test oracle**: the columnar kernels in
-  :mod:`repro.relational.kernels` must be bag-equal with these
-  operators on randomized inputs (unbound values, cross products,
-  OPTIONAL left joins, duplicates);
-* **benchmark baseline**: ``benchmarks/bench_microperf.py`` times the
-  columnar runtime against this row runtime on identical data, so the
-  recorded speedups compare representations, not workloads.
+as it shipped, as the property-test oracle for the columnar kernels in
+:mod:`repro.relational.kernels`: they must be bag-equal with these
+operators on randomized inputs (unbound values, cross products, OPTIONAL
+left joins, duplicates).  It lives under ``tests/`` so no engine can
+import it.
 
 It shares the mediator codec with :class:`~repro.relational.relation.Relation`,
 so converting between the two is loss-free.

@@ -1,16 +1,12 @@
 """Reference term-space data plane (pre-dictionary-encoding semantics).
 
 The production path (:mod:`repro.store.triple_store`,
-:mod:`repro.sparql.evaluator`, :mod:`repro.relational.relation`) runs on
-dictionary-encoded integer ids.  This module preserves the original
-term-object implementation — nested indexes keyed on terms, ``Triple``
-materialization per match, term-tuple hash joins — for two purposes:
-
-* **oracle**: property tests assert the encoded evaluator produces the
-  same solution multiset as this reference path on randomized data;
-* **baseline**: ``benchmarks/bench_microperf.py`` measures the encoded
-  hot loops against these reference loops in the same process, so the
-  checked-in speedups are apples-to-apples.
+:mod:`repro.sparql.evaluator`) runs on dictionary-encoded integer ids.
+This module preserves the original term-object implementation — nested
+indexes keyed on terms, ``Triple`` materialization per match — as a
+property-test oracle: the encoded evaluator must produce the same
+solution multiset on randomized data.  It lives under ``tests/`` so no
+engine can import it.
 
 It intentionally mirrors the seed algorithms line for line (same
 memoization keys, same compatibility rules); do not "optimize" it.
@@ -24,7 +20,6 @@ from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import Triple, TriplePattern
 
 Solution = dict  # dict[Variable, Term]
-Row = tuple  # tuple[Term | None, ...]
 
 _Index = dict  # nested: level1 -> level2 -> set(level3)
 
@@ -158,86 +153,3 @@ def reference_bgp(
         if not solutions:
             return []
     return solutions
-
-
-def reference_hash_join(
-    left_vars: Sequence[Variable],
-    left_rows: list[Row],
-    right_vars: Sequence[Variable],
-    right_rows: list[Row],
-) -> tuple[tuple[Variable, ...], list[Row]]:
-    """The seed mediator hash join: keys and merges compare term objects."""
-    left_vars = tuple(left_vars)
-    right_vars = tuple(right_vars)
-    left_set = set(left_vars)
-    shared = tuple(var for var in left_vars if var in set(right_vars))
-    out_vars = left_vars + tuple(v for v in right_vars if v not in left_set)
-    if not shared:
-        rows = [
-            _merge_rows(left_vars, left, right_vars, right, out_vars)
-            for left in left_rows
-            for right in right_rows
-        ]
-        return out_vars, rows
-
-    if len(left_rows) <= len(right_rows):
-        build_vars, build_rows = left_vars, left_rows
-        probe_vars, probe_rows = right_vars, right_rows
-    else:
-        build_vars, build_rows = right_vars, right_rows
-        probe_vars, probe_rows = left_vars, left_rows
-
-    key_indexes = [build_vars.index(var) for var in shared]
-    table: dict[tuple, list[Row]] = {}
-    wildcard_rows: list[Row] = []
-    for row in build_rows:
-        key = tuple(row[i] for i in key_indexes)
-        if None in key:
-            wildcard_rows.append(row)
-        else:
-            table.setdefault(key, []).append(row)
-
-    rows: list[Row] = []
-    probe_key_indexes = [probe_vars.index(var) for var in shared]
-    for probe_row in probe_rows:
-        key = tuple(probe_row[i] for i in probe_key_indexes)
-        if None in key:
-            candidates: Iterable[Row] = build_rows
-        else:
-            candidates = list(table.get(key, ())) + wildcard_rows
-        for build_row in candidates:
-            merged = _merge_compatible(build_vars, build_row, probe_vars, probe_row, out_vars)
-            if merged is not None:
-                rows.append(merged)
-    return out_vars, rows
-
-
-def _merge_compatible(
-    left_vars: tuple[Variable, ...],
-    left_row: Row,
-    right_vars: tuple[Variable, ...],
-    right_row: Row,
-    out_vars: tuple[Variable, ...],
-) -> Row | None:
-    merged: dict[Variable, Term | None] = dict(zip(left_vars, left_row))
-    for var, value in zip(right_vars, right_row):
-        existing = merged.get(var)
-        if existing is None:
-            merged[var] = value
-        elif value is not None and existing != value:
-            return None
-    return tuple(merged.get(var) for var in out_vars)
-
-
-def _merge_rows(
-    left_vars: tuple[Variable, ...],
-    left_row: Row,
-    right_vars: tuple[Variable, ...],
-    right_row: Row,
-    out_vars: tuple[Variable, ...],
-) -> Row:
-    merged: dict[Variable, Term | None] = dict(zip(left_vars, left_row))
-    for var, value in zip(right_vars, right_row):
-        if merged.get(var) is None:
-            merged[var] = value
-    return tuple(merged.get(var) for var in out_vars)

@@ -3,7 +3,7 @@
 The columnar runtime (:mod:`repro.relational.kernels`, dispatched to by
 :class:`~repro.relational.relation.Relation`) must be bag-equal with the
 preserved row-at-a-time runtime
-(:class:`~repro.relational.reference.RowRelation`) on randomized inputs:
+(:class:`~tests.reference_relational.RowRelation`) on randomized inputs:
 unbound join keys, cross products, OPTIONAL left joins and duplicate
 rows.  Plus unit tests for the streaming memory guard (joins abort
 mid-kernel), the kernel counters, and the adaptive bound-join block
@@ -20,7 +20,7 @@ from repro.exceptions import MemoryLimitError
 from repro.net.metrics import QueryMetrics
 from repro.rdf import IRI, Variable
 from repro.relational import KernelCounters, Relation, kernel_runtime
-from repro.relational.reference import RowRelation
+from tests.reference_relational import RowRelation
 
 A, B, C, D = Variable("a"), Variable("b"), Variable("c"), Variable("d")
 VAR_POOL = (A, B, C, D)

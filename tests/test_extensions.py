@@ -45,6 +45,35 @@ class TestMultiQueryOptimization:
         assert batch.shared_hits > 0
         assert batch.total_requests < unshared
 
+    def test_interleaved_batches_keep_their_own_cache(self):
+        # A second executor running a whole batch in the middle of the
+        # first one's must neither disable nor cross-wire its sharing.
+        solo = MultiQueryExecutor(LusailEngine(build_paper_federation())).execute_batch(
+            self.queries()
+        )
+        assert solo.shared_hits > 0
+        outer_engine = LusailEngine(build_paper_federation())
+        inner_engine = LusailEngine(build_paper_federation())
+        inner_batches = []
+        execute = outer_engine.execute
+
+        def execute_then_nest(query):
+            outcome = execute(query)
+            if not inner_batches:
+                inner_batches.append(
+                    MultiQueryExecutor(inner_engine).execute_batch(self.queries())
+                )
+            return outcome
+
+        outer_engine.execute = execute_then_nest
+        outer = MultiQueryExecutor(outer_engine).execute_batch(self.queries())
+        for batch in (outer, inner_batches[0]):
+            assert (batch.shared_hits, batch.shared_misses, batch.total_requests) == (
+                solo.shared_hits,
+                solo.shared_misses,
+                solo.total_requests,
+            )
+
     def test_scheduler_class_restored(self, paper_federation):
         engine = LusailEngine(paper_federation)
         original = engine.scheduler_class

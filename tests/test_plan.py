@@ -1,7 +1,7 @@
 """Tests for the compiled physical plan layer (``repro.sparql.plan``).
 
 Covers filter pushdown into the probe pipeline, VALUES parameter slots
-and skeleton splitting, UNDEF fallback, ASK / LIMIT early termination
+and skeleton splitting, compiled UNDEF blocks, ASK / LIMIT early termination
 (counted in store index probes), and the LRU plan / probe caches with
 store-version invalidation.
 """
@@ -29,9 +29,8 @@ from repro.sparql.ast import (
     ValuesPattern,
     VarExpr,
 )
-from repro.sparql.evaluator import evaluate_ask, evaluate_select
+from repro.sparql.evaluator import _Evaluator, evaluate_ask, evaluate_select
 from repro.sparql.plan import (
-    bind_parameters,
     compile_query,
     split_parameters,
 )
@@ -87,6 +86,15 @@ def _count_probes(store):
 
     store.match_ids = counting
     return calls
+
+
+def _forbid_interpreter(monkeypatch):
+    """Make any pattern evaluation by the interpretive evaluator fail."""
+
+    def eval_group(self, group, solutions):
+        raise AssertionError("a compiled plan reached the interpretive evaluator")
+
+    monkeypatch.setattr(_Evaluator, "eval_group", eval_group)
 
 
 class TestFilterPushdown:
@@ -172,7 +180,7 @@ class TestParameterSlots:
             select_vars=(X, Y, Z),
         )
 
-    def test_split_strips_rows_and_bind_round_trips(self):
+    def test_split_strips_rows(self):
         rows = ((_iri("student0_0"),), (_iri("student1_1"),))
         query = self._values_query(rows)
         skeleton, params = split_parameters(query)
@@ -181,7 +189,6 @@ class TestParameterSlots:
         other, _ = split_parameters(self._values_query(((_iri("student2_0"),),)))
         assert skeleton == other
         assert hash(skeleton) == hash(other)
-        assert bind_parameters(skeleton, params) == query
 
     def test_one_plan_serves_many_blocks(self, store):
         block1 = ((_iri("student0_0"),), (_iri("student1_0"),))
@@ -198,16 +205,24 @@ class TestParameterSlots:
             fresh = compile_query(store, bound).execute_select()
             assert got.rows == fresh.rows
 
-    def test_undef_parameter_falls_back_to_interpreter(self, store):
-        # An UNDEF (None) in a bound row joins like an unbound column;
-        # the compiled pipeline assumes fully bound parameters, so this
-        # must detour through the interpretive evaluator — transparently.
+    def test_undef_parameter_runs_compiled(self, store, monkeypatch):
+        # An UNDEF (None) in a bound row joins like an unbound column: the
+        # plan compiles a variant with that column nullable, once.
         block = ((_iri("student0_0"),), (None,))
         query = self._values_query(block)
-        plan = compile_query(store, query)
         expected = evaluate_select(store, query)
+        _forbid_interpreter(monkeypatch)
+        plan = compile_query(store, query)
         got = plan.execute_select([block])
         assert Counter(got.rows) == Counter(expected.rows)
+        assert len(expected.rows) > 1
+        plan.execute_select([((None,), (_iri("student1_0"),))])
+        assert len(plan._nullable_cores) == 1
+        # A bound block on the same plan still takes the strict core.
+        bound = ((_iri("student0_0"),),)
+        assert plan.execute_select([bound]).rows == (
+            compile_query(store, self._values_query(bound)).execute_select().rows
+        )
 
     def test_wrong_arity_rejected(self, store):
         from repro.sparql.evaluator import EvaluationError
@@ -386,6 +401,28 @@ class TestEndpointPlanCache:
         assert evictions == 0
         assert compile_s >= 0.0 and execute_s > 0.0
 
+    def test_undef_block_runs_compiled_at_the_endpoint(self, monkeypatch):
+        endpoint = Endpoint("ep", _university_triples())
+        query = self._block_query([_iri("student0_0"), None])
+        ask = AskQuery(query.where)
+        expected = evaluate_select(endpoint.store, query)
+        assert evaluate_ask(endpoint.store, ask) is True
+        _forbid_interpreter(monkeypatch)
+        assert Counter(endpoint.select(query).rows) == Counter(expected.rows)
+        assert endpoint.ask(ask) is True
+        records = endpoint.audit_probes(query)
+        assert [r["output_rows"] for r in records] == [len(expected.rows)]
+
+    def test_undef_block_shards_like_a_bound_one(self):
+        query = self._block_query([_iri("student0_0"), None, _iri("student3_1")])
+        serial = Endpoint("ep", _university_triples()).select(query)
+        sharded_endpoint = Endpoint("ep", _university_triples(), shards=2)
+        sharded = sharded_endpoint.select(query)
+        assert sharded.rows == serial.rows
+        stats = sharded_endpoint.last_shard_stats
+        assert [entry["input_rows"] for entry in stats] == [2, 1]
+        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)
+
     def test_capacity_zero_recompiles_every_request(self):
         endpoint = Endpoint("ep", _university_triples(), plan_cache_capacity=0)
         query = self._block_query([_iri("student0_0")])
@@ -405,7 +442,7 @@ class TestEndpointPlanCache:
 
 
 class TestSortOrderMetadata:
-    """Compiled pipelines carry the sorted backend's ordering promise."""
+    """Compiled pipelines carry the store's ordering promise."""
 
     def test_single_pattern_plan_is_sorted_by_probe_order(self, store):
         s, o = Variable("s"), Variable("o")
@@ -420,16 +457,6 @@ class TestSortOrderMetadata:
         lookup = store.dictionary.lookup
         ids = [(lookup(row[1]), lookup(row[0])) for row in result.rows]
         assert ids == sorted(ids)
-
-    def test_dict_backend_plans_promise_nothing(self):
-        dict_store = TripleStore(backend="dict")
-        dict_store.add_all(_university_triples())
-        s, o = Variable("s"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, ADVISOR, o)])]),
-            select_vars=(s, o),
-        )
-        assert compile_query(dict_store, query).sort_order == ()
 
     def test_values_seeded_plan_has_no_order(self, store):
         s, o = Variable("s"), Variable("o")

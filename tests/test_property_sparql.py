@@ -8,12 +8,13 @@ including duplicate multiplicities.
 
 from collections import Counter
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import IRI, Triple, TriplePattern, Variable
 from repro.sparql.ast import BGP, GroupPattern, SelectQuery
-from repro.sparql.evaluator import evaluate_select
+from repro.sparql.evaluator import _Evaluator, evaluate_select
 from repro.store import TripleStore
 
 _IRIS = [IRI(f"http://p.org/n{i}") for i in range(6)]
@@ -144,12 +145,12 @@ def test_pattern_order_irrelevant(triples, patterns):
 def test_encoded_matches_reference_path(triples, patterns):
     """The id-space engine agrees with the preserved term-space path.
 
-    ``repro.sparql.reference`` keeps the pre-dictionary-encoding
+    ``tests.reference_sparql`` keeps the pre-dictionary-encoding
     implementation (term-keyed indexes, per-match ``Triple`` objects);
     the production evaluator runs on integer ids end to end.  Both must
     produce the same solution multiset on arbitrary data.
     """
-    from repro.sparql.reference import ReferenceStore, reference_bgp
+    from tests.reference_sparql import ReferenceStore, reference_bgp
 
     store = TripleStore()
     store.add_all(triples)
@@ -255,33 +256,40 @@ def test_compiled_matches_interpretive(triples, patterns, values, optional, filt
     st.lists(_patterns, min_size=1, max_size=2),
     _values_rows,
     _values_rows,
+    _maybe_filter,
 )
 @settings(max_examples=60, deadline=None)
-def test_cached_plan_rebinds_like_fresh_compile(triples, patterns, rows1, rows2):
+def test_cached_plan_rebinds_like_fresh_compile(triples, patterns, rows1, rows2, filter_):
     """One compiled plan serves successive bound-join blocks.
 
     Executing a cached plan with a new VALUES block must be
     bit-identical (schema, rows, and row order) to compiling the bound
-    query from scratch, and multiset-equal to the interpretive oracle.
+    query from scratch — also when chunked across shard lanes — and
+    multiset-equal to the interpretive oracle.  Blocks with UNDEF rows
+    run compiled too: no plan may reach the interpreter's pattern
+    evaluation.
     """
     store = TripleStore()
     store.add_all(triples)
     values_var = (Variable("a"),)
-    query1 = SelectQuery(
-        where=GroupPattern([ValuesPattern(values_var, tuple(rows1)), BGP(patterns)]),
-        select_vars=None,
+    blocks = [
+        (_build_query(patterns, ValuesPattern(values_var, tuple(rows)), None, filter_), rows)
+        for rows in (rows1, rows2)
+    ]
+    oracle = [Counter(evaluate_select(store, query).rows) for query, _ in blocks]
+    compiled_only = patch.object(
+        _Evaluator, "eval_group", side_effect=AssertionError("interpreter reached")
     )
-    query2 = SelectQuery(
-        where=GroupPattern([ValuesPattern(values_var, tuple(rows2)), BGP(patterns)]),
-        select_vars=None,
-    )
-    plan = compile_query(store, query1)
-    for query, rows in ((query1, rows1), (query2, rows2)):
-        rebound = plan.execute_select([tuple(rows)])
-        fresh = compile_query(store, query).execute_select()
-        assert rebound.vars == fresh.vars
-        assert rebound.rows == fresh.rows
-        assert Counter(rebound.rows) == Counter(evaluate_select(store, query).rows)
+    with compiled_only:
+        plan = compile_query(store, blocks[0][0])
+        for (query, rows), expected in zip(blocks, oracle):
+            rebound = plan.execute_select([tuple(rows)])
+            fresh = compile_query(store, query).execute_select()
+            assert rebound.vars == fresh.vars
+            assert rebound.rows == fresh.rows
+            assert Counter(rebound.rows) == expected
+            sharded, _ = plan.execute_select_sharded([tuple(rows)], shards=2)
+            assert sharded.rows == rebound.rows
 
 
 @given(st.lists(_triples, max_size=15), st.lists(_patterns, min_size=1, max_size=2))

@@ -2,10 +2,10 @@
 
 The ISSUE-level acceptance criterion: across seeded random decentralized
 federations, the sorted-run store path must be observationally identical
-to the dict-backend oracle — same rows with multiplicities through both
-centralized evaluation and full federated execution — and identical to
-the row-based :class:`RowRelation` mediator oracle on store-fed merge
-joins.  Turning tracing on must not change any result (traced-vs-
+to a term-space evaluation of the same input triples — same rows with
+multiplicities through both centralized evaluation and full federated
+execution — and identical to the row-based :class:`RowRelation` mediator
+oracle on store-fed merge joins.  Turning tracing on must not change any result (traced-vs-
 untraced invariance).
 """
 
@@ -22,9 +22,9 @@ from repro.datasets.random_federation import (
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import Variable
 from repro.relational import Relation, kernel_runtime
-from repro.relational.reference import RowRelation
 from repro.sparql import evaluate_select
-from repro.store import TripleStore
+from tests.reference_relational import RowRelation
+from tests.reference_sparql import ReferenceStore, reference_bgp
 
 _SETTINGS = settings(
     max_examples=20,
@@ -44,25 +44,29 @@ def federation_and_query(draw):
     return federation, query
 
 
-def dict_union_store(federation) -> TripleStore:
-    union = TripleStore(name="union-dict", backend="dict")
+def term_space_rows(federation, query) -> Counter:
+    """The (pure BGP) query over the federation's triples, never encoded."""
+    union = ReferenceStore()
     for name in federation.names():
         union.add_all(iter(federation.get(name).store))
-    return union
+    (bgp,) = query.where.elements
+    return Counter(
+        tuple(solution[var] for var in query.select_vars)
+        for solution in reference_bgp(union, bgp.triples)
+    )
 
 
 @given(federation_and_query())
 @_SETTINGS
-def test_sorted_path_matches_dict_path(case):
+def test_sorted_path_matches_term_space_path(case):
     federation, query = case
-    # Centralized: same query over the same union graph on both backends.
-    dict_rows = Counter(evaluate_select(dict_union_store(federation), query).rows)
-    sorted_rows = Counter(evaluate_select(federation.union_store(), query).rows)
-    assert sorted_rows == dict_rows
-    # Federated: the engine runs entirely on sorted-backend endpoints.
+    expected = term_space_rows(federation, query)
+    # Centralized: the same query over the sorted-run union store.
+    assert Counter(evaluate_select(federation.union_store(), query).rows) == expected
+    # Federated: the engine runs entirely on sorted-run endpoints.
     outcome = LusailEngine(federation).execute(query)
     assert outcome.ok, outcome.error
-    assert Counter(outcome.result.rows) == dict_rows
+    assert Counter(outcome.result.rows) == expected
 
 
 @given(federation_and_query())

@@ -2,10 +2,10 @@
 
 Covers :class:`repro.store.sorted_runs.SortedRunIndex` directly (runs,
 delta tail, tombstones, flush compaction, bulk loading, prefix probes)
-and the :class:`~repro.store.TripleStore` ``backend=`` seam: the sorted
-backend must be observationally identical to the dict oracle across
-every probe shape, and the sorted-only ordering contracts
-(``match_order`` / ``scan_ids`` / ``range_ids``) must hold.
+and the :class:`~repro.store.TripleStore` built on it: the store must be
+observationally identical to a brute-force scan of the input triples
+across every probe shape and under mutation, and the ordering contracts
+(``match_order`` / ``scan_ids``) must hold.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import IRI, Triple
 from repro.store import TripleStore
-from repro.store.sorted_runs import SortedRunIndex, sort_permutations
+from repro.store.sorted_runs import SortedRunIndex
 
 
 def rows(*triples):
@@ -165,13 +165,6 @@ def count_all(idx):
     return idx.count_prefix(())
 
 
-def test_sort_permutations_sorts_and_dedupes():
-    spo, pos, osp = sort_permutations([(2, 1, 3), (1, 2, 3), (2, 1, 3), (1, 1, 1)])
-    assert spo == [(1, 1, 1), (1, 2, 3), (2, 1, 3)]
-    assert pos == [(1, 1, 1), (1, 3, 2), (2, 3, 1)]
-    assert osp == [(1, 1, 1), (3, 1, 2), (3, 2, 1)]
-
-
 _ids = st.integers(min_value=0, max_value=6)
 _rows = st.tuples(_ids, _ids, _ids)
 
@@ -196,7 +189,7 @@ def test_property_index_is_a_sorted_set(inserted, removed):
         assert idx.has_prefix((first,)) == bool(expected)
 
 
-# --------------------------------------------------------- backend seam
+# ------------------------------------------- store vs brute-force scan
 
 
 def iri(i):
@@ -206,74 +199,85 @@ def iri(i):
 _triples = st.builds(Triple, _ids.map(iri), _ids.map(iri), _ids.map(iri))
 
 
-def test_backend_validation():
-    with pytest.raises(ValueError):
-        TripleStore(backend="btree")
+def scan(triples, s=None, p=None, o=None):
+    """Brute force: every distinct input triple matching the bound positions."""
+    return {
+        t
+        for t in triples
+        if (s is None or t.subject == s)
+        and (p is None or t.predicate == p)
+        and (o is None or t.object == o)
+    }
 
 
-def test_dict_backend_has_no_order_contract():
-    store = TripleStore(backend="dict")
-    assert store.match_order(False, True, False) is None
-    assert store.index_nbytes() is None
+def test_store_layout_is_not_selectable():
+    # PR 12 removed the dict-of-sets layout and the option that chose it.
+    with pytest.raises(TypeError):
+        TripleStore(backend="dict")
 
 
-def test_sorted_backend_order_contract():
+def test_order_contract():
     store = TripleStore()
     # predicate-bound probes run on POS: sorted by object then subject.
     assert store.match_order(False, True, False) == (2, 0)
     # subject-bound probes run on SPO: sorted by predicate then object.
     assert store.match_order(True, False, False) == (1, 2)
-    assert store.index_nbytes() is not None
+    store.add_all([Triple(iri(0), iri(1), iri(2))])
+    # three permutations x three int64 columns x one row
+    assert store.index_nbytes() == 3 * 3 * 8
 
 
 @given(st.lists(_triples, max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_property_backends_agree_on_every_probe_shape(triples):
-    sorted_store = TripleStore(backend="sorted")
-    dict_store = TripleStore(backend="dict")
-    sorted_store.add_all(triples)
-    dict_store.add_all(triples)
-    assert len(sorted_store) == len(dict_store)
+def test_property_store_agrees_with_scan_on_every_probe_shape(triples):
+    store = TripleStore()
+    store.add_all(triples)
+    assert len(store) == len(set(triples))
     probes = [None, iri(0), iri(3), iri(99)]
     for s in probes:
         for p in probes:
             for o in probes:
-                expected = sorted(
-                    map(repr, dict_store.match(s, p, o))
-                )
-                assert sorted(map(repr, sorted_store.match(s, p, o))) == expected
-                assert sorted_store.count(s, p, o) == dict_store.count(s, p, o)
-                assert sorted_store.ask(s, p, o) == dict_store.ask(s, p, o)
+                expected = scan(triples, s, p, o)
+                matched = list(store.match(s, p, o))
+                assert len(matched) == len(expected) and set(matched) == expected
+                assert store.count(s, p, o) == len(expected)
+                assert store.ask(s, p, o) == bool(expected)
 
 
 @given(st.lists(_triples, max_size=40))
 @settings(max_examples=40, deadline=None)
-def test_property_scan_and_range_agree_across_backends(triples):
-    sorted_store = TripleStore(backend="sorted")
-    dict_store = TripleStore(backend="dict")
-    sorted_store.add_all(triples)
-    dict_store.add_all(triples)
-    # scan_ids yields identical sorted sequences on both backends; the
-    # dictionaries intern in insertion order so ids line up.
-    for order in ("spo", "pos", "osp"):
-        assert list(sorted_store.scan_ids(order)) == list(dict_store.scan_ids(order))
-    # range_ids is the guaranteed-sorted probe on both backends.
+def test_property_scans_and_probes_come_back_sorted(triples):
+    store = TripleStore()
+    store.add_all(triples)
+    encode = store.dictionary.lookup
+    rows = {(encode(t.subject), encode(t.predicate), encode(t.object)) for t in triples}
+    # scan_ids streams every row in the permutation's order.
+    for order, key in (("spo", (0, 1, 2)), ("pos", (1, 2, 0)), ("osp", (2, 0, 1))):
+        assert list(store.scan_ids(order)) == sorted(
+            rows, key=lambda row: tuple(row[i] for i in key)
+        )
+    # match_ids comes back sorted by match_order for the probe's mask.
     for triple in triples[:5]:
-        p_id = sorted_store.dictionary.lookup(triple.predicate)
-        assert list(sorted_store.range_ids(p=p_id)) == list(dict_store.range_ids(p=p_id))
+        p_id = encode(triple.predicate)
+        priority = store.match_order(False, True, False)
+        assert list(store.match_ids(p=p_id)) == sorted(
+            (row for row in rows if row[1] == p_id),
+            key=lambda row: tuple(row[i] for i in priority),
+        )
 
 
 @given(st.lists(_triples, max_size=30), st.lists(_triples, max_size=10))
 @settings(max_examples=40, deadline=None)
-def test_property_backends_agree_under_mutation(initial, late):
-    sorted_store = TripleStore(backend="sorted")
-    dict_store = TripleStore(backend="dict")
-    sorted_store.add_all(initial)
-    dict_store.add_all(initial)
+def test_property_store_agrees_with_scan_under_mutation(initial, late):
+    store = TripleStore()
+    model = set(initial)
+    store.add_all(initial)
     for triple in late:
-        assert sorted_store.add(triple) == dict_store.add(triple)
+        assert store.add(triple) == (triple not in model)
+        model.add(triple)
     for triple in initial[: len(initial) // 2]:
-        assert sorted_store.remove(triple) == dict_store.remove(triple)
-    assert len(sorted_store) == len(dict_store)
-    assert set(sorted_store) == set(dict_store)
-    assert sorted_store.predicates() == dict_store.predicates()
+        assert store.remove(triple) == (triple in model)
+        model.discard(triple)
+    assert len(store) == len(model)
+    assert set(store) == model
+    assert store.predicates() == {t.predicate for t in model}
