@@ -18,7 +18,8 @@
 # 5. profiles one LUBM query per engine with the estimate audit on and
 #    gates the resulting ProfileReports (status, request counts, rows
 #    shipped, worst q-error) against the committed BENCH_profile.json
-#    (scripts/profile_smoke.py);
+#    (scripts/profile_smoke.py) — twice, under PYTHONHASHSEED=1 and 2, so
+#    every engine's exact counters are compared under two set orders;
 # 6. replays a seeded 10^5-request Zipfian traffic mix through the
 #    concurrent serving layer twice, asserts the two reports are
 #    byte-identical, every result matches serial execution, throughput
@@ -51,8 +52,10 @@ python -m pytest benchmarks/ledger -q
 echo "== seeded chaos smoke =="
 python scripts/chaos_smoke.py
 
-echo "== explain-analyze profile gate =="
-python scripts/profile_smoke.py
+for hash_seed in 1 2; do
+  echo "== explain-analyze profile gate (PYTHONHASHSEED=$hash_seed) =="
+  PYTHONHASHSEED=$hash_seed python scripts/profile_smoke.py
+done
 
 echo "== concurrent serving gate =="
 python scripts/serve_smoke.py

@@ -1,20 +1,24 @@
-"""Baseline federated engines: FedX, SPLENDID, HiBISCuS."""
+"""Baseline federated engines: FedX, SPLENDID, HiBISCuS, ANAPSID."""
 
+from repro.baselines.anapsid import AnapsidConfig, AnapsidEngine
 from repro.baselines.bound_join import DEFAULT_BLOCK_SIZE, bound_join, evaluate_operand
 from repro.baselines.fedx import FedXConfig, FedXEngine
 from repro.baselines.hibiscus import AuthoritySummary, HibiscusEngine, build_authority_index
-from repro.baselines.operands import Operand, build_operands, order_operands
+from repro.baselines.operands import build_operands, order_operands
+from repro.baselines.pipeline import OperandEngine
 from repro.baselines.splendid import SplendidConfig, SplendidEngine
 from repro.baselines.void_index import EndpointVoid, VoidIndex, build_void_index
 
 __all__ = [
+    "AnapsidConfig",
+    "AnapsidEngine",
     "AuthoritySummary",
     "DEFAULT_BLOCK_SIZE",
     "EndpointVoid",
     "FedXConfig",
     "FedXEngine",
     "HibiscusEngine",
-    "Operand",
+    "OperandEngine",
     "SplendidConfig",
     "SplendidEngine",
     "VoidIndex",
@@ -25,7 +29,3 @@ __all__ = [
     "evaluate_operand",
     "order_operands",
 ]
-
-from repro.baselines.anapsid import AnapsidConfig, AnapsidEngine
-
-__all__ += ["AnapsidConfig", "AnapsidEngine"]

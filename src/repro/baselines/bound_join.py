@@ -10,7 +10,7 @@ result size and produces the blow-up of the paper's Fig 3.
 
 from __future__ import annotations
 
-from repro.baselines.operands import Operand
+from repro.core.decomposition.subquery import Subquery
 from repro.endpoint.client import FederationClient
 from repro.net import metrics as metrics_module
 from repro.rdf.terms import Variable
@@ -23,7 +23,7 @@ DEFAULT_BLOCK_SIZE = 15
 
 def evaluate_operand(
     client: FederationClient,
-    operand: Operand,
+    operand: Subquery,
     projection: tuple[Variable, ...],
     at_ms: float,
     estimated_rows: float | None = None,
@@ -62,22 +62,16 @@ def evaluate_operand(
 def bound_join(
     client: FederationClient,
     current: Relation,
-    operand: Operand,
+    operand: Subquery,
     projection: tuple[Variable, ...],
     at_ms: float,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    stop_after_rows: int | None = None,
     estimated_rows: float | None = None,
 ) -> tuple[Relation, float]:
     """One bound-join step: bind shared vars of ``current`` into ``operand``.
 
     Returns the *joined* relation.  When there are no shared variables the
     operand is evaluated unbound and cross-joined.
-
-    ``stop_after_rows`` implements FedX's first-results cut-off for LIMIT
-    queries: blocks are joined as they return and the loop stops once the
-    joined relation reaches the requested size (sound because the join
-    distributes over the union of binding blocks).
 
     ``estimated_rows`` is the caller's index-based estimate of the
     operand's extent; when given, it is audited against the rows the
@@ -128,8 +122,6 @@ def bound_join(
             client.registry.inc("bound_join_blocks_total", engine=client.engine)
             block_joined = current.join(fetched)
             joined.rows.extend(block_joined.project(out_vars).rows)
-            if stop_after_rows is not None and len(joined) >= stop_after_rows:
-                break
         if estimated_rows is not None and client.audit.enabled:
             client.audit.record(
                 "void_estimate",
@@ -144,48 +136,3 @@ def bound_join(
             requests=client.metrics.requests_since(mark),
         ).end(now)
     return joined, now
-
-
-def left_bound_join(
-    client: FederationClient,
-    current: Relation,
-    operand: Operand,
-    projection: tuple[Variable, ...],
-    at_ms: float,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> tuple[Relation, float]:
-    """OPTIONAL variant: keep unmatched left rows."""
-    shared = tuple(
-        sorted(set(current.vars) & operand.variables(), key=lambda v: v.name)
-    )
-    if not shared or not current.rows:
-        fetched, end = evaluate_operand(client, operand, projection, at_ms)
-        return current.left_join(fetched), end
-
-    bindings = current.project(shared).distinct()
-    binding_rows = [row for row in bindings.rows if None not in row]
-    fetched = Relation(projection, partitions=max(1, len(operand.sources)))
-    now = at_ms
-    mark = client.metrics.mark()
-    with client.tracer.span(
-        "bound_join",
-        t0=at_ms,
-        bindings=len(binding_rows),
-        block_size=block_size,
-        optional=True,
-        endpoints=list(operand.sources),
-    ) as span:
-        for start in range(0, len(binding_rows), block_size):
-            block = binding_rows[start:start + block_size]
-            query = operand.to_select(projection, values=ValuesPattern(shared, block))
-            block_end = now
-            for endpoint in operand.sources:
-                result, end = client.select(endpoint, query, now, kind=metrics_module.BOUND)
-                block_end = max(block_end, end)
-                fetched.rows.extend(result.rows)
-            now = block_end
-            client.registry.inc("bound_join_blocks_total", engine=client.engine)
-        span.set(
-            rows=len(fetched), requests=client.metrics.requests_since(mark)
-        ).end(now)
-    return current.left_join(fetched), now

@@ -4,9 +4,9 @@ HiBISCuS is a *source-selection add-on*: it builds, per endpoint and per
 predicate, summaries of the URI **authorities** occurring in subject and
 object position.  At query time it prunes, for every join variable, the
 endpoints whose authorities cannot intersect those of the join partners
-— two IRIs can only be equal if their authorities match.  Execution then
-proceeds exactly as FedX (the configuration the paper evaluates:
-"we use it on top of FedX").
+— two IRIs can only be equal if their authorities match.  Planning and
+execution then proceed exactly as FedX (the configuration the paper
+evaluates: "we use it on top of FedX").
 
 Preprocessing cost is proportional to the data size, mirroring the
 paper's index-construction measurements.
@@ -14,13 +14,11 @@ paper's index-construction measurements.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.baselines.fedx import FedXConfig, FedXEngine
+from repro.baselines.fedx import FedXEngine
 from repro.endpoint.client import FederationClient
 from repro.endpoint.federation import Federation
-from repro.planning.normalize import Branch
 from repro.planning.source_selection import SourceSelection
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import TriplePattern
@@ -58,17 +56,21 @@ def build_authority_index(federation: Federation) -> dict[str, AuthoritySummary]
 
 
 class HibiscusEngine(FedXEngine):
-    """FedX executor with HiBISCuS authority-based source pruning."""
+    """FedX planner with HiBISCuS authority-based source pruning."""
 
     name = "HiBISCuS"
     requires_preprocessing = True
+    index: dict[str, AuthoritySummary]
 
-    def __init__(self, federation, network_config=None, caches=None,
-                 timeout_ms=None, config: FedXConfig | None = None):
-        super().__init__(federation, network_config, caches, timeout_ms, config)
-        start = time.perf_counter()
-        self.index = build_authority_index(federation)
-        self.stats.preprocessing_ms = (time.perf_counter() - start) * 1000.0
+    def _build_index(self) -> dict[str, AuthoritySummary]:
+        return build_authority_index(self.federation)
+
+    def _select_sources(
+        self, client: FederationClient, patterns: list[TriplePattern], at_ms: float
+    ) -> tuple[SourceSelection, float]:
+        selection, end = super()._select_sources(client, patterns, at_ms)
+        self._prune_sources(patterns, selection)
+        return selection, end
 
     # -------------------------------------------------------------- prune
 
@@ -90,17 +92,16 @@ class HibiscusEngine(FedXEngine):
             return summary.subjects(predicate)
         return summary.objects(predicate)
 
-    def _prune_sources(self, client: FederationClient, branch: Branch,
-                       selection: SourceSelection, at_ms: float) -> float:
+    def _prune_sources(self, patterns: list[TriplePattern], selection: SourceSelection) -> None:
         """Drop endpoints whose authorities cannot join (index-only, free)."""
-        patterns = list(branch.all_patterns())
+        # Variables are visited in order of first occurrence: a variable
+        # reads the source lists earlier variables already pruned, so the
+        # visiting order must not depend on set iteration.
         by_variable: dict[Variable, list[tuple[TriplePattern, str]]] = {}
         for pattern in patterns:
-            for variable in pattern.variables():
-                for position in pattern.variable_positions(variable):
-                    if position == "predicate":
-                        continue
-                    by_variable.setdefault(variable, []).append((pattern, position))
+            for position, term in (("subject", pattern.subject), ("object", pattern.object)):
+                if isinstance(term, Variable):
+                    by_variable.setdefault(term, []).append((pattern, position))
 
         for variable, occurrences in by_variable.items():
             if len(occurrences) < 2:
@@ -140,4 +141,3 @@ class HibiscusEngine(FedXEngine):
                         kept.append(endpoint)
                 if kept and len(kept) < len(selection.relevant(pattern)):
                     selection.sources[pattern] = tuple(kept)
-        return at_ms

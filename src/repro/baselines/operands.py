@@ -1,64 +1,24 @@
 """Operands: the execution units of the baseline engines.
 
-FedX (and HiBISCuS, which reuses its executor) evaluates a query as a
+FedX (and HiBISCuS, which reuses its planner) evaluates a query as a
 left-deep sequence of operands, where an operand is either an *exclusive
 group* — triple patterns whose only relevant source is one and the same
 endpoint, evaluable there as a unit — or a single triple pattern sent to
-all its relevant sources.  Join order follows FedX's variable-counting
-heuristic: prefer operands with the fewest free variables given what is
-already bound.
+all its relevant sources.  An operand is a plain
+:class:`~repro.core.decomposition.subquery.Subquery`; the exclusive
+groups are the ones with several patterns.  Join order follows FedX's
+variable-counting heuristic: prefer operands with the fewest free
+variables given what is already bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.decomposition.subquery import Subquery
+from repro.planning.normalize import partition_filters
 from repro.planning.source_selection import SourceSelection
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
-from repro.sparql.ast import (
-    BGP,
-    Expression,
-    Filter,
-    GroupPattern,
-    PatternNode,
-    SelectQuery,
-    ValuesPattern,
-)
-
-
-@dataclass
-class Operand:
-    """One join step: a pattern group bound to its relevant sources."""
-
-    patterns: tuple[TriplePattern, ...]
-    sources: tuple[str, ...]
-    filters: tuple[Expression, ...] = ()
-    exclusive: bool = False
-    optional_group: int | None = None
-
-    def variables(self) -> set[Variable]:
-        found: set[Variable] = set()
-        for pattern in self.patterns:
-            found |= pattern.variables()
-        return found
-
-    def free_variables(self, bound: set[Variable]) -> int:
-        return len(self.variables() - bound)
-
-    def to_select(
-        self, projection: tuple[Variable, ...], values: ValuesPattern | None = None
-    ) -> SelectQuery:
-        elements: list[PatternNode] = []
-        if values is not None:
-            elements.append(values)
-        elements.append(BGP(self.patterns))
-        for expression in self.filters:
-            elements.append(Filter(expression))
-        return SelectQuery(
-            where=GroupPattern(elements),
-            select_vars=projection if projection else None,
-        )
+from repro.sparql.ast import Expression
 
 
 def build_operands(
@@ -66,74 +26,62 @@ def build_operands(
     selection: SourceSelection,
     filters: tuple[Expression, ...],
     optional_group: int | None = None,
-) -> tuple[list[Operand], list[Expression]]:
+) -> tuple[list[Subquery], list[Expression]]:
     """Form exclusive groups + singleton operands, pushing filters.
 
     Returns the operand list and the filters that could not be pushed
     (to be applied at the mediator).
     """
-    exclusive: dict[tuple[str, ...], list[TriplePattern]] = {}
-    singleton_patterns: list[TriplePattern] = []
-    for pattern in patterns:
-        sources = selection.relevant(pattern)
-        if len(sources) == 1:
-            exclusive.setdefault(sources, []).append(pattern)
-        else:
-            singleton_patterns.append(pattern)
-
-    operands: list[Operand] = []
-    for sources, group in exclusive.items():
-        operands.append(
-            Operand(patterns=tuple(group), sources=sources, exclusive=len(group) > 1,
-                    optional_group=optional_group)
+    groups = selection.exclusive_groups(patterns)
+    pushed, residue = partition_filters(
+        filters,
+        [{variable for pattern in group for variable in pattern.variables()} for group in groups],
+    )
+    operands = [
+        Subquery(
+            id=index,
+            patterns=tuple(group),
+            sources=selection.relevant(group[0]),
+            filters=tuple(group_filters),
+            optional_group=optional_group,
         )
-    for pattern in singleton_patterns:
-        operands.append(
-            Operand(
-                patterns=(pattern,),
-                sources=selection.relevant(pattern),
-                optional_group=optional_group,
-            )
-        )
-
-    # Push filters into the first operand covering all their variables.
-    residue: list[Expression] = []
-    for expression in filters:
-        vars = expression.variables()
-        target = None
-        for operand in operands:
-            if vars and vars <= operand.variables():
-                target = operand
-                break
-        if target is None:
-            residue.append(expression)
-        else:
-            target.filters = target.filters + (expression,)
+        for index, (group, group_filters) in enumerate(zip(groups, pushed))
+    ]
     return operands, residue
 
 
-def order_operands(operands: list[Operand]) -> list[Operand]:
-    """FedX's variable-counting join order.
+def greedy_order(operands: list[Subquery], cost) -> list[Subquery]:
+    """Connectivity-first greedy join order.
 
-    Greedy: repeatedly pick the operand with the fewest free variables
-    given the variables bound so far, preferring exclusive groups and
-    operands connected to the bound set.  (Schwarte et al. 2011, Sec 5.)
+    Repeatedly picks, among the operands sharing a variable with what is
+    already bound (any operand at the start, and when none connects),
+    the one with the smallest ``cost(operand, bound)``.
     """
     remaining = list(operands)
-    ordered: list[Operand] = []
+    ordered: list[Subquery] = []
     bound: set[Variable] = set()
     while remaining:
-        def rank(operand: Operand):
-            connected = bool(operand.variables() & bound) or not bound
-            return (
-                0 if connected else 1,
-                operand.free_variables(bound),
-                0 if operand.exclusive else 1,
-                -len(operand.patterns),
-            )
-
-        best = min(remaining, key=rank)
+        best = min(
+            remaining,
+            key=lambda operand: (
+                0 if not bound or operand.variables() & bound else 1,
+                cost(operand, bound),
+            ),
+        )
         remaining.remove(best)
         ordered.append(best)
         bound |= best.variables()
     return ordered
+
+
+def order_operands(operands: list[Subquery]) -> list[Subquery]:
+    """FedX's variable-counting join order.
+
+    Fewest free variables given the variables bound so far, then
+    exclusive groups (the only multi-pattern operands), larger first.
+    (Schwarte et al. 2011, Sec 5.)
+    """
+    return greedy_order(
+        operands,
+        lambda operand, bound: (len(operand.variables() - bound), -len(operand.patterns)),
+    )

@@ -25,6 +25,8 @@ from repro.core.decomposition.decomposer import decompose, enumerate_decompositi
 from repro.core.decomposition.gjv import GJVResult, detect_gjvs
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import (
+    CardinalityEstimates,
+    DelayDecision,
     DelayPolicy,
     collect_statistics,
     decide_delays,
@@ -36,8 +38,8 @@ from repro.core.execution.partial import (
 )
 from repro.core.execution.scheduler import (
     MIN_BLOCK,
+    POOL_SIZE,
     BranchScheduler,
-    SchedulerConfig,
     adaptive_block_size,
 )
 from repro.endpoint.cache import EngineCaches
@@ -45,12 +47,14 @@ from repro.endpoint.client import FederationClient
 from repro.endpoint.federation import Federation
 from repro.net.simulator import MediatorCostModel, NetworkConfig
 from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine
-from repro.planning.normalize import Branch, NormalizedQuery, partition_filters
+from repro.planning.normalize import Branch, NormalizedQuery, normalize, partition_filters
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
 from repro.sparql.ast import VarExpr
+from repro.sparql.parser import parse_query
+from repro.sparql.serializer import serialize_expression
 
 
 @dataclass
@@ -64,12 +68,10 @@ class LusailConfig:
     delay_policy: DelayPolicy = DelayPolicy.MU_SIGMA
     use_chauvenet: bool = True
     enable_delay: bool = True
-    block_size: int = 500
-    #: Adaptive bound-join blocks: each delayed subquery's block shrinks
+    #: Largest bound-join block; each delayed subquery's block shrinks
     #: with its COUNT-estimated rows-per-binding, never below
     #: :data:`~repro.core.execution.scheduler.MIN_BLOCK`.
-    adaptive_block_size: bool = True
-    pool_size: int = 8
+    block_size: int = 500
     refine_sources: bool = True
     greedy_join_order: bool = False
     max_mediator_rows: int | None = 2_000_000
@@ -98,17 +100,6 @@ class LusailConfig:
     #: per branch from the charset-statistics cost estimates.
     strategy: str = "bound-join"
 
-    def scheduler_config(self) -> SchedulerConfig:
-        return SchedulerConfig(
-            block_size=self.block_size,
-            adaptive_block_size=self.adaptive_block_size,
-            refine_sources=self.refine_sources,
-            greedy_join_order=self.greedy_join_order,
-            max_mediator_rows=self.max_mediator_rows,
-            pool_size=self.pool_size * max(1, self.machines),
-            partial_results=self.partial_results,
-        )
-
 
 @dataclass
 class QueryPlanInfo:
@@ -119,6 +110,24 @@ class QueryPlanInfo:
     subquery_count: int = 0
     delayed_count: int = 0
     check_queries: int = 0
+
+
+@dataclass
+class _BranchAnalysis:
+    """What planning one branch produced, for execution and ``explain``."""
+
+    #: Virtual time when source selection ended / when analysis ended.
+    selected_ms: float
+    end_ms: float
+    #: ``None`` when some required pattern has no source anywhere; the
+    #: fields below are only set otherwise.
+    plan: DecompositionPlan | None = None
+    needed_vars: set[Variable] | None = None
+    estimates: CardinalityEstimates | None = None
+    #: ``None`` under ``enable_delay=False``.
+    delays: DelayDecision | None = None
+    scheduler_class: type[BranchScheduler] | None = None
+    strategy: StrategyDecision | None = None
 
 
 class LusailEngine(FederatedEngine):
@@ -146,7 +155,7 @@ class LusailEngine(FederatedEngine):
                 mediator_slots=self.network_config.mediator_slots * machines,
             )
         self.mediator = mediator or MediatorCostModel(
-            threads=self.config.pool_size * machines
+            threads=POOL_SIZE * machines
         )
         self.last_plan: QueryPlanInfo | None = None
         #: Scheduler class; the multi-query optimizer swaps in a sharing
@@ -158,104 +167,93 @@ class LusailEngine(FederatedEngine):
     def _execute_normalized(
         self, client: FederationClient, normalized: NormalizedQuery
     ) -> tuple[Relation, float]:
-        plan_info = QueryPlanInfo()
-        self.last_plan = plan_info
+        self.last_plan = QueryPlanInfo()
+        return super()._execute_normalized(client, normalized)
 
-        union_relation: Relation | None = None
-        end_ms = 0.0
-        phase_maxima: dict[str, float] = {}
-        # Branch schedulers install their own kernel runtime; this outer
-        # one covers the cross-branch UNIONs with the same row limit.
-        with self._mediator_runtime(client, self.config.max_mediator_rows):
-            for branch in normalized.branches:
-                relation, branch_end, phases = self._execute_branch(
-                    client, branch, normalized, plan_info
-                )
-                end_ms = max(end_ms, branch_end)
-                for phase, duration in phases.items():
-                    phase_maxima[phase] = max(phase_maxima.get(phase, 0.0), duration)
-                union_relation = relation if union_relation is None else union_relation.union(relation)
-        assert union_relation is not None  # normalize() guarantees >= 1 branch
-        # Branches execute concurrently: the phase profile is the maximum
-        # across branches, not the sum.
-        client.metrics.phase_ms = dict(phase_maxima)
-        return union_relation, end_ms
+    def _analyze_branch(
+        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
+    ) -> _BranchAnalysis:
+        """Plan one branch: sources, LADE, statistics, delays, strategy.
+
+        The one place the analysis sequence is written; execution and
+        :meth:`explain` both read its result.
+        """
+        tracer = client.tracer
+        # ---- Phase 1: source selection --------------------------------
+        all_patterns = list(branch.all_patterns())
+        mark = client.metrics.mark()
+        with tracer.span("source_selection", t0=0.0) as span:
+            selection, now = select_sources(client, all_patterns, 0.0)
+            span.set(
+                patterns=len(all_patterns),
+                requests=client.metrics.requests_since(mark),
+            ).end(now)
+        selected_ms = now
+        if any(not selection.relevant(pattern) for pattern in branch.patterns):
+            return _BranchAnalysis(selected_ms, now)
+
+        # ---- Phase 2: analysis (LADE + statistics) --------------------
+        with tracer.span("analysis", t0=now) as analysis_span:
+            with tracer.span("decomposition", t0=now) as span:
+                plan, now = self._decompose_branch(client, branch, selection, now)
+                span.set(
+                    subqueries=len(plan.subqueries),
+                    gjvs=plan.gjv_names(),
+                    check_queries=plan.check_query_count,
+                ).end(now)
+            needed_vars = self._needed_variables(plan, normalized)
+            estimates, now = collect_statistics(client, plan.subqueries, now)
+            with tracer.span("delay_decision", t0=now) as span:
+                delays = None
+                if self.config.enable_delay:
+                    delays = decide_delays(
+                        plan.subqueries,
+                        estimates,
+                        projected=needed_vars,
+                        policy=self.config.delay_policy,
+                        use_chauvenet=self.config.use_chauvenet,
+                    )
+                    span.set(
+                        policy=str(self.config.delay_policy.value),
+                        cardinality_threshold=delays.cardinality_threshold,
+                        endpoint_threshold=delays.endpoint_threshold,
+                        delayed=sorted(delays.delayed_ids),
+                        chauvenet_rejected=sorted(delays.cardinality_rejected_ids),
+                        estimated_cardinalities=delays.cardinalities,
+                    )
+                else:
+                    for subquery in plan.subqueries:
+                        subquery.estimated_cardinality = estimates.subquery_cardinality(
+                            subquery, needed_vars
+                        )
+                        subquery.delayed = False
+                    span.set(policy="disabled", delayed=[])
+                span.end(now)
+            analysis_span.end(now)
+        scheduler_class, strategy = self._resolve_strategy(plan, needed_vars, estimates, client)
+        return _BranchAnalysis(
+            selected_ms, now, plan, needed_vars, estimates, delays, scheduler_class, strategy
+        )
 
     def _execute_branch(
-        self,
-        client: FederationClient,
-        branch: Branch,
-        normalized: NormalizedQuery,
-        plan_info: QueryPlanInfo,
+        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
     ) -> tuple[Relation, float, dict[str, float]]:
-        now = 0.0
-        phases: dict[str, float] = {}
         tracer = client.tracer
-
         with tracer.span("branch", t0=0.0) as branch_span:
-            # ---- Phase 1: source selection ----------------------------
-            all_patterns = list(branch.all_patterns())
-            mark = client.metrics.mark()
-            with tracer.span("source_selection", t0=0.0) as span:
-                selection, now = select_sources(client, all_patterns, now)
-                span.set(
-                    patterns=len(all_patterns),
-                    requests=client.metrics.requests_since(mark),
-                ).end(now)
-            phases["source_selection"] = now
-
-            missing_required = [
-                pattern for pattern in branch.patterns if not selection.relevant(pattern)
-            ]
-            if missing_required:
+            analysis = self._analyze_branch(client, branch, normalized)
+            plan, now = analysis.plan, analysis.end_ms
+            phases = {"source_selection": analysis.selected_ms}
+            if plan is None:
                 # Some required pattern has no source anywhere: empty answer.
                 branch_span.set(empty="no source for required pattern").end(now)
                 return Relation(tuple(normalized.projected_variables())), now, phases
+            phases["analysis"] = now - analysis.selected_ms
 
-            # ---- Phase 2: analysis (LADE + statistics) -----------------
-            analysis_start = now
-            with tracer.span("analysis", t0=now) as analysis_span:
-                with tracer.span("decomposition", t0=now) as span:
-                    plan, now = self._decompose_branch(client, branch, selection, now)
-                    span.set(
-                        subqueries=len(plan.subqueries),
-                        gjvs=plan.gjv_names(),
-                        check_queries=plan.check_query_count,
-                    ).end(now)
-                plan_info.branch_plans.append(plan)
-                plan_info.gjv_names = sorted(set(plan_info.gjv_names) | set(plan.gjv_names()))
-                plan_info.subquery_count += len(plan.subqueries)
-                plan_info.check_queries += plan.check_query_count
-
-                needed_vars = self._needed_variables(plan, normalized)
-
-                estimates, now = collect_statistics(client, plan.subqueries, now)
-                with tracer.span("delay_decision", t0=now) as span:
-                    if self.config.enable_delay:
-                        decision = decide_delays(
-                            plan.subqueries,
-                            estimates,
-                            projected=needed_vars,
-                            policy=self.config.delay_policy,
-                            use_chauvenet=self.config.use_chauvenet,
-                        )
-                        span.set(
-                            policy=str(self.config.delay_policy.value),
-                            cardinality_threshold=decision.cardinality_threshold,
-                            endpoint_threshold=decision.endpoint_threshold,
-                            delayed=sorted(decision.delayed_ids),
-                            chauvenet_rejected=sorted(decision.cardinality_rejected_ids),
-                            estimated_cardinalities=decision.cardinalities,
-                        )
-                    else:
-                        for subquery in plan.subqueries:
-                            subquery.estimated_cardinality = estimates.subquery_cardinality(
-                                subquery, needed_vars
-                            )
-                            subquery.delayed = False
-                        span.set(policy="disabled", delayed=[])
-                    span.end(now)
-                analysis_span.end(now)
+            plan_info = self.last_plan
+            plan_info.branch_plans.append(plan)
+            plan_info.gjv_names = sorted(set(plan_info.gjv_names) | set(plan.gjv_names()))
+            plan_info.subquery_count += len(plan.subqueries)
+            plan_info.check_queries += plan.check_query_count
             delayed_count = sum(1 for sq in plan.subqueries if sq.delayed)
             plan_info.delayed_count += delayed_count
             client.registry.inc("subqueries_total", len(plan.subqueries), engine=self.name)
@@ -263,23 +261,20 @@ class LusailEngine(FederatedEngine):
             client.registry.inc(
                 "check_queries_total", plan.check_query_count, engine=self.name
             )
-            phases["analysis"] = now - analysis_start
 
             # ---- Phase 3: execution (SAPE or partial evaluation) -------
             execution_start = now
-            scheduler_class, decision = self._resolve_strategy(
-                plan, needed_vars, estimates, client
-            )
+            decision = analysis.strategy
             with tracer.span(
                 "execution", t0=now, strategy=decision.strategy
             ) as span:
-                scheduler = scheduler_class(
+                scheduler = analysis.scheduler_class(
                     client=client,
                     plan=plan,
-                    needed_vars=needed_vars,
-                    estimates=estimates,
+                    needed_vars=analysis.needed_vars,
+                    estimates=analysis.estimates,
                     mediator=self.mediator,
-                    config=self.config.scheduler_config(),
+                    config=self.config,
                 )
                 outcome = scheduler.run(now)
                 now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
@@ -383,7 +378,7 @@ class LusailEngine(FederatedEngine):
                 required_groups = decompose(list(branch.patterns), gjvs, selection)
         elif mode == "exclusive":
             gjvs = GJVResult()
-            required_groups = _exclusive_groups(list(branch.patterns), selection)
+            required_groups = selection.exclusive_groups(list(branch.patterns))
         elif mode == "triple":
             gjvs = GJVResult()
             required_groups = [[pattern] for pattern in branch.patterns]
@@ -404,7 +399,7 @@ class LusailEngine(FederatedEngine):
                 check_count += block_gjvs.check_queries_run
                 groups = decompose(block_patterns, block_gjvs, selection)
             elif mode == "exclusive":
-                groups = _exclusive_groups(block_patterns, selection)
+                groups = selection.exclusive_groups(block_patterns)
             else:
                 groups = [[pattern] for pattern in block_patterns]
             optional_plans.append((index, groups))
@@ -529,20 +524,15 @@ class LusailEngine(FederatedEngine):
         needed |= {variable for variable, count in seen.items() if count >= 2}
         return needed
 
-    def _explain_block_size(self, subquery, plan, decision) -> str:
+    def _explain_block_size(self, subquery: Subquery, plan: DecompositionPlan) -> str:
         """Planned bound-join block size line for one delayed subquery.
 
         At compile time the binding count is unknown; it is approximated
         by the smallest estimated cardinality among the eager subqueries
         sharing a variable — the component the bindings will come from.
         """
-        if not self.config.adaptive_block_size:
-            return f"bound-join block size: {self.config.block_size} (fixed)"
-        cardinality = decision.cardinalities.get(
-            subquery.id, subquery.estimated_cardinality
-        )
         shared_cards = [
-            decision.cardinalities.get(other.id, other.estimated_cardinality)
+            other.estimated_cardinality
             for other in plan.subqueries
             if not other.delayed
             and other.optional_group is None
@@ -553,6 +543,7 @@ class LusailEngine(FederatedEngine):
                 f"bound-join block size: {self.config.block_size} "
                 "(adaptive, no connected eager bindings estimate)"
             )
+        cardinality = subquery.estimated_cardinality
         bindings = max(1, int(min(shared_cards)))
         planned = adaptive_block_size(
             self.config.block_size, MIN_BLOCK, cardinality, bindings
@@ -571,82 +562,67 @@ class LusailEngine(FederatedEngine):
         the same probe requests an execution would, and warming the same
         caches) but stops before any subquery is evaluated.
         """
-        from repro.planning.normalize import normalize
-        from repro.sparql.parser import parse_query as _parse
-
         if isinstance(query, str):
-            query = _parse(query)
+            query = parse_query(query)
         normalized = normalize(query)
         client = self.build_client()
         lines: list[str] = []
         for branch_index, branch in enumerate(normalized.branches):
             lines.append(f"branch {branch_index}:")
-            selection, now = select_sources(client, list(branch.all_patterns()), 0.0)
-            plan, now = self._decompose_branch(client, branch, selection, now)
-            needed = self._needed_variables(plan, normalized)
-            estimates, now = collect_statistics(client, plan.subqueries, now)
-            decision = decide_delays(
-                plan.subqueries,
-                estimates,
-                projected=needed,
-                policy=self.config.delay_policy,
-                use_chauvenet=self.config.use_chauvenet,
-            )
+            analysis = self._analyze_branch(client, branch, normalized)
+            plan, delays, strategy = analysis.plan, analysis.delays, analysis.strategy
+            if plan is None:
+                lines.append("  empty: no source for required pattern")
+                continue
             lines.append(f"  global join variables: {plan.gjv_names() or '(none)'}")
             lines.append(f"  check queries run: {plan.check_query_count}")
-            __, strategy_decision = self._resolve_strategy(
-                plan, needed, estimates, client
-            )
             lines.append(
                 f"  strategy [{self.config.strategy}]: "
-                f"{strategy_decision.strategy} ({strategy_decision.reason}; "
+                f"{strategy.strategy} ({strategy.reason}; "
                 f"est. crossing selectivity "
-                f"{strategy_decision.estimated_crossing_selectivity:.2f})"
+                f"{strategy.estimated_crossing_selectivity:.2f})"
             )
-            lines.append(
-                f"  delay decision [{self.config.delay_policy.value}]: "
-                f"cardinality threshold={decision.cardinality_threshold:.1f}, "
-                f"endpoint threshold={decision.endpoint_threshold:.1f}"
-            )
-            rejected = sorted(
-                decision.cardinality_rejected_ids | decision.endpoint_rejected_ids
-            )
-            lines.append(
-                "  chauvenet rejected: "
-                + (f"subqueries {rejected}" if rejected else "(none)")
-            )
+            rejected: list[int] = []
+            if delays is None:
+                lines.append("  delay decision: disabled")
+            else:
+                lines.append(
+                    f"  delay decision [{self.config.delay_policy.value}]: "
+                    f"cardinality threshold={delays.cardinality_threshold:.1f}, "
+                    f"endpoint threshold={delays.endpoint_threshold:.1f}"
+                )
+                rejected = sorted(
+                    delays.cardinality_rejected_ids | delays.endpoint_rejected_ids
+                )
+                lines.append(
+                    "  chauvenet rejected: "
+                    + (f"subqueries {rejected}" if rejected else "(none)")
+                )
             if plan.disjoint:
                 lines.append("  disjoint: whole branch evaluated per endpoint")
             for subquery in plan.subqueries:
                 tag = "OPTIONAL " if subquery.optional_group is not None else ""
                 delay = "delayed" if subquery.delayed else "eager"
-                cardinality = decision.cardinalities.get(
-                    subquery.id, subquery.estimated_cardinality
-                )
-                comparison = ">=" if cardinality >= decision.cardinality_threshold else "<"
+                cardinality = subquery.estimated_cardinality
+                threshold = ""
+                if delays is not None:
+                    comparison = ">=" if cardinality >= delays.cardinality_threshold else "<"
+                    threshold = f" {comparison} threshold {delays.cardinality_threshold:.1f}"
                 lines.append(
                     f"  {tag}subquery {subquery.id} [{delay}, "
-                    f"est.card={cardinality:.0f} {comparison} "
-                    f"threshold {decision.cardinality_threshold:.1f}, "
-                    f"endpoints={decision.endpoint_counts.get(subquery.id, len(subquery.sources))}"
+                    f"est.card={cardinality:.0f}{threshold}, "
+                    f"endpoints={len(subquery.sources)}"
                     f"{', chauvenet-rejected' if subquery.id in rejected else ''}] "
                     f"sources={list(subquery.sources)}"
                 )
                 if subquery.delayed:
-                    lines.append(
-                        "    " + self._explain_block_size(subquery, plan, decision)
-                    )
+                    lines.append("    " + self._explain_block_size(subquery, plan))
                 for pattern in subquery.patterns:
                     lines.append(f"    {pattern.n3()}")
                 for expression in subquery.filters:
-                    from repro.sparql.serializer import serialize_expression
-
                     lines.append(f"    FILTER {serialize_expression(expression)}")
-            if plan.residue_filters:
-                from repro.sparql.serializer import serialize_expression
-
-                for expression in plan.residue_filters:
-                    lines.append(f"  mediator FILTER {serialize_expression(expression)}")
+            for expression in plan.residue_filters:
+                lines.append(f"  mediator FILTER {serialize_expression(expression)}")
         return "\n".join(lines)
 
     def with_config(self, **overrides) -> "LusailEngine":
@@ -672,22 +648,3 @@ def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tu
         sources &= set(selection.relevant(pattern))
     # Preserve the deterministic order of the first pattern's list.
     return tuple(name for name in selection.relevant(group[0]) if name in sources)
-
-
-def _exclusive_groups(
-    patterns: list[TriplePattern], selection: SourceSelection
-) -> list[list[TriplePattern]]:
-    """FedX-style schema-only grouping (used for the LADE ablation).
-
-    Patterns answerable by exactly one and the same endpoint form an
-    exclusive group; every other pattern is its own subquery.
-    """
-    groups: dict[tuple[str, ...], list[TriplePattern]] = {}
-    singletons: list[list[TriplePattern]] = []
-    for pattern in patterns:
-        sources = selection.relevant(pattern)
-        if len(sources) == 1:
-            groups.setdefault(sources, []).append(pattern)
-        else:
-            singletons.append([pattern])
-    return list(groups.values()) + singletons

@@ -12,7 +12,7 @@ from repro.core.execution.join_order import JoinPlanNode, execute_plan, plan_joi
 from repro.core.execution.outliers import RobustStats, chauvenet_outliers, robust_stats
 from repro.core.execution.partial import PartialBranchScheduler, StrategyDecision, choose_strategy
 from repro.core.execution.request_handler import ElasticRequestHandler
-from repro.core.execution.scheduler import BranchOutcome, BranchScheduler, SchedulerConfig
+from repro.core.execution.scheduler import BranchOutcome, BranchScheduler
 
 __all__ = [
     "BranchOutcome",
@@ -25,7 +25,6 @@ __all__ = [
     "ElasticRequestHandler",
     "JoinPlanNode",
     "RobustStats",
-    "SchedulerConfig",
     "chauvenet_outliers",
     "choose_strategy",
     "collect_statistics",

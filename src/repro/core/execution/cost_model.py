@@ -134,7 +134,7 @@ def collect_statistics(
 ) -> tuple[CardinalityEstimates, float]:
     """Collect per-(pattern, endpoint) cardinalities.
 
-    When the client carries a :class:`StatisticsProvider` (the
+    When the client carries a :class:`CharsetStatisticsProvider` (the
     characteristic-set seam), filter-free patterns are answered from the
     endpoint's local summary — no COUNT probe is issued, and with the
     audit on each summary estimate is compared against the exact local

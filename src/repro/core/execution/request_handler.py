@@ -18,18 +18,9 @@ class ElasticRequestHandler:
     """Thread-pool bookkeeping for one query execution."""
 
     pool_size: int
-    endpoint_names: tuple[str, ...]
 
     #: Rows per partition chunk when splitting large relations.
     CHUNK_ROWS = 64
-
-    def threads_for(self, sources: tuple[str, ...]) -> int:
-        """Worker threads (= result partitions) for a subquery.
-
-        One thread per relevant endpoint, clamped to the pool size; at
-        least one.
-        """
-        return max(1, min(len(sources), self.pool_size))
 
     def partitions_for(self, sources: tuple[str, ...], rows: int) -> int:
         """Partitions of a fetched relation on the mediator.
@@ -40,6 +31,3 @@ class ElasticRequestHandler:
         """
         by_size = rows // self.CHUNK_ROWS + 1
         return max(1, min(self.pool_size, max(len(sources), by_size)))
-
-    def total_threads(self) -> int:
-        return max(1, min(len(self.endpoint_names), self.pool_size))

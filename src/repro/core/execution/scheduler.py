@@ -20,6 +20,7 @@ Execution of one decomposed conjunctive branch:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery, values_block
 from repro.core.execution.cost_model import CardinalityEstimates
@@ -42,9 +43,14 @@ from repro.relational.filters import make_filter_predicate
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
 
+if TYPE_CHECKING:
+    from repro.core.engine import LusailConfig
 
 #: Smallest block the adaptive bound join may shrink to.
 MIN_BLOCK = 50
+
+#: Elastic Request Handler worker threads per mediator machine.
+POOL_SIZE = 8
 
 
 def adaptive_block_size(
@@ -64,26 +70,6 @@ def adaptive_block_size(
         return block_size
     floor = max(1, min(min_block, block_size))
     return max(floor, min(block_size, int(block_size / rows_per_binding)))
-
-
-@dataclass
-class SchedulerConfig:
-    """Tunable execution knobs (defaults follow the paper)."""
-
-    block_size: int = 500
-    #: Scale each delayed subquery's block size by its COUNT-estimated
-    #: rows-per-binding (see :func:`adaptive_block_size`).
-    adaptive_block_size: bool = True
-    refine_sources: bool = True
-    greedy_join_order: bool = False
-    max_mediator_rows: int | None = 2_000_000
-    pool_size: int = 8
-    #: Degradation mode: instead of failing the whole query when an
-    #: endpoint is irrecoverable (retries exhausted, breaker open), drop
-    #: that endpoint's contribution and record it as completeness
-    #: metadata on the query metrics.  Off by default: a failed
-    #: subquery fails the query fast.
-    partial_results: bool = False
 
 
 @dataclass
@@ -111,7 +97,7 @@ class BranchScheduler:
         needed_vars: set[Variable],
         estimates: CardinalityEstimates,
         mediator: MediatorCostModel,
-        config: SchedulerConfig,
+        config: LusailConfig,
     ):
         self.client = client
         self.plan = plan
@@ -119,10 +105,7 @@ class BranchScheduler:
         self.estimates = estimates
         self.mediator = mediator
         self.config = config
-        self.handler = ElasticRequestHandler(
-            pool_size=config.pool_size,
-            endpoint_names=tuple(client.federation.names()),
-        )
+        self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
         self.join_cost_units = 0.0
         #: Columnar-kernel work counters for this branch, flushed to the
         #: metrics registry when :meth:`run` finishes.
@@ -229,14 +212,12 @@ class BranchScheduler:
         )
         relation = Relation(projection, partitions=1)
         finish = at_ms
-        block_size = self.config.block_size
-        if self.config.adaptive_block_size:
-            block_size = adaptive_block_size(
-                self.config.block_size,
-                MIN_BLOCK,
-                subquery.estimated_cardinality,
-                len(binding_rows),
-            )
+        block_size = adaptive_block_size(
+            self.config.block_size,
+            MIN_BLOCK,
+            subquery.estimated_cardinality,
+            len(binding_rows),
+        )
         tracer = self.client.tracer
         metrics = self.client.metrics
         # Every block of this subquery shares one query skeleton, so all

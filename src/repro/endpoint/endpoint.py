@@ -355,15 +355,6 @@ class Endpoint:
             maintainer = self._charset_maintainer = CharsetMaintainer(self.store)
         return maintainer.summary()
 
-    def install_charsets(self, summary) -> bool:
-        """Adopt a persisted summary; False when it mismatches the store."""
-        from repro.store.charsets import CharsetMaintainer
-
-        maintainer = self._charset_maintainer
-        if maintainer is None:
-            maintainer = self._charset_maintainer = CharsetMaintainer(self.store)
-        return maintainer.install(summary)
-
     def add(self, triple: Triple) -> bool:
         added = self.store.add(triple)
         if added and self._charset_maintainer is not None:

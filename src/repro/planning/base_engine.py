@@ -28,7 +28,7 @@ from repro.net.metrics import QueryMetrics
 from repro.net.simulator import NetworkConfig, local_cluster_config
 from repro.obs.registry import MetricsRegistry, get_default_registry
 from repro.obs.trace import Tracer, get_default_tracer
-from repro.planning.normalize import NormalizedQuery, normalize
+from repro.planning.normalize import Branch, NormalizedQuery, normalize
 from repro.rdf.terms import Variable
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
@@ -75,7 +75,8 @@ class EngineStats:
 
 
 class FederatedEngine:
-    """Base class: subclasses implement :meth:`_execute_normalized`."""
+    """Base class: subclasses implement :meth:`_execute_branch` and set
+    ``config`` (any object with a ``max_mediator_rows`` field)."""
 
     name = "abstract"
     #: Index-based engines (SPLENDID, HiBISCuS) pay a preprocessing pass.
@@ -97,7 +98,7 @@ class FederatedEngine:
         self.timeout_ms = timeout_ms
         self.stats = EngineStats()
         #: Planner statistics source: "charsets" installs a
-        #: characteristic-set :class:`StatisticsProvider` on every built
+        #: :class:`CharsetStatisticsProvider` on every built
         #: client (ASK / COUNT / check questions answered from local
         #: summaries when provable, remote probes as fallback); "probe"
         #: keeps the pure probe path.
@@ -232,7 +233,32 @@ class FederatedEngine:
     def _execute_normalized(
         self, client: FederationClient, normalized: NormalizedQuery
     ) -> tuple[Relation, float]:
-        """Produce the (pre-modifier) relation and the virtual end time."""
+        """Produce the (pre-modifier) relation and the virtual end time.
+
+        UNION branches execute concurrently from virtual time zero: the
+        query ends with its slowest branch, and the phase profile is the
+        per-phase maximum across branches, not the sum.
+        """
+        union_relation: Relation | None = None
+        end_ms = 0.0
+        phase_maxima: dict[str, float] = {}
+        # An engine may install its own kernel runtime inside a branch;
+        # this outer one covers the cross-branch UNIONs with the same limit.
+        with self._mediator_runtime(client, self.config.max_mediator_rows):
+            for branch in normalized.branches:
+                relation, branch_end, phases = self._execute_branch(client, branch, normalized)
+                end_ms = max(end_ms, branch_end)
+                for phase, duration in phases.items():
+                    phase_maxima[phase] = max(phase_maxima.get(phase, 0.0), duration)
+                union_relation = relation if union_relation is None else union_relation.union(relation)
+        assert union_relation is not None  # normalize() guarantees >= 1 branch
+        client.metrics.phase_ms = phase_maxima
+        return union_relation, end_ms
+
+    def _execute_branch(
+        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
+    ) -> tuple[Relation, float, dict[str, float]]:
+        """One conjunctive branch: its relation, end time and phase durations."""
         raise NotImplementedError
 
     # --------------------------------------------------------- finalizing

@@ -37,6 +37,24 @@ class SourceSelection:
                 seen.setdefault(name, None)
         return tuple(seen)
 
+    def exclusive_groups(self, patterns: list[TriplePattern]) -> list[list[TriplePattern]]:
+        """FedX's schema-only grouping.
+
+        Patterns answerable by exactly one and the same endpoint form an
+        exclusive group, evaluable there as a unit; every other pattern
+        is a group of its own.  Exclusive groups come first, each list
+        in pattern order.
+        """
+        groups: dict[tuple[str, ...], list[TriplePattern]] = {}
+        singletons: list[list[TriplePattern]] = []
+        for pattern in patterns:
+            sources = self.relevant(pattern)
+            if len(sources) == 1:
+                groups.setdefault(sources, []).append(pattern)
+            else:
+                singletons.append([pattern])
+        return list(groups.values()) + singletons
+
     def restrict(self, pattern: TriplePattern, endpoints: tuple[str, ...]) -> None:
         """Narrow a pattern's sources (HiBISCuS-style pruning)."""
         current = set(self.sources.get(pattern, ()))

@@ -4,8 +4,8 @@ The planner historically asked endpoints for every piece of metadata it
 needed — ASK probes for source selection, ``SELECT COUNT`` probes for the
 SAPE cardinality model, and locality check queries for GJV detection — a
 per-query request storm that dominates virtual time before the first
-result row ships.  A :class:`StatisticsProvider` answers those questions
-from per-endpoint characteristic-set summaries
+result row ships.  A :class:`CharsetStatisticsProvider` answers those
+questions from per-endpoint characteristic-set summaries
 (:mod:`repro.store.charsets`) instead:
 
 - ``can_match`` replaces an ASK probe when the summary *proves* the
@@ -39,31 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdf.triple import TriplePattern
 
 
-class StatisticsProvider:
-    """Interface of the planner's statistics seam.
-
-    Methods return ``None`` (or ``(None, at_ms)``) when the provider has
-    no provable/usable answer; callers then fall back to remote probes.
-    """
-
-    name = "abstract"
-
-    def can_match(self, endpoint_name: str, pattern, at_ms: float):
-        raise NotImplementedError
-
-    def pattern_count(self, endpoint_name: str, pattern, at_ms: float):
-        raise NotImplementedError
-
-    def check_empty(self, endpoint_name: str, check, at_ms: float):
-        raise NotImplementedError
-
-    def distinct_values(self, subquery, variable):
-        raise NotImplementedError
-
-    def pair_fanout(self, left, variable, right):
-        raise NotImplementedError
-
-
 def _role(pattern: "TriplePattern", variable: Variable) -> str | None:
     """'subject' / 'object' when the variable sits in exactly one of them."""
     as_subject = pattern.subject == variable
@@ -75,8 +50,11 @@ def _role(pattern: "TriplePattern", variable: Variable) -> str | None:
     return None
 
 
-class CharsetStatisticsProvider(StatisticsProvider):
-    """Answers planner metadata questions from characteristic sets.
+class CharsetStatisticsProvider:
+    """The planner's statistics seam, answered from characteristic sets.
+
+    Methods return ``None`` (or ``(None, at_ms)``) when the provider has
+    no provable/usable answer; callers then fall back to remote probes.
 
     One instance lives on a :class:`FederationClient` (one query); the
     first question about an endpoint fetches its summary through the
@@ -103,10 +81,6 @@ class CharsetStatisticsProvider(StatisticsProvider):
         summary, end = self.client.stats_summary(endpoint_name, at_ms)
         self._summaries[endpoint_name] = summary
         return summary, end
-
-    def fetched_summary(self, endpoint_name: str) -> CharacteristicSets | None:
-        """The already-fetched summary, or None — never issues a request."""
-        return self._summaries.get(endpoint_name)
 
     # --------------------------------------------------- pattern answers
 

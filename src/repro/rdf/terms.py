@@ -151,9 +151,6 @@ class Literal(Term):
             return (2, 0, numeric, self.value)
         return (2, 1, self.value, self.language or "")
 
-    def is_numeric(self) -> bool:
-        return self.datatype in _NUMERIC_DATATYPES
-
     def numeric_value(self) -> Union[int, float, None]:
         """The numeric interpretation of the literal, or None.
 

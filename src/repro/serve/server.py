@@ -529,7 +529,7 @@ class QueryServer:
             with self.tracer.span(
                 "serve.query",
                 t0=record.arrival_ms,
-                name=record.name,
+                query=record.name,
                 tenant=record.tenant,
                 path=record.path,
             ) as span:

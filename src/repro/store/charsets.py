@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, is_concrete
@@ -751,8 +751,3 @@ def load_charsets(path) -> dict[str, CharacteristicSets]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     return {name: CharacteristicSets.from_dict(data) for name, data in payload.items()}
-
-
-def federation_charsets(endpoints: Iterable) -> dict[str, CharacteristicSets]:
-    """Current summaries for every endpoint (building where needed)."""
-    return {endpoint.name: endpoint.charset_summary() for endpoint in endpoints}

@@ -1,19 +1,19 @@
-"""Tests for the FedX, SPLENDID, and HiBISCuS baselines."""
+"""Tests for the FedX, SPLENDID, HiBISCuS and ANAPSID baselines."""
 
 import pytest
 
 from repro.baselines import (
+    AnapsidEngine,
     FedXConfig,
     FedXEngine,
     HibiscusEngine,
-    Operand,
-    SplendidConfig,
     SplendidEngine,
     build_authority_index,
     build_operands,
     build_void_index,
     order_operands,
 )
+from repro.core.decomposition.subquery import Subquery
 from repro.net import metrics as metrics_module
 from repro.planning.source_selection import SourceSelection
 from repro.rdf import IRI, UB, TriplePattern, Variable
@@ -28,15 +28,32 @@ TP_TAKES = TriplePattern(S, UB.takesCourse, C)
 TP_ADDRESS = TriplePattern(U, UB.address, A)
 
 
+def _exclusive(operand: Subquery) -> bool:
+    """An operand is an exclusive group when one endpoint answers several
+    patterns as a unit (``Operand`` stored this as ``.exclusive``; on a
+    ``Subquery`` it is read off the sources and patterns)."""
+    return len(operand.sources) == 1 and len(operand.patterns) > 1
+
+
 class TestOperands:
     def test_exclusive_group_formed(self):
         selection = SourceSelection(
             sources={TP_ADVISOR: ("EP1",), TP_TAKES: ("EP1",), TP_ADDRESS: ("EP1", "EP2")}
         )
         operands, residue = build_operands([TP_ADVISOR, TP_TAKES, TP_ADDRESS], selection, ())
-        exclusive = [op for op in operands if op.exclusive]
+        assert all(isinstance(op, Subquery) for op in operands)
+        exclusive = [op for op in operands if _exclusive(op)]
         assert len(exclusive) == 1 and len(exclusive[0].patterns) == 2
         assert not residue
+
+    def test_order_prefers_exclusive_group_on_equal_free_variables(self):
+        any_edge = TriplePattern(U, Variable("X"), A)
+        selection = SourceSelection(
+            sources={any_edge: ("EP1", "EP2"), TP_ADVISOR: ("EP1",), TP_TAKES: ("EP1",)}
+        )
+        operands, __ = build_operands([any_edge, TP_ADVISOR, TP_TAKES], selection, ())
+        first = order_operands(operands)[0]
+        assert _exclusive(first) and first.patterns == (TP_ADVISOR, TP_TAKES)
 
     def test_multi_source_patterns_stay_single(self):
         selection = SourceSelection(
@@ -44,7 +61,7 @@ class TestOperands:
         )
         operands, __ = build_operands([TP_ADVISOR, TP_TAKES], selection, ())
         assert len(operands) == 2
-        assert all(not op.exclusive for op in operands)
+        assert all(not _exclusive(op) for op in operands)
 
     def test_filters_pushed_into_covering_operand(self):
         from repro.rdf.terms import typed_literal
@@ -108,6 +125,41 @@ class TestBaselineCorrectness:
     def test_limit(self, engine):
         text = UB_PREFIX + "SELECT ?s WHERE { ?s ub:advisor ?p } LIMIT 1"
         assert len(engine.execute(text).result) == 1
+
+
+ALL_BASELINES = [FedXEngine, HibiscusEngine, SplendidEngine, AnapsidEngine]
+
+
+class TestSharedPipeline:
+    """What every baseline gets from ``OperandEngine`` and the base
+    engine's one branch loop."""
+
+    @pytest.mark.parametrize("engine_class", ALL_BASELINES)
+    def test_union_phases_are_maxima_not_sums(self, engine_class, paper_federation):
+        # UNION branches run concurrently from virtual time zero, so the
+        # phase profile is the per-phase maximum over branches.  With
+        # source selection warm (free) that leaves the longest branch's
+        # execution, which cannot exceed the query's own duration; the
+        # sum over branches did.
+        text = UB_PREFIX + (
+            "SELECT ?x WHERE { { ?x ub:teacherOf ?c } UNION { ?x ub:PhDDegreeFrom ?u } }"
+        )
+        engine = engine_class(paper_federation)
+        engine.execute(text)
+        metrics = engine.execute(text).metrics
+        assert metrics.phase_ms["source_selection"] == 0.0
+        assert 0.0 < sum(metrics.phase_ms.values()) <= metrics.virtual_ms
+
+    @pytest.mark.parametrize("engine_class", ALL_BASELINES)
+    def test_source_selection_span_counts_patterns(self, engine_class, paper_federation):
+        from repro.obs import Tracer
+
+        engine = engine_class(paper_federation)
+        engine.tracer = Tracer(enabled=True)
+        assert engine.execute(QA).ok
+        (span,) = engine.tracer.roots[0].find("source_selection")
+        assert span.attrs["patterns"] == 5
+        assert span.attrs.get("index") == engine.source_index
 
 
 class TestFedXBehaviour:
@@ -194,28 +246,10 @@ class TestHibiscusBehaviour:
 
 
 class TestBoundJoinPrimitives:
-    def test_left_bound_join_keeps_unmatched(self, paper_federation):
-        from repro.baselines.bound_join import left_bound_join
-        from repro.endpoint import EngineCaches, FederationClient
-        from repro.net.simulator import local_cluster_config
-        from repro.relational import Relation
-        from repro.rdf import Variable
-
-        client = FederationClient(paper_federation, local_cluster_config(), EngineCaches())
-        U, A = Variable("U"), Variable("A")
-        from tests.conftest import CMU, MIT
-
-        base = Relation([U], [(MIT.MIT,), (CMU.CMU,), (MIT.Nowhere,)])
-        operand = Operand(
-            patterns=(TriplePattern(U, UB.address, A),),
-            sources=("EP1", "EP2"),
-        )
-        joined, end = left_bound_join(client, base, operand, (U, A), 0.0)
-        assert end > 0
-        rows = {tuple(r) for r in joined.rows}
-        # Matched rows carry addresses; the unmatched U survives unbound.
-        assert any(r[0] == MIT.Nowhere and r[1] is None for r in rows)
-        assert any(r[0] == MIT.MIT and r[1] is not None for r in rows)
+    """``left_bound_join`` (called by no engine) went with its test; that
+    OPTIONAL keeps unmatched rows is checked for every baseline by
+    ``TestBaselineCorrectness::test_optional_query`` (ANAPSID:
+    ``tests/test_anapsid.py::TestCorrectness::test_optional_query``)."""
 
     def test_bound_join_block_boundaries(self, paper_federation):
         from repro.baselines.bound_join import bound_join
@@ -228,7 +262,8 @@ class TestBoundJoinPrimitives:
         client = FederationClient(paper_federation, local_cluster_config(), EngineCaches())
         U, A = Variable("U"), Variable("A")
         base = Relation([U], [(MIT.MIT,), (CMU.CMU,)])
-        operand = Operand(
+        operand = Subquery(
+            id=0,
             patterns=(TriplePattern(U, UB.address, A),),
             sources=("EP1", "EP2"),
         )

@@ -6,6 +6,10 @@ all five engines implement the same query semantics over all four
 benchmark families.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -94,3 +98,65 @@ def test_engine_matches_oracle_on_family(engine_name, family, workloads, oracles
                 f"{name}: {len(outcome.result)} rows vs oracle {sum(exact.values())}"
             )
     assert not mismatches, f"{engine_name} on {family}: {mismatches}"
+
+
+#: Run in a fresh interpreter: every engine on random federations with a
+#: BGP+OPTIONAL query (seed 6 is where HiBISCuS' pruning order used to
+#: follow set iteration) and on the paper example; prints one outcome per
+#: (engine, query) as JSON.
+_OUTCOME_SCRIPT = """
+import json
+from collections import Counter
+from repro.baselines import AnapsidEngine, FedXEngine, HibiscusEngine, SplendidEngine
+from repro.core.engine import LusailEngine
+from repro.datasets.random_federation import (
+    build_random_federation, build_random_optional_query,
+)
+from tests.conftest import QA, build_paper_federation
+
+cases = [("paper", build_paper_federation(), QA)]
+for seed in (3, 6, 11):
+    federation = build_random_federation(seed)
+    query = build_random_optional_query(seed, len(federation.names()))
+    cases.append((f"random{seed}", federation, query))
+outcomes = {}
+for engine_class in (LusailEngine, FedXEngine, HibiscusEngine, SplendidEngine, AnapsidEngine):
+    for name, federation, query in cases:
+        outcome = engine_class(federation).execute(query)
+        metrics = outcome.metrics
+        rows = Counter(
+            tuple("" if term is None else term.n3() for term in row)
+            for row in outcome.result.rows
+        )
+        outcomes[f"{engine_class.name}/{name}"] = [
+            outcome.status,
+            repr(metrics.virtual_ms),
+            sorted(metrics.requests_by_kind().items()),
+            metrics.rows_shipped(),
+            metrics.bytes_shipped(),
+            sorted(rows.items()),
+        ]
+print(json.dumps(outcomes, sort_keys=True))
+"""
+
+
+def test_outcomes_do_not_depend_on_the_interpreter_hash_seed():
+    """Requests, rows and virtual time are a function of query and data:
+    the same mini-matrix in four fresh interpreters gives one outcome per
+    (engine, query)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = []
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _OUTCOME_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        runs.append(json.loads(completed.stdout))
+    assert all(outcome[0] == "ok" for outcome in runs[0].values())
+    for other in runs[1:]:
+        differing = [key for key in runs[0] if runs[0][key] != other[key]]
+        assert not differing, f"outcomes differ between interpreter runs: {differing}"

@@ -148,6 +148,22 @@ class TestExplain:
         )
         assert "disjoint" in text
 
+    def test_explain_matches_execution_with_delays_disabled(self):
+        """``explain`` and ``execute`` share one analysis: with delays
+        off, LUBM Q4 runs no bound join, so none may be planned."""
+        from repro.core.engine import LusailConfig
+        from repro.datasets import lubm
+
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=3)
+        assert "[delayed" in LusailEngine(federation).explain(lubm.query_q4())
+        engine = LusailEngine(federation, config=LusailConfig(enable_delay=False))
+        text = engine.explain(lubm.query_q4())
+        assert "delay decision: disabled" in text
+        assert "[delayed" not in text and "bound-join block size" not in text
+        outcome = engine.execute(lubm.query_q4())
+        assert engine.last_plan.delayed_count == 0
+        assert outcome.metrics.request_count("bound") == 0
+
     def test_explain_does_not_fetch_data(self, paper_federation):
         engine = LusailEngine(paper_federation)
         engine.explain(QA)

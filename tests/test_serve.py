@@ -2,7 +2,7 @@
 
 from repro.core.engine import LusailEngine
 from repro.datasets import lubm, queries_lubm
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import Triple, UB
 from repro.serve import QueryRequest, QueryServer, ResultCache, ServeConfig
 
@@ -141,6 +141,17 @@ class TestServing:
         utilization = server.lanes.utilization()
         assert utilization
         assert all(0.0 <= fraction <= 1.0 for fraction in utilization.values())
+
+
+    def test_server_tracer_records_serve_query_span(self, paper_federation):
+        tracer = Tracer(enabled=True)
+        records = QueryServer(paper_federation, tracer=tracer).run(
+            _requests([(0.0, "a", "QA", QA)])
+        )
+        assert [record.path for record in records] == ["executed"]
+        (span,) = [span for span in tracer.all_spans() if span.name == "serve.query"]
+        assert span.attrs["query"] == "QA" and span.attrs["tenant"] == "a"
+        assert span.attrs["path"] == "executed" and span.attrs["status"] == "ok"
 
 
 class TestResultCacheInvalidation:
