@@ -104,19 +104,15 @@ class RowStore:
         return self.length
 
     def __iter__(self) -> Iterator[Row]:
-        decode_row = self.codec.decode_row
-        for row in self.iter_ids():
-            yield decode_row(row)
+        if not self.columns:
+            return self.iter_ids()
+        return iter(self.codec.decode_columns(self.columns))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            decode_row = self.codec.decode_row
             if not self.columns:
                 return [() for __ in range(*index.indices(self.length))]
-            return [
-                decode_row(row)
-                for row in zip(*(column[index] for column in self.columns))
-            ]
+            return self.codec.decode_columns([column[index] for column in self.columns])
         if not self.columns:
             if not -self.length <= index < self.length:
                 raise IndexError(index)

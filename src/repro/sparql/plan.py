@@ -40,6 +40,7 @@ results match it on randomized queries.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter
 from time import perf_counter
@@ -190,6 +191,7 @@ class _ProbeOp:
         "eq_checks",
         "maybe_pending",
         "lazy",
+        "base",
         "estimate",
         "pattern_text",
         "sort_vars",
@@ -199,13 +201,15 @@ class _ProbeOp:
         "_match_cache",
     )
 
-    def __init__(self, consts, slots, new_positions, eq_checks, maybe_pending, lazy):
+    def __init__(self, consts, slots, new_positions, eq_checks, maybe_pending, lazy, base):
         self.consts = consts
         self.slots = slots
         self.new_positions = tuple(new_positions)
         self.eq_checks = eq_checks
         self.maybe_pending = maybe_pending
         self.lazy = lazy
+        #: Width of the rows this probe reads; its fresh columns follow.
+        self.base = base
         # Compile-time ordering estimate (expected matches per input
         # row) and the source pattern, kept for the EXPLAIN ANALYZE
         # probe-order audit; filled in by the compiler's BGP walk.
@@ -344,6 +348,166 @@ class _ProbeOp:
 
     def describe(self) -> str:
         return "probe(lazy)" if self.lazy else "probe"
+
+
+def _range_finder(store: TripleStore, op: _ProbeOp, position: int):
+    """``row -> (values, lo, hi)``: the ascending ids that can stand at
+    ``position`` (0 subject, 2 object) of ``op``'s pattern once its
+    constant predicate and its other position — the *key*, a constant or
+    a column of ``row`` — are fixed.  One store lookup per distinct key
+    (:meth:`TripleStore.subject_range` / ``object_range``)."""
+    lookup = store.subject_range if position == 0 else store.object_range
+    predicate = op.consts[1]
+    key_slot = op.slots[2 - position]
+    if key_slot is None:
+        found = lookup(predicate, op.consts[2 - position])
+        return lambda row: found
+    ranges: dict = {}
+
+    def find(row):
+        key = row[key_slot]
+        found = ranges.get(key)
+        if found is None:
+            found = ranges[key] = lookup(predicate, key)
+        return found
+
+    return find
+
+
+def _span(found: tuple) -> int:
+    """Length of a ``(values, lo, hi)`` candidate range."""
+    return found[2] - found[1]
+
+
+class _SemiJoinOp(_ProbeOp):
+    """A probe that binds nothing new, run as a semi-join.
+
+    The compiler picks this kernel from the probe's shape alone: constant
+    predicate, subject and object each a constant or a certainly bound
+    column (at least one column, none twice), in a pipeline that runs
+    list-at-a-time (:attr:`_Compiler.batch`).  Such a
+    probe only keeps or drops rows, so it filters its input list in
+    order: one sorted run range per distinct key, one ``bisect`` per row
+    inside it — no match lists, nothing memoised.  Of two columns the
+    later-bound one is tested: it varies fastest down a pipeline, which
+    leaves the fewest distinct keys to look up.
+    """
+
+    __slots__ = ("test_position", "test_slot")
+
+    def __init__(self, consts, slots, base):
+        super().__init__(consts, slots, (), (), (), False, base)
+        s_slot, _, o_slot = slots
+        tests_subject = o_slot is None or (s_slot is not None and s_slot > o_slot)
+        self.test_position = 0 if tests_subject else 2
+        self.test_slot = slots[self.test_position]
+
+    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
+        find = _range_finder(ctx.store, self, self.test_position)
+        test_slot = self.test_slot
+        out: list = []
+        for row in rows:
+            values, lo, hi = find(row)
+            value = row[test_slot]
+            at = bisect_left(values, value, lo, hi)
+            if at < hi and values[at] == value:
+                out.append(row)
+        return out
+
+    def describe(self) -> str:
+        return "semijoin"
+
+
+class _IntersectOp:
+    """One variable bound by several patterns at once.
+
+    Fuses a probe that binds exactly one new variable with the
+    semi-joins on that variable that directly follow it (:func:`_fuse`).
+    Per input row every member pattern names an ascending candidate
+    range for the variable; the step walks the smallest and tests the
+    others, most selective first, by ``bisect`` — the variable-at-a-time
+    step of a leapfrog join.  All ranges being ascending, it emits
+    exactly the rows expand-then-check emits, in the same order.
+    ``members`` stay runnable one by one: the probe audit reports them
+    per pattern.
+    """
+
+    __slots__ = ("members", "_positions")
+
+    def __init__(self, members):
+        self.members = tuple(members)
+        first, *checks = self.members
+        self._positions = (first.new_positions[0], *(op.test_position for op in checks))
+
+    @property
+    def sort_vars(self) -> tuple:
+        return self.members[0].sort_vars
+
+    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
+        for member in self.members:
+            rows = member.run(ctx, rows)
+        return rows
+
+    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
+        finders = [
+            _range_finder(ctx.store, member, position)
+            for member, position in zip(self.members, self._positions)
+        ]
+        out: list = []
+        for row in rows:
+            (values, lo, hi), *others = sorted([find(row) for find in finders], key=_span)
+            found = values[lo:hi]
+            for other, start, stop in others:
+                if not found:
+                    break
+                # Candidates ascend, so the tested range only shrinks:
+                # nothing in it lies above the last candidate, and each
+                # search starts where the previous one ended.
+                stop = bisect_right(other, found[-1], start, stop)
+                found = [
+                    value
+                    for value in found
+                    if (start := bisect_left(other, value, start, stop)) < stop
+                    and other[start] == value
+                ]
+            out.extend([row + (value,) for value in found])
+        return out
+
+    def describe(self) -> str:
+        return f"intersect[{' & '.join(op.pattern_text for op in self.members)}]"
+
+
+def _fuse(ops: list) -> list:
+    """Fold each probe that binds one variable (constant predicate, the
+    third position a constant or a certainly bound column), plus the
+    semi-joins on that variable right behind it, into an
+    :class:`_IntersectOp`.  Runs on the final operator list, so a filter
+    placed between two probes keeps them apart and sees the rows it saw
+    before."""
+    fused: list = []
+    index = 0
+    while index < len(ops):
+        op = ops[index]
+        index += 1
+        if (
+            isinstance(op, _ProbeOp)
+            and op.consts[1] is not None
+            and op.new_positions in ((0,), (2,))
+            and not op.eq_checks
+            and not op.maybe_pending
+        ):
+            end = index
+            while (
+                end < len(ops)
+                and isinstance(ops[end], _SemiJoinOp)
+                and ops[end].test_slot == op.base
+            ):
+                end += 1
+            if end > index:
+                op = _IntersectOp([op, *ops[index:end]])
+                index = end
+        fused.append(op)
+    return fused
 
 
 class _ValuesOp:
@@ -708,7 +872,7 @@ def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
     seeded = False
     extendable = False
     for op in plan.ops:
-        if isinstance(op, _ProbeOp):
+        if isinstance(op, (_ProbeOp, _IntersectOp)):
             if not seeded:
                 seeded = True
                 order = list(op.sort_vars)
@@ -779,10 +943,18 @@ class _Compiler:
     never change.
     """
 
-    def __init__(self, store: TripleStore, lazy: bool = False, nullable=frozenset()):
+    def __init__(
+        self, store: TripleStore, lazy: bool = False, nullable=frozenset(), batch: bool = True
+    ):
         self.store = store
         self.dictionary = store.dictionary
         self.lazy = lazy
+        #: Whether the compiled operators receive whole row lists.  The
+        #: semi-join and intersect kernels pay one range lookup per
+        #: distinct key per call, which only a list amortises: lazy plans
+        #: and OPTIONAL sub-plans run one row at a time, where the
+        #: generic probe's plan-lifetime memo is the better kernel.
+        self.batch = batch and not lazy
         #: ``(parameter slot, column)`` pairs whose bound blocks may hold
         #: UNDEF; every other parameter column is certainly bound.
         self.nullable = nullable
@@ -816,7 +988,7 @@ class _Compiler:
                 certain = set(sub.out_certain)
                 timeline.append(set(certain))
             elif isinstance(element, OptionalPattern):
-                sub = self.compile_group(
+                sub = _Compiler(self.store, self.lazy, batch=False).compile_group(
                     element.pattern, tuple(schema), frozenset(certain)
                 )
                 new = sub.out_schema[len(schema):]
@@ -844,7 +1016,7 @@ class _Compiler:
         final_ops = self._place_filters(
             ops, timeline, filters, tuple(schema), frozenset(certain)
         )
-        return _GroupPlan(tuple(final_ops), tuple(schema), frozenset(certain))
+        return _GroupPlan(tuple(_fuse(final_ops)), tuple(schema), frozenset(certain))
 
     # ---------------------------------------------------------------- BGP
 
@@ -866,6 +1038,7 @@ class _Compiler:
 
     def _compile_probe(self, pattern: TriplePattern, schema, certain) -> _ProbeOp:
         slot_of = {var: i for i, var in enumerate(schema)}
+        base = len(schema)
         consts: list = [None, None, None]
         slots: list = [None, None, None]
         new_positions: list[int] = []
@@ -897,14 +1070,24 @@ class _Compiler:
         # surviving row: consts matched, slots substituted or patched,
         # fresh columns filled from the match.
         certain.update(pattern.variables())
-        op = _ProbeOp(
-            tuple(consts),
-            tuple(slots),
-            tuple(new_positions),
-            tuple(eq_checks),
-            maybe_pending,
-            self.lazy,
-        )
+        if (
+            self.batch
+            and not new_positions
+            and not maybe_pending
+            and consts[1] is not None
+            and slots[0] != slots[2]
+        ):
+            op = _SemiJoinOp(tuple(consts), tuple(slots), base)
+        else:
+            op = _ProbeOp(
+                tuple(consts),
+                tuple(slots),
+                tuple(new_positions),
+                tuple(eq_checks),
+                maybe_pending,
+                self.lazy,
+                base,
+            )
         # Compile-time sorted-scan metadata: at probe time a position is
         # bound iff it carries a constant or reads an input slot, so the
         # store can already say which positions its iteration will be
@@ -1419,7 +1602,14 @@ class CompiledPlan:
         core, ctx = self._bind(params)
         records: list[dict] = []
         rows = list(_SEED)
-        for op in core.plan.ops:
+        # An intersect step is audited member by member: one record per
+        # pattern, with the rows each pattern saw on its own.
+        steps = [
+            step
+            for op in core.plan.ops
+            for step in (op.members if isinstance(op, _IntersectOp) else (op,))
+        ]
+        for op in steps:
             n_in = len(rows)
             if not n_in:
                 break
@@ -1446,12 +1636,13 @@ class CompiledPlan:
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
         core, ctx = self._bind(params)
         projected, id_rows = core.id_result(ctx, max_rows)
-        decode_row = self.store.dictionary.decode_row
-        return SelectResult(
-            projected,
-            [decode_row(row) for row in id_rows],
-            sort_order=core.sort_order,
-        )
+        return SelectResult(projected, self._decode(id_rows), sort_order=core.sort_order)
+
+    def _decode(self, id_rows: list) -> list[tuple]:
+        """Term rows of a result's id rows, decoded a column at a time."""
+        if not id_rows or not id_rows[0]:
+            return [()] * len(id_rows)
+        return self.store.dictionary.decode_columns(list(zip(*id_rows)))
 
     def execute_select_sharded(
         self, params=None, shards: int = 1, max_rows: int | None = None
@@ -1468,8 +1659,9 @@ class CompiledPlan:
         cannot be sharded safely (UNION) run unsharded and report no
         shard stats.
         """
-        # Every variant of the plan has the same operators in the same
-        # nesting (UNDEF columns only move filters), so one check serves.
+        # Every variant of the plan has the same UNION and group nesting
+        # (UNDEF columns only move filters and pick generic probes), so
+        # one check serves.
         if shards <= 1 or self.is_ask or not _ops_shardable(self.core.plan.ops):
             return self.execute_select(params, max_rows=max_rows), []
         core, ctx = self._bind(params)
@@ -1512,12 +1704,7 @@ class CompiledPlan:
                     for row in rows
                 ]
             id_rows = core._finish(ctx, rows, max_rows)
-        decode_row = self.store.dictionary.decode_row
-        result = SelectResult(
-            core.projected,
-            [decode_row(row) for row in id_rows],
-            sort_order=core.sort_order,
-        )
+        result = SelectResult(core.projected, self._decode(id_rows), sort_order=core.sort_order)
         return result, shard_stats
 
     def execute_ask(self, params=None) -> bool:

@@ -26,7 +26,7 @@ without touching an index.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.rdf.terms import Term
 
@@ -88,6 +88,26 @@ class TermDictionary:
         """Decode one solution row; ``None`` (unbound) passes through."""
         terms = self._terms
         return tuple(None if term_id is None else terms[term_id] for term_id in row)
+
+    def decode_columns(self, columns: Sequence[Sequence[int | None]]) -> list[tuple]:
+        """Term rows of column-major ids (at least one column).
+
+        Bulk form of :meth:`decode_row`, a column at a time: a fully
+        bound column is one C-level ``map`` over the decode table, and
+        only a column that holds ``None`` pays the per-value test.
+        """
+        terms = self._terms
+        decode = terms.__getitem__
+        return list(
+            zip(
+                *(
+                    [None if term_id is None else terms[term_id] for term_id in column]
+                    if None in column
+                    else map(decode, column)
+                    for column in columns
+                )
+            )
+        )
 
     @property
     def terms(self) -> list[Term]:

@@ -11,9 +11,13 @@ columns.
 Mutations do not rewrite the run: inserts land in an unsorted ``tail`` set
 and deletes of run-resident rows land in a ``tombstones`` set.  Probes merge
 the (sorted) run range with the matching tail rows and filter tombstones, so
-results stay sorted and exact.  When either side-structure outgrows an
-amortization bound proportional to the run length, the whole index is
-flushed into one fresh run (an O(n) merge paid once per O(n/8) mutations).
+results stay sorted and exact.  The first probe after a mutation sorts both
+sets once; until the next mutation a prefix's tail rows and tombstones are a
+``bisect`` range of those sorted views, and a prefix that has neither is
+answered from the run alone, exactly as on a compact index.  When either
+side-structure outgrows an amortization bound proportional to the run
+length, the whole index is flushed into one fresh run (an O(n) merge paid
+once per O(n/8) mutations).
 Bulk loads bypass the tail entirely: :meth:`bulk_insert` merges a pre-sorted
 row block straight into the run, which is how ``TripleStore.add_all`` builds
 each permutation with one sort and no per-row dict churn.
@@ -40,7 +44,7 @@ _TAIL_FRACTION = 8
 class SortedRunIndex:
     """One permutation index: a sorted run plus tail/tombstone deltas."""
 
-    __slots__ = ("_a", "_b", "_c", "tail", "tombstones")
+    __slots__ = ("_a", "_b", "_c", "tail", "tombstones", "_sorted_deltas")
 
     def __init__(self) -> None:
         self._a = array("q")
@@ -50,6 +54,9 @@ class SortedRunIndex:
         self.tail: set[IdRow] = set()
         #: Run-resident rows deleted since the last flush.
         self.tombstones: set[IdRow] = set()
+        #: ``(sorted tail, sorted tombstones)``, built by the first probe
+        #: after a mutation and dropped by the next mutation.
+        self._sorted_deltas: tuple[list[IdRow], list[IdRow]] | None = None
 
     # ------------------------------------------------------------ inspection
 
@@ -82,6 +89,7 @@ class SortedRunIndex:
 
     def add(self, row: IdRow) -> None:
         """Insert ``row``; the caller guarantees it is not already present."""
+        self._sorted_deltas = None
         if row in self.tombstones:
             # Re-adding a previously removed run-resident row: resurrect it.
             self.tombstones.remove(row)
@@ -92,6 +100,7 @@ class SortedRunIndex:
 
     def remove(self, row: IdRow) -> None:
         """Delete ``row``; the caller guarantees it is present."""
+        self._sorted_deltas = None
         if row in self.tail:
             self.tail.remove(row)
             return
@@ -114,8 +123,7 @@ class SortedRunIndex:
         """Merge tail and tombstones into one fresh sorted run."""
         if self.is_compact:
             return
-        rows = list(heapq.merge(self._iter_run_live(), sorted(self.tail)))
-        self._rebuild(rows)
+        self._rebuild(list(self.iter_prefix()))
 
     def bulk_insert(self, rows: Sequence[IdRow]) -> None:
         """Merge a sorted, deduplicated block of new rows into the run.
@@ -131,8 +139,7 @@ class SortedRunIndex:
         if len(self._a) == 0 and not self.tail:
             self._rebuild(rows)
             return
-        merged = list(heapq.merge(self._iter_run_live(), sorted(self.tail), rows))
-        self._rebuild(merged)
+        self._rebuild(list(heapq.merge(self.iter_prefix(), rows)))
 
     def _rebuild(self, rows: Sequence[IdRow]) -> None:
         self._a = array("q", [row[0] for row in rows])
@@ -140,6 +147,7 @@ class SortedRunIndex:
         self._c = array("q", [row[2] for row in rows])
         self.tail.clear()
         self.tombstones.clear()
+        self._sorted_deltas = None
 
     def clear(self) -> None:
         self._rebuild(())
@@ -161,51 +169,68 @@ class SortedRunIndex:
             hi = bisect_right(column, key, lo, hi)
         return lo, hi
 
-    def _iter_run_live(self) -> Iterator[IdRow]:
-        rows = zip(self._a, self._b, self._c)
-        if not self.tombstones:
-            return rows
-        tombstones = self.tombstones
-        return (row for row in rows if row not in tombstones)
+    def _delta_rows(self, prefix: Sequence[int]) -> tuple[list[IdRow], list[IdRow]]:
+        """The tail rows and the tombstones under ``prefix``, each sorted."""
+        deltas = self._sorted_deltas
+        if deltas is None:
+            deltas = self._sorted_deltas = (sorted(self.tail), sorted(self.tombstones))
+        if not prefix:
+            return deltas
+        # Ids are ints, so the rows under (.., k) end where (.., k + 1) starts.
+        start = tuple(prefix)
+        stop = start[:-1] + (start[-1] + 1,)
+        tail_rows, dead_rows = deltas
+        if tail_rows:
+            tail_rows = tail_rows[bisect_left(tail_rows, start) : bisect_left(tail_rows, stop)]
+        if dead_rows:
+            dead_rows = dead_rows[bisect_left(dead_rows, start) : bisect_left(dead_rows, stop)]
+        return tail_rows, dead_rows
 
-    def _iter_run_range(self, lo: int, hi: int) -> Iterator[IdRow]:
+    def _iter_range(self, lo: int, hi: int, tail_rows, dead_rows) -> Iterator[IdRow]:
+        """Run rows ``[lo, hi)`` minus ``dead_rows`` merged with ``tail_rows``."""
         rows = zip(self._a[lo:hi], self._b[lo:hi], self._c[lo:hi])
-        if not self.tombstones:
-            return rows
-        tombstones = self.tombstones
-        return (row for row in rows if row not in tombstones)
+        if dead_rows:
+            tombstones = self.tombstones
+            rows = (row for row in rows if row not in tombstones)
+        if tail_rows:
+            return heapq.merge(rows, tail_rows)
+        return rows
 
     def iter_prefix(self, prefix: Sequence[int] = ()) -> Iterator[IdRow]:
         """Iterate rows matching an id prefix, sorted in permutation order."""
         lo, hi = self._bounds(prefix)
-        run_rows = self._iter_run_range(lo, hi)
-        if not self.tail:
-            return run_rows
-        k = len(prefix)
-        key = tuple(prefix)
-        tail_rows = sorted(row for row in self.tail if row[:k] == key)
-        if not tail_rows:
-            return run_rows
-        return heapq.merge(run_rows, tail_rows)
+        if self.is_compact:
+            return self._iter_range(lo, hi, (), ())
+        return self._iter_range(lo, hi, *self._delta_rows(prefix))
+
+    def third_range(self, first: int, second: int) -> tuple[Sequence[int], int, int]:
+        """``(values, lo, hi)``: the third-column values under a two-id
+        prefix are ``values[lo:hi]``, ascending and exact.
+
+        The probe kernels' primitive: ``values`` is the run column itself
+        whenever the prefix has neither tail rows nor tombstones (no copy),
+        so a membership test is one ``bisect_left(values, v, lo, hi)`` and
+        a walk is one slice; a prefix with deltas gets its merged list.
+        """
+        lo, hi = self._bounds((first, second))
+        if not self.is_compact:
+            tail_rows, dead_rows = self._delta_rows((first, second))
+            if tail_rows or dead_rows:
+                merged = [row[2] for row in self._iter_range(lo, hi, tail_rows, dead_rows)]
+                return merged, 0, len(merged)
+        return self._c, lo, hi
 
     def thirds(self, first: int, second: int) -> Sequence[int]:
         """Sorted third-column values for a fully bound two-id prefix."""
-        lo, hi = self._bounds((first, second))
-        if self.is_compact:
-            return self._c[lo:hi]
-        return [row[2] for row in self.iter_prefix((first, second))]
+        values, lo, hi = self.third_range(first, second)
+        return values[lo:hi]
 
     def count_prefix(self, prefix: Sequence[int] = ()) -> int:
         lo, hi = self._bounds(prefix)
-        count = hi - lo
-        k = len(prefix)
-        if self.tombstones:
-            key = tuple(prefix)
-            count -= sum(1 for row in self.tombstones if row[:k] == key)
-        if self.tail:
-            key = tuple(prefix)
-            count += sum(1 for row in self.tail if row[:k] == key)
-        return count
+        if self.is_compact:
+            return hi - lo
+        tail_rows, dead_rows = self._delta_rows(prefix)
+        return hi - lo - len(dead_rows) + len(tail_rows)
 
     def has_prefix(self, prefix: Sequence[int] = ()) -> bool:
         return next(iter(self.iter_prefix(prefix)), None) is not None

@@ -31,7 +31,7 @@ read these numbers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.rdf.terms import IRI, PatternTerm, Term, Variable
 from repro.rdf.triple import Triple, TriplePattern
@@ -282,6 +282,17 @@ class TripleStore:
         read this to carry sort-order metadata through probe pipelines.
         """
         return MATCH_ORDERS[(s_bound, p_bound, o_bound)]
+
+    def subject_range(self, p: int, o: int) -> tuple[Sequence[int], int, int]:
+        """``(values, lo, hi)``: ``values[lo:hi]`` are the subjects of
+        ``(?, p, o)``, ascending — the POS run column itself when the
+        prefix has no pending writes, so membership is one ``bisect``
+        (:meth:`SortedRunIndex.third_range`)."""
+        return self._pos.third_range(p, o)
+
+    def object_range(self, p: int, s: int) -> tuple[Sequence[int], int, int]:
+        """Like :meth:`subject_range`, for the objects of ``(s, p, ?)`` on SPO."""
+        return self._spo.third_range(s, p)
 
     def scan_ids(self, order: str = "spo") -> Iterator[IdTriple]:
         """Full scan of ``(s, p, o)`` id triples sorted by a permutation.

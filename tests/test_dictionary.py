@@ -57,6 +57,17 @@ class TestTermDictionary:
         assert all(isinstance(v, int) for v in (encoded[0], encoded[2]))
         assert dictionary.decode_row(encoded) == row
 
+    def test_decode_columns_is_decode_row_over_every_row(self):
+        dictionary = TermDictionary()
+        rows = [
+            dictionary.encode_row(row)
+            for row in [(iri("s"), None, Literal("x")), (iri("t"), iri("p"), Literal("x"))]
+        ]
+        # Column 0 and 2 are fully bound, column 1 holds an unbound slot.
+        columns = [list(column) for column in zip(*rows)]
+        assert dictionary.decode_columns(columns) == [dictionary.decode_row(r) for r in rows]
+        assert dictionary.decode_columns([[], []]) == []
+
     def test_contains_and_iter(self):
         dictionary = TermDictionary()
         dictionary.encode(iri("a"))

@@ -510,3 +510,70 @@ class TestShardedPlanExecution:
         capped, __ = plan.execute_select_sharded(shards=3, max_rows=5)
         assert len(capped.rows) == 5
         assert capped.rows == plan.execute_select(max_rows=5).rows
+
+
+class TestProbeKernels:
+    """L2 — the paper's Q1 triangle — against one ``SMALL_PROFILE`` LUBM
+    endpoint: the three ``?x`` patterns run as one intersect step over
+    the sorted runs, and nothing observable about the plan moves."""
+
+    @staticmethod
+    def _compiled(federation, name):
+        from repro.datasets import queries_lubm
+        from repro.sparql.parser import parse_query
+
+        store = federation.get("university0").store
+        query = parse_query(queries_lubm.queries()[name])
+        return store, query, compile_query(store, query)
+
+    @pytest.fixture
+    def l2(self, lubm2):
+        return self._compiled(lubm2, "L2")
+
+    def test_the_x_patterns_compile_to_one_intersect_step(self, l2, monkeypatch):
+        store, query, plan = l2
+        on_x = [op for op in plan.explain() if op.startswith("intersect[?x ")]
+        assert len(on_x) == 1
+        assert on_x[0].count(" & ") == 2
+        for name in ("undergraduateDegreeFrom", "GraduateStudent", "memberOf"):
+            assert name in on_x[0]
+        expected = evaluate_select(store, query)
+        calls = []
+        original = store.match_ids
+        monkeypatch.setattr(
+            store, "match_ids", lambda s, p, o: calls.append((s, p, o)) or original(s, p, o)
+        )
+        result = plan.execute_select()
+        # Only generic probes reach match_ids: one per input row of the
+        # leading `?y a ub:University` probe, none per checked row (the
+        # same plan made 149 calls before the kernels).
+        assert 1 <= len(calls) <= 3
+        assert Counter(result.rows) == Counter(expected.rows)
+        assert len(result.rows) == 19
+
+    def test_audit_still_reports_one_record_per_pattern(self, l2):
+        _store, _query, plan = l2
+        records = plan.audit_probes()
+        assert [
+            (r["estimated"], r["actual"], r["input_rows"], r["output_rows"]) for r in records
+        ] == [
+            (1.0, 1.0, 1, 1),  # ?y a ub:University
+            (3.0, 3.0, 1, 3),  # ?z ub:subOrganizationOf ?y
+            (2.0, 1.0, 3, 3),  # ?z a ub:Department
+            (42.0, 28.0, 3, 84),  # ?x ub:undergraduateDegreeFrom ?y
+            (2.0, 57 / 84, 84, 57),  # ?x a ub:GraduateStudent
+            (2.0, 19 / 57, 57, 19),  # ?x ub:memberOf ?z
+        ]
+
+    # L13 leads with an intersect step, so sharding peels that step off
+    # and chunks its output; L2 leads with a generic probe.
+    @pytest.mark.parametrize("name, lanes", [("L2", 1), ("L13", 2)])
+    def test_sharded_is_row_and_order_identical(self, lubm2, name, lanes):
+        _store, _query, plan = self._compiled(lubm2, name)
+        assert plan.explain()[0].startswith("intersect[") == (name == "L13")
+        serial = plan.execute_select()
+        sharded, stats = plan.execute_select_sharded(shards=2)
+        assert sharded.rows == serial.rows and serial.rows
+        assert sharded.sort_order == serial.sort_order
+        assert len(stats) == lanes
+        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)

@@ -302,3 +302,157 @@ def test_compiled_ask_matches_interpretive(triples, patterns):
     store.add_all(triples)
     ask = AskQuery(GroupPattern([BGP(patterns)]))
     assert compile_query(store, ask).execute_ask() == evaluate_ask(store, ask)
+
+
+# --------------------------------------------------------------------------
+# Probe kernels vs the generic probe path.
+#
+# A fully bound probe compiles to a semi-join, and a probe binding one
+# variable plus the semi-joins on it to one intersect step; both read the
+# sorted runs directly.  On cyclic and star BGPs, over stores that carry
+# tail rows and tombstones, the kernels must return the interpreter
+# oracle's multiset and — row for row, in order — what the same probes
+# return when each runs alone through the generic ``_ProbeOp`` path.
+# Shapes the kernels do not cover must keep compiling to generic probes.
+
+from repro.sparql.ast import AskQuery
+from repro.sparql.evaluator import evaluate_ask
+from repro.sparql.plan import _SEED, _IntersectOp, _ProbeOp, _SemiJoinOp
+
+_A, _B, _C = _VARIABLES
+
+
+@st.composite
+def _written_stores(draw):
+    """A store whose indexes hold a run, tail rows and tombstones."""
+    loaded = draw(st.lists(_triples, min_size=1, max_size=20))
+    late = draw(st.lists(_triples, max_size=8))
+    removed = draw(st.lists(st.sampled_from(loaded + late), max_size=6))
+    back = draw(st.lists(st.sampled_from(removed), max_size=3)) if removed else []
+    store = TripleStore()
+    store.add_all(loaded)
+    for triple in late:
+        store.add(triple)
+    for triple in removed:
+        store.remove(triple)
+    for triple in back:
+        store.add(triple)
+    return store
+
+
+def _kernel_shape(name, p, q, r, n, m):
+    return {
+        "triangle": [
+            TriplePattern(_A, p, _B),
+            TriplePattern(_B, q, _C),
+            TriplePattern(_A, r, _C),
+        ],
+        "type + bound object": [
+            TriplePattern(_A, p, n),
+            TriplePattern(_A, q, _B),
+            TriplePattern(_B, r, m),
+        ],
+        "two checks on one variable": [
+            TriplePattern(_A, p, _B),
+            TriplePattern(_B, q, n),
+            TriplePattern(m, r, _B),
+        ],
+        # Behind a VALUES block over ?a these are two lone semi-joins.
+        "checks only": [TriplePattern(_A, p, n), TriplePattern(m, q, _A)],
+    }[name]
+
+
+_KERNEL_SHAPES = ["triangle", "type + bound object", "two checks on one variable", "checks only"]
+
+
+def _run_generic(plan):
+    """The WHERE pipeline with every probe — the members of each
+    intersect step one by one — run through ``_ProbeOp.run_list``; also
+    how many kernel steps the compiled plan holds."""
+    core, ctx = plan._bind(None)
+    rows = list(_SEED)
+    kernels = 0
+    for op in core.plan.ops:
+        kernels += isinstance(op, (_IntersectOp, _SemiJoinOp))
+        for step in op.members if isinstance(op, _IntersectOp) else (op,):
+            if isinstance(step, _ProbeOp):
+                rows = _ProbeOp.run_list(step, ctx, rows)
+            else:
+                rows = step.run_list(ctx, rows)
+    return rows, kernels
+
+
+def _run_compiled(plan):
+    core, ctx = plan._bind(None)
+    return core.plan.run_list(ctx, list(_SEED))
+
+
+@given(
+    _written_stores(),
+    st.sampled_from(_KERNEL_SHAPES),
+    st.tuples(*[st.sampled_from(_PREDICATES)] * 3),
+    st.tuples(*[st.sampled_from(_IRIS)] * 2),
+    st.one_of(st.none(), st.lists(st.sampled_from(_IRIS), min_size=1, max_size=3)),
+)
+@settings(max_examples=120, deadline=None)
+def test_kernels_match_generic_probes_row_for_row(store, shape, predicates, constants, block):
+    elements = [BGP(_kernel_shape(shape, *predicates, *constants))]
+    if block is not None:
+        # A bound-join block: VALUES leads, so ?a arrives bound.
+        elements.insert(0, ValuesPattern((_A,), tuple((term,) for term in block)))
+    query = SelectQuery(where=GroupPattern(elements), select_vars=None)
+    plan = compile_query(store, query)
+    generic_rows, kernels = _run_generic(plan)
+    assert kernels >= 1
+    assert _run_compiled(plan) == generic_rows
+    assert Counter(plan.execute_select().rows) == Counter(evaluate_select(store, query).rows)
+    assert plan.execute_select_sharded(shards=2)[0].rows == plan.execute_select().rows
+
+
+def _no_kernels(plan) -> bool:
+    return not any("semijoin" in op or "intersect" in op for op in plan.explain())
+
+
+@given(_written_stores(), st.tuples(*[st.sampled_from(_PREDICATES)] * 3), st.sampled_from(_IRIS))
+@settings(max_examples=60, deadline=None)
+def test_uncovered_shapes_stay_generic(store, predicates, constant):
+    p, q, r = predicates
+    predicate = Variable("p")
+    wheres = {
+        # A bound predicate *variable* still probes generically.
+        "variable predicate": [
+            BGP([TriplePattern(_A, predicate, _B), TriplePattern(_B, predicate, constant)])
+        ],
+        "repeated variable": [BGP([TriplePattern(_A, p, _B), TriplePattern(_A, q, _A)])],
+        "check on an OPTIONAL-bound slot": [
+            BGP([TriplePattern(_A, p, _B)]),
+            OptionalPattern(GroupPattern([BGP([TriplePattern(_B, q, _C)])])),
+            BGP([TriplePattern(_C, r, constant)]),
+        ],
+        # An OPTIONAL sub-plan runs one row at a time, like a lazy plan.
+        "inside an OPTIONAL": [
+            BGP([TriplePattern(_A, p, _B)]),
+            OptionalPattern(
+                GroupPattern([BGP([TriplePattern(_B, q, _C), TriplePattern(_C, r, constant)])])
+            ),
+        ],
+    }
+    for label, elements in wheres.items():
+        query = SelectQuery(where=GroupPattern(elements), select_vars=None)
+        plan = compile_query(store, query)
+        assert _no_kernels(plan), label
+        assert Counter(plan.execute_select().rows) == Counter(
+            evaluate_select(store, query).rows
+        ), label
+    # The kernel shapes themselves, once the plan is lazy.
+    triangle = GroupPattern([BGP(_kernel_shape("triangle", p, q, r, constant, constant))])
+    limited = SelectQuery(where=triangle, select_vars=None, limit=2)
+    plan = compile_query(store, limited)
+    assert _no_kernels(plan)
+    assert set(plan.explain()) == {"probe(lazy)"}
+    rows = plan.execute_select().rows
+    unlimited = Counter(evaluate_select(store, SelectQuery(where=triangle, select_vars=None)).rows)
+    assert len(rows) == min(2, sum(unlimited.values())) and not Counter(rows) - unlimited
+    ask = compile_query(store, AskQuery(triangle))
+    assert _no_kernels(ask)
+    assert ask.execute_ask() == evaluate_ask(store, AskQuery(triangle)) == bool(unlimited)

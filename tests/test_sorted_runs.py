@@ -8,6 +8,9 @@ across every probe shape and under mutation, and the ordering contracts
 (``match_order`` / ``scan_ids``) must hold.
 """
 
+from array import array
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,6 +190,64 @@ def test_property_index_is_a_sorted_set(inserted, removed):
         assert list(idx.iter_prefix((first,))) == expected
         assert idx.count_prefix((first,)) == len(expected)
         assert idx.has_prefix((first,)) == bool(expected)
+
+
+_small = st.integers(min_value=0, max_value=3)
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "remove"]), st.tuples(_small, _small, _ids)),
+        st.just(("flush", None)),
+    ),
+    max_size=40,
+)
+
+
+@given(st.lists(st.tuples(_small, _small, _ids), max_size=30), _writes)
+@settings(max_examples=80, deadline=None)
+def test_property_third_range_is_exact_under_interleaved_writes(loaded, writes):
+    """``third_range`` — the probe kernels' primitive — against a brute-
+    force scan after every add / remove / re-add / flush, probed between
+    writes so a stale sorted view of the deltas would show."""
+    idx = SortedRunIndex()
+    model = set(loaded)
+    idx.bulk_insert(sorted(model))
+    for action, row in [("probe", None), *writes]:
+        if action == "flush":
+            idx.flush()
+        elif action == "add" and row not in model:
+            idx.add(row)
+            model.add(row)
+        elif action == "remove" and row in model:
+            idx.remove(row)
+            model.discard(row)
+        for first in range(4):
+            for second in range(4):
+                expected = sorted(r[2] for r in model if r[:2] == (first, second))
+                values, lo, hi = idx.third_range(first, second)
+                assert list(values[lo:hi]) == expected
+                assert list(idx.thirds(first, second)) == expected
+                assert idx.count_prefix((first, second)) == len(expected)
+                for third in range(7):
+                    at = bisect_left(values, third, lo, hi)
+                    assert (at < hi and values[at] == third) == (third in expected)
+                    assert idx.contains((first, second, third)) == (third in expected)
+
+
+def test_a_prefix_without_pending_writes_is_served_from_the_run():
+    # One unrelated tail row and one unrelated tombstone used to send
+    # every probe through a scan of both sets and a merged list.
+    idx = SortedRunIndex()
+    idx.bulk_insert([(1, 1, 1), (1, 1, 2), (2, 2, 2), (3, 3, 3)])
+    idx.add((9, 9, 9))
+    idx.remove((3, 3, 3))
+    assert not idx.is_compact
+    assert idx.thirds(1, 1) == array("q", [1, 2])
+    assert idx.third_range(1, 1)[1:] == (0, 2)  # the run's own row range
+    # A prefix that does have pending writes gets its exact merged values.
+    idx.add((1, 1, 0))
+    idx.remove((1, 1, 2))
+    assert idx.third_range(1, 1) == ([0, 1], 0, 2)
+    assert idx.third_range(3, 3)[1:] == (0, 0)
 
 
 # ------------------------------------------- store vs brute-force scan
