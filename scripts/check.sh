@@ -12,11 +12,14 @@
 #    scale through the same code path as the benchmark, every answer
 #    checked against the union-store oracle (benchmarks/ledger/test_smoke.py;
 #    wall-clock numbers live on the ledger, see benchmarks/ledger/README.md)
-#    — then one full-scale traced ledger run, the command the benchmark
-#    driver itself executes (~25 s; exits 1 on a wrong answer, on a
+#    — then two full-scale ledger runs, the commands the benchmark
+#    driver itself executes (~25 s each; exit 1 on a wrong answer, on a
 #    deterministic number that differs between rounds, or on a trace that
-#    does not cover the round): the tiny-scale smoke alone once stayed
-#    green while the full-scale run failed;
+#    does not cover the round): lubm_local traced, and lubm_crossing
+#    untraced (the workload the last wall-clock claim was made on — an
+#    earlier claim on it ended `run_failed` at the driver).  The
+#    tiny-scale smoke alone once stayed green while a full-scale run
+#    failed;
 # 4. runs one LUBM query under the seeded transient-fault profile and
 #    asserts the retry layer recovers deterministically
 #    (scripts/chaos_smoke.py);
@@ -54,8 +57,9 @@ python scripts/trace_smoke.py
 echo "== performance ledger smoke =="
 python -m pytest benchmarks/ledger -q
 
-echo "== performance ledger, one full-scale traced run =="
+echo "== performance ledger, full-scale runs (lubm_local traced, lubm_crossing untraced) =="
 python3 benchmarks/ledger/run.py --workload lubm_local --seed 1 --seconds 10 --trace 1
+python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 0
 
 echo "== seeded chaos smoke =="
 python scripts/chaos_smoke.py

@@ -146,7 +146,7 @@ class AnapsidEngine(OperandEngine):
             for endpoint in operand.sources:
                 result, end = client.select(endpoint, query, now)
                 now = max(now, end)
-                fetched.rows.extend(result.rows)
+                fetched.rows.extend(result)
             relation = fetched if relation is None else relation.join(fetched)
             self._guard_rows(client, relation)
         return relation, now

@@ -44,7 +44,7 @@ def evaluate_operand(
         for endpoint in operand.sources:
             result, end = client.select(endpoint, query, at_ms)
             finish = max(finish, end)
-            relation.rows.extend(result.rows)
+            relation.rows.extend(result)
         if estimated_rows is not None and client.audit.enabled:
             client.audit.record(
                 "void_estimate",
@@ -113,7 +113,7 @@ def bound_join(
                     endpoint, query, now, kind=metrics_module.BOUND
                 )
                 block_end = max(block_end, end)
-                fetched.rows.extend(result.rows)
+                fetched.rows.extend(result)
             # Serial across blocks: the next block is issued only after this
             # one completed (FedX's synchronous pipeline).
             now = block_end

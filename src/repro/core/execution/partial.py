@@ -357,7 +357,7 @@ class PartialBranchScheduler(BranchScheduler):
         local_complete = Relation(branch_projection, partitions=1)
         for endpoint, result in results.items():
             if result.complete is not None:
-                local_complete.rows.extend(result.complete.rows)
+                local_complete.rows.extend(result.complete)
         self._guard_rows(len(local_complete))
         if len(required) < 2:
             return local_complete

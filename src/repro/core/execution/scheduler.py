@@ -167,7 +167,7 @@ class BranchScheduler:
                     finish = max(finish, self._drop_endpoint(endpoint, exc, at_ms))
                     continue
                 finish = max(finish, end)
-                relation.rows.extend(result.rows)
+                relation.rows.extend(result)
                 if audit.enabled:
                     # SAPE's per-endpoint COUNT-derived estimate against
                     # the rows this endpoint actually returned.
@@ -176,7 +176,7 @@ class BranchScheduler:
                         self.estimates.endpoint_cardinality(
                             subquery, endpoint, self.needed_vars
                         ),
-                        len(result.rows),
+                        len(result),
                         endpoint=endpoint,
                         subquery=subquery.id,
                     )
@@ -258,7 +258,7 @@ class BranchScheduler:
                             continue
                         block_end = max(block_end, end)
                         finish = max(finish, end)
-                        relation.rows.extend(result.rows)
+                        relation.rows.extend(result)
                     block_span.set(
                         rows=len(relation) - rows_before,
                         requests=metrics.requests_since(mark),

@@ -16,14 +16,18 @@ code chains them, parallel fan-out feeds the same ``at`` to many calls
 and takes the max of the completions.  A fresh client is built per query
 execution; caches persist across clients via :class:`EngineCaches`.
 
-The client sits outside the dictionary-encoded boundary: requests carry
-term-level queries and responses carry term rows (the "wire format"),
-never endpoint-local integer ids.  Encoding is an implementation detail
-of each endpoint's store; the mediator's relational layer re-encodes
-received rows into its own shared codec.
+Requests carry term-level queries; SELECT responses come back encoded —
+id columns in the endpoint's own id space plus a reference to its
+dictionary (:class:`~repro.sparql.evaluator.SelectResult`).  The client
+never decodes them: it charges the response as the *text* a SPARQL
+result document would hold, summed from the per-id text lengths cached
+beside the dictionary, and hands the result on for the mediator's
+relational layer to translate into its shared codec.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.endpoint.cache import EngineCaches, MISSING
 from repro.endpoint.federation import Federation
@@ -45,6 +49,7 @@ from repro.sparql.ast import AskQuery, Query, SelectQuery
 from repro.sparql.evaluator import SelectResult
 from repro.sparql.partial import PartialResult, PartialSpec
 from repro.sparql.serializer import query_bytes
+from repro.store.dictionary import text_length
 from repro.store.digests import digest_bytes
 
 #: Fixed per-term serialization overhead (tags, quoting) used by the
@@ -57,18 +62,22 @@ def _payload_bytes(result: SelectResult) -> int:
 
     Counts the value text of every bound term plus a fixed XML/JSON
     framing overhead — enough fidelity for the big-literal experiments
-    where payload volume, not row count, dominates transfer time.
+    where payload volume, not row count, dominates transfer time.  An
+    encoded result is sized from its dictionary's per-id text lengths,
+    a column at a time.
     """
-    total = 0
-    for row in result.rows:
-        for term in row:
-            if term is None:
-                continue
-            value = getattr(term, "value", None)
-            if value is None:
-                value = getattr(term, "label", "")
-            total += len(value) + _TERM_OVERHEAD_BYTES
-    return total
+    if result.columns is None:
+        # Term producers: fork-shard workers, digest-pruned fragments.
+        bound = [term for term in chain.from_iterable(result.rows) if term is not None]
+        return sum(map(text_length, bound)) + _TERM_OVERHEAD_BYTES * len(bound)
+    length_of = result.dictionary.text_lengths().__getitem__
+    total = cells = 0
+    for column in result.columns:
+        if None in column:
+            column = [term_id for term_id in column if term_id is not None]
+        total += sum(map(length_of, column))
+        cells += len(column)
+    return total + _TERM_OVERHEAD_BYTES * cells
 
 
 class FederationClient:

@@ -6,14 +6,19 @@ Virtuoso instances the paper deployed: federation engines only talk to it
 through :class:`~repro.endpoint.client.FederationClient`, which adds the
 virtual network costs.
 
-The endpoint is also the **encode/decode boundary** of the dictionary-
-encoded data plane: internally the store and evaluator work on this
-endpoint's private integer term ids (see :attr:`Endpoint.dictionary`),
-but every :class:`~repro.sparql.evaluator.SelectResult` leaving
-``select()`` carries decoded term rows.  Ids from different endpoints
-are incomparable and never cross this boundary — the mediator re-encodes
-rows into its own shared codec on ingest
-(:func:`repro.relational.relation.mediator_codec`).
+The store and the compiled plans work on this endpoint's private
+integer term ids (see :attr:`Endpoint.dictionary`), and so does what
+``select()`` returns: a :class:`~repro.sparql.evaluator.SelectResult`
+holding id columns plus a reference to the dictionary that minted them
+(over a real transport: the columns and the dictionary entries the
+mediator has not been sent yet).  Ids from different endpoints are
+incomparable, so the mediator translates them into its shared codec on
+ingest (:func:`repro.relational.relation.mediator_codec`), each
+distinct term once; the dictionary is append-only, so a mutation
+between two requests never invalidates what was translated.  Terms
+appear only when a caller reads ``result.rows``.  The one exception is
+the opt-in fork pool (:mod:`repro.endpoint.shards`): a worker's
+dictionary is a private copy, so its rows come back as terms.
 """
 
 from __future__ import annotations
@@ -145,8 +150,8 @@ class Endpoint:
         """This endpoint's private term dictionary.
 
         Ids are endpoint-local: the same IRI generally has different ids
-        at different endpoints, which is why results are decoded to terms
-        before they leave ``select()``.
+        at different endpoints, which is why a result leaving
+        ``select()`` names the dictionary its id columns belong to.
         """
         return self.store.dictionary
 
@@ -299,8 +304,7 @@ class Endpoint:
         plan is fetched with a counter-neutral peek and the re-run does
         not feed ``plan_execute_s``, so auditing never perturbs
         plan-cache statistics or the compile/execute split.  Empty when
-        the plan is not cached (capacity 0) or needs the interpretive
-        fallback.
+        the plan is not cached (capacity 0).
         """
         query, _canonical = self._canonicalize(query)
         skeleton, params = split_parameters(query)

@@ -12,9 +12,11 @@ The pool is deliberately narrow:
 
 * **fork snapshot** — workers inherit the endpoint's store at pool
   creation; any later mutation (``store.version`` bump) invalidates the
-  pool, and the endpoint re-forks lazily.  Requests ship *term-level*
-  queries (the wire format), never endpoint-local integer ids, so a
-  worker's private dictionary growth cannot corrupt the parent's.
+  pool, and the endpoint re-forks lazily.  A worker's dictionary is a
+  private copy that may intern terms (VALUES constants) the parent
+  never saw, so nothing crosses the process boundary as ids: requests
+  ship *term-level* queries and workers answer with *term rows* — the
+  one response path that is not id columns.
 * **eligible queries only** — a leading VALUES block over a flat
   BGP/FILTER body, with no solution modifiers and no result limit.
   Chunking the VALUES rows and concatenating worker results in chunk

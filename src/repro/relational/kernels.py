@@ -17,8 +17,6 @@ kernels those relations dispatch to:
   a two-pointer walk with galloping advances and per-key-group cross
   emission — no hash table is built, and the output is itself sorted on
   the key, so chained joins on the same key never re-sort;
-* a **galloping intersection** kernel over sorted id sequences
-  (``intersect_sorted``), the primitive the merge path advances with;
 * cross-product, left-join, union, project and distinct kernels with the
   same columnar layout.
 
@@ -275,48 +273,6 @@ def merge_key_order(left, right, shared) -> tuple | None:
     if set(key_order) != set(shared):
         return None
     return key_order
-
-
-def gallop_left(keys, target, lo, hi) -> int:
-    """First index in sorted ``keys[lo:hi]`` with ``keys[i] >= target``.
-
-    Exponential (galloping) probe from ``lo`` followed by a bisect inside
-    the bracketed window: O(log distance) rather than O(log range), which
-    is what makes skewed merge inputs cheap to fast-forward through.
-    """
-    if lo >= hi:
-        return lo
-    offset = 1
-    low = lo
-    while lo + offset < hi and keys[lo + offset] < target:
-        low = lo + offset
-        offset <<= 1
-    return bisect_left(keys, target, low, min(lo + offset, hi))
-
-
-def intersect_sorted(left, right) -> list:
-    """Distinct common values of two ascending-sorted id sequences.
-
-    Galloping intersection: walks the smaller side, fast-forwarding
-    through the larger with :func:`gallop_left`.  Inputs may contain
-    duplicates; the output is sorted and distinct.  Accepts any indexable
-    sorted sequence — lists, ``array('q')``, memoryviews over store runs.
-    """
-    if len(left) > len(right):
-        left, right = right, left
-    out: list = []
-    lo, hi = 0, len(right)
-    previous = None
-    for value in left:
-        if value == previous:
-            continue
-        previous = value
-        lo = gallop_left(right, value, lo, hi)
-        if lo >= hi:
-            break
-        if right[lo] == value:
-            out.append(value)
-    return out
 
 
 def _merge_join(left, right, key_order, out_vars, runtime) -> tuple[list[Column], int]:

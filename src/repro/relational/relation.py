@@ -21,8 +21,13 @@ path only when a key column actually contains ``None``, and a streaming
 The :class:`RowStore` wrapper keeps the external contract unchanged:
 iterating, indexing or comparing ``relation.rows`` yields plain term
 tuples, and ``extend``/``append`` accept them — encode on the way in,
-decode on the way out.  The pre-columnar row runtime survives as the
-property-test oracle ``tests/reference_relational.py``.
+decode on the way out.  An endpoint response is not such a term
+producer: ``extend`` takes the :class:`SelectResult` itself and
+translates its id columns through the codec's per-endpoint table
+(:meth:`~repro.store.dictionary.TermDictionary.translate_columns`), so
+no term is touched between the endpoint's store and the final answer's
+decode.  The pre-columnar row runtime survives as the property-test
+oracle ``tests/reference_relational.py``.
 """
 
 from __future__ import annotations
@@ -74,12 +79,23 @@ class RowStore:
             column.append(None if term is None else encode(term))
         self.length += 1
 
-    def extend(self, rows: Iterable[Sequence[Term | None]]) -> None:
+    def extend(self, rows: "Iterable[Sequence[Term | None]] | SelectResult") -> None:
+        """Append term rows, another store's rows, or a whole response.
+
+        An encoded :class:`SelectResult` is translated column-wise and
+        assigns the ids its term rows would (see ``translate_columns``);
+        one that carries term rows only (fork-shard workers, pruned
+        fragments) goes through the term path like any row iterable.
+        """
         if isinstance(rows, RowStore) and rows.codec is self.codec:
-            for column, other_column in zip(self.columns, rows.columns):
-                column.extend(other_column)
-            self.length += rows.length
+            self._extend_ids(rows.columns, rows.length)
             return
+        if isinstance(rows, SelectResult):
+            if rows.columns is not None:
+                translated = self.codec.translate_columns(rows.dictionary, rows.columns)
+                self._extend_ids(translated, len(rows))
+                return
+            rows = rows.rows
         encode = self.codec.encode
         columns = self.columns
         if not columns:
@@ -91,6 +107,12 @@ class RowStore:
                 column.append(None if term is None else encode(term))
             count += 1
         self.length += count
+
+    def _extend_ids(self, columns: Sequence[Sequence], length: int) -> None:
+        """Append ``length`` rows given as columns of this codec's ids."""
+        for column, other_column in zip(self.columns, columns):
+            column.extend(other_column)
+        self.length += length
 
     # ------------------------------------------------------------- decode
 
@@ -140,7 +162,12 @@ class Relation:
 
     __slots__ = ("vars", "rows", "partitions", "sort_order")
 
-    def __init__(self, vars: Sequence[Variable], rows: Iterable[Row] = (), partitions: int = 1):
+    def __init__(
+        self,
+        vars: Sequence[Variable],
+        rows: "Iterable[Row] | SelectResult" = (),
+        partitions: int = 1,
+    ):
         self.vars = tuple(vars)
         if isinstance(rows, RowStore):
             store = RowStore(rows.codec, len(self.vars))
@@ -155,8 +182,8 @@ class Relation:
         #: merge-join outputs; the kernel dispatcher reads it to pick the
         #: merge path when both join inputs cover the shared variables.
         #: Endpoint results do not carry order across :meth:`from_result`:
-        #: their ids live in a different codec, so re-encoding loses
-        #: numeric order.
+        #: their ids live in the endpoint's dictionary, and the
+        #: translation table is not monotone, so numeric order is lost.
         self.sort_order: tuple[Variable, ...] = ()
 
     @classmethod
@@ -193,7 +220,7 @@ class Relation:
 
     @classmethod
     def from_result(cls, result: SelectResult, partitions: int = 1) -> "Relation":
-        return cls(result.vars, result.rows, partitions=partitions)
+        return cls(result.vars, result, partitions=partitions)
 
     @classmethod
     def unit(cls) -> "Relation":

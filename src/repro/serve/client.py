@@ -17,7 +17,9 @@ the query's admission time before booking.
 across concurrently admitted queries (in-flight cross-query MQO): the
 first query to issue a canonically-equivalent subquery against an
 endpoint pays for the request; later queries attach to the shipped
-result and only wait until the producer's response has arrived.
+response — the encoded result itself, seen through their own projection
+header, nothing copied or decoded — and only wait until the producer's
+response has arrived.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class ServingClient(FederationClient):
         server.gate(ticket, ready)
         shared = server.shared_select(endpoint_name, key, endpoint.store.version)
         if shared is not None:
-            rows, done_ms = shared
+            produced, done_ms = shared
             end = max(ready, done_ms)
             # No lane time: the producer's request ships one response
             # that feeds every attached query.  Recorded as a cached
@@ -116,7 +118,7 @@ class ServingClient(FederationClient):
                 engine=self.engine,
                 endpoint=endpoint_name,
             )
-            return SelectResult(tuple(query.projected_variables()), rows), end
+            return produced.view(query.projected_variables()), end
         # Miss: this query is the producer.  The turn acquired above is
         # handed to the booking inside the base select path.
         ticket.turn_held = True
@@ -126,5 +128,5 @@ class ServingClient(FederationClient):
             ticket.turn_held = False
         # Register only successful responses — a failed attempt must
         # never feed other queries.
-        server.register_select(endpoint_name, key, endpoint.store.version, result.rows, end)
+        server.register_select(endpoint_name, key, endpoint.store.version, result, end)
         return result, end

@@ -179,8 +179,8 @@ class QueryServer:
         self.lanes = LaneBook(self.network_config.mediator_slots)
         self.result_cache = ResultCache(registry=self.registry)
         #: In-flight/completed subquery share registry:
-        #: key -> (endpoint store version, rows, completion global ms).
-        self._subquery_shares: dict[tuple, tuple[int, list, float]] = {}
+        #: key -> (endpoint store version, response, completion global ms).
+        self._subquery_shares: dict[tuple, tuple[int, SelectResult, float]] = {}
         self._subquery_keys: dict = {}
         self._parsed: dict[str, tuple] = {}
         self._cost_sum: dict[str, float] = {}
@@ -240,7 +240,7 @@ class QueryServer:
         return key
 
     def shared_select(self, endpoint_name: str, key: tuple, version: int):
-        """Rows + completion time of an equivalent subquery, or None."""
+        """Response + completion time of an equivalent subquery, or None."""
         entry = self._subquery_shares.get((endpoint_name, key))
         if entry is None or entry[0] != version:
             return None
@@ -248,9 +248,9 @@ class QueryServer:
         return entry[1], entry[2]
 
     def register_select(
-        self, endpoint_name: str, key: tuple, version: int, rows: list, done_ms: float
+        self, endpoint_name: str, key: tuple, version: int, result: SelectResult, done_ms: float
     ) -> None:
-        self._subquery_shares[(endpoint_name, key)] = (version, rows, done_ms)
+        self._subquery_shares[(endpoint_name, key)] = (version, result, done_ms)
 
     # ------------------------------------------------------------ the loop
 

@@ -19,8 +19,9 @@ with one round per endpoint.  The mediator compiles the branch into a
     any relevant site — the "compact" in compact partial matches.
 
 The endpoint answers with a :class:`PartialResult`: the local-complete
-rows and per-fragment row sets (columnar id relations endpoint-side,
-decoded at the wire exactly like every other result today).  The
+rows (an encoded result like any SELECT response) and per-fragment row
+sets (term rows: digest pruning hashes terms, and the mediator tags
+every fragment row with an origin term anyway).  The
 mediator assembles fragments across endpoints with the columnar join
 kernels and unions in the local-complete rows, deduplicating via
 origin columns (see :mod:`repro.core.execution.partial`).
@@ -85,10 +86,10 @@ class PartialResult:
     fragments: list[FragmentResult] = field(default_factory=list)
 
     def complete_rows(self) -> int:
-        return 0 if self.complete is None else len(self.complete.rows)
+        return 0 if self.complete is None else len(self.complete)
 
     def fragment_rows(self) -> int:
-        return sum(len(fragment.result.rows) for fragment in self.fragments)
+        return sum(len(fragment.result) for fragment in self.fragments)
 
     def total_rows(self) -> int:
         return self.complete_rows() + self.fragment_rows()

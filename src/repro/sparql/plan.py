@@ -26,8 +26,10 @@ explicit operator pipeline that can be executed many times:
 Operators exchange *positional id rows*: tuples aligned to a
 compile-time variable schema, with ``None`` marking an unbound slot
 (OPTIONAL / UNDEF).  All joins and comparisons are on dictionary ids;
-terms are decoded only for expression evaluation and once at the final
-:class:`~repro.sparql.evaluator.SelectResult`.
+terms are decoded only for expression evaluation.  The final
+:class:`~repro.sparql.evaluator.SelectResult` stays encoded too — id
+columns plus the store's dictionary — and decodes only if a caller asks
+for its ``rows``.
 
 Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
@@ -1411,6 +1413,14 @@ def _contains_bound_or_exists(expression: Expression) -> bool:
 # Pipeline tail: aggregation / projection / DISTINCT / ORDER BY / slice
 
 
+def _gather(rows: list, slots) -> list[list]:
+    """One column per slot of ``rows`` (``None`` slot: all unbound)."""
+    return [
+        [None] * len(rows) if slot is None else list(map(itemgetter(slot), rows))
+        for slot in slots
+    ]
+
+
 class _SelectCore:
     """The compiled WHERE pipeline plus the solution-modifier tail."""
 
@@ -1428,6 +1438,7 @@ class _SelectCore:
         "certain_projected",
         "lazy",
         "sort_order",
+        "no_tail",
     )
 
     def __init__(
@@ -1459,6 +1470,15 @@ class _SelectCore:
         self.certain_projected = certain_projected
         self.lazy = lazy
         self.sort_order = tuple(sort_order)
+        #: Nothing behind the pipeline: its rows are the result's rows.
+        self.no_tail = not (
+            aggregate is not None
+            or distinct
+            or order_by
+            or limit is not None
+            or offset
+            or lazy
+        )
 
     def _iter_projected(self, ctx: _ExecutionContext) -> Iterator[IdRow]:
         rows = self.plan.run(ctx, iter(_SEED))
@@ -1469,9 +1489,8 @@ class _SelectCore:
             tuple(None if i is None else row[i] for i in proj_map) for row in rows
         )
 
-    def _projected_list(self, ctx: _ExecutionContext) -> list:
-        """Batch form of :meth:`_iter_projected` for non-lazy plans."""
-        rows = self.plan.run_list(ctx, list(_SEED))
+    def _project(self, rows: list) -> list:
+        """Batch form of :meth:`_iter_projected` over pipeline rows."""
         if self.identity:
             return rows
         proj_map = self.proj_map
@@ -1518,17 +1537,44 @@ class _SelectCore:
         return list(rows)
 
     def id_result(
-        self, ctx: _ExecutionContext, max_rows: int | None = None
+        self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None
     ) -> tuple[tuple, list]:
         """Projected schema plus id rows, mirroring the evaluator's
-        ``_select_id_result`` tail exactly (same clause order)."""
+        ``_select_id_result`` tail exactly (same clause order).
+
+        ``rows`` are the pipeline's rows when the caller ran it itself
+        (sharded execution).
+        """
         if self.aggregate is not None:
-            rows = self.plan.run_list(ctx, list(_SEED))
+            if rows is None:
+                rows = self.plan.run_list(ctx, list(_SEED))
             return self.projected, self._aggregate_rows(ctx, rows)
         # Lazy plans stream so ASK / LIMIT stop early; everything else
         # runs list-at-a-time through the batch operator path.
-        rows = self._iter_projected(ctx) if self.lazy else self._projected_list(ctx)
+        if rows is not None:
+            rows = self._project(rows)
+        elif self.lazy:
+            rows = self._iter_projected(ctx)
+        else:
+            rows = self._project(self.plan.run_list(ctx, list(_SEED)))
         return self.projected, self._finish(ctx, rows, max_rows)
+
+    def id_columns(
+        self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None
+    ) -> tuple[list[list], int]:
+        """The result column-major: one id list per projected variable,
+        plus the row count (``rows`` as for :meth:`id_result`).
+
+        With nothing behind the pipeline (no aggregate / DISTINCT /
+        ORDER BY / slice / row cap) the columns are gathered straight
+        from the pipeline's rows; no projected row tuple is ever built.
+        """
+        if self.no_tail and max_rows is None:
+            if rows is None:
+                rows = self.plan.run_list(ctx, list(_SEED))
+            return _gather(rows, self.proj_map), len(rows)
+        rows = self.id_result(ctx, max_rows, rows)[1]
+        return _gather(rows, range(len(self.projected))), len(rows)
 
     def ask(self, ctx: _ExecutionContext) -> bool:
         return next(self.plan.run(ctx, iter(_SEED)), None) is not None
@@ -1635,14 +1681,13 @@ class CompiledPlan:
 
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
         core, ctx = self._bind(params)
-        projected, id_rows = core.id_result(ctx, max_rows)
-        return SelectResult(projected, self._decode(id_rows), sort_order=core.sort_order)
+        return self._result(core, *core.id_columns(ctx, max_rows))
 
-    def _decode(self, id_rows: list) -> list[tuple]:
-        """Term rows of a result's id rows, decoded a column at a time."""
-        if not id_rows or not id_rows[0]:
-            return [()] * len(id_rows)
-        return self.store.dictionary.decode_columns(list(zip(*id_rows)))
+    def _result(self, core: "_SelectCore", columns: list[list], length: int) -> SelectResult:
+        """The encoded result: id columns plus the store's dictionary."""
+        return SelectResult.encoded(
+            core.projected, columns, length, self.store.dictionary, core.sort_order
+        )
 
     def execute_select_sharded(
         self, params=None, shards: int = 1, max_rows: int | None = None
@@ -1694,18 +1739,7 @@ class CompiledPlan:
                     "seconds": perf_counter() - started,
                 }
             )
-        if core.aggregate is not None:
-            id_rows = core._aggregate_rows(ctx, rows)
-        else:
-            if not core.identity:
-                proj_map = core.proj_map
-                rows = [
-                    tuple(None if i is None else row[i] for i in proj_map)
-                    for row in rows
-                ]
-            id_rows = core._finish(ctx, rows, max_rows)
-        result = SelectResult(core.projected, self._decode(id_rows), sort_order=core.sort_order)
-        return result, shard_stats
+        return self._result(core, *core.id_columns(ctx, max_rows, rows)), shard_stats
 
     def execute_ask(self, params=None) -> bool:
         core, ctx = self._bind(params)

@@ -10,12 +10,25 @@ decode table for the reverse direction.
 Two instances play distinct roles in this codebase:
 
 * every :class:`~repro.store.TripleStore` owns one — its permutation
-  indexes, the SPARQL evaluator's solution bindings, and all per-predicate
-  statistics are keyed on that store's ids;
+  indexes, the compiled plans' solution rows, the id columns of every
+  SELECT response, and all per-predicate statistics are keyed on that
+  store's ids;
 * the mediator's relational layer shares one process-wide codec
   (:func:`repro.relational.relation.mediator_codec`) so hash joins,
   DISTINCT, and VALUES extraction over results from *different* endpoints
   still compare plain ints.
+
+Responses cross between the two as id columns, so a dictionary also
+keeps what that hand-off needs, both grown lazily and never shrunk
+(ids are append-only, so neither goes stale when a store mutates):
+
+* in the **store** role, a per-id *text length*
+  (:meth:`TermDictionary.text_lengths`), from which the client sizes a
+  response without touching a term;
+* in the **codec** role, one local-id -> own-id *translation table* per
+  source dictionary (:meth:`TermDictionary.translate_columns`), so each
+  distinct term of an endpoint is hashed into the codec once per
+  process instead of once per shipped cell.
 
 Encoding is interning: ``encode`` assigns a fresh id to an unseen term, so
 query-only constants (VALUES rows, FILTER constants) can be pulled into id
@@ -26,23 +39,35 @@ without touching an index.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
-from repro.rdf.terms import Term
+from repro.rdf.terms import BNode, Term
 
 #: An encoded solution row: ids aligned with a variable schema, ``None``
 #: marking an unbound position (e.g. from OPTIONAL).
 IdRow = tuple
 
 
+def text_length(term: Term) -> int:
+    """Characters of ``term``'s value text (a blank node's label)."""
+    return len(term.label if isinstance(term, BNode) else term.value)
+
+
 class TermDictionary:
     """A bijective term <-> dense-int mapping (ids start at 0)."""
 
-    __slots__ = ("_ids", "_terms")
+    __slots__ = ("_ids", "_terms", "_text_lengths", "_tables", "__weakref__")
 
     def __init__(self):
         self._ids: dict[Term, int] = {}
         self._terms: list[Term] = []
+        self._text_lengths = array("I")
+        #: source dictionary -> its translation table (see
+        #: :meth:`translate_columns`); weakly keyed, so the tables of a
+        #: discarded federation die with its stores.
+        self._tables: WeakKeyDictionary = WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -113,3 +138,88 @@ class TermDictionary:
     def terms(self) -> list[Term]:
         """The decode table (do not mutate)."""
         return self._terms
+
+    # ------------------------------------------------- sizes / translation
+
+    def text_lengths(self) -> array:
+        """``text_length`` of every interned term, indexed by id.
+
+        Filled lazily: a call measures just the terms interned since the
+        previous one.
+        """
+        lengths = self._text_lengths
+        terms = self._terms
+        if len(lengths) < len(terms):
+            lengths.extend(map(text_length, terms[len(lengths):]))
+        return lengths
+
+    def translate_columns(
+        self, source: "TermDictionary", columns: Sequence[Sequence[int | None]]
+    ) -> list[list]:
+        """``columns`` of ``source`` ids as fresh columns of own ids.
+
+        ``None`` (unbound) passes through.  Ids this dictionary has not
+        yet seen from ``source`` are interned in **row-major
+        first-occurrence order** — the order :meth:`encode_row` over the
+        decoded rows would intern them — so translating a response and
+        encoding its term rows assign identical ids.  Every other id is
+        one lookup in the table kept for ``source``.
+        """
+        table = self._tables.get(source)
+        if table is None:
+            table = self._tables[source] = []
+        if len(table) < len(source):
+            table.extend([_UNSEEN] * (len(source) - len(table)))
+        lookup = table.__getitem__
+        out = []
+        unseen = []
+        for position, column in enumerate(columns):
+            mapped = _translated(lookup, column)
+            if _UNSEEN in mapped:
+                unseen.append(position)
+            out.append(mapped)
+        if unseen:
+            firsts = [
+                first
+                for position in unseen
+                for first in _first_unseen(position, columns[position], out[position])
+            ]
+            # Merged across columns by (row, column): row-major order.
+            firsts.sort()
+            encode = self.encode
+            terms = source._terms
+            for __, __, local in firsts:
+                if table[local] == _UNSEEN:
+                    table[local] = encode(terms[local])
+            for position in unseen:
+                out[position] = _translated(lookup, columns[position])
+        return out
+
+
+#: Table entry of a source id not translated yet.  Tables are lists, not
+#: arrays: a list hands every cell the codec's own int object, an array
+#: would allocate a fresh one per translated cell.
+_UNSEEN = -1
+
+
+def _translated(lookup, column) -> list:
+    if None in column:
+        return [None if local is None else lookup(local) for local in column]
+    return list(map(lookup, column))
+
+
+def _first_unseen(position: int, column, mapped: list) -> list[tuple]:
+    """``(row, position, id)`` of each distinct id of ``column`` that
+    ``mapped`` shows as unseen, at its first row."""
+    firsts = []
+    seen = set()
+    row = -1
+    try:
+        while True:
+            row = mapped.index(_UNSEEN, row + 1)
+            local = column[row]
+            if local not in seen:
+                seen.add(local)
+                firsts.append((row, position, local))
+    except ValueError:
+        return firsts

@@ -5,8 +5,7 @@ merge_key_order` proves both inputs sorted by the full shared-variable
 key; everything else stays on the hash kernels.  These tests pin the
 dispatch rules, prove the merge output bag-equal with both the hash
 kernel and the row-based :class:`RowRelation` oracle (including the
-numpy-free stdlib fallback), and cover the galloping primitives and the
-streaming row-budget guard.
+numpy-free stdlib fallback), and cover the streaming row-budget guard.
 """
 
 from collections import Counter
@@ -18,7 +17,7 @@ from repro.exceptions import MemoryLimitError
 from repro.rdf import IRI, Variable
 from repro.relational import Relation, kernel_runtime
 from repro.relational import kernels
-from repro.relational.kernels import gallop_left, intersect_sorted, merge_key_order
+from repro.relational.kernels import merge_key_order
 from tests.reference_relational import RowRelation
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -170,33 +169,3 @@ def test_property_merge_matches_hash_and_row_oracle(pair):
     # Merge output is sorted by the join key.
     key_column = merged.columns[merged.vars.index(X)]
     assert key_column == sorted(key_column)
-
-
-class TestGallopingPrimitives:
-    def test_gallop_left_basics(self):
-        keys = [1, 2, 2, 4, 7, 9]
-        assert gallop_left(keys, 0, 0, len(keys)) == 0
-        assert gallop_left(keys, 2, 0, len(keys)) == 1
-        assert gallop_left(keys, 3, 0, len(keys)) == 3
-        assert gallop_left(keys, 10, 0, len(keys)) == 6
-        assert gallop_left(keys, 5, 2, 4) == 4
-        assert gallop_left([], 5, 0, 0) == 0
-
-    @given(st.lists(st.integers(0, 30)), st.integers(0, 30))
-    @settings(max_examples=100, deadline=None)
-    def test_property_gallop_matches_bisect(self, values, target):
-        from bisect import bisect_left
-
-        keys = sorted(values)
-        assert gallop_left(keys, target, 0, len(keys)) == bisect_left(keys, target)
-
-    def test_intersect_sorted_dedupes(self):
-        assert intersect_sorted([1, 1, 2, 3], [1, 3, 3, 5]) == [1, 3]
-        assert intersect_sorted([], [1, 2]) == []
-        assert intersect_sorted([4, 5], [1, 2, 3]) == []
-
-    @given(st.lists(st.integers(0, 20)), st.lists(st.integers(0, 20)))
-    @settings(max_examples=100, deadline=None)
-    def test_property_intersect_matches_sets(self, left, right):
-        got = intersect_sorted(sorted(left), sorted(right))
-        assert got == sorted(set(left) & set(right))

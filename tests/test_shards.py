@@ -13,11 +13,13 @@ import pytest
 
 from repro.datasets import lubm
 from repro.endpoint import Endpoint, EngineCaches, Federation, FederationClient
+from repro.endpoint.client import _payload_bytes
 from repro.endpoint.shards import fork_shardable, split_values_rows
 from repro.net import QueryMetrics
 from repro.net.simulator import VirtualNetwork, local_cluster_config
 from repro.obs.registry import MetricsRegistry
 from repro.rdf import IRI, Triple, TriplePattern, Variable
+from repro.relational import Relation
 from repro.sparql import parse_query
 from repro.sparql.ast import BGP, GroupPattern, SelectQuery, ValuesPattern
 
@@ -163,6 +165,12 @@ class TestForkPool:
             if parallel._shard_pool is not None:
                 # The pool actually ran: per-worker stats came back.
                 assert len(parallel.last_shard_stats) == 2
+                # A worker's dictionary is a private copy, so its rows
+                # come back as terms; they size and ingest like the
+                # serial run's id columns.
+                assert got.columns is None and expected.columns is not None
+                assert _payload_bytes(got) == _payload_bytes(expected)
+                assert Relation.from_result(got).columns == Relation.from_result(expected).columns
         finally:
             parallel.close()
 
