@@ -31,9 +31,8 @@ from repro.planning.normalize import Branch, NormalizedQuery
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
-from repro.relational.filters import make_filter_predicate
 from repro.relational.relation import Relation
-from repro.sparql.ast import Expression, VarExpr
+from repro.sparql.ast import Expression
 
 
 class OperandEngine(FederatedEngine):
@@ -179,14 +178,12 @@ class OperandEngine(FederatedEngine):
             )
             if optional_relation is not None:
                 for expression in block_residue:
-                    optional_relation = optional_relation.filter(
-                        make_filter_predicate(expression)
-                    )
+                    optional_relation = optional_relation.filter(expression)
                 relation = relation.left_join(optional_relation)
                 self._guard_rows(client, relation)
 
         for expression in residue:
-            relation = relation.filter(make_filter_predicate(expression))
+            relation = relation.filter(expression)
         phases["execution"] = now - execution_start
         client.metrics.mediator_rows = max(client.metrics.mediator_rows, len(relation))
         return relation, now, phases
@@ -208,9 +205,7 @@ def _carried_variables(
     needed = set(normalized.projected_variables())
     for expression in residue:
         needed |= expression.variables()
-    for condition in normalized.order_by:
-        if isinstance(condition.expression, VarExpr):
-            needed.add(condition.expression.variable)
+    needed |= normalized.order_variables()
     counts: dict[Variable, int] = {}
     for pattern in branch.all_patterns():
         for variable in pattern.variables():

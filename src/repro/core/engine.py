@@ -52,7 +52,6 @@ from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
-from repro.sparql.ast import VarExpr
 from repro.sparql.parser import parse_query
 from repro.sparql.serializer import serialize_expression
 
@@ -514,9 +513,7 @@ class LusailEngine(FederatedEngine):
         for filters in plan.optional_residue.values():
             for expression in filters:
                 needed |= expression.variables()
-        for condition in normalized.order_by:
-            if isinstance(condition.expression, VarExpr):
-                needed.add(condition.expression.variable)
+        needed |= normalized.order_variables()
         seen: dict[Variable, int] = {}
         for subquery in plan.subqueries:
             for variable in subquery.variables():

@@ -39,7 +39,6 @@ from repro.planning.source_selection import refine_sources_with_bindings
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational import kernels
-from repro.relational.filters import make_filter_predicate
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
 
@@ -661,13 +660,12 @@ class BranchScheduler:
         if group_relation is None:
             return base, now
         for expression in self.plan.optional_residue.get(group_id, ()):
-            group_relation = group_relation.filter(make_filter_predicate(expression))
+            group_relation = group_relation.filter(expression)
         joined = base.left_join(group_relation)
         self.join_cost_units += kernels.last_join_cost()
         return joined, now
 
     def _apply_residue(self, relation: Relation) -> Relation:
         for expression in self.plan.residue_filters:
-            predicate = make_filter_predicate(expression)
-            relation = relation.filter(predicate)
+            relation = relation.filter(expression)
         return relation

@@ -12,9 +12,11 @@ their **canonical skeleton** (:func:`repro.sparql.skeleton.canonicalize_query`)
 rather than raw structure: two subqueries that differ only in variable
 names share one key, while embedded constants stay part of the key as
 lifted VALUES data and the relevant-endpoint set always participates.
-The same matcher drives in-flight cross-query sharing in the serving
-layer (:mod:`repro.serve`), so batch MQO and concurrent MQO recognize
-exactly the same overlaps.
+In-flight cross-query sharing in the serving layer does *not* go through
+this matcher: ``QueryServer.subquery_key`` canonicalises each shipped
+SELECT on its own (same :func:`canonicalize_query`, per endpoint, no
+source set in the key), so the two mechanisms agree on variable renaming
+but are separate code.
 
 Delayed subqueries are not shared: their results depend on the bindings
 found by the rest of their own query.

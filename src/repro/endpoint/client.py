@@ -18,7 +18,7 @@ execution; caches persist across clients via :class:`EngineCaches`.
 
 Requests carry term-level queries; SELECT responses come back encoded —
 id columns in the endpoint's own id space plus a reference to its
-dictionary (:class:`~repro.sparql.evaluator.SelectResult`).  The client
+dictionary (:class:`~repro.sparql.result.SelectResult`).  The client
 never decodes them: it charges the response as the *text* a SPARQL
 result document would hold, summed from the per-id text lengths cached
 beside the dictionary, and hands the result on for the mediator's
@@ -46,7 +46,7 @@ from repro.obs.registry import MetricsRegistry, get_default_registry
 from repro.obs.trace import Tracer, get_default_tracer
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import AskQuery, Query, SelectQuery
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.result import SelectResult
 from repro.sparql.partial import PartialResult, PartialSpec
 from repro.sparql.serializer import query_bytes
 from repro.store.dictionary import text_length

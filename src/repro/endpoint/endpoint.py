@@ -8,7 +8,7 @@ virtual network costs.
 
 The store and the compiled plans work on this endpoint's private
 integer term ids (see :attr:`Endpoint.dictionary`), and so does what
-``select()`` returns: a :class:`~repro.sparql.evaluator.SelectResult`
+``select()`` returns: a :class:`~repro.sparql.result.SelectResult`
 holding id columns plus a reference to the dictionary that minted them
 (over a real transport: the columns and the dictionary entries the
 mediator has not been sent yet).  Ids from different endpoints are
@@ -32,7 +32,7 @@ from repro.exceptions import EvaluationError
 from repro.net import regions as regions_module
 from repro.rdf.triple import Triple, TriplePattern
 from repro.sparql.ast import BGP, AskQuery, ExistsExpr, Filter, Query, SelectQuery
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.result import SelectResult
 from repro.sparql.partial import FragmentResult, PartialResult, PartialSpec, prune_rows
 from repro.sparql.plan import CompiledPlan, compile_query, split_parameters
 from repro.sparql.skeleton import Canonicalized, canonicalize_query, is_fragment_shape

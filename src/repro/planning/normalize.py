@@ -94,6 +94,15 @@ class NormalizedQuery:
             found |= branch.variables()
         return tuple(sorted(found, key=lambda v: v.name))
 
+    def order_variables(self) -> set[Variable]:
+        """Every variable of every ORDER BY condition — what the engines
+        must carry to the mediator beside the projection, whether a key
+        is a bare variable or an expression over several."""
+        found: set[Variable] = set()
+        for condition in self.order_by:
+            found |= condition.expression.variables()
+        return found
+
     def all_patterns(self) -> list[TriplePattern]:
         collected: list[TriplePattern] = []
         for branch in self.branches:

@@ -1,6 +1,5 @@
 """Mediator-side relational algebra over solution sets."""
 
-from repro.relational.filters import make_filter_predicate
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation, RowStore, mediator_codec
 
@@ -9,6 +8,5 @@ __all__ = [
     "Relation",
     "RowStore",
     "kernel_runtime",
-    "make_filter_predicate",
     "mediator_codec",
 ]

@@ -18,6 +18,14 @@ when every join-key column is fully bound, a general compatibility-merge
 path only when a key column actually contains ``None``, and a streaming
 ``max_mediator_rows`` guard enforced *inside* the kernels.
 
+Expressions run here too — the paper applies the filters no subquery
+covers "during the join evaluation phase" (Sec IV-C) — and in id space
+like everything else: :meth:`Relation.filter` and
+:meth:`Relation.order_by` compile a FILTER expression / an ORDER BY
+clause once (:mod:`repro.sparql.expressions`) against the codec and map
+the closure down the id rows; only the cells an operator inspects are
+decoded, and no solution mapping is built per row.
+
 The :class:`RowStore` wrapper keeps the external contract unchanged:
 iterating, indexing or comparing ``relation.rows`` yields plain term
 tuples, and ``extend``/``append`` accept them — encode on the way in,
@@ -26,17 +34,21 @@ producer: ``extend`` takes the :class:`SelectResult` itself and
 translates its id columns through the codec's per-endpoint table
 (:meth:`~repro.store.dictionary.TermDictionary.translate_columns`), so
 no term is touched between the endpoint's store and the final answer's
-decode.  The pre-columnar row runtime survives as the property-test
+decode, except where an expression operator reads a value.  The
+pre-columnar row runtime survives as the property-test
 oracle ``tests/reference_relational.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from repro.rdf.terms import Term, Variable
 from repro.relational import kernels
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.ast import Expression, OrderCondition
+from repro.sparql.expressions import compile_filter, compile_order_key
+from repro.sparql.result import SelectResult
 from repro.store.dictionary import TermDictionary
 
 Row = tuple  # tuple[Term | None, ...] externally; tuple[int | None, ...] encoded
@@ -230,10 +242,6 @@ class Relation:
     def to_result(self) -> SelectResult:
         return SelectResult(self.vars, list(self.rows))
 
-    def bindings(self) -> Iterator[dict[Variable, Term]]:
-        for row in self.rows:
-            yield {var: value for var, value in zip(self.vars, row) if value is not None}
-
     def shared_vars(self, other: "Relation") -> tuple[Variable, ...]:
         other_set = set(other.vars)
         return tuple(var for var in self.vars if var in other_set)
@@ -340,26 +348,43 @@ class Relation:
             sort_order=self.sort_order,
         )
 
-    def filter(self, predicate: Callable[[dict[Variable, Term]], bool]) -> "Relation":
-        """Keep rows whose (term-level) solution satisfies ``predicate``."""
-        keep: list[int] = []
-        decode_row = self.rows.codec.decode_row
-        vars = self.vars
-        for index, row in enumerate(self.rows.iter_ids()):
-            decoded = decode_row(row)
-            solution = {
-                var: value for var, value in zip(vars, decoded) if value is not None
-            }
-            if predicate(solution):
-                keep.append(index)
-        columns = [[column[i] for i in keep] for column in self.columns]
+    def filter(self, expression: Expression) -> "Relation":
+        """Keep the rows on which FILTER ``expression`` holds.
+
+        The expression is compiled once against the id rows
+        (:func:`repro.sparql.expressions.compile_filter` over the
+        codec): a term is decoded only where an operator inspects it.
+        A row where the expression is an error — an unbound operand, a
+        type mismatch — is dropped; ``EXISTS`` needs graph data and
+        raises :class:`~repro.exceptions.EvaluationError` here.
+        """
+        passes = compile_filter(expression, self._slots(), self.rows.codec).passes
+        keep = list(map(passes, self.rows.iter_ids()))
+        columns = [list(compress(column, keep)) for column in self.columns]
         return Relation._from_columns(
             self.vars,
             columns,
-            len(keep),
+            sum(keep),
             partitions=self.partitions,
             sort_order=self.sort_order,
         )
+
+    def order_by(self, conditions: Sequence[OrderCondition]) -> "Relation":
+        """The rows stably sorted by an ORDER BY clause
+        (:func:`repro.sparql.expressions.compile_order_key`): conditions
+        may be expressions and may read any column, so this runs before
+        the final projection."""
+        key = compile_order_key(conditions, self._slots(), self.rows.codec)
+        keys = list(map(key, self.rows.iter_ids()))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        columns = [[column[i] for i in order] for column in self.columns]
+        return Relation._from_columns(
+            self.vars, columns, len(order), partitions=self.partitions
+        )
+
+    def _slots(self) -> dict[Variable, int]:
+        """The row layout a compiled expression reads: column positions."""
+        return {var: slot for slot, var in enumerate(self.vars)}
 
     def limit(self, limit: int | None, offset: int = 0) -> "Relation":
         stop = None if limit is None else offset + limit

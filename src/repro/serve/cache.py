@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sparql.ast import Query, SelectQuery
+from repro.sparql.result import SelectResult
 from repro.sparql.skeleton import canonicalize_query
 
 __all__ = ["CachedResult", "ResultCache", "result_key", "shared_result"]
@@ -32,8 +33,6 @@ def shared_result(vars: tuple, rows: list):
     hit.  Consumers must treat the rows as read-only (engine code never
     mutates received rows).
     """
-    from repro.sparql.evaluator import SelectResult
-
     result = SelectResult(vars, ())
     result.rows = rows
     return result

@@ -29,7 +29,7 @@ from repro.net import metrics as metrics_module
 from repro.net.metrics import RequestRecord
 from repro.net.simulator import VirtualNetwork
 from repro.sparql.ast import SelectQuery
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.result import SelectResult
 
 __all__ = ["ServingClient", "ServingNetwork"]
 

@@ -45,7 +45,7 @@ from repro.obs.trace import Tracer
 from repro.serve.cache import ResultCache, result_key, shared_result
 from repro.serve.client import ServingClient
 from repro.sparql.ast import SelectQuery
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
 from repro.sparql.skeleton import canonicalize_query
 

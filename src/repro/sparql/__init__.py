@@ -1,4 +1,10 @@
-"""SPARQL subset: AST, parser, serializer, and evaluator."""
+"""SPARQL subset: AST, parser, serializer, compiled expressions and plans.
+
+``evaluate`` / ``evaluate_select`` / ``evaluate_ask`` re-export the
+group interpreter (:mod:`repro.sparql.evaluator`) for the tests and the
+performance ledger, which use it as the answer oracle.  This is the only
+module in the package that imports it.
+"""
 
 from repro.sparql.ast import (
     Arithmetic,
@@ -26,13 +32,7 @@ from repro.sparql.ast import (
     ask_pattern,
     bgp_query,
 )
-from repro.sparql.evaluator import (
-    SelectResult,
-    evaluate,
-    evaluate_ask,
-    evaluate_select,
-    solutions_to_result,
-)
+from repro.sparql.evaluator import evaluate, evaluate_ask, evaluate_select
 from repro.sparql.parser import parse_query
 from repro.sparql.partial import (
     FragmentResult,
@@ -46,6 +46,7 @@ from repro.sparql.plan import (
     compile_query,
     split_parameters,
 )
+from repro.sparql.result import SelectResult
 from repro.sparql.serializer import query_bytes, serialize_expression, serialize_group, serialize_query
 
 __all__ = [
@@ -90,5 +91,4 @@ __all__ = [
     "serialize_expression",
     "serialize_group",
     "serialize_query",
-    "solutions_to_result",
 ]

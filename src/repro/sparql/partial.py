@@ -30,14 +30,11 @@ origin columns (see :mod:`repro.core.execution.partial`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.rdf.terms import Variable
+from repro.sparql.ast import SelectQuery
+from repro.sparql.result import SelectResult
 from repro.store.digests import digest_bytes, stable_term_hash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rdf.terms import Variable
-    from repro.sparql.ast import SelectQuery
-    from repro.sparql.evaluator import SelectResult
 
 
 @dataclass(frozen=True)
@@ -48,11 +45,11 @@ class FragmentSpec:
     id: int
     #: The fragment SELECT: the subquery's patterns and pushed filters,
     #: projecting exactly the variables the mediator joins or returns.
-    query: "SelectQuery"
+    query: SelectQuery
     #: Pruning digests: ``(crossing variable, fingerprint set)`` pairs.
     #: A local row survives only if, for every pair, the CRC-32 of its
     #: value for that variable is in the set.  Unbound values survive.
-    digests: tuple[tuple["Variable", frozenset[int]], ...] = ()
+    digests: tuple[tuple[Variable, frozenset[int]], ...] = ()
 
     def digest_bytes(self) -> int:
         return sum(digest_bytes(digest) for __, digest in self.digests)
@@ -64,7 +61,7 @@ class PartialSpec:
 
     #: Whole-branch query for local-complete matches, or None when this
     #: endpoint cannot source every required fragment.
-    complete: "SelectQuery | None"
+    complete: SelectQuery | None
     fragments: tuple[FragmentSpec, ...] = ()
 
 
@@ -73,7 +70,7 @@ class FragmentResult:
     """One fragment's local matches, post digest pruning."""
 
     id: int
-    result: "SelectResult"
+    result: SelectResult
     #: Rows the digests dropped before shipping (observability).
     pruned_rows: int = 0
 
@@ -82,7 +79,7 @@ class FragmentResult:
 class PartialResult:
     """An endpoint's answer to one partial request."""
 
-    complete: "SelectResult | None"
+    complete: SelectResult | None
     fragments: list[FragmentResult] = field(default_factory=list)
 
     def complete_rows(self) -> int:
@@ -98,7 +95,7 @@ class PartialResult:
         return sum(fragment.pruned_rows for fragment in self.fragments)
 
 
-def prune_rows(result: "SelectResult", digests) -> tuple[list, int]:
+def prune_rows(result: SelectResult, digests) -> tuple[list, int]:
     """Apply fragment digests to a decoded result's rows.
 
     Returns ``(surviving rows, pruned count)``.  Sound by construction:

@@ -1,23 +1,23 @@
 """Compiled physical plans for the endpoint query engine.
 
-The interpretive evaluator in :mod:`repro.sparql.evaluator` re-derives
-pattern order, filter placement, and projection wiring on every request.
-That is pure overhead on Lusail's hot path, which hammers endpoints with
-*repeated query skeletons*: block-wise bound joins re-issue the same
-subquery once per VALUES block, and check / COUNT probes share shapes
-across pattern pairs.  This module compiles a query **once** into an
+Lusail's hot path hammers endpoints with *repeated query skeletons*:
+block-wise bound joins re-issue the same subquery once per VALUES block,
+and check / COUNT probes share shapes across pattern pairs.  Deriving
+pattern order, filter placement and projection wiring per request would
+be pure overhead, so this module compiles a query **once** into an
 explicit operator pipeline that can be executed many times:
 
-* the BGP probe sequence is fixed at compile time using the same greedy
-  statistics-driven ordering the evaluator uses per request
-  (:func:`~repro.sparql.evaluator.pick_next_pattern`);
-* FILTERs are pushed down to the earliest operator at which all their
-  variables are *certainly* bound, and pure equality comparisons against
-  non-numeric constants run directly in id space;
+* the BGP probe sequence is fixed at compile time by greedy
+  statistics-driven ordering (:func:`pick_next_pattern`);
+* FILTERs are compiled by :mod:`repro.sparql.expressions` into closures
+  over id rows and pushed down to the earliest operator at which all
+  their variables are *certainly* bound; pure equality comparisons
+  against non-numeric constants run directly in id space;
 * OPTIONAL / UNION / sub-SELECT compile to composed sub-plans;
-* projection, DISTINCT, ORDER BY and LIMIT/OFFSET form the pipeline
-  tail; ASK and LIMIT queries run the probe pipeline **lazily** so
-  evaluation stops as soon as enough rows exist;
+* ORDER BY (a compiled sort key over the *pre-projection* row, SPARQL
+  §15), projection, DISTINCT and LIMIT/OFFSET form the pipeline tail;
+  ASK and LIMIT queries run the probe pipeline **lazily** so evaluation
+  stops as soon as enough rows exist;
 * top-level VALUES clauses compile to **parameter slots**: an endpoint
   can strip the rows off a bound-join request
   (:func:`split_parameters`), look the remaining skeleton up in its
@@ -26,18 +26,19 @@ explicit operator pipeline that can be executed many times:
 Operators exchange *positional id rows*: tuples aligned to a
 compile-time variable schema, with ``None`` marking an unbound slot
 (OPTIONAL / UNDEF).  All joins and comparisons are on dictionary ids;
-terms are decoded only for expression evaluation.  The final
-:class:`~repro.sparql.evaluator.SelectResult` stays encoded too — id
-columns plus the store's dictionary — and decodes only if a caller asks
-for its ``rows``.
+terms are decoded only where an expression operator inspects a value.
+The final :class:`~repro.sparql.result.SelectResult` stays encoded too —
+id columns plus the store's dictionary — and decodes only if a caller
+asks for its ``rows``.
 
 Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
 caches must drop plans whose :attr:`CompiledPlan.valid` is False.
 
-The interpretive evaluator is the correctness oracle only — no
-execution path here calls it — and property tests assert compiled
-results match it on randomized queries.
+Nothing here is interpretive per row or per request.  The group
+interpreter in :mod:`repro.sparql.evaluator` is the correctness oracle
+only — this module does not import it — and property tests assert
+compiled results match it on randomized queries.
 """
 
 from __future__ import annotations
@@ -46,16 +47,15 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.exceptions import EvaluationError
-from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, typed_literal
+from repro.rdf.terms import Variable, typed_literal
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import (
     AskQuery,
     BGP,
     BooleanOp,
-    Comparison,
     ExistsExpr,
     Expression,
     Filter,
@@ -65,18 +65,11 @@ from repro.sparql.ast import (
     Query,
     SelectQuery,
     SubSelect,
-    TermExpr,
     UnionPattern,
     ValuesPattern,
-    VarExpr,
 )
-from repro.sparql.evaluator import (
-    SelectResult,
-    _Evaluator,
-    estimate_pattern,
-    pick_next_pattern,
-    sort_id_rows,
-)
+from repro.sparql.expressions import compile_filter, compile_order_key
+from repro.sparql.result import SelectResult
 from repro.store.triple_store import TripleStore
 
 #: An id row: ints (bound), None (unbound), positions fixed by a schema.
@@ -133,33 +126,69 @@ def _replace_where(query: Query, where: GroupPattern) -> Query:
 class _ExecutionContext:
     """Mutable per-execution state; the compiled plan itself is immutable.
 
-    Holds the encoded parameter blocks, per-operator scratch state
-    (probe match caches, materialized sub-selects) and a lazily-built
-    interpretive :class:`_Evaluator` used only for FILTER / ORDER BY
-    expression semantics.
+    Holds the encoded parameter blocks and per-operator scratch state
+    (lazy-probe match caches, materialized sub-selects).  Expressions
+    need nothing from it: their closures are part of the plan.
     """
 
-    __slots__ = ("store", "dictionary", "param_rows", "_evaluator", "_state")
+    __slots__ = ("store", "dictionary", "param_rows", "_state")
 
     def __init__(self, store: TripleStore, param_rows: tuple = ()):
         self.store = store
         self.dictionary = store.dictionary
         self.param_rows = param_rows
-        self._evaluator: _Evaluator | None = None
         self._state: dict[int, dict] = {}
-
-    @property
-    def evaluator(self) -> _Evaluator:
-        evaluator = self._evaluator
-        if evaluator is None:
-            evaluator = self._evaluator = _Evaluator(self.store)
-        return evaluator
 
     def state(self, op) -> dict:
         state = self._state.get(id(op))
         if state is None:
             state = self._state[id(op)] = {}
         return state
+
+
+# --------------------------------------------------------------------------
+# Pattern ordering
+
+
+def pick_next_pattern(
+    store: TripleStore, patterns: Sequence[TriplePattern], bound: set[Variable]
+) -> int:
+    """Greedy ordering: prefer patterns connected to bound variables,
+    then lower estimated cardinality, then fewer variables.
+
+    The plan compiler runs it once per BGP at compile time; the oracle
+    interpreter re-runs it per request — both must order identically.
+    """
+    best_index = 0
+    best_key: tuple | None = None
+    for index, pattern in enumerate(patterns):
+        connected = bool(pattern.variables() & bound) or not bound
+        estimate = estimate_pattern(store, pattern, bound)
+        key = (0 if connected else 1, estimate, pattern.selectivity_class())
+        if best_key is None or key < best_key:
+            best_key = key
+            best_index = index
+    return best_index
+
+
+def estimate_pattern(
+    store: TripleStore, pattern: TriplePattern, bound: set[Variable]
+) -> int:
+    """Cardinality estimate treating bound variables as constants."""
+    s = pattern.subject if not isinstance(pattern.subject, Variable) else None
+    p = pattern.predicate if not isinstance(pattern.predicate, Variable) else None
+    o = pattern.object if not isinstance(pattern.object, Variable) else None
+    if isinstance(pattern.subject, Variable) and pattern.subject in bound:
+        # A bound join variable will be a constant at match time; assume
+        # it is as selective as a concrete subject.
+        return 1 + (store.predicate_count(p) if p is not None else 0) // max(
+            1, store.distinct_subjects(p) if p is not None else 1
+        )
+    if s is None and o is None:
+        if p is None:
+            return len(store)
+        return store.predicate_count(p)
+    return store.count(s, p, o)
 
 
 # --------------------------------------------------------------------------
@@ -573,75 +602,27 @@ class _ValuesOp:
         return "values(param)" if self.slot is not None else "values"
 
 
-class _IdEqOp:
-    """``FILTER(?x = <const>)`` / ``!=`` in id space.
-
-    Only compiled when the variable is certainly bound and the constant
-    cannot participate in numeric coercion (IRI, BNode, or a literal
-    with no numeric value) — for those, dictionary-id equality *is*
-    SPARQL term equality.
-    """
-
-    __slots__ = ("slot", "const_id", "negated")
-
-    def __init__(self, slot, const_id, negated):
-        self.slot = slot
-        self.const_id = const_id
-        self.negated = negated
-
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        slot = self.slot
-        const_id = self.const_id
-        if self.negated:
-            for row in rows:
-                if row[slot] != const_id:
-                    yield row
-        else:
-            for row in rows:
-                if row[slot] == const_id:
-                    yield row
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        slot = self.slot
-        const_id = self.const_id
-        if self.negated:
-            return [row for row in rows if row[slot] != const_id]
-        return [row for row in rows if row[slot] == const_id]
-
-    def describe(self) -> str:
-        return "id_eq(!=)" if self.negated else "id_eq(=)"
-
-
 class _FilterOp:
-    """A general FILTER: decodes only the expression's variables and
-    delegates to the interpretive expression machinery, so compiled
-    semantics cannot drift from the evaluator's."""
+    """A FILTER as a closure over the id row, built by
+    :func:`repro.sparql.expressions.compile_filter` when the plan was
+    compiled: variables are slot reads, an error drops the row.
+    ``label`` names the kernel the compile step chose: ``filter``, or
+    ``id_eq(=)`` / ``id_eq(!=)`` for one comparison of ids."""
 
-    __slots__ = ("expression", "decode_slots")
+    __slots__ = ("passes", "label")
 
-    def __init__(self, expression, decode_slots):
-        self.expression = expression
-        self.decode_slots = decode_slots
+    def __init__(self, passes, label: str = "filter"):
+        self.passes = passes
+        self.label = label
 
     def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        evaluator = ctx.evaluator
-        decode = ctx.dictionary.decode
-        expression = self.expression
-        decode_slots = self.decode_slots
-        for row in rows:
-            solution = {}
-            for var, index in decode_slots:
-                value = row[index]
-                if value is not None:
-                    solution[var] = decode(value)
-            if evaluator._filter_passes(expression, solution):
-                yield row
+        return filter(self.passes, rows)
 
     def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        return list(self.run(ctx, iter(rows)))
+        return list(filter(self.passes, rows))
 
     def describe(self) -> str:
-        return "filter"
+        return self.label
 
 
 class _ExistsFilterOp:
@@ -881,7 +862,7 @@ def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
                 extendable = True
             elif extendable:
                 order.extend(var for var in op.sort_vars if var not in order)
-        elif isinstance(op, (_IdEqOp, _FilterOp, _ExistsFilterOp)):
+        elif isinstance(op, (_FilterOp, _ExistsFilterOp)):
             # Row-dropping only: a subsequence of a (strictly) sorted
             # sequence keeps both the order and its strictness.
             continue
@@ -1230,57 +1211,42 @@ class _Compiler:
         exists = _as_exists(expression)
         if exists is not None:
             pattern, negated = exists
-            sub = _Compiler(self.store, lazy=True).compile_group(
-                pattern, schema, certain_final
-            )
+            sub = self._compile_exists(pattern, schema, certain_final)
             return _ExistsFilterOp(sub, negated), end
         slot_of = {var: i for i, var in enumerate(schema)}
-        decode_slots = tuple(
-            (var, slot_of[var])
-            for var in sorted(expression.variables(), key=lambda v: v.name)
-            if var in slot_of
+        passes, kind, anchored = compile_filter(
+            expression, slot_of, self.dictionary, self._exists_hook(schema, certain_final)
         )
-        if _contains_bound_or_exists(expression):
+        if anchored:
             # BOUND / nested EXISTS verdicts depend on *when* they run;
-            # only the group end matches the evaluator.
-            return _FilterOp(expression, decode_slots), end
+            # only the group end sees the complete row.
+            return _FilterOp(passes), end
         variables = expression.variables()
-        position = None
-        for k, known in enumerate(timeline):
+        for position, known in enumerate(timeline):
             if variables <= known:
-                position = k
-                break
-        if position is None:
-            # Never certainly bound: evaluate at group end, where a
-            # still-unbound variable makes the filter drop the row —
-            # identical to the evaluator's error semantics.
-            return _FilterOp(expression, decode_slots), end
-        id_eq = self._id_eq(expression, slot_of)
-        if id_eq is not None:
-            return id_eq, position
-        return _FilterOp(expression, decode_slots), position
+                return _FilterOp(passes, kind), position
+        # Never certainly bound: evaluate at group end, where a
+        # still-unbound variable is an expression error and drops the row.
+        return _FilterOp(passes), end
 
-    def _id_eq(self, expression, slot_of):
-        if not isinstance(expression, Comparison) or expression.op not in ("=", "!="):
-            return None
-        left, right = expression.left, expression.right
-        if isinstance(left, VarExpr) and isinstance(right, TermExpr):
-            var, term = left.variable, right.term
-        elif isinstance(left, TermExpr) and isinstance(right, VarExpr):
-            var, term = right.variable, left.term
-        else:
-            return None
-        if isinstance(term, Literal):
-            # Numeric literals compare by value ("1" = "01"), which id
-            # equality cannot express; leave those to the evaluator.
-            if term.numeric_value() is not None:
-                return None
-        elif not isinstance(term, (IRI, BNode)):
-            return None
-        slot = slot_of.get(var)
-        if slot is None:
-            return None
-        return _IdEqOp(slot, self.dictionary.encode(term), expression.op == "!=")
+    def _compile_exists(self, pattern, schema, certain) -> _GroupPlan:
+        return _Compiler(self.store, lazy=True).compile_group(pattern, schema, certain)
+
+    def _exists_hook(self, schema, certain):
+        """The ``exists`` hook for an expression over ``schema`` rows: an
+        EXISTS nested inside it compiles to the lazy take-first sub-plan
+        a top-level one gets.  The sub-plan runs under a context of its
+        own that lives as long as the plan, like the probes' match
+        memos: nested groups hold no parameter slot, so nothing in it
+        depends on the execution."""
+
+        def nested_exists(node: ExistsExpr):
+            sub = self._compile_exists(node.pattern, schema, certain)
+            ctx = _ExecutionContext(self.store)
+            negated = node.negated
+            return lambda row: (next(sub.run(ctx, iter((row,))), None) is None) == negated
+
+        return nested_exists
 
     # ------------------------------------------------------------- SELECT
 
@@ -1295,29 +1261,28 @@ class _Compiler:
             if aggregate.variable is not None and aggregate.variable in schema:
                 agg_slot = schema.index(aggregate.variable)
             return _SelectCore(
-                plan=plan,
+                plan,
+                self.lazy,
+                projected=(aggregate.alias,),
                 aggregate=aggregate,
                 agg_slot=agg_slot,
-                projected=(aggregate.alias,),
-                proj_map=(),
-                identity=False,
-                distinct=False,
-                order_by=(),
-                limit=None,
-                offset=0,
                 certain_projected=frozenset((aggregate.alias,)),
-                lazy=self.lazy,
-                sort_order=(),
             )
         projected = query.projected_variables()
         pos = {var: i for i, var in enumerate(schema)}
         proj_map = tuple(pos.get(var) for var in projected)
         identity = proj_map == tuple(range(len(schema)))
-        # ORDER BY re-sorts; otherwise projection keeps whatever leading
-        # run of the pipeline's store-id order survives into the output
-        # columns (DISTINCT / OFFSET / LIMIT only drop rows).
+        # ORDER BY re-sorts — on the pipeline's rows, before projection,
+        # so a key may read a variable the SELECT list drops (SPARQL §15).
+        # Otherwise projection keeps whatever leading run of the
+        # pipeline's store-id order survives into the output columns
+        # (DISTINCT / OFFSET / LIMIT only drop rows).
+        order_key = None
         if query.order_by:
             sort_order: tuple = ()
+            order_key = compile_order_key(
+                query.order_by, pos, self.dictionary, self._exists_hook(schema, plan.out_certain)
+            )
         else:
             pipeline_order = _pipeline_sort_order(plan)
             keep = 0
@@ -1327,20 +1292,18 @@ class _Compiler:
                 keep += 1
             sort_order = pipeline_order[:keep]
         return _SelectCore(
-            plan=plan,
-            aggregate=None,
-            agg_slot=None,
+            plan,
+            self.lazy,
             projected=projected,
             proj_map=proj_map,
             identity=identity,
             distinct=query.distinct,
-            order_by=query.order_by,
+            order_key=order_key,
             limit=query.limit,
             offset=query.offset,
             certain_projected=frozenset(
                 var for var in projected if var in plan.out_certain
             ),
-            lazy=self.lazy,
             sort_order=sort_order,
         )
 
@@ -1348,29 +1311,15 @@ class _Compiler:
         self, query: AskQuery, param_slots: dict[int, int] | None = None
     ) -> "_SelectCore":
         plan = self.compile_group(query.where, (), frozenset(), param_slots)
-        return _SelectCore(
-            plan=plan,
-            aggregate=None,
-            agg_slot=None,
-            projected=(),
-            proj_map=(),
-            identity=False,
-            distinct=False,
-            order_by=(),
-            limit=None,
-            offset=0,
-            certain_projected=frozenset(),
-            lazy=self.lazy,
-            sort_order=(),
-        )
+        return _SelectCore(plan, self.lazy)
 
 
 def _split_conjunction(expression: Expression) -> list[Expression]:
     """Flatten top-level && into independent filters.
 
-    Safe because the evaluator treats ``a && b`` as both operands
-    passing, with per-operand error handling — exactly the semantics of
-    two consecutive FILTERs.
+    Safe at the top of a FILTER: ``a && b`` keeps a row only when both
+    operands are true — a false or erroring operand drops it either way
+    — which is exactly two consecutive FILTERs.
     """
     if isinstance(expression, BooleanOp) and expression.op == "&&":
         parts: list[Expression] = []
@@ -1388,25 +1337,6 @@ def _as_exists(expression: Expression):
         inner = expression.operand
         return inner.pattern, not inner.negated
     return None
-
-
-def _contains_bound_or_exists(expression: Expression) -> bool:
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ExistsExpr):
-            return True
-        if getattr(node, "name", None) == "BOUND":
-            return True
-        for attr in ("left", "right", "operand"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
-        for attr in ("operands", "args"):
-            children = getattr(node, attr, None)
-            if children:
-                stack.extend(children)
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -1432,7 +1362,7 @@ class _SelectCore:
         "proj_map",
         "identity",
         "distinct",
-        "order_by",
+        "order_key",
         "limit",
         "offset",
         "certain_projected",
@@ -1444,17 +1374,17 @@ class _SelectCore:
     def __init__(
         self,
         plan,
-        aggregate,
-        agg_slot,
-        projected,
-        proj_map,
-        identity,
-        distinct,
-        order_by,
-        limit,
-        offset,
-        certain_projected,
         lazy,
+        projected=(),
+        proj_map=(),
+        identity=False,
+        aggregate=None,
+        agg_slot=None,
+        distinct=False,
+        order_key=None,
+        limit=None,
+        offset=0,
+        certain_projected=frozenset(),
         sort_order=(),
     ):
         self.plan = plan
@@ -1464,7 +1394,9 @@ class _SelectCore:
         self.proj_map = proj_map
         self.identity = identity
         self.distinct = distinct
-        self.order_by = order_by
+        #: ORDER BY as a sort key over *pipeline* rows
+        #: (:func:`~repro.sparql.expressions.compile_order_key`), or ``None``.
+        self.order_key = order_key
         self.limit = limit
         self.offset = offset
         self.certain_projected = certain_projected
@@ -1474,29 +1406,20 @@ class _SelectCore:
         self.no_tail = not (
             aggregate is not None
             or distinct
-            or order_by
+            or order_key is not None
             or limit is not None
             or offset
             or lazy
         )
 
-    def _iter_projected(self, ctx: _ExecutionContext) -> Iterator[IdRow]:
-        rows = self.plan.run(ctx, iter(_SEED))
+    def _project(self, rows) -> Iterator[IdRow]:
+        """Pipeline rows onto the projected schema, streaming."""
         if self.identity:
             return rows
         proj_map = self.proj_map
         return (
             tuple(None if i is None else row[i] for i in proj_map) for row in rows
         )
-
-    def _project(self, rows: list) -> list:
-        """Batch form of :meth:`_iter_projected` over pipeline rows."""
-        if self.identity:
-            return rows
-        proj_map = self.proj_map
-        return [
-            tuple(None if i is None else row[i] for i in proj_map) for row in rows
-        ]
 
     def _aggregate_rows(self, ctx: _ExecutionContext, rows: list) -> list:
         """COUNT tail over raw (unprojected) pipeline rows."""
@@ -1511,22 +1434,12 @@ class _SelectCore:
             count = len(set(values)) if aggregate.distinct else len(values)
         return [(ctx.dictionary.encode(typed_literal(count)),)]
 
-    def _finish(self, ctx: _ExecutionContext, rows, max_rows: int | None) -> list:
-        """DISTINCT / ORDER BY / slice tail over projected rows."""
+    def _finish(self, rows, max_rows: int | None) -> list:
+        """DISTINCT / slice tail over projected rows.  It streams, so
+        LIMIT (and the endpoint's result_limit via ``max_rows``) stops a
+        lazy pipeline early."""
         if self.distinct:
             rows = _distinct_rows(rows)
-        if self.order_by:
-            materialized = list(rows)
-            sort_id_rows(ctx.evaluator, materialized, self.projected, self.order_by)
-            if self.offset:
-                materialized = materialized[self.offset:]
-            if self.limit is not None:
-                materialized = materialized[: self.limit]
-            if max_rows is not None:
-                materialized = materialized[:max_rows]
-            return materialized
-        # No ORDER BY: the tail streams, so LIMIT (and the endpoint's
-        # result_limit via max_rows) stops pipeline iteration early.
         stop = self.limit
         if max_rows is not None:
             stop = max_rows if stop is None else min(stop, max_rows)
@@ -1539,25 +1452,24 @@ class _SelectCore:
     def id_result(
         self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None
     ) -> tuple[tuple, list]:
-        """Projected schema plus id rows, mirroring the evaluator's
-        ``_select_id_result`` tail exactly (same clause order).
+        """Projected schema plus id rows, in SPARQL's clause order:
+        ORDER BY, projection, DISTINCT, OFFSET / LIMIT.
 
         ``rows`` are the pipeline's rows when the caller ran it itself
         (sharded execution).
         """
-        if self.aggregate is not None:
-            if rows is None:
+        if rows is None:
+            # Lazy plans stream so LIMIT stops early; everything else
+            # runs list-at-a-time through the batch operator path.
+            if self.lazy:
+                rows = self.plan.run(ctx, iter(_SEED))
+            else:
                 rows = self.plan.run_list(ctx, list(_SEED))
+        if self.aggregate is not None:
             return self.projected, self._aggregate_rows(ctx, rows)
-        # Lazy plans stream so ASK / LIMIT stop early; everything else
-        # runs list-at-a-time through the batch operator path.
-        if rows is not None:
-            rows = self._project(rows)
-        elif self.lazy:
-            rows = self._iter_projected(ctx)
-        else:
-            rows = self._project(self.plan.run_list(ctx, list(_SEED)))
-        return self.projected, self._finish(ctx, rows, max_rows)
+        if self.order_key is not None:
+            rows = sorted(rows, key=self.order_key)
+        return self.projected, self._finish(self._project(rows), max_rows)
 
     def id_columns(
         self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None

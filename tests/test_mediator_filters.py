@@ -15,7 +15,7 @@ from repro.exceptions import (
     UnsupportedQueryError,
 )
 from repro.rdf import IRI, Literal, Variable, typed_literal
-from repro.relational import Relation, make_filter_predicate
+from repro.relational import Relation
 from repro.sparql.ast import (
     BGP,
     BooleanOp,
@@ -32,19 +32,27 @@ from repro.rdf.triple import TriplePattern
 A, B = Variable("a"), Variable("b")
 
 
+def holds(expression, solution) -> bool:
+    """FILTER verdict for one solution, through ``Relation.filter``: the
+    solution becomes a one-row relation over (?a, ?b), unbound = None."""
+    relation = Relation([A, B], [(solution.get(A), solution.get(B))])
+    return len(relation.filter(expression)) == 1
+
+
 class TestMakeFilterPredicate:
+    """Mediator-side FILTERs (class name kept from the days of
+    ``make_filter_predicate``; the API is ``Relation.filter(expression)``)."""
+
     def test_comparison(self):
-        predicate = make_filter_predicate(
-            Comparison(">", VarExpr(A), TermExpr(typed_literal(5)))
-        )
-        assert predicate({A: typed_literal(7)})
-        assert not predicate({A: typed_literal(3)})
+        expression = Comparison(">", VarExpr(A), TermExpr(typed_literal(5)))
+        assert holds(expression, {A: typed_literal(7)})
+        assert not holds(expression, {A: typed_literal(3)})
 
     def test_unbound_variable_is_false(self):
-        predicate = make_filter_predicate(
-            Comparison("=", VarExpr(A), TermExpr(typed_literal(1)))
-        )
-        assert not predicate({})
+        expression = Comparison("=", VarExpr(A), TermExpr(typed_literal(1)))
+        assert not holds(expression, {})
+        # ... also for a variable the relation has no column for.
+        assert len(Relation([B], [(typed_literal(1),)]).filter(expression)) == 0
 
     def test_boolean_combination(self):
         expression = BooleanOp(
@@ -54,38 +62,44 @@ class TestMakeFilterPredicate:
                 Not(Comparison("=", VarExpr(A), TermExpr(typed_literal(3)))),
             ],
         )
-        predicate = make_filter_predicate(expression)
-        assert predicate({A: typed_literal(2)})
-        assert not predicate({A: typed_literal(3)})
+        assert holds(expression, {A: typed_literal(2)})
+        assert not holds(expression, {A: typed_literal(3)})
 
     def test_function_call(self):
         expression = FunctionCall("CONTAINS", [VarExpr(A), TermExpr(Literal("bc"))])
-        predicate = make_filter_predicate(expression)
-        assert predicate({A: Literal("abcd")})
-        assert not predicate({A: Literal("xyz")})
+        assert holds(expression, {A: Literal("abcd")})
+        assert not holds(expression, {A: Literal("xyz")})
 
     def test_cross_variable_filter(self):
-        predicate = make_filter_predicate(Comparison("!=", VarExpr(A), VarExpr(B)))
-        assert predicate({A: IRI("http://e/1"), B: IRI("http://e/2")})
-        assert not predicate({A: IRI("http://e/1"), B: IRI("http://e/1")})
+        expression = Comparison("!=", VarExpr(A), VarExpr(B))
+        assert holds(expression, {A: IRI("http://e/1"), B: IRI("http://e/2")})
+        assert not holds(expression, {A: IRI("http://e/1"), B: IRI("http://e/1")})
+
+    def test_numeric_coercion(self):
+        # Plain literals that parse as numbers compare by value, which
+        # id equality cannot express: "1" = "01", and 1 = "1.0".
+        expression = Comparison("=", VarExpr(A), VarExpr(B))
+        assert holds(expression, {A: Literal("1"), B: Literal("01")})
+        assert holds(Comparison("=", VarExpr(A), TermExpr(Literal("01"))), {A: Literal("1")})
+        assert holds(expression, {A: typed_literal(1), B: Literal("1.0")})
+        assert not holds(expression, {A: Literal("1"), B: Literal("2")})
 
     def test_exists_rejected_at_mediator(self):
         pattern = GroupPattern([BGP([TriplePattern(A, IRI("http://e/p"), B)])])
         with pytest.raises(EvaluationError):
-            make_filter_predicate(ExistsExpr(pattern, negated=True))
+            Relation([A], []).filter(ExistsExpr(pattern, negated=True))
 
     def test_nested_exists_rejected(self):
         pattern = GroupPattern([BGP([TriplePattern(A, IRI("http://e/p"), B)])])
         nested = Not(ExistsExpr(pattern))
         with pytest.raises(EvaluationError):
-            make_filter_predicate(nested)
+            Relation([A], []).filter(nested)
 
     def test_relation_filter_integration(self):
         relation = Relation([A], [(typed_literal(i),) for i in range(5)])
-        predicate = make_filter_predicate(
-            Comparison(">=", VarExpr(A), TermExpr(typed_literal(3)))
-        )
-        assert len(relation.filter(predicate)) == 2
+        kept = relation.filter(Comparison(">=", VarExpr(A), TermExpr(typed_literal(3))))
+        assert len(kept) == 2
+        assert kept.rows == [(typed_literal(3),), (typed_literal(4),)]
 
 
 class TestExceptionHierarchy:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.rdf import IRI, Variable, typed_literal
 from repro.relational import Relation
+from repro.sparql.ast import Comparison, TermExpr, VarExpr
 
 A, B, C, D = Variable("a"), Variable("b"), Variable("c"), Variable("d")
 
@@ -97,8 +98,9 @@ class TestAlgebra:
 
     def test_filter(self):
         relation = Relation([A], [(typed_literal(1),), (typed_literal(5),)])
-        kept = relation.filter(lambda s: (s[A].numeric_value() or 0) > 2)
+        kept = relation.filter(Comparison(">", VarExpr(A), TermExpr(typed_literal(2))))
         assert len(kept) == 1
+        assert kept.rows == [(typed_literal(5),)]
 
     def test_limit_offset(self):
         relation = Relation([A], [(iri(i),) for i in range(5)])
