@@ -33,6 +33,7 @@ import sys
 from repro.core.engine import LusailEngine
 from repro.datasets import bio2rdf, io as dataset_io, largerdf, lubm, qfed, queries_largerdf
 from repro.endpoint.federation import Federation
+from repro.exceptions import ReproError
 from repro.faults import FAULT_PROFILES, ResiliencePolicy, default_chaos_policy
 from repro.harness import (
     ENGINE_ORDER,
@@ -669,7 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A query the engines refuse or cannot parse is the user's input,
+        # not a crash: one line, exit status 2 (argparse's usage status).
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from repro.endpoint.cache import EngineCaches
 from repro.endpoint.client import FederationClient
 from repro.endpoint.federation import Federation
 from repro.net.simulator import MediatorCostModel, NetworkConfig
-from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine
+from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine, parse_select
 from repro.planning.normalize import Branch, NormalizedQuery, normalize, partition_filters
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
@@ -559,9 +559,7 @@ class LusailEngine(FederatedEngine):
         the same probe requests an execution would, and warming the same
         caches) but stops before any subquery is evaluated.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        normalized = normalize(query)
+        normalized = normalize(parse_select(query))
         client = self.build_client()
         lines: list[str] = []
         for branch_index, branch in enumerate(normalized.branches):

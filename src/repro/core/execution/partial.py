@@ -417,11 +417,7 @@ class PartialBranchScheduler(BranchScheduler):
             return relation
         kept_columns = [[column[i] for i in keep] for column in columns]
         return Relation._from_columns(
-            relation.vars,
-            kept_columns,
-            len(keep),
-            partitions=relation.partitions,
-            sort_order=relation.sort_order,
+            relation.vars, kept_columns, len(keep), partitions=relation.partitions
         )
 
 

@@ -67,7 +67,7 @@ def _payload_bytes(result: SelectResult) -> int:
     a column at a time.
     """
     if result.columns is None:
-        # Term producers: fork-shard workers, digest-pruned fragments.
+        # Term rows: a digest-pruned fragment.
         bound = [term for term in chain.from_iterable(result.rows) if term is not None]
         return sum(map(text_length, bound)) + _TERM_OVERHEAD_BYTES * len(bound)
     length_of = result.dictionary.text_lengths().__getitem__
@@ -162,7 +162,6 @@ class FederationClient:
         request_bytes: int,
         cached: bool,
         response_bytes: int | None = None,
-        shards: int = 1,
     ) -> float:
         endpoint = self.federation.get(endpoint_name)
         if not endpoint.available:
@@ -191,7 +190,6 @@ class FederationClient:
                     response_bytes=response_bytes,
                     cached=cached,
                     timeout_ms=request_timeout,
-                    shards=shards,
                 )
             except (InjectedFaultError, RequestTimeoutError) as exc:
                 failed_at = exc.at_ms if exc.at_ms is not None else now
@@ -411,42 +409,6 @@ class FederationClient:
         self.caches.digest.put(key, (version, digest))
         return digest, end
 
-    def _mirror_shard_stats(self, endpoint, kind: str) -> int:
-        """Feed the endpoint's per-shard lane stats into observability.
-
-        Returns the shard count of the last evaluation (1 when it ran
-        unsharded) so ``_issue`` can divide the virtual evaluation cost
-        across the lanes.  Rows-per-shard counters always flow; the
-        balance audit (ideal even split vs. actual chunk sizes, labeled
-        per shard) rides on tracing like every other audit site.
-        """
-        stats = endpoint.last_shard_stats
-        if not stats:
-            return 1
-        registry = self.registry
-        for entry in stats:
-            registry.inc(
-                "endpoint_shard_rows_total",
-                entry["output_rows"],
-                engine=self.engine,
-                endpoint=endpoint.name,
-                kind=kind,
-                shard=str(entry["shard"]),
-            )
-        if self.audit.enabled:
-            total_in = sum(entry["input_rows"] for entry in stats)
-            ideal = total_in / len(stats) if stats else 0.0
-            for entry in stats:
-                self.audit.record(
-                    "shard_balance",
-                    ideal,
-                    entry["input_rows"],
-                    endpoint=endpoint.name,
-                    shard=entry["shard"],
-                    output_rows=entry["output_rows"],
-                )
-        return stats[0]["shards"]
-
     # ----------------------------------------------------------- retrieval
 
     def select(
@@ -461,7 +423,6 @@ class FederationClient:
         result = self._evaluate_with_plan_metrics(
             endpoint, kind, lambda: endpoint.select(query)
         )
-        shards = self._mirror_shard_stats(endpoint, kind)
         if self.audit.enabled:
             self._audit_probe_order(endpoint, query)
         end = self._issue(
@@ -472,7 +433,6 @@ class FederationClient:
             query_bytes(query),
             cached=False,
             response_bytes=_payload_bytes(result),
-            shards=shards,
         )
         return result, end
 

@@ -6,14 +6,13 @@ named query workload (LUBM or QFed), replays it through
 p50/p99 virtual latency, sharing statistics, and lane utilization.  The
 whole pipeline is a pure function of ``(federation, workload,
 TrafficConfig)``: the same inputs produce a byte-identical report
-(:meth:`TrafficReport.to_json`), which is what the ``serve_smoke`` CI
-gate asserts at 10⁵ requests.
+(:meth:`TrafficReport.to_json`), which ``tests/test_traffic.py`` asserts.
 
 Every run also prices the **one-at-a-time baseline**: each distinct
 query's warm serial virtual cost (probe caches warm, no result cache, no
 concurrency) summed over the replay.  The reported ``speedup`` is that
-serial makespan divided by the concurrent makespan — the number the
-ISSUE's ≥2x acceptance gate reads.  And unless disabled, each served
+serial makespan divided by the concurrent makespan (the tests hold it
+at ≥2x).  And unless disabled, each served
 result is checked row-for-row against its serial execution, so the
 sharing layers cannot silently trade correctness for throughput.
 

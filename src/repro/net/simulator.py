@@ -159,7 +159,6 @@ class VirtualNetwork:
         response_bytes: int | None = None,
         cached: bool = False,
         timeout_ms: float | None = None,
-        shards: int = 1,
     ) -> float:
         """Schedule one remote request; returns its completion time (ms).
 
@@ -167,11 +166,6 @@ class VirtualNetwork:
         request starts once the endpoint's lane is free (thread-per-
         endpoint serialization) and costs RTT + evaluation + transfer.
         Cache hits complete instantly and are recorded but not charged.
-
-        ``shards > 1`` models an endpoint that evaluated the query on
-        parallel sorted-run shards: the per-row *evaluation* component
-        divides across the shard lanes, while transfer still serializes
-        on the single response connection.
 
         ``timeout_ms`` bounds a single request's duration: past it the
         mediator abandons the request (``RequestTimeoutError``), freeing
@@ -215,20 +209,13 @@ class VirtualNetwork:
             lanes.lane_free_ms.get(endpoint_name, 0.0),
             slot_free[slot_index],
         )
-        # shards == 1 must keep the historical expression verbatim:
-        # committed benchmark baselines compare virtual times to the
-        # float ulp, and a re-associated sum would not be byte-identical.
-        if shards > 1:
-            row_cost = result_rows * (
-                config.eval_row_ms / shards + config.row_transfer_ms
-            )
-        else:
-            row_cost = result_rows * (config.eval_row_ms + config.row_transfer_ms)
+        # Committed baselines compare virtual times to the float ulp:
+        # re-associating this sum would change them.
         duration = (
             config.rtt(endpoint_region)
             + config.request_overhead_ms
             + config.eval_base_ms
-            + row_cost
+            + result_rows * (config.eval_row_ms + config.row_transfer_ms)
             + (request_bytes + response_bytes) * config.byte_transfer_ms
         )
 

@@ -92,11 +92,8 @@ class EstimateAudit:
         actual: float,
         endpoint: str = "*",
         span=None,
-        shard: int | None = None,
         **detail: Any,
     ) -> AuditRecord:
-        if shard is not None:
-            detail["shard"] = shard
         error = q_error(estimated, actual)
         entry = AuditRecord(
             decision=decision,
@@ -108,15 +105,7 @@ class EstimateAudit:
         )
         self.records.append(entry)
         if self.registry is not None:
-            # The shard dimension is opt-in per record so un-sharded
-            # sites keep their existing label sets (and series).
-            labels: dict[str, Any] = {
-                "engine": self.engine,
-                "decision": decision,
-                "endpoint": endpoint,
-            }
-            if shard is not None:
-                labels["shard"] = str(shard)
+            labels = {"engine": self.engine, "decision": decision, "endpoint": endpoint}
             self.registry.observe(Q_ERROR_METRIC, error, **labels)
             self.registry.inc(AUDIT_COUNTER, **labels)
         if span is not None:
@@ -140,9 +129,7 @@ class _NullAudit:
     engine = "<disabled>"
     records: tuple = ()
 
-    def record(
-        self, decision, estimated, actual, endpoint="*", span=None, shard=None, **detail
-    ):
+    def record(self, decision, estimated, actual, endpoint="*", span=None, **detail):
         return None
 
     def worst(self):

@@ -31,6 +31,7 @@ from repro.obs.trace import Tracer, get_default_tracer
 from repro.planning.normalize import Branch, NormalizedQuery, normalize
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
+from repro.rdf.terms import typed_literal
 from repro.sparql.ast import SelectQuery
 from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
@@ -71,6 +72,17 @@ class EngineStats:
 
     preprocessing_ms: float = 0.0
     queries_executed: int = 0
+
+
+def parse_select(query: SelectQuery | str) -> SelectQuery:
+    """The SELECT an engine plans: text is parsed, anything else refused."""
+    if isinstance(query, str):
+        query = parse_query(query)
+    if not isinstance(query, SelectQuery):
+        raise UnsupportedQueryError(
+            f"federated engines execute SELECT queries, not {type(query).__name__}"
+        )
+    return query
 
 
 class FederatedEngine:
@@ -156,12 +168,7 @@ class FederatedEngine:
 
     def execute(self, query: SelectQuery | str, raise_on_failure: bool = False) -> ExecutionOutcome:
         """Run one federated query; failures become outcome statuses."""
-        if isinstance(query, str):
-            parsed = parse_query(query)
-            if not isinstance(parsed, SelectQuery):
-                raise UnsupportedQueryError("federated engines execute SELECT queries")
-            query = parsed
-
+        query = parse_select(query)
         metrics = QueryMetrics()
         client = self.build_client(metrics)
         self.last_audit = client.audit
@@ -264,7 +271,12 @@ class FederatedEngine:
 
     def _finalize(self, relation: Relation, normalized: NormalizedQuery) -> SelectResult:
         """Solution modifiers in SPARQL's order: ORDER BY on the whole
-        solution, then projection, DISTINCT, OFFSET / LIMIT."""
+        solution, then projection, DISTINCT, OFFSET / LIMIT — or the
+        COUNT tail, one row, as an endpoint plan computes it."""
+        aggregate = normalized.aggregate
+        if aggregate is not None:
+            count = relation.count(aggregate.variable, aggregate.distinct)
+            return SelectResult((aggregate.alias,), [(typed_literal(count),)])
         if normalized.order_by:
             relation = relation.order_by(normalized.order_by)
         projected = normalized.projected_variables()

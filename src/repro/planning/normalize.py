@@ -25,6 +25,7 @@ from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import (
     BGP,
+    CountAggregate,
     Expression,
     Filter,
     GroupPattern,
@@ -84,6 +85,9 @@ class NormalizedQuery:
     limit: int | None = None
     offset: int = 0
     order_by: tuple[OrderCondition, ...] = ()
+    #: ``(COUNT(...) AS ?alias)``: the mediator counts the solution and
+    #: answers one row; ``select_vars`` then names what it counts over.
+    aggregate: CountAggregate | None = None
     source: SelectQuery | None = field(default=None, repr=False)
 
     def projected_variables(self) -> tuple[Variable, ...]:
@@ -207,6 +211,13 @@ def normalize(query: SelectQuery) -> NormalizedQuery:
         if not branch.patterns:
             raise UnsupportedQueryError("a query branch has no required triple patterns")
 
+    aggregate = query.aggregate
+    if aggregate is not None:
+        # As at an endpoint, a COUNT answers one row and ignores the other
+        # solution modifiers; the engines carry the counted variable only
+        # (row multiplicity survives projection, which COUNT(*) needs).
+        counted = () if aggregate.variable is None else (aggregate.variable,)
+        return NormalizedQuery(branches, counted, aggregate=aggregate, source=query)
     return NormalizedQuery(
         branches=branches,
         select_vars=query.select_vars,

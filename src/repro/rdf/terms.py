@@ -238,9 +238,8 @@ class Variable:
         return self._hash
 
     def __reduce__(self):
-        # Re-enter __new__ on unpickle so deserialized variables are
-        # interned like every other instance (fork-pool workers receive
-        # queries by pickle; the default slots protocol bypasses
+        # Re-enter __new__ on unpickle / copy so the result is interned
+        # like every other instance (the default slots protocol bypasses
         # __new__ and would crash on the missing ``name`` argument).
         return (Variable, (self.name,))
 

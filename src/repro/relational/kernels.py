@@ -12,11 +12,6 @@ kernels those relations dispatch to:
 * a **general path** that keeps full SPARQL compatibility semantics
   (an unbound key is compatible with anything), taken only when a key
   column actually contains ``None``;
-* a **merge path** taken when both inputs arrive sorted on the full join
-  key (``relation.sort_order`` covers the shared variables identically):
-  a two-pointer walk with galloping advances and per-key-group cross
-  emission — no hash table is built, and the output is itself sorted on
-  the key, so chained joins on the same key never re-sort;
 * cross-product, left-join, union, project and distinct kernels with the
   same columnar layout.
 
@@ -34,16 +29,8 @@ Kernels are duck-typed over relations (``.vars`` / ``.columns`` /
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
-from operator import sub
-
-try:  # Optional acceleration: the merge kernel vectorizes through numpy
-    import numpy as _np  # when present; the stdlib bulk path is complete.
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 from repro.exceptions import MemoryLimitError
 
@@ -63,7 +50,6 @@ class KernelCounters:
     rows_emitted: int = 0
     fast_dispatches: int = 0
     general_dispatches: int = 0
-    merge_dispatches: int = 0
 
     def items(self):
         yield "mediator_kernel_build_rows_total", self.build_rows
@@ -71,21 +57,18 @@ class KernelCounters:
         yield "mediator_kernel_rows_emitted_total", self.rows_emitted
         yield "mediator_kernel_fast_dispatches_total", self.fast_dispatches
         yield "mediator_kernel_general_dispatches_total", self.general_dispatches
-        yield "mediator_kernel_merge_dispatches_total", self.merge_dispatches
 
 
 @dataclass
 class JoinOpStats:
     """Measured work of the most recent join/left-join kernel call."""
 
-    kind: str  # "fast" | "general" | "cross" | "merge"
+    kind: str  # "fast" | "general" | "cross"
     build_rows: int
     probe_rows: int
     rows_out: int
     build_partitions: int = 1
     probe_partitions: int = 1
-    #: Variables the output rows are sorted by (merge joins only).
-    sort_order: tuple = ()
 
     def cost_units(self) -> float:
         """The paper's JoinCost from *measured* kernel row counts."""
@@ -120,10 +103,6 @@ class KernelRuntime:
 
 
 _RUNTIME_STACK: list[KernelRuntime] = [KernelRuntime()]
-
-
-def active_runtime() -> KernelRuntime:
-    return _RUNTIME_STACK[-1]
 
 
 def last_join_cost() -> float:
@@ -218,7 +197,6 @@ def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
     counters.build_rows += len(build)
     counters.probe_rows += len(probe)
 
-    sort_order: tuple = ()
     if any(None in column for column in build_keys) or any(
         None in column for column in probe_keys
     ):
@@ -226,18 +204,11 @@ def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
         kind = "general"
         counters.general_dispatches += 1
     else:
-        key_order = merge_key_order(left, right, shared)
-        if key_order is not None:
-            columns, length = _merge_join(left, right, key_order, out_vars, runtime)
-            kind = "merge"
-            sort_order = key_order
-            counters.merge_dispatches += 1
-        else:
-            columns, length = _fast_join(
-                build, probe, build_is_left, build_keys, probe_keys, out_vars, runtime
-            )
-            kind = "fast"
-            counters.fast_dispatches += 1
+        columns, length = _fast_join(
+            build, probe, build_is_left, build_keys, probe_keys, out_vars, runtime
+        )
+        kind = "fast"
+        counters.fast_dispatches += 1
     counters.rows_emitted += length
     runtime.last_join = JoinOpStats(
         kind=kind,
@@ -246,95 +217,8 @@ def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
         rows_out=length,
         build_partitions=build.partitions,
         probe_partitions=probe.partitions,
-        sort_order=sort_order,
     )
     return columns, length
-
-
-def merge_key_order(left, right, shared) -> tuple | None:
-    """Join-key variable order if both inputs are merge-joinable, else None.
-
-    The merge kernel applies when the leading ``sort_order`` of *both*
-    relations is the same permutation of *all* the shared variables: the
-    rows then arrive grouped and ordered by the full join key and one
-    synchronized forward pass finds every match.  Any shorter or mismatched
-    ordering falls back to the hash kernels.
-    """
-    if not shared:
-        return None
-    left_order = tuple(getattr(left, "sort_order", ()) or ())
-    right_order = tuple(getattr(right, "sort_order", ()) or ())
-    width = len(shared)
-    if len(left_order) < width or len(right_order) < width:
-        return None
-    key_order = left_order[:width]
-    if key_order != right_order[:width]:
-        return None
-    if set(key_order) != set(shared):
-        return None
-    return key_order
-
-
-def _merge_join(left, right, key_order, out_vars, runtime) -> tuple[list[Column], int]:
-    """Sorted-input join, vectorized through C-level bulk primitives.
-
-    Both inputs are sorted by ``key_order`` (checked by the dispatcher),
-    so each left row's matches form one contiguous right slice.  The
-    kernel computes every slice with ``map(bisect, ...)`` — the whole
-    boundary pass runs inside the C interpreter loop, no per-row Python
-    frames — then flattens ``range(start, end)`` blocks into the output
-    index lists with ``chain.from_iterable``.  Emitting per left row in
-    input order reproduces the classic group-cross order exactly, and the
-    output stays sorted by ``key_order`` — which is what lets a chain of
-    joins on the same key stay merge-joinable.
-
-    The row budget is enforced *before* emission: widths are summed first
-    (a C-level ``sum``/``map``), so an over-limit join aborts without
-    materializing any index list at all — strictly earlier than the hash
-    kernels' streaming check.
-    """
-    left_key_columns = _key_columns(left, key_order)
-    right_key_columns = _key_columns(right, key_order)
-    limit = runtime.max_rows
-    if _np is not None and len(key_order) == 1:
-        # Single-key ids are dense ints: two vectorized searchsorted
-        # passes find every left row's right slice, and the flattened
-        # index lists come out of arange/repeat arithmetic — the whole
-        # kernel is a handful of C calls regardless of row count.
-        left_keys = _np.asarray(left_key_columns[0], dtype=_np.int64)
-        right_keys = _np.asarray(right_key_columns[0], dtype=_np.int64)
-        starts = _np.searchsorted(right_keys, left_keys, side="left")
-        ends = _np.searchsorted(right_keys, left_keys, side="right")
-        widths = ends - starts
-        total = int(widths.sum())
-        if limit is not None and total > limit:
-            runtime.overflow(total)
-        left_indexes = _np.repeat(_np.arange(len(left_keys)), widths).tolist()
-        block_starts = _np.cumsum(widths) - widths
-        right_indexes = (
-            _np.arange(total) + _np.repeat(starts - block_starts, widths)
-        ).tolist()
-    else:
-        if len(key_order) == 1:
-            left_keys = left_key_columns[0]
-            right_keys = right_key_columns[0]
-        else:
-            left_keys = list(zip(*left_key_columns))
-            right_keys = list(zip(*right_key_columns))
-        starts = list(map(bisect_left, repeat(right_keys), left_keys))
-        ends = list(map(bisect_right, repeat(right_keys), left_keys))
-        widths = list(map(sub, ends, starts))
-        total = sum(widths)
-        if limit is not None and total > limit:
-            runtime.overflow(total)
-        right_indexes = list(chain.from_iterable(map(range, starts, ends)))
-        left_indexes = list(chain.from_iterable(map(repeat, count(), widths)))
-
-    permutation = _out_permutation(left.vars, right.vars, out_vars)
-    columns = _gather(
-        permutation, left.columns, right.columns, left_indexes, right_indexes
-    )
-    return columns, len(left_indexes)
 
 
 def _fast_join(

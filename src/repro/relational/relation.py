@@ -96,8 +96,8 @@ class RowStore:
 
         An encoded :class:`SelectResult` is translated column-wise and
         assigns the ids its term rows would (see ``translate_columns``);
-        one that carries term rows only (fork-shard workers, pruned
-        fragments) goes through the term path like any row iterable.
+        one that carries term rows only (a digest-pruned
+        fragment) goes through the term path like any row iterable.
         """
         if isinstance(rows, RowStore) and rows.codec is self.codec:
             self._extend_ids(rows.columns, rows.length)
@@ -172,7 +172,7 @@ class RowStore:
 class Relation:
     """An immutable-schema, mutable-rows solution relation."""
 
-    __slots__ = ("vars", "rows", "partitions", "sort_order")
+    __slots__ = ("vars", "rows", "partitions")
 
     def __init__(
         self,
@@ -189,14 +189,6 @@ class Relation:
             self.rows = RowStore(width=len(self.vars))
             self.rows.extend(rows)
         self.partitions = max(1, partitions)
-        #: Leading variables the id rows are (non-strictly) sorted by, in
-        #: *mediator-codec id order*.  Set by :meth:`sorted_by` and by
-        #: merge-join outputs; the kernel dispatcher reads it to pick the
-        #: merge path when both join inputs cover the shared variables.
-        #: Endpoint results do not carry order across :meth:`from_result`:
-        #: their ids live in the endpoint's dictionary, and the
-        #: translation table is not monotone, so numeric order is lost.
-        self.sort_order: tuple[Variable, ...] = ()
 
     @classmethod
     def _from_columns(
@@ -205,13 +197,11 @@ class Relation:
         columns: list[list],
         length: int,
         partitions: int = 1,
-        sort_order: tuple = (),
     ) -> "Relation":
         """Internal fast path: adopt already-encoded columns."""
         relation = cls(vars, (), partitions)
         relation.rows.columns = columns
         relation.rows.length = length
-        relation.sort_order = sort_order
         return relation
 
     #: Columnar view consumed by the kernels.
@@ -253,6 +243,18 @@ class Relation:
         decode = self.rows.codec.decode
         return {decode(value) for value in distinct_ids}
 
+    def count(self, variable: Variable | None = None, distinct: bool = False) -> int:
+        """SPARQL ``COUNT``: the rows (``variable`` None), or the bound —
+        with ``distinct``, the different — values of one variable."""
+        if variable is None:
+            return len(self)
+        if variable not in self.vars:
+            return 0
+        column = self.columns[self.vars.index(variable)]
+        if distinct:
+            return len(set(column) - {None})
+        return len(column) - column.count(None)
+
     # -------------------------------------------------------------- joins
 
     def _out_vars(self, other: "Relation") -> tuple[Variable, ...]:
@@ -268,14 +270,8 @@ class Relation:
         """
         out_vars = self._out_vars(other)
         columns, length = kernels.join(self, other, self.shared_vars(other), out_vars)
-        stats = kernels.active_runtime().last_join
-        sort_order = stats.sort_order if stats is not None and stats.kind == "merge" else ()
         return Relation._from_columns(
-            out_vars,
-            columns,
-            length,
-            partitions=max(self.partitions, other.partitions),
-            sort_order=sort_order,
+            out_vars, columns, length, partitions=max(self.partitions, other.partitions)
         )
 
     def left_join(self, other: "Relation") -> "Relation":
@@ -284,39 +280,7 @@ class Relation:
         columns, length = kernels.left_join(
             self, other, self.shared_vars(other), out_vars
         )
-        # Left rows are emitted in input order (duplicated per match), so
-        # the left ordering survives non-strictly.
-        return Relation._from_columns(
-            out_vars,
-            columns,
-            length,
-            partitions=self.partitions,
-            sort_order=self.sort_order,
-        )
-
-    def sorted_by(self, variables: Sequence[Variable]) -> "Relation":
-        """A copy sorted by the id columns of ``variables``.
-
-        This is the explicit sort that seeds merge-join chains: sort both
-        sides once on the shared variables, and every subsequent join on
-        that key dispatches to the merge kernel (whose output stays
-        sorted).  Unbound positions order first.  Returns ``self`` when
-        the relation already carries the requested ordering.
-        """
-        wanted = tuple(variables)
-        if self.sort_order[: len(wanted)] == wanted:
-            return self
-        key_columns = [self.columns[self.vars.index(var)] for var in wanted]
-        order = sorted(
-            range(len(self)),
-            key=lambda i: tuple(
-                -1 if column[i] is None else column[i] for column in key_columns
-            ),
-        )
-        columns = [[column[i] for i in order] for column in self.columns]
-        return Relation._from_columns(
-            self.vars, columns, len(order), partitions=self.partitions, sort_order=wanted
-        )
+        return Relation._from_columns(out_vars, columns, length, partitions=self.partitions)
 
     # ------------------------------------------------------------ algebra
 
@@ -331,22 +295,12 @@ class Relation:
     def project(self, variables: Sequence[Variable]) -> "Relation":
         columns, length = kernels.project(self, variables)
         return Relation._from_columns(
-            tuple(variables),
-            columns,
-            length,
-            partitions=self.partitions,
-            sort_order=_order_prefix(self.sort_order, variables),
+            tuple(variables), columns, length, partitions=self.partitions
         )
 
     def distinct(self) -> "Relation":
         columns, length = kernels.distinct(self)
-        return Relation._from_columns(
-            self.vars,
-            columns,
-            length,
-            partitions=self.partitions,
-            sort_order=self.sort_order,
-        )
+        return Relation._from_columns(self.vars, columns, length, partitions=self.partitions)
 
     def filter(self, expression: Expression) -> "Relation":
         """Keep the rows on which FILTER ``expression`` holds.
@@ -362,11 +316,7 @@ class Relation:
         keep = list(map(passes, self.rows.iter_ids()))
         columns = [list(compress(column, keep)) for column in self.columns]
         return Relation._from_columns(
-            self.vars,
-            columns,
-            sum(keep),
-            partitions=self.partitions,
-            sort_order=self.sort_order,
+            self.vars, columns, sum(keep), partitions=self.partitions
         )
 
     def order_by(self, conditions: Sequence[OrderCondition]) -> "Relation":
@@ -390,21 +340,4 @@ class Relation:
         stop = None if limit is None else offset + limit
         columns = [column[offset:stop] for column in self.columns]
         length = len(range(*slice(offset, stop).indices(len(self))))
-        return Relation._from_columns(
-            self.vars,
-            columns,
-            length,
-            partitions=self.partitions,
-            sort_order=self.sort_order,
-        )
-
-
-def _order_prefix(sort_order: tuple, variables: Sequence[Variable]) -> tuple:
-    """Longest leading run of ``sort_order`` fully inside ``variables``."""
-    available = set(variables)
-    kept = []
-    for var in sort_order:
-        if var not in available:
-            break
-        kept.append(var)
-    return tuple(kept)
+        return Relation._from_columns(self.vars, columns, length, partitions=self.partitions)

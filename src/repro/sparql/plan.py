@@ -46,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter
-from time import perf_counter
 from typing import Iterator, Sequence
 
 from repro.exceptions import EvaluationError
@@ -225,7 +224,6 @@ class _ProbeOp:
         "base",
         "estimate",
         "pattern_text",
-        "sort_vars",
         "_n_new",
         "_first_new",
         "_extract",
@@ -246,10 +244,6 @@ class _ProbeOp:
         # probe-order audit; filled in by the compiler's BGP walk.
         self.estimate: int | None = None
         self.pattern_text = ""
-        #: Variables this probe's matches arrive sorted by (per input
-        #: row), from :meth:`TripleStore.match_order`.  Feeds the pipeline
-        #: sort-order metadata (:func:`_pipeline_sort_order`).
-        self.sort_vars: tuple = ()
         self._n_new = len(self.new_positions)
         self._first_new = self.new_positions[0] if self.new_positions else None
         self._extract = itemgetter(*self.new_positions) if self._n_new >= 2 else None
@@ -469,10 +463,6 @@ class _IntersectOp:
         self.members = tuple(members)
         first, *checks = self.members
         self._positions = (first.new_positions[0], *(op.test_position for op in checks))
-
-    @property
-    def sort_vars(self) -> tuple:
-        return self.members[0].sort_vars
 
     def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
         for member in self.members:
@@ -762,7 +752,7 @@ class _SubSelectOp:
     def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
         state = ctx.state(self)
         if "rows" not in state:
-            _, inner_rows = self.core.id_result(ctx)
+            inner_rows = self.core.id_result(ctx)
             index: dict = {}
             for irow in inner_rows:
                 key = tuple(irow[c] for c in self.key_cols)
@@ -836,78 +826,6 @@ def _distinct_rows(rows) -> Iterator[IdRow]:
         if row not in seen:
             seen.add(row)
             yield row
-
-
-def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
-    """Variables a pipeline's output rows are sorted by (static walk).
-
-    Every operator except UNION emits its per-input-row output
-    contiguously and in input order, so an established leading sort order
-    survives the rest of the pipeline non-strictly.  While the chain is
-    still *strictly* sorted — seed row through consecutive probes, with
-    row-dropping filters in between — each probe's own sorted match
-    iteration extends the order by its fresh positions.  VALUES, OPTIONAL
-    and sub-SELECT joins stop the extension (their per-row outputs have
-    their own ordering) but preserve the prefix; UNION interleaves
-    branches and resets the order entirely.
-    """
-    order: list[Variable] = []
-    seeded = False
-    extendable = False
-    for op in plan.ops:
-        if isinstance(op, (_ProbeOp, _IntersectOp)):
-            if not seeded:
-                seeded = True
-                order = list(op.sort_vars)
-                extendable = True
-            elif extendable:
-                order.extend(var for var in op.sort_vars if var not in order)
-        elif isinstance(op, (_FilterOp, _ExistsFilterOp)):
-            # Row-dropping only: a subsequence of a (strictly) sorted
-            # sequence keeps both the order and its strictness.
-            continue
-        elif isinstance(op, _UnionOp):
-            order = []
-            seeded = True
-            extendable = False
-        elif isinstance(op, _GroupOp):
-            if not seeded:
-                order = list(_pipeline_sort_order(op.plan))
-            seeded = True
-            extendable = False
-        else:  # _ValuesOp / _OptionalOp / _SubSelectOp
-            seeded = True
-            extendable = False
-    return tuple(order)
-
-
-def _ops_shardable(ops) -> bool:
-    """True when chunked ``run_list`` concatenation equals one whole run.
-
-    Every operator processes rows independently and in order except
-    UNION, whose batch form is branch-major over the *whole* input —
-    chunking would interleave branch outputs differently.  Groups are
-    checked recursively; OPTIONAL / EXISTS / sub-SELECT sub-plans run
-    per-row, so their internals don't matter.
-    """
-    for op in ops:
-        if isinstance(op, _UnionOp):
-            return False
-        if isinstance(op, _GroupOp) and not _ops_shardable(op.plan.ops):
-            return False
-    return True
-
-
-def _split_chunks(rows: list, shards: int) -> list[list]:
-    """Split ``rows`` into ``shards`` contiguous, near-even chunks."""
-    size, extra = divmod(len(rows), shards)
-    chunks = []
-    start = 0
-    for index in range(shards):
-        end = start + size + (1 if index < extra else 0)
-        chunks.append(rows[start:end])
-        start = end
-    return chunks
 
 
 # --------------------------------------------------------------------------
@@ -1071,23 +989,6 @@ class _Compiler:
                 self.lazy,
                 base,
             )
-        # Compile-time sorted-scan metadata: at probe time a position is
-        # bound iff it carries a constant or reads an input slot, so the
-        # store can already say which positions its iteration will be
-        # sorted by.  Map those positions to pattern variables (repeated
-        # variables dedupe to their first sorted position).
-        order = self.store.match_order(
-            consts[0] is not None or slots[0] is not None,
-            consts[1] is not None or slots[1] is not None,
-            consts[2] is not None or slots[2] is not None,
-        )
-        positions = pattern.positions()
-        sort_vars: list[Variable] = []
-        for index in order:
-            variable = positions[index]
-            if isinstance(variable, Variable) and variable not in sort_vars:
-                sort_vars.append(variable)
-        op.sort_vars = tuple(sort_vars)
         return op
 
     # ------------------------------------------------------------- VALUES
@@ -1272,25 +1173,13 @@ class _Compiler:
         pos = {var: i for i, var in enumerate(schema)}
         proj_map = tuple(pos.get(var) for var in projected)
         identity = proj_map == tuple(range(len(schema)))
-        # ORDER BY re-sorts — on the pipeline's rows, before projection,
-        # so a key may read a variable the SELECT list drops (SPARQL §15).
-        # Otherwise projection keeps whatever leading run of the
-        # pipeline's store-id order survives into the output columns
-        # (DISTINCT / OFFSET / LIMIT only drop rows).
+        # ORDER BY sorts the pipeline's rows, before projection, so a key
+        # may read a variable the SELECT list drops (SPARQL §15).
         order_key = None
         if query.order_by:
-            sort_order: tuple = ()
             order_key = compile_order_key(
                 query.order_by, pos, self.dictionary, self._exists_hook(schema, plan.out_certain)
             )
-        else:
-            pipeline_order = _pipeline_sort_order(plan)
-            keep = 0
-            for var in pipeline_order:
-                if var not in projected:
-                    break
-                keep += 1
-            sort_order = pipeline_order[:keep]
         return _SelectCore(
             plan,
             self.lazy,
@@ -1304,7 +1193,6 @@ class _Compiler:
             certain_projected=frozenset(
                 var for var in projected if var in plan.out_certain
             ),
-            sort_order=sort_order,
         )
 
     def compile_ask(
@@ -1367,7 +1255,6 @@ class _SelectCore:
         "offset",
         "certain_projected",
         "lazy",
-        "sort_order",
         "no_tail",
     )
 
@@ -1385,7 +1272,6 @@ class _SelectCore:
         limit=None,
         offset=0,
         certain_projected=frozenset(),
-        sort_order=(),
     ):
         self.plan = plan
         self.aggregate = aggregate
@@ -1401,7 +1287,6 @@ class _SelectCore:
         self.offset = offset
         self.certain_projected = certain_projected
         self.lazy = lazy
-        self.sort_order = tuple(sort_order)
         #: Nothing behind the pipeline: its rows are the result's rows.
         self.no_tail = not (
             aggregate is not None
@@ -1449,43 +1334,35 @@ class _SelectCore:
             )
         return list(rows)
 
-    def id_result(
-        self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None
-    ) -> tuple[tuple, list]:
-        """Projected schema plus id rows, in SPARQL's clause order:
-        ORDER BY, projection, DISTINCT, OFFSET / LIMIT.
-
-        ``rows`` are the pipeline's rows when the caller ran it itself
-        (sharded execution).
-        """
-        if rows is None:
-            # Lazy plans stream so LIMIT stops early; everything else
-            # runs list-at-a-time through the batch operator path.
-            if self.lazy:
-                rows = self.plan.run(ctx, iter(_SEED))
-            else:
-                rows = self.plan.run_list(ctx, list(_SEED))
+    def id_result(self, ctx: _ExecutionContext, max_rows: int | None = None) -> list:
+        """The projected id rows, in SPARQL's clause order: ORDER BY,
+        projection, DISTINCT, OFFSET / LIMIT."""
+        # Lazy plans stream so LIMIT stops early; everything else
+        # runs list-at-a-time through the batch operator path.
+        if self.lazy:
+            rows = self.plan.run(ctx, iter(_SEED))
+        else:
+            rows = self.plan.run_list(ctx, list(_SEED))
         if self.aggregate is not None:
-            return self.projected, self._aggregate_rows(ctx, rows)
+            return self._aggregate_rows(ctx, rows)
         if self.order_key is not None:
             rows = sorted(rows, key=self.order_key)
-        return self.projected, self._finish(self._project(rows), max_rows)
+        return self._finish(self._project(rows), max_rows)
 
     def id_columns(
-        self, ctx: _ExecutionContext, max_rows: int | None = None, rows: list | None = None
+        self, ctx: _ExecutionContext, max_rows: int | None = None
     ) -> tuple[list[list], int]:
         """The result column-major: one id list per projected variable,
-        plus the row count (``rows`` as for :meth:`id_result`).
+        plus the row count.
 
         With nothing behind the pipeline (no aggregate / DISTINCT /
         ORDER BY / slice / row cap) the columns are gathered straight
         from the pipeline's rows; no projected row tuple is ever built.
         """
         if self.no_tail and max_rows is None:
-            if rows is None:
-                rows = self.plan.run_list(ctx, list(_SEED))
+            rows = self.plan.run_list(ctx, list(_SEED))
             return _gather(rows, self.proj_map), len(rows)
-        rows = self.id_result(ctx, max_rows, rows)[1]
+        rows = self.id_result(ctx, max_rows)
         return _gather(rows, range(len(self.projected))), len(rows)
 
     def ask(self, ctx: _ExecutionContext) -> bool:
@@ -1532,16 +1409,6 @@ class CompiledPlan:
     def valid(self) -> bool:
         """False once the store mutated after compilation."""
         return self.store.version == self.store_version
-
-    @property
-    def sort_order(self) -> tuple:
-        """Projected variables the result rows are sorted by (id order).
-
-        Non-empty only when the compiled pipeline preserves the store's
-        sorted match iteration end to end; mediators use it to chain
-        merge joins without re-sorting.
-        """
-        return self.core.sort_order
 
     def explain(self) -> list[str]:
         """Operator chain of the WHERE pipeline, for tests and debugging."""
@@ -1592,66 +1459,10 @@ class CompiledPlan:
         return self.execute_select(params, max_rows=max_rows)
 
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
-        core, ctx = self._bind(params)
-        return self._result(core, *core.id_columns(ctx, max_rows))
-
-    def _result(self, core: "_SelectCore", columns: list[list], length: int) -> SelectResult:
         """The encoded result: id columns plus the store's dictionary."""
-        return SelectResult.encoded(
-            core.projected, columns, length, self.store.dictionary, core.sort_order
-        )
-
-    def execute_select_sharded(
-        self, params=None, shards: int = 1, max_rows: int | None = None
-    ) -> tuple[SelectResult, list[dict]]:
-        """Run the WHERE pipeline in ``shards`` contiguous input chunks.
-
-        Sharding partitions the pipeline's *input rows* (the seed row, or
-        a passthrough VALUES block / first-probe output), runs the
-        remaining operators chunk by chunk, and concatenates in chunk
-        order — every operator except UNION maps input rows to output
-        rows independently and in order, so the concatenation is
-        byte-identical to the unsharded run.  Returns the result plus one
-        stats dict per shard for the endpoint's lane metrics.  Plans that
-        cannot be sharded safely (UNION) run unsharded and report no
-        shard stats.
-        """
-        # Every variant of the plan has the same UNION and group nesting
-        # (UNDEF columns only move filters and pick generic probes), so
-        # one check serves.
-        if shards <= 1 or self.is_ask or not _ops_shardable(self.core.plan.ops):
-            return self.execute_select(params, max_rows=max_rows), []
         core, ctx = self._bind(params)
-        ops = core.plan.ops
-        rest = ops
-        base_rows = list(_SEED)
-        if ops and isinstance(ops[0], _ValuesOp) and ops[0].passthrough:
-            base_rows = list(ops[0].rows_for(ctx))
-            rest = ops[1:]
-        elif ops:
-            base_rows = ops[0].run_list(ctx, base_rows)
-            rest = ops[1:]
-        shards = min(shards, max(1, len(base_rows)))
-        shard_stats: list[dict] = []
-        rows: list = []
-        for index, chunk in enumerate(_split_chunks(base_rows, shards)):
-            started = perf_counter()
-            out = chunk
-            for op in rest:
-                if not out:
-                    break
-                out = op.run_list(ctx, out)
-            rows.extend(out)
-            shard_stats.append(
-                {
-                    "shard": index,
-                    "shards": shards,
-                    "input_rows": len(chunk),
-                    "output_rows": len(out),
-                    "seconds": perf_counter() - started,
-                }
-            )
-        return self._result(core, *core.id_columns(ctx, max_rows, rows)), shard_stats
+        columns, length = core.id_columns(ctx, max_rows)
+        return SelectResult.encoded(core.projected, columns, length, self.store.dictionary)
 
     def execute_ask(self, params=None) -> bool:
         core, ctx = self._bind(params)

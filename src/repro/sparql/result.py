@@ -22,8 +22,8 @@ class SelectResult:
     unbound variable (e.g. from OPTIONAL).  A result comes in one of two
     forms:
 
-    * **term rows** — built from a row list (the interpreter, fork-shard
-      workers, the mediator's final answers);
+    * **term rows** — built from a row list (the mediator's final
+      answers, digest-pruned fragments, the tests' interpreter);
     * **encoded** (:meth:`encoded`) — what a compiled plan returns: one
       id column per variable in the *producing store's* id space, plus
       that store's dictionary.  ``rows`` then decodes lazily, once, for
@@ -35,21 +35,14 @@ class SelectResult:
     id columns are dropped, so length and payload follow the new rows.
     """
 
-    __slots__ = ("vars", "sort_order", "columns", "dictionary", "_length", "_rows")
+    __slots__ = ("vars", "columns", "dictionary", "_length", "_rows")
 
     def __init__(
         self,
         vars: Sequence[Variable],
         rows: Sequence[tuple[Term | None, ...]],
-        sort_order: Sequence[Variable] = (),
     ):
         self.vars = tuple(vars)
-        #: Leading variables the rows are (non-strictly) sorted by, in the
-        #: *producing store's id order* — metadata from compiled plans over
-        #: the sorted backend, ``()`` when no ordering is promised.  Rows
-        #: translated elsewhere (the mediator codec) keep only the
-        #: grouping implied by this, not numeric order.
-        self.sort_order = tuple(sort_order)
         #: Column-major ids of an encoded result (``None`` = unbound),
         #: else ``None``.  Read-only: views share them.
         self.columns: Sequence[Sequence[int | None]] | None = None
@@ -65,11 +58,10 @@ class SelectResult:
         columns: Sequence[Sequence[int | None]],
         length: int,
         dictionary,
-        sort_order: Sequence[Variable] = (),
     ) -> "SelectResult":
         """A result over ``dictionary``'s id columns (one per variable;
         ``length`` carries the row count of a zero-width result)."""
-        result = cls(vars, (), sort_order)
+        result = cls(vars, ())
         result.columns = columns
         result.dictionary = dictionary
         result._length = length

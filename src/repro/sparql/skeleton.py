@@ -106,13 +106,10 @@ class Canonicalized:
     def restore(self, result):
         """Rewrite a :class:`SelectResult`'s names back to the original.
 
-        Rows are positional, so only the header and the sort-order
-        metadata change; row tuples are shared, not copied.
+        Rows are positional, so only the header changes; row tuples are
+        shared, not copied.
         """
         result.vars = self.projected
-        result.sort_order = tuple(
-            self.inverse.get(var, var) for var in result.sort_order
-        )
         return result
 
 

@@ -11,7 +11,7 @@ Each permutation is a :class:`~repro.store.sorted_runs.SortedRunIndex` —
 three parallel ``array('q')`` columns sorted lexicographically, probed
 with binary searches.  Every ``match_ids`` result comes back sorted in
 the probing permutation's order (see :meth:`TripleStore.match_order`),
-which is what lets compiled plans chain merge joins without re-sorting,
+which is what the compiled plans' intersect steps walk and bisect,
 and bulk loads build each permutation with one list sort instead of
 per-row index maintenance.
 
@@ -278,8 +278,8 @@ class TripleStore:
         For a pattern with the given bound positions, returns the unbound
         triple positions (0=subject, 1=predicate, 2=object) in sort
         priority order — e.g. predicate-bound probes run on POS, so rows
-        arrive sorted by object then subject: ``(2, 0)``.  Compiled plans
-        read this to carry sort-order metadata through probe pipelines.
+        arrive sorted by object then subject: ``(2, 0)``.  The compiled
+        plans' intersect steps rely on this order.
         """
         return MATCH_ORDERS[(s_bound, p_bound, o_bound)]
 

@@ -205,7 +205,6 @@ class TestKernelCounters:
             "mediator_kernel_rows_emitted_total",
             "mediator_kernel_fast_dispatches_total",
             "mediator_kernel_general_dispatches_total",
-            "mediator_kernel_merge_dispatches_total",
         }
 
 

@@ -18,6 +18,7 @@ from repro.baselines import AnapsidEngine, FedXEngine, HibiscusEngine, SplendidE
 from repro.core.engine import LusailEngine
 from repro.datasets import bio2rdf, lubm, qfed, queries_largerdf, queries_lubm
 from repro.sparql import evaluate_select, parse_query
+from tests.conftest import oracle_rows
 
 ENGINES = {
     "Lusail": LusailEngine,
@@ -98,6 +99,43 @@ def test_engine_matches_oracle_on_family(engine_name, family, workloads, oracles
                 f"{name}: {len(outcome.result)} rows vs oracle {sum(exact.values())}"
             )
     assert not mismatches, f"{engine_name} on {family}: {mismatches}"
+
+
+_UB = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+#: One body every endpoint answers alone (a student's own courses) and
+#: one whose join crosses endpoints (advisors' degrees from elsewhere).
+_COUNT_BODIES = {
+    "local": "?x ub:advisor ?y . ?x ub:takesCourse ?z",
+    "crossing": "?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?z",
+}
+_COUNT_FORMS = ["COUNT(*)", "COUNT(?y)", "COUNT(DISTINCT ?y)"]
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("form", _COUNT_FORMS)
+@pytest.mark.parametrize("body", sorted(_COUNT_BODIES))
+def test_count_is_applied_once_at_the_mediator(engine_name, form, body, lubm2):
+    text = f"{_UB}SELECT ({form} AS ?n) WHERE {{ {_COUNT_BODIES[body]} }}"
+    expected = oracle_rows(lubm2, text)
+    assert len(expected) == 1 and int(expected[0][0].value) > 0
+    outcome = ENGINES[engine_name](lubm2).execute(text)
+    assert outcome.ok, outcome.error
+    assert [v.name for v in outcome.result.vars] == ["n"]
+    assert outcome.result.rows == expected
+
+
+def test_count_forms_differ_and_empty_counts_zero(lubm2):
+    """DISTINCT and bound-only counting are visible in the data, and a
+    pattern no endpoint holds counts to one ``0`` row, not to no row."""
+    counts = {}
+    for form in _COUNT_FORMS + ["COUNT(?nowhere)"]:
+        text = f"{_UB}SELECT ({form} AS ?n) WHERE {{ {_COUNT_BODIES['crossing']} }}"
+        counts[form] = int(LusailEngine(lubm2).execute(text).result.rows[0][0].value)
+    assert counts["COUNT(*)"] == counts["COUNT(?y)"] > counts["COUNT(DISTINCT ?y)"] > 0
+    assert counts["COUNT(?nowhere)"] == 0
+    text = f"{_UB}SELECT (COUNT(*) AS ?n) WHERE {{ ?x ub:noSuchPredicate ?y }}"
+    for engine in ENGINES.values():
+        assert engine(lubm2).execute(text).result.rows == oracle_rows(lubm2, text)
 
 
 #: Run in a fresh interpreter: every engine on random federations with a

@@ -12,8 +12,8 @@ number where the term-row hand-off had it:
 * the payload estimate equals the term walk it replaced, cell for cell;
 * the dictionary is append-only, so store mutations and lost responses
   leave the tables valid and nothing is ever translated twice;
-* term producers (fork-shard workers, digest-pruned fragments, the
-  serving layer's attached views) still flow through the same calls.
+* term producers (digest-pruned fragments, the serving layer's
+  attached views) still flow through the same calls.
 """
 
 from collections import Counter
@@ -131,7 +131,7 @@ def _direct_queries(p: str, q: str, constant: str) -> list[str]:
 
 def _exercise(federation: Federation, query_texts, p: str, q: str) -> TwinIngest:
     """Run the queries federated, then the direct shapes at every
-    endpoint (plain, truncated, sharded); twin-ingest every response."""
+    endpoint (plain, truncated); twin-ingest every response."""
     twin = TwinIngest()
     with recorded(Endpoint, "select") as responses:
         engine = LusailEngine(federation)
@@ -146,9 +146,6 @@ def _exercise(federation: Federation, query_texts, p: str, q: str) -> TwinIngest
                 endpoint.result_limit = 2
                 assert len(endpoint.select(query)) <= 2
                 endpoint.result_limit = None
-                endpoint.shards = 2
-                endpoint.select(query)
-                endpoint.shards = 1
     for result in responses:
         assert result.columns is not None
         twin.check(result)

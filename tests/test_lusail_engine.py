@@ -9,6 +9,7 @@ from repro.endpoint import EngineCaches
 from repro.exceptions import FederationError
 from repro.net.simulator import geo_distributed_config
 from repro.rdf import Literal
+from repro.sparql import parse_query
 
 from tests.conftest import QA, assert_same_bag, build_paper_federation, oracle_rows
 
@@ -158,8 +159,13 @@ class TestFailureModes:
         from repro.exceptions import UnsupportedQueryError
 
         engine = LusailEngine(paper_federation)
-        with pytest.raises(UnsupportedQueryError):
-            engine.execute(UB_PREFIX + "ASK { ?s ub:advisor ?p }")
+        text = UB_PREFIX + "ASK { ?s ub:advisor ?p }"
+        # Text or parsed, executed or explained: a typed refusal.
+        for query in (text, parse_query(text)):
+            with pytest.raises(UnsupportedQueryError):
+                engine.execute(query)
+            with pytest.raises(UnsupportedQueryError):
+                engine.explain(query)
 
 
 class TestConfigurations:

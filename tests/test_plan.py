@@ -413,16 +413,6 @@ class TestEndpointPlanCache:
         records = endpoint.audit_probes(query)
         assert [r["output_rows"] for r in records] == [len(expected.rows)]
 
-    def test_undef_block_shards_like_a_bound_one(self):
-        query = self._block_query([_iri("student0_0"), None, _iri("student3_1")])
-        serial = Endpoint("ep", _university_triples()).select(query)
-        sharded_endpoint = Endpoint("ep", _university_triples(), shards=2)
-        sharded = sharded_endpoint.select(query)
-        assert sharded.rows == serial.rows
-        stats = sharded_endpoint.last_shard_stats
-        assert [entry["input_rows"] for entry in stats] == [2, 1]
-        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)
-
     def test_capacity_zero_recompiles_every_request(self):
         endpoint = Endpoint("ep", _university_triples(), plan_cache_capacity=0)
         query = self._block_query([_iri("student0_0")])
@@ -441,75 +431,19 @@ class TestEndpointPlanCache:
         assert endpoint.plan_cache.invalidations == 1
 
 
-class TestSortOrderMetadata:
-    """Compiled pipelines carry the store's ordering promise."""
-
-    def test_single_pattern_plan_is_sorted_by_probe_order(self, store):
-        s, o = Variable("s"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, ADVISOR, o)])]),
-            select_vars=(s, o),
-        )
-        plan = compile_query(store, query)
-        # Predicate-bound probes run on POS: object then subject.
-        assert plan.sort_order == (o, s)
-        result = plan.execute_select()
-        lookup = store.dictionary.lookup
-        ids = [(lookup(row[1]), lookup(row[0])) for row in result.rows]
-        assert ids == sorted(ids)
-
-    def test_values_seeded_plan_has_no_order(self, store):
-        s, o = Variable("s"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern(
-                [
-                    ValuesPattern((s,), ((_iri("student0_0"),), (_iri("student1_0"),))),
-                    BGP([TriplePattern(s, ADVISOR, o)]),
-                ]
-            ),
-            select_vars=(s, o),
-        )
-        skeleton, params = split_parameters(query)
-        plan = compile_query(store, skeleton)
-        assert plan.sort_order == ()
-        assert len(plan.execute_select(params).rows) == 2
-
-
-class TestShardedPlanExecution:
-    """Plan-level lane chunking equals the whole-run evaluation."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_sharded_equals_serial(self, store, shards):
-        s, p, o = Variable("s"), Variable("p"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, p, o)])]),
-            select_vars=(s, p, o),
-        )
-        plan = compile_query(store, query)
-        serial = plan.execute_select()
-        sharded, stats = plan.execute_select_sharded(shards=shards)
-        assert sharded.vars == serial.vars
-        assert sharded.rows == serial.rows
-        if shards == 1:
-            # Single lane takes the plain path and reports no lane stats.
-            assert stats == []
-            return
-        assert len(stats) <= shards
-        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)
-        for index, entry in enumerate(stats):
-            assert entry["shard"] == index
-            assert entry["seconds"] >= 0
-
-    def test_sharded_respects_max_rows(self, store):
-        s, o = Variable("s"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, ADVISOR, o)])]),
-            select_vars=(s, o),
-        )
-        plan = compile_query(store, query)
-        capped, __ = plan.execute_select_sharded(shards=3, max_rows=5)
-        assert len(capped.rows) == 5
-        assert capped.rows == plan.execute_select(max_rows=5).rows
+def test_single_pattern_rows_arrive_in_match_order(store):
+    """A one-probe pipeline hands on the store's sorted iteration as is."""
+    s, o = Variable("s"), Variable("o")
+    query = SelectQuery(
+        where=GroupPattern([BGP([TriplePattern(s, ADVISOR, o)])]),
+        select_vars=(s, o),
+    )
+    # Predicate-bound probes run on POS: object then subject.
+    assert store.match_order(p_bound=True) == (2, 0)
+    result = compile_query(store, query).execute_select()
+    lookup = store.dictionary.lookup
+    ids = [(lookup(row[1]), lookup(row[0])) for row in result.rows]
+    assert ids and ids == sorted(ids)
 
 
 class TestProbeKernels:
@@ -564,16 +498,3 @@ class TestProbeKernels:
             (2.0, 57 / 84, 84, 57),  # ?x a ub:GraduateStudent
             (2.0, 19 / 57, 57, 19),  # ?x ub:memberOf ?z
         ]
-
-    # L13 leads with an intersect step, so sharding peels that step off
-    # and chunks its output; L2 leads with a generic probe.
-    @pytest.mark.parametrize("name, lanes", [("L2", 1), ("L13", 2)])
-    def test_sharded_is_row_and_order_identical(self, lubm2, name, lanes):
-        _store, _query, plan = self._compiled(lubm2, name)
-        assert plan.explain()[0].startswith("intersect[") == (name == "L13")
-        serial = plan.execute_select()
-        sharded, stats = plan.execute_select_sharded(shards=2)
-        assert sharded.rows == serial.rows and serial.rows
-        assert sharded.sort_order == serial.sort_order
-        assert len(stats) == lanes
-        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)

@@ -360,3 +360,24 @@ class TestExplainAnalyzeCli:
         payload = json.loads((tmp_path / "trace.chrome.json").read_text())
         assert payload["traceEvents"]
         assert all(event["ph"] == "X" for event in payload["traceEvents"])
+
+
+_REFUSED_QUERIES = {
+    "ask": "ASK { ?x <http://example.org/p> ?y }",
+    "malformed": "SELECT ?x WHERE { ?x <http://example.org/p> ",
+}
+
+
+@pytest.mark.parametrize("command", ["query", "explain", "profile", "explain-analyze"])
+@pytest.mark.parametrize("kind", sorted(_REFUSED_QUERIES))
+def test_refused_query_is_one_error_line_and_status_2(command, kind, tmp_path, capsys):
+    """A non-SELECT or unparsable query file is bad input: every
+    subcommand that takes one answers ``repro: error: ...`` on stderr
+    and exit status 2 — no traceback, no non-``ReproError`` escape."""
+    path = tmp_path / f"{kind}.rq"
+    path.write_text(_REFUSED_QUERIES[kind])
+    code = cli_main([command, *TINY_ARGS, "--query-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("repro: error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out

