@@ -12,14 +12,18 @@
 #    scale through the same code path as the benchmark, every answer
 #    checked against the union-store oracle (benchmarks/ledger/test_smoke.py;
 #    wall-clock numbers live on the ledger, see benchmarks/ledger/README.md)
-#    — then two full-scale ledger runs, the commands the benchmark
+#    — then three full-scale ledger runs, the commands the benchmark
 #    driver itself executes (~25 s each; exit 1 on a wrong answer, on a
 #    deterministic number that differs between rounds, or on a trace that
 #    does not cover the round): lubm_local traced, and lubm_crossing
-#    untraced (the workload the last wall-clock claim was made on — an
-#    earlier claim on it ended `run_failed` at the driver).  The
-#    tiny-scale smoke alone once stayed green while a full-scale run
-#    failed;
+#    untraced and traced (the workload the last wall-clock claims were
+#    made on — an earlier claim on it ended `run_failed` at the driver).
+#    The traced lubm_crossing run is the only gate that sees a collector
+#    pass pushed outside the root span: the answer edge pauses the
+#    collector (docs/architecture.md, "Collector"), and a pause that let
+#    the deferred pass land after `execute` returned would leave a root
+#    gap of ~18% on Q5 where the limit is 1%.  The tiny-scale smoke
+#    alone once stayed green while a full-scale run failed;
 # 4. runs one LUBM query under the seeded transient-fault profile and
 #    asserts the retry layer recovers deterministically
 #    (scripts/chaos_smoke.py);
@@ -58,9 +62,10 @@ python scripts/trace_smoke.py
 echo "== performance ledger smoke =="
 python -m pytest benchmarks/ledger -q
 
-echo "== performance ledger, full-scale runs (lubm_local traced, lubm_crossing untraced) =="
+echo "== performance ledger, full-scale runs (lubm_local traced, lubm_crossing untraced + traced) =="
 python3 benchmarks/ledger/run.py --workload lubm_local --seed 1 --seconds 10 --trace 1
 python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 0
+python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 1
 
 echo "== seeded chaos smoke =="
 python scripts/chaos_smoke.py

@@ -71,10 +71,12 @@ class FedXEngine(OperandEngine):
         # FedX cuts query execution short once the first LIMIT results
         # are obtained (the paper credits exactly this for FedX winning
         # C4).  Safe only for plain LIMIT: no ORDER BY, no DISTINCT, no
-        # OPTIONAL blocks, and a single branch.
+        # COUNT (its LIMIT is on the one counted row), no OPTIONAL
+        # blocks, and a single branch.
         if (
             len(operands) > 1
             and normalized.limit is not None
+            and normalized.aggregate is None
             and not normalized.order_by
             and not normalized.distinct
             and not branch.optionals

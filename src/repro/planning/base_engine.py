@@ -272,18 +272,20 @@ class FederatedEngine:
     def _finalize(self, relation: Relation, normalized: NormalizedQuery) -> SelectResult:
         """Solution modifiers in SPARQL's order: ORDER BY on the whole
         solution, then projection, DISTINCT, OFFSET / LIMIT — or the
-        COUNT tail, one row, as an endpoint plan computes it."""
+        COUNT tail, one row, as an endpoint plan computes it, under the
+        same OFFSET / LIMIT.  Only the window that is returned is ever
+        decoded into term rows."""
+        offset, limit = normalized.offset, normalized.limit
+        window = slice(offset, None if limit is None else offset + limit)
         aggregate = normalized.aggregate
         if aggregate is not None:
             count = relation.count(aggregate.variable, aggregate.distinct)
-            return SelectResult((aggregate.alias,), [(typed_literal(count),)])
+            return SelectResult((aggregate.alias,), [(typed_literal(count),)][window])
         if normalized.order_by:
             relation = relation.order_by(normalized.order_by)
         projected = normalized.projected_variables()
         relation = relation.project(projected)
         if normalized.distinct:
             relation = relation.distinct()
-        rows = relation.rows[normalized.offset:]
-        if normalized.limit is not None:
-            rows = rows[: normalized.limit]
-        return SelectResult(projected, rows)
+        rows = relation.rows
+        return SelectResult(projected, rows[window] if offset or limit is not None else rows)

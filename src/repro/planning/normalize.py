@@ -213,11 +213,19 @@ def normalize(query: SelectQuery) -> NormalizedQuery:
 
     aggregate = query.aggregate
     if aggregate is not None:
-        # As at an endpoint, a COUNT answers one row and ignores the other
-        # solution modifiers; the engines carry the counted variable only
-        # (row multiplicity survives projection, which COUNT(*) needs).
+        # As at an endpoint, a COUNT answers one row, to which only
+        # OFFSET / LIMIT still apply; the engines carry the counted
+        # variable only (row multiplicity survives projection, which
+        # COUNT(*) needs).
         counted = () if aggregate.variable is None else (aggregate.variable,)
-        return NormalizedQuery(branches, counted, aggregate=aggregate, source=query)
+        return NormalizedQuery(
+            branches,
+            counted,
+            aggregate=aggregate,
+            limit=query.limit,
+            offset=query.offset,
+            source=query,
+        )
     return NormalizedQuery(
         branches=branches,
         select_vars=query.select_vars,

@@ -287,7 +287,10 @@ class _Evaluator:
             else:
                 values = [s[aggregate.variable] for s in solutions if aggregate.variable in s]
                 count = len(set(values)) if aggregate.distinct else len(values)
-            return (aggregate.alias,), [(self.dictionary.encode(typed_literal(count)),)]
+            # The count is a one-row solution sequence under OFFSET / LIMIT.
+            stop = None if query.limit is None else query.offset + query.limit
+            rows = [(self.dictionary.encode(typed_literal(count)),)]
+            return (aggregate.alias,), rows[query.offset : stop]
 
         if query.order_by:
             # ORDER BY sees the whole solution, before projection (§15).

@@ -1167,6 +1167,8 @@ class _Compiler:
                 projected=(aggregate.alias,),
                 aggregate=aggregate,
                 agg_slot=agg_slot,
+                limit=query.limit,
+                offset=query.offset,
                 certain_projected=frozenset((aggregate.alias,)),
             )
         projected = query.projected_variables()
@@ -1344,7 +1346,9 @@ class _SelectCore:
         else:
             rows = self.plan.run_list(ctx, list(_SEED))
         if self.aggregate is not None:
-            return self._aggregate_rows(ctx, rows)
+            # The count is a one-row solution sequence: OFFSET / LIMIT
+            # apply to it like to any other.
+            return self._finish(self._aggregate_rows(ctx, rows), max_rows)
         if self.order_key is not None:
             rows = sorted(rows, key=self.order_key)
         return self._finish(self._project(rows), max_rows)

@@ -352,6 +352,16 @@ def build_charsets(
     object_histogram_limit: int = DEFAULT_OBJECT_HISTOGRAM_LIMIT,
 ) -> CharacteristicSets:
     """Compute the full summary from the store's id-space columns."""
+    return _build(store, object_histogram_limit)[0]
+
+
+def _build(
+    store: "TripleStore", object_histogram_limit: int
+) -> tuple[CharacteristicSets, dict[int, Counter], dict[int, Counter]]:
+    """The summary plus the two id-keyed entity maps it was folded from
+    (subject id -> Counter of predicate ids and ``("c", class id)``
+    markers, object id -> Counter of predicate ids), which
+    :class:`CharsetMaintainer` keeps as its working state."""
     dictionary = store.dictionary
     decode = dictionary.decode
     decoded: dict[int, Term] = {}
@@ -396,10 +406,7 @@ def build_charsets(
 
     sets: dict[frozenset, int] = {}
     for counter in subj.values():
-        charset = frozenset(
-            term(e) if not isinstance(e, tuple) else class_marker(term(e[1]))
-            for e in counter
-        )
+        charset = _charset(counter, term)
         sets[charset] = sets.get(charset, 0) + 1
 
     os_pairs: dict[tuple[Term, Term], int] = {}
@@ -438,7 +445,7 @@ def build_charsets(
             else {term(o): n for o, n in histogram.items()},
         )
 
-    return CharacteristicSets(
+    summary = CharacteristicSets(
         version=store.version,
         triples=len(store),
         distinct_subjects=store.distinct_subjects(),
@@ -450,6 +457,15 @@ def build_charsets(
         ss_rows=ss_rows,
         os_rows=os_rows,
         oo_rows=oo_rows,
+    )
+    return summary, subj, obj
+
+
+def _charset(counter: Counter, term) -> frozenset:
+    """The term-space characteristic set of one subject's id-keyed
+    counter; ``term`` decodes an id."""
+    return frozenset(
+        class_marker(term(e[1])) if isinstance(e, tuple) else term(e) for e in counter
     )
 
 
@@ -491,10 +507,11 @@ class CharsetMaintainer:
         self._deltas: list[tuple[int, "Triple"]] = []
         self._known_version = -1
         self._force_rebuild = False
-        #: Working entity maps for incremental updates (term-keyed):
-        #: subject -> Counter of elements, object -> Counter of predicates.
-        self._subj: dict[Term, Counter] | None = None
-        self._obj: dict[Term, Counter] | None = None
+        #: Working entity maps for incremental updates, in the store's id
+        #: space as :func:`_build` leaves them: subject -> Counter of
+        #: elements, object -> Counter of predicates.
+        self._subj: dict[int, Counter] | None = None
+        self._obj: dict[int, Counter] | None = None
         #: Rebuild/incremental counters, exposed for tests and metrics.
         self.rebuilds = 0
         self.incremental_updates = 0
@@ -571,23 +588,7 @@ class CharsetMaintainer:
         return self._summary
 
     def _rebuild(self) -> None:
-        store = self._store
-        self._summary = build_charsets(store, self._histogram_limit)
-        subj: dict[Term, Counter] = {}
-        obj: dict[Term, Counter] = {}
-        for triple in store:
-            counter = subj.get(triple.subject)
-            if counter is None:
-                counter = subj[triple.subject] = Counter()
-            counter[triple.predicate] += 1
-            if triple.predicate == RDF_TYPE:
-                counter[class_marker(triple.object)] += 1
-            counter = obj.get(triple.object)
-            if counter is None:
-                counter = obj[triple.object] = Counter()
-            counter[triple.predicate] += 1
-        self._subj = subj
-        self._obj = obj
+        self._summary, self._subj, self._obj = _build(self._store, self._histogram_limit)
         self.rebuilds += 1
 
     # ------------------------------------------------------- incremental
@@ -639,18 +640,24 @@ class CharsetMaintainer:
     def _apply_one(self, sign: int, triple: "Triple", touched: set[Term]) -> None:
         summary = self._summary
         assert summary is not None and self._subj is not None and self._obj is not None
-        s, p, o = triple.subject, triple.predicate, triple.object
+        p, o_term = triple.predicate, triple.object
         touched.add(p)
+        # The entity maps are id-keyed, the summary's tables term-keyed.
+        # The store interned the triple's terms when it went in and never
+        # retires an id; only the predicates a bump names are decoded.
+        dictionary = self._store.dictionary
+        decode = dictionary.decode
+        s, p_id, o = map(dictionary.lookup, triple)
 
         # Histogram update (exact while it stays under the width limit).
         stats = summary.predicates.get(p)
         if stats is not None and stats.objects is not None:
             histogram = stats.objects
-            value = histogram.get(o, 0) + sign
+            value = histogram.get(o_term, 0) + sign
             if value > 0:
-                histogram[o] = value
+                histogram[o_term] = value
             else:
-                histogram.pop(o, None)
+                histogram.pop(o_term, None)
             if len(histogram) > self._histogram_limit:
                 stats.objects = None
 
@@ -658,29 +665,30 @@ class CharsetMaintainer:
         subject = self._subj.get(s)
         if subject is None:
             subject = self._subj[s] = Counter()
-        old_charset = frozenset(subject) if subject else None
+        old_charset = _charset(subject, decode) if subject else None
         subject_objects = self._obj.get(s, _EMPTY)
-        old_count = subject[p]
-        for q, n in subject.items():
-            if isinstance(q, tuple) or q == p:
+        old_count = subject[p_id]
+        for q_id, n in subject.items():
+            if isinstance(q_id, tuple) or q_id == p_id:
                 continue
+            q = decode(q_id)
             _bump(summary.ss_rows, (p, q), sign * n)
             _bump(summary.ss_rows, (q, p), sign * n)
         _bump(summary.ss_rows, (p, p), 2 * old_count + 1 if sign > 0 else -(2 * old_count - 1))
-        for q, n in subject_objects.items():
-            _bump(summary.os_rows, (q, p), sign * n)
+        for q_id, n in subject_objects.items():
+            _bump(summary.os_rows, (decode(q_id), p), sign * n)
         if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
-            for q in subject_objects:
-                _bump(summary.os_pairs, (q, p), sign)
-        subject[p] += sign
-        if subject[p] <= 0:
-            del subject[p]
+            for q_id in subject_objects:
+                _bump(summary.os_pairs, (decode(q_id), p), sign)
+        subject[p_id] += sign
+        if subject[p_id] <= 0:
+            del subject[p_id]
         if p == RDF_TYPE:
-            marker = class_marker(o)
+            marker = ("c", o)
             subject[marker] += sign
             if subject[marker] <= 0:
                 del subject[marker]
-        new_charset = frozenset(subject) if subject else None
+        new_charset = _charset(subject, decode) if subject else None
         if old_charset != new_charset:
             if old_charset is not None:
                 _bump(summary.sets, old_charset, -1)
@@ -694,31 +702,33 @@ class CharsetMaintainer:
         if objects is None:
             objects = self._obj[o] = Counter()
         object_subjects = self._subj.get(o, _EMPTY)
-        old_count = objects[p]
-        for q, n in objects.items():
-            if q == p:
+        old_count = objects[p_id]
+        for q_id, n in objects.items():
+            if q_id == p_id:
                 continue
+            q = decode(q_id)
             _bump(summary.oo_rows, (p, q), sign * n)
             _bump(summary.oo_rows, (q, p), sign * n)
         _bump(summary.oo_rows, (p, p), 2 * old_count + 1 if sign > 0 else -(2 * old_count - 1))
-        for q, n in object_subjects.items():
-            if isinstance(q, tuple):
+        for q_id, n in object_subjects.items():
+            if isinstance(q_id, tuple):
                 continue
-            _bump(summary.os_rows, (p, q), sign * n)
+            _bump(summary.os_rows, (p, decode(q_id)), sign * n)
         if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
-            for q in object_subjects:
-                if isinstance(q, tuple):
+            for q_id in object_subjects:
+                if isinstance(q_id, tuple):
                     continue
-                _bump(summary.os_pairs, (p, q), sign)
-            for q in objects:
-                if q == p:
+                _bump(summary.os_pairs, (p, decode(q_id)), sign)
+            for q_id in objects:
+                if q_id == p_id:
                     continue
+                q = decode(q_id)
                 _bump(summary.oo_pairs, (p, q), sign)
                 _bump(summary.oo_pairs, (q, p), sign)
             _bump(summary.oo_pairs, (p, p), sign)
-        objects[p] += sign
-        if objects[p] <= 0:
-            del objects[p]
+        objects[p_id] += sign
+        if objects[p_id] <= 0:
+            del objects[p_id]
         if not objects:
             del self._obj[o]
 

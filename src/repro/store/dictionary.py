@@ -39,7 +39,9 @@ without touching an index.
 
 from __future__ import annotations
 
+import gc
 from array import array
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -48,6 +50,28 @@ from repro.rdf.terms import BNode, Term
 #: An encoded solution row: ids aligned with a variable schema, ``None``
 #: marking an unbound position (e.g. from OPTIONAL).
 IdRow = tuple
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cycle collector from running inside the ``with`` block.
+
+    For a block whose every allocation outlives it and can be part of no
+    cycle — a collection there re-walks the new objects and frees
+    nothing.  Three rules (``docs/architecture.md``, "Collector"): the
+    state found on entry is put back on exit, whether the block returns
+    or raises, so pauses nest and a host that runs with the collector
+    off keeps it off; the block holds no suspension point (no client
+    request, no ``QueryServer.gate``, no callback); and the collector is
+    only ever disabled and enabled, never run, frozen or re-tuned.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def text_length(term: Term) -> int:
@@ -120,19 +144,27 @@ class TermDictionary:
         Bulk form of :meth:`decode_row`, a column at a time: a fully
         bound column is one C-level ``map`` over the decode table, and
         only a column that holds ``None`` pays the per-value test.
+
+        Runs under :func:`collector_paused`: term tuples stay tracked
+        (a ``Term`` is a GC object), so an answer of *n* rows would
+        otherwise be re-walked by every collection its own growth
+        triggers, although each tuple outlives the call and none can
+        close a cycle.  The one young-generation pass over the new rows
+        still happens, at the first tracked allocation after the pause.
         """
         terms = self._terms
         decode = terms.__getitem__
-        return list(
-            zip(
-                *(
-                    [None if term_id is None else terms[term_id] for term_id in column]
-                    if None in column
-                    else map(decode, column)
-                    for column in columns
+        with collector_paused():
+            return list(
+                zip(
+                    *(
+                        [None if term_id is None else terms[term_id] for term_id in column]
+                        if None in column
+                        else map(decode, column)
+                        for column in columns
+                    )
                 )
             )
-        )
 
     @property
     def terms(self) -> list[Term]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.engine import LusailEngine
@@ -22,6 +24,15 @@ SELECT ?S ?P ?U ?A WHERE {
   ?U ub:address ?A .
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def collector_state_is_restored():
+    """A collector pause (``repro.store.dictionary.collector_paused``)
+    that leaks fails the test that leaked it."""
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() == enabled, "the test left the cycle collector switched"
 
 
 def build_paper_federation() -> Federation:

@@ -5,6 +5,10 @@ of the tests and of the performance ledger.  Production answers every
 request from compiled plans and compiled expressions; these tests fail
 if a module under ``src/`` grows an import of the interpreter, or if any
 endpoint request of the benchmark query sets constructs one.
+
+The same kind of walk pins the collector boundary: one module under
+``src/`` names ``gc``, and only to note, switch and restore whether the
+collector is enabled.
 """
 
 import ast
@@ -82,6 +86,58 @@ def test_walker_resolves_relative_and_reexported_imports(tmp_path, source, reach
     probe.parent.mkdir(parents=True)
     probe.write_text(source)
     assert bool(_oracle_imports(probe, root=tmp_path / "repro")) is reaches
+
+
+#: The module that owns the collector pause (``collector_paused``), and
+#: every way it may name ``gc``: import it, note the state, switch it,
+#: put it back.
+COLLECTOR_MODULE = SRC / "store" / "dictionary.py"
+COLLECTOR_USES = {"import gc", "gc.isenabled", "gc.disable", "gc.enable"}
+
+
+def _gc_uses(path: Path) -> set[str]:
+    """Every way one module names the collector: ``import gc``, each
+    ``gc.<attribute>`` it reads, and — reported, not resolved, since
+    they would slip past the attribute walk — ``import gc as x`` and
+    ``from gc import y``."""
+    uses = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "gc":
+                    uses.add("import gc" if alias.asname is None else "import gc as")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level:
+            uses.add("from gc import")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        ):
+            uses.add(f"gc.{node.attr}")
+    return uses
+
+
+def test_one_module_names_the_collector_and_only_switches_it():
+    users = {path: uses for path in sorted(SRC.rglob("*.py")) if (uses := _gc_uses(path))}
+    # No collect / freeze / unfreeze / set_threshold anywhere under src/.
+    assert users == {COLLECTOR_MODULE: COLLECTOR_USES}
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("import gc\ngc.collect()", {"import gc", "gc.collect"}),
+        ("import os, gc\ngc.freeze(); gc.unfreeze()", {"import gc", "gc.freeze", "gc.unfreeze"}),
+        ("import gc as collector\ncollector.collect()", {"import gc as"}),
+        ("from gc import collect", {"from gc import"}),
+        ("def f():\n    import gc\n    return gc.isenabled()", {"import gc", "gc.isenabled"}),
+        ("from .gc import pause\nimport gcd", set()),
+    ],
+)
+def test_collector_walker_sees_every_way_to_name_gc(tmp_path, source, uses):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert _gc_uses(probe) == uses
 
 
 PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
