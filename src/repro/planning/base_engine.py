@@ -288,4 +288,6 @@ class FederatedEngine:
         if normalized.distinct:
             relation = relation.distinct()
         rows = relation.rows
-        return SelectResult(projected, rows[window] if offset or limit is not None else rows)
+        return SelectResult.owning(
+            projected, rows[window] if offset or limit is not None else rows.term_rows()
+        )

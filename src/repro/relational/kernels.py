@@ -6,9 +6,18 @@ variable, ``None`` marking unbound positions — see
 kernels those relations dispatch to:
 
 * a **fast path** for fully-bound join keys: a dict of build-side row
-  indexes, a zip-based probe over the key columns, and one gather per
-  output column through a precomputed side/column permutation — no
-  per-row tuple merging and no per-pair compatibility dict;
+  indexes and a C-level probe over the key columns — no per-row tuple
+  merging and no per-pair compatibility dict.  The left join gathers its
+  output columns; the inner join stops at the **runs**
+  (:class:`JoinRuns`: each matching probe row against its bucket of
+  build rows) and allocates nothing per output row.  Runs have two
+  readers: ``flatten`` builds the id columns, by index gathers, when a
+  kernel or mutator first asks for them, and ``rows`` writes the term
+  rows of a final answer straight from the runs, decoding the join's
+  inputs instead of its output.  Measured and rejected (see
+  ``docs/architecture.md``, "Runs"): flattening by per-bucket value
+  slices (faster at fan-out 24, slower at the fan-out 1 most joins
+  have), one ``zip`` per singleton run, and a lazy final answer;
 * a **general path** that keeps full SPARQL compatibility semantics
   (an unbound key is compatible with anything), taken only when a key
   column actually contains ``None``;
@@ -18,7 +27,8 @@ kernels those relations dispatch to:
 Every kernel runs under the active :class:`KernelRuntime`: it enforces
 ``max_mediator_rows`` *while emitting* (a too-large join aborts mid-probe
 with :class:`~repro.exceptions.MemoryLimitError` instead of after
-materializing the result), accumulates :class:`KernelCounters` for the
+materializing the result — the runs-returning join before it has
+allocated anything per output row), accumulates :class:`KernelCounters` for the
 metrics registry, and records per-join :class:`JoinOpStats` so schedulers
 can charge ``join_cost_units`` from measured kernel work.
 
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, count, islice, repeat
 
 from repro.exceptions import MemoryLimitError
 
@@ -152,18 +163,8 @@ def _out_permutation(left_vars, right_vars, out_vars):
     return permutation
 
 
-def _gather(
-    permutation, left_columns, right_columns, left_indexes, right_indexes
-) -> list[Column]:
-    out: list[Column] = []
-    for from_left, source in permutation:
-        if from_left:
-            column = left_columns[source]
-            out.append([column[i] for i in left_indexes])
-        else:
-            column = right_columns[source]
-            out.append([column[i] for i in right_indexes])
-    return out
+def _gather(column: Column, indexes) -> Column:
+    return [column[i] for i in indexes]
 
 
 def _iter_id_rows(relation):
@@ -179,18 +180,138 @@ def _rows_to_columns(rows: list, width: int) -> list[Column]:
     return [list(column) for column in zip(*rows)]
 
 
+# ----------------------------------------------------------------- runs
+
+
+@dataclass(slots=True)
+class JoinRuns:
+    """An inner hash join's output, still grouped the way the probe found
+    it: one *run* per matching probe row — that row against its bucket of
+    build rows — and nothing materialised per output row.
+
+    Runs have two readers.  :meth:`flatten` builds the id columns (what
+    every kernel and mutator reads; the store drops the runs then), and
+    :meth:`rows` writes value rows straight from the runs, translating
+    each *input* column once instead of each output column.
+    :meth:`project` narrows ``sources`` and stays lazy.  The input
+    columns are shared with the joined relations, read-only; rows those
+    relations are given later lie past every index and mask the runs
+    hold, and are never read.
+    """
+
+    build_columns: list[Column]
+    probe_columns: list[Column]
+    #: key -> build row indexes.
+    index: dict
+    #: Per matching probe row: its key, its bucket, the bucket's size.
+    hit_keys: list
+    hit_buckets: list[list[int]]
+    counts: list[int]
+    #: Truthy per probe row that matched; ``None`` when every row did.
+    hits: list | None
+    #: Per output variable: (from_probe, source column index).
+    sources: list[tuple[bool, int]]
+    length: int
+
+    def project(self, positions) -> "JoinRuns":
+        """The same runs over the output columns at ``positions``."""
+        sources = self.sources
+        # Spelled out: ``dataclasses.replace`` costs more than a 5 x 5 join.
+        return JoinRuns(
+            self.build_columns,
+            self.probe_columns,
+            self.index,
+            self.hit_keys,
+            self.hit_buckets,
+            self.counts,
+            self.hits,
+            [sources[position] for position in positions],
+            self.length,
+        )
+
+    def flatten(self) -> list[Column]:
+        """The output as id columns: one index gather per column."""
+        sources = self.sources
+        sides = {from_probe for from_probe, __ in sources}
+        build_indexes = probe_indexes = ()
+        if False in sides:
+            build_indexes = list(chain.from_iterable(self.hit_buckets))
+        hits, counts = self.hits, self.counts
+        # Every probe row matched exactly once: its columns are the output's.
+        aligned = hits is None and self.length == len(counts)
+        if True in sides and not aligned:
+            positions = count() if hits is None else compress(count(), hits)
+            probe_indexes = list(chain.from_iterable(map(repeat, positions, counts)))
+        columns: list[Column] = []
+        for from_probe, source in sources:
+            if not from_probe:
+                columns.append(_gather(self.build_columns[source], build_indexes))
+            elif aligned:
+                columns.append(self.probe_columns[source][: len(counts)])
+            else:
+                columns.append(_gather(self.probe_columns[source], probe_indexes))
+        return columns
+
+    def rows(self, translate) -> list[tuple]:
+        """The output as row tuples of ``translate``d values.
+
+        ``translate`` maps a column of ids to the values to write (the
+        codec's decode; ``iter`` yields id rows).  Singleton runs —
+        ``length`` equals the number of runs, the key / foreign-key join
+        — are no longer than the inputs: their flattened columns are
+        translated and zipped, one value per run.  Wider runs translate
+        each *input* column once and zip every bucket's build values
+        against the repeated probe values.
+        """
+        sources = self.sources
+        if not sources:
+            return [()] * self.length
+        counts = self.counts
+        if self.length == len(counts):
+            return list(zip(*map(translate, self.flatten())))
+        hits = self.hits
+        slices = {}
+        probe_values = {}
+        for from_probe, source in sources:
+            if from_probe:
+                if source not in probe_values:
+                    column = self.probe_columns[source]
+                    if hits is not None:
+                        column = list(compress(column, hits))
+                    probe_values[source] = list(translate(column))
+            elif source not in slices:
+                values = list(translate(self.build_columns[source]))
+                slices[source] = {
+                    key: [values[i] for i in bucket] for key, bucket in self.index.items()
+                }
+        # ``counts`` bounds every iterator: the hit keys may alias a probe
+        # key column that has grown since.
+        return list(
+            chain.from_iterable(
+                map(
+                    zip,
+                    *(
+                        map(repeat, probe_values[source], counts)
+                        if from_probe
+                        else map(slices[source].__getitem__, islice(self.hit_keys, len(counts)))
+                        for from_probe, source in sources
+                    ),
+                )
+            )
+        )
+
+
 # ----------------------------------------------------------- inner join
 
 
-def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
-    """Natural join kernel; returns (output columns, output length)."""
+def join(left, right, shared, out_vars) -> "tuple[list[Column] | JoinRuns, int]":
+    """Natural join kernel; returns (output, output length), the output
+    as :class:`JoinRuns` from the fast path and as columns otherwise."""
     runtime = _RUNTIME_STACK[-1]
     if not shared:
         return _cross_join(left, right, out_vars, runtime)
 
-    build, probe, build_is_left = (
-        (left, right, True) if len(left) <= len(right) else (right, left, False)
-    )
+    build, probe = (left, right) if len(left) <= len(right) else (right, left)
     build_keys = _key_columns(build, shared)
     probe_keys = _key_columns(probe, shared)
     counters = runtime.counters
@@ -204,9 +325,8 @@ def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
         kind = "general"
         counters.general_dispatches += 1
     else:
-        columns, length = _fast_join(
-            build, probe, build_is_left, build_keys, probe_keys, out_vars, runtime
-        )
+        columns = _fast_join(build, probe, build_keys, probe_keys, out_vars, runtime)
+        length = columns.length  # the output stays as runs
         kind = "fast"
         counters.fast_dispatches += 1
     counters.rows_emitted += length
@@ -221,58 +341,44 @@ def join(left, right, shared, out_vars) -> tuple[list[Column], int]:
     return columns, length
 
 
-def _fast_join(
-    build, probe, build_is_left, build_keys, probe_keys, out_vars, runtime
-) -> tuple[list[Column], int]:
-    """Fully-bound keys: dict-of-row-indexes build, zip probe, gathers."""
+def _fast_join(build, probe, build_keys, probe_keys, out_vars, runtime) -> "JoinRuns":
+    """Fully-bound keys: dict-of-row-indexes build, a C-level probe, and
+    no allocation per output row — the result stays as runs."""
     index: dict = {}
     if len(build_keys) == 1:
-        for row_index, key in enumerate(build_keys[0]):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row_index]
-            else:
-                bucket.append(row_index)
-        probe_iter = enumerate(probe_keys[0])
+        build_iter = enumerate(build_keys[0])
+        keys = probe_keys[0]
     else:
-        for row_index, key in enumerate(zip(*build_keys)):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row_index]
-            else:
-                bucket.append(row_index)
-        probe_iter = enumerate(zip(*probe_keys))
+        build_iter = enumerate(zip(*build_keys))
+        keys = list(zip(*probe_keys))
+    for row_index, key in build_iter:
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [row_index]
+        else:
+            bucket.append(row_index)
 
-    build_indexes: list[int] = []
-    probe_indexes: list[int] = []
-    get = index.get
+    buckets = list(map(index.get, keys))
+    hits = None
+    if not all(buckets):
+        # A bucket is never empty and a miss is ``None``: the probe's
+        # buckets are its hit mask.
+        hits = buckets
+        keys = list(compress(keys, hits))
+        buckets = list(compress(buckets, hits))
+    counts = list(map(len, buckets))
+    length = sum(counts)
     limit = runtime.max_rows
-    if limit is None:
-        for probe_index, key in probe_iter:
-            bucket = get(key)
-            if bucket is not None:
-                build_indexes.extend(bucket)
-                probe_indexes.extend([probe_index] * len(bucket))
-    else:
-        for probe_index, key in probe_iter:
-            bucket = get(key)
-            if bucket is not None:
-                build_indexes.extend(bucket)
-                probe_indexes.extend([probe_index] * len(bucket))
-                if len(build_indexes) > limit:
-                    runtime.overflow(len(build_indexes))
+    if limit is not None and length > limit:
+        # The running total at which a row-at-a-time probe would have stopped.
+        runtime.overflow(next(total for total in accumulate(counts) if total > limit))
 
-    if build_is_left:
-        permutation = _out_permutation(build.vars, probe.vars, out_vars)
-        columns = _gather(
-            permutation, build.columns, probe.columns, build_indexes, probe_indexes
-        )
-    else:
-        permutation = _out_permutation(probe.vars, build.vars, out_vars)
-        columns = _gather(
-            permutation, probe.columns, build.columns, probe_indexes, build_indexes
-        )
-    return columns, len(build_indexes)
+    # Probe side first, so that is where a shared variable reads: a probe
+    # column can flatten to a plain copy, a build column never does.
+    sources = _out_permutation(probe.vars, build.vars, out_vars)
+    return JoinRuns(
+        build.columns, probe.columns, index, keys, buckets, counts, hits, sources, length
+    )
 
 
 def _general_join(left, right, shared, out_vars, runtime) -> tuple[list[Column], int]:
@@ -321,10 +427,13 @@ def _cross_join(left, right, out_vars, runtime) -> tuple[list[Column], int]:
         runtime.overflow(total)
     left_indexes = [i for i in range(left_len) for __ in range(right_len)]
     right_indexes = list(range(right_len)) * left_len
-    permutation = _out_permutation(left.vars, right.vars, out_vars)
-    columns = _gather(
-        permutation, left.columns, right.columns, left_indexes, right_indexes
-    )
+    left_columns, right_columns = left.columns, right.columns
+    columns = [
+        _gather(left_columns[source], left_indexes)
+        if from_left
+        else _gather(right_columns[source], right_indexes)
+        for from_left, source in _out_permutation(left.vars, right.vars, out_vars)
+    ]
     counters.rows_emitted += total
     build_first = left_len <= right_len
     runtime.last_join = JoinOpStats(

@@ -16,7 +16,11 @@ different endpoints stay comparable).  The relational operators dispatch
 to the columnar kernels in :mod:`repro.relational.kernels`: a fast path
 when every join-key column is fully bound, a general compatibility-merge
 path only when a key column actually contains ``None``, and a streaming
-``max_mediator_rows`` guard enforced *inside* the kernels.
+``max_mediator_rows`` guard enforced *inside* the kernels.  An inner
+join on the fast path leaves its output as *runs*
+(:class:`~repro.relational.kernels.JoinRuns`): the row count is known,
+the columns are built when a kernel first reads them, and a final answer
+is written from the runs without them.
 
 Expressions run here too — the paper applies the filters no subquery
 covers "during the join evaluation phase" (Sec IV-C) — and in id space
@@ -74,14 +78,34 @@ class RowStore:
     the store is one id column per schema position (``columns``) plus an
     explicit ``length`` (columns cannot carry the row count of a
     zero-width relation such as the join identity).
+
+    The output of an inner hash join arrives as ``runs``
+    (:class:`~repro.relational.kernels.JoinRuns`) instead: ``length`` is
+    known, ``columns`` are built — and the runs dropped — when something
+    first reads them, and :meth:`term_rows` writes the term rows from
+    the runs without building them at all.
     """
 
-    __slots__ = ("codec", "columns", "length")
+    __slots__ = ("codec", "_columns", "runs", "length")
 
     def __init__(self, codec: TermDictionary | None = None, width: int = 0):
         self.codec = codec if codec is not None else _MEDIATOR_CODEC
-        self.columns: list[list] = [[] for __ in range(width)]
+        self._columns: list[list] = [[] for __ in range(width)]
+        self.runs: kernels.JoinRuns | None = None
         self.length = 0
+
+    @property
+    def columns(self) -> list[list]:
+        runs = self.runs
+        if runs is not None:
+            self._columns = runs.flatten()
+            self.runs = None
+        return self._columns
+
+    @columns.setter
+    def columns(self, columns: list[list]) -> None:
+        self._columns = columns
+        self.runs = None
 
     # ------------------------------------------------------------- encode
 
@@ -137,10 +161,16 @@ class RowStore:
     def __len__(self) -> int:
         return self.length
 
+    def term_rows(self) -> list[Row]:
+        """Every row as a term tuple, in a fresh list the caller owns."""
+        if self.runs is not None:
+            return self.codec.decode_runs(self.runs)
+        if not self._columns:
+            return [()] * self.length
+        return self.codec.decode_columns(self._columns)
+
     def __iter__(self) -> Iterator[Row]:
-        if not self.columns:
-            return self.iter_ids()
-        return iter(self.codec.decode_columns(self.columns))
+        return iter(self.term_rows())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -166,7 +196,8 @@ class RowStore:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"RowStore(rows={self.length}, columns={len(self.columns)})"
+        width = len(self._columns if self.runs is None else self.runs.sources)
+        return f"RowStore(rows={self.length}, columns={width})"
 
 
 class Relation:
@@ -202,6 +233,16 @@ class Relation:
         relation = cls(vars, (), partitions)
         relation.rows.columns = columns
         relation.rows.length = length
+        return relation
+
+    @classmethod
+    def _from_runs(
+        cls, vars: Sequence[Variable], runs: kernels.JoinRuns, partitions: int = 1
+    ) -> "Relation":
+        """Internal fast path: adopt an inner join's unflattened output."""
+        relation = cls(vars, (), partitions)
+        relation.rows.runs = runs
+        relation.rows.length = runs.length
         return relation
 
     #: Columnar view consumed by the kernels.
@@ -269,10 +310,11 @@ class Relation:
         unless a key column contains ``None``.
         """
         out_vars = self._out_vars(other)
-        columns, length = kernels.join(self, other, self.shared_vars(other), out_vars)
-        return Relation._from_columns(
-            out_vars, columns, length, partitions=max(self.partitions, other.partitions)
-        )
+        output, length = kernels.join(self, other, self.shared_vars(other), out_vars)
+        partitions = max(self.partitions, other.partitions)
+        if isinstance(output, kernels.JoinRuns):
+            return Relation._from_runs(out_vars, output, partitions)
+        return Relation._from_columns(out_vars, output, length, partitions)
 
     def left_join(self, other: "Relation") -> "Relation":
         """SPARQL OPTIONAL semantics: keep left rows with no match."""
@@ -293,6 +335,18 @@ class Relation:
         )
 
     def project(self, variables: Sequence[Variable]) -> "Relation":
+        runs = self.rows.runs
+        if runs is not None:
+            # Runs narrow their sources and stay lazy — unless a variable
+            # is unknown: its all-``None`` column needs flattened storage.
+            try:
+                positions = list(map(self.vars.index, variables))
+            except ValueError:
+                pass
+            else:
+                return Relation._from_runs(
+                    tuple(variables), runs.project(positions), self.partitions
+                )
         columns, length = kernels.project(self, variables)
         return Relation._from_columns(
             tuple(variables), columns, length, partitions=self.partitions

@@ -68,6 +68,14 @@ class SelectResult:
         result._rows = None
         return result
 
+    @classmethod
+    def owning(cls, vars: Sequence[Variable], rows: list) -> "SelectResult":
+        """A term-row result that adopts ``rows`` instead of copying it:
+        for a list the caller has just built and hands over."""
+        result = cls(vars, ())
+        result._rows = rows
+        return result
+
     def view(self, vars: Sequence[Variable]) -> "SelectResult":
         """The same rows under another (positionally aligned) header.
 

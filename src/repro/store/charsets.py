@@ -597,31 +597,38 @@ class CharsetMaintainer:
         summary = self._summary
         assert summary is not None and self._subj is not None and self._obj is not None
         store = self._store
-        touched: set[Term] = set()
+        #: touched predicate -> net change in its distinct objects.
+        touched: dict[Term, int] = {}
         for sign, triple in self._deltas:
             self._apply_one(sign, triple, touched)
             self.incremental_updates += 1
-        # Scalar per-predicate tallies are re-read from the store (which
-        # maintains them exactly); only touched predicates change.
-        for predicate in touched:
+        # The store maintains the per-predicate triple and subject tallies
+        # exactly; distinct objects it would have to re-scan a permutation
+        # for, and the entity maps already hold them.  Only touched
+        # predicates change.
+        for predicate, objects_delta in touched.items():
             count = store.predicate_count(predicate)
             if count == 0:
                 summary.predicates.pop(predicate, None)
                 continue
             stats = summary.predicates.get(predicate)
-            histogram = stats.objects if stats is not None else None
             if stats is None:
-                # Predicate newly appeared: build its histogram directly.
+                # Predicate newly appeared: count and histogram it directly.
+                distinct_objects = store.distinct_objects(predicate)
                 histogram = self._histogram_for(predicate)
+            else:
+                distinct_objects = stats.distinct_objects + objects_delta
+                histogram = stats.objects
             summary.predicates[predicate] = PredicateStats(
                 count=count,
                 distinct_subjects=store.distinct_subjects(predicate),
-                distinct_objects=store.distinct_objects(predicate),
+                distinct_objects=distinct_objects,
                 objects=histogram,
             )
         summary.triples = len(store)
-        summary.distinct_subjects = store.distinct_subjects()
-        summary.distinct_objects = store.distinct_objects()
+        # An emptied entity leaves its map, so the maps' sizes are the counts.
+        summary.distinct_subjects = len(self._subj)
+        summary.distinct_objects = len(self._obj)
         summary.version = store.version
 
     def _histogram_for(self, predicate: Term) -> dict[Term, int] | None:
@@ -637,11 +644,11 @@ class CharsetMaintainer:
         decode = store.dictionary.decode
         return {decode(o): n for o, n in histogram.items()}
 
-    def _apply_one(self, sign: int, triple: "Triple", touched: set[Term]) -> None:
+    def _apply_one(self, sign: int, triple: "Triple", touched: dict[Term, int]) -> None:
         summary = self._summary
         assert summary is not None and self._subj is not None and self._obj is not None
         p, o_term = triple.predicate, triple.object
-        touched.add(p)
+        touched.setdefault(p, 0)
         # The entity maps are id-keyed, the summary's tables term-keyed.
         # The store interned the triple's terms when it went in and never
         # retires an id; only the predicates a bump names are decoded.
@@ -715,6 +722,8 @@ class CharsetMaintainer:
                 continue
             _bump(summary.os_rows, (p, decode(q_id)), sign * n)
         if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
+            # ``o`` becomes, or stops being, an object of ``p``.
+            touched[p] += sign
             for q_id in object_subjects:
                 if isinstance(q_id, tuple):
                     continue

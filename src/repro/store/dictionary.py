@@ -42,6 +42,7 @@ from __future__ import annotations
 import gc
 from array import array
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -153,18 +154,21 @@ class TermDictionary:
         still happens, at the first tracked allocation after the pause.
         """
         terms = self._terms
-        decode = terms.__getitem__
         with collector_paused():
-            return list(
-                zip(
-                    *(
-                        [None if term_id is None else terms[term_id] for term_id in column]
-                        if None in column
-                        else map(decode, column)
-                        for column in columns
-                    )
-                )
-            )
+            return list(zip(*(_decoded(terms, column) for column in columns)))
+
+    def decode_runs(self, runs) -> list[tuple]:
+        """Term rows of an inner join's output, written from its runs
+        (:meth:`repro.relational.kernels.JoinRuns.rows`): where the
+        output is longer than the inputs it is the join's *input*
+        columns that are decoded, once each, and the output's id columns
+        are never built.  The second bulk row builder, under the same
+        :func:`collector_paused` and for the same reason as
+        :meth:`decode_columns`.
+        """
+        terms = self._terms
+        with collector_paused():
+            return runs.rows(partial(_decoded, terms))
 
     @property
     def terms(self) -> list[Term]:
@@ -226,6 +230,14 @@ class TermDictionary:
             for position in unseen:
                 out[position] = _translated(lookup, columns[position])
         return out
+
+
+def _decoded(terms: list, column: Sequence[int | None]):
+    """The terms of one id column: a C-level ``map`` over the decode
+    table, unless the column holds ``None`` and pays the per-value test."""
+    if None in column:
+        return [None if term_id is None else terms[term_id] for term_id in column]
+    return map(terms.__getitem__, column)
 
 
 #: Table entry of a source id not translated yet.  Tables are lists, not

@@ -1,7 +1,8 @@
-"""The collector pause around bulk term decode, and the contracts it
-must not bend: the pause puts back the state it found, nothing leaks out
-of ``execute`` or a serving window, and the final answer is built —
-not deferred — before ``execute`` returns.
+"""The collector pause around the two bulk term-row builders (column
+decode and the join-run writer), and the contracts it must not bend: the
+pause puts back the state it found, nothing leaks out of ``execute`` or
+a serving window, and the final answer is built — not deferred — before
+``execute`` returns.
 """
 
 import gc
@@ -9,12 +10,14 @@ import gc
 import pytest
 
 from repro.core.engine import LusailConfig, LusailEngine
+from repro.endpoint.client import FederationClient
 from repro.faults import EndpointFaults, FaultPlan
 from repro.rdf import IRI, Variable
 from repro.relational.relation import Relation
 from repro.serve import QueryRequest, QueryServer
 from repro.store.dictionary import TermDictionary, collector_paused
 from tests.conftest import QA
+from tests.test_cross_engine_matrix import _sliced
 from tests.test_expressions import ENGINES
 
 
@@ -107,6 +110,46 @@ class TestDecodeColumns:
         assert seen.started <= 2 and rows == iterated and len(rows) == 5_000
 
 
+def _fanout_join(probe_rows: int = 2_000, fanout: int = 10) -> Relation:
+    """A join still held as runs: every probe row against ``fanout`` build rows."""
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    key = IRI("http://example.org/k")
+    build = Relation((x, y), [(key, IRI(f"http://example.org/b{i}")) for i in range(fanout)])
+    probe = Relation(
+        (x, z), [(key, IRI(f"http://example.org/p{i % 64}")) for i in range(probe_rows)]
+    )
+    joined = build.join(probe)
+    assert joined.rows.runs is not None and len(joined) == probe_rows * fanout
+    return joined
+
+
+class TestRunWriter:
+    def test_rows_from_runs_cost_one_young_pass_not_one_per_threshold(self):
+        joined = _fanout_join()
+        gc.collect()
+        with _Collections() as seen:
+            rows = joined.rows.term_rows()
+            holder = [[] for __ in range(8)]
+        assert seen.started == 1
+        assert len(rows) == 20_000 and len(holder) == 8
+        assert joined.rows.runs is not None and gc.isenabled()
+
+    def test_a_host_with_the_collector_off_keeps_it_off(self, collector_off):
+        assert len(_fanout_join(10, 3).rows.term_rows()) == 30
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("fanout", [1, 3])
+    def test_a_raising_decode_puts_the_collector_back(self, fanout):
+        """An id the codec never minted fails inside the pause — on the
+        singleton-run writer and on the wide-run one alike."""
+        joined = _fanout_join(10, fanout)
+        frozen = gc.get_freeze_count()
+        joined.rows.runs.probe_columns[1][3] = 10**12
+        with pytest.raises(IndexError):
+            joined.rows.term_rows()
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
 UB = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 NESTED_OPTIONAL = UB + (
     "SELECT ?s WHERE { ?s ub:advisor ?p OPTIONAL { ?p ub:teacherOf ?c "
@@ -136,6 +179,56 @@ class TestNothingLeaks:
             assert gc.get_freeze_count() == frozen, expected
             seen.append(expected)
         assert seen == ["ok", "timeout", "oom", "unsupported", "error"]
+
+    def test_collector_state_after_an_answer_written_from_runs(self, lubm2):
+        """The fan-out body ends in the run writer when it succeeds and in
+        the runs' row guard — before anything is written — when it cannot."""
+        text = _sliced("fanout", "?y ?u ?x", "")
+        frozen = gc.get_freeze_count()
+        answer = LusailEngine(lubm2).execute(text)
+        assert answer.ok and len(answer.result) > 1
+        for limit, status in ((len(answer.result), "ok"), (len(answer.result) - 1, "oom")):
+            config = LusailConfig(max_mediator_rows=limit)
+            outcome = LusailEngine(lubm2, config=config).execute(text)
+            assert outcome.status == status, outcome.error
+            assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+    def test_no_suspension_point_inside_the_run_writer(self, lubm2, monkeypatch):
+        """Serve workers hand the baton over at the gate and at every
+        client request: neither may be reached while the writer runs."""
+        writing = []
+        written = []
+        decode_runs = TermDictionary.decode_runs
+
+        def tracking(self, runs):
+            writing.append(True)
+            try:
+                return decode_runs(self, runs)
+            finally:
+                writing.pop()
+                written.append(runs.length)
+
+        def never_while_writing(original):
+            def checked(*args, **kwargs):
+                assert not writing and gc.isenabled()
+                return original(*args, **kwargs)
+
+            return checked
+
+        monkeypatch.setattr(TermDictionary, "decode_runs", tracking)
+        monkeypatch.setattr(QueryServer, "gate", never_while_writing(QueryServer.gate))
+        monkeypatch.setattr(
+            FederationClient, "_issue", never_while_writing(FederationClient._issue)
+        )
+        text = _sliced("fanout", "?y ?u ?x", "")
+        records = QueryServer(lubm2).run(
+            [
+                QueryRequest(at_ms=at, tenant=tenant, name=f"fanout{at}", text=text + f"# {at}")
+                for at, tenant in ((0.0, "a"), (0.0, "b"), (5.0, "c"))
+            ]
+        )
+        assert all(record.ok for record in records)
+        assert written and all(rows > 1 for rows in written)
 
     def test_collector_state_after_a_serving_window(self, paper_federation):
         frozen = gc.get_freeze_count()

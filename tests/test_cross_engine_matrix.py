@@ -109,6 +109,14 @@ _COUNT_BODIES = {
     "crossing": "?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?z",
 }
 _COUNT_FORMS = ["COUNT(*)", "COUNT(?y)", "COUNT(DISTINCT ?y)"]
+#: LUBM Q5's shape: the last join fans out (one university, all of its
+#: graduate students), so the mediator hands ``_finalize`` a relation
+#: still held as join runs.
+_FANOUT_BODY = (
+    "?y a ub:FullProfessor . ?y ub:doctoralDegreeFrom ?u . ?z ub:subOrganizationOf ?u . "
+    "?x ub:memberOf ?z . ?x a ub:GraduateStudent"
+)
+_BODIES = {**_COUNT_BODIES, "fanout": _FANOUT_BODY}
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
@@ -205,7 +213,7 @@ def test_outcomes_do_not_depend_on_the_interpreter_hash_seed():
 
 
 def _sliced(body: str, head: str, tail: str) -> str:
-    return f"{_UB}SELECT {head} WHERE {{ {_COUNT_BODIES[body]} }} {tail}"
+    return f"{_UB}SELECT {head} WHERE {{ {_BODIES[body]} }} {tail}"
 
 
 _WINDOWS = {"neither": "", "limit": "LIMIT 7", "offset": "OFFSET 5", "both": "LIMIT 7 OFFSET 5"}
@@ -223,31 +231,126 @@ def test_window_is_the_oracles_rows_in_order(engine_name, window, lubm2):
     assert outcome.result.rows == expected
 
 
+def _finalize_decodes(engine, text, monkeypatch):
+    """Execute ``text``; the outcome plus one ``(seam, rows)`` per bulk
+    row builder call ``_finalize`` made — ``decode_columns`` or, for a
+    relation still held as join runs, ``decode_runs``."""
+    from repro.planning.base_engine import FederatedEngine
+    from repro.store.dictionary import TermDictionary
+
+    decoded = []
+    finalizing = []  # non-empty inside _finalize: bound-join bindings decode too
+    decode_columns, decode_runs = TermDictionary.decode_columns, TermDictionary.decode_runs
+    finalize = FederatedEngine._finalize
+
+    def counting_columns(self, columns):
+        if finalizing:
+            decoded.append(("columns", len(columns[0])))
+        return decode_columns(self, columns)
+
+    def counting_runs(self, runs):
+        if finalizing:
+            decoded.append(("runs", runs.length))
+        return decode_runs(self, runs)
+
+    def marking(self, relation, normalized):
+        finalizing.append(True)
+        try:
+            return finalize(self, relation, normalized)
+        finally:
+            finalizing.pop()
+
+    monkeypatch.setattr(TermDictionary, "decode_columns", counting_columns)
+    monkeypatch.setattr(TermDictionary, "decode_runs", counting_runs)
+    monkeypatch.setattr(FederatedEngine, "_finalize", marking)
+    outcome = engine.execute(text)
+    monkeypatch.undo()
+    return outcome, decoded
+
+
+def _window_of(full: list, window: str) -> list:
+    stop = {"neither": None, "limit": 7, "offset": None, "both": 12}[window]
+    return full[5 if "OFFSET" in _WINDOWS[window] else 0 : stop]
+
+
 @pytest.mark.parametrize("window", sorted(_WINDOWS))
 def test_only_the_returned_window_is_decoded(window, lubm2, monkeypatch):
     """``_finalize`` hands the bulk decoder the rows it returns — not
     the relation behind the OFFSET, not the rows past the LIMIT."""
-    from repro.store.dictionary import TermDictionary
-
     engine = LusailEngine(lubm2)
     full = engine.execute(_sliced("crossing", "?x ?y ?z", "")).result.rows
     assert len(full) > 20
+    outcome, decoded = _finalize_decodes(
+        engine, _sliced("crossing", "?x ?y ?z", _WINDOWS[window]), monkeypatch
+    )
+    expected = _window_of(full, window)
+    assert outcome.result.rows == expected
+    assert decoded == [("columns", len(expected))]
 
-    decoded = []
-    original = TermDictionary.decode_columns
 
-    def counting(self, columns):
-        decoded.append(len(columns[0]))
-        return original(self, columns)
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+def test_a_window_over_join_runs_decodes_only_the_window(window, lubm2, monkeypatch):
+    """The same when the final relation is still join runs: the whole
+    answer is written from the runs, a window is one slice of the
+    flattened id columns — never the 180 rows for 7 of them."""
+    engine = LusailEngine(lubm2)
+    full = engine.execute(_sliced("fanout", "?y ?u ?x", "")).result.rows
+    assert len(full) > 20
+    outcome, decoded = _finalize_decodes(
+        engine, _sliced("fanout", "?y ?u ?x", _WINDOWS[window]), monkeypatch
+    )
+    expected = _window_of(full, window)
+    assert outcome.result.rows == expected
+    assert decoded == [("runs" if window == "neither" else "columns", len(expected))]
 
-    monkeypatch.setattr(TermDictionary, "decode_columns", counting)
-    outcome = engine.execute(_sliced("crossing", "?x ?y ?z", _WINDOWS[window]))
-    monkeypatch.undo()
 
-    stop = {"neither": None, "limit": 7, "offset": None, "both": 12}[window]
-    start = 5 if "OFFSET" in _WINDOWS[window] else 0
-    assert outcome.result.rows == full[start:stop]
-    assert decoded == [len(full[start:stop])]
+# --------------------------------------------------------------------------
+# A fan-out > 1 final join: the run writer beside every path that flattens
+
+
+_FANOUT_FORMS = {
+    "plain": ("?y ?u ?x", ""),
+    "distinct": ("DISTINCT ?u ?x", ""),
+    "order_by": ("?y ?u ?x", "ORDER BY ?x ?y ?u"),
+    "limit": ("?y ?u ?x", "LIMIT 10"),
+    "count": ("(COUNT(DISTINCT ?x) AS ?n)", ""),
+}
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("form", sorted(_FANOUT_FORMS))
+def test_fanout_final_join_matches_the_oracle(engine_name, form, lubm2):
+    head, tail = _FANOUT_FORMS[form]
+    text = _sliced("fanout", head, tail)
+    outcome = ENGINES[engine_name](lubm2).execute(text)
+    assert outcome.ok, outcome.error
+    rows = outcome.result.rows
+    if form == "limit":
+        full = Counter(oracle_rows(lubm2, _sliced("fanout", head, "")))
+        assert len(rows) == 10 and not Counter(rows) - full
+    elif form == "order_by":
+        assert rows == oracle_rows(lubm2, text)
+    else:
+        assert Counter(rows) == Counter(oracle_rows(lubm2, text))
+        assert len(rows) > (1 if form != "count" else 0)
+
+
+def test_the_fanout_answer_reaches_finalize_as_runs(lubm2, monkeypatch):
+    """What makes the matrix above a test of the run writer: Lusail's
+    last join on this body leaves more rows than runs."""
+    from repro.planning.base_engine import FederatedEngine
+
+    seen = []
+    finalize = FederatedEngine._finalize
+
+    def spying(self, relation, normalized):
+        seen.append(relation.rows.runs)
+        return finalize(self, relation, normalized)
+
+    monkeypatch.setattr(FederatedEngine, "_finalize", spying)
+    outcome = LusailEngine(lubm2).execute(_sliced("fanout", "?y ?u ?x", ""))
+    (runs,) = seen
+    assert runs is not None and runs.length == len(outcome.result) > len(runs.counts) > 0
 
 
 # --------------------------------------------------------------------------
