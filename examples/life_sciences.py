@@ -32,7 +32,7 @@ def main() -> None:
         marketed = f"marketed as {medicine.local_name} ({route.value})" if medicine else "not marketed"
         print(f"  {name.value:12s} -> {marketed}")
 
-    plan = engine.last_plan.branch_plans[0]
+    plan = outcome.plan.branch_plans[0].decomposition
     print("\nLADE decomposition:")
     for subquery in plan.subqueries:
         kind = "OPTIONAL" if subquery.optional_group is not None else "required"

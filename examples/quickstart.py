@@ -68,7 +68,7 @@ def main() -> None:
             f"(PhD from {university.local_name}, address {address.value!r})"
         )
 
-    plan = engine.last_plan
+    plan = outcome.plan
     print(f"\nGlobal join variables detected by LADE: {plan.gjv_names}")
     print(f"Subqueries: {plan.subquery_count} "
           f"(check queries run: {plan.check_queries})")

@@ -25,12 +25,9 @@ from repro.baselines.bound_join import bound_join, evaluate_operand
 from repro.baselines.operands import build_operands, order_operands
 from repro.core.decomposition.subquery import Subquery
 from repro.endpoint.client import FederationClient
-from repro.exceptions import MemoryLimitError
 from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine
 from repro.planning.normalize import Branch, NormalizedQuery
-from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
-from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
 from repro.sparql.ast import Expression
 
@@ -40,9 +37,6 @@ class OperandEngine(FederatedEngine):
 
     #: Config dataclass instantiated when the caller passes none.
     config_class: type
-    #: ``index=`` attribute of the ``source_selection`` span for engines
-    #: that read a precomputed index instead of probing.
-    source_index: str | None = None
 
     def __init__(self, federation, network_config=None, caches=None,
                  timeout_ms=None, config=None):
@@ -63,12 +57,6 @@ class OperandEngine(FederatedEngine):
     def _build_index(self):
         """The precomputed index of a ``requires_preprocessing`` engine."""
         raise NotImplementedError
-
-    def _select_sources(
-        self, client: FederationClient, patterns: list[TriplePattern], at_ms: float
-    ) -> tuple[SourceSelection, float]:
-        """Relevant endpoints per pattern; index-free ASK probes by default."""
-        return select_sources(client, patterns, at_ms)
 
     def _order(self, operands: list[Subquery]) -> list[Subquery]:
         return order_operands(operands)
@@ -144,20 +132,11 @@ class OperandEngine(FederatedEngine):
     # --------------------------------------------------------- pipeline
 
     def _execute_branch(
-        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
+        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery, plan
     ) -> tuple[Relation, float, dict[str, float]]:
-        all_patterns = list(branch.all_patterns())
-        mark = client.metrics.mark()
-        index_attr = {"index": self.source_index} if self.source_index else {}
-        with client.tracer.span("source_selection", t0=0.0, **index_attr) as span:
-            selection, now = self._select_sources(client, all_patterns, 0.0)
-            span.set(
-                patterns=len(all_patterns),
-                requests=client.metrics.requests_since(mark),
-            ).end(now)
+        selection, now = self._select_branch_sources(client, branch)
         phases = {"source_selection": now}
-
-        if any(not selection.relevant(pattern) for pattern in branch.patterns):
+        if selection is None:
             return Relation(tuple(normalized.projected_variables())), now, phases
 
         operands, residue = build_operands(list(branch.patterns), selection, branch.filters)
@@ -179,7 +158,7 @@ class OperandEngine(FederatedEngine):
             if optional_relation is not None:
                 for expression in block_residue:
                     optional_relation = optional_relation.filter(expression)
-                relation = relation.left_join(optional_relation)
+                relation = relation.left_join(optional_relation, block.condition)
                 self._guard_rows(client, relation)
 
         for expression in residue:
@@ -187,14 +166,6 @@ class OperandEngine(FederatedEngine):
         phases["execution"] = now - execution_start
         client.metrics.mediator_rows = max(client.metrics.mediator_rows, len(relation))
         return relation, now, phases
-
-    def _guard_rows(self, client: FederationClient, relation: Relation) -> None:
-        limit = self.config.max_mediator_rows
-        if limit is not None and len(relation) > limit:
-            client.metrics.status = "oom"
-            raise MemoryLimitError(
-                f"mediator intermediate results exceeded {limit} rows", rows=len(relation)
-            )
 
 
 def _carried_variables(
@@ -214,4 +185,6 @@ def _carried_variables(
     for block in branch.optionals:
         for expression in block.filters:
             needed |= expression.variables()
+        if block.condition is not None:
+            needed |= block.condition.variables()
     return needed

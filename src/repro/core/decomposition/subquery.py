@@ -87,6 +87,9 @@ class DecompositionPlan:
     #: Filters of an OPTIONAL block spanning several of its subqueries;
     #: applied to the block's joined relation before the left join.
     optional_residue: dict[int, tuple[Expression, ...]] = field(default_factory=dict)
+    #: The left-join condition of an OPTIONAL block: its filters that
+    #: read a variable the block does not bind.
+    optional_conditions: dict[int, Expression] = field(default_factory=dict)
     disjoint: bool = False
     check_query_count: int = 0
 

@@ -19,7 +19,9 @@ refinement, and caching.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from repro.core.decomposition.decomposer import decompose, enumerate_decompositions
 from repro.core.decomposition.gjv import GJVResult, detect_gjvs
@@ -48,11 +50,11 @@ from repro.endpoint.federation import Federation
 from repro.net.simulator import MediatorCostModel, NetworkConfig
 from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine, parse_select
 from repro.planning.normalize import Branch, NormalizedQuery, normalize, partition_filters
-from repro.planning.source_selection import SourceSelection, select_sources
+from repro.planning.source_selection import SourceSelection
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
-from repro.sparql.parser import parse_query
+from repro.sparql.ast import Expression
 from repro.sparql.serializer import serialize_expression
 
 
@@ -100,33 +102,62 @@ class LusailConfig:
     strategy: str = "bound-join"
 
 
-@dataclass
-class QueryPlanInfo:
-    """Per-query plan details exposed for inspection and experiments."""
-
-    branch_plans: list[DecompositionPlan] = field(default_factory=list)
-    gjv_names: list[str] = field(default_factory=list)
-    subquery_count: int = 0
-    delayed_count: int = 0
-    check_queries: int = 0
+#: The schedulers, by the strategy a :class:`BranchPlan` names.
+SCHEDULERS: dict[str, type[BranchScheduler]] = {
+    "bound-join": BranchScheduler,
+    "partial": PartialBranchScheduler,
+}
 
 
-@dataclass
-class _BranchAnalysis:
-    """What planning one branch produced, for execution and ``explain``."""
+@dataclass(frozen=True)
+class BranchPlan:
+    """Everything planning decided about one branch, as one value:
+    :meth:`LusailEngine.explain` renders it, the scheduler is built from
+    it and ``ExecutionOutcome.plan`` carries it."""
 
     #: Virtual time when source selection ended / when analysis ended.
     selected_ms: float
     end_ms: float
-    #: ``None`` when some required pattern has no source anywhere; the
-    #: fields below are only set otherwise.
-    plan: DecompositionPlan | None = None
-    needed_vars: set[Variable] | None = None
+    #: ``None`` when some required pattern has no source anywhere (the
+    #: branch's answer is empty); the fields below are only set otherwise.
+    decomposition: DecompositionPlan | None = None
+    needed_vars: frozenset[Variable] = frozenset()
     estimates: CardinalityEstimates | None = None
     #: ``None`` under ``enable_delay=False``.
     delays: DelayDecision | None = None
-    scheduler_class: type[BranchScheduler] | None = None
+    #: Which of :data:`SCHEDULERS` runs the branch, and why.
     strategy: StrategyDecision | None = None
+
+
+@dataclass
+class QueryPlanInfo:
+    """A query's plan: one :class:`BranchPlan` per UNION branch, in
+    branch order, appended as each branch is analysed."""
+
+    branch_plans: list[BranchPlan] = field(default_factory=list)
+
+    def _decompositions(self) -> list[DecompositionPlan]:
+        return [
+            plan.decomposition
+            for plan in self.branch_plans
+            if plan.decomposition is not None
+        ]
+
+    @property
+    def gjv_names(self) -> list[str]:
+        return sorted({name for plan in self._decompositions() for name in plan.gjv_names()})
+
+    @property
+    def subquery_count(self) -> int:
+        return sum(len(plan.subqueries) for plan in self._decompositions())
+
+    @property
+    def delayed_count(self) -> int:
+        return sum(sq.delayed for plan in self._decompositions() for sq in plan.subqueries)
+
+    @property
+    def check_queries(self) -> int:
+        return sum(plan.check_query_count for plan in self._decompositions())
 
 
 class LusailEngine(FederatedEngine):
@@ -156,22 +187,18 @@ class LusailEngine(FederatedEngine):
         self.mediator = mediator or MediatorCostModel(
             threads=POOL_SIZE * machines
         )
-        self.last_plan: QueryPlanInfo | None = None
-        #: Scheduler class; the multi-query optimizer swaps in a sharing
-        #: variant (see :mod:`repro.core.mqo`).
-        self.scheduler_class: type[BranchScheduler] = BranchScheduler
+        #: The batch cache every scheduler of this engine consults; set
+        #: only on the engine value :meth:`sharing` returns.
+        self.shared = None
 
     # ------------------------------------------------------------ pipeline
 
-    def _execute_normalized(
-        self, client: FederationClient, normalized: NormalizedQuery
-    ) -> tuple[Relation, float]:
-        self.last_plan = QueryPlanInfo()
-        return super()._execute_normalized(client, normalized)
+    def _new_plan(self) -> QueryPlanInfo:
+        return QueryPlanInfo()
 
     def _analyze_branch(
         self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
-    ) -> _BranchAnalysis:
+    ) -> BranchPlan:
         """Plan one branch: sources, LADE, statistics, delays, strategy.
 
         The one place the analysis sequence is written; execution and
@@ -179,17 +206,10 @@ class LusailEngine(FederatedEngine):
         """
         tracer = client.tracer
         # ---- Phase 1: source selection --------------------------------
-        all_patterns = list(branch.all_patterns())
-        mark = client.metrics.mark()
-        with tracer.span("source_selection", t0=0.0) as span:
-            selection, now = select_sources(client, all_patterns, 0.0)
-            span.set(
-                patterns=len(all_patterns),
-                requests=client.metrics.requests_since(mark),
-            ).end(now)
+        selection, now = self._select_branch_sources(client, branch)
         selected_ms = now
-        if any(not selection.relevant(pattern) for pattern in branch.patterns):
-            return _BranchAnalysis(selected_ms, now)
+        if selection is None:
+            return BranchPlan(selected_ms, now)
 
         # ---- Phase 2: analysis (LADE + statistics) --------------------
         with tracer.span("analysis", t0=now) as analysis_span:
@@ -200,7 +220,7 @@ class LusailEngine(FederatedEngine):
                     gjvs=plan.gjv_names(),
                     check_queries=plan.check_query_count,
                 ).end(now)
-            needed_vars = self._needed_variables(plan, normalized)
+            needed_vars = frozenset(self._needed_variables(plan, normalized))
             estimates, now = collect_statistics(client, plan.subqueries, now)
             with tracer.span("delay_decision", t0=now) as span:
                 delays = None
@@ -229,51 +249,46 @@ class LusailEngine(FederatedEngine):
                     span.set(policy="disabled", delayed=[])
                 span.end(now)
             analysis_span.end(now)
-        scheduler_class, strategy = self._resolve_strategy(plan, needed_vars, estimates, client)
-        return _BranchAnalysis(
-            selected_ms, now, plan, needed_vars, estimates, delays, scheduler_class, strategy
-        )
+        strategy = self._resolve_strategy(plan, needed_vars, estimates, client)
+        return BranchPlan(selected_ms, now, plan, needed_vars, estimates, delays, strategy)
 
     def _execute_branch(
-        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
+        self,
+        client: FederationClient,
+        branch: Branch,
+        normalized: NormalizedQuery,
+        plan_info: QueryPlanInfo,
     ) -> tuple[Relation, float, dict[str, float]]:
         tracer = client.tracer
         with tracer.span("branch", t0=0.0) as branch_span:
-            analysis = self._analyze_branch(client, branch, normalized)
-            plan, now = analysis.plan, analysis.end_ms
-            phases = {"source_selection": analysis.selected_ms}
+            branch_plan = self._analyze_branch(client, branch, normalized)
+            plan_info.branch_plans.append(branch_plan)
+            plan, now = branch_plan.decomposition, branch_plan.end_ms
+            phases = {"source_selection": branch_plan.selected_ms}
             if plan is None:
                 # Some required pattern has no source anywhere: empty answer.
                 branch_span.set(empty="no source for required pattern").end(now)
                 return Relation(tuple(normalized.projected_variables())), now, phases
-            phases["analysis"] = now - analysis.selected_ms
+            phases["analysis"] = now - branch_plan.selected_ms
 
-            plan_info = self.last_plan
-            plan_info.branch_plans.append(plan)
-            plan_info.gjv_names = sorted(set(plan_info.gjv_names) | set(plan.gjv_names()))
-            plan_info.subquery_count += len(plan.subqueries)
-            plan_info.check_queries += plan.check_query_count
-            delayed_count = sum(1 for sq in plan.subqueries if sq.delayed)
-            plan_info.delayed_count += delayed_count
             client.registry.inc("subqueries_total", len(plan.subqueries), engine=self.name)
-            client.registry.inc("delayed_subqueries_total", delayed_count, engine=self.name)
+            client.registry.inc(
+                "delayed_subqueries_total",
+                sum(sq.delayed for sq in plan.subqueries),
+                engine=self.name,
+            )
             client.registry.inc(
                 "check_queries_total", plan.check_query_count, engine=self.name
             )
 
             # ---- Phase 3: execution (SAPE or partial evaluation) -------
             execution_start = now
-            decision = analysis.strategy
+            decision = branch_plan.strategy
             with tracer.span(
                 "execution", t0=now, strategy=decision.strategy
             ) as span:
-                scheduler = analysis.scheduler_class(
-                    client=client,
-                    plan=plan,
-                    needed_vars=analysis.needed_vars,
-                    estimates=analysis.estimates,
-                    mediator=self.mediator,
-                    config=self.config,
+                scheduler = SCHEDULERS[decision.strategy](
+                    client, branch_plan, self.mediator, self.config, self.shared
                 )
                 outcome = scheduler.run(now)
                 now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
@@ -283,11 +298,9 @@ class LusailEngine(FederatedEngine):
                     # actually measured (echoed for bound-join runs,
                     # where nothing measures it).  Recorded as percent:
                     # the q-error histogram clamps values below 1.
-                    actual = (
-                        scheduler.actual_crossing_selectivity()
-                        if isinstance(scheduler, PartialBranchScheduler)
-                        else decision.estimated_crossing_selectivity
-                    )
+                    actual = outcome.crossing_selectivity
+                    if actual is None:
+                        actual = decision.estimated_crossing_selectivity
                     client.audit.record(
                         "strategy",
                         100.0 * decision.estimated_crossing_selectivity,
@@ -298,7 +311,6 @@ class LusailEngine(FederatedEngine):
                         est_partial_rows=round(decision.est_partial_rows, 1),
                         est_bound_rows=round(decision.est_bound_rows, 1),
                     )
-                if client.audit.enabled and plan.subqueries:
                     # SAPE treats max C(sq) as the bound on what the
                     # branch can produce; audit it against the branch's
                     # actual result size.
@@ -325,36 +337,51 @@ class LusailEngine(FederatedEngine):
 
     # ------------------------------------------------------------ strategy
 
-    def _resolve_strategy(
-        self, plan, needed_vars, estimates, client
-    ) -> tuple[type[BranchScheduler], StrategyDecision]:
-        """Pick the branch scheduler class for the configured strategy.
-
-        The multi-query optimizer swaps ``scheduler_class`` for a
-        sharing variant; partial evaluation cannot substitute for that,
-        so any non-default scheduler always wins and the decision is
-        recorded as forced.
-        """
+    def _resolve_strategy(self, plan, needed_vars, estimates, client) -> StrategyDecision:
+        """The picker's verdict, overruled where the configuration names
+        a strategy or a batch cache is present: partial evaluation ships
+        whole branches, which leaves no subquery relation to share."""
         requested = self.config.strategy
-        if requested not in ("auto", "partial", "bound-join"):
+        if requested != "auto" and requested not in SCHEDULERS:
             raise ValueError(f"unknown execution strategy {requested!r}")
-        if self.scheduler_class is not BranchScheduler:
-            decision = choose_strategy(plan, needed_vars, estimates, client)
-            return self.scheduler_class, replace(
+        decision = choose_strategy(plan, needed_vars, estimates, client)
+        if self.shared is not None:
+            return replace(
                 decision,
                 strategy="bound-join",
-                reason="scheduler overridden (multi-query optimizer)",
+                reason="subqueries shared across a batch (multi-query optimizer)",
             )
-        decision = choose_strategy(plan, needed_vars, estimates, client)
         if requested != "auto" and requested != decision.strategy:
-            decision = replace(
-                decision, strategy=requested, reason="forced by configuration"
-            )
-        if decision.strategy == "partial":
-            return PartialBranchScheduler, decision
-        return BranchScheduler, decision
+            return replace(decision, strategy=requested, reason="forced by configuration")
+        return decision
 
     # -------------------------------------------------------- decomposition
+
+    def _group_patterns(
+        self,
+        client: FederationClient,
+        patterns: list[TriplePattern],
+        selection: SourceSelection,
+        now: float,
+        required: bool,
+    ) -> tuple[list[list[TriplePattern]], GJVResult, float]:
+        """Group a required pattern set or an OPTIONAL block's into
+        subqueries under the configured ``decomposition`` mode."""
+        mode = self.config.decomposition
+        if mode == "lade":
+            gjvs, now = detect_gjvs(client, patterns, selection, now)
+            if required and self.config.optimize_decomposition and gjvs.variables:
+                groups, now = self._choose_decomposition(
+                    client, patterns, gjvs, selection, now
+                )
+            else:
+                groups = decompose(patterns, gjvs, selection)
+            return groups, gjvs, now
+        if mode == "exclusive":
+            return selection.exclusive_groups(patterns), GJVResult(), now
+        if mode == "triple":
+            return [[pattern] for pattern in patterns], GJVResult(), now
+        raise ValueError(f"unknown decomposition mode {mode!r}")
 
     def _decompose_branch(
         self,
@@ -363,100 +390,63 @@ class LusailEngine(FederatedEngine):
         selection: SourceSelection,
         now: float,
     ) -> tuple[DecompositionPlan, float]:
-        mode = self.config.decomposition
-        check_count = 0
+        subqueries: list[Subquery] = []
 
-        if mode == "lade":
-            gjvs, now = detect_gjvs(client, list(branch.patterns), selection, now)
-            check_count += gjvs.check_queries_run
-            if self.config.optimize_decomposition and gjvs.variables:
-                required_groups, now = self._choose_decomposition(
-                    client, list(branch.patterns), gjvs, selection, now
+        def add_subqueries(groups, filters, optional_group=None) -> list:
+            """One subquery per group, each filter pushed into the first
+            group covering all its variables; returns the leftovers,
+            which run at the mediator."""
+            group_var_sets = [
+                {variable for pattern in group for variable in pattern.variables()}
+                for group in groups
+            ]
+            pushed, residue = partition_filters(filters, group_var_sets)
+            for group, group_filters in zip(groups, pushed):
+                subqueries.append(
+                    Subquery(
+                        id=len(subqueries),
+                        patterns=tuple(group),
+                        sources=_group_sources(group, selection),
+                        filters=tuple(group_filters),
+                        optional_group=optional_group,
+                    )
                 )
-            else:
-                required_groups = decompose(list(branch.patterns), gjvs, selection)
-        elif mode == "exclusive":
-            gjvs = GJVResult()
-            required_groups = selection.exclusive_groups(list(branch.patterns))
-        elif mode == "triple":
-            gjvs = GJVResult()
-            required_groups = [[pattern] for pattern in branch.patterns]
-        else:
-            raise ValueError(f"unknown decomposition mode {mode!r}")
+            return residue
+
+        groups, gjvs, now = self._group_patterns(
+            client, list(branch.patterns), selection, now, required=True
+        )
+        check_count = gjvs.check_queries_run
+        residue = add_subqueries(groups, branch.filters)
 
         # OPTIONAL blocks are decomposed independently, under the same
         # locality rules, and tagged with their group index.
-        optional_plans: list[tuple[int, list[list[TriplePattern]]]] = []
+        optional_residue: dict[int, tuple] = {}
+        optional_conditions: dict[int, Expression] = {}
         for index, block in enumerate(branch.optionals):
             if any(not selection.relevant(pattern) for pattern in block.patterns):
                 # The block can never match anywhere: OPTIONAL contributes
                 # nothing and the base rows pass through unextended.
                 continue
-            block_patterns = list(block.patterns)
-            if mode == "lade":
-                block_gjvs, now = detect_gjvs(client, block_patterns, selection, now)
-                check_count += block_gjvs.check_queries_run
-                groups = decompose(block_patterns, block_gjvs, selection)
-            elif mode == "exclusive":
-                groups = selection.exclusive_groups(block_patterns)
-            else:
-                groups = [[pattern] for pattern in block_patterns]
-            optional_plans.append((index, groups))
-
-        # Push filters: each filter goes to the first group covering all
-        # its variables; leftovers run at the mediator.
-        group_var_sets = [
-            {variable for pattern in group for variable in pattern.variables()}
-            for group in required_groups
-        ]
-        pushed, residue = partition_filters(branch.filters, group_var_sets)
-
-        subqueries: list[Subquery] = []
-        next_id = 0
-        for group, filters in zip(required_groups, pushed):
-            subqueries.append(
-                Subquery(
-                    id=next_id,
-                    patterns=tuple(group),
-                    sources=_group_sources(group, selection),
-                    filters=tuple(filters),
-                )
+            groups, block_gjvs, now = self._group_patterns(
+                client, list(block.patterns), selection, now, required=False
             )
-            next_id += 1
-
-        optional_residue: dict[int, tuple] = {}
-        for block_index, groups in optional_plans:
-            block = branch.optionals[block_index]
-            block_var_sets = [
-                {variable for pattern in group for variable in pattern.variables()}
-                for group in groups
-            ]
-            block_pushed, block_residue = partition_filters(block.filters, block_var_sets)
+            check_count += block_gjvs.check_queries_run
+            block_residue = add_subqueries(groups, block.filters, optional_group=index)
             if block_residue:
-                optional_residue[block_index] = tuple(block_residue)
-            for group, filters in zip(groups, block_pushed):
-                subqueries.append(
-                    Subquery(
-                        id=next_id,
-                        patterns=tuple(group),
-                        sources=_group_sources(group, selection),
-                        filters=tuple(filters),
-                        optional_group=block_index,
-                    )
-                )
-                next_id += 1
+                optional_residue[index] = tuple(block_residue)
+            if block.condition is not None:
+                optional_conditions[index] = block.condition
 
-        disjoint = (
-            len(subqueries) == 1
-            and subqueries[0].optional_group is None
-            and not residue
-        )
         plan = DecompositionPlan(
             subqueries=subqueries,
             global_join_variables=dict(gjvs.variables),
             residue_filters=tuple(residue),
             optional_residue=optional_residue,
-            disjoint=disjoint,
+            optional_conditions=optional_conditions,
+            # One subquery, hence required, and nothing left for the
+            # mediator: every endpoint's answer is final.
+            disjoint=len(subqueries) == 1 and not residue,
             check_query_count=check_count,
         )
         return plan, now
@@ -505,14 +495,16 @@ class LusailEngine(FederatedEngine):
         self, plan: DecompositionPlan, normalized: NormalizedQuery
     ) -> set[Variable]:
         """Variables subqueries must project: final projection, join
-        variables shared across subqueries, residue-filter and ORDER BY
-        variables."""
+        variables shared across subqueries, and those of every expression
+        the mediator evaluates — residue filters, OPTIONAL residues and
+        left-join conditions, ORDER BY."""
         needed: set[Variable] = set(normalized.projected_variables())
-        for expression in plan.residue_filters:
+        for expression in chain(
+            plan.residue_filters,
+            *plan.optional_residue.values(),
+            plan.optional_conditions.values(),
+        ):
             needed |= expression.variables()
-        for filters in plan.optional_residue.values():
-            for expression in filters:
-                needed |= expression.variables()
         needed |= normalized.order_variables()
         seen: dict[Variable, int] = {}
         for subquery in plan.subqueries:
@@ -564,8 +556,9 @@ class LusailEngine(FederatedEngine):
         lines: list[str] = []
         for branch_index, branch in enumerate(normalized.branches):
             lines.append(f"branch {branch_index}:")
-            analysis = self._analyze_branch(client, branch, normalized)
-            plan, delays, strategy = analysis.plan, analysis.delays, analysis.strategy
+            branch_plan = self._analyze_branch(client, branch, normalized)
+            plan, delays = branch_plan.decomposition, branch_plan.delays
+            strategy = branch_plan.strategy
             if plan is None:
                 lines.append("  empty: no source for required pattern")
                 continue
@@ -616,6 +609,10 @@ class LusailEngine(FederatedEngine):
                     lines.append(f"    {pattern.n3()}")
                 for expression in subquery.filters:
                     lines.append(f"    FILTER {serialize_expression(expression)}")
+            for group, expression in sorted(plan.optional_conditions.items()):
+                lines.append(
+                    f"  OPTIONAL {group} left-join FILTER {serialize_expression(expression)}"
+                )
             for expression in plan.residue_filters:
                 lines.append(f"  mediator FILTER {serialize_expression(expression)}")
         return "\n".join(lines)
@@ -629,6 +626,15 @@ class LusailEngine(FederatedEngine):
             timeout_ms=self.timeout_ms,
             mediator=self.mediator,
         )
+
+    def sharing(self, shared) -> "LusailEngine":
+        """This engine as one batch runs it: the same federation, config,
+        caches, statistics and sinks, every scheduler it builds consulting
+        ``shared`` (a :class:`~repro.core.mqo.SharedSubqueryCache`).  The
+        receiver is not modified."""
+        twin = copy.copy(self)
+        twin.shared = shared
+        return twin
 
 
 def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tuple[str, ...]:

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import CardinalityEstimates
-from repro.core.execution.scheduler import BranchOutcome, BranchScheduler
+from repro.core.execution.scheduler import BranchScheduler
 from repro.endpoint.cache import MISSING
-from repro.exceptions import NetworkError
 from repro.rdf.terms import IRI, Variable, is_concrete
 from repro.relational.relation import Relation
 from repro.sparql.ast import BGP, Filter, GroupPattern, SelectQuery
@@ -70,15 +69,6 @@ def _origin_term(endpoint_name: str) -> IRI:
     return IRI(f"urn:partial-origin:{endpoint_name}")
 
 
-def _fragment_projection(
-    subquery: Subquery, needed_vars: set[Variable]
-) -> tuple[Variable, ...]:
-    """Same projection rule as the SAPE schedulers use for subqueries."""
-    return subquery.projection(needed_vars) or tuple(
-        sorted(subquery.variables(), key=lambda v: v.name)
-    )
-
-
 def _crossing_ends(subquery: Subquery, variable: Variable):
     """Concrete-predicate pattern ends of ``subquery`` holding ``variable``.
 
@@ -95,6 +85,23 @@ def _crossing_ends(subquery: Subquery, variable: Variable):
             yield pattern.predicate, OBJECT
 
 
+def _digest_keys(required: list[Subquery], sources=lambda subquery: subquery.sources):
+    """``(source, predicate, position)`` of every digest a partial round
+    over ``required`` embeds: per fragment, each end constraining a
+    variable it shares with another fragment, at each of its sources."""
+    for subquery in required:
+        other_vars = {
+            var
+            for other in required
+            if other.id != subquery.id
+            for var in other.variables()
+        }
+        for variable in subquery.variables() & other_vars:
+            for predicate, position in _crossing_ends(subquery, variable):
+                for source in sources(subquery):
+                    yield source, predicate, position
+
+
 class PartialBranchScheduler(BranchScheduler):
     """Executes one branch with the partial-evaluation strategy.
 
@@ -103,57 +110,30 @@ class PartialBranchScheduler(BranchScheduler):
     partial-results degradation mode are all inherited.
     """
 
-    strategy = "partial"
+    #: Until a round measures it (and for one with nothing to prune).
+    crossing_selectivity = 1.0
+    #: Fragment rows the digests dropped at the endpoints, last round.
+    fragment_rows_pruned = 0
 
-    #: Measured pruning outcome of the last run, for the strategy audit:
-    #: fragment rows that shipped vs. rows the digests dropped.
-    fragment_rows_shipped: int = 0
-    fragment_rows_pruned: int = 0
-
-    def actual_crossing_selectivity(self) -> float:
-        """Fraction of fragment extent rows that survived digest pruning."""
-        total = self.fragment_rows_shipped + self.fragment_rows_pruned
-        if total <= 0:
-            return 1.0
-        return self.fragment_rows_shipped / total
-
-    # --------------------------------------------------------------- run
-
-    def _run(self, at_ms: float) -> BranchOutcome:
+    def _run_required(self, at_ms: float) -> tuple[Relation, float, bool]:
         required = self.plan.required_subqueries()
-        optional_groups = self.plan.optional_groups()
-        tracer = self.client.tracer
-
-        now = at_ms
-        with tracer.span(
-            "partial_round", t0=now, subqueries=[sq.id for sq in required]
+        with self.client.tracer.span(
+            "partial_round", t0=at_ms, subqueries=[sq.id for sq in required]
         ) as span:
             mark = self.client.metrics.mark()
-            relation, now = self._run_required(required, now)
+            relation, now = self._partial_round(required, at_ms)
             span.set(
                 rows=len(relation),
                 requests=self.client.metrics.requests_since(mark),
                 pruned_rows=self.fragment_rows_pruned,
             ).end(now)
+        return relation, now, True
 
-        for group_id in sorted(optional_groups):
-            with tracer.span("optional_group", t0=now, group=group_id) as span:
-                relation, now = self._run_optional_group(
-                    optional_groups[group_id], relation, now
-                )
-                span.set(rows=len(relation)).end(now)
-
-        relation = self._apply_residue(relation)
-        now += self.mediator.scan_ms(len(relation))
-        return BranchOutcome(relation, now, self.join_cost_units)
-
-    def _run_required(
+    def _partial_round(
         self, required: list[Subquery], now: float
     ) -> tuple[Relation, float]:
         """The single partial round plus mediator-side assembly."""
-        projections = {
-            sq.id: _fragment_projection(sq, self.needed_vars) for sq in required
-        }
+        projections = {sq.id: self._projection(sq) for sq in required}
         branch_projection = tuple(
             sorted(
                 {var for sq in required for var in projections[sq.id]},
@@ -172,13 +152,7 @@ class PartialBranchScheduler(BranchScheduler):
                 endpoint for sq in required for endpoint in live_sources[sq.id]
             )
         )
-        complete_sources = None
-        for sq in required:
-            sources = set(live_sources[sq.id])
-            complete_sources = (
-                sources if complete_sources is None else complete_sources & sources
-            )
-        complete_sources = complete_sources or set()
+        complete_sources = set.intersection(*(set(live_sources[sq.id]) for sq in required))
 
         finish = now
         results: dict[str, object] = {}
@@ -194,15 +168,10 @@ class PartialBranchScheduler(BranchScheduler):
             )
             if spec.complete is None and not spec.fragments:
                 continue
-            try:
-                result, end = self.client.partial(endpoint, spec, now)
-            except NetworkError as exc:
-                if not self.config.partial_results:
-                    raise
-                finish = max(finish, self._drop_endpoint(endpoint, exc, now))
-                continue
+            result, end = self._fetch(self.client.partial, endpoint, spec, at_ms=now)
             finish = max(finish, end)
-            results[endpoint] = result
+            if result is not None:
+                results[endpoint] = result
         now = finish
 
         relation = self._assemble(required, projections, branch_projection, results, now)
@@ -240,33 +209,17 @@ class PartialBranchScheduler(BranchScheduler):
         federation state this costs one cache hit per key.
         """
         digest_map: dict = {}
-        if len(required) < 2:
-            return digest_map, now
-        wanted: set = set()
-        for subquery in required:
-            other_vars = {
-                var
-                for other in required
-                if other.id != subquery.id
-                for var in other.variables()
-            }
-            for variable in subquery.variables() & other_vars:
-                for predicate, position in _crossing_ends(subquery, variable):
-                    for source in self._live(subquery.sources):
-                        wanted.add((source, predicate, position))
+        wanted = set(_digest_keys(required, lambda subquery: self._live(subquery.sources)))
         finish = now
         for source, predicate, position in sorted(
             wanted, key=lambda item: (item[0], repr(item[1]), item[2])
         ):
-            try:
-                digest, end = self.client.join_digest(source, predicate, position, now)
-            except NetworkError as exc:
-                if not self.config.partial_results:
-                    raise
-                finish = max(finish, self._drop_endpoint(source, exc, now))
-                continue
-            digest_map[(source, predicate, position)] = digest
+            digest, end = self._fetch(
+                self.client.join_digest, source, predicate, position, at_ms=now
+            )
             finish = max(finish, end)
+            if digest is not None:
+                digest_map[(source, predicate, position)] = digest
         return digest_map, finish
 
     def _digests_for(
@@ -380,8 +333,9 @@ class PartialBranchScheduler(BranchScheduler):
                     pruned += fragment.pruned_rows
             self._guard_rows(len(relation))
             fragment_relations.append((subquery, relation))
-        self.fragment_rows_shipped = shipped
         self.fragment_rows_pruned = pruned
+        if shipped + pruned:
+            self.crossing_selectivity = shipped / (shipped + pruned)
 
         components = self._join_eager(fragment_relations, now)
         assembled = self._combine_components(components, now)
@@ -479,27 +433,15 @@ def _fragment_selectivities(
 def _digests_are_cold(required: list[Subquery], client) -> bool:
     """Whether the partial round must be preceded by a digest fetch round.
 
-    Mirrors the key set :meth:`PartialBranchScheduler._gather_digests`
-    will request, and peeks at the engine-level digest cache (no
-    counters touched): a digest is warm only while its cached store
-    version still matches the endpoint's.
+    Peeks at the engine-level digest cache (no counters touched) for
+    the keys the round will request: a digest is warm only while its
+    cached store version still matches the endpoint's.
     """
     cache = client.caches.digest
-    for subquery in required:
-        other_vars = {
-            var
-            for other in required
-            if other.id != subquery.id
-            for var in other.variables()
-        }
-        for variable in subquery.variables() & other_vars:
-            for predicate, position in _crossing_ends(subquery, variable):
-                for source in subquery.sources:
-                    hit = cache.peek((source, predicate, position))
-                    if hit is MISSING:
-                        return True
-                    if hit[0] != client.federation.get(source).store.version:
-                        return True
+    for key in _digest_keys(required):
+        hit = cache.peek(key)
+        if hit is MISSING or hit[0] != client.federation.get(key[0]).store.version:
+            return True
     return False
 
 

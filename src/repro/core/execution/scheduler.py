@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.decomposition.subquery import DecompositionPlan, Subquery, values_block
-from repro.core.execution.cost_model import CardinalityEstimates
+from repro.core.decomposition.subquery import Subquery, values_block
 from repro.core.execution.join_order import (
     JoinHints,
     execute_plan,
@@ -32,18 +31,19 @@ from repro.core.execution.join_order import (
 )
 from repro.core.execution.request_handler import ElasticRequestHandler
 from repro.endpoint.client import FederationClient
-from repro.exceptions import MemoryLimitError, NetworkError
+from repro.exceptions import NetworkError
 from repro.net import metrics as metrics_module
 from repro.net.simulator import MediatorCostModel
+from repro.planning.base_engine import guard_rows, mediator_runtime
 from repro.planning.source_selection import refine_sources_with_bindings
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational import kernels
-from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
-    from repro.core.engine import LusailConfig
+    from repro.core.engine import BranchPlan, LusailConfig
+    from repro.core.mqo import SharedSubqueryCache
 
 #: Smallest block the adaptive bound join may shrink to.
 MIN_BLOCK = 50
@@ -76,6 +76,9 @@ class BranchOutcome:
     relation: Relation
     end_ms: float
     join_cost_units: float = 0.0
+    #: Share of fragment rows that survived digest pruning, where the
+    #: strategy measures it (the partial round); None where nothing does.
+    crossing_selectivity: float | None = None
 
 
 @dataclass
@@ -87,28 +90,34 @@ class _Component:
 
 
 class BranchScheduler:
-    """Executes one decomposed branch against the federation."""
+    """Executes one planned branch against the federation.
+
+    Everything it decides from is on the ``branch_plan`` it is built
+    with.  ``shared``, when given, is a batch's
+    :class:`~repro.core.mqo.SharedSubqueryCache`: required subqueries are
+    looked up there before they ship, and eager ones stored after.
+    """
+
+    #: See :attr:`BranchOutcome.crossing_selectivity`.
+    crossing_selectivity: float | None = None
 
     def __init__(
         self,
         client: FederationClient,
-        plan: DecompositionPlan,
-        needed_vars: set[Variable],
-        estimates: CardinalityEstimates,
+        branch_plan: BranchPlan,
         mediator: MediatorCostModel,
         config: LusailConfig,
+        shared: SharedSubqueryCache | None = None,
     ):
         self.client = client
-        self.plan = plan
-        self.needed_vars = needed_vars
-        self.estimates = estimates
+        self.plan = branch_plan.decomposition
+        self.needed_vars = branch_plan.needed_vars
+        self.estimates = branch_plan.estimates
         self.mediator = mediator
         self.config = config
+        self.shared = shared
         self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
         self.join_cost_units = 0.0
-        #: Columnar-kernel work counters for this branch, flushed to the
-        #: metrics registry when :meth:`run` finishes.
-        self.kernel_counters = KernelCounters()
         #: Endpoints dropped in partial-results mode; their contribution
         #: is skipped for the rest of the branch.
         self._dead_endpoints: set[str] = set()
@@ -120,30 +129,49 @@ class BranchScheduler:
             return sources
         return tuple(name for name in sources if name not in self._dead_endpoints)
 
-    def _drop_endpoint(self, endpoint: str, exc: NetworkError, at_ms: float) -> float:
-        """Record a partial-results drop; returns the failure's timestamp."""
+    def _fetch(self, request, endpoint: str, *args, at_ms: float, **kwargs):
+        """``request(endpoint, *args, at_ms)``: ``(reply, end time)``.
+
+        An irrecoverable failure propagates — or, under
+        ``partial_results``, drops the endpoint for the rest of the
+        branch: ``(None, the failure's timestamp)``.
+        """
+        try:
+            return request(endpoint, *args, at_ms, **kwargs)
+        except NetworkError as exc:
+            if not self.config.partial_results:
+                raise
+            failed_at = exc.at_ms if exc.at_ms is not None else at_ms
         self._dead_endpoints.add(endpoint)
         self.client.metrics.dropped_endpoints.append(endpoint)
         self.client.registry.inc(
             "partial_drops_total", engine=self.client.engine, endpoint=endpoint
         )
-        return exc.at_ms if exc.at_ms is not None else at_ms
+        return None, failed_at
 
     def _guard_rows(self, rows: int) -> None:
-        limit = self.config.max_mediator_rows
-        if limit is not None and rows > limit:
-            self.client.metrics.status = "oom"
-            raise MemoryLimitError(
-                f"mediator intermediate results exceeded {limit} rows", rows=rows
-            )
+        guard_rows(self.client, rows, self.config.max_mediator_rows)
 
-    def _execute_subquery(
-        self, subquery: Subquery, at_ms: float, kind: str = metrics_module.SELECT
-    ) -> tuple[Relation, float]:
-        """Evaluate a subquery at all its endpoints concurrently."""
-        projection = subquery.projection(self.needed_vars) or tuple(
+    def _projection(self, subquery: Subquery) -> tuple[Variable, ...]:
+        """What a subquery ships: its variables that are needed
+        downstream, or — when none is — all of them, so that its row
+        multiplicity still reaches the mediator."""
+        return subquery.projection(self.needed_vars) or tuple(
             sorted(subquery.variables(), key=lambda v: v.name)
         )
+
+    def _execute_subquery(self, subquery: Subquery, at_ms: float) -> tuple[Relation, float]:
+        """Evaluate a subquery at all its endpoints concurrently."""
+        projection = self._projection(subquery)
+        # A batch shares required subqueries only: an OPTIONAL block's
+        # rows depend on its own query's bindings, as a delayed
+        # subquery's do once it has run bound — so only eager results
+        # are stored.
+        shareable = self.shared is not None and subquery.optional_group is None
+        if shareable:
+            reused = self.shared.get(subquery, projection)
+            if reused is not None:
+                return reused, at_ms
         query = subquery.to_select(projection)
         relation = Relation(projection, partitions=1)
         finish = at_ms
@@ -158,14 +186,10 @@ class BranchScheduler:
             endpoints=list(subquery.sources),
         ) as span:
             for endpoint in self._live(subquery.sources):
-                try:
-                    result, end = self.client.select(endpoint, query, at_ms, kind=kind)
-                except NetworkError as exc:
-                    if not self.config.partial_results:
-                        raise
-                    finish = max(finish, self._drop_endpoint(endpoint, exc, at_ms))
-                    continue
+                result, end = self._fetch(self.client.select, endpoint, query, at_ms=at_ms)
                 finish = max(finish, end)
+                if result is None:
+                    continue
                 relation.rows.extend(result)
                 if audit.enabled:
                     # SAPE's per-endpoint COUNT-derived estimate against
@@ -195,6 +219,8 @@ class BranchScheduler:
             ).end(finish)
         relation.partitions = self.handler.partitions_for(subquery.sources, len(relation))
         self._guard_rows(len(relation))
+        if shareable and not subquery.delayed:
+            self.shared.put(subquery, relation)
         return relation, finish
 
     def _execute_bound_subquery(
@@ -206,9 +232,7 @@ class BranchScheduler:
         at_ms: float,
     ) -> tuple[Relation, float]:
         """Evaluate a delayed subquery with VALUES blocks of bindings."""
-        projection = subquery.projection(self.needed_vars) or tuple(
-            sorted(subquery.variables(), key=lambda v: v.name)
-        )
+        projection = self._projection(subquery)
         relation = Relation(projection, partitions=1)
         finish = at_ms
         block_size = adaptive_block_size(
@@ -244,20 +268,17 @@ class BranchScheduler:
                 ) as block_span:
                     block_end = at_ms
                     for endpoint in self._live(sources):
-                        try:
-                            result, end = self.client.select(
-                                endpoint, query, at_ms, kind=metrics_module.BOUND
-                            )
-                        except NetworkError as exc:
-                            if not self.config.partial_results:
-                                raise
-                            dropped_at = self._drop_endpoint(endpoint, exc, at_ms)
-                            block_end = max(block_end, dropped_at)
-                            finish = max(finish, dropped_at)
-                            continue
+                        result, end = self._fetch(
+                            self.client.select,
+                            endpoint,
+                            query,
+                            at_ms=at_ms,
+                            kind=metrics_module.BOUND,
+                        )
                         block_end = max(block_end, end)
                         finish = max(finish, end)
-                        relation.rows.extend(result)
+                        if result is not None:
+                            relation.rows.extend(result)
                     block_span.set(
                         rows=len(relation) - rows_before,
                         requests=metrics.requests_since(mark),
@@ -302,21 +323,28 @@ class BranchScheduler:
         self._guard_rows(len(relation))
         return relation, finish
 
-    def _audit_join_plan(self, plan, joined: Relation, cost: float, span) -> None:
-        """Record the join enumerator's estimates against measured reality."""
+    def _join_planned(
+        self, relations: list[Relation], span, at_ms: float, greedy: bool, hints=None
+    ) -> Relation:
+        """Order and run one multi-way join under ``span``: its cost is
+        charged, and the enumerator's estimates audited against it."""
+        plan = plan_joins(relations, greedy=greedy, hints=hints)
+        joined, cost = execute_plan(plan, relations)
+        self.join_cost_units += cost
+        span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
         audit = self.client.audit
-        if not audit.enabled:
-            return
-        summary = plan_summary(plan)
-        span.set(join_order=summary["order"])
-        audit.record(
-            "join_cost",
-            summary["estimated_cost"],
-            cost,
-            span=span,
-            order=summary["order"],
-        )
-        audit.record("join_rows", summary["estimated_rows"], len(joined), span=span)
+        if audit.enabled:
+            summary = plan_summary(plan)
+            span.set(join_order=summary["order"])
+            audit.record(
+                "join_cost",
+                summary["estimated_cost"],
+                cost,
+                span=span,
+                order=summary["order"],
+            )
+            audit.record("join_rows", summary["estimated_rows"], len(joined), span=span)
+        return joined
 
     # ----------------------------------------------------------- components
 
@@ -354,13 +382,14 @@ class BranchScheduler:
 
     def _bindings_for(
         self, components: list[_Component], variables: set[Variable]
-    ) -> tuple[tuple[Variable, ...], list[tuple[Term | None, ...]], int] | None:
+    ) -> tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]] | None:
         """Find the component sharing variables with a delayed subquery.
 
-        Returns (shared variables, distinct binding rows, binding count),
-        or None when nothing evaluated so far connects to the subquery.
+        Returns (shared variables, distinct binding rows) of the one
+        with the fewest bindings, or None when nothing evaluated so far
+        connects to the subquery.
         """
-        best: tuple[tuple[Variable, ...], list[tuple[Term | None, ...]], int] | None = None
+        best = None
         for component in components:
             shared = tuple(
                 sorted(component.variables & variables, key=lambda v: v.name)
@@ -369,8 +398,8 @@ class BranchScheduler:
                 continue
             projected = component.relation.project(shared).distinct()
             rows = [row for row in projected.rows if None not in row]
-            if best is None or len(rows) < best[2]:
-                best = (shared, rows, len(rows))
+            if best is None or len(rows) < len(best[1]):
+                best = (shared, rows)
         return best
 
     def _refined_cardinality(
@@ -379,7 +408,7 @@ class BranchScheduler:
         bindings = self._bindings_for(components, subquery.variables())
         if bindings is None:
             return subquery.estimated_cardinality
-        return min(subquery.estimated_cardinality, float(bindings[2]))
+        return min(subquery.estimated_cardinality, float(len(bindings[1])))
 
     # ------------------------------------------------------------- phases
 
@@ -387,38 +416,45 @@ class BranchScheduler:
         """Execute the branch with the columnar kernel runtime installed.
 
         The runtime streams ``max_mediator_rows`` through the kernels (a
-        too-large join aborts mid-probe) and collects kernel counters,
-        which are flushed to the metrics registry when the branch ends —
-        whether it succeeded, overflowed or failed.
+        too-large join aborts mid-probe) and collects this branch's
+        ``kernel_counters``, which are flushed to the metrics registry
+        when the branch ends — whether it succeeded, overflowed or failed.
         """
-        flushed = dict(self.kernel_counters.items())
-        try:
-            with kernel_runtime(
-                max_rows=self.config.max_mediator_rows,
-                counters=self.kernel_counters,
-                metrics=self.client.metrics,
-            ):
-                return self._run(at_ms)
-        finally:
-            for name, value in self.kernel_counters.items():
-                delta = value - flushed[name]
-                if delta:
-                    self.client.registry.inc(name, delta, engine=self.client.engine)
+        with mediator_runtime(self.client, self.config.max_mediator_rows) as counters:
+            self.kernel_counters = counters
+            return self._run(at_ms)
 
     def _run(self, at_ms: float) -> BranchOutcome:
+        """The branch tail, the same for every strategy: the required
+        phase, then each OPTIONAL group left-joined in order, then the
+        filters no subquery covered, then the mediator's pass over the
+        answer it assembled."""
+        tracer = self.client.tracer
+        relation, now, assembled = self._run_required(at_ms)
+        for group_id, subqueries in sorted(self.plan.optional_groups().items()):
+            with tracer.span("optional_group", t0=now, group=group_id) as span:
+                relation, now = self._run_optional_group(subqueries, relation, now)
+                span.set(rows=len(relation)).end(now)
+        for expression in self.plan.residue_filters:
+            relation = relation.filter(expression)
+        if assembled:
+            now += self.mediator.scan_ms(len(relation))
+        return BranchOutcome(relation, now, self.join_cost_units, self.crossing_selectivity)
+
+    def _run_required(self, at_ms: float) -> tuple[Relation, float, bool]:
+        """The required subqueries' relation, when it was complete, and
+        whether the mediator assembled it — not on the disjoint fast
+        path, whose per-endpoint answers are only concatenated."""
         required = self.plan.required_subqueries()
-        optional_groups = self.plan.optional_groups()
         tracer = self.client.tracer
 
-        if self.plan.disjoint and not optional_groups:
+        if self.plan.disjoint:  # one subquery, nothing OPTIONAL (Alg 3 lines 2-4)
             with tracer.span("phase1", t0=at_ms, disjoint=True) as span:
                 relation, end = self._execute_subquery(required[0], at_ms)
                 span.set(rows=len(relation)).end(end)
-            relation = self._apply_residue(relation)
-            return BranchOutcome(relation, end, self.join_cost_units)
+            return relation, end, False
 
         now = at_ms
-        components: list[_Component] = []
 
         # Phase one: non-delayed required subqueries, concurrently.
         eager = [sq for sq in required if not sq.delayed]
@@ -449,27 +485,13 @@ class BranchScheduler:
 
         # Combine remaining components (cross product only if genuinely
         # disconnected).
-        relation = self._combine_components(components, now)
-
-        # OPTIONAL groups: evaluate with bindings, left join.
-        for group_id in sorted(optional_groups):
-            with tracer.span("optional_group", t0=now, group=group_id) as span:
-                relation, now = self._run_optional_group(
-                    optional_groups[group_id], relation, now
-                )
-                span.set(rows=len(relation)).end(now)
-
-        relation = self._apply_residue(relation)
-        now += self.mediator.scan_ms(len(relation))
-        return BranchOutcome(relation, now, self.join_cost_units)
+        return self._combine_components(components, now), now, True
 
     def _join_eager(
         self, eager_results: list[tuple[Subquery, Relation]], at_ms: float = 0.0
     ) -> list[_Component]:
         """Group eager relations into connected components and join each."""
         components: list[_Component] = []
-        if not eager_results:
-            return components
         remaining = list(eager_results)
         while remaining:
             seed_sq, seed_rel = remaining.pop(0)
@@ -494,15 +516,13 @@ class BranchScheduler:
                     algorithm="greedy" if self.config.greedy_join_order else "dp",
                     inputs=len(relations),
                 ) as span:
-                    plan = plan_joins(
+                    joined = self._join_planned(
                         relations,
-                        greedy=self.config.greedy_join_order,
-                        hints=self._join_hints(group),
+                        span,
+                        at_ms,
+                        self.config.greedy_join_order,
+                        self._join_hints(group),
                     )
-                    joined, cost = execute_plan(plan, relations)
-                    self.join_cost_units += cost
-                    span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
-                    self._audit_join_plan(plan, joined, cost, span)
                 self.client.registry.inc(
                     "mediator_join_rows_total", len(joined), engine=self.client.engine
                 )
@@ -551,22 +571,14 @@ class BranchScheduler:
         if bindings is not None and self.config.refine_sources and self._is_generic(subquery):
             sources, now = self._refine_generic_sources(subquery, bindings, sources, now)
 
-        if bindings is None or not bindings[1]:
-            if bindings is not None and not bindings[1]:
-                # Connected component is empty: the join is empty, skip
-                # the remote work entirely.
-                relation = Relation(
-                    subquery.projection(self.needed_vars)
-                    or tuple(sorted(subquery.variables(), key=lambda v: v.name))
-                )
-                end = now
-            else:
-                relation, end = self._execute_subquery(subquery, now)
+        if bindings is None:
+            relation, end = self._execute_subquery(subquery, now)
+        elif not bindings[1]:
+            # Connected component is empty: the join is empty, skip the
+            # remote work entirely.
+            relation, end = Relation(self._projection(subquery)), now
         else:
-            bind_vars, rows, __ = bindings
-            relation, end = self._execute_bound_subquery(
-                subquery, bind_vars, rows, sources, now
-            )
+            relation, end = self._execute_bound_subquery(subquery, *bindings, sources, now)
         self._merge_into_components(components, relation, end)
         return end
 
@@ -578,12 +590,12 @@ class BranchScheduler:
     def _refine_generic_sources(
         self,
         subquery: Subquery,
-        bindings: tuple[tuple[Variable, ...], list[tuple[Term | None, ...]], int],
+        bindings: tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]],
         sources: tuple[str, ...],
         now: float,
     ) -> tuple[tuple[str, ...], float]:
         """Alg 3 line 13: shrink the source list of generic patterns."""
-        bind_vars, rows, __ = bindings
+        bind_vars, rows = bindings
         sample = rows[:3]
         bound_patterns: list[TriplePattern] = []
         for pattern in subquery.patterns:
@@ -620,11 +632,7 @@ class BranchScheduler:
         with self.client.tracer.span(
             "mediator_join", t0=at_ms, inputs=len(relations), cross_product=True
         ) as span:
-            plan = plan_joins(relations, greedy=True)
-            joined, cost = execute_plan(plan, relations)
-            self.join_cost_units += cost
-            span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
-            self._audit_join_plan(plan, joined, cost, span)
+            joined = self._join_planned(relations, span, at_ms, greedy=True)
         self._guard_rows(len(joined))
         return joined
 
@@ -635,7 +643,6 @@ class BranchScheduler:
         group_id = subqueries[0].optional_group
         base_component = _Component(relation=base, variables=set(base.vars))
         group_relation: Relation | None = None
-        end = now
         for subquery in sorted(subqueries, key=lambda sq: sq.estimated_cardinality):
             context = [base_component]
             if group_relation is not None:
@@ -644,28 +651,19 @@ class BranchScheduler:
                 )
             bindings = self._bindings_for(context, subquery.variables())
             if bindings is not None and bindings[1]:
-                bind_vars, rows, __ = bindings
-                relation, end = self._execute_bound_subquery(
-                    subquery, bind_vars, rows, subquery.sources, now
+                relation, now = self._execute_bound_subquery(
+                    subquery, *bindings, subquery.sources, now
                 )
             else:
-                relation, end = self._execute_subquery(subquery, now)
-            now = end
+                relation, now = self._execute_subquery(subquery, now)
             if group_relation is None:
                 group_relation = relation
             else:
                 group_relation = group_relation.join(relation)
                 self.join_cost_units += kernels.last_join_cost()
             self._guard_rows(len(group_relation))
-        if group_relation is None:
-            return base, now
         for expression in self.plan.optional_residue.get(group_id, ()):
             group_relation = group_relation.filter(expression)
-        joined = base.left_join(group_relation)
+        joined = base.left_join(group_relation, self.plan.optional_conditions.get(group_id))
         self.join_cost_units += kernels.last_join_cost()
         return joined, now
-
-    def _apply_residue(self, relation: Relation) -> Relation:
-        for expression in self.plan.residue_filters:
-            relation = relation.filter(expression)
-        return relation

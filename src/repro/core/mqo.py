@@ -18,8 +18,10 @@ SELECT on its own (same :func:`canonicalize_query`, per endpoint, no
 source set in the key), so the two mechanisms agree on variable renaming
 but are separate code.
 
-Delayed subqueries are not shared: their results depend on the bindings
-found by the rest of their own query.
+A batch's :class:`SharedSubqueryCache` is a value handed to every
+scheduler the batch builds (``BranchScheduler._execute_subquery`` reads
+it).  Delayed subqueries are not stored: their results depend on the
+bindings found by the rest of their own query.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.engine import LusailEngine
-from repro.core.execution.scheduler import BranchScheduler
 from repro.planning.base_engine import ExecutionOutcome
 from repro.rdf.terms import Variable
 from repro.relational.relation import Relation
@@ -156,35 +157,6 @@ class SharedSubqueryCache:
         )
 
 
-def _sharing_scheduler(cache: SharedSubqueryCache) -> type[BranchScheduler]:
-    """A BranchScheduler class that consults ``cache`` for eager subqueries.
-
-    The engine instantiates its scheduler class itself, so the class is
-    where a batch's cache has to be bound — one class per batch, so that
-    batches running on other engines or threads, or nested inside this
-    one, can neither see this cache nor switch it off.
-    """
-
-    class SharingScheduler(BranchScheduler):
-        def _execute_subquery(self, subquery, at_ms, kind=None):
-            projection = subquery.projection(self.needed_vars) or tuple(
-                sorted(subquery.variables(), key=lambda v: v.name)
-            )
-            if subquery.optional_group is None:
-                reused = cache.get(subquery, projection)
-                if reused is not None:
-                    return reused, at_ms
-            if kind is None:
-                relation, end = super()._execute_subquery(subquery, at_ms)
-            else:
-                relation, end = super()._execute_subquery(subquery, at_ms, kind)
-            if subquery.optional_group is None and not subquery.delayed:
-                cache.put(subquery, relation)
-            return relation, end
-
-    return SharingScheduler
-
-
 @dataclass
 class BatchOutcome:
     """Results of a batch execution plus sharing statistics."""
@@ -205,13 +177,14 @@ class MultiQueryExecutor:
         self.engine = engine
 
     def execute_batch(self, queries: list[SelectQuery | str]) -> BatchOutcome:
+        """One fresh cache per batch, reached through the batch's own
+        engine value (:meth:`LusailEngine.sharing`): the caller's engine
+        is not modified, so batches running on other engines or threads,
+        or nested inside this one, can neither see this cache nor switch
+        it off."""
         cache = SharedSubqueryCache()
-        original = self.engine.scheduler_class
-        self.engine.scheduler_class = _sharing_scheduler(cache)
-        try:
-            outcomes = [self.engine.execute(query) for query in queries]
-        finally:
-            self.engine.scheduler_class = original
+        engine = self.engine.sharing(cache)
+        outcomes = [engine.execute(query) for query in queries]
         total_requests = sum(outcome.metrics.request_count() for outcome in outcomes)
         return BatchOutcome(
             outcomes=outcomes,

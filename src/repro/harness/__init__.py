@@ -12,7 +12,6 @@ from repro.harness.profiling import (
     profile_query,
     profile_workload,
     reports_to_json,
-    write_profile_reports,
 )
 from repro.harness.reporting import (
     format_table,
@@ -63,5 +62,4 @@ __all__ = [
     "run_traffic",
     "speedup_summary",
     "workload_queries",
-    "write_profile_reports",
 ]

@@ -5,13 +5,12 @@ per-decision q-error series and the span tree describe exactly one
 (engine, query) execution — no cross-query bleed-through.  The engine is
 also constructed fresh (cold caches), which keeps the reports
 deterministic: the same federation seed yields byte-identical report
-JSON, the property the ``scripts/profile_smoke.py`` regression gate
+JSON, the property the exact-counter gate in ``tests/test_profile.py``
 relies on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,7 +65,7 @@ def profile_query(
         registry,
         metrics=outcome.metrics,
         result_rows=len(outcome.result),
-        audit=engine.last_audit,
+        audit=outcome.audit,
     )
     return ProfiledRun(report=report, root=root, outcome=outcome, registry=registry)
 
@@ -98,10 +97,3 @@ def profile_workload(
 
 def reports_to_json(reports: Sequence[ProfileReport]) -> dict:
     return {"reports": [report.to_dict() for report in reports]}
-
-
-def write_profile_reports(reports: Sequence[ProfileReport], path: str) -> None:
-    """Write the workload's ProfileReport artifact (sorted keys, stable)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(reports_to_json(reports), stream, indent=2, sort_keys=True)
-        stream.write("\n")

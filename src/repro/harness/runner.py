@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.baselines.anapsid import AnapsidEngine
 from repro.baselines.fedx import FedXEngine
 from repro.baselines.hibiscus import HibiscusEngine
 from repro.baselines.splendid import SplendidEngine
@@ -63,6 +64,10 @@ def make_engines(
             federation, network_config=network_config, timeout_ms=timeout_ms
         ),
         "SPLENDID": lambda: SplendidEngine(
+            federation, network_config=network_config, timeout_ms=timeout_ms
+        ),
+        # Library-only: never in ENGINE_ORDER, built when asked for by name.
+        "ANAPSID": lambda: AnapsidEngine(
             federation, network_config=network_config, timeout_ms=timeout_ms
         ),
     }

@@ -29,9 +29,11 @@ from repro.net.simulator import NetworkConfig, local_cluster_config
 from repro.obs.registry import MetricsRegistry, get_default_registry
 from repro.obs.trace import Tracer, get_default_tracer
 from repro.planning.normalize import Branch, NormalizedQuery, normalize
+from repro.planning.source_selection import SourceSelection, select_sources
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
 from repro.rdf.terms import typed_literal
+from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import SelectQuery
 from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
@@ -48,7 +50,12 @@ class ExecutionOutcome:
     metrics: QueryMetrics
     status: str = "ok"  # ok | timeout | oom | error | unsupported
     error: str | None = None
+    #: What the engine planned, as far as it got before any failure
+    #: (Lusail: a ``QueryPlanInfo``; the baselines expose none).
     plan: object | None = None
+    #: The execution's estimate audit (``NULL_AUDIT`` when tracing is
+    #: off); profiling embeds its raw records in ProfileReports.
+    audit: object | None = None
 
     @property
     def ok(self) -> bool:
@@ -74,6 +81,36 @@ class EngineStats:
     queries_executed: int = 0
 
 
+def guard_rows(client: FederationClient, rows: int, limit: int | None) -> None:
+    """``max_mediator_rows`` for a relation no kernel streamed (a shipped
+    result, a concatenation): past the limit the query ends ``oom``."""
+    if limit is not None and rows > limit:
+        client.metrics.status = "oom"
+        raise MemoryLimitError(
+            f"mediator intermediate results exceeded {limit} rows", rows=rows
+        )
+
+
+@contextmanager
+def mediator_runtime(client: FederationClient, max_rows: int | None):
+    """Install the columnar kernel runtime for one query or branch.
+
+    Joins/unions stream ``max_rows`` inside the kernels (aborting
+    mid-join with :class:`MemoryLimitError`, status ``oom``) and the
+    kernel work counters, which the block receives, are flushed to the
+    client's metrics registry under its engine's label when the block
+    ends — whether it succeeded, overflowed or failed.
+    """
+    counters = KernelCounters()
+    try:
+        with kernel_runtime(max_rows=max_rows, counters=counters, metrics=client.metrics):
+            yield counters
+    finally:
+        for name, value in counters.items():
+            if value:
+                client.registry.inc(name, value, engine=client.engine)
+
+
 def parse_select(query: SelectQuery | str) -> SelectQuery:
     """The SELECT an engine plans: text is parsed, anything else refused."""
     if isinstance(query, str):
@@ -92,6 +129,9 @@ class FederatedEngine:
     name = "abstract"
     #: Index-based engines (SPLENDID, HiBISCuS) pay a preprocessing pass.
     requires_preprocessing = False
+    #: ``index=`` attribute of the ``source_selection`` span for engines
+    #: that read a precomputed index instead of probing.
+    source_index: str | None = None
 
     def __init__(
         self,
@@ -125,10 +165,6 @@ class FederatedEngine:
         #: to the fault-free simulator.
         self.fault_plan = None
         self.resilience = None
-        #: The estimate audit of the most recent :meth:`execute` call
-        #: (``NULL_AUDIT`` when tracing is off); profiling harnesses read
-        #: it post-hoc to embed raw estimate records in ProfileReports.
-        self.last_audit = None
         #: Client construction seam.  ``None`` builds a plain
         #: :class:`FederationClient`; the serving layer installs a
         #: factory that returns a lane-sharing client instead.  The
@@ -171,12 +207,12 @@ class FederatedEngine:
         query = parse_select(query)
         metrics = QueryMetrics()
         client = self.build_client(metrics)
-        self.last_audit = client.audit
+        plan = self._new_plan()
         wall_start = time.perf_counter()
         with self.tracer.span("query", t0=0.0, engine=self.name) as root:
             try:
                 normalized = normalize(query)
-                relation, end_ms = self._execute_normalized(client, normalized)
+                relation, end_ms = self._execute_normalized(client, normalized, plan)
                 result = self._finalize(relation, normalized)
                 metrics.virtual_ms = end_ms
                 metrics.result_rows = len(result)
@@ -201,6 +237,7 @@ class FederatedEngine:
                 outcome = ExecutionOutcome(
                     result=SelectResult((), []), metrics=metrics, status="error", error=str(exc)
                 )
+            outcome.plan, outcome.audit = plan, client.audit
             root.set(
                 status=outcome.status,
                 result_rows=len(outcome.result),
@@ -216,28 +253,13 @@ class FederatedEngine:
 
     # ----------------------------------------------------------- template
 
-    @contextmanager
-    def _mediator_runtime(self, client: FederationClient, max_rows: int | None):
-        """Install the columnar kernel runtime for one query execution.
-
-        Joins/unions stream ``max_rows`` inside the kernels (aborting
-        mid-join with :class:`MemoryLimitError`, status ``oom``) and the
-        kernel work counters are flushed to the metrics registry under
-        this engine's label when the execution ends.
-        """
-        counters = KernelCounters()
-        try:
-            with kernel_runtime(
-                max_rows=max_rows, counters=counters, metrics=client.metrics
-            ):
-                yield counters
-        finally:
-            for name, value in counters.items():
-                if value:
-                    self.registry.inc(name, value, engine=self.name)
+    def _new_plan(self) -> object | None:
+        """The value one execution's branches record their plans on and
+        ``ExecutionOutcome.plan`` carries; None for engines exposing none."""
+        return None
 
     def _execute_normalized(
-        self, client: FederationClient, normalized: NormalizedQuery
+        self, client: FederationClient, normalized: NormalizedQuery, plan: object | None
     ) -> tuple[Relation, float]:
         """Produce the (pre-modifier) relation and the virtual end time.
 
@@ -250,9 +272,11 @@ class FederatedEngine:
         phase_maxima: dict[str, float] = {}
         # An engine may install its own kernel runtime inside a branch;
         # this outer one covers the cross-branch UNIONs with the same limit.
-        with self._mediator_runtime(client, self.config.max_mediator_rows):
+        with mediator_runtime(client, self.config.max_mediator_rows):
             for branch in normalized.branches:
-                relation, branch_end, phases = self._execute_branch(client, branch, normalized)
+                relation, branch_end, phases = self._execute_branch(
+                    client, branch, normalized, plan
+                )
                 end_ms = max(end_ms, branch_end)
                 for phase, duration in phases.items():
                     phase_maxima[phase] = max(phase_maxima.get(phase, 0.0), duration)
@@ -262,10 +286,43 @@ class FederatedEngine:
         return union_relation, end_ms
 
     def _execute_branch(
-        self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
+        self,
+        client: FederationClient,
+        branch: Branch,
+        normalized: NormalizedQuery,
+        plan: object | None,
     ) -> tuple[Relation, float, dict[str, float]]:
-        """One conjunctive branch: its relation, end time and phase durations."""
+        """One conjunctive branch: its relation, end time and phase
+        durations; ``plan`` is this execution's :meth:`_new_plan` value."""
         raise NotImplementedError
+
+    def _select_sources(
+        self, client: FederationClient, patterns: list[TriplePattern], at_ms: float
+    ) -> tuple[SourceSelection, float]:
+        """Relevant endpoints per pattern; index-free ASK probes by default."""
+        return select_sources(client, patterns, at_ms)
+
+    def _select_branch_sources(
+        self, client: FederationClient, branch: Branch
+    ) -> tuple[SourceSelection | None, float]:
+        """Source selection for one branch, under its span, from virtual
+        time zero.  The selection is None when some required pattern has
+        no source anywhere: the branch's answer is empty."""
+        patterns = list(branch.all_patterns())
+        mark = client.metrics.mark()
+        index_attr = {"index": self.source_index} if self.source_index else {}
+        with client.tracer.span("source_selection", t0=0.0, **index_attr) as span:
+            selection, now = self._select_sources(client, patterns, 0.0)
+            span.set(
+                patterns=len(patterns),
+                requests=client.metrics.requests_since(mark),
+            ).end(now)
+        if any(not selection.relevant(pattern) for pattern in branch.patterns):
+            return None, now
+        return selection, now
+
+    def _guard_rows(self, client: FederationClient, relation: Relation) -> None:
+        guard_rows(client, len(relation), self.config.max_mediator_rows)
 
     # --------------------------------------------------------- finalizing
 

@@ -25,6 +25,7 @@ from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import (
     BGP,
+    BooleanOp,
     CountAggregate,
     Expression,
     Filter,
@@ -40,10 +41,20 @@ from repro.sparql.ast import (
 
 @dataclass(frozen=True)
 class OptionalBlock:
-    """One OPTIONAL group: conjunctive patterns plus local filters."""
+    """One OPTIONAL group: conjunctive patterns, the filters they can
+    answer alone, and the left-join condition.
+
+    SPARQL makes a block's FILTER the condition of the left join.  One
+    whose variables the block's own patterns all bind holds or fails on
+    the block's rows alone: it stays in ``filters`` and is pushed into
+    the shipped subqueries.  One that reads anything else (an outer
+    variable, say) can only be decided on the joined row: those are
+    ``condition``, a single expression (their conjunction).
+    """
 
     patterns: tuple[TriplePattern, ...]
     filters: tuple[Expression, ...] = ()
+    condition: Expression | None = None
 
     def variables(self) -> set[Variable]:
         found: set[Variable] = set()
@@ -148,9 +159,7 @@ def _collect_group(group: GroupPattern, allow_union: bool, allow_optional: bool)
             inner = _collect_group(element.pattern, allow_union=False, allow_optional=False)
             if inner.unions:
                 raise UnsupportedQueryError("UNION inside OPTIONAL is not supported")
-            parts.optionals.append(
-                OptionalBlock(patterns=tuple(inner.patterns), filters=tuple(inner.filters))
-            )
+            parts.optionals.append(_optional_block(inner.patterns, inner.filters))
         elif isinstance(element, UnionPattern):
             if not allow_union:
                 raise UnsupportedQueryError("nested UNION is not supported by federated engines")
@@ -174,6 +183,22 @@ def _collect_group(group: GroupPattern, allow_union: bool, allow_optional: bool)
         else:
             raise UnsupportedQueryError(f"unsupported pattern node {type(element).__name__}")
     return parts
+
+
+def _optional_block(
+    patterns: list[TriplePattern], filters: list[Expression]
+) -> OptionalBlock:
+    """Classify a block's filters: local ones stay filters, the rest
+    become the left-join condition (see :class:`OptionalBlock`)."""
+    bound = {variable for pattern in patterns for variable in pattern.variables()}
+    local: list[Expression] = []
+    outer: list[Expression] = []
+    for expression in filters:
+        (local if expression.variables() <= bound else outer).append(expression)
+    condition = None
+    if outer:
+        condition = outer[0] if len(outer) == 1 else BooleanOp("&&", tuple(outer))
+    return OptionalBlock(tuple(patterns), tuple(local), condition)
 
 
 def normalize(query: SelectQuery) -> NormalizedQuery:

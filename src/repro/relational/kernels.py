@@ -450,13 +450,18 @@ def _cross_join(left, right, out_vars, runtime) -> tuple[list[Column], int]:
 # ------------------------------------------------------------ left join
 
 
-def left_join(left, right, shared, out_vars) -> tuple[list[Column], int]:
-    """SPARQL OPTIONAL kernel: keep left rows with no match, pad ``None``."""
+def left_join(left, right, shared, out_vars, condition=None) -> tuple[list[Column], int]:
+    """SPARQL OPTIONAL kernel: keep left rows with no match, pad ``None``.
+
+    ``condition`` is the left join's FILTER, compiled over id rows laid
+    out as ``out_vars``: a compatible pair it rejects is no match, so a
+    left row whose partners all fail is padded once, like one with none.
+    """
     runtime = _RUNTIME_STACK[-1]
     counters = runtime.counters
     pad_width = len(out_vars) - len(left.vars)
 
-    if not shared:
+    if not shared and condition is None:
         if not len(right):
             columns = [list(column) for column in left.columns]
             columns.extend([None] * len(left) for __ in range(pad_width))
@@ -477,16 +482,22 @@ def left_join(left, right, shared, out_vars) -> tuple[list[Column], int]:
     left_keys = _key_columns(left, shared)
     right_keys = _key_columns(right, shared)
 
-    if any(None in column for column in left_keys) or any(
-        None in column for column in right_keys
+    # No shared variable and a condition: every pair is a candidate,
+    # which the general path's empty key already says.
+    if (
+        not shared
+        or any(None in column for column in left_keys)
+        or any(None in column for column in right_keys)
     ):
         counters.general_dispatches += 1
-        columns, length = _general_left_join(left, right, shared, out_vars, runtime)
+        columns, length = _general_left_join(
+            left, right, shared, out_vars, runtime, condition
+        )
         kind = "general"
     else:
         counters.fast_dispatches += 1
         columns, length = _fast_left_join(
-            left, right, left_keys, right_keys, out_vars, runtime
+            left, right, left_keys, right_keys, out_vars, runtime, condition
         )
         kind = "fast"
     counters.rows_emitted += length
@@ -502,7 +513,7 @@ def left_join(left, right, shared, out_vars) -> tuple[list[Column], int]:
 
 
 def _fast_left_join(
-    left, right, left_keys, right_keys, out_vars, runtime
+    left, right, left_keys, right_keys, out_vars, runtime, condition
 ) -> tuple[list[Column], int]:
     index: dict = {}
     if len(right_keys) == 1:
@@ -522,13 +533,25 @@ def _fast_left_join(
                 bucket.append(row_index)
         left_iter = enumerate(zip(*left_keys))
 
+    left_pos = {var: i for i, var in enumerate(left.vars)}
+    right_pos = {var: i for i, var in enumerate(right.vars)}
+    if condition is not None:
+        # With bound keys the joined row is the left row plus the right
+        # row's own variables, which is how ``out_vars`` is laid out.
+        left_rows = list(_iter_id_rows(left))
+        own = [right.columns[right_pos[var]] for var in out_vars[len(left.vars) :]]
+        own_rows = list(zip(*own)) if own else [()] * len(right)
+
     left_indexes: list[int] = []
     right_indexes: list[int] = []  # -1 marks an unmatched (padded) left row
     get = index.get
     limit = runtime.max_rows
     for left_index, key in left_iter:
         bucket = get(key)
-        if bucket is not None:
+        if bucket is not None and condition is not None:
+            left_row = left_rows[left_index]
+            bucket = [i for i in bucket if condition(left_row + own_rows[i])]
+        if bucket:
             left_indexes.extend([left_index] * len(bucket))
             right_indexes.extend(bucket)
         else:
@@ -537,8 +560,6 @@ def _fast_left_join(
         if limit is not None and len(left_indexes) > limit:
             runtime.overflow(len(left_indexes))
 
-    left_pos = {var: i for i, var in enumerate(left.vars)}
-    right_pos = {var: i for i, var in enumerate(right.vars)}
     columns: list[Column] = []
     for var in out_vars:
         if var in left_pos:
@@ -550,7 +571,9 @@ def _fast_left_join(
     return columns, len(left_indexes)
 
 
-def _general_left_join(left, right, shared, out_vars, runtime) -> tuple[list[Column], int]:
+def _general_left_join(
+    left, right, shared, out_vars, runtime, condition
+) -> tuple[list[Column], int]:
     table, wildcard_rows = _build_hash_table(right, shared)
     right_rows = list(_iter_id_rows(right))
     left_key_indexes = [left.vars.index(var) for var in shared]
@@ -572,7 +595,7 @@ def _general_left_join(left, right, shared, out_vars, runtime) -> tuple[list[Col
             merged = _merge_compatible(
                 left_vars, left_row, right_vars, right_row, out_vars
             )
-            if merged is not None:
+            if merged is not None and (condition is None or condition(merged)):
                 rows.append(merged)
                 matched = True
         if not matched:

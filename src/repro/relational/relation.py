@@ -316,11 +316,21 @@ class Relation:
             return Relation._from_runs(out_vars, output, partitions)
         return Relation._from_columns(out_vars, output, length, partitions)
 
-    def left_join(self, other: "Relation") -> "Relation":
-        """SPARQL OPTIONAL semantics: keep left rows with no match."""
+    def left_join(self, other: "Relation", condition: Expression | None = None) -> "Relation":
+        """SPARQL OPTIONAL semantics: keep left rows with no match.
+
+        ``condition`` is the OPTIONAL group's FILTER where it reads a
+        variable the group does not bind: compiled once over the joined
+        row, it decides each compatible pair; a left row whose partners
+        all fail (or error) stays, unextended.
+        """
         out_vars = self._out_vars(other)
+        passes = None
+        if condition is not None:
+            slots = {var: slot for slot, var in enumerate(out_vars)}
+            passes = compile_filter(condition, slots, self.rows.codec).passes
         columns, length = kernels.left_join(
-            self, other, self.shared_vars(other), out_vars
+            self, other, self.shared_vars(other), out_vars, passes
         )
         return Relation._from_columns(out_vars, columns, length, partitions=self.partitions)
 

@@ -21,8 +21,8 @@ check-query answering:
 
 The summary is computed from the id-space sorted-run columns (three
 ``scan_ids`` permutation passes, grouping in id space and decoding each
-id once), persists to JSON (:meth:`CharacteristicSets.to_dict`), and is
-incrementally maintained by :class:`CharsetMaintainer` under the store's
+id once) and is incrementally maintained by
+:class:`CharsetMaintainer` under the store's
 ``version`` counter with a recompute-on-threshold delta policy: small
 deltas recorded through the owning endpoint are applied in place (kept
 provably identical to a fresh rebuild by the property tests), bulk loads
@@ -219,7 +219,7 @@ class CharacteristicSets:
             count for charset, count in self.sets.items() if required <= charset
         )
 
-    # ------------------------------------------------------- persistence
+    # ---------------------------------------------------------- equality
 
     def to_dict(self) -> dict:
         return {
@@ -258,33 +258,6 @@ class CharacteristicSets:
             "oo_rows": _pairs_to_json(self.oo_rows),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CharacteristicSets":
-        predicates: dict[Term, PredicateStats] = {}
-        for p_json, count, ds, do, objects in data["predicates"]:
-            histogram = (
-                None
-                if objects is None
-                else {_term_from_json(o): n for o, n in objects}
-            )
-            predicates[_term_from_json(p_json)] = PredicateStats(count, ds, do, histogram)
-        return cls(
-            version=data["version"],
-            triples=data["triples"],
-            distinct_subjects=data["distinct_subjects"],
-            distinct_objects=data["distinct_objects"],
-            predicates=predicates,
-            sets={
-                frozenset(_element_from_json(e) for e in elements): count
-                for elements, count in data["sets"]
-            },
-            os_pairs=_pairs_from_json(data["os_pairs"]),
-            oo_pairs=_pairs_from_json(data["oo_pairs"]),
-            ss_rows=_pairs_from_json(data["ss_rows"]),
-            os_rows=_pairs_from_json(data["os_rows"]),
-            oo_rows=_pairs_from_json(data["oo_rows"]),
-        )
-
     def approx_bytes(self) -> int:
         """Deterministic size estimate used as the virtual response payload."""
         entries = (
@@ -310,27 +283,10 @@ def _term_to_json(term: Term) -> list:
     raise TypeError(f"not a serializable term: {term!r}")
 
 
-def _term_from_json(data: list) -> Term:
-    tag = data[0]
-    if tag == "i":
-        return IRI(data[1])
-    if tag == "l":
-        return Literal(data[1], datatype=data[2], language=data[3])
-    if tag == "b":
-        return BNode(data[1])
-    raise ValueError(f"unknown term tag: {tag!r}")
-
-
 def _element_to_json(element) -> list:
     if _is_predicate(element):
         return _term_to_json(element)
     return ["c", _term_to_json(element[1])]
-
-
-def _element_from_json(data: list):
-    if data[0] == "c":
-        return class_marker(_term_from_json(data[1]))
-    return _term_from_json(data)
 
 
 def _pairs_to_json(table: dict[tuple[Term, Term], int]) -> list:
@@ -338,10 +294,6 @@ def _pairs_to_json(table: dict[tuple[Term, Term], int]) -> list:
         ([_term_to_json(a), _term_to_json(b), n] for (a, b), n in table.items()),
         key=lambda item: (repr(item[0]), repr(item[1])),
     )
-
-
-def _pairs_from_json(data: list) -> dict[tuple[Term, Term], int]:
-    return {(_term_from_json(a), _term_from_json(b)): n for a, b, n in data}
 
 
 # ---------------------------------------------------------------- build
@@ -535,30 +487,10 @@ class CharsetMaintainer:
             # Nothing built yet; the first summary() builds from scratch.
             self._known_version = self._store.version
             return
-        if self._subj is None:
-            self._force_rebuild = True
-        else:
-            self._deltas.append((sign, triple))
+        self._deltas.append((sign, triple))
         self._known_version = self._store.version
 
     # ----------------------------------------------------------- summary
-
-    def install(self, summary: CharacteristicSets) -> bool:
-        """Adopt a persisted summary; True when it matches the store.
-
-        A loaded summary has no working entity maps, so the first
-        recorded delta after installation forces a rebuild.
-        """
-        if summary.triples != len(self._store):
-            return False
-        summary.version = self._store.version
-        self._summary = summary
-        self._subj = None
-        self._obj = None
-        self._deltas.clear()
-        self._force_rebuild = False
-        self._known_version = self._store.version
-        return True
 
     def summary(self) -> CharacteristicSets:
         store = self._store
@@ -574,7 +506,6 @@ class CharsetMaintainer:
         if (
             summary is None
             or self._force_rebuild
-            or self._subj is None
             or self._known_version != current
             or len(self._deltas) > threshold
         ):
@@ -750,23 +681,3 @@ def _bump(table: dict, key, delta: int) -> None:
         table[key] = value
     else:
         table.pop(key, None)
-
-
-# ---------------------------------------------------------- persistence
-
-
-def save_charsets(path, summaries: dict[str, CharacteristicSets]) -> None:
-    """Persist per-endpoint summaries as one JSON document."""
-    import json
-
-    payload = {name: summary.to_dict() for name, summary in sorted(summaries.items())}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-
-
-def load_charsets(path) -> dict[str, CharacteristicSets]:
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return {name: CharacteristicSets.from_dict(data) for name, data in payload.items()}

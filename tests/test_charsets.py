@@ -19,8 +19,6 @@ from repro.store.charsets import (
     CharsetMaintainer,
     build_charsets,
     class_marker,
-    load_charsets,
-    save_charsets,
 )
 
 EX = "http://example.org/"
@@ -205,51 +203,6 @@ class TestIncrementalMaintenance:
         maintainer = CharsetMaintainer(store)
         first = maintainer.summary()
         assert maintainer.summary() is first
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        store = TripleStore("ep")
-        store.add_all(
-            [
-                Triple(ENTITIES[0], RDF_TYPE, CLASSES[0]),
-                Triple(ENTITIES[0], PREDS[0], ENTITIES[1]),
-                Triple(ENTITIES[1], PREDS[1], ENTITIES[2]),
-            ]
-        )
-        summary = build_charsets(store)
-        path = tmp_path / "charsets.json"
-        save_charsets(path, {"ep": summary})
-        loaded = load_charsets(path)
-        assert loaded["ep"].to_dict() == summary.to_dict()
-
-    def test_install_accepts_matching_summary(self, tmp_path):
-        store = TripleStore("ep")
-        store.add(Triple(ENTITIES[0], PREDS[0], ENTITIES[1]))
-        summary = build_charsets(store)
-        maintainer = CharsetMaintainer(store)
-        assert maintainer.install(summary)
-        assert maintainer.summary() is summary
-        assert maintainer.rebuilds == 0
-
-    def test_install_rejects_mismatched_summary(self):
-        store = TripleStore("ep")
-        store.add(Triple(ENTITIES[0], PREDS[0], ENTITIES[1]))
-        summary = build_charsets(store)
-        store.add(Triple(ENTITIES[2], PREDS[1], ENTITIES[3]))
-        maintainer = CharsetMaintainer(store)
-        assert not maintainer.install(summary)
-
-    def test_delta_after_install_rebuilds(self):
-        store = TripleStore("ep")
-        store.add(Triple(ENTITIES[0], PREDS[0], ENTITIES[1]))
-        maintainer = CharsetMaintainer(store)
-        maintainer.install(build_charsets(store))
-        t = Triple(ENTITIES[2], PREDS[1], ENTITIES[3])
-        store.add(t)
-        maintainer.record_add(t)
-        assert maintainer.summary().to_dict() == build_charsets(store).to_dict()
-        assert maintainer.rebuilds == 1
 
 
 class TestExactnessContract:

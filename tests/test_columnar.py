@@ -23,6 +23,7 @@ from repro.exceptions import MemoryLimitError
 from repro.net.metrics import QueryMetrics
 from repro.rdf import IRI, Variable
 from repro.relational import KernelCounters, Relation, kernel_runtime, kernels
+from repro.sparql.ast import Comparison, VarExpr
 from tests.reference_relational import RowRelation
 
 A, B, C, D = Variable("a"), Variable("b"), Variable("c"), Variable("d")
@@ -86,6 +87,27 @@ def test_left_join_matches_row_oracle(pair):
     )
     assert got.vars == expected.vars
     assert bag(got) == bag(expected)
+
+
+@given(relation_pairs(), st.sampled_from(VAR_POOL), st.sampled_from(VAR_POOL))
+@_SETTINGS
+def test_conditional_left_join_decides_each_pair_on_the_joined_row(pair, x, y):
+    """A left join under a condition, against its definition spelled with
+    the other operators: per left row, the inner join with the right side
+    filtered by the condition — and the row itself, padded once, when
+    nothing survives (no partner, all partners rejected, or the condition
+    an error because a variable is unbound or absent)."""
+    left, right = pair
+    condition = Comparison("!=", VarExpr(x), VarExpr(y))
+    got = left.left_join(right, condition)
+    out_vars = left.left_join(right).vars
+    assert got.vars == out_vars
+    expected = Counter()
+    pad = (None,) * (len(out_vars) - len(left.vars))
+    for row in left.rows:
+        partners = Relation(left.vars, [row]).join(right).filter(condition)
+        expected.update(bag(partners.project(out_vars)) or [tuple(row) + pad])
+    assert bag(got) == expected
 
 
 @given(relation_pairs())

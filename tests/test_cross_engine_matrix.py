@@ -15,10 +15,11 @@ from collections import Counter
 import pytest
 
 from repro.baselines import AnapsidEngine, FedXEngine, HibiscusEngine, SplendidEngine
-from repro.core.engine import LusailEngine
+from repro.core.engine import LusailConfig, LusailEngine
 from repro.datasets import bio2rdf, lubm, qfed, queries_largerdf, queries_lubm
 from repro.sparql import evaluate_select, parse_query
 from tests.conftest import oracle_rows
+from tests.test_examples import load_example
 
 ENGINES = {
     "Lusail": LusailEngine,
@@ -383,3 +384,96 @@ def test_count_row_is_windowed_at_an_endpoint_and_in_the_oracle(window, lubm2):
     expected = [(typed_literal(triples),)][: _COUNT_WINDOWS[window]]
     assert endpoint.select(parse_query(text)).rows == expected
     assert evaluate_select(endpoint.store, parse_query(text)).rows == expected
+
+
+# --------------------------------------------------------------------------
+# FILTER inside OPTIONAL: the block's filter is the left-join condition
+
+
+def _lusail(strategy):
+    return lambda federation: LusailEngine(federation, config=LusailConfig(strategy=strategy))
+
+
+#: Every engine, Lusail under both strategies (the OPTIONAL tail is shared).
+_LEFT_JOINERS = {
+    **{name: build for name, build in ENGINES.items() if name != "Lusail"},
+    "Lusail/bound-join": _lusail("bound-join"),
+    "Lusail/partial": _lusail("partial"),
+}
+
+#: Per placement: required patterns, the block's pattern, a condition the
+#: block's own variables decide and one that reads an outer variable.
+#: ``local``: is the course the student takes one the advisor teaches —
+#: every endpoint answers alone.  ``crossing``: the name
+#: of the advisor's doctoral university, kept where the student has a
+#: degree from it — the name lives at the university's own endpoint.
+_BLOCKS = {
+    "local": (
+        "?x ub:advisor ?y . ?x ub:takesCourse ?c",
+        "?y ub:teacherOf ?z",
+        'CONTAINS(STR(?z), "course0_")',
+        "?z = ?c",
+    ),
+    "crossing": (
+        "?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?u . ?x ub:undergraduateDegreeFrom ?v",
+        "?u ub:name ?z",
+        'STRENDS(?z, "0")',
+        "?u = ?v",
+    ),
+}
+
+
+def _block_filter_query(placement: str, form: str) -> str:
+    required, block, inner, outer = _BLOCKS[placement]
+    earlier = ""
+    if form == "inner":
+        tail = f"FILTER({inner})"
+    elif form == "outer":
+        tail = f"FILTER({outer})"
+    elif form == "mixed":
+        tail = f"FILTER({inner} && {outer})"
+    elif form == "two-filters":
+        tail = f"FILTER({inner}) FILTER({outer})"
+    elif form == "bound-outer":
+        # The outer variable is itself OPTIONAL: few advisors head a department.
+        earlier = "OPTIONAL { ?y ub:headOf ?h } "
+        tail = "FILTER(BOUND(?h))"
+    else:  # the block can match nowhere; its filter must not drop a base row
+        block, tail = "?y ub:noSuchPredicate ?z", f"FILTER({outer})"
+    return f"{_UB}SELECT * WHERE {{ {required} {earlier}OPTIONAL {{ {block} {tail} }} }}"
+
+
+_FILTER_FORMS = ["inner", "outer", "mixed", "two-filters", "bound-outer", "never-matches"]
+
+
+@pytest.mark.parametrize("engine_name", sorted(_LEFT_JOINERS))
+@pytest.mark.parametrize("form", _FILTER_FORMS)
+@pytest.mark.parametrize("placement", sorted(_BLOCKS))
+def test_block_filter_is_the_left_join_condition(engine_name, form, placement, lubm2):
+    text = _block_filter_query(placement, form)
+    expected = Counter(oracle_rows(lubm2, text))
+    unextended = sum(count for row, count in expected.items() if row[-1] is None)
+    if form == "never-matches":
+        assert unextended == sum(expected.values()) > 0
+    else:
+        # The filter splits the base rows: some extended, some padded.
+        assert 0 < unextended < sum(expected.values())
+    outcome = _LEFT_JOINERS[engine_name](lubm2).execute(text)
+    assert outcome.ok, outcome.error
+    assert [v.name for v in outcome.result.vars][-1] == "z"
+    assert Counter(outcome.result.rows) == expected
+
+
+@pytest.mark.parametrize("engine_name", sorted(_LEFT_JOINERS))
+def test_quickstart_optional_filter_reads_the_outer_variable(engine_name):
+    """ROADMAP's wrong row, verbatim: filtered before the left join, where
+    ``?S`` does not exist, every ``?C`` came back unbound."""
+    federation = load_example("quickstart").build_federation()
+    text = (
+        f"{_UB}SELECT ?S ?P ?C {{ ?S ub:advisor ?P "
+        "OPTIONAL { ?P ub:teacherOf ?C FILTER(?C != ?S) } }"
+    )
+    outcome = _LEFT_JOINERS[engine_name](federation).execute(text)
+    assert outcome.ok, outcome.error
+    assert sorted(row[2].local_name for row in outcome.result.rows) == ["c1", "c2", "c3"]
+    assert Counter(outcome.result.rows) == Counter(oracle_rows(federation, text))

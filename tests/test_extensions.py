@@ -7,6 +7,7 @@ from repro.core.engine import LusailEngine
 from repro.core.mqo import MultiQueryExecutor, SharedSubqueryCache
 from repro.datasets import lubm
 from repro.datasets.io import load_federation, save_federation
+from repro.endpoint.client import FederationClient
 
 from tests.conftest import QA, assert_same_bag, build_paper_federation, oracle_rows
 
@@ -55,17 +56,17 @@ class TestMultiQueryOptimization:
         outer_engine = LusailEngine(build_paper_federation())
         inner_engine = LusailEngine(build_paper_federation())
         inner_batches = []
-        execute = outer_engine.execute
 
-        def execute_then_nest(query):
-            outcome = execute(query)
-            if not inner_batches:
+        def nest_then_build(**kwargs):
+            # The client seam runs at the start of every execution: the
+            # outer batch's second query finds a whole inner batch done.
+            if outer_engine.stats.queries_executed == 1 and not inner_batches:
                 inner_batches.append(
                     MultiQueryExecutor(inner_engine).execute_batch(self.queries())
                 )
-            return outcome
+            return FederationClient(**kwargs)
 
-        outer_engine.execute = execute_then_nest
+        outer_engine.client_factory = nest_then_build
         outer = MultiQueryExecutor(outer_engine).execute_batch(self.queries())
         for batch in (outer, inner_batches[0]):
             assert (batch.shared_hits, batch.shared_misses, batch.total_requests) == (
@@ -74,11 +75,18 @@ class TestMultiQueryOptimization:
                 solo.total_requests,
             )
 
-    def test_scheduler_class_restored(self, paper_federation):
+    def test_batch_leaves_engine_untouched(self, paper_federation):
+        # The batch reaches its cache through its own engine value.
         engine = LusailEngine(paper_federation)
-        original = engine.scheduler_class
-        MultiQueryExecutor(engine).execute_batch([QA])
-        assert engine.scheduler_class is original
+        before = {name: id(value) for name, value in vars(engine).items()}
+        batch = MultiQueryExecutor(engine).execute_batch(self.queries())
+        assert batch.shared_hits > 0
+        assert {name: id(value) for name, value in vars(engine).items()} == before
+        assert engine.stats.queries_executed == len(self.queries())
+        # ...and a later plain execution shares nothing.
+        assert engine.execute(QA).plan.branch_plans[0].strategy.reason != (
+            batch.outcomes[0].plan.branch_plans[0].strategy.reason
+        )
 
     def test_cache_key_distinguishes_sources(self):
         from repro.core.decomposition.subquery import Subquery
@@ -161,7 +169,7 @@ class TestExplain:
         assert "delay decision: disabled" in text
         assert "[delayed" not in text and "bound-join block size" not in text
         outcome = engine.execute(lubm.query_q4())
-        assert engine.last_plan.delayed_count == 0
+        assert outcome.plan.delayed_count == 0
         assert outcome.metrics.request_count("bound") == 0
 
     def test_explain_does_not_fetch_data(self, paper_federation):
@@ -309,4 +317,4 @@ class TestDecompositionChoice:
         engine = LusailEngine(lubm4, config=LusailConfig(optimize_decomposition=True))
         outcome = engine.execute(lubm.query_q4())
         assert outcome.ok
-        assert engine.last_plan.subquery_count >= 1
+        assert outcome.plan.subquery_count >= 1

@@ -275,29 +275,42 @@ class TestPartialResults:
 
 
 class TestChaosDeterminism:
-    def _trace_bytes(self, tmp_path, filename, seed):
+    def _run(self, tmp_path, filename, seed, transient=False):
         federation = build_paper_federation()
         tracer = Tracer(enabled=True)
         engine = LusailEngine(federation)
         engine.tracer = tracer
-        engine.fault_plan = FaultPlan(
-            seed=seed, endpoints={ALL_ENDPOINTS: EndpointFaults(error_probability=0.3)}
-        )
-        engine.resilience = ResiliencePolicy(max_retries=6, seed=seed)
+        engine.registry = MetricsRegistry()
+        if transient:
+            engine.fault_plan = fault_profile("transient", seed=seed)
+            engine.resilience = default_chaos_policy(seed)
+        else:
+            engine.fault_plan = FaultPlan(
+                seed=seed, endpoints={ALL_ENDPOINTS: EndpointFaults(error_probability=0.3)}
+            )
+            engine.resilience = ResiliencePolicy(max_retries=6, seed=seed)
         outcome = engine.execute(QA)
-        assert outcome.ok
+        assert outcome.ok and outcome.complete
+        # The retry layer recovered: faults surfaced, and every failed
+        # request was retried exactly once.
+        assert engine.registry.counter_value("faults_injected_total") > 0
+        assert outcome.metrics.failed_request_count() == outcome.metrics.retries > 0
         path = tmp_path / filename
         write_trace_jsonl(tracer.roots, str(path))
-        return path.read_bytes()
+        return path.read_bytes(), outcome.metrics
 
     def test_same_seed_byte_identical_traces(self, tmp_path):
-        first = self._trace_bytes(tmp_path, "run1.jsonl", seed=1)
-        second = self._trace_bytes(tmp_path, "run2.jsonl", seed=1)
-        assert first == second
+        for seed, transient in ((1, False), (0, True)):
+            first, first_metrics = self._run(tmp_path, "run1.jsonl", seed, transient)
+            second, second_metrics = self._run(tmp_path, "run2.jsonl", seed, transient)
+            assert first == second
+            # Same (seed, plan): same virtual time, same retries.
+            assert first_metrics.virtual_ms == second_metrics.virtual_ms
+            assert first_metrics.retries == second_metrics.retries
 
     def test_different_seeds_differ(self, tmp_path):
-        first = self._trace_bytes(tmp_path, "seed1.jsonl", seed=1)
-        second = self._trace_bytes(tmp_path, "seed2.jsonl", seed=2)
+        first, __ = self._run(tmp_path, "seed1.jsonl", seed=1)
+        second, __ = self._run(tmp_path, "seed2.jsonl", seed=2)
         assert first != second
 
 

@@ -32,7 +32,9 @@ class TestSectionVIClaims:
         for text in (lubm.query_q1(), lubm.query_q2()):
             outcome = engine.execute(text)
             assert outcome.ok
-            assert all(plan.disjoint for plan in engine.last_plan.branch_plans)
+            assert all(
+                plan.decomposition.disjoint for plan in outcome.plan.branch_plans
+            )
 
     def test_q3_gjv_from_source_selection_alone(self, lubm_fed):
         """'For Q3, Lusail detects the GJVs using the source selection
@@ -40,8 +42,7 @@ class TestSectionVIClaims:
         endpoints' — whenever the constant-university pattern is not
         relevant everywhere."""
         engine = LusailEngine(lubm_fed)
-        engine.execute(lubm.query_q3())
-        plan = engine.last_plan.branch_plans[0]
+        plan = engine.execute(lubm.query_q3()).plan.branch_plans[0].decomposition
         if plan.gjv_names():
             assert plan.check_query_count == 0
 
@@ -51,7 +52,7 @@ class TestSectionVIClaims:
         engine = LusailEngine(lubm_fed)
         outcome = engine.execute(lubm.query_q4())
         assert outcome.ok
-        plan = engine.last_plan.branch_plans[0]
+        plan = outcome.plan.branch_plans[0].decomposition
         assert len(plan.subqueries) == 2
         delayed = [sq for sq in plan.subqueries if sq.delayed]
         assert len(delayed) == 1

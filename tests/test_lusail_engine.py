@@ -30,12 +30,10 @@ class TestQaExample:
         assert_same_bag(outcome.result.rows, oracle_rows(paper_federation, QA))
 
     def test_gjvs_are_p_and_u(self, lusail):
-        lusail.execute(QA)
-        assert lusail.last_plan.gjv_names == ["P", "U"]
+        assert lusail.execute(QA).plan.gjv_names == ["P", "U"]
 
     def test_decomposes_into_three_subqueries(self, lusail):
-        lusail.execute(QA)
-        assert lusail.last_plan.subquery_count == 3
+        assert lusail.execute(QA).plan.subquery_count == 3
 
     def test_tims_interlink_row_present(self, lusail):
         outcome = lusail.execute(QA)
@@ -66,8 +64,8 @@ class TestQueryFeatures:
         text = UB_PREFIX + "SELECT ?s ?p WHERE { ?s ub:advisor ?p . ?s ub:takesCourse ?c }"
         outcome = lusail.execute(text)
         assert outcome.ok
-        assert lusail.last_plan.subquery_count == 1
-        assert lusail.last_plan.branch_plans[0].disjoint
+        assert outcome.plan.subquery_count == 1
+        assert outcome.plan.branch_plans[0].decomposition.disjoint
 
     def test_filter_pushed_to_endpoint(self, lusail, paper_federation):
         text = UB_PREFIX + 'SELECT ?u ?a WHERE { ?u ub:address ?a FILTER (?a = "XXX") }'
@@ -155,6 +153,47 @@ class TestFailureModes:
         outcome = engine.execute(text)
         assert outcome.status == "unsupported"
 
+    def test_execute_leaves_the_engine_untouched_and_the_plan_on_the_outcome(
+        self, paper_federation
+    ):
+        # What a query decided leaves on its outcome; the engine is the
+        # same value afterwards, whatever the status (its ``stats`` object
+        # counts the execution).
+        done = LusailEngine(paper_federation).execute(QA)
+        analysed_ms = done.plan.branch_plans[0].end_ms
+        assert analysed_ms < done.metrics.virtual_ms
+        nested = UB_PREFIX + (
+            "SELECT ?s WHERE { ?s ub:advisor ?p OPTIONAL { ?p ub:teacherOf ?c "
+            "OPTIONAL { ?c ub:name ?n } } }"
+        )
+        cases = {
+            "ok": (LusailEngine(paper_federation), QA),
+            "oom": (LusailEngine(paper_federation, config=LusailConfig(max_mediator_rows=1)), QA),
+            # Past analysis, before the answer.
+            "timeout": (
+                LusailEngine(
+                    paper_federation,
+                    timeout_ms=(analysed_ms + done.metrics.virtual_ms) / 2,
+                ),
+                QA,
+            ),
+            "unsupported": (LusailEngine(paper_federation), nested),
+        }
+        for status, (engine, text) in cases.items():
+            before = {name: id(value) for name, value in vars(engine).items()}
+            outcome = engine.execute(text)
+            assert outcome.status == status
+            assert {name: id(value) for name, value in vars(engine).items()} == before
+            assert engine.stats.queries_executed == 1
+            assert outcome.audit is not None
+            if status == "unsupported":  # refused before any branch was analysed
+                assert outcome.plan.branch_plans == []
+                continue
+            (branch_plan,) = outcome.plan.branch_plans
+            assert branch_plan.strategy.strategy == "bound-join"
+            assert outcome.plan.subquery_count == 3
+            assert outcome.plan.gjv_names == ["P", "U"]
+
     def test_ask_query_string_rejected(self, paper_federation):
         from repro.exceptions import UnsupportedQueryError
 
@@ -178,11 +217,11 @@ class TestConfigurations:
         assert_same_bag(outcome.result.rows, oracle_rows(paper_federation, QA))
 
     def test_lade_fewer_subqueries_than_per_triple(self, paper_federation):
-        lade = LusailEngine(paper_federation)
-        lade.execute(QA)
-        triple = LusailEngine(paper_federation, config=LusailConfig(decomposition="triple"))
-        triple.execute(QA)
-        assert lade.last_plan.subquery_count < triple.last_plan.subquery_count
+        lade = LusailEngine(paper_federation).execute(QA)
+        triple = LusailEngine(
+            paper_federation, config=LusailConfig(decomposition="triple")
+        ).execute(QA)
+        assert lade.plan.subquery_count < triple.plan.subquery_count
 
     @pytest.mark.parametrize("policy", list(DelayPolicy))
     def test_all_delay_policies_correct(self, paper_federation, policy):
@@ -194,7 +233,7 @@ class TestConfigurations:
         engine = LusailEngine(paper_federation, config=LusailConfig(enable_delay=False))
         outcome = engine.execute(QA)
         assert outcome.ok
-        assert engine.last_plan.delayed_count == 0
+        assert outcome.plan.delayed_count == 0
 
     def test_greedy_join_order_correct(self, paper_federation):
         engine = LusailEngine(

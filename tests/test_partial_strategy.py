@@ -13,8 +13,9 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.engine import LusailConfig, LusailEngine
+from repro.core.engine import SCHEDULERS, LusailConfig, LusailEngine
 from repro.core.execution.scheduler import BranchScheduler
+from repro.core.mqo import SharedSubqueryCache
 from repro.datasets import lubm
 from repro.datasets.random_federation import (
     FederationShape,
@@ -333,15 +334,41 @@ class TestStrategyPicker:
         with pytest.raises(ValueError, match="unknown execution strategy"):
             engine.execute(QA)
 
-    def test_mqo_scheduler_override_wins_over_partial(self):
-        class PinnedScheduler(BranchScheduler):
-            pass
-
-        engine = _engine(build_paper_federation(), "partial")
-        engine.scheduler_class = PinnedScheduler
+    def test_share_cache_forces_bound_join(self):
+        # Partial evaluation ships whole branches: nothing to share.
+        engine = _engine(build_paper_federation(), "partial").sharing(SharedSubqueryCache())
         outcome = engine.execute(QA)
         assert outcome.ok
         assert metrics_module.PARTIAL not in outcome.metrics.requests_by_kind()
+        decision = outcome.plan.branch_plans[0].strategy
+        assert decision.strategy == "bound-join"
+        assert "multi-query optimizer" in decision.reason
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_plan_scheduler_and_span_agree(self, strategy, monkeypatch):
+        # One decision, read three ways: the plan that leaves on the
+        # outcome, the scheduler that ran, the trace.
+        ran = []
+        run = BranchScheduler.run
+
+        def recording_run(scheduler, at_ms):
+            ran.append(type(scheduler))
+            return run(scheduler, at_ms)
+
+        monkeypatch.setattr(BranchScheduler, "run", recording_run)
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=3)
+        engine = _engine(federation, strategy)
+        engine.tracer = Tracer(enabled=True)
+        for query_text in (lubm.query_q2(), lubm.query_q6()):
+            ran.clear()
+            outcome = engine.execute(query_text)
+            assert outcome.ok, outcome.error
+            planned = [plan.strategy.strategy for plan in outcome.plan.branch_plans]
+            if strategy != "auto":
+                assert planned == [strategy] * len(planned)
+            assert ran == [SCHEDULERS[name] for name in planned]
+            spans = engine.tracer.roots[-1].find("execution")
+            assert [span.attrs["strategy"] for span in spans] == planned
 
     def test_explain_reports_strategy_decision(self):
         engine = _engine(build_paper_federation(), "auto")

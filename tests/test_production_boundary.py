@@ -8,7 +8,10 @@ endpoint request of the benchmark query sets constructs one.
 
 The same kind of walk pins the collector boundary: one module under
 ``src/`` names ``gc``, and only to note, switch and restore whether the
-collector is enabled.
+collector is enabled.  And the plan boundary: what Lusail decided
+travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
+as which class got instantiated or which engine attribute was written
+last.
 """
 
 import ast
@@ -138,6 +141,76 @@ def test_collector_walker_sees_every_way_to_name_gc(tmp_path, source, uses):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert _gc_uses(probe) == uses
+
+
+SCHEDULERS = {"BranchScheduler", "PartialBranchScheduler"}
+LAST_WRITTEN = {"last_plan", "last_audit"}
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every name, attribute, keyword and parameter spelled under ``node``."""
+    found = set()
+    for inner in ast.walk(node):
+        for field in ("id", "attr", "arg"):
+            value = getattr(inner, field, None)
+            if isinstance(value, str):
+                found.add(value)
+    return found
+
+
+def _class_substitution(path: Path) -> set[str]:
+    """The ways a module can make a decision by swapping classes: a class
+    statement inside a function, anything called ``scheduler_class``, an
+    ``isinstance`` test against a scheduler."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    if "scheduler_class" in _identifiers(tree):
+        found.add("scheduler_class")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found |= {
+                f"class {inner.name} in a function"
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.ClassDef)
+            }
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and _identifiers(node.args[1]) & SCHEDULERS
+        ):
+            found.add("isinstance of a scheduler")
+    return found
+
+
+def test_lusail_decisions_travel_as_data():
+    core = sorted((SRC / "core").rglob("*.py"))
+    assert len(core) > 10
+    assert {path: hits for path in core if (hits := _class_substitution(path))} == {}
+    written = {
+        path: hits
+        for path in sorted(SRC.rglob("*.py"))
+        if (hits := _identifiers(ast.parse(path.read_text())) & LAST_WRITTEN)
+    }
+    assert written == {}
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("def f(cache):\n    class Sharing(Base):\n        pass\n    return Sharing", {"class Sharing in a function"}),
+        ("engine.scheduler_class = X", {"scheduler_class"}),
+        ("Analysis(plan, scheduler_class=BranchScheduler)", {"scheduler_class"}),
+        ("if isinstance(s, PartialBranchScheduler): pass", {"isinstance of a scheduler"}),
+        ("isinstance(s, (partial.PartialBranchScheduler, int))", {"isinstance of a scheduler"}),
+        ("class Top:\n    def run(self):\n        return isinstance(self.x, int)", set()),
+    ],
+)
+def test_class_substitution_walker_sees_each_form(tmp_path, source, hits):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert _class_substitution(probe) == hits
 
 
 PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "

@@ -1,6 +1,9 @@
 """Tests for EXPLAIN ANALYZE: audit, q-error, critical path, exports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -259,6 +262,47 @@ class TestProfileReport:
             assert entry["max"] >= entry["p50"] >= 1.0
         assert lusail_run.report.worst_q_error >= 1.0
         assert lusail_run.report.estimates  # raw records embedded
+
+    #: Q4 on the tiny 2-endpoint LUBM federation, per engine: status,
+    #: requests, rows shipped, result rows, metadata requests — exact —
+    #: and the worst q-error, within 5%.  An estimator, planner or
+    #: instrumentation change that legitimately moves one edits this table.
+    Q4_COUNTERS = {
+        "Lusail": ("ok", 6, 66, 20, 2, 33.0),
+        "FedX": ("ok", 20, 122, 20, 2, 3.0),
+        "HiBISCuS": ("ok", 20, 122, 20, 2, 3.0),
+        "SPLENDID": ("ok", 14, 193, 20, 2, 1.939),
+        "ANAPSID": ("ok", 12, 191, 20, 0, 1.0),
+    }
+
+    _COUNTER_SCRIPT = """
+import json
+from repro.datasets import lubm
+from repro.harness import profile_query
+federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
+rows = {}
+for engine in %r:
+    report = profile_query(engine, federation, "Q4", lubm.queries()["Q4"]).report
+    rows[engine] = [report.status, report.requests, report.rows_shipped,
+                    report.result_rows, report.metadata_requests, report.worst_q_error]
+print(json.dumps(rows))
+"""
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_exact_counters_under_two_set_orders(self, hash_seed):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", self._COUNTER_SCRIPT % (tuple(self.Q4_COUNTERS),)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        measured = json.loads(completed.stdout)
+        for engine, (*counters, worst) in self.Q4_COUNTERS.items():
+            assert measured[engine][:-1] == counters, engine
+            assert measured[engine][-1] == pytest.approx(worst, rel=0.05), engine
 
     def test_q_error_summary_filters_by_engine(self, lusail_run):
         assert q_error_summary(lusail_run.registry, "FedX") == {}

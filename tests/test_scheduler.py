@@ -21,7 +21,7 @@ class TestDisjointFastPath:
     def test_q2_executes_one_select_per_endpoint(self, federation):
         engine = LusailEngine(federation)
         outcome = engine.execute(lubm.query_q2())
-        assert engine.last_plan.branch_plans[0].disjoint
+        assert outcome.plan.branch_plans[0].decomposition.disjoint
         assert outcome.metrics.request_count(metrics_module.SELECT) == 3
         assert outcome.metrics.request_count(metrics_module.BOUND) == 0
 
@@ -34,7 +34,7 @@ class TestDelayedSubqueries:
     def test_q4_delays_the_name_subquery(self, federation):
         engine = LusailEngine(federation)
         outcome = engine.execute(lubm.query_q4())
-        plan = engine.last_plan.branch_plans[0]
+        plan = outcome.plan.branch_plans[0].decomposition
         delayed = [sq for sq in plan.subqueries if sq.delayed]
         assert delayed, "the generic ?u ub:name ?n subquery should be delayed"
         name_subquery = max(plan.subqueries, key=lambda sq: sq.estimated_cardinality)
@@ -108,9 +108,7 @@ class TestOptionalGroups:
             "SELECT ?y ?u ?n WHERE { ?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?u "
             "OPTIONAL { ?u ub:name ?n } }"
         )
-        engine = LusailEngine(federation)
-        engine.execute(text)
-        plan = engine.last_plan.branch_plans[0]
+        plan = LusailEngine(federation).execute(text).plan.branch_plans[0].decomposition
         optional_subqueries = [sq for sq in plan.subqueries if sq.optional_group is not None]
         assert optional_subqueries and all(sq.delayed for sq in optional_subqueries)
 
