@@ -28,7 +28,9 @@
 #    gap of ~18% on Q5 where the limit is 1%.  The tiny-scale smoke
 #    alone once stayed green while a full-scale run failed;
 # 4. figures equal results — regenerates the paper's tables and figures
-#    (`pytest benchmarks`, timing disabled, ~20 s) and fails if any
+#    and the delay-regret table (SAPE's delay decision beside the best of
+#    every delay set, benchmarks/bench_delay_regret.py) with
+#    `pytest benchmarks`, timing disabled, ~30 s, and fails if any
 #    committed benchmarks/results/*.txt differs from the fresh output —
 #    so EXPERIMENTS.md quotes what the code prints.
 #    preprocessing_cost.txt has wall-clock columns: it is regenerated,
@@ -59,7 +61,7 @@ python3 benchmarks/ledger/run.py --workload lubm_local --seed 1 --seconds 10 --t
 python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 0
 python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 1
 
-echo "== figures equal results: benchmarks vs committed benchmarks/results =="
+echo "== figures and delay regret equal results: benchmarks vs committed benchmarks/results =="
 committed=$(mktemp -d)
 cp benchmarks/results/*.txt "$committed"/
 trap 'cp "$committed"/preprocessing_cost.txt benchmarks/results/; rm -rf "$committed"' EXIT

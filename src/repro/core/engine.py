@@ -239,6 +239,7 @@ class LusailEngine(FederatedEngine):
                         delayed=sorted(delays.delayed_ids),
                         chauvenet_rejected=sorted(delays.cardinality_rejected_ids),
                         estimated_cardinalities=delays.cardinalities,
+                        reasons=delays.reasons,
                     )
                 else:
                     for subquery in plan.subqueries:
@@ -570,7 +571,6 @@ class LusailEngine(FederatedEngine):
                 f"est. crossing selectivity "
                 f"{strategy.estimated_crossing_selectivity:.2f})"
             )
-            rejected: list[int] = []
             if delays is None:
                 lines.append("  delay decision: disabled")
             else:
@@ -579,28 +579,36 @@ class LusailEngine(FederatedEngine):
                     f"cardinality threshold={delays.cardinality_threshold:.1f}, "
                     f"endpoint threshold={delays.endpoint_threshold:.1f}"
                 )
-                rejected = sorted(
-                    delays.cardinality_rejected_ids | delays.endpoint_rejected_ids
-                )
+                rejected = {
+                    "cardinality": delays.cardinality_rejected_ids,
+                    "endpoints": delays.endpoint_rejected_ids,
+                }
                 lines.append(
                     "  chauvenet rejected: "
-                    + (f"subqueries {rejected}" if rejected else "(none)")
+                    + ", ".join(
+                        f"{on} {sorted(ids) if ids else '(none)'}"
+                        for on, ids in rejected.items()
+                    )
                 )
             if plan.disjoint:
                 lines.append("  disjoint: whole branch evaluated per endpoint")
             for subquery in plan.subqueries:
                 tag = "OPTIONAL " if subquery.optional_group is not None else ""
-                delay = "delayed" if subquery.delayed else "eager"
+                verdict = "delayed" if subquery.delayed else "eager"
                 cardinality = subquery.estimated_cardinality
-                threshold = ""
+                details = f", endpoints={len(subquery.sources)}"
                 if delays is not None:
+                    verdict += f": {delays.reasons[subquery.id]}"
                     comparison = ">=" if cardinality >= delays.cardinality_threshold else "<"
-                    threshold = f" {comparison} threshold {delays.cardinality_threshold:.1f}"
+                    details = (
+                        f" {comparison} threshold {delays.cardinality_threshold:.1f}{details}"
+                    )
+                    on = [name for name, ids in rejected.items() if subquery.id in ids]
+                    if on:
+                        details += f", chauvenet-rejected on {'+'.join(on)}"
                 lines.append(
-                    f"  {tag}subquery {subquery.id} [{delay}, "
-                    f"est.card={cardinality:.0f}{threshold}, "
-                    f"endpoints={len(subquery.sources)}"
-                    f"{', chauvenet-rejected' if subquery.id in rejected else ''}] "
+                    f"  {tag}subquery {subquery.id} [{verdict}, "
+                    f"est.card={cardinality:.0f}{details}] "
                     f"sources={list(subquery.sources)}"
                 )
                 if subquery.delayed:

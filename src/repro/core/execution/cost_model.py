@@ -11,11 +11,15 @@ For a subquery ``sq`` and a variable ``v`` it projects::
     C(sq)        = max over projected variables v of C(sq, v)
 
 A subquery is **delayed** when its estimated cardinality (or its number
-of relevant endpoints) exceeds ``mu + sigma`` computed over all
+of relevant endpoints) reaches ``mu + sigma`` computed over all
 subqueries after Chauvenet outlier rejection (paper Fig 9 selects
 ``mu + sigma`` as the best threshold; other policies are kept for the
-threshold-sensitivity experiment).  OPTIONAL subqueries are always
-delayed — the paper names them as a delayed class outright.
+threshold-sensitivity experiment) and lies strictly above the mean —
+the lower of the survivors' mean and the mean over every subquery, so a
+small value Chauvenet dropped still counts as the yardstick the large
+ones are above.  OPTIONAL subqueries are always delayed — the paper
+names them as a delayed class outright.  :class:`DelayDecision` records
+the reason for each subquery's verdict (:data:`DELAY_REASONS`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.decomposition.subquery import Subquery
-from repro.core.execution.outliers import robust_stats
+from repro.core.execution.outliers import RobustStats, robust_stats
 from repro.endpoint.client import FederationClient
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
@@ -205,6 +209,35 @@ class DelayDecision:
     #: criterion rejected before computing mu and sigma.
     cardinality_rejected_ids: set[int] = field(default_factory=set)
     endpoint_rejected_ids: set[int] = field(default_factory=set)
+    #: Why each subquery is delayed or eager, one of :data:`DELAY_REASONS`.
+    reasons: dict[int, str] = field(default_factory=dict)
+
+
+#: The reasons a :class:`DelayDecision` records.  Delayed: ``cardinality``
+#: / ``endpoints`` (at or above that threshold, and above the mean),
+#: ``optional`` (an OPTIONAL block's subquery).  Eager: ``peer`` (above
+#: the cardinality threshold, but a two-subquery plan's peer is not
+#: significantly smaller), ``kept-eager`` (every required subquery
+#: qualified; the smallest stays eager), ``below``.
+DELAY_REASONS = ("cardinality", "endpoints", "optional", "peer", "kept-eager", "below")
+_DELAYING = ("cardinality", "endpoints", "optional")
+
+
+def _delays(reasons: dict[int, str], subquery_id: int) -> bool:
+    return reasons.get(subquery_id) in _DELAYING
+
+
+def _above_mean(value: float, stats: RobustStats, values: list[float]) -> bool:
+    """``value`` exceeds the lower of the survivors' and the full mean.
+
+    The survivors' mean alone misses a large value whose only smaller
+    peers Chauvenet rejected: {240, 41138, 41138} keeps the two equal
+    values, whose mean is their own, and neither would be "above" it.
+    The full mean is the lower one only when what Chauvenet rejected
+    lies, on balance, below the survivors; without rejections the two
+    are the same number.
+    """
+    return value > min(stats.mean, sum(values) / len(values))
 
 
 def decide_delays(
@@ -240,19 +273,22 @@ def decide_delays(
         DelayPolicy.OUTLIERS: None,
     }[policy]
 
+    card_rejected = {subqueries[i].id for i in card_stats.outliers}
+    endpoint_rejected = {subqueries[i].id for i in endpoint_stats.outliers}
+    reasons: dict[int, str] = {}
     if multiplier is None:
         card_threshold = float("inf")
         endpoint_threshold = float("inf")
-        delayed_ids = {
-            subqueries[index].id
-            for index in card_stats.outliers | endpoint_stats.outliers
-        }
+        for subquery in subqueries:
+            if subquery.id in card_rejected:
+                reasons[subquery.id] = "cardinality"
+            elif subquery.id in endpoint_rejected:
+                reasons[subquery.id] = "endpoints"
     else:
         card_threshold = card_stats.mean + multiplier * card_stats.std
         endpoint_threshold = endpoint_stats.mean + multiplier * endpoint_stats.std
         total_cardinality = sum(cardinalities.values())
         count = len(subqueries)
-        delayed_ids = set()
         for subquery in subqueries:
             cardinality = cardinalities[subquery.id]
             endpoints = endpoint_counts[subquery.id]
@@ -260,9 +296,13 @@ def decide_delays(
             # two-subquery plan the maximum equals mu + sigma exactly, and
             # the paper still delays it (its Q3/Q4 discussions); when all
             # cardinalities are equal nothing is above the mean and
-            # nothing is delayed.
+            # nothing is delayed.  "The mean" is the lower of the
+            # survivors' and the full one (see _above_mean): Chauvenet
+            # dropping a small value must not make the large ones look
+            # ordinary.
             above_cardinality = (
-                cardinality > card_stats.mean and cardinality >= card_threshold
+                _above_mean(cardinality, card_stats, values)
+                and cardinality >= card_threshold
             )
             if above_cardinality and count == 2 and multiplier > 0.0:
                 # Degenerate two-subquery case: delay only when this one
@@ -270,27 +310,36 @@ def decide_delays(
                 # (the paper's wording) — a balanced pair gains nothing
                 # from serializing.
                 peer_mean = (total_cardinality - cardinality) / (count - 1)
-                above_cardinality = cardinality >= 2.0 * peer_mean
+                if cardinality < 2.0 * peer_mean:
+                    above_cardinality = False
+                    reasons[subquery.id] = "peer"
             above_endpoints = (
-                endpoints > endpoint_stats.mean and endpoints >= endpoint_threshold
+                _above_mean(endpoints, endpoint_stats, endpoint_values)
+                and endpoints >= endpoint_threshold
             )
-            if above_cardinality or above_endpoints:
-                delayed_ids.add(subquery.id)
+            if above_cardinality:
+                reasons[subquery.id] = "cardinality"
+            elif above_endpoints:
+                reasons[subquery.id] = "endpoints"
 
     # OPTIONAL subqueries are always delayed: their bindings should come
     # from the required part first (paper Sec V-A, delayed classes).
     for subquery in subqueries:
-        if subquery.optional_group is not None:
-            delayed_ids.add(subquery.id)
+        if subquery.optional_group is not None and not _delays(reasons, subquery.id):
+            reasons[subquery.id] = "optional"
 
     # Keep at least one required subquery eager.
     required = [sq for sq in subqueries if sq.optional_group is None]
-    if required and all(sq.id in delayed_ids for sq in required):
+    if required and all(_delays(reasons, sq.id) for sq in required):
         keeper = min(required, key=lambda sq: cardinalities[sq.id])
-        delayed_ids.discard(keeper.id)
+        reasons[keeper.id] = "kept-eager"
 
+    delayed_ids = set()
     for subquery in subqueries:
-        subquery.delayed = subquery.id in delayed_ids
+        reasons.setdefault(subquery.id, "below")
+        subquery.delayed = _delays(reasons, subquery.id)
+        if subquery.delayed:
+            delayed_ids.add(subquery.id)
 
     return DelayDecision(
         cardinalities=cardinalities,
@@ -298,6 +347,8 @@ def decide_delays(
         cardinality_threshold=card_threshold,
         endpoint_threshold=endpoint_threshold,
         delayed_ids=delayed_ids,
-        cardinality_rejected_ids={subqueries[i].id for i in card_stats.outliers},
-        endpoint_rejected_ids={subqueries[i].id for i in endpoint_stats.outliers},
+        cardinality_rejected_ids=card_rejected,
+        endpoint_rejected_ids=endpoint_rejected,
+        reasons=reasons,
     )
+

@@ -319,8 +319,9 @@ def query_q6() -> str:
     """Double crossing: full professors with the names of both their
     masters and doctoral universities.  Two independent crossing edges
     (three fragments), each against the name predicate — almost every
-    locally-named entity is *not* a referenced university, so join-value
-    digests prune the name fragments to nearly nothing."""
+    locally-named entity is *not* a referenced university: join-value
+    digests prune the name fragments to nearly nothing, and bound joins
+    over the professors' universities fetch nearly nothing either."""
     return _PREFIX + """
 SELECT ?y ?n ?m WHERE {
   ?y a ub:FullProfessor .
@@ -341,9 +342,12 @@ def crossing_queries() -> dict[str, str]:
     """Queries whose joins must cross endpoint boundaries.
 
     The partial-evaluation benchmarks run these head-to-head against the
-    bound-join ladder: Q4 and Q6 are crossing-heavy (most of their
-    intermediate volume is prunable by join-value digests), while Q5 is
-    the high-fan-out case where partial evaluation wins on rounds and
-    virtual time but both strategies ship similar input volumes.
+    bound-join ladder: Q4 is crossing-heavy (most of its intermediate
+    volume is prunable by join-value digests); Q6's two name subqueries
+    are large, but SAPE delays them and bound-joins them over the few
+    full professors' bindings, so the ladder ships no more than partial
+    evaluation does; Q5 is the high-fan-out case where partial
+    evaluation wins on rounds and virtual time but both strategies ship
+    similar input volumes.
     """
     return {"Q4": query_q4(), "Q5": query_q5(), "Q6": query_q6()}

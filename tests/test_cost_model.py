@@ -202,16 +202,60 @@ class TestDecideDelays:
         assert eager
 
     def test_endpoint_count_triggers_delay(self):
-        # One subquery touching many endpoints gets delayed even with a
-        # modest cardinality.
-        subqueries, estimates = make_subqueries([10, 10, 10, 10])
+        # One subquery touching many endpoints gets delayed although its
+        # cardinality equals its peers' (so no cardinality rule fires).
+        subqueries, estimates = make_subqueries([40, 40, 40, 40])
         wide_pattern = TriplePattern(Variable("x"), UB.wide, Variable("w"))
         wide_sources = tuple(f"ep{k}" for k in range(40))
         wide = Subquery(99, (wide_pattern,), wide_sources)
         for source in wide_sources:
-            estimates.pattern_counts[(wide_pattern, source)] = 0
+            estimates.pattern_counts[(wide_pattern, source)] = 1
         decision = decide_delays(subqueries + [wide], estimates, projected=set())
-        assert 99 in decision.delayed_ids
+        assert decision.cardinalities[99] == 40
+        assert decision.delayed_ids == {99}
+        assert decision.reasons[99] == "endpoints"
+
+    def test_large_subqueries_delayed_after_small_one_rejected(self):
+        # LUBM Q6's shape: Chauvenet rejects the 240, and the survivors'
+        # mean is 41138 itself; the two large subqueries are still above
+        # the mean over every subquery and are delayed.
+        subqueries, estimates = make_subqueries([240, 41138, 41138])
+        decision = decide_delays(subqueries, estimates, projected=set())
+        assert decision.cardinality_rejected_ids == {0}
+        assert decision.delayed_ids == {1, 2}
+        assert decision.reasons == {0: "below", 1: "cardinality", 2: "cardinality"}
+
+    def test_all_equal_cardinalities_delay_nothing(self):
+        subqueries, estimates = make_subqueries([41138, 41138, 41138])
+        decision = decide_delays(subqueries, estimates, projected=set())
+        assert decision.delayed_ids == set()
+        assert set(decision.reasons.values()) == {"below"}
+
+    def test_mu_policy_unchanged_without_rejection(self):
+        # No Chauvenet rejection: the survivors' mean is the full mean
+        # (20), and only the 30 is above it.
+        subqueries, estimates = make_subqueries([10, 20, 30])
+        decision = decide_delays(subqueries, estimates, projected=set(), policy=DelayPolicy.MU)
+        assert decision.cardinality_threshold == 20.0
+        assert decision.delayed_ids == {2}
+
+    def test_two_subquery_peer_rule_recorded(self):
+        subqueries, estimates = make_subqueries([60, 100])
+        decision = decide_delays(subqueries, estimates, projected=set())
+        assert decision.delayed_ids == set()
+        assert decision.reasons == {0: "below", 1: "peer"}
+
+    def test_keeper_and_optional_recorded(self):
+        # The only required subquery qualifies on cardinality, so it is
+        # the one kept eager; the OPTIONAL ones are delayed as a class.
+        subqueries, estimates = make_subqueries([5000, 10, 10, 10, 10])
+        for subquery in subqueries[1:]:
+            subquery.optional_group = 0
+        decision = decide_delays(subqueries, estimates, projected=set())
+        assert decision.delayed_ids == {1, 2, 3, 4}
+        assert decision.reasons == {
+            0: "kept-eager", 1: "optional", 2: "optional", 3: "optional", 4: "optional"
+        }
 
     def test_estimated_cardinality_recorded(self):
         subqueries, estimates = make_subqueries([10, 20])

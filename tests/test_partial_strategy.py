@@ -427,8 +427,11 @@ class TestCrossingLubmClaims:
 
     @pytest.fixture(scope="class")
     def warm_runs(self):
-        # Seed 7 is the federation the >=2x bar was set on (Q4 2.3x, Q6
-        # 209x); the ratio is a property of the data, not of every seed.
+        # Seed 7 is the federation the >=2x bar was set on (Q4 2.3x); the
+        # ratio is a property of the data, not of every seed.  Q6 once
+        # read 209x, but that was SAPE shipping both name subqueries
+        # whole; bound-joined over the professors' bindings they ship 18
+        # rows, as many as partial evaluation's fragments.
         federation = lubm.build_federation(3, profile=lubm.BENCH_PROFILE, seed=7, geo=True)
         runs: dict[tuple[str, str], dict] = {}
         for strategy in STRATEGIES:
@@ -458,11 +461,16 @@ class TestCrossingLubmClaims:
                 }
         return runs
 
-    @pytest.mark.parametrize("query_name", ["Q4", "Q6"])
+    @pytest.mark.parametrize("query_name", ["Q4"])
     def test_partial_ships_at_least_2x_fewer_intermediate_rows(self, warm_runs, query_name):
         bound = warm_runs["bound-join", query_name]["bound_rows"]
         partial = warm_runs["partial", query_name]["fragment_rows"]
         assert 0 < 2 * partial <= bound, (bound, partial)
+
+    def test_bound_join_ships_no_more_than_partial_on_q6(self, warm_runs):
+        bound = warm_runs["bound-join", "Q6"]["bound_rows"]
+        partial = warm_runs["partial", "Q6"]["fragment_rows"]
+        assert 0 < bound <= partial, (bound, partial)
 
     @pytest.mark.parametrize("query_name", ["Q4", "Q6"])
     def test_auto_within_10_percent_of_better_fixed_strategy(self, warm_runs, query_name):
