@@ -1,9 +1,11 @@
 """Paper Fig 9 — delayed-subquery threshold policies.
 
 Total per-category time on geo-distributed LargeRDFBench for the four
-policies (mu, mu+sigma, mu+2sigma, Chauvenet-outliers-only).  Expected
-shape: mu+sigma is consistently competitive — never the worst in any
-category — which is why the paper adopts it.
+policies (mu, mu+sigma, mu+2sigma, Chauvenet-outliers-only), and for the
+engine's default ``cost`` rule (mu+sigma's verdict, overridden where
+binding vs shipping clearly differs in estimated cost).  Expected shape:
+mu+sigma is consistently competitive among the paper's four — never the
+worst in any category — which is why the paper adopts it.
 """
 
 from repro.harness import experiments

@@ -121,7 +121,7 @@ def detect_gjvs(
     finish = at_ms
     provider = getattr(client, "stats", None)
     with client.tracer.span(
-        "gjv_detection", t0=at_ms, join_variables=[v.name for v in variables]
+        "gjv_detection", t0=at_ms, join_variables=sorted(v.name for v in variables)
     ) as detection_span:
         for check in pending_checks:
             # Skip pairs already proven global by an earlier check.

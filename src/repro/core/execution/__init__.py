@@ -4,6 +4,7 @@ from repro.core.execution.cost_model import (
     CardinalityEstimates,
     DelayDecision,
     DelayPolicy,
+    RequestCosts,
     collect_statistics,
     count_query,
     decide_delays,
@@ -22,6 +23,7 @@ __all__ = [
     "CardinalityEstimates",
     "DelayDecision",
     "DelayPolicy",
+    "RequestCosts",
     "ElasticRequestHandler",
     "JoinPlanNode",
     "RobustStats",

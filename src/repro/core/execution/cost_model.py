@@ -1,8 +1,9 @@
 """SAPE's cardinality estimation and delayed-subquery selection.
 
 Cardinalities come from lightweight per-triple-pattern ``SELECT COUNT``
-probes (one per pattern per relevant endpoint, cached).  Filters on a
-pattern's variables are pushed into its probe for tighter estimates.
+probes (one per pattern per relevant endpoint, cached) or from the
+endpoints' characteristic-set summaries.  Filters on a pattern's
+variables are pushed into its probe for tighter estimates.
 
 For a subquery ``sq`` and a variable ``v`` it projects::
 
@@ -10,27 +11,49 @@ For a subquery ``sq`` and a variable ``v`` it projects::
     C(sq, v)     = sum over relevant endpoints ep of C(sq, v, ep)
     C(sq)        = max over projected variables v of C(sq, v)
 
-A subquery is **delayed** when its estimated cardinality (or its number
-of relevant endpoints) reaches ``mu + sigma`` computed over all
-subqueries after Chauvenet outlier rejection (paper Fig 9 selects
-``mu + sigma`` as the best threshold; other policies are kept for the
-threshold-sensitivity experiment) and lies strictly above the mean —
-the lower of the survivors' mean and the mean over every subquery, so a
-small value Chauvenet dropped still counts as the yardstick the large
-ones are above.  OPTIONAL subqueries are always delayed — the paper
-names them as a delayed class outright.  :class:`DelayDecision` records
-the reason for each subquery's verdict (:data:`DELAY_REASONS`).
+**The paper's verdict.**  A subquery is delayed when its estimated
+cardinality (or its number of relevant endpoints) reaches a threshold
+computed over all subqueries after Chauvenet outlier rejection —
+``mu + sigma`` in the paper (Fig 9; ``mu``, ``mu + 2 sigma`` and
+outliers-only are kept for that experiment) — and lies strictly above
+the mean: the lower of the survivors' mean and the mean over every
+subquery, so a small value Chauvenet dropped still counts as the
+yardstick the large ones are above.  OPTIONAL subqueries are always
+delayed — the paper names them as a delayed class outright.
+
+**The cost rule** (:attr:`DelayPolicy.COST`, the engine's default)
+starts from the ``mu + sigma`` verdict and overrides it for a required
+subquery only where the estimated virtual time of binding it clearly
+disagrees with the estimated time of shipping it whole.  It places the
+required subqueries one at a time, like phase two will run them: the
+smallest stays eager, then the connected subquery with the fewest
+estimated bindings ``b`` follows, ``b`` being the fewest distinct values
+a placed neighbour can bind a shared variable to.  Binding it costs
+``ceil(b / block)`` requests plus the rows ``b`` bindings fetch at the
+subquery's per-value fan-out; shipping it costs one request plus its
+whole extent, less what the smallest subquery's own shipping already
+puts on phase one's critical path.  A difference within two requests of
+the slowest source is below the estimate's resolution and keeps the
+paper's verdict, as do subqueries no binding reaches.
+
+:class:`DelayDecision` records the reason for each subquery's verdict
+(:data:`DELAY_REASONS`) and, per subquery the cost rule placed, its
+estimated bindings and both costs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.decomposition.subquery import Subquery
 from repro.core.execution.outliers import RobustStats, robust_stats
 from repro.endpoint.client import FederationClient
+from repro.endpoint.federation import Federation
+from repro.net.simulator import NetworkConfig
+from repro.planning.stats import CharsetStatisticsProvider
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import (
@@ -42,14 +65,72 @@ from repro.sparql.ast import (
     SelectQuery,
 )
 
+#: Smallest block the adaptive bound join may shrink to.
+MIN_BLOCK = 50
+
 
 class DelayPolicy(str, Enum):
-    """Threshold policies evaluated in the paper's Fig 9."""
+    """The threshold policies evaluated in the paper's Fig 9, and the
+    cost rule built on ``mu + sigma`` (the engine's default)."""
 
     MU = "mu"
     MU_SIGMA = "mu+sigma"
     MU_2SIGMA = "mu+2sigma"
     OUTLIERS = "outliers"
+    COST = "cost"
+
+
+def adaptive_block_size(
+    block_size: int, min_block: int, estimated_rows: float, bindings: float
+) -> int:
+    """Bound-join block size scaled by estimated rows per binding.
+
+    Selective delayed subqueries (at most one row back per shipped
+    binding) keep the full block; unselective ones shrink the block so
+    one VALUES request does not ship ``block_size * rows_per_binding``
+    rows back at once, clamped to ``[min_block, block_size]``.
+    """
+    if bindings <= 0:
+        return block_size
+    rows_per_binding = estimated_rows / bindings
+    if rows_per_binding <= 1.0:
+        return block_size
+    floor = max(1, min(min_block, block_size))
+    return max(floor, min(block_size, int(block_size / rows_per_binding)))
+
+
+@dataclass(frozen=True)
+class RequestCosts:
+    """The virtual-time model of :class:`~repro.net.simulator.NetworkConfig`
+    as the cost rule reads it: a fixed price per request and per row."""
+
+    #: Per endpoint: round trip + request overhead + base evaluation.
+    request_ms: Mapping[str, float]
+    #: Evaluation + transfer per result row, at the fallback row payload.
+    row_ms: float
+    #: Largest bound-join block (``LusailConfig.block_size``).
+    block_size: int
+
+    @classmethod
+    def of(
+        cls,
+        network: NetworkConfig,
+        federation: Federation,
+        endpoints: Iterable[str],
+        block_size: int,
+    ) -> "RequestCosts":
+        """The prices of ``endpoints``, each from its region's round trip."""
+        fixed = network.request_overhead_ms + network.eval_base_ms
+        return cls(
+            request_ms={
+                name: network.rtt(federation.get(name).region) + fixed
+                for name in endpoints
+            },
+            row_ms=network.eval_row_ms
+            + network.row_transfer_ms
+            + network.response_bytes_per_row * network.byte_transfer_ms,
+            block_size=block_size,
+        )
 
 
 def count_query(pattern: TriplePattern, filters: tuple[Expression, ...] = ()) -> SelectQuery:
@@ -211,16 +292,31 @@ class DelayDecision:
     endpoint_rejected_ids: set[int] = field(default_factory=set)
     #: Why each subquery is delayed or eager, one of :data:`DELAY_REASONS`.
     reasons: dict[int, str] = field(default_factory=dict)
+    #: The required subquery the cost rule placed first (eager under
+    #: :attr:`DelayPolicy.COST`); ``None`` when it did not run.
+    seed_id: int | None = None
+    #: Per subquery the cost rule placed after the seed: its estimated
+    #: bindings, and the estimated virtual ms of binding it and of
+    #: shipping it whole beyond the seed.
+    bindings: dict[int, float] = field(default_factory=dict)
+    bound_ms: dict[int, float] = field(default_factory=dict)
+    ship_ms: dict[int, float] = field(default_factory=dict)
 
 
 #: The reasons a :class:`DelayDecision` records.  Delayed: ``cardinality``
 #: / ``endpoints`` (at or above that threshold, and above the mean),
-#: ``optional`` (an OPTIONAL block's subquery).  Eager: ``peer`` (above
-#: the cardinality threshold, but a two-subquery plan's peer is not
-#: significantly smaller), ``kept-eager`` (every required subquery
-#: qualified; the smallest stays eager), ``below``.
-DELAY_REASONS = ("cardinality", "endpoints", "optional", "peer", "kept-eager", "below")
-_DELAYING = ("cardinality", "endpoints", "optional")
+#: ``optional`` (an OPTIONAL block's subquery), ``bound-cheaper`` (the
+#: cost rule: binding it is clearly cheaper than shipping it).  Eager:
+#: ``peer`` (above the cardinality threshold, but a two-subquery plan's
+#: peer is not significantly smaller), ``kept-eager`` (the smallest
+#: required subquery, kept eager when every one qualified or when it
+#: seeds the cost rule), ``ship-cheaper`` (the cost rule: shipping it is
+#: clearly cheaper), ``below``.
+DELAY_REASONS = (
+    "cardinality", "endpoints", "optional", "bound-cheaper",
+    "peer", "kept-eager", "ship-cheaper", "below",
+)
+_DELAYING = ("cardinality", "endpoints", "optional", "bound-cheaper")
 
 
 def _delays(reasons: dict[int, str], subquery_id: int) -> bool:
@@ -246,13 +342,23 @@ def decide_delays(
     projected: set[Variable],
     policy: DelayPolicy = DelayPolicy.MU_SIGMA,
     use_chauvenet: bool = True,
+    provider: CharsetStatisticsProvider | None = None,
+    costs: RequestCosts | None = None,
 ) -> DelayDecision:
-    """Mark subqueries as delayed according to the threshold policy.
+    """Mark subqueries as delayed according to the policy.
+
+    ``provider`` sharpens the cost rule's distinct-value estimates (it
+    runs on the cardinalities alone without one); ``costs`` prices its
+    requests and rows, and :attr:`DelayPolicy.COST` needs it.  Given
+    ``costs``, a threshold policy records the same estimates for its own
+    verdict, which it does not change.
 
     Mutates ``subquery.delayed`` and ``subquery.estimated_cardinality``;
     guarantees at least one required subquery stays non-delayed so phase
     one always produces bindings.
     """
+    if policy == DelayPolicy.COST and costs is None:
+        raise ValueError("the cost delay policy needs request costs")
     cardinalities: dict[int, float] = {}
     endpoint_counts: dict[int, int] = {}
     for subquery in subqueries:
@@ -271,6 +377,7 @@ def decide_delays(
         DelayPolicy.MU_SIGMA: 1.0,
         DelayPolicy.MU_2SIGMA: 2.0,
         DelayPolicy.OUTLIERS: None,
+        DelayPolicy.COST: 1.0,
     }[policy]
 
     card_rejected = {subqueries[i].id for i in card_stats.outliers}
@@ -333,10 +440,15 @@ def decide_delays(
     if required and all(_delays(reasons, sq.id) for sq in required):
         keeper = min(required, key=lambda sq: cardinalities[sq.id])
         reasons[keeper.id] = "kept-eager"
+    for subquery in subqueries:
+        reasons.setdefault(subquery.id, "below")
+
+    placement = _CostPlacement(estimates, projected, cardinalities, provider, costs)
+    if costs is not None and required:
+        placement.run(required, reasons, override=policy == DelayPolicy.COST)
 
     delayed_ids = set()
     for subquery in subqueries:
-        reasons.setdefault(subquery.id, "below")
         subquery.delayed = _delays(reasons, subquery.id)
         if subquery.delayed:
             delayed_ids.add(subquery.id)
@@ -350,5 +462,140 @@ def decide_delays(
         cardinality_rejected_ids=card_rejected,
         endpoint_rejected_ids=endpoint_rejected,
         reasons=reasons,
+        seed_id=placement.seed_id,
+        bindings=placement.bindings,
+        bound_ms=placement.bound_ms,
+        ship_ms=placement.ship_ms,
     )
+
+
+class _CostPlacement:
+    """The cost rule's walk over one branch's required subqueries (see
+    the module docstring): the order phase two would bind them in, each
+    one's estimated bindings, and the cost of binding vs shipping it."""
+
+    def __init__(self, estimates, projected, cardinalities, provider, costs):
+        self.estimates = estimates
+        self.projected = projected
+        self.cardinalities = cardinalities
+        self.provider = provider
+        self.costs = costs
+        self.seed_id: int | None = None
+        self.bindings: dict[int, float] = {}
+        self.bound_ms: dict[int, float] = {}
+        self.ship_ms: dict[int, float] = {}
+        self._distinct: dict[tuple[int, Variable], float] = {}
+        self._extents: dict[int, list[tuple[float, float]]] = {}
+
+    def distinct(self, subquery: Subquery, variable: Variable) -> float:
+        """distinct(sq, v): the summaries' distinct count, capped by
+        C(sq, v) — or C(sq, v) alone where no summary answers."""
+        key = (subquery.id, variable)
+        known = self._distinct.get(key)
+        if known is None:
+            known = self.estimates.variable_cardinality(subquery, variable)
+            if self.provider is not None:
+                count = self.provider.distinct_values(subquery, variable)
+                if count is not None:
+                    known = min(known, float(count))
+            self._distinct[key] = known
+        return known
+
+    def _extent(self, subquery: Subquery) -> list[tuple[float, float]]:
+        """Per source: (request ms, C(sq, ep))."""
+        known = self._extents.get(subquery.id)
+        if known is None:
+            known = self._extents[subquery.id] = [
+                (
+                    self.costs.request_ms[ep],
+                    self.estimates.endpoint_cardinality(subquery, ep, self.projected),
+                )
+                for ep in subquery.sources
+            ]
+        return known
+
+    def _ship(self, subquery: Subquery) -> float:
+        row_ms = self.costs.row_ms
+        return max(
+            (request_ms + rows * row_ms for request_ms, rows in self._extent(subquery)),
+            default=0.0,
+        )
+
+    def _bound(
+        self, subquery: Subquery, bindings: float, variable: Variable
+    ) -> tuple[float, float]:
+        """(virtual ms, rows) of binding ``subquery`` to ``bindings``
+        values of ``variable``: each endpoint answers every block and
+        returns its share of the rows."""
+        costs = self.costs
+        cardinality = self.cardinalities[subquery.id]
+        distinct = self.distinct(subquery, variable)
+        rows = min(cardinality, bindings * cardinality / distinct) if distinct > 0 else 0.0
+        share = rows / cardinality if cardinality > 0 else 0.0
+        block = adaptive_block_size(costs.block_size, MIN_BLOCK, cardinality, bindings)
+        requests = math.ceil(bindings / block)
+        ms = max(
+            (
+                requests * request_ms + extent * share * costs.row_ms
+                for request_ms, extent in self._extent(subquery)
+            ),
+            default=0.0,
+        )
+        return ms, rows
+
+    def run(self, required: list[Subquery], reasons: dict[int, str], override: bool) -> None:
+        """Place ``required``; under ``override`` (the cost policy) the
+        seed stays eager and a clear cost difference sets the verdict."""
+        seed = min(required, key=lambda sq: (self.cardinalities[sq.id], sq.id))
+        self.seed_id = seed.id
+        if override and _delays(reasons, seed.id):
+            reasons[seed.id] = "kept-eager"
+        seed_ship = self._ship(seed)
+        # What each placed subquery hands the next one: its rows.
+        out_rows = {seed.id: self.cardinalities[seed.id]}
+        placed = [seed]
+        unplaced = [sq for sq in required if sq is not seed]
+        while unplaced:
+            best = None
+            for subquery in unplaced:
+                reach = self._reach(subquery, placed, out_rows)
+                if reach is None:
+                    continue
+                key = (reach[0], self.cardinalities[subquery.id], subquery.id)
+                if best is None or key < best[0]:
+                    best = (key, subquery, reach[1])
+            if best is None:
+                return  # the rest is not connected to the seed
+            (bindings, __, __), subquery, variable = best
+            unplaced.remove(subquery)
+            placed.append(subquery)
+            bound_ms, rows = self._bound(subquery, bindings, variable)
+            ship_ms = self._ship(subquery) - seed_ship
+            self.bindings[subquery.id] = bindings
+            self.bound_ms[subquery.id] = bound_ms
+            self.ship_ms[subquery.id] = ship_ms
+            margin = 2.0 * max(
+                (request_ms for request_ms, __ in self._extent(subquery)), default=0.0
+            )
+            if override and abs(bound_ms - ship_ms) > margin:
+                reasons[subquery.id] = (
+                    "bound-cheaper" if bound_ms < ship_ms else "ship-cheaper"
+                )
+            out_rows[subquery.id] = (
+                rows if _delays(reasons, subquery.id) else self.cardinalities[subquery.id]
+            )
+
+    def _reach(
+        self, subquery: Subquery, placed: list[Subquery], out_rows: dict[int, float]
+    ) -> tuple[float, Variable] | None:
+        """The fewest bindings a placed neighbour can give ``subquery``,
+        and the variable they bind; ``None`` when no neighbour shares one."""
+        best = None
+        own = subquery.variables()
+        for neighbour in placed:
+            for variable in sorted(own & neighbour.variables(), key=lambda v: v.name):
+                bindings = min(out_rows[neighbour.id], self.distinct(neighbour, variable))
+                if best is None or bindings < best[0]:
+                    best = (bindings, variable)
+        return best
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import Subquery, values_block
+from repro.core.execution.cost_model import MIN_BLOCK, adaptive_block_size
 from repro.core.execution.join_order import (
     JoinHints,
     execute_plan,
@@ -45,30 +46,8 @@ if TYPE_CHECKING:
     from repro.core.engine import BranchPlan, LusailConfig
     from repro.core.mqo import SharedSubqueryCache
 
-#: Smallest block the adaptive bound join may shrink to.
-MIN_BLOCK = 50
-
 #: Elastic Request Handler worker threads per mediator machine.
 POOL_SIZE = 8
-
-
-def adaptive_block_size(
-    block_size: int, min_block: int, estimated_rows: float, bindings: int
-) -> int:
-    """Bound-join block size scaled by estimated rows per binding.
-
-    Selective delayed subqueries (at most one row back per shipped
-    binding) keep the full block; unselective ones shrink the block so
-    one VALUES request does not ship ``block_size * rows_per_binding``
-    rows back at once, clamped to ``[min_block, block_size]``.
-    """
-    if bindings <= 0:
-        return block_size
-    rows_per_binding = estimated_rows / bindings
-    if rows_per_binding <= 1.0:
-        return block_size
-    floor = max(1, min(min_block, block_size))
-    return max(floor, min(block_size, int(block_size / rows_per_binding)))
 
 
 @dataclass

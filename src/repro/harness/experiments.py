@@ -178,7 +178,8 @@ def preprocessing_cost() -> list[dict]:
 
 
 def fig09_thresholds() -> list[dict]:
-    """Total per-category time for each delay threshold policy (geo).
+    """Total per-category time for each delay policy (geo): the paper's
+    four thresholds, then the default ``cost`` rule built on ``mu + sigma``.
 
     Expected shape: ``mu + sigma`` is consistently good; ``mu`` hurts
     large queries (too much delaying), ``mu+2sigma`` / outliers hurt

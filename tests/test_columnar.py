@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.execution.scheduler import adaptive_block_size
+from repro.core.execution.cost_model import adaptive_block_size
 from repro.exceptions import MemoryLimitError
 from repro.net.metrics import QueryMetrics
 from repro.rdf import IRI, Variable

@@ -9,13 +9,14 @@ from repro.core.decomposition.subquery import Subquery
 from repro.core.execution.cost_model import (
     CardinalityEstimates,
     DelayPolicy,
+    RequestCosts,
     collect_statistics,
     count_query,
     decide_delays,
 )
 from repro.core.execution.outliers import chauvenet_outliers, robust_stats
-from repro.endpoint import EngineCaches, FederationClient
-from repro.net.simulator import local_cluster_config
+from repro.endpoint import Endpoint, EngineCaches, Federation, FederationClient
+from repro.net.simulator import geo_distributed_config, local_cluster_config
 from repro.rdf import UB, TriplePattern, Variable
 from repro.sparql.ast import Comparison, TermExpr, VarExpr
 from repro.rdf.terms import typed_literal
@@ -262,3 +263,191 @@ class TestDecideDelays:
         decide_delays(subqueries, estimates, projected=set())
         assert subqueries[0].estimated_cardinality == 10
         assert subqueries[1].estimated_cardinality == 20
+
+
+# ------------------------------------------------------------- cost rule
+
+LOCAL = local_cluster_config()
+GEO = geo_distributed_config()
+
+
+def costs_for(config, regions, block_size=500):
+    """RequestCosts for endpoints named after their regions' keys."""
+    federation = Federation(Endpoint(name, region=region) for name, region in regions.items())
+    return RequestCosts.of(config, federation, regions, block_size)
+
+
+class DistinctStub:
+    """A statistics provider that knows only hand-written distinct counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def distinct_values(self, subquery, variable):
+        return self.counts.get((subquery.id, variable.name))
+
+
+def shaped(*specs):
+    """Subqueries from ``(variables, {endpoint: count})`` specs, each one
+    pattern ``?a p<i> ?b`` over the named variables, with its count."""
+    subqueries, estimates = [], CardinalityEstimates()
+    for index, ((left, right), counts) in enumerate(specs):
+        pattern = TriplePattern(Variable(left), UB[f"q{index}"], Variable(right))
+        subqueries.append(Subquery(index, (pattern,), tuple(counts)))
+        for endpoint, count in counts.items():
+            estimates.pattern_counts[(pattern, endpoint)] = count
+    return subqueries, estimates
+
+
+def decide(policy, specs, costs, provider=None):
+    subqueries, estimates = shaped(*specs)
+    return decide_delays(
+        subqueries, estimates, projected=set(), policy=policy, provider=provider, costs=costs
+    )
+
+
+#: LargeRDF S2: one drug name, its 2640 sameAs links over four
+#: endpoints, then the 2500-row label extent at the chain's far end.
+S2_CHAIN = (
+    (("d", "x"), {"nytimes": 1}),
+    (("x", "y"), {"drugbank": 660, "kegg": 660, "linkedmdb": 660, "nytimes": 660}),
+    (("y", "label"), {"dbpedia": 2500}),
+)
+S2_COSTS = {name: "local" for name in ("nytimes", "drugbank", "kegg", "linkedmdb", "dbpedia")}
+
+
+class TestRequestCosts:
+    def test_prices_follow_the_network_config_and_each_region(self):
+        costs = costs_for(GEO, {"eu": "north-europe", "us": "east-us"}, block_size=200)
+        assert costs.request_ms == {
+            "eu": 95.0 + GEO.request_overhead_ms + GEO.eval_base_ms,
+            "us": 25.0 + GEO.request_overhead_ms + GEO.eval_base_ms,
+        }
+        assert costs.row_ms == pytest.approx(0.005 + 0.05 + 120 / 10_000)
+        assert costs.block_size == 200
+
+    def test_cost_policy_needs_costs(self):
+        subqueries, estimates = make_subqueries([10, 20])
+        with pytest.raises(ValueError):
+            decide_delays(subqueries, estimates, projected=set(), policy=DelayPolicy.COST)
+
+
+class TestCostRule:
+    def test_s2_chain_delays_both_far_subqueries(self):
+        costs = costs_for(LOCAL, S2_COSTS)
+        paper = decide(DelayPolicy.MU_SIGMA, S2_CHAIN, costs)
+        assert paper.delayed_ids == {1}
+        cost = decide(DelayPolicy.COST, S2_CHAIN, costs)
+        assert cost.delayed_ids == {1, 2}
+        assert cost.seed_id == 0
+        assert cost.reasons[1] == cost.reasons[2] == "bound-cheaper"
+        # One binding reaches each: the drug, then its one sameAs link.
+        assert cost.bindings == {1: 1.0, 2: 1.0}
+        assert cost.bound_ms[2] < 2.0 < 30.0 < cost.ship_ms[2]
+        # A threshold policy records the same estimates, verdicts unchanged.
+        assert paper.bindings == {1: 1.0, 2: 1.0}
+        assert paper.reasons[2] == "below"
+
+    def test_b7_extent_every_binding_covers_stays_eager(self):
+        # 320 bindings, 15 rows per binding over a 4800-row extent: the
+        # bound join fetches the whole extent anyway, in seven requests.
+        specs = (
+            (("x", "g"), {"affymetrix": 320}),
+            (("x", "m"), {"tcga-m": 4800}),
+            (("x", "e"), {"tcga-e": 3840}),
+        )
+        costs = costs_for(LOCAL, {"affymetrix": "local", "tcga-m": "local", "tcga-e": "local"})
+        provider = DistinctStub({(0, "x"): 320, (1, "x"): 320, (2, "x"): 320})
+        paper = decide(DelayPolicy.MU_SIGMA, specs, costs, provider)
+        assert paper.delayed_ids == {1}
+        cost = decide(DelayPolicy.COST, specs, costs, provider)
+        assert cost.delayed_ids == set()
+        assert cost.reasons[1] == cost.reasons[2] == "ship-cheaper"
+        assert cost.bindings[1] == 320
+        assert cost.bound_ms[1] > cost.ship_ms[1]
+
+    def test_geo_request_costs_keep_the_paper_verdicts(self):
+        # C1's shape: a small seed, a 3392-row subquery over four
+        # endpoints and a 2250-row one.  At ~100 ms a request the
+        # estimates differ by less than two round trips: the paper's
+        # verdicts stand.  On the local cluster the same estimates bind
+        # the 2250-row subquery too.
+        specs = (
+            (("x", "a"), {"drugbank": 80}),
+            (("x", "b"), {"drugbank": 848, "kegg": 848, "linkedmdb": 848, "nytimes": 848}),
+            (("x", "c"), {"chebi": 2250}),
+        )
+        regions = {
+            "drugbank": "north-europe", "kegg": "west-europe", "linkedmdb": "uk-south",
+            "nytimes": "east-us", "chebi": "west-us",
+        }
+        paper = decide(DelayPolicy.MU_SIGMA, specs, costs_for(GEO, regions))
+        geo = decide(DelayPolicy.COST, specs, costs_for(GEO, regions))
+        assert geo.delayed_ids == paper.delayed_ids
+        assert geo.reasons == paper.reasons
+        local = decide(DelayPolicy.COST, specs, costs_for(LOCAL, dict.fromkeys(regions, "local")))
+        assert local.delayed_ids == paper.delayed_ids | {2}
+        assert local.reasons[2] == "bound-cheaper"
+
+    def test_near_tie_keeps_the_paper_verdict(self):
+        # LUBM L11's shape: 48 rows over two endpoints beside a 24-row
+        # seed.  Binding and shipping differ by ~1.5 ms, inside two round
+        # trips, so the paper's delay (and its 48 rows instead of 72) stays.
+        specs = ((("x", "y"), {"u0": 24, "u1": 24}), (("x", "z"), {"u0": 24}))
+        costs = costs_for(LOCAL, {"u0": "local", "u1": "local"})
+        decision = decide(DelayPolicy.COST, specs, costs)
+        assert decision.seed_id == 1
+        assert decision.delayed_ids == {0}
+        assert decision.reasons[0] == "cardinality"
+        assert abs(decision.bound_ms[0] - decision.ship_ms[0]) <= 2 * costs.request_ms["u0"]
+
+    def test_seed_stays_eager_under_the_cost_rule(self):
+        # The smallest subquery touches the most endpoints: the paper
+        # delays it on that count, the cost rule keeps it as the seed.
+        specs = (
+            (("x", "a"), {f"ep{k}": 1 for k in range(8)}),
+            *((("x", f"v{count}"), {"ep0": count}) for count in (30, 40, 50, 60)),
+        )
+        costs = costs_for(LOCAL, {f"ep{k}": "local" for k in range(8)})
+        paper = decide(DelayPolicy.MU_SIGMA, specs, costs)
+        assert paper.reasons[0] == "endpoints"
+        cost = decide(DelayPolicy.COST, specs, costs)
+        assert cost.seed_id == 0 and 0 not in cost.delayed_ids
+        assert cost.reasons[0] == "kept-eager"
+
+    def test_unconnected_and_optional_subqueries_keep_the_paper_verdict(self):
+        specs = (
+            (("x", "a"), {"ep0": 10}),
+            (("x", "b"), {"ep0": 5000}),
+            (("u", "v"), {"ep1": 5000}),
+            (("x", "o"), {"ep0": 10}),
+        )
+        subqueries, estimates = shaped(*specs)
+        subqueries[3].optional_group = 0
+        decision = decide_delays(
+            subqueries, estimates, projected=set(), policy=DelayPolicy.COST,
+            costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),
+        )
+        assert set(decision.bindings) == {1}
+        assert decision.reasons[2] in ("cardinality", "below")
+        assert decision.reasons[3] == "optional"
+
+    def test_probe_statistics_run_the_rule_on_cardinalities(self):
+        # statistics="probe" installs no provider: the bindings estimate
+        # is C(sq, v) alone, the charsets' distinct count tightens it.
+        from repro.core.engine import LusailConfig, LusailEngine
+        from repro.datasets import lubm
+
+        federation = lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
+        query = lubm.crossing_queries()["Q6"]
+        decisions = {
+            statistics: LusailEngine(federation, LusailConfig(statistics=statistics))
+            .execute(query)
+            .plan.branch_plans[0]
+            .delays
+            for statistics in ("probe", "charsets")
+        }
+        for decision in decisions.values():
+            assert decision.delayed_ids == {1, 2}
+            assert decision.reasons[1] == decision.reasons[2] == "bound-cheaper"
+        assert decisions["probe"].bindings[1] > decisions["charsets"].bindings[1] > 0

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -415,6 +418,38 @@ class TestEngineIntegration:
         __, __, outcomes = _run_traced(tiny_lubm, ("Lusail",), lubm.queries()["Q4"])
         table = endpoint_summary_table(outcomes["Lusail"].metrics)
         assert "university0" in table and "busy_ms" in table
+
+    _GJV_SCRIPT = """
+import json
+from repro.core.engine import LusailEngine
+from repro.obs import Tracer, span_to_dict
+from tests.conftest import QA, build_paper_federation
+engine = LusailEngine(build_paper_federation())
+engine.tracer = Tracer(enabled=True)
+engine.explain(QA)
+print(json.dumps([
+    span_to_dict(span)["attrs"]["join_variables"]
+    for root in engine.tracer.roots
+    for span in root.find("gjv_detection")
+]))
+"""
+
+    def test_gjv_span_exports_the_same_join_variables_under_any_hash_seed(self):
+        # The join variables are collected into a set of Variables, whose
+        # iteration order follows hashing; the span lists them by name.
+        root = str(Path(__file__).resolve().parents[1])
+        exported = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", self._GJV_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True, cwd=root,
+            )
+            exported.append(json.loads(completed.stdout))
+        assert exported[0] == exported[1] == [["C", "P", "S", "U"]]
 
 
 # ------------------------------------------------------------------------ CLI
