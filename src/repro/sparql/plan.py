@@ -16,8 +16,6 @@ explicit operator pipeline that can be executed many times:
 * OPTIONAL / UNION / sub-SELECT compile to composed sub-plans;
 * ORDER BY (a compiled sort key over the *pre-projection* row, SPARQL
   §15), projection, DISTINCT and LIMIT/OFFSET form the pipeline tail;
-  ASK and LIMIT queries run the probe pipeline **lazily** so evaluation
-  stops as soon as enough rows exist;
 * top-level VALUES clauses compile to **parameter slots**: an endpoint
   can strip the rows off a bound-join request
   (:func:`split_parameters`), look the remaining skeleton up in its
@@ -30,6 +28,14 @@ terms are decoded only where an expression operator inspects a value.
 The final :class:`~repro.sparql.result.SelectResult` stays encoded too —
 id columns plus the store's dictionary — and decodes only if a caller
 asks for its ``rows``.
+
+Each operator has one body, ``run_batches``: row lists in, non-empty
+row lists out.  Plans differ only in how far they are drained.  A batch
+plan moves one list through each operator (the bound-join hot path) and
+is drained whole.  In a lazy plan (ASK, EXISTS, LIMIT without ORDER BY)
+probes read index streams in chunks of 1, 2, 4, … up to
+:data:`LAZY_CHUNK_LIMIT` matches and hand on each chunk, so draining
+stops after the first batch (:meth:`_GroupPlan.matches`) or at LIMIT.
 
 Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
@@ -44,7 +50,7 @@ compiled results match it on randomized queries.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -75,6 +81,9 @@ from repro.store.triple_store import TripleStore
 IdRow = tuple
 #: The seed relation: one empty row over the empty schema.
 _SEED = ((),)
+#: The largest chunk a lazy probe reads: chunks start at one match, so
+#: the first solution costs one per probe, and double from there.
+LAZY_CHUNK_LIMIT = 64
 
 
 # --------------------------------------------------------------------------
@@ -126,8 +135,8 @@ class _ExecutionContext:
     """Mutable per-execution state; the compiled plan itself is immutable.
 
     Holds the encoded parameter blocks and per-operator scratch state
-    (lazy-probe match caches, materialized sub-selects).  Expressions
-    need nothing from it: their closures are part of the plan.
+    (materialized sub-selects).  Expressions need nothing from it: their
+    closures are part of the plan.
     """
 
     __slots__ = ("store", "dictionary", "param_rows", "_state")
@@ -194,6 +203,33 @@ def estimate_pattern(
 # Operators
 
 
+def _drain(batches) -> list:
+    """Every row of ``batches`` in one list; a lone batch is returned as
+    is, without a copy."""
+    batches = list(batches)
+    return batches[0] if len(batches) == 1 else list(chain.from_iterable(batches))
+
+
+def _merge_into(out: list, row: IdRow, pad: list, candidates, pairs) -> None:
+    """Append ``row``, widened by ``pad``, joined with each compatible
+    candidate row: a ``(column, target)`` pair copies the candidate's
+    column into the target slot, and ``None`` on either side (unbound)
+    matches anything."""
+    for candidate in candidates:
+        merged = list(row) + pad
+        for col, target in pairs:
+            value = candidate[col]
+            if value is None:
+                continue
+            existing = merged[target]
+            if existing is None:
+                merged[target] = value
+            elif existing != value:
+                break
+        else:
+            out.append(tuple(merged))
+
+
 class _ProbeOp:
     """One triple-pattern index probe, compiled against the row schema.
 
@@ -205,9 +241,9 @@ class _ProbeOp:
     itself** — the plan is pinned to one store version, so memos can
     never go stale within its lifetime, and bound-join blocks that share
     join-variable values (same advisor, same course) reuse them across
-    executions.  In ``lazy`` mode the probe streams straight off the
-    index iterator so ASK / LIMIT / EXISTS consumers stop after the
-    first row.
+    executions.  In ``lazy`` mode the probe reads the index iterator in
+    growing chunks and hands rows on after each, so ASK / LIMIT /
+    EXISTS consumers stop after the first match.
     """
 
     #: Match memos are cleared past this many distinct lookup keys; a
@@ -249,127 +285,87 @@ class _ProbeOp:
         self._extract = itemgetter(*self.new_positions) if self._n_new >= 2 else None
         self._match_cache: dict | None = None if lazy else {}
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
+    def _stream(self, match_ids, s, p, o):
+        """The index matches of one lookup, repeated variables checked."""
+        matches = match_ids(s, p, o)
+        eq_checks = self.eq_checks
+        if eq_checks:
+            matches = (m for m in matches if all(m[i] == m[j] for i, j in eq_checks))
+        return matches
+
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
         s_const, p_const, o_const = self.consts
         s_slot, p_slot, o_slot = self.slots
+        match_ids = ctx.store.match_ids
+        maybe_pending = self.maybe_pending
         new_positions = self.new_positions
-        eq_checks = self.eq_checks
-        maybe_pending = self.maybe_pending
-        match_ids = ctx.store.match_ids
-        match_cache = self._match_cache
-        for row in rows:
-            s = s_const if s_slot is None else row[s_slot]
-            p = p_const if p_slot is None else row[p_slot]
-            o = o_const if o_slot is None else row[o_slot]
-            if match_cache is None:
-                matches = match_ids(s, p, o)
-                if eq_checks:
-                    matches = (
-                        m for m in matches if all(m[i] == m[j] for i, j in eq_checks)
-                    )
-            else:
-                key = (s, p, o)
-                matches = match_cache.get(key)
-                if matches is None:
-                    matches = list(match_ids(s, p, o))
-                    if eq_checks:
-                        matches = [
-                            m for m in matches if all(m[i] == m[j] for i, j in eq_checks)
-                        ]
-                    if len(match_cache) >= self.MATCH_CACHE_LIMIT:
-                        match_cache.clear()
-                    match_cache[key] = matches
-            pending = (
-                [(i, slot) for i, slot in maybe_pending if row[slot] is None]
-                if maybe_pending
-                else None
-            )
-            if not pending:
-                for match in matches:
-                    yield row + tuple(match[i] for i in new_positions)
-            else:
-                for match in matches:
-                    patched = list(row)
-                    consistent = True
-                    for i, slot in pending:
-                        value = match[i]
-                        existing = patched[slot]
-                        if existing is None:
-                            patched[slot] = value
-                        elif existing != value:
-                            consistent = False
-                            break
-                    if consistent:
-                        yield tuple(patched) + tuple(match[i] for i in new_positions)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        """Batch form of :meth:`run` for non-lazy plans.
-
-        Whole-list processing with pre-resolved extraction avoids the
-        per-row generator machinery of the streaming path — this is the
-        bound-join hot loop.
-        """
-        s_const, p_const, o_const = self.consts
-        s_slot, p_slot, o_slot = self.slots
-        match_ids = ctx.store.match_ids
-        eq_checks = self.eq_checks
-        maybe_pending = self.maybe_pending
-        match_cache = self._match_cache
-        if match_cache is None:  # lazy op driven through the batch path
-            match_cache = ctx.state(self)
         n_new = self._n_new
         first_new = self._first_new
         extract = self._extract
-        out: list = []
-        for row in rows:
-            s = s_const if s_slot is None else row[s_slot]
-            p = p_const if p_slot is None else row[p_slot]
-            o = o_const if o_slot is None else row[o_slot]
-            key = (s, p, o)
-            matches = match_cache.get(key)
-            if matches is None:
-                if eq_checks:
-                    matches = [
-                        m
-                        for m in match_ids(s, p, o)
-                        if all(m[i] == m[j] for i, j in eq_checks)
-                    ]
+        match_cache = self._match_cache
+        stream = None  # a lazy probe's open index stream
+        for rows in batches:
+            out: list = []
+            for row in rows:
+                s = s_const if s_slot is None else row[s_slot]
+                p = p_const if p_slot is None else row[p_slot]
+                o = o_const if o_slot is None else row[o_slot]
+                if match_cache is None:
+                    stream = self._stream(match_ids, s, p, o)
+                    size = 1
+                    matches = list(islice(stream, size))
+                    if not matches:
+                        continue
                 else:
-                    matches = list(match_ids(s, p, o))
-                if len(match_cache) >= self.MATCH_CACHE_LIMIT:
-                    match_cache.clear()
-                match_cache[key] = matches
-            if not matches:
-                continue
-            if maybe_pending:
-                pending = [(i, slot) for i, slot in maybe_pending if row[slot] is None]
-                if pending:
-                    for match in matches:
-                        patched = list(row)
-                        consistent = True
-                        for i, slot in pending:
-                            value = match[i]
-                            existing = patched[slot]
-                            if existing is None:
-                                patched[slot] = value
-                            elif existing != value:
-                                consistent = False
-                                break
-                        if consistent:
-                            out.append(
-                                tuple(patched)
-                                + tuple(match[i] for i in self.new_positions)
-                            )
-                    continue
-            if n_new == 1:
-                out.extend([row + (m[first_new],) for m in matches])
-            elif n_new == 0:
-                out.extend([row] * len(matches))
-            elif n_new == 3:
-                out.extend([row + m for m in matches])
-            else:
-                out.extend([row + extract(m) for m in matches])
-        return out
+                    key = (s, p, o)
+                    matches = match_cache.get(key)
+                    if matches is None:
+                        matches = list(self._stream(match_ids, s, p, o))
+                        if len(match_cache) >= self.MATCH_CACHE_LIMIT:
+                            match_cache.clear()
+                        match_cache[key] = matches
+                    if not matches:
+                        continue
+                pending = maybe_pending and [
+                    (i, slot) for i, slot in maybe_pending if row[slot] is None
+                ]
+                # One pass per match list: the memoised list, or each
+                # chunk of a lazy stream — 1, 2, 4, … matches up to
+                # LAZY_CHUNK_LIMIT — handed on as soon as it is read.
+                while True:
+                    if pending:
+                        for match in matches:
+                            patched = list(row)
+                            for i, slot in pending:
+                                value = match[i]
+                                existing = patched[slot]
+                                if existing is None:
+                                    patched[slot] = value
+                                elif existing != value:
+                                    break
+                            else:
+                                out.append(
+                                    tuple(patched) + tuple(match[i] for i in new_positions)
+                                )
+                    elif n_new == 1:
+                        out.extend([row + (m[first_new],) for m in matches])
+                    elif n_new == 0:
+                        out.extend([row] * len(matches))
+                    elif n_new == 3:
+                        out.extend([row + m for m in matches])
+                    else:
+                        out.extend([row + extract(m) for m in matches])
+                    if stream is None:
+                        break
+                    if out:
+                        yield out
+                        out = []
+                    size = min(2 * size, LAZY_CHUNK_LIMIT)
+                    matches = list(islice(stream, size))
+                    if not matches:
+                        break
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "probe(lazy)" if self.lazy else "probe"
@@ -427,17 +423,19 @@ class _SemiJoinOp(_ProbeOp):
         self.test_position = 0 if tests_subject else 2
         self.test_slot = slots[self.test_position]
 
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        find = _range_finder(ctx.store, self, self.test_position)
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
         test_slot = self.test_slot
-        out: list = []
-        for row in rows:
-            values, lo, hi = find(row)
-            value = row[test_slot]
-            at = bisect_left(values, value, lo, hi)
-            if at < hi and values[at] == value:
-                out.append(row)
-        return out
+        for rows in batches:
+            find = _range_finder(ctx.store, self, self.test_position)
+            out: list = []
+            for row in rows:
+                values, lo, hi = find(row)
+                value = row[test_slot]
+                at = bisect_left(values, value, lo, hi)
+                if at < hi and values[at] == value:
+                    out.append(row)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "semijoin"
@@ -464,35 +462,32 @@ class _IntersectOp:
         first, *checks = self.members
         self._positions = (first.new_positions[0], *(op.test_position for op in checks))
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        for member in self.members:
-            rows = member.run(ctx, rows)
-        return rows
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        finders = [
-            _range_finder(ctx.store, member, position)
-            for member, position in zip(self.members, self._positions)
-        ]
-        out: list = []
-        for row in rows:
-            (values, lo, hi), *others = sorted([find(row) for find in finders], key=_span)
-            found = values[lo:hi]
-            for other, start, stop in others:
-                if not found:
-                    break
-                # Candidates ascend, so the tested range only shrinks:
-                # nothing in it lies above the last candidate, and each
-                # search starts where the previous one ended.
-                stop = bisect_right(other, found[-1], start, stop)
-                found = [
-                    value
-                    for value in found
-                    if (start := bisect_left(other, value, start, stop)) < stop
-                    and other[start] == value
-                ]
-            out.extend([row + (value,) for value in found])
-        return out
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        for rows in batches:
+            finders = [
+                _range_finder(ctx.store, member, position)
+                for member, position in zip(self.members, self._positions)
+            ]
+            out: list = []
+            for row in rows:
+                (values, lo, hi), *others = sorted([find(row) for find in finders], key=_span)
+                found = values[lo:hi]
+                for other, start, stop in others:
+                    if not found:
+                        break
+                    # Candidates ascend, so the tested range only shrinks:
+                    # nothing in it lies above the last candidate, and each
+                    # search starts where the previous one ended.
+                    stop = bisect_right(other, found[-1], start, stop)
+                    found = [
+                        value
+                        for value in found
+                        if (start := bisect_left(other, value, start, stop)) < stop
+                        and other[start] == value
+                    ]
+                out.extend([row + (value,) for value in found])
+            if out:
+                yield out
 
     def describe(self) -> str:
         return f"intersect[{' & '.join(op.pattern_text for op in self.members)}]"
@@ -538,55 +533,31 @@ class _ValuesOp:
     bound-join hot path — the encoded block passes through untouched.
     """
 
-    __slots__ = ("slot", "fixed_rows", "targets", "n_new", "passthrough")
+    __slots__ = ("slot", "fixed_rows", "pairs", "n_new", "passthrough")
 
     def __init__(self, slot, fixed_rows, targets, n_new, passthrough):
         self.slot = slot
         self.fixed_rows = fixed_rows
-        self.targets = targets
+        #: ``(value column, row slot)`` per VALUES variable.
+        self.pairs = tuple(enumerate(targets))
         self.n_new = n_new
         self.passthrough = passthrough
 
-    def rows_for(self, ctx: _ExecutionContext):
-        return self.fixed_rows if self.slot is None else ctx.param_rows[self.slot]
-
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        vrows = self.rows_for(ctx)
-        if self.passthrough:
-            for _row in rows:
-                yield from vrows
-            return
-        targets = self.targets
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        vrows = self.fixed_rows if self.slot is None else ctx.param_rows[self.slot]
+        pairs = self.pairs
         pad = [None] * self.n_new
-        for row in rows:
-            for vrow in vrows:
-                out = list(row) + pad
-                ok = True
-                for j, value in enumerate(vrow):
-                    if value is None:
-                        continue  # UNDEF matches anything
-                    target = targets[j]
-                    existing = out[target]
-                    if existing is None:
-                        out[target] = value
-                    elif existing != value:
-                        ok = False
-                        break
-                if ok:
-                    yield tuple(out)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        if self.passthrough:
-            vrows = self.rows_for(ctx)
-            if len(rows) == 1:
+        for rows in batches:
+            if self.passthrough:
                 # The usual shape: VALUES leads the pipeline, seeded by
                 # the single empty row — the encoded block IS the output.
-                return list(vrows)
-            out: list = []
-            for _row in rows:
-                out.extend(vrows)
-            return out
-        return list(self.run(ctx, iter(rows)))
+                out = list(vrows * len(rows))
+            else:
+                out = []
+                for row in rows:
+                    _merge_into(out, row, pad, vrows, pairs)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "values(param)" if self.slot is not None else "values"
@@ -605,11 +576,12 @@ class _FilterOp:
         self.passes = passes
         self.label = label
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        return filter(self.passes, rows)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        return list(filter(self.passes, rows))
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        passes = self.passes
+        for rows in batches:
+            out = list(filter(passes, rows))
+            if out:
+                yield out
 
     def describe(self) -> str:
         return self.label
@@ -617,7 +589,7 @@ class _FilterOp:
 
 class _ExistsFilterOp:
     """``FILTER [NOT] EXISTS { ... }`` via a compiled lazy sub-plan:
-    each row seeds the sub-plan and only its first result is taken."""
+    each row seeds the sub-plan and only its first batch is taken."""
 
     __slots__ = ("plan", "negated")
 
@@ -625,18 +597,13 @@ class _ExistsFilterOp:
         self.plan = plan
         self.negated = negated
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        plan = self.plan
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        matches = self.plan.matches
         negated = self.negated
-        for row in rows:
-            found = next(plan.run(ctx, iter((row,))), None) is not None
-            if found != negated:
-                yield row
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        # The EXISTS sub-plan is compiled lazy (take-first); keep it
-        # streaming per row.
-        return list(self.run(ctx, iter(rows)))
+        for rows in batches:
+            out = [row for row in rows if matches(ctx, row) != negated]
+            if out:
+                yield out
 
     def describe(self) -> str:
         tag = "not_exists" if self.negated else "exists"
@@ -653,28 +620,19 @@ class _OptionalOp:
         self.plan = plan
         self.pad = pad
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        plan = self.plan
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        run = self.plan.run_batches
         pad = self.pad
-        for row in rows:
-            matched = False
-            for out in plan.run(ctx, iter((row,))):
-                matched = True
+        for rows in batches:
+            out: list = []
+            for row in rows:
+                matched = _drain(run(ctx, ([row],)))
+                if matched:
+                    out.extend(matched)
+                else:
+                    out.append(row + pad)
+            if out:
                 yield out
-            if not matched:
-                yield row + pad
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        plan = self.plan
-        pad = self.pad
-        out: list = []
-        for row in rows:
-            matched = plan.run_list(ctx, [row])
-            if matched:
-                out.extend(matched)
-            else:
-                out.append(row + pad)
-        return out
 
     def describe(self) -> str:
         return f"optional[{', '.join(self.plan.describe())}]"
@@ -690,27 +648,17 @@ class _UnionOp:
     def __init__(self, branches):
         self.branches = branches
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        rows = list(rows)
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        rows = _drain(batches)
+        if not rows:
+            return
         for plan, out_map in self.branches:
-            if out_map is None:
-                yield from plan.run(ctx, iter(rows))
-            else:
-                for brow in plan.run(ctx, iter(rows)):
-                    yield tuple(None if i is None else brow[i] for i in out_map)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        out: list = []
-        for plan, out_map in self.branches:
-            brows = plan.run_list(ctx, rows)
-            if out_map is None:
-                out.extend(brows)
-            else:
-                out.extend(
-                    tuple(None if i is None else brow[i] for i in out_map)
-                    for brow in brows
-                )
-        return out
+            for brows in plan.run_batches(ctx, (rows,)):
+                if out_map is not None:
+                    brows = [
+                        tuple(None if i is None else brow[i] for i in out_map) for brow in brows
+                    ]
+                yield brows
 
     def describe(self) -> str:
         inner = " | ".join(", ".join(plan.describe()) for plan, _ in self.branches)
@@ -725,11 +673,8 @@ class _GroupOp:
     def __init__(self, plan):
         self.plan = plan
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        return self.plan.run(ctx, rows)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        return self.plan.run_list(ctx, rows)
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        return self.plan.run_batches(ctx, batches)
 
     def describe(self) -> str:
         return f"group[{', '.join(self.plan.describe())}]"
@@ -738,7 +683,10 @@ class _GroupOp:
 class _SubSelectOp:
     """Join with an uncorrelated sub-SELECT.  The inner plan runs once
     per execution; a hash index on the shared (key) columns is built
-    alongside, mirroring the evaluator's per-query sub-select cache."""
+    alongside, mirroring the evaluator's per-query sub-select cache.
+    Inner rows with an unbound key column (OPTIONAL / UNDEF inside the
+    sub-select) stay out of the index: they are compatible with any
+    outer key, so every outer row also scans them."""
 
     __slots__ = ("core", "key_slots", "key_cols", "targets", "n_new")
 
@@ -749,45 +697,34 @@ class _SubSelectOp:
         self.targets = targets
         self.n_new = n_new
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
-        state = ctx.state(self)
-        if "rows" not in state:
-            inner_rows = self.core.id_result(ctx)
-            index: dict = {}
-            for irow in inner_rows:
-                key = tuple(irow[c] for c in self.key_cols)
-                index.setdefault(key, []).append(irow)
-            state["rows"] = inner_rows
-            state["index"] = index
-        inner_rows = state["rows"]
-        index = state["index"]
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
         key_slots = self.key_slots
         targets = self.targets
         pad = [None] * self.n_new
-        for row in rows:
-            if key_slots:
+        state = ctx.state(self)
+        for rows in batches:
+            if not state:
+                inner_rows = self.core.id_result(ctx)
+                index: dict = {}
+                loose: list = []
+                for irow in inner_rows:
+                    key = tuple(irow[c] for c in self.key_cols)
+                    if None in key:
+                        loose.append(irow)
+                    else:
+                        index.setdefault(key, []).append(irow)
+                state["inner"] = (inner_rows, index, loose)
+            inner_rows, index, loose = state["inner"]
+            out: list = []
+            for row in rows:
                 key = tuple(row[i] for i in key_slots)
-                candidates = inner_rows if None in key else index.get(key, ())
-            else:
-                candidates = inner_rows
-            for irow in candidates:
-                out = list(row) + pad
-                ok = True
-                for col, target in targets:
-                    value = irow[col]
-                    if value is None:
-                        continue
-                    existing = out[target]
-                    if existing is None:
-                        out[target] = value
-                    elif existing != value:
-                        ok = False
-                        break
-                if ok:
-                    yield tuple(out)
-
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        return list(self.run(ctx, iter(rows)))
+                if None in key:
+                    candidates = inner_rows
+                else:
+                    candidates = chain(index.get(key, ()), loose)
+                _merge_into(out, row, pad, candidates, targets)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "subselect"
@@ -804,17 +741,15 @@ class _GroupPlan:
         self.out_schema = out_schema
         self.out_certain = out_certain
 
-    def run(self, ctx: _ExecutionContext, rows) -> Iterator[IdRow]:
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
         for op in self.ops:
-            rows = op.run(ctx, rows)
-        return rows
+            batches = op.run_batches(ctx, batches)
+        return iter(batches)
 
-    def run_list(self, ctx: _ExecutionContext, rows: list) -> list:
-        for op in self.ops:
-            rows = op.run_list(ctx, rows)
-            if not rows:
-                break
-        return rows
+    def matches(self, ctx: _ExecutionContext, row: IdRow) -> bool:
+        """Whether ``row`` extends to a solution: the plan is drained to
+        its first batch, which no operator yields empty."""
+        return next(self.run_batches(ctx, ([row],)), None) is not None
 
     def describe(self) -> list[str]:
         return [op.describe() for op in self.ops]
@@ -852,9 +787,10 @@ class _Compiler:
         self.lazy = lazy
         #: Whether the compiled operators receive whole row lists.  The
         #: semi-join and intersect kernels pay one range lookup per
-        #: distinct key per call, which only a list amortises: lazy plans
-        #: and OPTIONAL sub-plans run one row at a time, where the
-        #: generic probe's plan-lifetime memo is the better kernel.
+        #: distinct key per batch, which only a long list amortises: lazy
+        #: plans move small chunks and OPTIONAL sub-plans one row at a
+        #: time, where the generic probe's plan-lifetime memo is the
+        #: better kernel.
         self.batch = batch and not lazy
         #: ``(parameter slot, column)`` pairs whose bound blocks may hold
         #: UNDEF; every other parameter column is certainly bound.
@@ -1145,7 +1081,7 @@ class _Compiler:
             sub = self._compile_exists(node.pattern, schema, certain)
             ctx = _ExecutionContext(self.store)
             negated = node.negated
-            return lambda row: (next(sub.run(ctx, iter((row,))), None) is None) == negated
+            return lambda row: sub.matches(ctx, row) != negated
 
         return nested_exists
 
@@ -1163,7 +1099,6 @@ class _Compiler:
                 agg_slot = schema.index(aggregate.variable)
             return _SelectCore(
                 plan,
-                self.lazy,
                 projected=(aggregate.alias,),
                 aggregate=aggregate,
                 agg_slot=agg_slot,
@@ -1184,7 +1119,6 @@ class _Compiler:
             )
         return _SelectCore(
             plan,
-            self.lazy,
             projected=projected,
             proj_map=proj_map,
             identity=identity,
@@ -1200,8 +1134,7 @@ class _Compiler:
     def compile_ask(
         self, query: AskQuery, param_slots: dict[int, int] | None = None
     ) -> "_SelectCore":
-        plan = self.compile_group(query.where, (), frozenset(), param_slots)
-        return _SelectCore(plan, self.lazy)
+        return _SelectCore(self.compile_group(query.where, (), frozenset(), param_slots))
 
 
 def _split_conjunction(expression: Expression) -> list[Expression]:
@@ -1256,14 +1189,12 @@ class _SelectCore:
         "limit",
         "offset",
         "certain_projected",
-        "lazy",
         "no_tail",
     )
 
     def __init__(
         self,
         plan,
-        lazy,
         projected=(),
         proj_map=(),
         identity=False,
@@ -1288,7 +1219,6 @@ class _SelectCore:
         self.limit = limit
         self.offset = offset
         self.certain_projected = certain_projected
-        self.lazy = lazy
         #: Nothing behind the pipeline: its rows are the result's rows.
         self.no_tail = not (
             aggregate is not None
@@ -1296,7 +1226,6 @@ class _SelectCore:
             or order_key is not None
             or limit is not None
             or offset
-            or lazy
         )
 
     def _project(self, rows) -> Iterator[IdRow]:
@@ -1339,16 +1268,14 @@ class _SelectCore:
     def id_result(self, ctx: _ExecutionContext, max_rows: int | None = None) -> list:
         """The projected id rows, in SPARQL's clause order: ORDER BY,
         projection, DISTINCT, OFFSET / LIMIT."""
-        # Lazy plans stream so LIMIT stops early; everything else
-        # runs list-at-a-time through the batch operator path.
-        if self.lazy:
-            rows = self.plan.run(ctx, iter(_SEED))
-        else:
-            rows = self.plan.run_list(ctx, list(_SEED))
+        batches = self.plan.run_batches(ctx, (_SEED,))
         if self.aggregate is not None:
             # The count is a one-row solution sequence: OFFSET / LIMIT
             # apply to it like to any other.
-            return self._finish(self._aggregate_rows(ctx, rows), max_rows)
+            return self._finish(self._aggregate_rows(ctx, _drain(batches)), max_rows)
+        # Rows are drained only as far as the tail reads them, so LIMIT
+        # stops a lazy plan early.
+        rows = chain.from_iterable(batches)
         if self.order_key is not None:
             rows = sorted(rows, key=self.order_key)
         return self._finish(self._project(rows), max_rows)
@@ -1364,13 +1291,13 @@ class _SelectCore:
         from the pipeline's rows; no projected row tuple is ever built.
         """
         if self.no_tail and max_rows is None:
-            rows = self.plan.run_list(ctx, list(_SEED))
+            rows = _drain(self.plan.run_batches(ctx, (_SEED,)))
             return _gather(rows, self.proj_map), len(rows)
         rows = self.id_result(ctx, max_rows)
         return _gather(rows, range(len(self.projected))), len(rows)
 
     def ask(self, ctx: _ExecutionContext) -> bool:
-        return next(self.plan.run(ctx, iter(_SEED)), None) is not None
+        return self.plan.matches(ctx, ())
 
 
 # --------------------------------------------------------------------------
@@ -1442,7 +1369,7 @@ class CompiledPlan:
             n_in = len(rows)
             if not n_in:
                 break
-            rows = op.run_list(ctx, rows)
+            rows = _drain(op.run_batches(ctx, (rows,)))
             if isinstance(op, _ProbeOp) and op.estimate is not None:
                 records.append(
                     {

@@ -2,7 +2,8 @@
 
 Covers filter pushdown into the probe pipeline, VALUES parameter slots
 and skeleton splitting, compiled UNDEF blocks, ASK / LIMIT early termination
-(counted in store index probes), and the LRU plan / probe caches with
+through composed operators (counted in store index probes), sub-SELECT
+joins on keys left unbound inside, and the LRU plan / probe caches with
 store-version invalidation.
 """
 
@@ -22,10 +23,13 @@ from repro.sparql.ast import (
     BGP,
     AskQuery,
     Comparison,
+    ExistsExpr,
     Filter,
     GroupPattern,
+    OptionalPattern,
     SelectQuery,
     TermExpr,
+    UnionPattern,
     ValuesPattern,
     VarExpr,
 )
@@ -261,6 +265,41 @@ class TestEarlyTermination:
         assert ask_probes == 2
         assert ask_probes < full_probes
 
+    EDGE = GroupPattern([BGP([TriplePattern(X, ADVISOR, Y)])])
+    TAUGHT = GroupPattern([BGP([TriplePattern(Y, TEACHES, Z)])])
+    WITH_OPTIONAL = GroupPattern([*EDGE.elements, OptionalPattern(TAUGHT)])
+
+    @pytest.mark.parametrize(
+        "query, probes",
+        [
+            (AskQuery(WITH_OPTIONAL), 2),
+            (SelectQuery(where=WITH_OPTIONAL, select_vars=(X, Y, Z), limit=1), 2),
+            (AskQuery(GroupPattern([UnionPattern([EDGE, TAUGHT])])), 1),
+            (
+                SelectQuery(
+                    where=GroupPattern([*EDGE.elements, Filter(ExistsExpr(TAUGHT))]),
+                    select_vars=(X, Y),
+                    limit=1,
+                ),
+                2,
+            ),
+        ],
+        ids=["ask optional", "limit optional", "ask union", "limit exists"],
+    )
+    def test_early_stop_through_composed_operators(self, store, query, probes):
+        # Every shape has many solutions; a lazy plan opens one index
+        # stream per operator it needs to reach the first of them (the
+        # chain's two are pinned above).
+        calls = _count_probes(store)
+        result = compile_query(store, query).execute()
+        assert len(calls) == probes
+        if isinstance(query, AskQuery):
+            assert result is True
+        else:
+            unlimited = SelectQuery(where=query.where, select_vars=query.select_vars)
+            assert len(result.rows) == 1
+            assert result.rows[0] in evaluate_select(store, unlimited).rows
+
     def test_ask_false_still_terminates(self, store):
         query = AskQuery(
             GroupPattern([BGP([TriplePattern(X, TAKES, _iri("nowhere"))])])
@@ -297,6 +336,29 @@ class TestEarlyTermination:
         got = compile_query(store, query).execute_select()
         expected = evaluate_select(store, query)
         assert got.rows == expected.rows
+
+
+class TestSubSelect:
+    @pytest.mark.parametrize(
+        "where, solutions",
+        [
+            # The inner OPTIONAL leaves ?x unbound in one of two rows.
+            ("?x ex:p ?y { SELECT ?x ?z { ?z ex:q ?w OPTIONAL { ?x ex:r ?z } } }", 2),
+            ("?x ex:p ?y { SELECT ?x { VALUES ?x { UNDEF } } }", 1),
+        ],
+    )
+    def test_inner_row_with_unbound_key_joins_every_outer_row(self, where, solutions):
+        from repro.sparql.parser import parse_query
+
+        store = TripleStore()
+        store.add_all(
+            Triple(_iri(s), _iri(p), _iri(o))
+            for s, p, o in ("apb", "cqd", "eqf", "are")
+        )
+        query = parse_query(f"PREFIX ex: <{EX}> SELECT * {{ {where} }}")
+        expected = evaluate_select(store, query).rows
+        assert len(expected) == solutions
+        assert Counter(compile_query(store, query).execute_select().rows) == Counter(expected)
 
 
 class TestPlanCache:

@@ -176,79 +176,173 @@ def test_encoded_matches_reference_path(triples, patterns):
 # ``repro.sparql.plan`` compiles queries into reusable physical plans;
 # the interpretive evaluator is kept as the correctness oracle.  Both
 # must agree — same solution multiset, same schema — on arbitrary
-# BGP / FILTER / OPTIONAL / VALUES combinations, and a cached plan
-# re-bound with a fresh VALUES block must be bit-identical to compiling
-# the bound query from scratch.
+# nestings of BGP, FILTER (comparison, BOUND, [NOT] EXISTS), OPTIONAL,
+# UNION, VALUES with UNDEF and sub-SELECT, under SELECT, LIMIT and ASK;
+# and a cached plan re-bound with a fresh VALUES block must be
+# bit-identical to compiling the bound query from scratch.
+
+from hypothesis import example
 
 from repro.sparql.ast import (
+    AskQuery,
     Comparison,
+    ExistsExpr,
     Filter,
+    FunctionCall,
     OptionalPattern,
+    SubSelect,
     TermExpr,
+    UnionPattern,
     ValuesPattern,
     VarExpr,
 )
-from repro.sparql.plan import compile_query
+from repro.sparql.evaluator import evaluate_ask
+from repro.sparql.plan import compile_query, split_parameters
 
-_maybe_filter = st.one_of(
-    st.none(),
-    st.builds(
-        lambda op, var, term: Filter(Comparison(op, VarExpr(var), TermExpr(term))),
-        st.sampled_from(["=", "!="]),
-        st.sampled_from(_VARIABLES),
-        st.sampled_from(_IRIS),
-    ),
+_comparisons = st.builds(
+    lambda op, var, term: Filter(Comparison(op, VarExpr(var), TermExpr(term))),
+    st.sampled_from(["=", "!="]),
+    st.sampled_from(_VARIABLES),
+    st.sampled_from(_IRIS),
 )
-_maybe_optional = st.one_of(
-    st.none(),
-    st.builds(
-        lambda pattern: OptionalPattern(GroupPattern([BGP([pattern])])),
-        _patterns,
-    ),
-)
+_maybe_filter = st.one_of(st.none(), _comparisons)
 # Single-variable VALUES over ?a; None is SPARQL's UNDEF.
 _values_rows = st.lists(
     st.tuples(st.one_of(st.none(), st.sampled_from(_IRIS))),
     min_size=1,
     max_size=3,
 )
-_maybe_values = st.one_of(
-    st.none(),
-    st.builds(
-        lambda rows: ValuesPattern((Variable("a"),), tuple(rows)),
-        _values_rows,
-    ),
-)
+_values = _values_rows.map(lambda rows: ValuesPattern((_VARIABLES[0],), tuple(rows)))
 
 
-def _build_query(patterns, values, optional, filter_):
-    elements = []
-    if values is not None:
-        elements.append(values)
-    elements.append(BGP(patterns))
-    if optional is not None:
-        elements.append(optional)
+def _build_query(patterns, values, filter_):
+    elements = [values, BGP(patterns)]
     if filter_ is not None:
         elements.append(filter_)
     return SelectQuery(where=GroupPattern(elements), select_vars=None)
 
 
-@given(
-    st.lists(_triples, max_size=15),
-    st.lists(_patterns, min_size=1, max_size=3),
-    _maybe_values,
-    _maybe_optional,
-    _maybe_filter,
+_bound_filters = st.sampled_from(_VARIABLES).map(
+    lambda var: Filter(FunctionCall("BOUND", (VarExpr(var),)))
 )
-@settings(max_examples=80, deadline=None)
-def test_compiled_matches_interpretive(triples, patterns, values, optional, filter_):
+# A sub-SELECT's projection: * or one or two of the variables.
+_projections = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_VARIABLES), min_size=1, max_size=2, unique=True).map(tuple),
+)
+
+
+def _groups(depth: int):
+    """Group patterns nesting OPTIONAL, UNION, sub-SELECT and EXISTS
+    ``depth`` levels deep."""
+    bgps = st.lists(_patterns, min_size=1, max_size=2).map(BGP)
+    if depth == 0:
+        elements = st.one_of(bgps, _values)
+    else:
+        inner = _groups(depth - 1)
+        elements = st.one_of(
+            bgps,
+            _values,
+            _comparisons,
+            _bound_filters,
+            st.builds(
+                lambda group, negated: Filter(ExistsExpr(group, negated)), inner, st.booleans()
+            ),
+            inner.map(OptionalPattern),
+            st.lists(inner, min_size=2, max_size=2).map(UnionPattern),
+            st.builds(
+                lambda group, select: SubSelect(SelectQuery(where=group, select_vars=select)),
+                inner,
+                _projections,
+            ),
+        )
+    return st.lists(elements, min_size=1, max_size=3).map(GroupPattern)
+
+
+def _query(where, form, limit):
+    if form == "ask":
+        return AskQuery(where)
+    return SelectQuery(where=where, select_vars=None, limit=limit if form == "limit" else None)
+
+
+_queries = st.builds(
+    _query, _groups(2), st.sampled_from(["select", "limit", "ask"]), st.integers(0, 3)
+)
+
+# a p b, c q d, e q f, a r e: the sub-SELECT's OPTIONAL leaves ?a unbound
+# in one inner row, which still joins every outer row.
+_SUBSELECT_STORE = [
+    Triple(_IRIS[s], _PREDICATES[p], _IRIS[o])
+    for s, p, o in ((0, 0, 1), (2, 1, 3), (4, 1, 5), (0, 2, 4))
+]
+_A, _B, _C = _VARIABLES
+
+
+@given(st.lists(_triples, max_size=15), _queries)
+@example(
+    _SUBSELECT_STORE,
+    SelectQuery(
+        where=GroupPattern(
+            [
+                BGP([TriplePattern(_A, _PREDICATES[0], _B)]),
+                SubSelect(
+                    SelectQuery(
+                        where=GroupPattern(
+                            [
+                                BGP([TriplePattern(_C, _PREDICATES[1], _B)]),
+                                OptionalPattern(
+                                    GroupPattern([BGP([TriplePattern(_A, _PREDICATES[2], _C)])])
+                                ),
+                            ]
+                        ),
+                        select_vars=(_A, _C),
+                    )
+                ),
+            ]
+        ),
+        select_vars=None,
+    ),
+)
+@example(
+    _SUBSELECT_STORE,
+    SelectQuery(
+        where=GroupPattern(
+            [
+                BGP([TriplePattern(_A, _PREDICATES[0], _B)]),
+                SubSelect(
+                    SelectQuery(
+                        where=GroupPattern([ValuesPattern((_A,), ((None,),))]), select_vars=(_A,)
+                    )
+                ),
+            ]
+        ),
+        select_vars=None,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_matches_interpretive(triples, query):
     store = TripleStore()
     store.add_all(triples)
-    query = _build_query(patterns, values, optional, filter_)
+    if isinstance(query, AskQuery):
+        assert compile_query(store, query).execute_ask() == evaluate_ask(store, query)
+        return
     expected = evaluate_select(store, query)
-    got = compile_query(store, query).execute_select()
-    assert got.vars == expected.vars
-    assert Counter(got.rows) == Counter(expected.rows)
+    full = Counter(evaluate_select(store, SelectQuery(where=query.where, select_vars=None)).rows)
+    # Top-level VALUES run once as the compiled-in default block and
+    # once as parameters bound into the skeleton's plan.
+    skeleton, params = split_parameters(query)
+    for got in (
+        compile_query(store, query).execute_select(),
+        compile_query(store, skeleton).execute_select(params),
+    ):
+        assert got.vars == expected.vars
+        if query.limit is None:
+            assert Counter(got.rows) == full
+        else:
+            # LIMIT without ORDER BY may keep any rows: the lazy plan
+            # must return the right number, all of them solutions.
+            assert len(got.rows) == len(expected.rows)
+            assert not Counter(got.rows) - full
 
 
 @given(
@@ -272,7 +366,7 @@ def test_cached_plan_rebinds_like_fresh_compile(triples, patterns, rows1, rows2,
     store.add_all(triples)
     values_var = (Variable("a"),)
     blocks = [
-        (_build_query(patterns, ValuesPattern(values_var, tuple(rows)), None, filter_), rows)
+        (_build_query(patterns, ValuesPattern(values_var, tuple(rows)), filter_), rows)
         for rows in (rows1, rows2)
     ]
     oracle = [Counter(evaluate_select(store, query).rows) for query, _ in blocks]
@@ -292,9 +386,6 @@ def test_cached_plan_rebinds_like_fresh_compile(triples, patterns, rows1, rows2,
 @given(st.lists(_triples, max_size=15), st.lists(_patterns, min_size=1, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_compiled_ask_matches_interpretive(triples, patterns):
-    from repro.sparql.ast import AskQuery
-    from repro.sparql.evaluator import evaluate_ask
-
     store = TripleStore()
     store.add_all(triples)
     ask = AskQuery(GroupPattern([BGP(patterns)]))
@@ -312,11 +403,7 @@ def test_compiled_ask_matches_interpretive(triples, patterns):
 # return when each runs alone through the generic ``_ProbeOp`` path.
 # Shapes the kernels do not cover must keep compiling to generic probes.
 
-from repro.sparql.ast import AskQuery
-from repro.sparql.evaluator import evaluate_ask
-from repro.sparql.plan import _SEED, _IntersectOp, _ProbeOp, _SemiJoinOp
-
-_A, _B, _C = _VARIABLES
+from repro.sparql.plan import _SEED, _drain, _IntersectOp, _ProbeOp, _SemiJoinOp
 
 
 @st.composite
@@ -364,8 +451,9 @@ _KERNEL_SHAPES = ["triangle", "type + bound object", "two checks on one variable
 
 def _run_generic(plan):
     """The WHERE pipeline with every probe — the members of each
-    intersect step one by one — run through ``_ProbeOp.run_list``; also
-    how many kernel steps the compiled plan holds."""
+    intersect step one by one — run through the generic
+    ``_ProbeOp.run_batches``; also how many kernel steps the compiled
+    plan holds."""
     core, ctx = plan._bind(None)
     rows = list(_SEED)
     kernels = 0
@@ -373,15 +461,15 @@ def _run_generic(plan):
         kernels += isinstance(op, (_IntersectOp, _SemiJoinOp))
         for step in op.members if isinstance(op, _IntersectOp) else (op,):
             if isinstance(step, _ProbeOp):
-                rows = _ProbeOp.run_list(step, ctx, rows)
+                rows = _drain(_ProbeOp.run_batches(step, ctx, [rows]))
             else:
-                rows = step.run_list(ctx, rows)
+                rows = _drain(step.run_batches(ctx, [rows]))
     return rows, kernels
 
 
 def _run_compiled(plan):
     core, ctx = plan._bind(None)
-    return core.plan.run_list(ctx, list(_SEED))
+    return _drain(core.plan.run_batches(ctx, [_SEED]))
 
 
 @given(
@@ -425,7 +513,7 @@ def test_uncovered_shapes_stay_generic(store, predicates, constant):
             OptionalPattern(GroupPattern([BGP([TriplePattern(_B, q, _C)])])),
             BGP([TriplePattern(_C, r, constant)]),
         ],
-        # An OPTIONAL sub-plan runs one row at a time, like a lazy plan.
+        # An OPTIONAL sub-plan runs one row per call, a lazy plan small chunks.
         "inside an OPTIONAL": [
             BGP([TriplePattern(_A, p, _B)]),
             OptionalPattern(
