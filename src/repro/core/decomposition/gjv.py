@@ -119,7 +119,6 @@ def detect_gjvs(
             )
 
     finish = at_ms
-    provider = getattr(client, "stats", None)
     with client.tracer.span(
         "gjv_detection", t0=at_ms, join_variables=sorted(v.name for v in variables)
     ) as detection_span:
@@ -128,12 +127,10 @@ def detect_gjvs(
             if check.pair in result.variables.get(check.variable, set()):
                 continue
             for endpoint_name in check.sources:
-                verdict = None
-                if provider is not None:
-                    # Characteristic-set coverage decides many checks
-                    # outright: provably empty skips the probe, provably
-                    # non-empty marks the variable global without one.
-                    verdict, end = provider.check_empty(endpoint_name, check, at_ms)
+                # Characteristic-set coverage decides many checks
+                # outright: provably empty skips the probe, provably
+                # non-empty marks the variable global without one.
+                verdict, end = client.stats.check_empty(endpoint_name, check, at_ms)
                 if verdict is not None:
                     non_empty = not verdict
                     result.check_queries_skipped += 1

@@ -29,6 +29,7 @@ from repro.core.decomposition.decomposer import decompose, enumerate_decompositi
 from repro.core.decomposition.gjv import GJVResult, detect_gjvs
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import (
+    MAX_BLOCK,
     MIN_BLOCK,
     CardinalityEstimates,
     DelayDecision,
@@ -73,10 +74,6 @@ class LusailConfig:
     delay_policy: DelayPolicy = DelayPolicy.COST
     use_chauvenet: bool = True
     enable_delay: bool = True
-    #: Largest bound-join block; each delayed subquery's block shrinks
-    #: with its COUNT-estimated rows-per-binding, never below
-    #: :data:`~repro.core.execution.cost_model.MIN_BLOCK`.
-    block_size: int = 500
     refine_sources: bool = True
     greedy_join_order: bool = False
     max_mediator_rows: int | None = 2_000_000
@@ -93,11 +90,6 @@ class LusailConfig:
     #: irrecoverable endpoint's contribution instead of failing the
     #: query, reporting completeness metadata.
     partial_results: bool = False
-    #: Planner statistics source: "charsets" answers ASK / COUNT / check
-    #: questions from per-endpoint characteristic-set summaries when
-    #: provable (remote probes as fallback); "probe" is the pure
-    #: per-query probe path the paper describes.
-    statistics: str = "charsets"
     #: Execution strategy for required subqueries: "bound-join" is the
     #: paper's SAPE ladder, "partial" ships the whole branch to every
     #: endpoint in one round and assembles partial matches at the
@@ -180,7 +172,6 @@ class LusailEngine(FederatedEngine):
     ):
         super().__init__(federation, network_config, caches, timeout_ms)
         self.config = config or LusailConfig()
-        self.statistics = self.config.statistics
         machines = max(1, self.config.machines)
         if machines > 1:
             # Each extra machine contributes its own request workers.
@@ -233,7 +224,6 @@ class LusailEngine(FederatedEngine):
                         client.config,
                         client.federation,
                         {ep for sq in plan.subqueries for ep in sq.sources},
-                        self.config.block_size,
                     )
                     delays = decide_delays(
                         plan.subqueries,
@@ -534,19 +524,13 @@ class LusailEngine(FederatedEngine):
         from the bindings the delay decision estimated for it."""
         bindings = delays.bindings.get(subquery.id)
         if not bindings:
-            return (
-                f"bound-join block size: {self.config.block_size} "
-                "(adaptive, no bindings estimate)"
-            )
+            return f"bound-join block size: {MAX_BLOCK} (adaptive, no bindings estimate)"
         cardinality = subquery.estimated_cardinality
-        planned = adaptive_block_size(
-            self.config.block_size, MIN_BLOCK, cardinality, bindings
-        )
+        planned = adaptive_block_size(MAX_BLOCK, MIN_BLOCK, cardinality, bindings)
         return (
             f"bound-join block size: {planned} "
             f"(adaptive, est. {cardinality / bindings:.1f} rows/binding, "
-            f"clamp [{min(MIN_BLOCK, self.config.block_size)}, "
-            f"{self.config.block_size}])"
+            f"clamp [{MIN_BLOCK}, {MAX_BLOCK}])"
         )
 
     def explain(self, query) -> str:

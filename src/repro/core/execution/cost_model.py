@@ -1,9 +1,8 @@
 """SAPE's cardinality estimation and delayed-subquery selection.
 
-Cardinalities come from lightweight per-triple-pattern ``SELECT COUNT``
-probes (one per pattern per relevant endpoint, cached) or from the
-endpoints' characteristic-set summaries.  Filters on a pattern's
-variables are pushed into its probe for tighter estimates.
+Cardinalities come from the endpoints' characteristic-set summaries,
+or, for a pattern with filters on its variables, from a lightweight
+``SELECT COUNT`` probe carrying them (one per relevant endpoint, cached).
 
 For a subquery ``sq`` and a variable ``v`` it projects::
 
@@ -67,6 +66,9 @@ from repro.sparql.ast import (
 
 #: Smallest block the adaptive bound join may shrink to.
 MIN_BLOCK = 50
+#: Largest bound-join block: each delayed subquery's block shrinks from
+#: it with the estimated rows per binding, never below :data:`MIN_BLOCK`.
+MAX_BLOCK = 500
 
 
 class DelayPolicy(str, Enum):
@@ -108,8 +110,6 @@ class RequestCosts:
     request_ms: Mapping[str, float]
     #: Evaluation + transfer per result row, at the fallback row payload.
     row_ms: float
-    #: Largest bound-join block (``LusailConfig.block_size``).
-    block_size: int
 
     @classmethod
     def of(
@@ -117,7 +117,6 @@ class RequestCosts:
         network: NetworkConfig,
         federation: Federation,
         endpoints: Iterable[str],
-        block_size: int,
     ) -> "RequestCosts":
         """The prices of ``endpoints``, each from its region's round trip."""
         fixed = network.request_overhead_ms + network.eval_base_ms
@@ -129,7 +128,6 @@ class RequestCosts:
             row_ms=network.eval_row_ms
             + network.row_transfer_ms
             + network.response_bytes_per_row * network.byte_transfer_ms,
-            block_size=block_size,
         )
 
 
@@ -219,26 +217,24 @@ def collect_statistics(
 ) -> tuple[CardinalityEstimates, float]:
     """Collect per-(pattern, endpoint) cardinalities.
 
-    When the client carries a :class:`CharsetStatisticsProvider` (the
-    characteristic-set seam), filter-free patterns are answered from the
-    endpoint's local summary — no COUNT probe is issued, and with the
-    audit on each summary estimate is compared against the exact local
-    count under the ``stats`` decision label.  Patterns with pushable
-    filters (and clients without a provider) keep the original COUNT
-    probe path.  Probes fan out in parallel; cached probes are free.
-    Returns the estimates and the virtual completion time.
+    Filter-free patterns are answered from the endpoint's
+    characteristic-set summary (the client's
+    :class:`CharsetStatisticsProvider`) — no COUNT probe is issued, and
+    with the audit on each summary estimate is compared against the
+    exact local count under the ``stats`` decision label.  A pattern
+    with pushable filters sends the COUNT probe with its filters.
+    Probes fan out in parallel; cached probes are free.  Returns the
+    estimates and the virtual completion time.
     """
     estimates = CardinalityEstimates()
     finish = at_ms
-    provider = getattr(client, "stats", None)
+    provider = client.stats
     from_summary = 0
     mark = client.metrics.mark()
     with client.tracer.span("statistics", t0=at_ms) as span:
         for subquery in subqueries:
             for pattern in subquery.patterns:
-                use_summary = provider is not None and not pushable_filters(
-                    pattern, subquery.filters
-                )
+                use_summary = not pushable_filters(pattern, subquery.filters)
                 query: SelectQuery | None = None
                 for endpoint in subquery.sources:
                     key = (pattern, endpoint)
@@ -253,9 +249,9 @@ def collect_statistics(
                         count = int(math.ceil(estimate))
                         from_summary += 1
                         if client.audit.enabled:
-                            # The probe path is the accuracy oracle: the
-                            # exact local count, read without touching
-                            # virtual time or request counters.
+                            # The accuracy oracle is what a COUNT probe
+                            # would return: the exact local count, read
+                            # without touching virtual time or counters.
                             actual = client.federation.get(endpoint).count_pattern(
                                 pattern
                             )
@@ -347,11 +343,10 @@ def decide_delays(
 ) -> DelayDecision:
     """Mark subqueries as delayed according to the policy.
 
-    ``provider`` sharpens the cost rule's distinct-value estimates (it
-    runs on the cardinalities alone without one); ``costs`` prices its
-    requests and rows, and :attr:`DelayPolicy.COST` needs it.  Given
-    ``costs``, a threshold policy records the same estimates for its own
-    verdict, which it does not change.
+    ``costs`` prices the cost rule's requests and rows and ``provider``
+    answers its distinct-value questions; :attr:`DelayPolicy.COST` needs
+    both.  Given them, a threshold policy records the same estimates for
+    its own verdict, which it does not change.
 
     Mutates ``subquery.delayed`` and ``subquery.estimated_cardinality``;
     guarantees at least one required subquery stays non-delayed so phase
@@ -494,10 +489,9 @@ class _CostPlacement:
         known = self._distinct.get(key)
         if known is None:
             known = self.estimates.variable_cardinality(subquery, variable)
-            if self.provider is not None:
-                count = self.provider.distinct_values(subquery, variable)
-                if count is not None:
-                    known = min(known, float(count))
+            count = self.provider.distinct_values(subquery, variable)
+            if count is not None:
+                known = min(known, float(count))
             self._distinct[key] = known
         return known
 
@@ -532,7 +526,7 @@ class _CostPlacement:
         distinct = self.distinct(subquery, variable)
         rows = min(cardinality, bindings * cardinality / distinct) if distinct > 0 else 0.0
         share = rows / cardinality if cardinality > 0 else 0.0
-        block = adaptive_block_size(costs.block_size, MIN_BLOCK, cardinality, bindings)
+        block = adaptive_block_size(MAX_BLOCK, MIN_BLOCK, cardinality, bindings)
         requests = math.ceil(bindings / block)
         ms = max(
             (

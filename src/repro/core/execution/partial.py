@@ -406,7 +406,7 @@ def _fragment_selectivities(
     statistics keep 1.0, and the audit tracks how honest this is.
     """
     survival = {sq.id: 1.0 for sq in required}
-    if provider is None or len(required) < 2:
+    if len(required) < 2:
         return survival
     for subquery in required:
         other_vars: dict[Variable, float] = {}
@@ -468,7 +468,6 @@ def choose_strategy(
         )
 
     network_config = client.config
-    provider = getattr(client, "stats", None)
     extents = {
         sq.id: sum(
             estimates.endpoint_cardinality(sq, endpoint, needed_vars)
@@ -476,7 +475,7 @@ def choose_strategy(
         )
         for sq in required
     }
-    survival = _fragment_selectivities(required, provider)
+    survival = _fragment_selectivities(required, client.stats)
 
     est_partial_rows = sum(
         survival[sq.id] * extents[sq.id] for sq in required

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import Subquery, values_block
-from repro.core.execution.cost_model import MIN_BLOCK, adaptive_block_size
+from repro.core.execution.cost_model import MAX_BLOCK, MIN_BLOCK, adaptive_block_size
 from repro.core.execution.join_order import (
     JoinHints,
     execute_plan,
@@ -215,7 +215,7 @@ class BranchScheduler:
         relation = Relation(projection, partitions=1)
         finish = at_ms
         block_size = adaptive_block_size(
-            self.config.block_size,
+            MAX_BLOCK,
             MIN_BLOCK,
             subquery.estimated_cardinality,
             len(binding_rows),
@@ -514,12 +514,9 @@ class BranchScheduler:
 
         Uses only summaries the provider already fetched this query, so
         building the hints is free in virtual time; returns None (the
-        min-rule estimator) when no provider is installed or nothing is
-        provable.
+        min-rule estimator) when nothing is provable.
         """
-        provider = getattr(self.client, "stats", None)
-        if provider is None:
-            return None
+        provider = self.client.stats
         hints = JoinHints()
         for index, (subquery, relation) in enumerate(group):
             for variable in relation.vars:
@@ -590,14 +587,7 @@ class BranchScheduler:
                 bound_patterns.append(pattern.bind(mapping))
         if not bound_patterns:
             return sources, now
-        refined, end = refine_sources_with_bindings(
-            self.client,
-            subquery.patterns[0],
-            bind_vars[0],
-            bound_patterns,
-            sources,
-            now,
-        )
+        refined, end = refine_sources_with_bindings(self.client, bound_patterns, sources, now)
         return (refined or sources), end
 
     def _combine_components(

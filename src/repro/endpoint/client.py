@@ -45,7 +45,7 @@ from repro.obs.audit import make_audit
 from repro.obs.registry import MetricsRegistry, get_default_registry
 from repro.obs.trace import Tracer, get_default_tracer
 from repro.rdf.triple import TriplePattern
-from repro.sparql.ast import AskQuery, Query, SelectQuery
+from repro.sparql.ast import SelectQuery
 from repro.sparql.result import SelectResult
 from repro.sparql.partial import PartialResult, PartialSpec
 from repro.sparql.serializer import query_bytes
@@ -109,12 +109,13 @@ class FederationClient:
         #: the shared no-op otherwise — so EXPLAIN ANALYZE costs nothing
         #: when observability is off.
         self.audit = make_audit(self.registry, engine, self.tracer.enabled)
-        #: Statistics provider seam (see :mod:`repro.planning.stats`).
-        #: The engine installs a :class:`CharsetStatisticsProvider` here
-        #: when its ``statistics`` knob says so; planner components read
-        #: it and fall back to remote probes when it is ``None`` (or has
-        #: no provable answer).
-        self.stats = None
+        # Imported here: repro.planning's package init imports this module.
+        from repro.planning.stats import CharsetStatisticsProvider
+
+        #: The planner's metadata answers (see :mod:`repro.planning.stats`):
+        #: characteristic-set summaries first, and the remote ASK / check /
+        #: COUNT probe wherever a summary cannot prove the answer.
+        self.stats = CharsetStatisticsProvider(self)
         self.resilience = resilience
         #: Per-endpoint circuit breakers (virtual time resets per query,
         #: so breaker state is per-client by construction).
@@ -514,19 +515,3 @@ class FederationClient:
                 input_rows=probe["input_rows"],
                 output_rows=probe["output_rows"],
             )
-
-    def ask_query(self, endpoint_name: str, query: AskQuery, at_ms: float) -> tuple[bool, float]:
-        """A full ASK query (multi-pattern), uncached."""
-        endpoint = self.federation.get(endpoint_name)
-        answer = self._evaluate_with_plan_metrics(
-            endpoint, metrics_module.ASK, lambda: endpoint.ask(query)
-        )
-        end = self._issue(
-            endpoint_name, metrics_module.ASK, at_ms, 1, query_bytes(query), cached=False
-        )
-        return answer, end
-
-    def evaluate(self, endpoint_name: str, query: Query, at_ms: float):
-        if isinstance(query, SelectQuery):
-            return self.select(endpoint_name, query, at_ms)
-        return self.ask_query(endpoint_name, query, at_ms)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable
 
-from repro.endpoint.cache import DEFAULT_PLAN_CACHE_CAPACITY, MISSING, PlanCache
+from repro.endpoint.cache import MISSING, PlanCache
 from repro.exceptions import EvaluationError
 from repro.net import regions as regions_module
 from repro.rdf.triple import Triple, TriplePattern
@@ -86,7 +86,6 @@ class Endpoint:
         name: str,
         triples: Iterable[Triple] = (),
         region: str = regions_module.LOCAL,
-        plan_cache_capacity: int | None = DEFAULT_PLAN_CACHE_CAPACITY,
     ):
         self.name = name
         self.region = region
@@ -111,9 +110,8 @@ class Endpoint:
         self.result_limit: int | None = None
         #: Compiled physical plans, keyed on the query skeleton (VALUES
         #: rows stripped): every bound-join block of one subquery reuses
-        #: a single compiled plan.  Capacity 0 disables caching (each
-        #: request compiles fresh, the paper's no-cache configuration).
-        self.plan_cache = PlanCache(capacity=plan_cache_capacity)
+        #: a single compiled plan.
+        self.plan_cache = PlanCache()
         #: Cumulative wall-clock split between query compilation and
         #: plan execution, mirrored into the metrics registry by the
         #: federation client and shown by the profile CLI.

@@ -321,7 +321,6 @@ def run_traffic(
             "serving": {
                 "max_inflight": serve_config.max_inflight,
                 "per_tenant_inflight": serve_config.per_tenant_inflight,
-                "quantum_ms": serve_config.quantum_ms,
                 "result_cache": serve_config.result_cache,
                 "attach_identical": serve_config.attach_identical,
                 "share_subqueries": serve_config.share_subqueries,

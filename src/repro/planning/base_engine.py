@@ -26,8 +26,8 @@ from repro.exceptions import (
 )
 from repro.net.metrics import QueryMetrics
 from repro.net.simulator import NetworkConfig, local_cluster_config
-from repro.obs.registry import MetricsRegistry, get_default_registry
-from repro.obs.trace import Tracer, get_default_tracer
+from repro.obs.registry import get_default_registry
+from repro.obs.trace import get_default_tracer
 from repro.planning.normalize import Branch, NormalizedQuery, normalize
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.relational.kernels import KernelCounters, kernel_runtime
@@ -139,26 +139,17 @@ class FederatedEngine:
         network_config: NetworkConfig | None = None,
         caches: EngineCaches | None = None,
         timeout_ms: float | None = DEFAULT_TIMEOUT_MS,
-        tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
-        statistics: str = "charsets",
     ):
         self.federation = federation
         self.network_config = network_config or local_cluster_config()
         self.caches = caches if caches is not None else EngineCaches()
         self.timeout_ms = timeout_ms
         self.stats = EngineStats()
-        #: Planner statistics source: "charsets" installs a
-        #: :class:`CharsetStatisticsProvider` on every built
-        #: client (ASK / COUNT / check questions answered from local
-        #: summaries when provable, remote probes as fallback); "probe"
-        #: keeps the pure probe path.
-        self.statistics = statistics
         #: Observability sinks.  Default to the process-wide tracer
         #: (disabled unless a profiling run enables it) and registry;
         #: assignable after construction for per-run isolation.
-        self.tracer = tracer if tracer is not None else get_default_tracer()
-        self.registry = registry if registry is not None else get_default_registry()
+        self.tracer = get_default_tracer()
+        self.registry = get_default_registry()
         #: Fault injection / resilience (see repro.faults).  Both are
         #: assignable after construction, like the observability sinks,
         #: and None by default: the engine then behaves bit-identically
@@ -182,7 +173,7 @@ class FederatedEngine:
         shares lanes with other in-flight queries.
         """
         factory = self.client_factory or FederationClient
-        client = factory(
+        return factory(
             federation=self.federation,
             config=self.network_config,
             caches=self.caches,
@@ -194,13 +185,6 @@ class FederatedEngine:
             fault_plan=self.fault_plan,
             resilience=self.resilience,
         )
-        if self.statistics == "charsets":
-            # Installed after construction so serving-layer client
-            # factories need not know about the statistics seam.
-            from repro.planning.stats import CharsetStatisticsProvider
-
-            client.stats = CharsetStatisticsProvider(client)
-        return client
 
     def execute(self, query: SelectQuery | str, raise_on_failure: bool = False) -> ExecutionOutcome:
         """Run one federated query; failures become outcome statuses."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.endpoint.client import FederationClient
-from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 
 
@@ -61,45 +60,31 @@ class SourceSelection:
         self.sources[pattern] = tuple(name for name in endpoints if name in current)
 
 
-def _probe_pattern(pattern: TriplePattern) -> TriplePattern:
-    """The pattern actually ASKed.
-
-    Concrete subjects/objects stay (they make probes selective); a
-    variable predicate makes the probe trivially true everywhere, which
-    is also what real systems observe.
-    """
-    return pattern
-
-
 def select_sources(
     client: FederationClient,
     patterns: list[TriplePattern],
     at_ms: float,
-    endpoint_names: list[str] | None = None,
 ) -> tuple[SourceSelection, float]:
     """Run ASK source selection; returns the selection and the end time.
 
-    When the client carries a characteristic-set statistics provider,
-    each (pattern, endpoint) question is answered from the endpoint's
-    local summary first; the ASK probe is issued only when the summary
-    cannot prove the answer (the provider's verdicts are exact, so the
-    resulting :class:`SourceSelection` is identical either way).
+    Each (pattern, endpoint) question is answered from the endpoint's
+    characteristic-set summary first; the ASK probe is issued only when
+    the summary cannot prove the answer (the summary's verdicts are
+    exact, so the resulting :class:`SourceSelection` is the one the ASKs
+    alone would give).
     """
-    names = endpoint_names if endpoint_names is not None else client.federation.names()
-    provider = getattr(client, "stats", None)
+    names = client.federation.names()
+    provider = client.stats
     selection = SourceSelection()
     finish = at_ms
     for pattern in patterns:
         if pattern in selection.sources:
             continue
-        probe = _probe_pattern(pattern)
         relevant: list[str] = []
         for name in names:
-            answer = None
-            if provider is not None:
-                answer, end = provider.can_match(name, probe, at_ms)
+            answer, end = provider.can_match(name, pattern, at_ms)
             if answer is None:
-                answer, end = client.ask(name, probe, at_ms)
+                answer, end = client.ask(name, pattern, at_ms)
             finish = max(finish, end)
             if answer:
                 relevant.append(name)
@@ -109,8 +94,6 @@ def select_sources(
 
 def refine_sources_with_bindings(
     client: FederationClient,
-    pattern: TriplePattern,
-    variable: Variable,
     bound_patterns: list[TriplePattern],
     candidates: tuple[str, ...],
     at_ms: float,
@@ -121,18 +104,18 @@ def refine_sources_with_bindings(
     nominally relevant everywhere, probing with actual bindings of the
     join variable removes endpoints that cannot contribute, which "costs
     significantly less than evaluating the delayed subquery" there.
+    ``bound_patterns`` are the generic pattern with sample bindings
+    substituted; a candidate stays when any of them can match there.
     """
     finish = at_ms
-    provider = getattr(client, "stats", None)
+    provider = client.stats
     relevant: list[str] = []
     for name in candidates:
         keep = False
         for bound in bound_patterns:
-            answer = None
-            if provider is not None:
-                # Summaries prove most misses (absent predicate, object
-                # outside the histogram) without shipping an ASK.
-                answer, end = provider.can_match(name, bound, at_ms)
+            # Summaries prove most misses (absent predicate, object
+            # outside the histogram) without shipping an ASK.
+            answer, end = provider.can_match(name, bound, at_ms)
             if answer is None:
                 answer, end = client.ask(name, bound, at_ms)
             finish = max(finish, end)

@@ -67,10 +67,6 @@ class CharsetStatisticsProvider:
     def __init__(self, client):
         self.client = client
         self._summaries: dict[str, CharacteristicSets] = {}
-        #: Counters for observability/tests: questions answered locally
-        #: vs. punted back to the probe path.
-        self.answered = 0
-        self.fallbacks = 0
 
     # ------------------------------------------------------------ fetch
 
@@ -89,12 +85,7 @@ class CharsetStatisticsProvider:
     ) -> tuple[bool | None, float]:
         """Exact ASK-equivalent verdict, or None to fall back to the probe."""
         summary, end = self.summary(endpoint_name, at_ms)
-        verdict = summary.can_match(pattern)
-        if verdict is None:
-            self.fallbacks += 1
-        else:
-            self.answered += 1
-        return verdict, end
+        return summary.can_match(pattern), end
 
     def pattern_count(
         self, endpoint_name: str, pattern: "TriplePattern", at_ms: float
@@ -102,7 +93,6 @@ class CharsetStatisticsProvider:
         """(estimated count, is_exact, end_ms) for one pattern."""
         summary, end = self.summary(endpoint_name, at_ms)
         estimate, exact = summary.estimate_pattern(pattern)
-        self.answered += 1
         return estimate, exact, end
 
     # ------------------------------------------------------ check answers
@@ -140,10 +130,6 @@ class CharsetStatisticsProvider:
 
         summary, end = self.summary(endpoint_name, at_ms)
         verdict = self._check_verdict(summary, outer, inner, outer_role, inner_role, type_pattern)
-        if verdict is None:
-            self.fallbacks += 1
-        else:
-            self.answered += 1
         return verdict, end
 
     def _check_verdict(

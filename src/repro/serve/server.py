@@ -14,7 +14,7 @@ Three sharing layers cut the work a concurrent mix needs:
 
 * a **result cache** keyed on canonical plan skeletons + federation
   store versions (:mod:`repro.serve.cache`) answers repeat queries at
-  arrival for a flat ``cache_hit_ms``, without admission;
+  arrival for a flat :data:`CACHE_HIT_MS`, without admission;
 * **whole-query attach**: an arrival whose skeleton matches a queued or
   in-flight query waits for that execution and shares its result;
 * **in-flight subquery MQO**: concurrently admitted queries that issue
@@ -23,7 +23,7 @@ Three sharing layers cut the work a concurrent mix needs:
 
 Admission is quota-bound (global and per-tenant in-flight caps) with
 deficit-round-robin fairness across tenant queues: each rotation tops a
-tenant's deficit up by ``quantum_ms`` and admits while the deficit
+tenant's deficit up by :data:`QUANTUM_MS` and admits while the deficit
 covers the head query's estimated cost (a running mean of observed
 service times), so cheap-query tenants are not starved behind a tenant
 that floods expensive queries.
@@ -53,6 +53,13 @@ __all__ = ["QueryRequest", "ServeConfig", "ServedQuery", "QueryServer"]
 
 _INF = float("inf")
 
+#: Deficit-round-robin refill per tenant per rotation (virtual ms).
+QUANTUM_MS = 25.0
+#: Cost estimate for a query name never observed before (virtual ms).
+DEFAULT_COST_MS = 25.0
+#: Flat virtual cost of answering from the mediator result cache.
+CACHE_HIT_MS = 0.2
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -62,12 +69,6 @@ class ServeConfig:
     max_inflight: int = 8
     #: Per-tenant cap on concurrently executing queries.
     per_tenant_inflight: int = 4
-    #: Deficit-round-robin refill per tenant per rotation (virtual ms).
-    quantum_ms: float = 25.0
-    #: Cost estimate for a query name never observed before (virtual ms).
-    default_cost_ms: float = 25.0
-    #: Flat virtual cost of answering from the mediator result cache.
-    cache_hit_ms: float = 0.2
     #: Serve repeat queries from the skeleton-keyed result cache.
     result_cache: bool = True
     #: Attach arrivals to an identical queued/in-flight query.
@@ -75,9 +76,6 @@ class ServeConfig:
     #: Share canonically-equivalent subquery SELECTs between in-flight
     #: queries (cross-query MQO).
     share_subqueries: bool = True
-    #: Keep each served query's result on its record (tests and the
-    #: serial-identity check read them; rows are shared, not copied).
-    keep_results: bool = True
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class QueryServer:
         network_config: NetworkConfig | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        engine_factory=None,
         fault_plan=None,
         resilience=None,
     ):
@@ -174,7 +171,9 @@ class QueryServer:
         #: Probe/plan caches shared by every admitted query — concurrent
         #: executions warm ASK/check/COUNT results for each other.
         self.caches = EngineCaches()
-        self.engine_factory = engine_factory or self._default_engine
+        #: Builds the engine each admitted query runs on; assignable, so
+        #: a caller can wrap the default.
+        self.engine_factory = self._default_engine
         #: The shared booking state all in-flight queries contend on.
         self.lanes = LaneBook(self.network_config.mediator_slots)
         self.result_cache = ResultCache(registry=self.registry)
@@ -315,7 +314,7 @@ class QueryServer:
         if config.result_cache:
             entry = self.result_cache.lookup(key, self.federation)
             if entry is not None:
-                finish = request.at_ms + config.cache_hit_ms
+                finish = request.at_ms + CACHE_HIT_MS
                 self._record(
                     ServedQuery(
                         seq=seq,
@@ -327,11 +326,7 @@ class QueryServer:
                         start_ms=request.at_ms,
                         finish_ms=finish,
                         result_rows=len(entry.rows),
-                        result=(
-                            shared_result(projected, entry.rows)
-                            if config.keep_results
-                            else None
-                        ),
+                        result=shared_result(projected, entry.rows),
                     )
                 )
                 return
@@ -354,7 +349,7 @@ class QueryServer:
     def _cost(self, name: str) -> float:
         n = self._cost_n.get(name, 0)
         if n == 0:
-            return self.config.default_cost_ms
+            return DEFAULT_COST_MS
         return self._cost_sum[name] / n
 
     def _observe_cost(self, name: str, service_ms: float) -> None:
@@ -399,7 +394,7 @@ class QueryServer:
                     continue
                 if self._tenant_load(tenant) >= config.per_tenant_inflight:
                     continue
-                self._deficit[tenant] += config.quantum_ms
+                self._deficit[tenant] += QUANTUM_MS
                 while (
                     queue
                     and self._capacity_left() > 0
@@ -487,12 +482,12 @@ class QueryServer:
             finish_ms=finish,
             result_rows=len(outcome.result),
             requests=outcome.metrics.request_count(),
-            result=outcome.result if self.config.keep_results else None,
+            result=outcome.result,
             error=outcome.error,
         )
         self._record(record)
         for waiter_seq, waiter in ticket.waiters:
-            waiter_finish = max(finish, waiter.at_ms) + self.config.cache_hit_ms
+            waiter_finish = max(finish, waiter.at_ms) + CACHE_HIT_MS
             self._record(
                 ServedQuery(
                     seq=waiter_seq,
@@ -504,7 +499,7 @@ class QueryServer:
                     start_ms=waiter.at_ms,
                     finish_ms=waiter_finish,
                     result_rows=len(outcome.result),
-                    result=outcome.result if self.config.keep_results else None,
+                    result=outcome.result,
                     error=outcome.error,
                 )
             )

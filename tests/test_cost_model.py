@@ -133,12 +133,16 @@ class TestCollectStatistics:
         assert estimates.pattern_count(TP_ADVISOR, "EP2") == 2  # Kim x2
 
     def test_cached_on_second_collection(self):
+        # A pushable filter sends COUNT probes; the second collection
+        # finds them cached.
         federation = build_paper_federation()
         client = FederationClient(federation, local_cluster_config(), EngineCaches())
-        subquery = Subquery(0, (TP_ADVISOR,), ("EP1", "EP2"))
+        positive = Comparison("!=", VarExpr(P), TermExpr(typed_literal(0)))
+        subquery = Subquery(0, (TP_ADVISOR,), ("EP1", "EP2"), filters=(positive,))
         collect_statistics(client, [subquery], 0.0)
         before = client.metrics.request_count("count")
         collect_statistics(client, [subquery], 0.0)
+        assert before == 2
         assert client.metrics.request_count("count") == before
 
 
@@ -271,10 +275,10 @@ LOCAL = local_cluster_config()
 GEO = geo_distributed_config()
 
 
-def costs_for(config, regions, block_size=500):
+def costs_for(config, regions):
     """RequestCosts for endpoints named after their regions' keys."""
     federation = Federation(Endpoint(name, region=region) for name, region in regions.items())
-    return RequestCosts.of(config, federation, regions, block_size)
+    return RequestCosts.of(config, federation, regions)
 
 
 class DistinctStub:
@@ -299,7 +303,7 @@ def shaped(*specs):
     return subqueries, estimates
 
 
-def decide(policy, specs, costs, provider=None):
+def decide(policy, specs, costs, provider=DistinctStub({})):
     subqueries, estimates = shaped(*specs)
     return decide_delays(
         subqueries, estimates, projected=set(), policy=policy, provider=provider, costs=costs
@@ -318,13 +322,12 @@ S2_COSTS = {name: "local" for name in ("nytimes", "drugbank", "kegg", "linkedmdb
 
 class TestRequestCosts:
     def test_prices_follow_the_network_config_and_each_region(self):
-        costs = costs_for(GEO, {"eu": "north-europe", "us": "east-us"}, block_size=200)
+        costs = costs_for(GEO, {"eu": "north-europe", "us": "east-us"})
         assert costs.request_ms == {
             "eu": 95.0 + GEO.request_overhead_ms + GEO.eval_base_ms,
             "us": 25.0 + GEO.request_overhead_ms + GEO.eval_base_ms,
         }
         assert costs.row_ms == pytest.approx(0.005 + 0.05 + 120 / 10_000)
-        assert costs.block_size == 200
 
     def test_cost_policy_needs_costs(self):
         subqueries, estimates = make_subqueries([10, 20])
@@ -426,28 +429,27 @@ class TestCostRule:
         subqueries[3].optional_group = 0
         decision = decide_delays(
             subqueries, estimates, projected=set(), policy=DelayPolicy.COST,
-            costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),
+            provider=DistinctStub({}), costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),
         )
         assert set(decision.bindings) == {1}
         assert decision.reasons[2] in ("cardinality", "below")
         assert decision.reasons[3] == "optional"
 
-    def test_probe_statistics_run_the_rule_on_cardinalities(self):
-        # statistics="probe" installs no provider: the bindings estimate
-        # is C(sq, v) alone, the charsets' distinct count tightens it.
-        from repro.core.engine import LusailConfig, LusailEngine
+    def test_charsets_sharpen_the_bindings_estimate(self):
+        # Q6: the summaries' distinct counts bind the two large subqueries
+        # to fewer values than the cardinalities alone would.
+        from repro.core.engine import LusailEngine
         from repro.datasets import lubm
 
         federation = lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
-        query = lubm.crossing_queries()["Q6"]
-        decisions = {
-            statistics: LusailEngine(federation, LusailConfig(statistics=statistics))
-            .execute(query)
-            .plan.branch_plans[0]
-            .delays
-            for statistics in ("probe", "charsets")
-        }
-        for decision in decisions.values():
-            assert decision.delayed_ids == {1, 2}
-            assert decision.reasons[1] == decision.reasons[2] == "bound-cheaper"
-        assert decisions["probe"].bindings[1] > decisions["charsets"].bindings[1] > 0
+        outcome = LusailEngine(federation).execute(lubm.crossing_queries()["Q6"])
+        branch = outcome.plan.branch_plans[0]
+        decision = branch.delays
+        assert decision.delayed_ids == {1, 2}
+        assert decision.reasons[1] == decision.reasons[2] == "bound-cheaper"
+        seed = branch.decomposition.subqueries[decision.seed_id]
+        shared = sorted(seed.variables() & branch.decomposition.subqueries[1].variables())
+        cardinality_only = min(
+            branch.estimates.variable_cardinality(seed, variable) for variable in shared
+        )
+        assert 0 < decision.bindings[1] < cardinality_only

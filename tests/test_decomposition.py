@@ -138,10 +138,21 @@ class TestDetectGJVs:
         gjvs, __ = detect_gjvs(client, patterns, sel, 0.0)
         assert P in gjvs.variables
 
-    def test_check_queries_cached(self, client, selection):
-        detect_gjvs(client, QA_PATTERNS, selection, 0.0)
+    def test_check_queries_cached(self):
+        # LUBM Q1's type-constrained checks are beyond the summaries, so
+        # they go to the endpoints — once.
+        from repro.datasets import lubm
+        from repro.planning.normalize import normalize
+        from repro.sparql import parse_query
+
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
+        client = FederationClient(federation, local_cluster_config(), EngineCaches())
+        patterns = list(normalize(parse_query(lubm.queries()["Q1"])).branches[0].patterns)
+        selection, __ = select_sources(client, patterns, 0.0)
+        detect_gjvs(client, patterns, selection, 0.0)
         first = client.metrics.request_count("check")
-        detect_gjvs(client, QA_PATTERNS, selection, 0.0)
+        detect_gjvs(client, patterns, selection, 0.0)
+        assert first == 4
         assert client.metrics.request_count("check") == first  # all cache hits
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.reporting import format_table, results_by_query, speedup_summary
 from repro.harness.runner import ENGINE_ORDER, RunResult, make_engines, run_matrix, run_query
+from repro.net import metrics as metrics_module
 
 from tests.conftest import QA
 
@@ -32,22 +33,23 @@ class TestRunQuery:
         assert result.requests < 10
 
     def test_cold_protocol(self, paper_federation):
-        engines = make_engines(paper_federation, which=("Lusail",))
-        engines["Lusail"].statistics = "probe"
-        result = run_query(engines["Lusail"], "Qa", QA, warm=False)
-        assert result.requests > 10  # probes included
+        first, second = (
+            make_engines(paper_federation, which=("Lusail",))["Lusail"] for __ in range(2)
+        )
+        cold = run_query(first, "Qa", QA, warm=False)
+        warm = run_query(second, "Qa", QA)
+        assert cold.result_rows == warm.result_rows == 3
+        assert cold.requests > warm.requests  # metadata included
 
     def test_cold_protocol_charsets_cuts_probes(self, paper_federation):
-        # Characteristic-set statistics answer most metadata probes from
-        # local summaries: same rows, fewer cold requests.
-        probe_engine = make_engines(paper_federation, which=("Lusail",))["Lusail"]
-        probe_engine.statistics = "probe"
-        baseline = run_query(probe_engine, "Qa", QA, warm=False)
-        stats_engine = make_engines(paper_federation, which=("Lusail",))["Lusail"]
-        result = run_query(stats_engine, "Qa", QA, warm=False)
-        assert result.status == "ok"
-        assert result.result_rows == baseline.result_rows
-        assert result.requests < baseline.requests
+        # Characteristic-set statistics answer all of Qa's metadata
+        # questions: the cold run's metadata is one summary fetch per
+        # endpoint, and no ASK, check or COUNT probe.
+        engine = make_engines(paper_federation, which=("Lusail",))["Lusail"]
+        outcome = engine.execute(QA)
+        assert outcome.ok and len(outcome.result) == 3
+        assert outcome.metrics.metadata_request_count() == len(paper_federation.names())
+        assert outcome.metrics.request_count(metrics_module.STATS) == len(paper_federation.names())
 
     def test_timeout_status(self, paper_federation):
         engines = make_engines(paper_federation, which=("FedX",), timeout_ms=0.1)

@@ -254,12 +254,19 @@ def tiny_lubm():
     return lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
 
 
-def _run_traced(federation, which, query, statistics="charsets"):
+#: LUBM Q1 with a filter on ``?z``: its type-constrained check queries
+#: and its filtered COUNTs are beyond the summaries, so the remote
+#: metadata probes run beside the summary fetches.
+Q1_FILTERED = lubm.queries()["Q1"].replace(
+    "?x ub:undergraduateDegreeFrom ?y .",
+    "?x ub:undergraduateDegreeFrom ?y .\n  FILTER(?z != <http://nowhere.example/d>)",
+)
+
+
+def _run_traced(federation, which, query):
     tracer = Tracer(enabled=True)
     registry = MetricsRegistry()
     engines = make_engines(federation, which=which, tracer=tracer, registry=registry)
-    for engine in engines.values():
-        engine.statistics = statistics
     outcomes = {name: engine.execute(query) for name, engine in engines.items()}
     return tracer, registry, outcomes
 
@@ -277,12 +284,11 @@ class TestEngineIntegration:
         assert validate_trace([span_to_dict(s) for s in root.walk()]) == []
 
     def test_lusail_trace_covers_lifecycle_stages(self, tiny_lubm):
-        # Probe statistics: the full remote-metadata lifecycle, check
-        # queries included, must appear in the trace.
-        tracer, __, outcomes = _run_traced(
-            tiny_lubm, ("Lusail",), lubm.queries()["Q4"], statistics="probe"
-        )
-        assert outcomes["Lusail"].ok
+        # The full remote-metadata lifecycle, check queries the summaries
+        # could not decide included, must appear in the trace.
+        tracer, __, outcomes = _run_traced(tiny_lubm, ("Lusail",), Q1_FILTERED)
+        outcome = outcomes["Lusail"]
+        assert outcome.ok
         (root,) = tracer.roots
         for stage in (
             "source_selection",
@@ -295,8 +301,13 @@ class TestEngineIntegration:
             "subquery",
         ):
             assert root.find(stage), f"no {stage} span in trace"
-        check = root.find("check_query")[0]
-        assert "endpoint" in check.attrs and "variable" in check.attrs
+        checks = root.find("check_query")
+        assert len(checks) == outcome.metrics.request_count(metrics_module.CHECK) == 4
+        assert "endpoint" in checks[0].attrs and "variable" in checks[0].attrs
+        statistics = root.find("statistics")[0]
+        assert statistics.attrs["requests"] == outcome.metrics.request_count(
+            metrics_module.COUNT
+        ) == 6
 
     def test_lusail_trace_charsets_skips_checks(self, tiny_lubm):
         # Characteristic-set statistics: the same lifecycle minus the
@@ -384,10 +395,7 @@ class TestEngineIntegration:
         assert len(tracer.roots) == before
 
     def test_all_engines_report_into_shared_registry(self, tiny_lubm):
-        query = lubm.queries()["Q4"]
-        __, registry, outcomes = _run_traced(
-            tiny_lubm, ENGINE_ORDER, query, statistics="probe"
-        )
+        __, registry, outcomes = _run_traced(tiny_lubm, ENGINE_ORDER, Q1_FILTERED)
         assert all(outcome.ok for outcome in outcomes.values())
         for engine in ENGINE_ORDER:
             assert registry.counter_value("requests_total", engine=engine) > 0, engine
@@ -399,13 +407,9 @@ class TestEngineIntegration:
             }
             assert endpoints == {"university0", "university1"}, engine
         # Per-endpoint counters cover every request kind across engines
-        # (no stats fetches in probe mode, no partial rounds under the
-        # default bound-join strategy).
+        # (no partial rounds under the default bound-join strategy).
         kinds = registry.label_values("requests_total", "kind")
-        assert kinds == set(REQUEST_KINDS) - {
-            metrics_module.STATS,
-            metrics_module.PARTIAL,
-        }
+        assert kinds == set(REQUEST_KINDS) - {metrics_module.PARTIAL}
         # Lusail's pipeline-specific counters.
         assert registry.counter_value("check_queries_total", engine="Lusail") > 0
         assert registry.counter_value("subqueries_total", engine="Lusail") > 0

@@ -476,7 +476,8 @@ class TestEndpointPlanCache:
         assert [r["output_rows"] for r in records] == [len(expected.rows)]
 
     def test_capacity_zero_recompiles_every_request(self):
-        endpoint = Endpoint("ep", _university_triples(), plan_cache_capacity=0)
+        endpoint = Endpoint("ep", _university_triples())
+        endpoint.plan_cache = PlanCache(capacity=0)
         query = self._block_query([_iri("student0_0")])
         first = endpoint.select(query)
         second = endpoint.select(query)

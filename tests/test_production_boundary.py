@@ -11,18 +11,23 @@ The same kind of walk pins the collector boundary: one module under
 collector is enabled.  And the plan boundary: what Lusail decided
 travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
-last.
+last.  And the options boundary: every field of ``LusailConfig`` and
+``ServeConfig`` is set by name by some caller outside the tests, or is
+listed with the reason it stays an option.
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core.engine import LusailConfig
 from repro.datasets import lubm, queries_largerdf, queries_lubm
 from repro.endpoint import Endpoint
+from repro.serve import ServeConfig
 from repro.sparql import evaluator, parse_query
 from repro.sparql.ast import AskQuery
 from tests.conftest import QA, build_paper_federation, oracle_rows
@@ -211,6 +216,58 @@ def test_class_substitution_walker_sees_each_form(tmp_path, source, hits):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert _class_substitution(probe) == hits
+
+
+#: Config classes whose every field some caller outside the tests sets.
+CONFIG_CLASSES = (LusailConfig, ServeConfig)
+CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
+#: Fields no caller sets, each with the reason it stays an option.
+UNSET_FIELDS = {
+    "max_mediator_rows": "a deployment memory budget; past it a query ends oom, "
+    "the paper's OOM outcome",
+}
+
+
+def _passed_by_name(path: Path, callees: set[str]) -> set[str]:
+    """Keyword names ``path`` passes to a call of one of ``callees``,
+    spelled as a name or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in callees:
+                found |= {keyword.arg for keyword in node.keywords if keyword.arg}
+    return found
+
+
+def test_every_config_field_has_a_caller():
+    repo = SRC.parent.parent
+    paths = [path for root in CALLER_ROOTS for path in sorted((repo / root).rglob("*.py"))]
+    assert len(paths) > 100  # the walk really covers the callers
+    callees = {cls.__name__ for cls in CONFIG_CLASSES} | {"replace", "with_config"}
+    passed = set().union(*(_passed_by_name(path, callees) for path in paths))
+    fields = {field.name for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)}
+    assert fields - passed == set(UNSET_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("LusailConfig(machines=2, strategy='auto')", {"machines", "strategy"}),
+        ("engine.LusailConfig(decomposition='triple')", {"decomposition"}),
+        ("replace(config, delay_policy=policy)", {"delay_policy"}),
+        ("dataclasses.replace(self.config, use_chauvenet=False)", {"use_chauvenet"}),
+        ("engine.with_config(refine_sources=False)", {"refine_sources"}),
+        ("ServeConfig(**options)", set()),
+        ("make_engines(federation, machines=2)\nServeConfig()", set()),
+    ],
+)
+def test_options_walker_sees_each_form(tmp_path, source, names):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    callees = {"LusailConfig", "ServeConfig", "replace", "with_config"}
+    assert _passed_by_name(probe, callees) == names
 
 
 PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "

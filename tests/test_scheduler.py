@@ -4,6 +4,7 @@ optional groups, and the disjoint fast path."""
 import pytest
 
 from repro.core.engine import LusailConfig, LusailEngine
+from repro.core.execution import cost_model, scheduler
 from repro.core.execution.cost_model import DelayPolicy
 from repro.datasets import lubm
 from repro.net import metrics as metrics_module
@@ -54,27 +55,23 @@ class TestDelayedSubqueries:
         assert_same_bag(delayed_outcome.result.rows, eager_outcome.result.rows)
         assert delayed_outcome.metrics.rows_shipped() < eager_outcome.metrics.rows_shipped()
 
-    def test_block_size_one_more_requests(self, federation):
+    def test_block_size_one_more_requests(self, federation, monkeypatch):
         # The paper's rule delays the name subquery whatever the block
         # size, so the two runs differ only in how the bindings ship.
-        policy = DelayPolicy.MU_SIGMA
-        fine = LusailEngine(federation, config=LusailConfig(block_size=1, delay_policy=policy))
-        coarse = LusailEngine(
-            federation, config=LusailConfig(block_size=1000, delay_policy=policy)
-        )
-        fine_outcome = fine.execute(lubm.query_q4())
-        coarse_outcome = coarse.execute(lubm.query_q4())
+        config = LusailConfig(delay_policy=DelayPolicy.MU_SIGMA)
+        coarse_outcome = LusailEngine(federation, config=config).execute(lubm.query_q4())
+        monkeypatch.setattr(scheduler, "MAX_BLOCK", 1)
+        fine_outcome = LusailEngine(federation, config=config).execute(lubm.query_q4())
         assert_same_bag(fine_outcome.result.rows, coarse_outcome.result.rows)
         assert fine_outcome.metrics.request_count(metrics_module.BOUND) > (
             coarse_outcome.metrics.request_count(metrics_module.BOUND)
         )
 
-    def test_cost_rule_prices_the_block_size(self, federation):
+    def test_cost_rule_prices_the_block_size(self, federation, monkeypatch):
         # One binding per request makes binding the name subquery cost a
         # round trip per binding: the cost rule ships it whole instead.
-        outcome = LusailEngine(federation, config=LusailConfig(block_size=1)).execute(
-            lubm.query_q4()
-        )
+        monkeypatch.setattr(cost_model, "MAX_BLOCK", 1)
+        outcome = LusailEngine(federation).execute(lubm.query_q4())
         delays = outcome.plan.branch_plans[0].delays
         assert not delays.delayed_ids
         assert "ship-cheaper" in delays.reasons.values()
