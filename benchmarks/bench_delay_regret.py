@@ -9,15 +9,20 @@ sets read ``{branch 0}|{branch 1}``.  Data and engine temperature
 follow the performance ledger: the 17 LUBM queries (L1–L14, Q4–Q6) at
 ``scaled_profile(6)``, two endpoints, seed 1, on a warm engine; the
 paper's 29 LargeRDFBench queries at scale 4, hub scale 4, seed 1, on a
-fresh engine per run (``largerdf_cold``).
+fresh engine per run (``largerdf_cold``); QFed's eight C2P2 queries on
+Fig 11's federation, on a fresh engine per run.
 
 Expected shape: every LUBM row reads 1.00 — the rule is the best delay
 set there; the LargeRDFBench total is within 5% of the best (the
 paper's ``mu + sigma`` rule alone was 1183 vs 760 virtual ms, with S2,
-S11, C2 and C10 at 5-8x; the cost rule delays their chain ends).
+S11, C2 and C10 at 5-8x; the cost rule delays their chain ends).  QFed
+reads ~1.17 in total, all of it on the filtered queries (C2P2*F), whose
+filtered star the estimates put at thousands of rows where a few dozen
+ship.
 """
 
-from repro.datasets import largerdf, lubm, queries_largerdf, queries_lubm
+from repro.datasets import largerdf, lubm, qfed, queries_largerdf, queries_lubm
+from repro.harness import experiments
 from repro.harness.reporting import format_table
 
 from conftest import emit
@@ -35,6 +40,7 @@ def _datasets():
     yield "LUBM", federation, lubm_queries, True
     federation = largerdf.build_federation(scale=4.0, seed=1, hub_scale=4.0)
     yield "LargeRDF", federation, queries_largerdf.paper_selection(), False
+    yield "QFed", experiments.qfed_federation(), qfed.queries(), False
 
 
 def _run_cells(run) -> list[str]:
@@ -84,3 +90,5 @@ def test_delay_regret(benchmark):
     assert all(ratio >= 1.0 for by_query in ratios.values() for ratio in by_query.values())
     assert len(ratios["LargeRDF"]) == 29
     assert totals["LargeRDF"] <= 1.05, totals
+    assert len(ratios["QFed"]) == 8
+    assert totals["QFed"] <= 1.17, totals

@@ -22,6 +22,7 @@ refinement, and caching.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -30,12 +31,10 @@ from repro.core.decomposition.gjv import GJVResult, detect_gjvs
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import (
     MAX_BLOCK,
-    MIN_BLOCK,
     CardinalityEstimates,
     DelayDecision,
     DelayPolicy,
     RequestCosts,
-    adaptive_block_size,
     collect_statistics,
     decide_delays,
 )
@@ -519,18 +518,15 @@ class LusailEngine(FederatedEngine):
         needed |= {variable for variable, count in seen.items() if count >= 2}
         return needed
 
-    def _explain_block_size(self, subquery: Subquery, delays: DelayDecision) -> str:
-        """Planned bound-join block size line for one delayed subquery,
-        from the bindings the delay decision estimated for it."""
+    def _explain_blocks(self, subquery: Subquery, delays: DelayDecision) -> str:
+        """The bound-join blocks phase two will ship for one delayed
+        subquery, from the bindings the delay decision estimated for it."""
         bindings = delays.bindings.get(subquery.id)
         if not bindings:
-            return f"bound-join block size: {MAX_BLOCK} (adaptive, no bindings estimate)"
-        cardinality = subquery.estimated_cardinality
-        planned = adaptive_block_size(MAX_BLOCK, MIN_BLOCK, cardinality, bindings)
+            return f"bound-join blocks: ≤{MAX_BLOCK} bindings (no bindings estimate)"
         return (
-            f"bound-join block size: {planned} "
-            f"(adaptive, est. {cardinality / bindings:.1f} rows/binding, "
-            f"clamp [{MIN_BLOCK}, {MAX_BLOCK}])"
+            f"bound-join blocks: ≤{MAX_BLOCK} bindings, "
+            f"est. {math.ceil(bindings / MAX_BLOCK)} requests per source"
         )
 
     def explain(self, query) -> str:
@@ -608,7 +604,7 @@ class LusailEngine(FederatedEngine):
                     f"sources={list(subquery.sources)}"
                 )
                 if subquery.delayed:
-                    lines.append("    " + self._explain_block_size(subquery, delays))
+                    lines.append("    " + self._explain_blocks(subquery, delays))
                 for pattern in subquery.patterns:
                     lines.append(f"    {pattern.n3()}")
                 for expression in subquery.filters:

@@ -28,12 +28,15 @@ required subqueries one at a time, like phase two will run them: the
 smallest stays eager, then the connected subquery with the fewest
 estimated bindings ``b`` follows, ``b`` being the fewest distinct values
 a placed neighbour can bind a shared variable to.  Binding it costs
-``ceil(b / block)`` requests plus the rows ``b`` bindings fetch at the
-subquery's per-value fan-out; shipping it costs one request plus its
-whole extent, less what the smallest subquery's own shipping already
-puts on phase one's critical path.  A difference within two requests of
-the slowest source is below the estimate's resolution and keeps the
-paper's verdict, as do subqueries no binding reaches.
+the requests :func:`_priced_requests` charges — ``ceil(b /
+MAX_BLOCK)``, plus a premium where more rows than bindings come back —
+and the rows ``b`` bindings fetch at the subquery's per-value fan-out
+(that price is the ``bound≈`` figure ``explain`` prints); shipping it
+costs one request plus its whole extent, less what the smallest
+subquery's own shipping already puts on phase one's critical path.  A
+difference within two requests of the slowest source is below the
+estimate's resolution and keeps the paper's verdict, as do subqueries no
+binding reaches.
 
 :class:`DelayDecision` records the reason for each subquery's verdict
 (:data:`DELAY_REASONS`) and, per subquery the cost rule placed, its
@@ -64,11 +67,12 @@ from repro.sparql.ast import (
     SelectQuery,
 )
 
-#: Smallest block the adaptive bound join may shrink to.
-MIN_BLOCK = 50
-#: Largest bound-join block: each delayed subquery's block shrinks from
-#: it with the estimated rows per binding, never below :data:`MIN_BLOCK`.
+#: Bindings per bound-join ``VALUES`` block (a stand-in for an endpoint's
+#: query-size limit): phase two ships ``ceil(bindings / MAX_BLOCK)``
+#: blocks to each source.
 MAX_BLOCK = 500
+#: The fewest bindings per request :func:`_priced_requests` assumes.
+_PRICED_MIN_BLOCK = 50
 
 
 class DelayPolicy(str, Enum):
@@ -82,23 +86,29 @@ class DelayPolicy(str, Enum):
     COST = "cost"
 
 
-def adaptive_block_size(
-    block_size: int, min_block: int, estimated_rows: float, bindings: float
-) -> int:
-    """Bound-join block size scaled by estimated rows per binding.
+def _priced_requests(bindings: float, cardinality: float) -> int:
+    """The requests per source the cost rule charges for binding a
+    subquery of estimated cardinality ``cardinality`` to ``bindings``
+    values: one per :data:`MAX_BLOCK` bindings, or, where more than one
+    row per binding is expected back, one per ~:data:`MAX_BLOCK` rows of
+    the extent, never more than one per :data:`_PRICED_MIN_BLOCK`
+    bindings.
 
-    Selective delayed subqueries (at most one row back per shipped
-    binding) keep the full block; unselective ones shrink the block so
-    one VALUES request does not ship ``block_size * rows_per_binding``
-    rows back at once, clamped to ``[min_block, block_size]``.
+    Phase two ships ``ceil(bindings / MAX_BLOCK)``; the difference is a
+    premium on unselective bindings.  Charging the exact count picks
+    worse plans, because it lays bare two errors in the rule's inputs:
+    the cardinality of a filtered star (C2P2F: 6,000 rows estimated, 30
+    ship) and the payload of big literals (C2P2B: dailymed's 3.2 MB
+    priced at the fallback row width).  Measured with the exact count,
+    delay regret (``tests/test_delay_regret.py``) goes 1.05 → 1.13 on
+    LargeRDF at scale 1 and 1.17 → 1.24 on QFed, and six of Fig 11's
+    eight Lusail rows get slower.
     """
-    if bindings <= 0:
-        return block_size
-    rows_per_binding = estimated_rows / bindings
-    if rows_per_binding <= 1.0:
-        return block_size
-    floor = max(1, min(min_block, block_size))
-    return max(floor, min(block_size, int(block_size / rows_per_binding)))
+    block = MAX_BLOCK
+    if bindings > 0 and cardinality / bindings > 1.0:
+        floor = max(1, min(_PRICED_MIN_BLOCK, MAX_BLOCK))
+        block = max(floor, min(MAX_BLOCK, int(MAX_BLOCK / (cardinality / bindings))))
+    return math.ceil(bindings / block)
 
 
 @dataclass(frozen=True)
@@ -519,15 +529,15 @@ class _CostPlacement:
         self, subquery: Subquery, bindings: float, variable: Variable
     ) -> tuple[float, float]:
         """(virtual ms, rows) of binding ``subquery`` to ``bindings``
-        values of ``variable``: each endpoint answers every block and
-        returns its share of the rows."""
+        values of ``variable``: each endpoint answers the
+        :func:`_priced_requests` requests and returns its share of the
+        rows."""
         costs = self.costs
         cardinality = self.cardinalities[subquery.id]
         distinct = self.distinct(subquery, variable)
         rows = min(cardinality, bindings * cardinality / distinct) if distinct > 0 else 0.0
         share = rows / cardinality if cardinality > 0 else 0.0
-        block = adaptive_block_size(MAX_BLOCK, MIN_BLOCK, cardinality, bindings)
-        requests = math.ceil(bindings / block)
+        requests = _priced_requests(bindings, cardinality)
         ms = max(
             (
                 requests * request_ms + extent * share * costs.row_ms

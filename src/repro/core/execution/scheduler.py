@@ -10,9 +10,14 @@ Execution of one decomposed conjunctive branch:
    (with the DP join-order optimizer) to obtain the found bindings.
 3. **Phase two** — delayed subqueries run serially, most selective
    first, as block-wise bound joins: found bindings of the shared
-   variables are shipped in ``VALUES`` blocks, one request per block per
-   endpoint.  Generic patterns get their source list refined with the
-   bindings first (Alg 3 line 13).
+   variables are shipped in ``VALUES`` blocks of ``MAX_BLOCK``
+   bindings, one request per block per endpoint.  A request costs its
+   endpoint a fixed round trip, overhead and base evaluation, while rows
+   cost the same however the bindings are split, so blocks are never
+   shrunk for an unselective subquery: that would only add requests.
+   (The cost rule still prices such a subquery with a premium, see
+   ``cost_model._priced_requests``.)  Generic patterns get their source
+   list refined with the bindings first (Alg 3 line 13).
 4. OPTIONAL groups are evaluated last (always delayed) and left-joined;
    residue filters apply at the mediator.
 """
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import Subquery, values_block
-from repro.core.execution.cost_model import MAX_BLOCK, MIN_BLOCK, adaptive_block_size
+from repro.core.execution.cost_model import MAX_BLOCK
 from repro.core.execution.join_order import (
     JoinHints,
     execute_plan,
@@ -210,16 +215,12 @@ class BranchScheduler:
         sources: tuple[str, ...],
         at_ms: float,
     ) -> tuple[Relation, float]:
-        """Evaluate a delayed subquery with VALUES blocks of bindings."""
+        """Evaluate a delayed subquery with VALUES blocks of bindings:
+        ``ceil(bindings / MAX_BLOCK)`` requests to each source."""
         projection = self._projection(subquery)
         relation = Relation(projection, partitions=1)
         finish = at_ms
-        block_size = adaptive_block_size(
-            MAX_BLOCK,
-            MIN_BLOCK,
-            subquery.estimated_cardinality,
-            len(binding_rows),
-        )
+        block_size = MAX_BLOCK
         tracer = self.client.tracer
         metrics = self.client.metrics
         # Every block of this subquery shares one query skeleton, so all
@@ -276,15 +277,14 @@ class BranchScheduler:
                     subquery=subquery.id,
                     bindings=len(binding_rows),
                 )
-                # ...and the per-binding selectivity that sized the blocks.
+                # ...and per binding.
                 if binding_rows:
                     audit.record(
-                        "block_size",
+                        "bind_fanout",
                         subquery.estimated_cardinality / len(binding_rows),
                         len(relation) / len(binding_rows),
                         span=subquery_span,
                         subquery=subquery.id,
-                        block_size=block_size,
                     )
             subquery_span.set(
                 rows=len(relation),

@@ -9,8 +9,7 @@ rows.  An inner join on fully bound keys leaves its output as *runs*
 (:class:`~repro.relational.kernels.JoinRuns`): every order in which the
 runs' two readers — rows out, flatten to columns — can be reached is
 checked against the same oracle.  Plus unit tests for the streaming
-memory guard (joins abort mid-kernel), the kernel counters, and the
-adaptive bound-join block size.
+memory guard (joins abort mid-kernel) and the kernel counters.
 """
 
 from collections import Counter
@@ -18,7 +17,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.execution.cost_model import adaptive_block_size
 from repro.exceptions import MemoryLimitError
 from repro.net.metrics import QueryMetrics
 from repro.rdf import IRI, Variable
@@ -438,25 +436,3 @@ class TestKernelCounters:
             "mediator_kernel_fast_dispatches_total",
             "mediator_kernel_general_dispatches_total",
         }
-
-
-class TestAdaptiveBlockSize:
-    def test_selective_subquery_keeps_full_block(self):
-        # <= 1 row per binding: nothing to gain from smaller blocks.
-        assert adaptive_block_size(500, 50, 100.0, 200) == 500
-
-    def test_unselective_subquery_shrinks_block(self):
-        # 10 rows per binding: 500 / 10 = 50.
-        assert adaptive_block_size(500, 50, 1000.0, 100) == 50
-
-    def test_clamped_to_min_block(self):
-        assert adaptive_block_size(500, 50, 100_000.0, 10) == 50
-
-    def test_clamped_to_block_size(self):
-        assert adaptive_block_size(500, 50, 0.0, 100) == 500
-
-    def test_no_bindings_keeps_full_block(self):
-        assert adaptive_block_size(500, 50, 1000.0, 0) == 500
-
-    def test_min_block_never_above_block_size(self):
-        assert adaptive_block_size(10, 50, 1000.0, 10) == 10

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.decomposition.subquery import Subquery
+from repro.core.execution import cost_model
 from repro.core.execution.cost_model import (
     CardinalityEstimates,
     DelayPolicy,
     RequestCosts,
+    _priced_requests,
     collect_statistics,
     count_query,
     decide_delays,
@@ -333,6 +335,36 @@ class TestRequestCosts:
         subqueries, estimates = make_subqueries([10, 20])
         with pytest.raises(ValueError):
             decide_delays(subqueries, estimates, projected=set(), policy=DelayPolicy.COST)
+
+
+class TestBindRequestPremium:
+    """The requests the cost rule charges a bound join: one per
+    ``MAX_BLOCK`` bindings, as phase two ships them, or one per ~500
+    rows expected back where that is more."""
+
+    def test_selective_binding_pays_per_block_of_bindings(self):
+        # <= 1 row per binding: exactly the blocks phase two ships.
+        assert _priced_requests(200, 100.0) == 1
+        assert _priced_requests(1200, 100.0) == 3
+
+    def test_unselective_binding_pays_per_rows_back(self):
+        # 10 rows per binding: 1,000 rows back, two requests of ~500.
+        assert _priced_requests(100, 1000.0) == 2
+        assert _priced_requests(1000, 10_000.0) == 20
+
+    def test_premium_capped_at_one_request_per_fifty_bindings(self):
+        assert _priced_requests(10, 100_000.0) == 1
+        assert _priced_requests(1000, 1_000_000.0) == 20
+
+    def test_empty_extent_pays_per_block(self):
+        assert _priced_requests(100, 0.0) == 1
+
+    def test_no_bindings_no_requests(self):
+        assert _priced_requests(0, 1000.0) == 0
+
+    def test_floor_never_above_max_block(self, monkeypatch):
+        monkeypatch.setattr(cost_model, "MAX_BLOCK", 1)
+        assert _priced_requests(7, 1000.0) == 7
 
 
 class TestCostRule:

@@ -167,7 +167,7 @@ class TestExplain:
         engine = LusailEngine(federation, config=LusailConfig(enable_delay=False))
         text = engine.explain(lubm.query_q4())
         assert "delay decision: disabled" in text
-        assert "[delayed" not in text and "bound-join block size" not in text
+        assert "[delayed" not in text and "bound-join blocks" not in text
         outcome = engine.execute(lubm.query_q4())
         assert outcome.plan.delayed_count == 0
         assert outcome.metrics.request_count("bound") == 0

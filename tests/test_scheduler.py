@@ -1,13 +1,17 @@
 """Tests for SAPE's scheduler: delayed bound joins, source refinement,
 optional groups, and the disjoint fast path."""
 
+import math
+import re
+
 import pytest
 
 from repro.core.engine import LusailConfig, LusailEngine
 from repro.core.execution import cost_model, scheduler
 from repro.core.execution.cost_model import DelayPolicy
-from repro.datasets import lubm
+from repro.datasets import lubm, queries_lubm
 from repro.net import metrics as metrics_module
+from repro.obs.trace import Tracer
 
 from tests.conftest import assert_same_bag, oracle_rows
 
@@ -66,6 +70,27 @@ class TestDelayedSubqueries:
         assert fine_outcome.metrics.request_count(metrics_module.BOUND) > (
             coarse_outcome.metrics.request_count(metrics_module.BOUND)
         )
+
+    def test_bound_blocks_hold_max_block_bindings_however_unselective(self):
+        # L10's delayed subquery is estimated at ~15 rows per binding
+        # (2182 for 140 bindings): its bindings still ship in blocks of
+        # MAX_BLOCK, one request per block per source.
+        federation = lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
+        engine = LusailEngine(federation)
+        engine.tracer = Tracer(enabled=True)
+        outcome = engine.execute(queries_lubm.queries()["L10"])
+        (bound,) = engine.tracer.roots[0].find("bound_subquery")
+        bindings = bound.attrs["bindings"]
+        assert bound.attrs["estimated_cardinality"] > 10 * bindings > 10 * 50
+        blocks = bound.find("bound_block")
+        assert len(blocks) == math.ceil(bindings / scheduler.MAX_BLOCK)
+        sources = len(bound.attrs["endpoints"])
+        assert outcome.metrics.request_count(metrics_module.BOUND) == len(blocks) * sources
+
+    def test_explain_prints_the_blocks_phase_two_ships(self, federation):
+        text = LusailEngine(federation).explain(lubm.query_q4())
+        assert re.search(r"bound-join blocks: ≤500 bindings, est\. \d+ requests per source", text)
+        assert "adaptive" not in text
 
     def test_cost_rule_prices_the_block_size(self, federation, monkeypatch):
         # One binding per request makes binding the name subquery cost a
