@@ -22,7 +22,6 @@ refinement, and caching.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -518,17 +517,6 @@ class LusailEngine(FederatedEngine):
         needed |= {variable for variable, count in seen.items() if count >= 2}
         return needed
 
-    def _explain_blocks(self, subquery: Subquery, delays: DelayDecision) -> str:
-        """The bound-join blocks phase two will ship for one delayed
-        subquery, from the bindings the delay decision estimated for it."""
-        bindings = delays.bindings.get(subquery.id)
-        if not bindings:
-            return f"bound-join blocks: ≤{MAX_BLOCK} bindings (no bindings estimate)"
-        return (
-            f"bound-join blocks: ≤{MAX_BLOCK} bindings, "
-            f"est. {math.ceil(bindings / MAX_BLOCK)} requests per source"
-        )
-
     def explain(self, query) -> str:
         """Compile-time plan report: sources, GJVs, subqueries, delays.
 
@@ -604,7 +592,10 @@ class LusailEngine(FederatedEngine):
                     f"sources={list(subquery.sources)}"
                 )
                 if subquery.delayed:
-                    lines.append("    " + self._explain_blocks(subquery, delays))
+                    lines.append(
+                        f"    bound-join blocks: ≤{MAX_BLOCK} bindings per source, "
+                        "routed by IRI authority"
+                    )
                 for pattern in subquery.patterns:
                     lines.append(f"    {pattern.n3()}")
                 for expression in subquery.filters:

@@ -11,13 +11,20 @@ Execution of one decomposed conjunctive branch:
 3. **Phase two** — delayed subqueries run serially, most selective
    first, as block-wise bound joins: found bindings of the shared
    variables are shipped in ``VALUES`` blocks of ``MAX_BLOCK``
-   bindings, one request per block per endpoint.  A request costs its
+   bindings.  Each endpoint receives only the bindings its IRI
+   authorities can match (the decentralized-authority model of the
+   paper's Fig 1 puts an entity's triples at its authority's endpoint):
+   a binding is routed away from an endpoint when a pattern binding it
+   in subject or object position has no entity of that authority
+   there — for a generic ``?s ?p ?o`` pattern, no entity of it under any
+   predicate, which is Alg 3 line 13 decided per binding rather than
+   from a sample.  An endpoint gets ``ceil(routed / MAX_BLOCK)``
+   requests, none when nothing is routed to it.  A request costs its
    endpoint a fixed round trip, overhead and base evaluation, while rows
    cost the same however the bindings are split, so blocks are never
    shrunk for an unselective subquery: that would only add requests.
-   (The cost rule still prices such a subquery with a premium, see
-   ``cost_model._priced_requests``.)  Generic patterns get their source
-   list refined with the bindings first (Alg 3 line 13).
+   (The cost rule still prices such a subquery unrouted and with a
+   premium, see ``cost_model._priced_requests``.)
 4. OPTIONAL groups are evaluated last (always delayed) and left-joined;
    residue filters apply at the mediator.
 """
@@ -41,9 +48,7 @@ from repro.exceptions import NetworkError
 from repro.net import metrics as metrics_module
 from repro.net.simulator import MediatorCostModel
 from repro.planning.base_engine import guard_rows, mediator_runtime
-from repro.planning.source_selection import refine_sources_with_bindings
 from repro.rdf.terms import Term, Variable
-from repro.rdf.triple import TriplePattern
 from repro.relational import kernels
 from repro.relational.relation import Relation
 
@@ -212,23 +217,45 @@ class BranchScheduler:
         subquery: Subquery,
         bind_vars: tuple[Variable, ...],
         binding_rows: list[tuple[Term | None, ...]],
-        sources: tuple[str, ...],
         at_ms: float,
     ) -> tuple[Relation, float]:
-        """Evaluate a delayed subquery with VALUES blocks of bindings:
-        ``ceil(bindings / MAX_BLOCK)`` requests to each source."""
+        """Evaluate a delayed subquery with VALUES blocks of bindings.
+
+        Each source gets only the bindings its IRI authorities can match
+        (:meth:`~repro.planning.stats.CharsetStatisticsProvider.route`),
+        in ``ceil(routed / MAX_BLOCK)`` requests; a source with none gets
+        no request.  Block *b* goes to every source that has one before
+        block *b* + 1 goes to any.
+        """
         projection = self._projection(subquery)
         relation = Relation(projection, partitions=1)
         finish = at_ms
         block_size = MAX_BLOCK
         tracer = self.client.tracer
         metrics = self.client.metrics
+        registry = self.client.registry
+        engine = self.client.engine
+        sources = subquery.sources
+        if self.config.refine_sources or not self._is_generic(subquery):
+            route = self.client.stats.route
+            routed = {
+                endpoint: route(subquery, endpoint, bind_vars, binding_rows)
+                for endpoint in sources
+            }
+        else:  # Alg 3 line 13 off: a generic pattern gets every binding
+            routed = dict.fromkeys(sources, binding_rows)
+        for endpoint, rows in routed.items():
+            if len(rows) < len(binding_rows):
+                registry.inc(
+                    "bound_bindings_routed_out_total",
+                    len(binding_rows) - len(rows),
+                    engine=engine,
+                    endpoint=endpoint,
+                )
         # Every block of this subquery shares one query skeleton, so all
         # blocks after the first should hit the endpoint plan caches;
         # the hit delta on the span confirms compiled-plan reuse.
-        plan_hits_before = self.client.registry.counter_value(
-            "plan_cache_hits_total", engine=self.client.engine
-        )
+        plan_hits_before = registry.counter_value("plan_cache_hits_total", engine=engine)
         with tracer.span(
             "bound_subquery",
             t0=at_ms,
@@ -237,17 +264,24 @@ class BranchScheduler:
             block_size=block_size,
             estimated_cardinality=subquery.estimated_cardinality,
             endpoints=list(sources),
+            routed_bindings={endpoint: len(rows) for endpoint, rows in routed.items()},
+            skipped_sources=[endpoint for endpoint, rows in routed.items() if not rows],
         ) as subquery_span:
-            for start in range(0, len(binding_rows), block_size):
-                block = binding_rows[start:start + block_size]
-                query = subquery.to_select(projection, values=values_block(bind_vars, block))
+            longest = max((len(rows) for rows in routed.values()), default=0)
+            for start in range(0, longest, block_size):
                 mark = metrics.mark()
                 rows_before = len(relation)
-                with tracer.span(
-                    "bound_block", t0=at_ms, block=start // block_size, bindings=len(block)
-                ) as block_span:
+                with tracer.span("bound_block", t0=at_ms, block=start // block_size) as block_span:
                     block_end = at_ms
+                    shipped = 0
                     for endpoint in self._live(sources):
+                        block = routed[endpoint][start:start + block_size]
+                        if not block:
+                            continue
+                        shipped += len(block)
+                        query = subquery.to_select(
+                            projection, values=values_block(bind_vars, block)
+                        )
                         result, end = self._fetch(
                             self.client.select,
                             endpoint,
@@ -260,12 +294,11 @@ class BranchScheduler:
                         if result is not None:
                             relation.rows.extend(result)
                     block_span.set(
+                        bindings=shipped,
                         rows=len(relation) - rows_before,
                         requests=metrics.requests_since(mark),
                     ).end(block_end)
-                self.client.registry.inc(
-                    "bound_join_blocks_total", engine=self.client.engine
-                )
+                registry.inc("bound_join_blocks_total", engine=engine)
             audit = self.client.audit
             if audit.enabled:
                 # Total rows the COUNT estimate predicted vs. received...
@@ -292,9 +325,7 @@ class BranchScheduler:
                     int(child.attrs.get("requests", 0)) for child in subquery_span.children
                 ),
                 plan_cache_hits=int(
-                    self.client.registry.counter_value(
-                        "plan_cache_hits_total", engine=self.client.engine
-                    )
+                    registry.counter_value("plan_cache_hits_total", engine=engine)
                     - plan_hits_before
                 ),
             ).end(finish)
@@ -542,11 +573,6 @@ class BranchScheduler:
         self, subquery: Subquery, components: list[_Component], now: float
     ) -> float:
         bindings = self._bindings_for(components, subquery.variables())
-        sources = subquery.sources
-
-        if bindings is not None and self.config.refine_sources and self._is_generic(subquery):
-            sources, now = self._refine_generic_sources(subquery, bindings, sources, now)
-
         if bindings is None:
             relation, end = self._execute_subquery(subquery, now)
         elif not bindings[1]:
@@ -554,7 +580,7 @@ class BranchScheduler:
             # remote work entirely.
             relation, end = Relation(self._projection(subquery)), now
         else:
-            relation, end = self._execute_bound_subquery(subquery, *bindings, sources, now)
+            relation, end = self._execute_bound_subquery(subquery, *bindings, now)
         self._merge_into_components(components, relation, end)
         return end
 
@@ -562,33 +588,6 @@ class BranchScheduler:
         return any(
             isinstance(pattern.predicate, Variable) for pattern in subquery.patterns
         )
-
-    def _refine_generic_sources(
-        self,
-        subquery: Subquery,
-        bindings: tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]],
-        sources: tuple[str, ...],
-        now: float,
-    ) -> tuple[tuple[str, ...], float]:
-        """Alg 3 line 13: shrink the source list of generic patterns."""
-        bind_vars, rows = bindings
-        sample = rows[:3]
-        bound_patterns: list[TriplePattern] = []
-        for pattern in subquery.patterns:
-            shared = pattern.variables() & set(bind_vars)
-            if not shared:
-                continue
-            for row in sample:
-                mapping = {
-                    var: value
-                    for var, value in zip(bind_vars, row)
-                    if value is not None and var in shared
-                }
-                bound_patterns.append(pattern.bind(mapping))
-        if not bound_patterns:
-            return sources, now
-        refined, end = refine_sources_with_bindings(self.client, bound_patterns, sources, now)
-        return (refined or sources), end
 
     def _combine_components(
         self, components: list[_Component], at_ms: float = 0.0
@@ -620,9 +619,7 @@ class BranchScheduler:
                 )
             bindings = self._bindings_for(context, subquery.variables())
             if bindings is not None and bindings[1]:
-                relation, now = self._execute_bound_subquery(
-                    subquery, *bindings, subquery.sources, now
-                )
+                relation, now = self._execute_bound_subquery(subquery, *bindings, now)
             else:
                 relation, now = self._execute_subquery(subquery, now)
             if group_relation is None:

@@ -14,7 +14,9 @@ questions from per-endpoint characteristic-set summaries
   (exact for predicate-only and histogram-covered patterns);
 - ``check_empty`` answers a locality check from characteristic-set and
   characteristic-pair coverage when provable in either direction;
-- ``distinct_values`` / ``pair_fanout`` feed the DP join enumerator.
+- ``distinct_values`` / ``pair_fanout`` feed the DP join enumerator;
+- ``route`` keeps a bound join's bindings off the endpoints whose IRI
+  authorities prove they cannot match there.
 
 Every yes/no decision that prunes work is made only when the summary is
 exact for that question; anything unprovable returns ``None`` and the
@@ -27,10 +29,11 @@ same virtual-time accounting as the probes they replace.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from typing import TYPE_CHECKING
 
 from repro.rdf.namespaces import RDF_TYPE
-from repro.rdf.terms import Variable, is_concrete
+from repro.rdf.terms import IRI, Term, Variable, is_concrete
 from repro.store.charsets import CharacteristicSets, class_marker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -256,6 +259,52 @@ class CharsetStatisticsProvider:
                 if usable:
                     best = total if best is None else min(best, total)
         return best
+
+    # ------------------------------------------------------ bound joins
+
+    def route(
+        self,
+        subquery: "Subquery",
+        endpoint_name: str,
+        bind_vars: tuple[Variable, ...],
+        rows: list[tuple[Term | None, ...]],
+    ) -> list[tuple[Term | None, ...]]:
+        """The binding rows a bound join must send to one endpoint.
+
+        A row stays unless one of the subquery's patterns proves it
+        cannot match there: the row binds the pattern's subject (object)
+        variable to an IRI whose authority no subject (object) of the
+        pattern's predicate has at the endpoint — or, for a variable
+        predicate, no subject (object) of any predicate.  Literals,
+        blank nodes and UNDEF never prune.  Uses only summaries already
+        fetched this query: an endpoint without one receives every row.
+        """
+        summary = self._summaries.get(endpoint_name)
+        if summary is None:
+            return rows
+        checks: list[tuple[int, Container[str]]] = []
+        for pattern in subquery.patterns:
+            for term, tables in (
+                (pattern.subject, summary.subject_authorities),
+                (pattern.object, summary.object_authorities),
+            ):
+                if not isinstance(term, Variable) or term not in bind_vars:
+                    continue
+                if is_concrete(pattern.predicate):
+                    allowed = tables.get(pattern.predicate, {})
+                else:  # any predicate's
+                    allowed = set().union(*tables.values())
+                checks.append((bind_vars.index(term), allowed))
+        if not checks:
+            return rows
+        return [
+            row
+            for row in rows
+            if all(
+                not isinstance(row[index], IRI) or row[index].authority in allowed
+                for index, allowed in checks
+            )
+        ]
 
     @staticmethod
     def _pair_rows(

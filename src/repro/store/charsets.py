@@ -17,7 +17,12 @@ check-query answering:
 ``ss_rows / os_rows / oo_rows``
     exact two-pattern join row counts ``sum_e c(e, p1) * c(e, p2)``
     where ``c`` counts the entity's triples in the respective role
-    (the predicate-pair join fan-outs).
+    (the predicate-pair join fan-outs);
+``subject_authorities[p] / object_authorities[p]``
+    IRI authority -> number of distinct IRI subjects (objects) of ``p``
+    with that authority, HiBISCuS's summary: two IRIs can only be equal
+    when their authorities are, so a bound join need not send an IRI to
+    an endpoint where no entity in that position shares its authority.
 
 The summary is computed from the id-space sorted-run columns (three
 ``scan_ids`` permutation passes, grouping in id space and decoding each
@@ -98,6 +103,8 @@ class CharacteristicSets:
         "ss_rows",
         "os_rows",
         "oo_rows",
+        "subject_authorities",
+        "object_authorities",
     )
 
     def __init__(
@@ -113,6 +120,8 @@ class CharacteristicSets:
         ss_rows: dict[tuple[Term, Term], int],
         os_rows: dict[tuple[Term, Term], int],
         oo_rows: dict[tuple[Term, Term], int],
+        subject_authorities: dict[Term, dict[str, int]],
+        object_authorities: dict[Term, dict[str, int]],
     ):
         self.version = version
         self.triples = triples
@@ -125,6 +134,8 @@ class CharacteristicSets:
         self.ss_rows = ss_rows
         self.os_rows = os_rows
         self.oo_rows = oo_rows
+        self.subject_authorities = subject_authorities
+        self.object_authorities = object_authorities
 
     def __repr__(self) -> str:
         return (
@@ -256,6 +267,8 @@ class CharacteristicSets:
             "ss_rows": _pairs_to_json(self.ss_rows),
             "os_rows": _pairs_to_json(self.os_rows),
             "oo_rows": _pairs_to_json(self.oo_rows),
+            "subject_authorities": _authorities_to_json(self.subject_authorities),
+            "object_authorities": _authorities_to_json(self.object_authorities),
         }
 
     def approx_bytes(self) -> int:
@@ -266,6 +279,8 @@ class CharacteristicSets:
             + sum(len(charset) + 1 for charset in self.sets)
             + 3 * (len(self.os_pairs) + len(self.oo_pairs))
             + 3 * (len(self.ss_rows) + len(self.os_rows) + len(self.oo_rows))
+            + sum(len(table) for table in self.subject_authorities.values())
+            + sum(len(table) for table in self.object_authorities.values())
         )
         return 64 + 24 * entries
 
@@ -287,6 +302,13 @@ def _element_to_json(element) -> list:
     if _is_predicate(element):
         return _term_to_json(element)
     return ["c", _term_to_json(element[1])]
+
+
+def _authorities_to_json(tables: dict[Term, dict[str, int]]) -> list:
+    return [
+        [_term_to_json(p), sorted([authority, n] for authority, n in table.items())]
+        for p, table in sorted(tables.items(), key=lambda item: item[0].sort_key())
+    ]
 
 
 def _pairs_to_json(table: dict[tuple[Term, Term], int]) -> list:
@@ -366,11 +388,26 @@ def _build(
     ss_rows: dict[tuple[Term, Term], int] = {}
     os_rows: dict[tuple[Term, Term], int] = {}
     oo_rows: dict[tuple[Term, Term], int] = {}
+    #: (predicate id, authority) -> distinct IRI subjects / objects.
+    subject_authorities: dict[tuple[int, str], int] = {}
+    object_authorities: dict[tuple[int, str], int] = {}
     for entity in subj.keys() | obj.keys():
+        subject_counter = subj.get(entity, _EMPTY)
+        object_counter = obj.get(entity, _EMPTY)
         subject_preds = [
-            (term(p), n) for p, n in subj.get(entity, _EMPTY).items() if not isinstance(p, tuple)
+            (term(p), n) for p, n in subject_counter.items() if not isinstance(p, tuple)
         ]
-        object_preds = [(term(p), n) for p, n in obj.get(entity, _EMPTY).items()]
+        object_preds = [(term(p), n) for p, n in object_counter.items()]
+        value = decode(entity)
+        if isinstance(value, IRI):
+            authority = value.authority
+            for p in subject_counter:
+                if not isinstance(p, tuple):
+                    key = (p, authority)
+                    subject_authorities[key] = subject_authorities.get(key, 0) + 1
+            for p in object_counter:
+                key = (p, authority)
+                object_authorities[key] = object_authorities.get(key, 0) + 1
         for p1, n1 in subject_preds:
             for p2, n2 in subject_preds:
                 key = (p1, p2)
@@ -409,8 +446,21 @@ def _build(
         ss_rows=ss_rows,
         os_rows=os_rows,
         oo_rows=oo_rows,
+        subject_authorities=_authority_tables(subject_authorities, term),
+        object_authorities=_authority_tables(object_authorities, term),
     )
     return summary, subj, obj
+
+
+def _authority_tables(
+    counts: dict[tuple[int, str], int], term
+) -> dict[Term, dict[str, int]]:
+    """Per-predicate authority tables from ``(predicate id, authority)``
+    counts; ``term`` decodes an id."""
+    tables: dict[Term, dict[str, int]] = {}
+    for (p_id, authority), n in counts.items():
+        tables.setdefault(term(p_id), {})[authority] = n
+    return tables
 
 
 def _charset(counter: Counter, term) -> frozenset:
@@ -616,6 +666,8 @@ class CharsetMaintainer:
         for q_id, n in subject_objects.items():
             _bump(summary.os_rows, (decode(q_id), p), sign * n)
         if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
+            # ``s`` becomes, or stops being, a subject of ``p``.
+            _bump_authority(summary.subject_authorities, p, triple.subject, sign)
             for q_id in subject_objects:
                 _bump(summary.os_pairs, (decode(q_id), p), sign)
         subject[p_id] += sign
@@ -655,6 +707,7 @@ class CharsetMaintainer:
         if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
             # ``o`` becomes, or stops being, an object of ``p``.
             touched[p] += sign
+            _bump_authority(summary.object_authorities, p, o_term, sign)
             for q_id in object_subjects:
                 if isinstance(q_id, tuple):
                     continue
@@ -671,6 +724,19 @@ class CharsetMaintainer:
             del objects[p_id]
         if not objects:
             del self._obj[o]
+
+
+def _bump_authority(
+    tables: dict[Term, dict[str, int]], predicate: Term, entity: Term, delta: int
+) -> None:
+    """Count one IRI entity in or out of ``predicate``'s authority table;
+    an emptied table leaves, as a rebuild would not create it."""
+    if not isinstance(entity, IRI):
+        return
+    table = tables.setdefault(predicate, {})
+    _bump(table, entity.authority, delta)
+    if not table:
+        del tables[predicate]
 
 
 def _bump(table: dict, key, delta: int) -> None:

@@ -11,7 +11,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import IRI, Triple, TriplePattern, Variable
+from repro.rdf import IRI, BNode, Literal, Triple, TriplePattern, Variable
 from repro.rdf.namespaces import RDF_TYPE
 from repro.store import TripleStore
 from repro.store.charsets import (
@@ -25,6 +25,11 @@ EX = "http://example.org/"
 PREDS = [IRI(EX + p) for p in ("advisor", "worksFor", "takesCourse")]
 CLASSES = [IRI(EX + c) for c in ("Student", "Professor")]
 ENTITIES = [IRI(EX + f"e{i}") for i in range(6)]
+#: Entities of other authorities (one of them a URN's), a blank node and
+#: literals, so that the authority tables see every kind of term.
+FOREIGN = [IRI("http://b.org/x0"), IRI("urn:isbn:1"), IRI("urn:isbn:2")]
+NODES = ENTITIES + FOREIGN + [BNode("n0")]
+VALUES = [Literal("v"), Literal("1", datatype="http://www.w3.org/2001/XMLSchema#integer")]
 
 
 def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSets:
@@ -66,8 +71,17 @@ def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSet
     from repro.store.charsets import PredicateStats
 
     predicates: dict = {}
+    subject_authorities: dict = {}
+    object_authorities: dict = {}
     for predicate in {t.predicate for t in triples}:
         p_triples = [t for t in triples if t.predicate == predicate]
+        for tables, entities in (
+            (subject_authorities, {t.subject for t in p_triples}),
+            (object_authorities, {t.object for t in p_triples}),
+        ):
+            authorities = Counter(e.authority for e in entities if isinstance(e, IRI))
+            if authorities:
+                tables[predicate] = dict(authorities)
         histogram: dict = {}
         for t in p_triples:
             histogram[t.object] = histogram.get(t.object, 0) + 1
@@ -90,12 +104,16 @@ def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSet
         ss_rows=ss_rows,
         os_rows=os_rows,
         oo_rows=oo_rows,
+        subject_authorities=subject_authorities,
+        object_authorities=object_authorities,
     )
 
 
 def triple_strategy():
-    entity = st.sampled_from(ENTITIES)
-    plain = st.builds(Triple, entity, st.sampled_from(PREDS), entity)
+    entity = st.sampled_from(NODES)
+    plain = st.builds(
+        Triple, entity, st.sampled_from(PREDS), st.sampled_from(NODES + VALUES)
+    )
     typed = st.builds(
         Triple, entity, st.just(RDF_TYPE), st.sampled_from(CLASSES)
     )
@@ -163,6 +181,46 @@ class TestIncrementalMaintenance:
         assert maintainer.rebuilds == 1, "deltas under threshold must not rebuild"
         assert incremental.to_dict() == build_charsets(store).to_dict()
         assert incremental.version == store.version
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(triple_strategy(), min_size=1, max_size=25), st.data())
+    def test_incremental_equals_rebuild_removing_present_triples(self, base, data):
+        """Removals drawn from the store's own triples, so that entities,
+        and with them whole authorities, leave a predicate's tables."""
+        store = TripleStore("ep")
+        store.add_all(base)
+        maintainer = CharsetMaintainer(store, min_rebuild=1000)
+        maintainer.summary()
+        present = sorted(set(base), key=repr)
+        for triple in data.draw(st.lists(st.sampled_from(present), unique=True, min_size=1)):
+            assert store.remove(triple)
+            maintainer.record_remove(triple)
+        assert maintainer.summary().to_dict() == build_charsets(store).to_dict()
+        assert maintainer.rebuilds == 1
+
+    def test_authority_tables_follow_the_last_entity(self):
+        urn_a, urn_b = FOREIGN[1], FOREIGN[2]
+        knows, name = PREDS[0], PREDS[1]
+        first = Triple(ENTITIES[0], knows, urn_a)
+        second = Triple(BNode("n0"), knows, urn_b)
+        store = TripleStore("ep")
+        store.add_all(
+            [first, second, Triple(urn_a, knows, VALUES[0]), Triple(urn_b, name, ENTITIES[1])]
+        )
+        maintainer = CharsetMaintainer(store, min_rebuild=1000)
+        summary = maintainer.summary()
+        assert summary.object_authorities[knows] == {"urn:isbn": 2}
+        # The blank-node subject and the literal object count nowhere.
+        assert summary.subject_authorities[knows] == {EX.rstrip("/"): 1, "urn:isbn": 1}
+        for triple, objects in ((first, {"urn:isbn": 1}), (second, None)):
+            store.remove(triple)
+            maintainer.record_remove(triple)
+            summary = maintainer.summary()
+            assert summary.object_authorities.get(knows) == objects
+            assert summary.to_dict() == build_charsets(store).to_dict()
+        assert summary.subject_authorities[knows] == {"urn:isbn": 1}
+        assert summary.subject_authorities[name] == {"urn:isbn": 1}
+        assert maintainer.rebuilds == 1
 
     def test_threshold_forces_rebuild(self):
         store = TripleStore("ep")

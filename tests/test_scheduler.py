@@ -2,7 +2,6 @@
 optional groups, and the disjoint fast path."""
 
 import math
-import re
 
 import pytest
 
@@ -21,6 +20,21 @@ UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 @pytest.fixture(scope="module")
 def federation():
     return lubm.build_federation(universities=3, seed=11)
+
+
+@pytest.fixture(scope="module")
+def lubm_scale1():
+    return lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
+
+
+def _routed_requests(root) -> int:
+    """Σ over bound subqueries and their sources of
+    ⌈routed bindings / MAX_BLOCK⌉: the bound requests phase two sends."""
+    return sum(
+        math.ceil(routed / scheduler.MAX_BLOCK)
+        for span in root.find("bound_subquery")
+        for routed in span.attrs["routed_bindings"].values()
+    )
 
 
 class TestDisjointFastPath:
@@ -59,37 +73,43 @@ class TestDelayedSubqueries:
         assert_same_bag(delayed_outcome.result.rows, eager_outcome.result.rows)
         assert delayed_outcome.metrics.rows_shipped() < eager_outcome.metrics.rows_shipped()
 
-    def test_block_size_one_more_requests(self, federation, monkeypatch):
-        # The paper's rule delays the name subquery whatever the block
-        # size, so the two runs differ only in how the bindings ship.
-        config = LusailConfig(delay_policy=DelayPolicy.MU_SIGMA)
-        coarse_outcome = LusailEngine(federation, config=config).execute(lubm.query_q4())
-        monkeypatch.setattr(scheduler, "MAX_BLOCK", 1)
-        fine_outcome = LusailEngine(federation, config=config).execute(lubm.query_q4())
-        assert_same_bag(fine_outcome.result.rows, coarse_outcome.result.rows)
-        assert fine_outcome.metrics.request_count(metrics_module.BOUND) > (
-            coarse_outcome.metrics.request_count(metrics_module.BOUND)
-        )
+    def test_block_size_one_more_requests(self, lubm_scale1, monkeypatch):
+        # Only the scheduler's block changes, so the delay verdicts stay
+        # and the two runs differ only in how the routed bindings ship.
+        text = queries_lubm.queries()["L10"]
+        requests = {}
+        for block in (scheduler.MAX_BLOCK, 1):
+            monkeypatch.setattr(scheduler, "MAX_BLOCK", block)
+            engine = LusailEngine(lubm_scale1)
+            engine.tracer = Tracer(enabled=True)
+            outcome = engine.execute(text)
+            assert_same_bag(outcome.result.rows, oracle_rows(lubm_scale1, text))
+            requests[block] = outcome.metrics.request_count(metrics_module.BOUND)
+            assert requests[block] == _routed_requests(engine.tracer.roots[0])
+        assert requests[1] > requests[500]
 
-    def test_bound_blocks_hold_max_block_bindings_however_unselective(self):
+    def test_bound_blocks_hold_max_block_bindings_however_unselective(self, lubm_scale1):
         # L10's delayed subquery is estimated at ~15 rows per binding
         # (2182 for 140 bindings): its bindings still ship in blocks of
-        # MAX_BLOCK, one request per block per source.
-        federation = lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
-        engine = LusailEngine(federation)
+        # MAX_BLOCK, one request per block per source they are routed to.
+        engine = LusailEngine(lubm_scale1)
         engine.tracer = Tracer(enabled=True)
         outcome = engine.execute(queries_lubm.queries()["L10"])
         (bound,) = engine.tracer.roots[0].find("bound_subquery")
         bindings = bound.attrs["bindings"]
         assert bound.attrs["estimated_cardinality"] > 10 * bindings > 10 * 50
+        routed = bound.attrs["routed_bindings"]
+        assert sorted(routed) == sorted(bound.attrs["endpoints"])
+        assert bound.attrs["skipped_sources"] == [name for name, n in routed.items() if not n]
         blocks = bound.find("bound_block")
-        assert len(blocks) == math.ceil(bindings / scheduler.MAX_BLOCK)
-        sources = len(bound.attrs["endpoints"])
-        assert outcome.metrics.request_count(metrics_module.BOUND) == len(blocks) * sources
+        assert len(blocks) == math.ceil(max(routed.values()) / scheduler.MAX_BLOCK)
+        assert outcome.metrics.request_count(metrics_module.BOUND) == sum(
+            math.ceil(n / scheduler.MAX_BLOCK) for n in routed.values()
+        )
 
     def test_explain_prints_the_blocks_phase_two_ships(self, federation):
         text = LusailEngine(federation).explain(lubm.query_q4())
-        assert re.search(r"bound-join blocks: ≤500 bindings, est\. \d+ requests per source", text)
+        assert "bound-join blocks: ≤500 bindings per source, routed by IRI authority" in text
         assert "adaptive" not in text
 
     def test_cost_rule_prices_the_block_size(self, federation, monkeypatch):
