@@ -123,16 +123,14 @@ def decompose(
     patterns: list[TriplePattern],
     gjvs: GJVResult,
     selection: SourceSelection,
-    gjv_order: list[Variable] | None = None,
 ) -> list[list[TriplePattern]]:
     """Split a conjunctive pattern list into locality-safe groups.
 
     Returns groups of triple patterns; every input pattern appears in
-    exactly one group.  ``gjv_order`` overrides the (deterministic,
-    name-sorted) order in which GJV-rooted traversals run — the paper
-    notes that "the generated set of subqueries may change depending on
-    the order in which variables are selected", which
-    :func:`best_decomposition` exploits.
+    exactly one group.  GJV-rooted traversals run in name order — the
+    paper notes that "the generated set of subqueries may change
+    depending on the order in which variables are selected" and leaves
+    choosing among them to future work (Sec IV-C).
     """
     if not patterns:
         return []
@@ -185,12 +183,8 @@ def decompose(
                     if destination != vertex and destination not in seen_nodes:
                         stack.append(destination)
 
-    # Branch phase: one traversal per GJV (deterministic order unless
-    # the caller provides one).
-    order = gjv_order if gjv_order is not None else sorted(
-        gjvs.variables, key=lambda v: v.name
-    )
-    for variable in order:
+    # Branch phase: one traversal per GJV, in name order.
+    for variable in sorted(gjvs.variables, key=lambda v: v.name):
         traverse(variable)
         if len(visited) == len(patterns):
             break
@@ -216,31 +210,3 @@ def decompose(
     groups.sort(key=lambda group: order[group[0]])
     return groups
 
-
-def enumerate_decompositions(
-    patterns: list[TriplePattern],
-    gjvs: GJVResult,
-    selection: SourceSelection,
-    max_orders: int = 24,
-) -> list[list[list[TriplePattern]]]:
-    """All distinct decompositions reachable by permuting the GJV order.
-
-    The paper (Sec IV-C) observes that different traversal orders yield
-    different — all correct — subquery sets, and defers choosing among
-    them to future work.  This enumerates them (bounded by
-    ``max_orders`` permutations) and deduplicates structurally.
-    """
-    from itertools import islice, permutations
-
-    variables = sorted(gjvs.variables, key=lambda v: v.name)
-    if not variables:
-        return [decompose(patterns, gjvs, selection)]
-    seen: set[tuple] = set()
-    distinct: list[list[list[TriplePattern]]] = []
-    for order in islice(permutations(variables), max_orders):
-        groups = decompose(patterns, gjvs, selection, gjv_order=list(order))
-        key = tuple(tuple(group) for group in groups)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(groups)
-    return distinct

@@ -46,9 +46,6 @@ class GJVResult:
     def add(self, variable: Variable, pair: frozenset) -> None:
         self.variables.setdefault(variable, set()).add(pair)
 
-    def is_global(self, variable: Variable) -> bool:
-        return variable in self.variables
-
     def conflicting_pairs(self) -> set[frozenset]:
         pairs: set[frozenset] = set()
         for evidence in self.variables.values():

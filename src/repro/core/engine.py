@@ -15,8 +15,7 @@ This is the paper's system (Fig 4) end to end:
    (Alg 3).
 
 Configuration flags expose the paper's ablations: decomposition mode,
-delay policy, Chauvenet on/off, DP vs greedy join ordering, source
-refinement, and caching.
+delay policy, Chauvenet on/off and delaying on/off.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
-from repro.core.decomposition.decomposer import decompose, enumerate_decompositions
+from repro.core.decomposition.decomposer import decompose
 from repro.core.decomposition.gjv import GJVResult, detect_gjvs
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import (
@@ -72,14 +71,7 @@ class LusailConfig:
     delay_policy: DelayPolicy = DelayPolicy.COST
     use_chauvenet: bool = True
     enable_delay: bool = True
-    refine_sources: bool = True
-    greedy_join_order: bool = False
     max_mediator_rows: int | None = 2_000_000
-    #: Compile-time decomposition choice (the paper's stated future
-    #: work): enumerate the decompositions reachable by different GJV
-    #: traversal orders and pick the one with the smallest estimated
-    #: intermediate results.
-    optimize_decomposition: bool = False
     #: Multi-machine execution (paper Sec V, supported feature): the
     #: mediator's worker pool and join parallelism scale with the number
     #: of machines hosting it.
@@ -367,20 +359,13 @@ class LusailEngine(FederatedEngine):
         patterns: list[TriplePattern],
         selection: SourceSelection,
         now: float,
-        required: bool,
     ) -> tuple[list[list[TriplePattern]], GJVResult, float]:
         """Group a required pattern set or an OPTIONAL block's into
         subqueries under the configured ``decomposition`` mode."""
         mode = self.config.decomposition
         if mode == "lade":
             gjvs, now = detect_gjvs(client, patterns, selection, now)
-            if required and self.config.optimize_decomposition and gjvs.variables:
-                groups, now = self._choose_decomposition(
-                    client, patterns, gjvs, selection, now
-                )
-            else:
-                groups = decompose(patterns, gjvs, selection)
-            return groups, gjvs, now
+            return decompose(patterns, gjvs, selection), gjvs, now
         if mode == "exclusive":
             return selection.exclusive_groups(patterns), GJVResult(), now
         if mode == "triple":
@@ -417,9 +402,7 @@ class LusailEngine(FederatedEngine):
                 )
             return residue
 
-        groups, gjvs, now = self._group_patterns(
-            client, list(branch.patterns), selection, now, required=True
-        )
+        groups, gjvs, now = self._group_patterns(client, list(branch.patterns), selection, now)
         check_count = gjvs.check_queries_run
         residue = add_subqueries(groups, branch.filters)
 
@@ -433,7 +416,7 @@ class LusailEngine(FederatedEngine):
                 # nothing and the base rows pass through unextended.
                 continue
             groups, block_gjvs, now = self._group_patterns(
-                client, list(block.patterns), selection, now, required=False
+                client, list(block.patterns), selection, now
             )
             check_count += block_gjvs.check_queries_run
             block_residue = add_subqueries(groups, block.filters, optional_group=index)
@@ -454,44 +437,6 @@ class LusailEngine(FederatedEngine):
             check_query_count=check_count,
         )
         return plan, now
-
-    def _choose_decomposition(
-        self,
-        client: FederationClient,
-        patterns: list[TriplePattern],
-        gjvs,
-        selection: SourceSelection,
-        now: float,
-    ) -> tuple[list[list[TriplePattern]], float]:
-        """Pick the decomposition with the smallest estimated
-        intermediate results (the paper's Sec IV-C future work).
-
-        Candidates come from permuting the GJV traversal order; each is
-        scored with the SAPE cardinality rule over per-pattern COUNT
-        statistics (collected once, cached).
-        """
-        candidates = enumerate_decompositions(patterns, gjvs, selection)
-        if len(candidates) == 1:
-            return candidates[0], now
-        probes = [
-            Subquery(id=index, patterns=(pattern,), sources=selection.relevant(pattern))
-            for index, pattern in enumerate(patterns)
-        ]
-        estimates, now = collect_statistics(client, probes, now)
-
-        def score(groups: list[list[TriplePattern]]) -> tuple[float, int]:
-            total = 0.0
-            for index, group in enumerate(groups):
-                subquery = Subquery(
-                    id=index,
-                    patterns=tuple(group),
-                    sources=_group_sources(group, selection),
-                )
-                total += estimates.subquery_cardinality(subquery, set())
-            return (total, len(groups))
-
-        best = min(candidates, key=score)
-        return best, now
 
     # ------------------------------------------------------------- helpers
 

@@ -9,9 +9,10 @@ follows the paper's parallel hash-join model::
     JoinCost(S, R) = |S| / S.threads  (hashing the smaller side)
                    + C(R) / R.threads (probing with the larger side)
 
-Cross products are avoided unless the join graph is disconnected.  The
-fallback (``greedy=True``, used for ablation) picks the smallest pair
-first.
+Cross products are avoided unless the join graph is disconnected.  When
+the DP finds no full plan (a cross product is needed below the top, as
+for three inputs that share no variable), the greedy fallback pairs the
+cheapest join first.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ def _estimate_join_rows(
 
 def plan_joins(
     relations: Sequence[Relation],
-    greedy: bool = False,
     hints: JoinHints | None = None,
 ) -> JoinPlanNode:
     """Choose a join order over the given relations.
@@ -153,8 +153,6 @@ def plan_joins(
         return leaves[0]
 
     var_sets = [set(relation.vars) for relation in relations]
-    if greedy:
-        return _greedy_plan(leaves, var_sets, hints)
     return _dp_plan(leaves, var_sets, hints)
 
 

@@ -246,10 +246,7 @@ class BranchScheduler:
         engine = self.client.engine
         sources = subquery.sources
         live = self._live(sources)
-        if self.config.refine_sources or not self._is_generic(subquery):
-            routed = self.client.stats.route(subquery, live, bind_vars, binding_rows)
-        else:  # Alg 3 line 13 off: a generic pattern gets every binding
-            routed = dict.fromkeys(live, binding_rows)
+        routed = self.client.stats.route(subquery, live, bind_vars, binding_rows)
         for endpoint, rows in routed.items():
             if len(rows) < len(binding_rows):
                 registry.inc(
@@ -337,12 +334,10 @@ class BranchScheduler:
         self._guard_rows(len(relation))
         return relation, finish
 
-    def _join_planned(
-        self, relations: list[Relation], span, at_ms: float, greedy: bool, hints=None
-    ) -> Relation:
+    def _join_planned(self, relations: list[Relation], span, at_ms: float, hints=None) -> Relation:
         """Order and run one multi-way join under ``span``: its cost is
         charged, and the enumerator's estimates audited against it."""
-        plan = plan_joins(relations, greedy=greedy, hints=hints)
+        plan = plan_joins(relations, hints=hints)
         joined, cost = execute_plan(plan, relations)
         self.join_cost_units += cost
         span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
@@ -530,18 +525,9 @@ class BranchScheduler:
                 joined = relations[0]
             else:
                 with self.client.tracer.span(
-                    "join_ordering",
-                    t0=at_ms,
-                    algorithm="greedy" if self.config.greedy_join_order else "dp",
-                    inputs=len(relations),
+                    "join_ordering", t0=at_ms, inputs=len(relations)
                 ) as span:
-                    joined = self._join_planned(
-                        relations,
-                        span,
-                        at_ms,
-                        self.config.greedy_join_order,
-                        self._join_hints(group),
-                    )
+                    joined = self._join_planned(relations, span, at_ms, self._join_hints(group))
                 self.client.registry.inc(
                     "mediator_join_rows_total", len(joined), engine=self.client.engine
                 )
@@ -596,11 +582,6 @@ class BranchScheduler:
         self._merge_into_components(components, relation, end)
         return end
 
-    def _is_generic(self, subquery: Subquery) -> bool:
-        return any(
-            isinstance(pattern.predicate, Variable) for pattern in subquery.patterns
-        )
-
     def _combine_components(
         self, components: list[_Component], at_ms: float = 0.0
     ) -> Relation:
@@ -612,7 +593,7 @@ class BranchScheduler:
         with self.client.tracer.span(
             "mediator_join", t0=at_ms, inputs=len(relations), cross_product=True
         ) as span:
-            joined = self._join_planned(relations, span, at_ms, greedy=True)
+            joined = self._join_planned(relations, span, at_ms)
         self._guard_rows(len(joined))
         return joined
 

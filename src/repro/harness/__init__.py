@@ -15,7 +15,6 @@ from repro.harness.profiling import (
 )
 from repro.harness.reporting import (
     format_table,
-    print_banner,
     results_by_query,
     results_to_json,
     speedup_summary,
@@ -54,7 +53,6 @@ __all__ = [
     "resolve_profiles",
     "run_chaos",
     "make_engines",
-    "print_banner",
     "results_by_query",
     "results_to_json",
     "run_matrix",

@@ -17,7 +17,7 @@ from repro.baselines.void_index import build_void_index
 from repro.core.engine import LusailConfig, LusailEngine
 from repro.core.execution.cost_model import DelayPolicy
 from repro.core.execution.scheduler import POOL_SIZE
-from repro.datasets import bio2rdf, largerdf, lubm, qfed, queries_largerdf
+from repro.datasets import bio2rdf, largerdf, lubm, qfed, queries_largerdf, queries_lubm
 from repro.endpoint.cache import EngineCaches
 from repro.endpoint.federation import Federation
 from repro.harness.runner import (
@@ -367,11 +367,6 @@ ABLATION_VARIANTS = (
     AblationVariant("no-lade (per-triple)", LusailConfig(decomposition="triple")),
     AblationVariant("no-delay", LusailConfig(enable_delay=False)),
     AblationVariant("no-chauvenet", LusailConfig(use_chauvenet=False)),
-    AblationVariant("greedy-join-order", LusailConfig(greedy_join_order=True)),
-    AblationVariant("no-source-refinement", LusailConfig(refine_sources=False)),
-    AblationVariant(
-        "optimized-decomposition", LusailConfig(optimize_decomposition=True)
-    ),
 )
 
 
@@ -410,33 +405,50 @@ def multi_machine(machine_counts: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
     return rows
 
 
-def ablation(queries: dict[str, str] | None = None) -> list[dict]:
-    """Lusail variants on a representative mixed workload."""
-    if queries is None:
-        queries = {
-            "LUBM-Q1": lubm.query_q1(),
-            "LUBM-Q4": lubm.query_q4(),
-            "LRB-C1": queries_largerdf.COMPLEX["C1"],
-            "LRB-B3": queries_largerdf.BIG["B3"],
-        }
+def ablation() -> list[dict]:
+    """Lusail variants over three query sets: LUBM (Q1 and the 17
+    ledger queries L1-L14, Q4-Q6), the 29 LargeRDFBench queries of the
+    paper's selection and QFed's 8; each dataset's rows end with one row
+    of its totals."""
+    datasets = (
+        (
+            "LUBM",
+            lubm_federation(4),
+            {"Q1": lubm.query_q1(), **queries_lubm.queries(), **lubm.crossing_queries()},
+        ),
+        ("LRB", largerdf_federation(scale=1.0), queries_largerdf.paper_selection()),
+        ("QFed", qfed_federation(), qfed.queries()),
+    )
     rows: list[dict] = []
-    lubm_fed = lubm_federation(4)
-    lrb_fed = largerdf_federation(scale=1.0)
     for variant in ABLATION_VARIANTS:
-        for name, text in queries.items():
-            federation = lubm_fed if name.startswith("LUBM") else lrb_fed
-            engine = LusailEngine(
-                federation, config=variant.config, timeout_ms=DEFAULT_TIMEOUT_MS
-            )
-            result = run_query(engine, name, text)
+        for dataset, federation, queries in datasets:
+            first = len(rows)
+            for name, text in queries.items():
+                engine = LusailEngine(
+                    federation, config=variant.config, timeout_ms=DEFAULT_TIMEOUT_MS
+                )
+                result = run_query(engine, name, text)
+                rows.append(
+                    {
+                        "variant": variant.name,
+                        "query": f"{dataset}-{name}",
+                        "virtual_ms": result.virtual_ms,
+                        "requests": result.requests,
+                        "rows_shipped": result.rows_shipped,
+                        "status": result.status,
+                    }
+                )
+            runs = rows[first:]
+            failed = sum(run["status"] != "ok" for run in runs)
             rows.append(
                 {
                     "variant": variant.name,
-                    "query": name,
-                    "virtual_ms": result.virtual_ms,
-                    "requests": result.requests,
-                    "rows_shipped": result.rows_shipped,
-                    "status": result.status,
+                    "query": f"{dataset} total",
+                    **{
+                        key: sum(run[key] for run in runs)
+                        for key in ("virtual_ms", "requests", "rows_shipped")
+                    },
+                    "status": f"{failed} failed" if failed else "ok",
                 }
             )
     return rows

@@ -27,13 +27,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join([line(list(headers)), separator, body]) if materialized else line(list(headers))
 
 
-def print_banner(title: str) -> None:
-    print()
-    print("=" * 72)
-    print(title)
-    print("=" * 72)
-
-
 def results_by_query(results: list[RunResult], engine_order: Sequence[str]) -> str:
     """One row per query, one time column per engine (Fig 11/12/13 style)."""
     queries: list[str] = []

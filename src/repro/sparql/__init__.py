@@ -29,7 +29,6 @@ from repro.sparql.ast import (
     UnionPattern,
     ValuesPattern,
     VarExpr,
-    ask_pattern,
     bgp_query,
 )
 from repro.sparql.evaluator import evaluate, evaluate_ask, evaluate_select
@@ -78,7 +77,6 @@ __all__ = [
     "FragmentSpec",
     "PartialResult",
     "PartialSpec",
-    "ask_pattern",
     "bgp_query",
     "compile_query",
     "evaluate",

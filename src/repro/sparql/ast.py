@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.rdf.terms import PatternTerm, Term, Variable
+from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import TriplePattern
 
 # --------------------------------------------------------------------------
@@ -616,10 +616,3 @@ def bgp_query(
         distinct=distinct,
         limit=limit,
     )
-
-
-def ask_pattern(
-    subject: PatternTerm, predicate: PatternTerm, object: PatternTerm
-) -> AskQuery:
-    """ASK over a single triple pattern — the source-selection probe."""
-    return AskQuery(GroupPattern([BGP([TriplePattern(subject, predicate, object)])]))

@@ -16,7 +16,7 @@ and bulk loads build each permutation with one list sort instead of
 per-row index maintenance.
 
 The public API still speaks :class:`~repro.rdf.terms.Term`; the id-space
-surface (``match_ids`` / ``count_ids`` / ``ask_ids`` / ``scan_ids`` and
+surface (``match_ids`` / ``count_ids`` / ``scan_ids`` and
 the ``dictionary`` attribute) is what the SPARQL evaluator runs on.
 Terms are decoded back only when a caller asks for
 :class:`~repro.rdf.triple.Triple` objects.
@@ -370,10 +370,6 @@ class TripleStore:
         if repeated is not None:
             iterator = filter(repeated, iterator)
         return next(iter(iterator), None) is not None
-
-    def ask_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> bool:
-        """True if at least one id triple matches."""
-        return next(iter(self.match_ids(s, p, o)), None) is not None
 
     # ----------------------------------------------------------- statistics
 

@@ -274,47 +274,3 @@ class TestMultiMachine:
         single = LusailEngine(federation, config=LusailConfig(machines=1)).execute(QA)
         multi = LusailEngine(federation, config=LusailConfig(machines=3)).execute(QA)
         assert Counter(single.result.rows) == Counter(multi.result.rows)
-
-
-class TestDecompositionChoice:
-    """The paper's future work: compile-time decomposition selection."""
-
-    def test_enumerate_yields_alternatives_for_qa(self, paper_federation):
-        from repro.core.decomposition.decomposer import enumerate_decompositions
-        from repro.core.decomposition.gjv import detect_gjvs
-        from repro.endpoint import EngineCaches, FederationClient
-        from repro.net.simulator import local_cluster_config
-        from repro.planning.source_selection import select_sources
-        from repro.planning.normalize import normalize
-        from repro.sparql import parse_query
-
-        branch = normalize(parse_query(QA)).branches[0]
-        client = FederationClient(paper_federation, local_cluster_config(), EngineCaches())
-        selection, __ = select_sources(client, list(branch.patterns), 0.0)
-        gjvs, __ = detect_gjvs(client, list(branch.patterns), selection, 0.0)
-        candidates = enumerate_decompositions(list(branch.patterns), gjvs, selection)
-        assert len(candidates) >= 1
-        # Every candidate covers every pattern exactly once.
-        for groups in candidates:
-            flattened = [p for group in groups for p in group]
-            assert sorted(map(repr, flattened)) == sorted(map(repr, branch.patterns))
-
-    def test_optimized_engine_matches_default_results(self, paper_federation):
-        from collections import Counter
-        from repro.core.engine import LusailConfig
-
-        base = LusailEngine(paper_federation).execute(QA)
-        optimized = LusailEngine(
-            paper_federation, config=LusailConfig(optimize_decomposition=True)
-        ).execute(QA)
-        assert optimized.ok
-        assert Counter(optimized.result.rows) == Counter(base.result.rows)
-
-    def test_optimized_never_more_subqueries_than_worst_candidate(self, lubm4):
-        from repro.core.engine import LusailConfig
-        from repro.datasets import lubm
-
-        engine = LusailEngine(lubm4, config=LusailConfig(optimize_decomposition=True))
-        outcome = engine.execute(lubm.query_q4())
-        assert outcome.ok
-        assert outcome.plan.subquery_count >= 1

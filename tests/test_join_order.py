@@ -1,9 +1,14 @@
-"""Unit tests for the DP join-order optimizer."""
+"""Unit tests for the DP join-order optimizer and its greedy fallback."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.execution.join_order import execute_plan, plan_joins
+from repro.core.execution.join_order import (
+    JoinPlanNode,
+    _greedy_plan,
+    execute_plan,
+    plan_joins,
+)
 from repro.rdf import IRI, Variable
 from repro.relational import Relation
 
@@ -22,6 +27,21 @@ def chain_relations(sizes):
         rows = [(iri(k), iri(k)) for k in range(size)]
         relations.append(Relation([variables[index], variables[index + 1]], rows))
     return relations
+
+
+def greedy_plan(relations):
+    """The greedy fallback alone, over the leaves ``plan_joins`` builds."""
+    leaves = [
+        JoinPlanNode(
+            relations=frozenset((index,)),
+            rows=float(len(relation)),
+            threads=relation.partitions,
+            cost=0.0,
+            base_index=index,
+        )
+        for index, relation in enumerate(relations)
+    ]
+    return _greedy_plan(leaves, [set(relation.vars) for relation in relations])
 
 
 class TestPlanJoins:
@@ -43,7 +63,7 @@ class TestPlanJoins:
         for sizes in ([1000, 2, 3], [7, 900, 2, 40], [5, 5, 5]):
             relations = chain_relations(sizes)
             dp = plan_joins(relations)
-            greedy = plan_joins(relations, greedy=True)
+            greedy = greedy_plan(relations)
             assert dp.cost <= greedy.cost + 1e-9
 
     def test_avoids_cross_products_when_connected(self):
@@ -72,8 +92,26 @@ class TestPlanJoins:
 
     def test_greedy_mode(self):
         relations = chain_relations([10, 2, 30])
-        plan = plan_joins(relations, greedy=True)
+        plan = greedy_plan(relations)
         assert sorted(plan.order()) == [0, 1, 2]
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_relations_sharing_no_variable_plan_as_greedy(self, count):
+        # The scheduler combines connected components, which share no
+        # variable, with plan_joins: on such input the DP must give the
+        # greedy plan (n = 2: the same single join; n >= 3: no full
+        # plan without a cross product below the top, so the fallback).
+        relations = [
+            Relation(
+                [Variable(f"c{index}")],
+                [(iri(k),) for k in range(size)],
+                partitions=1 + index % 2,
+            )
+            for index, size in enumerate([7, 3, 12, 1, 5][:count])
+        ]
+        dp, greedy = plan_joins(relations), greedy_plan(relations)
+        assert dp.order() == greedy.order()
+        assert (dp.rows, dp.cost) == (greedy.rows, greedy.cost)
 
 
 class TestExecutePlan:
@@ -98,7 +136,7 @@ class TestExecutePlan:
     def test_property_plan_result_independent_of_order(self, sizes):
         relations = chain_relations(sizes)
         dp_joined, __ = execute_plan(plan_joins(relations), relations)
-        greedy_joined, __ = execute_plan(plan_joins(relations, greedy=True), relations)
+        greedy_joined, __ = execute_plan(greedy_plan(relations), relations)
         left_deep = relations[0]
         for relation in relations[1:]:
             left_deep = left_deep.join(relation)

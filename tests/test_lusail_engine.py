@@ -235,13 +235,6 @@ class TestConfigurations:
         assert outcome.ok
         assert outcome.plan.delayed_count == 0
 
-    def test_greedy_join_order_correct(self, paper_federation):
-        engine = LusailEngine(
-            paper_federation, config=LusailConfig(greedy_join_order=True)
-        )
-        outcome = engine.execute(QA)
-        assert_same_bag(outcome.result.rows, oracle_rows(paper_federation, QA))
-
     def test_with_config_builds_variant(self, lusail):
         variant = lusail.with_config(enable_delay=False)
         assert variant.config.enable_delay is False

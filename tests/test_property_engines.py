@@ -88,7 +88,6 @@ def test_lusail_ablations_match_oracle(case):
         LusailConfig(decomposition="exclusive"),
         LusailConfig(decomposition="triple"),
         LusailConfig(enable_delay=False),
-        LusailConfig(greedy_join_order=True),
         LusailConfig(use_chauvenet=False),
     ):
         outcome = LusailEngine(federation, config=config).execute(query)

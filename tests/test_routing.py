@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.decomposition.subquery import Subquery
-from repro.core.engine import LusailConfig, LusailEngine
+from repro.core.engine import LusailEngine
 from repro.core.execution.scheduler import BranchScheduler
 from repro.datasets import largerdf, lubm, qfed, queries_largerdf, queries_lubm
 from repro.endpoint import Endpoint, Federation
@@ -348,19 +348,18 @@ def _sampled_federation() -> Federation:
     return Federation([a, b])
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_generic_pattern_reaches_every_endpoint_a_binding_needs(refine):
+def test_generic_pattern_reaches_every_endpoint_a_binding_needs():
     federation = _sampled_federation()
-    engine = LusailEngine(federation, LusailConfig(refine_sources=refine))
+    engine = LusailEngine(federation)
     engine.tracer = Tracer(enabled=True)
     outcome = engine.execute(SAMPLED_QUERY)
     expected = oracle_rows(federation, SAMPLED_QUERY)
     assert len(expected) == 4
     assert Counter(outcome.result.rows) == Counter(expected)
     (bound,) = engine.tracer.roots[0].find("bound_subquery")
-    # Refinement routes each binding to its authority's endpoint; without
-    # it the generic pattern gets every binding everywhere.
-    assert bound.attrs["routed_bindings"] == ({"A": 3, "B": 1} if refine else {"A": 4, "B": 4})
+    # Routing sends each binding to its authority's endpoint, not every
+    # binding everywhere.
+    assert bound.attrs["routed_bindings"] == {"A": 3, "B": 1}
 
 
 # ---------------------------------------------- differential vs. unrouted

@@ -135,23 +135,6 @@ class TestDelayedSubqueries:
         assert outcome.ok and len(outcome.result) == 0
 
 
-class TestSourceRefinement:
-    def test_generic_pattern_refined(self, federation):
-        # ?u ?p ?n with a variable predicate is relevant everywhere; with
-        # refinement it should only hit endpoints that hold the bindings.
-        text = UB_PREFIX + (
-            "SELECT ?y ?u ?n WHERE { ?y ub:doctoralDegreeFrom ?u . ?u ?p ?n . }"
-        )
-        refined = LusailEngine(federation, config=LusailConfig(refine_sources=True))
-        unrefined = LusailEngine(federation, config=LusailConfig(refine_sources=False))
-        refined_outcome = refined.execute(text)
-        unrefined_outcome = unrefined.execute(text)
-        assert_same_bag(refined_outcome.result.rows, unrefined_outcome.result.rows)
-        assert refined_outcome.metrics.request_count(metrics_module.BOUND) <= (
-            unrefined_outcome.metrics.request_count(metrics_module.BOUND)
-        )
-
-
 class TestOptionalGroups:
     def test_optional_left_join(self, federation):
         text = UB_PREFIX + (
