@@ -15,11 +15,19 @@ Production runs: the figure benchmarks (``pytest benchmarks``; the
 committed ``benchmarks/results/`` are restored afterwards), the four
 ledger workloads with ``--smoke``, untraced and traced, every script in
 ``examples/``, and a CLI smoke (``query``, ``explain``, ``profile``,
-``explain-analyze``, ``chaos`` on the tiny LUBM federation).  Then the
-tier-1 suite runs the same way.  The report lists every function or
-method defined in ``src/repro`` (from the AST; lambdas and
-comprehensions excluded) that no production run called, marking with
-``*`` those tier-1 does not call either.
+``explain-analyze``, ``chaos`` on the tiny LUBM federation, and a
+``query`` that writes its trace in the Chrome format).  Then the tier-1
+suite runs the same way.  The report lists every function or method
+defined in ``src/repro`` (from the AST; lambdas and comprehensions
+excluded) that no production run called, marking with ``*`` those
+tier-1 does not call either and with ``L`` those the ledger wraps
+(``TARGETS`` in ``benchmarks/ledger/layers.py``): a wrapped name stays
+while the ledger pins it.
+
+The committed report is ``benchmarks/results/reachability.txt``.  Send
+the output elsewhere and copy it there afterwards: the run restores
+``benchmarks/results/`` after the figure benchmarks, so a file being
+written into it would be overwritten midway.
 
 It takes many minutes (the tracer costs every Python call a function
 call), so it is not part of ``scripts/check.sh``.  It writes nothing
@@ -30,6 +38,7 @@ ignored ``benchmarks/ledger/out/``.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
 import shutil
@@ -43,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 RESULTS = ROOT / "benchmarks" / "results"
+LAYERS = ROOT / "benchmarks" / "ledger" / "layers.py"
 WORKLOADS = ("lubm_local", "lubm_crossing", "largerdf_cold", "serve_churn")
 CLI_FEDERATION = ("--benchmark", "lubm", "--endpoints", "2", "--profile", "tiny")
 
@@ -98,6 +108,8 @@ def production_runs(scratch: Path) -> list[tuple[str, list[str]]]:
     cli = [
         ["query", *CLI_FEDERATION, "--name", "Q4"],
         ["query", *CLI_FEDERATION, "--name", "Q4", "--engine", "FedX"],
+        ["query", *CLI_FEDERATION, "--name", "Q4",
+         "--trace-out", str(scratch / "trace.chrome.json"), "--trace-format", "chrome"],
         ["explain", *CLI_FEDERATION, "--name", "Q4"],
         ["profile", *CLI_FEDERATION, "--name", "Q4",
          "--trace-out", str(scratch / "trace.jsonl"), "--json", str(scratch / "profile.json")],
@@ -159,8 +171,24 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
     return functions
 
 
+def ledger_pinned() -> set[tuple[str, str]]:
+    """(file, qualified name) of every callable the ledger wraps.
+
+    ``layers.py`` imports only the standard library, so it is loaded
+    from its path without putting ``benchmarks/`` on ``sys.path``.
+    """
+    spec = importlib.util.spec_from_file_location("ledger_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return {
+        (str(PACKAGE.joinpath(*module.split(".")[1:]).with_suffix(".py")), name)
+        for __, module, name in layers.TARGETS
+    }
+
+
 def main() -> int:
     functions = defined_functions()
+    pinned = ledger_pinned()
     committed = {path.name: path.read_bytes() for path in RESULTS.glob("*.txt")}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
@@ -176,15 +204,16 @@ def main() -> int:
     print()
     print(f"# {len(functions)} functions under src/repro; {len(unreached)} never called by a")
     both = [key for key in unreached if key not in tests]
+    wrapped = {key for key in unreached if (key[0], functions[key][0]) in pinned}
     print(
         f"# production run ({sum(functions[key][1] for key in unreached)} lines); "
-        f"{len(both)} of them (*) not by tier-1 either; "
-        f"{time.perf_counter() - started:.0f} s in all"
+        f"{len(both)} of them (*) not by tier-1 either; {len(wrapped)} (L) wrapped "
+        f"by the ledger; {time.perf_counter() - started:.0f} s in all"
     )
     for key in unreached:
         path, line = key
         name, lines = functions[key]
-        mark = "*" if key not in tests else " "
+        mark = ("*" if key not in tests else " ") + ("L" if key in wrapped else " ")
         print(f"{mark} {Path(path).relative_to(SRC)}:{line}  {name}  ({lines} lines)")
     return 0
 

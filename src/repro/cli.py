@@ -10,7 +10,6 @@ Commands
 ``profile``   execute a query with tracing on and print the span tree
 ``explain-analyze``  traced run: est→act rows, q-error, critical path
 ``chaos``     run queries under injected faults and report resilience
-``serve``     replay a seeded traffic mix through the concurrent server
 
 Examples::
 
@@ -21,7 +20,6 @@ Examples::
     python -m repro profile --benchmark lubm --name Q4 --trace-out /tmp/q4.jsonl
     python -m repro explain-analyze --benchmark lubm --name Q4 --engine all
     python -m repro chaos --benchmark lubm --faults transient,outage --partial
-    python -m repro serve --benchmark lubm --requests 20000 --tenants 4
 """
 
 from __future__ import annotations
@@ -429,46 +427,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Replay a seeded traffic mix through the concurrent serving layer."""
-    from repro.harness.traffic import TrafficConfig, run_traffic, workload_queries
-    from repro.serve import ServeConfig
-
-    if args.benchmark not in ("lubm", "qfed"):
-        raise SystemExit("serve supports --benchmark lubm or qfed")
-    federation = _build_federation(args)
-    config = geo_distributed_config() if args.geo else local_cluster_config()
-    traffic = TrafficConfig(
-        requests=args.requests,
-        tenants=args.tenants,
-        seed=args.traffic_seed,
-        zipf_s=args.zipf,
-        fault_profile=args.faults,
-        verify_against_serial=not args.no_verify,
-    )
-    serving = ServeConfig(
-        max_inflight=args.inflight,
-        per_tenant_inflight=args.per_tenant,
-        result_cache=not args.no_result_cache,
-        attach_identical=not args.no_mqo,
-        share_subqueries=not args.no_mqo,
-    )
-    report, __, __ = run_traffic(
-        federation,
-        workload_queries(args.benchmark),
-        config=traffic,
-        serve_config=serving,
-        network_config=config,
-    )
-    print(report.format())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as stream:
-            stream.write(report.to_json() + "\n")
-        print(f"serving report written to {args.json}")
-    verified = report["totals"]["results_match_serial"]
-    return 0 if (verified is None or verified) else 1
-
-
 def cmd_explain(args) -> int:
     federation = _build_federation(args)
     engine = LusailEngine(federation)
@@ -640,31 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", help="write the chaos report as JSON")
     chaos.set_defaults(func=cmd_chaos)
 
-    serve = subparsers.add_parser(
-        "serve", help="replay a seeded traffic mix through the concurrent server"
-    )
-    _add_federation_args(serve)
-    serve.add_argument("--requests", type=int, default=10_000,
-                       help="number of arrivals in the replay")
-    serve.add_argument("--tenants", type=int, default=4)
-    serve.add_argument("--traffic-seed", type=int, default=0,
-                       help="seed for the arrival stream (query mix, gaps, tenants)")
-    serve.add_argument("--zipf", type=float, default=1.1,
-                       help="Zipf exponent of the query-popularity skew")
-    serve.add_argument("--inflight", type=int, default=8,
-                       help="global concurrent-query admission limit")
-    serve.add_argument("--per-tenant", type=int, default=4,
-                       help="per-tenant concurrent-query limit")
-    serve.add_argument("--faults", default="none",
-                       help=f"fault profile layered on the run ({', '.join(FAULT_PROFILES)})")
-    serve.add_argument("--no-result-cache", action="store_true",
-                       help="disable the mediator result cache")
-    serve.add_argument("--no-mqo", action="store_true",
-                       help="disable cross-query sharing (attach + subquery MQO)")
-    serve.add_argument("--no-verify", action="store_true",
-                       help="skip the per-query serial result-identity check")
-    serve.add_argument("--json", help="write the canonical serving report as JSON")
-    serve.set_defaults(func=cmd_serve)
     return parser
 
 

@@ -7,7 +7,7 @@ through :class:`~repro.endpoint.client.FederationClient`, which adds the
 virtual network costs.
 
 The store and the compiled plans work on this endpoint's private
-integer term ids (see :attr:`Endpoint.dictionary`), and so does what
+integer term ids (the store's ``dictionary``), and so does what
 ``select()`` returns: a :class:`~repro.sparql.result.SelectResult`
 holding id columns plus a reference to the dictionary that minted them
 (over a real transport: the columns and the dictionary entries the
@@ -123,16 +123,6 @@ class Endpoint:
 
     def __len__(self) -> int:
         return len(self.store)
-
-    @property
-    def dictionary(self):
-        """This endpoint's private term dictionary.
-
-        Ids are endpoint-local: the same IRI generally has different ids
-        at different endpoints, which is why a result leaving
-        ``select()`` names the dictionary its id columns belong to.
-        """
-        return self.store.dictionary
 
     # ------------------------------------------------------------- queries
 

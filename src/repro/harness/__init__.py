@@ -27,13 +27,7 @@ from repro.harness.runner import (
     run_matrix,
     run_query,
 )
-from repro.harness.traffic import (
-    TrafficConfig,
-    TrafficReport,
-    generate_arrivals,
-    run_traffic,
-    workload_queries,
-)
+from repro.harness.traffic import TrafficConfig, generate_arrivals
 
 __all__ = [
     "BASELINE_PROFILE",
@@ -44,7 +38,6 @@ __all__ = [
     "ProfiledRun",
     "RunResult",
     "TrafficConfig",
-    "TrafficReport",
     "generate_arrivals",
     "format_table",
     "profile_query",
@@ -57,7 +50,5 @@ __all__ = [
     "results_to_json",
     "run_matrix",
     "run_query",
-    "run_traffic",
     "speedup_summary",
-    "workload_queries",
 ]

@@ -181,15 +181,9 @@ class QueryMetrics:
             busy[record.endpoint] = busy.get(record.endpoint, 0.0) + record.duration_ms
         return busy
 
-    def lane_utilization(self, total_ms: float | None = None) -> dict[str, float]:
-        """Busy fraction per endpoint lane over the query's lifetime.
-
-        The denominator defaults to this query's ``virtual_ms`` span;
-        pass ``total_ms`` to normalize against a workload makespan
-        instead (how the serving harness reports shared-lane pressure).
-        """
-        if total_ms is None:
-            total_ms = self.virtual_ms
+    def lane_utilization(self) -> dict[str, float]:
+        """Busy fraction per endpoint lane over this query's ``virtual_ms``."""
+        total_ms = self.virtual_ms
         busy = self.lane_busy_ms()
         if total_ms <= 0.0:
             return {endpoint: 0.0 for endpoint in sorted(busy)}

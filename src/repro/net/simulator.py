@@ -83,33 +83,13 @@ class LaneBook:
     layer (:mod:`repro.serve`) instead hands *one* book to every
     concurrent query's network, which is exactly what makes N in-flight
     queries contend for the same endpoint lanes in virtual time.
-
-    ``lane_busy_ms`` accumulates each lane's occupied virtual time
-    (evaluation + transfer, including the tail of timed-out requests the
-    endpoint keeps processing) for utilization reporting.
     """
 
-    __slots__ = ("lane_free_ms", "slot_free_ms", "lane_busy_ms")
+    __slots__ = ("lane_free_ms", "slot_free_ms")
 
     def __init__(self, mediator_slots: int = 16):
         self.lane_free_ms: dict[str, float] = {}
         self.slot_free_ms: list[float] = [0.0] * max(1, mediator_slots)
-        self.lane_busy_ms: dict[str, float] = {}
-
-    def utilization(self, total_ms: float | None = None) -> dict[str, float]:
-        """Busy fraction per endpoint lane.
-
-        The denominator defaults to the latest lane-free time across all
-        lanes (the book's horizon); pass ``total_ms`` to normalize
-        against a known makespan instead.
-        """
-        if total_ms is None:
-            total_ms = max(self.lane_free_ms.values(), default=0.0)
-        if total_ms <= 0.0:
-            return {name: 0.0 for name in self.lane_busy_ms}
-        return {
-            name: busy / total_ms for name, busy in sorted(self.lane_busy_ms.items())
-        }
 
 
 class VirtualNetwork:
@@ -249,9 +229,6 @@ class VirtualNetwork:
         failed = status != "ok"
         lanes.lane_free_ms[endpoint_name] = lane_end
         lanes.slot_free_ms[slot_index] = end
-        lanes.lane_busy_ms[endpoint_name] = (
-            lanes.lane_busy_ms.get(endpoint_name, 0.0) + (lane_end - start)
-        )
         self.metrics.record(
             RequestRecord(
                 kind=kind,

@@ -33,7 +33,6 @@ from repro.obs.export import (
     render_span_tree,
     span_to_dict,
     validate_trace,
-    write_folded_stacks,
     write_metrics_json,
     write_trace_chrome,
     write_trace_jsonl,
@@ -45,7 +44,6 @@ from repro.obs.profile import (
     critical_path,
     critical_path_ids,
     critical_sections,
-    folded_stacks,
     q_error_summary,
     render_explain_analyze,
     render_q_error_table,
@@ -71,7 +69,6 @@ __all__ = [
     "critical_path_ids",
     "critical_sections",
     "endpoint_summary_table",
-    "folded_stacks",
     "get_default_registry",
     "get_default_tracer",
     "load_trace_jsonl",
@@ -84,7 +81,6 @@ __all__ = [
     "render_span_tree",
     "span_to_dict",
     "validate_trace",
-    "write_folded_stacks",
     "write_metrics_json",
     "write_trace_chrome",
     "write_trace_jsonl",

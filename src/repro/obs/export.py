@@ -78,18 +78,6 @@ def write_trace_chrome(roots: Iterable[Span], path: str) -> int:
     return len(payload["traceEvents"])
 
 
-def write_folded_stacks(roots: Iterable[Span], path: str) -> int:
-    """Write folded-stack lines (flamegraph.pl input); returns line count."""
-    from repro.obs.profile import folded_stacks  # local: avoids import cycle
-
-    lines = folded_stacks(roots)
-    with open(path, "w", encoding="utf-8") as stream:
-        for line in lines:
-            stream.write(line)
-            stream.write("\n")
-    return len(lines)
-
-
 def load_trace_jsonl(path: str) -> list[dict[str, Any]]:
     """Parse a JSONL trace back into span dicts (raises on malformed lines)."""
     spans: list[dict[str, Any]] = []

@@ -10,9 +10,8 @@ Three consumers of a finished trace:
   the cursor, then continue leftward from that child's start.  The
   resulting sections tile the root interval exactly — their lengths sum
   to the root's inclusive time.
-* :func:`chrome_trace_events` / :func:`folded_stacks` — flamegraph
-  exports: Chrome trace-event JSON (``chrome://tracing`` / Perfetto)
-  and Brendan-Gregg folded stacks weighted by exclusive virtual time.
+* :func:`chrome_trace_events` — the flamegraph export: Chrome
+  trace-event JSON (``chrome://tracing`` / Perfetto).
 * :class:`ProfileReport` / :func:`render_explain_analyze` — the JSON
   artifact the harness emits per (engine, query) and the annotated plan
   tree the ``explain-analyze`` CLI mode prints (rows est→act, q-error,
@@ -145,29 +144,6 @@ def chrome_trace_events(roots: Iterable[Span]) -> dict[str, Any]:
                 }
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def folded_stacks(roots: Iterable[Span]) -> list[str]:
-    """Folded-stack lines (``a;b;c weight``) for flamegraph tooling.
-
-    The weight is the span's *exclusive* virtual time in integer
-    microseconds, so stacks sum to end-to-end latency without double
-    counting parents.  Zero-weight frames are kept only when they carry
-    no children (pure markers are still visible in the graph).
-    """
-    weights: dict[str, int] = {}
-
-    def visit(span: Span, prefix: str) -> None:
-        stack = f"{prefix};{span.name}" if prefix else span.name
-        weight = int(round(span.exclusive_ms * 1000.0))
-        if weight > 0 or not span.children:
-            weights[stack] = weights.get(stack, 0) + weight
-        for child in span.children:
-            visit(child, stack)
-
-    for root in roots:
-        visit(root, "")
-    return [f"{stack} {weight}" for stack, weight in sorted(weights.items())]
 
 
 # ---------------------------------------------------------- profile report

@@ -118,12 +118,6 @@ class NormalizedQuery:
             found |= condition.expression.variables()
         return found
 
-    def all_patterns(self) -> list[TriplePattern]:
-        collected: list[TriplePattern] = []
-        for branch in self.branches:
-            collected.extend(branch.all_patterns())
-        return collected
-
 
 @dataclass
 class _GroupParts:

@@ -6,19 +6,22 @@ scheduler multiplexes N in-flight queries over shared per-endpoint lanes
 in virtual time, with per-tenant quotas and deficit-round-robin
 fairness, a skeleton-keyed result cache with store-version invalidation,
 and in-flight cross-query MQO that lets one endpoint request feed
-multiple waiting queries.
+multiple waiting queries.  None of it is configurable: the quotas are
+module constants of :mod:`repro.serve.server` and every sharing layer is
+always on.  :func:`repro.harness.traffic.generate_arrivals` builds the
+seeded arrival streams :meth:`QueryServer.run` replays; the performance
+ledger's ``serve_churn`` workload measures the layer.
 """
 
 from repro.serve.cache import CachedResult, ResultCache, result_key, shared_result
 from repro.serve.client import ServingClient, ServingNetwork
-from repro.serve.server import QueryRequest, QueryServer, ServeConfig, ServedQuery
+from repro.serve.server import QueryRequest, QueryServer, ServedQuery
 
 __all__ = [
     "CachedResult",
     "QueryRequest",
     "QueryServer",
     "ResultCache",
-    "ServeConfig",
     "ServedQuery",
     "ServingClient",
     "ServingNetwork",

@@ -65,9 +65,6 @@ class CachedResult:
     #: that contributed to (or was probed for) this result.
     endpoint_versions: tuple[tuple[str, int], ...]
 
-    def touches(self, endpoint_name: str) -> bool:
-        return any(name == endpoint_name for name, __ in self.endpoint_versions)
-
 
 class ResultCache:
     """Skeleton-keyed result cache with store-version invalidation."""

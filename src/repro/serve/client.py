@@ -83,8 +83,6 @@ class ServingClient(FederationClient):
         kind: str = metrics_module.SELECT,
     ) -> tuple[SelectResult, float]:
         server = self.server
-        if not server.config.share_subqueries:
-            return super().select(endpoint_name, query, at_ms, kind=kind)
         ticket = self.ticket
         endpoint = self.federation.get(endpoint_name)
         key = server.subquery_key(query)

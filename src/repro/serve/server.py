@@ -10,7 +10,7 @@ broken by admission order).  The thread handoff is a pair of events per
 ticket — a baton, not a lock — so the interleaving is a pure function of
 virtual timestamps and the execution is deterministic and replayable.
 
-Three sharing layers cut the work a concurrent mix needs:
+Three sharing layers, always on, cut the work a concurrent mix needs:
 
 * a **result cache** keyed on canonical plan skeletons + federation
   store versions (:mod:`repro.serve.cache`) answers repeat queries at
@@ -21,12 +21,13 @@ Three sharing layers cut the work a concurrent mix needs:
   canonically-equivalent endpoint subqueries share one shipped response
   (:class:`~repro.serve.client.ServingClient`).
 
-Admission is quota-bound (global and per-tenant in-flight caps) with
-deficit-round-robin fairness across tenant queues: each rotation tops a
-tenant's deficit up by :data:`QUANTUM_MS` and admits while the deficit
-covers the head query's estimated cost (a running mean of observed
-service times), so cheap-query tenants are not starved behind a tenant
-that floods expensive queries.
+Admission is quota-bound (:data:`MAX_INFLIGHT` queries in flight, at
+most :data:`PER_TENANT_INFLIGHT` per tenant) with deficit-round-robin
+fairness across tenant queues: each rotation tops a tenant's deficit up
+by :data:`QUANTUM_MS` and admits while the deficit covers the head
+query's estimated cost (a running mean of observed service times), so
+cheap-query tenants are not starved behind a tenant that floods
+expensive queries.
 """
 
 from __future__ import annotations
@@ -49,33 +50,20 @@ from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
 from repro.sparql.skeleton import canonicalize_query
 
-__all__ = ["QueryRequest", "ServeConfig", "ServedQuery", "QueryServer"]
+__all__ = ["QueryRequest", "ServedQuery", "QueryServer"]
 
 _INF = float("inf")
 
+#: Global cap on concurrently executing queries (admission slots).
+MAX_INFLIGHT = 8
+#: Per-tenant cap on concurrently executing queries.
+PER_TENANT_INFLIGHT = 4
 #: Deficit-round-robin refill per tenant per rotation (virtual ms).
 QUANTUM_MS = 25.0
 #: Cost estimate for a query name never observed before (virtual ms).
 DEFAULT_COST_MS = 25.0
 #: Flat virtual cost of answering from the mediator result cache.
 CACHE_HIT_MS = 0.2
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Knobs for admission, fairness, and sharing."""
-
-    #: Global cap on concurrently executing queries (admission slots).
-    max_inflight: int = 8
-    #: Per-tenant cap on concurrently executing queries.
-    per_tenant_inflight: int = 4
-    #: Serve repeat queries from the skeleton-keyed result cache.
-    result_cache: bool = True
-    #: Attach arrivals to an identical queued/in-flight query.
-    attach_identical: bool = True
-    #: Share canonically-equivalent subquery SELECTs between in-flight
-    #: queries (cross-query MQO).
-    share_subqueries: bool = True
 
 
 @dataclass(frozen=True)
@@ -152,7 +140,6 @@ class QueryServer:
     def __init__(
         self,
         federation,
-        config: ServeConfig | None = None,
         network_config: NetworkConfig | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -160,7 +147,6 @@ class QueryServer:
         resilience=None,
     ):
         self.federation = federation
-        self.config = config or ServeConfig()
         self.network_config = network_config or local_cluster_config()
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Serve-level spans only; engines run untraced by default so
@@ -310,32 +296,29 @@ class QueryServer:
         seq = self._seq
         self._seq += 1
         query, key, projected = self._query_info(request.text)
-        config = self.config
-        if config.result_cache:
-            entry = self.result_cache.lookup(key, self.federation)
-            if entry is not None:
-                finish = request.at_ms + CACHE_HIT_MS
-                self._record(
-                    ServedQuery(
-                        seq=seq,
-                        name=request.name,
-                        tenant=request.tenant,
-                        path="cache",
-                        status="ok",
-                        arrival_ms=request.at_ms,
-                        start_ms=request.at_ms,
-                        finish_ms=finish,
-                        result_rows=len(entry.rows),
-                        result=shared_result(projected, entry.rows),
-                    )
+        entry = self.result_cache.lookup(key, self.federation)
+        if entry is not None:
+            finish = request.at_ms + CACHE_HIT_MS
+            self._record(
+                ServedQuery(
+                    seq=seq,
+                    name=request.name,
+                    tenant=request.tenant,
+                    path="cache",
+                    status="ok",
+                    arrival_ms=request.at_ms,
+                    start_ms=request.at_ms,
+                    finish_ms=finish,
+                    result_rows=len(entry.rows),
+                    result=shared_result(projected, entry.rows),
                 )
-                return
-        if config.attach_identical:
-            producer = self._pending.get(key)
-            if producer is not None:
-                producer.waiters.append((seq, request))
-                self.registry.inc("serve_mqo_query_attached_total")
-                return
+            )
+            return
+        producer = self._pending.get(key)
+        if producer is not None:
+            producer.waiters.append((seq, request))
+            self.registry.inc("serve_mqo_query_attached_total")
+            return
         ticket = _Ticket(seq, request, query, key, projected)
         queue = self._queues.get(request.tenant)
         if queue is None:
@@ -357,7 +340,7 @@ class QueryServer:
         self._cost_n[name] = self._cost_n.get(name, 0) + 1
 
     def _capacity_left(self) -> int:
-        return self.config.max_inflight - len(self._inflight) - len(self._draining)
+        return MAX_INFLIGHT - len(self._inflight) - len(self._draining)
 
     def _tenant_load(self, tenant: str) -> int:
         executing = sum(
@@ -368,7 +351,6 @@ class QueryServer:
 
     def _admit(self) -> None:
         """Deficit-round-robin admission across tenant queues."""
-        config = self.config
         tenants = sorted(self._queues)
         count = len(tenants)
         if count == 0:
@@ -378,7 +360,7 @@ class QueryServer:
                 tenant
                 for tenant in tenants
                 if self._queues[tenant]
-                and self._tenant_load(tenant) < config.per_tenant_inflight
+                and self._tenant_load(tenant) < PER_TENANT_INFLIGHT
             ]
             if not eligible:
                 break
@@ -392,13 +374,13 @@ class QueryServer:
                 if not queue:
                     self._deficit[tenant] = 0.0
                     continue
-                if self._tenant_load(tenant) >= config.per_tenant_inflight:
+                if self._tenant_load(tenant) >= PER_TENANT_INFLIGHT:
                     continue
                 self._deficit[tenant] += QUANTUM_MS
                 while (
                     queue
                     and self._capacity_left() > 0
-                    and self._tenant_load(tenant) < config.per_tenant_inflight
+                    and self._tenant_load(tenant) < PER_TENANT_INFLIGHT
                     and self._deficit[tenant] >= self._cost(queue[0].request.name)
                 ):
                     ticket = queue.popleft()
@@ -465,8 +447,7 @@ class QueryServer:
         request = ticket.request
         finish = max(ticket.admitted_ms, outcome.metrics.virtual_ms)
         self._observe_cost(request.name, finish - ticket.admitted_ms)
-        cacheable = outcome.ok and outcome.complete
-        if cacheable and self.config.result_cache:
+        if outcome.ok and outcome.complete:
             touched = {record.endpoint for record in outcome.metrics.records}
             self.result_cache.store(
                 ticket.key, outcome.result.rows, touched, self.federation

@@ -12,8 +12,6 @@ from typing import Iterator, Sequence
 
 from repro.rdf.terms import Term, Variable
 
-Solution = dict[Variable, Term]
-
 
 class SelectResult:
     """Materialized SELECT result: a variable schema plus solution rows.
@@ -121,11 +119,6 @@ class SelectResult:
 
     def __repr__(self):
         return f"SelectResult(vars={[v.name for v in self.vars]}, rows={len(self)})"
-
-    def bindings(self) -> Iterator[Solution]:
-        """Iterate rows as variable->term dicts (unbound vars omitted)."""
-        for row in self.rows:
-            yield {var: value for var, value in zip(self.vars, row) if value is not None}
 
 
 def _row_key(row: tuple[Term | None, ...]) -> tuple:

@@ -79,14 +79,6 @@ class PredicateStats:
     distinct_objects: int
     objects: dict[Term, int] | None
 
-    def copy(self) -> "PredicateStats":
-        return PredicateStats(
-            self.count,
-            self.distinct_subjects,
-            self.distinct_objects,
-            dict(self.objects) if self.objects is not None else None,
-        )
-
 
 class CharacteristicSets:
     """One endpoint's characteristic-set summary, exact at ``version``."""

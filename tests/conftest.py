@@ -115,6 +115,42 @@ def assert_same_bag(left_rows, right_rows):
     assert Counter(left_rows) == Counter(right_rows)
 
 
+def serial_runs(federation: Federation, queries: dict[str, str]):
+    """Warm serial virtual cost and rows of each named query.
+
+    Each query runs twice on one private engine; the second run is the
+    steady-state cost a one-at-a-time mediator pays per arrival (probe
+    and plan caches warm), which favours the serial side.
+    """
+    from repro.endpoint.cache import EngineCaches
+    from repro.obs import MetricsRegistry, Tracer
+
+    engine = LusailEngine(federation, caches=EngineCaches(), timeout_ms=None)
+    engine.tracer = Tracer(enabled=False)
+    engine.registry = MetricsRegistry()
+    costs, rows = {}, {}
+    for name in sorted(queries):
+        engine.execute(queries[name], raise_on_failure=True)
+        outcome = engine.execute(queries[name], raise_on_failure=True)
+        costs[name] = outcome.metrics.virtual_ms
+        rows[name] = outcome.result.rows
+    return costs, rows
+
+
+def assert_served_as_serial(records, serial_rows) -> None:
+    """Every ok served record holds, as a bag, its query's serial rows.
+
+    Served rows are shared list objects (cache entries, attached
+    waiters), so each distinct ``(name, rows object)`` is compared once.
+    """
+    checked = set()
+    for record in records:
+        key = (record.name, id(record.result.rows) if record.result else None)
+        if record.ok and key not in checked:
+            assert_same_bag(record.result.rows, serial_rows[record.name])
+            checked.add(key)
+
+
 def oracle_rows(federation: Federation, query_text: str):
     """Centralized union-graph evaluation (the expected answer)."""
     from repro.sparql import evaluate_select, parse_query

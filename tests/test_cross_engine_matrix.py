@@ -35,6 +35,11 @@ def workloads(lubm2, qfed_federation, largerdf_federation):
     bio_federation = bio2rdf.build_federation(seed=7)
     lubm_texts = dict(queries_lubm.queries())
     lubm_texts.update(lubm.queries())
+    lubm_texts["nested-group"] = _UB + (
+        "SELECT ?x ?y ?c ?u WHERE { { ?x ub:advisor ?y "
+        "{ ?y ub:teacherOf ?c . ?x ub:takesCourse ?c } } "
+        "OPTIONAL { ?y ub:doctoralDegreeFrom ?u } }"
+    )
     return {
         "lubm": (lubm2, lubm_texts),
         "qfed": (qfed_federation, {**qfed.queries(), "Drug": qfed.drug_query()}),

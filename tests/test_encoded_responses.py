@@ -35,7 +35,7 @@ from repro.faults import EndpointFaults, FaultPlan
 from repro.rdf import BNode, IRI, Literal, Triple
 from repro.rdf.terms import typed_literal
 from repro.relational.relation import Relation, RowStore, mediator_codec
-from repro.serve import QueryRequest, QueryServer, ServeConfig
+from repro.serve import QueryRequest, QueryServer
 from repro.serve.client import ServingClient
 from repro.sparql import evaluate_select, parse_query, serialize_query
 from repro.sparql.evaluator import SelectResult
@@ -413,12 +413,14 @@ class TestTermProducers:
 
 class TestServeSharesTheEncodedResponse:
     def test_attached_consumer_gets_a_header_only_view(self):
-        federation = build_paper_federation()
-        config = ServeConfig(result_cache=False, attach_identical=False)
-        server = QueryServer(federation, config=config)
+        # DISTINCT gives the second text its own result-cache key, so
+        # neither the cache nor whole-query attach answers it; its
+        # endpoint subqueries are QA's, renamed.
+        distinct = QA_RENAMED.replace("SELECT ", "SELECT DISTINCT ", 1)
+        server = QueryServer(build_paper_federation())
         arrivals = [
             QueryRequest(at_ms=0.0, tenant="a", name="QA", text=QA),
-            QueryRequest(at_ms=0.0, tenant="b", name="QA'", text=QA_RENAMED),
+            QueryRequest(at_ms=0.0, tenant="b", name="QA'", text=distinct),
         ]
         with recorded(ServingClient, "select") as selects:
             records = server.run(arrivals)

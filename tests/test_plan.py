@@ -361,6 +361,31 @@ class TestSubSelect:
         assert Counter(compile_query(store, query).execute_select().rows) == Counter(expected)
 
 
+class TestNestedGroups:
+    """``{ ... { ... } }``: a nested group compiles to one ``group[...]``
+    operator over the outer schema and answers as the interpreter does."""
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "?s ex:advisor ?p { ?p ex:teacherOf ?c }",
+            "{ ?s ex:advisor ?p } OPTIONAL { ?p ex:teacherOf ?c }",
+            "?s ex:advisor ?p { ?s ex:takesCourse ?c FILTER(?c != ex:course0) }",
+            "{ ?s ex:advisor ?p { ?s ex:takesCourse ?c OPTIONAL { ?p ex:teacherOf ?c } } }",
+        ],
+        ids=["bgp", "before-optional", "filter", "double-with-optional"],
+    )
+    def test_nested_group_matches_interpreter(self, store, where):
+        from repro.sparql.parser import parse_query
+
+        query = parse_query(f"PREFIX ex: <{EX}> SELECT * {{ {where} }}")
+        plan = compile_query(store, query)
+        assert any("group[" in step for step in plan.explain())
+        expected = evaluate_select(store, query).rows
+        assert expected
+        assert Counter(plan.execute_select().rows) == Counter(expected)
+
+
 class TestPlanCache:
     def _plan(self, store, predicate):
         return compile_query(

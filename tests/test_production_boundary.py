@@ -12,8 +12,8 @@ collector is enabled.  And the plan boundary: what Lusail decided
 travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
 last.  And the options boundary: every field of ``LusailConfig`` and
-``ServeConfig`` is set by name by some caller outside the tests, or is
-listed with the reason it stays an option.
+``TrafficConfig`` is set by name by some caller outside the tests, or
+is listed with the reason it stays an option.
 """
 
 import ast
@@ -27,7 +27,7 @@ import repro
 from repro.core.engine import LusailConfig
 from repro.datasets import lubm, queries_largerdf, queries_lubm
 from repro.endpoint import Endpoint
-from repro.serve import ServeConfig
+from repro.harness.traffic import TrafficConfig
 from repro.sparql import evaluator, parse_query
 from repro.sparql.ast import AskQuery
 from tests.conftest import QA, build_paper_federation, oracle_rows
@@ -219,7 +219,7 @@ def test_class_substitution_walker_sees_each_form(tmp_path, source, hits):
 
 
 #: Config classes whose every field some caller outside the tests sets.
-CONFIG_CLASSES = (LusailConfig, ServeConfig)
+CONFIG_CLASSES = (LusailConfig, TrafficConfig)
 CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
 #: Fields no caller sets, each with the reason it stays an option.
 UNSET_FIELDS = {
@@ -259,14 +259,14 @@ def test_every_config_field_has_a_caller():
         ("replace(config, delay_policy=policy)", {"delay_policy"}),
         ("dataclasses.replace(self.config, use_chauvenet=False)", {"use_chauvenet"}),
         ("engine.with_config(refine_sources=False)", {"refine_sources"}),
-        ("ServeConfig(**options)", set()),
-        ("make_engines(federation, machines=2)\nServeConfig()", set()),
+        ("TrafficConfig(**options)", set()),
+        ("make_engines(federation, machines=2)\nTrafficConfig()", set()),
     ],
 )
 def test_options_walker_sees_each_form(tmp_path, source, names):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
-    callees = {"LusailConfig", "ServeConfig", "replace", "with_config"}
+    callees = {"LusailConfig", "TrafficConfig", "replace", "with_config"}
     assert _passed_by_name(probe, callees) == names
 
 

@@ -21,7 +21,6 @@ from repro.obs import (
     chrome_trace_events,
     critical_path,
     critical_sections,
-    folded_stacks,
     make_audit,
     q_error,
     q_error_summary,
@@ -190,15 +189,6 @@ class TestCriticalPath:
 
 
 class TestFlameExports:
-    def test_folded_stacks_sum_to_root_exclusive_times(self):
-        tracer = _concurrent_tree()
-        lines = folded_stacks(tracer.roots)
-        weights = {line.rsplit(" ", 1)[0]: int(line.rsplit(" ", 1)[1]) for line in lines}
-        assert weights["query;a"] == 2_000  # µs
-        assert weights["query;c;c1"] == 4_000
-        # Exclusive weights: root covers [0,10] minus children union [0,9].
-        assert weights["query"] == 1_000
-
     def test_chrome_events_nest_within_lanes(self):
         tracer = _concurrent_tree()
         payload = chrome_trace_events(tracer.roots)

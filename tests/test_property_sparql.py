@@ -233,8 +233,8 @@ _projections = st.one_of(
 
 
 def _groups(depth: int):
-    """Group patterns nesting OPTIONAL, UNION, sub-SELECT and EXISTS
-    ``depth`` levels deep."""
+    """Group patterns nesting groups, OPTIONAL, UNION, sub-SELECT and
+    EXISTS ``depth`` levels deep."""
     bgps = st.lists(_patterns, min_size=1, max_size=2).map(BGP)
     if depth == 0:
         elements = st.one_of(bgps, _values)
@@ -248,6 +248,7 @@ def _groups(depth: int):
             st.builds(
                 lambda group, negated: Filter(ExistsExpr(group, negated)), inner, st.booleans()
             ),
+            inner,
             inner.map(OptionalPattern),
             st.lists(inner, min_size=2, max_size=2).map(UnionPattern),
             st.builds(

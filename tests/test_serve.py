@@ -1,15 +1,26 @@
 """Tests for the concurrent serving layer (:mod:`repro.serve`)."""
 
+from collections import Counter
 from unittest import mock
 
 from repro.core.engine import LusailEngine
 from repro.datasets import lubm, queries_lubm
+from repro.harness.traffic import TrafficConfig, generate_arrivals
 from repro.net import metrics as metrics_module
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import Triple, UB
-from repro.serve import QueryRequest, QueryServer, ResultCache, ServeConfig
+from repro.serve import QueryRequest, QueryServer, ResultCache
+from repro.serve.server import MAX_INFLIGHT, PER_TENANT_INFLIGHT
 
-from tests.conftest import MIT, QA, assert_same_bag, build_paper_federation, oracle_rows
+from tests.conftest import (
+    MIT,
+    QA,
+    assert_same_bag,
+    assert_served_as_serial,
+    build_paper_federation,
+    oracle_rows,
+    serial_runs,
+)
 
 UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 
@@ -126,52 +137,70 @@ class TestServing:
         """The exact sharing counters of one small Zipfian replay (the
         gate the 10⁵-request smoke held, at a size a test can run): a
         scheduler, cache or MQO change that moves them must say so here."""
-        from repro.harness.traffic import TrafficConfig, run_traffic, workload_queries
-
-        config = TrafficConfig(requests=600, tenants=4, seed=0)
-        report, __, __ = run_traffic(lubm2, workload_queries("lubm"), config)
-        assert report["totals"]["results_match_serial"] is True
-        assert report["paths"] == {"cache": 580, "attach": 6, "executed": 14}
-        assert report["cache"] == {"hits": 580, "misses": 20, "invalidations": 0, "entries": 14}
-        assert report["mqo"] == {"subquery_hits": 3, "query_attached": 6}
+        queries = queries_lubm.queries()
+        server = QueryServer(lubm2)
+        records = server.run(
+            generate_arrivals(queries, TrafficConfig(requests=600, tenants=4, seed=0))
+        )
+        assert_served_as_serial(records, serial_runs(lubm2, queries)[1])
+        assert Counter(record.path for record in records) == {
+            "cache": 580,
+            "attach": 6,
+            "executed": 14,
+        }
+        cache = server.result_cache
+        assert (cache.hits, cache.misses, cache.invalidations, len(cache)) == (580, 20, 0, 14)
+        assert server.mqo_subquery_hits == 3
 
     def test_per_tenant_quota_keeps_other_tenants_responsive(self, lubm4):
         queries = queries_lubm.queries()
         names = sorted(queries)
-        config = ServeConfig(
-            max_inflight=4,
-            per_tenant_inflight=2,
-            result_cache=False,
-            attach_identical=False,
-            share_subqueries=False,
-        )
-        # Tenant A floods at t=0; tenant B arrives last in queue order.
+        flood = PER_TENANT_INFLIGHT + 2
+        # Distinct texts, all at t=0: nothing is cached yet and no
+        # arrival can attach to another, so every request is admitted.
+        # The hog floods past its quota; the polite tenant arrives last
+        # in queue order.
         arrivals = _requests(
-            [(0.0, "hog", name, queries[name]) for name in names[:6]]
-            + [(0.0, "polite", names[6], queries[names[6]])]
+            [(0.0, "hog", name, queries[name]) for name in names[:flood]]
+            + [(0.0, "polite", names[flood], queries[names[flood]])]
         )
-        records = QueryServer(lubm4, config=config).run(arrivals)
-        hog_starts = sorted(r.start_ms for r in records if r.tenant == "hog")
+        records = QueryServer(lubm4).run(arrivals)
+        assert all(record.path == "executed" for record in records)
+        hog = sorted((r for r in records if r.tenant == "hog"), key=lambda r: r.start_ms)
         polite = next(r for r in records if r.tenant == "polite")
         # DRR + per-tenant quota: the polite tenant is admitted before
         # the hog's backlog drains.
-        assert polite.start_ms < hog_starts[-1]
-        # The per-tenant cap bounds hog concurrency: its third query can
-        # only start once one of the first two finished.
-        hog = sorted(
-            (r for r in records if r.tenant == "hog"), key=lambda r: r.start_ms
-        )
-        assert hog[2].start_ms >= min(hog[0].finish_ms, hog[1].finish_ms)
+        assert polite.start_ms < hog[-1].start_ms
+        # The per-tenant cap bounds hog concurrency: its first query
+        # past the quota only starts once one of the earlier ones finished.
+        assert sum(1 for r in hog if r.start_ms == 0.0) == PER_TENANT_INFLIGHT
+        first = hog[:PER_TENANT_INFLIGHT]
+        assert hog[PER_TENANT_INFLIGHT].start_ms >= min(r.finish_ms for r in first)
 
-    def test_lane_utilization_reported(self, lubm4):
+    def test_global_cap_bounds_concurrent_executions(self, lubm4):
         queries = queries_lubm.queries()
-        arrivals = _requests([(0.0, "a", name, queries[name]) for name in sorted(queries)[:4]])
-        server = QueryServer(lubm4)
-        server.run(arrivals)
-        utilization = server.lanes.utilization()
-        assert utilization
-        assert all(0.0 <= fraction <= 1.0 for fraction in utilization.values())
-
+        names = sorted(queries)
+        tenants = MAX_INFLIGHT // PER_TENANT_INFLIGHT + 1
+        assert tenants * PER_TENANT_INFLIGHT <= len(names)
+        # Each tenant asks its quota of distinct queries at t=0: together
+        # more than the admission slots.
+        arrivals = _requests(
+            [
+                (0.0, f"tenant{index // PER_TENANT_INFLIGHT}", name, queries[name])
+                for index, name in enumerate(names[: tenants * PER_TENANT_INFLIGHT])
+            ]
+        )
+        records = QueryServer(lubm4).run(arrivals)
+        assert all(record.path == "executed" for record in records)
+        admitted = [r for r in records if r.start_ms == 0.0]
+        assert len(admitted) == MAX_INFLIGHT
+        first_finish = min(r.finish_ms for r in admitted)
+        assert all(r.start_ms >= first_finish for r in records if r.start_ms > 0.0)
+        for record in records:
+            running = sum(
+                1 for other in records if other.start_ms <= record.start_ms < other.finish_ms
+            )
+            assert running <= MAX_INFLIGHT
 
     def test_server_tracer_records_serve_query_span(self, paper_federation):
         tracer = Tracer(enabled=True)

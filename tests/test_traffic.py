@@ -1,29 +1,51 @@
-"""Tests for the deterministic traffic harness (:mod:`repro.harness.traffic`)."""
+"""Seeded arrival streams (:mod:`repro.harness.traffic`) replayed through
+:class:`~repro.serve.QueryServer`."""
 
-import pytest
+import json
+from collections import Counter
 
-from repro.harness.traffic import (
-    TrafficConfig,
-    generate_arrivals,
-    run_traffic,
-    workload_queries,
-)
+from repro.datasets import queries_lubm
+from repro.faults import default_chaos_policy, fault_profile
+from repro.harness.traffic import TrafficConfig, generate_arrivals
+from repro.serve import QueryServer
+
+from tests.conftest import assert_served_as_serial, serial_runs
+
+
+def _replay(federation, config, **server_options):
+    arrivals = generate_arrivals(queries_lubm.queries(), config)
+    return arrivals, QueryServer(federation, **server_options).run(arrivals)
+
+
+def _report(records) -> str:
+    """Every record field plus each served result's rows, as JSON."""
+    return json.dumps(
+        [
+            [
+                record.seq, record.name, record.tenant, record.path, record.status,
+                record.arrival_ms, record.start_ms, record.finish_ms,
+                record.result_rows, record.requests, record.error,
+                sorted(map(repr, record.result.rows)) if record.result else None,
+            ]
+            for record in records
+        ]
+    )
 
 
 class TestArrivalGeneration:
     def test_stream_is_deterministic(self):
-        queries = workload_queries("lubm")
+        queries = queries_lubm.queries()
         config = TrafficConfig(requests=2000, tenants=5, seed=11)
         assert generate_arrivals(queries, config) == generate_arrivals(queries, config)
 
     def test_seed_changes_stream(self):
-        queries = workload_queries("lubm")
+        queries = queries_lubm.queries()
         first = generate_arrivals(queries, TrafficConfig(requests=200, seed=1))
         second = generate_arrivals(queries, TrafficConfig(requests=200, seed=2))
         assert first != second
 
     def test_stream_shape(self):
-        queries = workload_queries("lubm")
+        queries = queries_lubm.queries()
         config = TrafficConfig(requests=1000, tenants=3, seed=0, zipf_s=1.2)
         arrivals = generate_arrivals(queries, config)
         assert len(arrivals) == 1000
@@ -37,7 +59,7 @@ class TestArrivalGeneration:
         }
 
     def test_zipf_skew_favors_low_ranks(self):
-        queries = workload_queries("lubm")
+        queries = queries_lubm.queries()
         arrivals = generate_arrivals(queries, TrafficConfig(requests=5000, seed=3))
         counts = {}
         for request in arrivals:
@@ -45,58 +67,46 @@ class TestArrivalGeneration:
         ranked = sorted(queries)
         assert counts[ranked[0]] > counts[ranked[-1]]
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError):
-            workload_queries("nope")
-
 
 class TestTrafficReplay:
     def test_report_byte_identical(self, lubm2):
-        queries = workload_queries("lubm")
         config = TrafficConfig(requests=400, tenants=3, seed=5)
-        first, __, __ = run_traffic(lubm2, queries, config)
-        second, __, __ = run_traffic(lubm2, queries, config)
-        assert first.to_json() == second.to_json()
+        __, first = _replay(lubm2, config)
+        __, second = _replay(lubm2, config)
+        assert _report(first) == _report(second)
 
     def test_speedup_and_serial_identity(self, lubm2):
-        queries = workload_queries("lubm")
-        config = TrafficConfig(requests=600, tenants=4, seed=0)
-        report, records, __ = run_traffic(lubm2, queries, config)
-        totals = report["totals"]
-        assert totals["completed"] == 600
-        assert totals["failed"] == 0
-        assert totals["results_match_serial"] is True
-        assert totals["speedup"] >= 2.0
-        assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
-        assert sum(report["paths"].values()) == 600
-        assert len(records) == 600
+        """The replay beats a one-at-a-time mediator at least twofold, and
+        every served result is the serial answer to its query."""
+        queries = queries_lubm.queries()
+        arrivals, records = _replay(lubm2, TrafficConfig(requests=600, tenants=4, seed=0))
+        costs, rows = serial_runs(lubm2, queries)
+        assert len(records) == 600 and all(record.ok for record in records)
+        assert_served_as_serial(records, rows)
+        makespan = max(record.finish_ms for record in records)
+        baseline = sum(costs[request.name] for request in arrivals)
+        assert baseline / makespan >= 2.0
 
     def test_per_tenant_sections(self, lubm2):
-        queries = workload_queries("lubm")
-        report, __, __ = run_traffic(
-            lubm2, queries, TrafficConfig(requests=300, tenants=2, seed=9)
-        )
-        tenants = report["tenants"]
+        __, records = _replay(lubm2, TrafficConfig(requests=300, tenants=2, seed=9))
+        tenants = Counter(record.tenant for record in records)
         assert set(tenants) == {"tenant0", "tenant1"}
-        assert sum(stats["requests"] for stats in tenants.values()) == 300
+        assert sum(tenants.values()) == 300
 
     def test_chaos_profile_layering_is_deterministic(self, lubm2):
-        queries = workload_queries("lubm")
-        config = TrafficConfig(requests=250, tenants=2, seed=4, fault_profile="chaos")
-        first, records, __ = run_traffic(lubm2, queries, config)
-        second, __, __ = run_traffic(lubm2, queries, config)
-        assert first.to_json() == second.to_json()
-        assert first["workload"]["fault_profile"] == "chaos"
+        config = TrafficConfig(requests=250, tenants=2, seed=4)
+
+        def chaos_replay():
+            return _replay(
+                lubm2,
+                config,
+                fault_plan=fault_profile("chaos", seed=4),
+                resilience=default_chaos_policy(),
+            )[1]
+
+        first, second = chaos_replay(), chaos_replay()
+        assert _report(first) == _report(second)
         # Resilience keeps completed results serial-identical even when
         # faults are injected.
-        completed = [record for record in records if record.ok]
-        assert completed and first["totals"]["results_match_serial"] is True
-
-    def test_report_format_renders(self, lubm2):
-        queries = workload_queries("lubm")
-        report, __, __ = run_traffic(
-            lubm2, queries, TrafficConfig(requests=120, tenants=2, seed=8)
-        )
-        text = report.format()
-        assert "speedup" in text
-        assert "lane utilization" in text
+        assert any(record.ok for record in first)
+        assert_served_as_serial(first, serial_runs(lubm2, queries_lubm.queries())[1])
