@@ -14,9 +14,10 @@ start are traced the same way.  At exit each process writes the
 Production runs: the figure benchmarks (``pytest benchmarks``; the
 committed ``benchmarks/results/`` are restored afterwards), the four
 ledger workloads with ``--smoke``, untraced and traced, every script in
-``examples/``, and a CLI smoke (``query``, ``explain``, ``profile``,
-``explain-analyze``, ``chaos`` on the tiny LUBM federation, and a
-``query`` that writes its trace in the Chrome format).  Then the tier-1
+``examples/``, and a CLI smoke (``query``, ``explain``,
+``explain-analyze`` traced to a file and over every engine, ``chaos`` on
+the tiny LUBM federation, and a ``query`` that writes its trace in the
+Chrome format).  Then the tier-1
 suite runs the same way.  The report lists every function or method
 defined in ``src/repro`` (from the AST; lambdas and comprehensions
 excluded) that no production run called, marking with ``*`` those
@@ -111,8 +112,8 @@ def production_runs(scratch: Path) -> list[tuple[str, list[str]]]:
         ["query", *CLI_FEDERATION, "--name", "Q4",
          "--trace-out", str(scratch / "trace.chrome.json"), "--trace-format", "chrome"],
         ["explain", *CLI_FEDERATION, "--name", "Q4"],
-        ["profile", *CLI_FEDERATION, "--name", "Q4",
-         "--trace-out", str(scratch / "trace.jsonl"), "--json", str(scratch / "profile.json")],
+        ["explain-analyze", *CLI_FEDERATION, "--name", "Q4",
+         "--trace-out", str(scratch / "trace.jsonl"), "--json", str(scratch / "reports.json")],
         ["explain-analyze", *CLI_FEDERATION, "--name", "Q4", "--engine", "all"],
         ["chaos", *CLI_FEDERATION, "--faults", "none,transient,outage", "--partial"],
     ]  # fmt: skip

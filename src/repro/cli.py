@@ -6,18 +6,19 @@ Commands
 ``generate``  write a benchmark federation to disk as N-Triples files
 ``query``     execute a query over a benchmark federation with any engine
 ``explain``   print Lusail's compile-time plan for a query
-``bench``     run one of the paper's experiments and print its table
-``profile``   execute a query with tracing on and print the span tree
-``explain-analyze``  traced run: est→act rows, q-error, critical path
+``explain-analyze``  traced run: est→act rows, q-error, critical path,
+              per-endpoint table, cache / kernel / latency / lane lines
 ``chaos``     run queries under injected faults and report resilience
+
+The paper's figures are the ``benchmarks/`` suite:
+``pytest benchmarks/bench_<figure>.py --benchmark-disable -s``.
 
 Examples::
 
     python -m repro generate --benchmark lubm --endpoints 4 --out /tmp/lubm
-    python -m repro query --benchmark lubm --name Q4 --engine fedx
+    python -m repro query --benchmark lubm --name Q4 --engine FedX
     python -m repro explain --benchmark qfed --name Drug
-    python -m repro bench --experiment fig03
-    python -m repro profile --benchmark lubm --name Q4 --trace-out /tmp/q4.jsonl
+    python -m repro explain-analyze --benchmark lubm --name Q4 --trace-out /tmp/q4.jsonl
     python -m repro explain-analyze --benchmark lubm --name Q4 --engine all
     python -m repro chaos --benchmark lubm --faults transient,outage --partial
 """
@@ -33,27 +34,16 @@ from repro.datasets import bio2rdf, io as dataset_io, largerdf, lubm, qfed, quer
 from repro.endpoint.federation import Federation
 from repro.exceptions import ReproError
 from repro.faults import FAULT_PROFILES, ResiliencePolicy, default_chaos_policy
-from repro.harness import (
-    ENGINE_ORDER,
-    make_engines,
-    profile_query,
-    reports_to_json,
-    results_by_query,
-    results_to_json,
-    run_chaos,
-    run_matrix,
-)
+from repro.harness import ENGINE_ORDER, make_engines, profile_query, reports_to_json, run_chaos
 from repro.net.simulator import geo_distributed_config, local_cluster_config
 from repro.obs import (
     MetricsRegistry,
+    Span,
     Tracer,
     endpoint_summary_table,
-    get_default_tracer,
     plan_cache_summary,
     render_explain_analyze,
     render_q_error_table,
-    render_span_tree,
-    write_metrics_json,
     write_trace_chrome,
     write_trace_jsonl,
 )
@@ -142,24 +132,23 @@ def _outcome_json(engine_name: str, query_name: str | None, outcome) -> dict:
     }
 
 
-def _write_trace(tracer: Tracer, args) -> None:
+def _write_trace(roots: list[Span], args) -> None:
     """Write the collected trace in the requested format (--trace-out)."""
-    if getattr(args, "trace_format", "jsonl") == "chrome":
-        events = write_trace_chrome(tracer.roots, args.trace_out)
+    if args.trace_format == "chrome":
+        events = write_trace_chrome(roots, args.trace_out)
         print(f"chrome trace ({events} events) written to {args.trace_out}")
     else:
-        write_trace_jsonl(tracer.roots, args.trace_out)
+        write_trace_jsonl(roots, args.trace_out)
         print(f"trace written to {args.trace_out}")
 
 
 def _lusail_config(args):
     """Lusail config overrides from CLI flags, or None for the defaults."""
-    strategy = getattr(args, "strategy", None)
-    if strategy is None:
+    if args.strategy is None:
         return None
     from repro.core.engine import LusailConfig
 
-    return LusailConfig(strategy=strategy)
+    return LusailConfig(strategy=args.strategy)
 
 
 def cmd_query(args) -> int:
@@ -187,7 +176,7 @@ def cmd_query(args) -> int:
         f"{outcome.metrics.virtual_ms:.2f} virtual ms"
     )
     if args.trace_out:
-        _write_trace(tracer, args)
+        _write_trace(tracer.roots, args)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as stream:
             json.dump(_outcome_json(args.engine, args.name, outcome), stream, indent=2)
@@ -270,70 +259,35 @@ def _requests_by_kind_line(metrics) -> str:
     return ", ".join(parts) if parts else "(none)"
 
 
-def cmd_profile(args) -> int:
-    """Run one query with tracing enabled and print the span tree."""
-    federation = _build_federation(args)
-    config = geo_distributed_config() if args.geo else local_cluster_config()
-    tracer = Tracer(enabled=True)
-    registry = MetricsRegistry()
-    engines = make_engines(
-        federation,
-        network_config=config,
-        which=(args.engine,),
-        tracer=tracer,
-        registry=registry,
-        lusail_config=_lusail_config(args),
-    )
-    engine = engines[args.engine]
-    outcome = engine.execute(_resolve_query(args))
-    metrics = outcome.metrics
-
-    for root in tracer.roots:
-        print(render_span_tree(root))
-    print()
+def _print_run_summary(run) -> None:
+    """What one traced run sent where, and what the registry counted:
+    the per-endpoint table, then one line per layer that did the work."""
+    registry, metrics = run.registry, run.outcome.metrics
     print(endpoint_summary_table(metrics))
     print()
-    cache_line = _probe_cache_line(registry)
-    if cache_line:
-        print(cache_line)
-    kernel_line = _kernel_line(registry)
-    if kernel_line:
-        print(kernel_line)
-    plan_line = plan_cache_summary(registry)
-    if plan_line:
-        print(plan_line)
     metadata = metrics.metadata_request_count()
-    metadata_cached = (
-        metrics.metadata_request_count(include_cached=True) - metadata
-    )
-    print(
+    metadata_cached = metrics.metadata_request_count(include_cached=True) - metadata
+    lines = (
+        _probe_cache_line(registry),
+        _kernel_line(registry),
+        plan_cache_summary(registry),
         f"metadata requests per query: {metadata} issued "
         f"({metadata_cached} served from cache); by kind: "
-        + _requests_by_kind_line(metrics)
+        + _requests_by_kind_line(metrics),
+        _latency_line(registry),
+        _lane_line(metrics),
     )
-    latency_line = _latency_line(registry)
-    if latency_line:
-        print(latency_line)
-    lane_line = _lane_line(metrics)
-    if lane_line:
-        print(lane_line)
-    print(
-        f"status: {outcome.status}; {len(outcome.result)} rows, "
-        f"{metrics.request_count()} requests "
-        f"({metrics.request_count(include_cached=True) - metrics.request_count()} cached), "
-        f"{metrics.rows_shipped()} rows shipped, "
-        f"{metrics.virtual_ms:.2f} virtual ms"
-    )
-    if args.trace_out:
-        _write_trace(tracer, args)
-    if args.json:
-        write_metrics_json(registry, args.json)
-        print(f"metrics snapshot written to {args.json}")
-    return 0 if outcome.ok else 1
+    for line in lines:
+        if line:
+            print(line)
 
 
 def cmd_explain_analyze(args) -> int:
     """Execute a query traced and print the annotated EXPLAIN ANALYZE tree."""
+    if args.trace_out and args.engine == "all":
+        raise ReproError(
+            "--trace-out takes one --engine: span ids are unique only within one trace"
+        )
     federation = _build_federation(args)
     config = geo_distributed_config() if args.geo else local_cluster_config()
     text = _resolve_query(args)
@@ -356,6 +310,8 @@ def cmd_explain_analyze(args) -> int:
             print(render_explain_analyze(run.root))
             print()
         print(render_q_error_table(report.q_error))
+        print()
+        _print_run_summary(run)
         print(
             f"status: {report.status}; {report.result_rows} rows, "
             f"{report.requests} requests, {report.rows_shipped} rows shipped; "
@@ -366,6 +322,8 @@ def cmd_explain_analyze(args) -> int:
         )
         print()
         failed = failed or not run.outcome.ok
+    if args.trace_out:
+        _write_trace([runs[0].root], args)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as stream:
             json.dump(
@@ -434,75 +392,6 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness import experiments
-
-    # --trace-out: experiments construct engines internally, which pick
-    # up the process-wide default tracer — enable it for the run.
-    tracer = get_default_tracer()
-    if args.trace_out:
-        tracer.enable()
-        tracer.clear()
-
-    name = args.experiment
-    rows = None
-    results = None
-    if name == "fig03":
-        rows = experiments.fig03_fedx_sensitivity()
-    elif name == "table01":
-        rows = experiments.table01_datasets()
-    elif name == "preprocessing":
-        rows = experiments.preprocessing_cost()
-    elif name == "fig09":
-        rows = experiments.fig09_thresholds()
-    elif name == "fig10a":
-        rows = experiments.fig10a_phase_profile()
-    elif name == "fig10bc":
-        rows = experiments.fig10bc_endpoint_scaling()
-    elif name == "ablation":
-        rows = experiments.ablation()
-    elif name in ("fig11", "fig12-2", "fig12-4", "fig13", "fig14c", "real"):
-        lusail_config = _lusail_config(args)
-        if name == "fig11":
-            results = experiments.fig11_qfed(config=lusail_config)
-        elif name == "fig12-2":
-            results = experiments.fig12_lubm(2, config=lusail_config)
-        elif name == "fig12-4":
-            results = experiments.fig12_lubm(4, config=lusail_config)
-        elif name == "fig13":
-            results = experiments.fig13_largerdfbench(config=lusail_config)
-        elif name == "fig14c":
-            results = experiments.fig14c_geo_lubm(config=lusail_config)
-        else:
-            results = experiments.real_endpoints(config=lusail_config)
-        order = [e for e in ENGINE_ORDER if any(r.engine == e for r in results)]
-        print(results_by_query(results, order))
-    else:
-        raise SystemExit(f"unknown experiment {name!r}")
-
-    if rows is not None and rows:
-        headers = list(rows[0].keys())
-        print("\t".join(headers))
-        for row in rows:
-            print("\t".join(
-                f"{row[h]:.1f}" if isinstance(row[h], float) else str(row[h]) for h in headers
-            ))
-
-    if args.json:
-        payload = {
-            "experiment": name,
-            "rows": results_to_json(results if results is not None else rows or []),
-        }
-        with open(args.json, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        print(f"results written to {args.json}")
-    if args.trace_out:
-        _write_trace(tracer, args)
-        tracer.disable()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -514,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = subparsers.add_parser("query", help="execute a federated query")
     _add_federation_args(query)
-    query.add_argument("--engine", default="Lusail",
-                       choices=["Lusail", "FedX", "HiBISCuS", "SPLENDID"])
+    query.add_argument("--engine", default="Lusail", choices=ENGINE_ORDER)
     query.add_argument("--name", help="named benchmark query (e.g. Q1, C2P2, S3, R1)")
     query.add_argument("--query-file", help="file containing a SPARQL query")
     query.add_argument("--limit", type=int, default=10, help="rows to print")
@@ -533,49 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--query-file")
     explain.set_defaults(func=cmd_explain)
 
-    bench = subparsers.add_parser("bench", help="run one paper experiment")
-    bench.add_argument("--experiment", required=True,
-                       choices=["fig03", "table01", "preprocessing", "fig09", "fig10a",
-                                "fig10bc", "fig11", "fig12-2", "fig12-4", "fig13",
-                                "fig14c", "real", "ablation"])
-    bench.add_argument("--strategy", choices=["auto", "partial", "bound-join"],
-                       help="Lusail execution strategy for the result experiments")
-    bench.add_argument("--json", help="write engine x query results as JSON")
-    bench.add_argument("--trace-out", help="write every query's span trace")
-    bench.add_argument("--trace-format", default="jsonl", choices=["jsonl", "chrome"],
-                       help="trace file format (JSONL spans or Chrome trace events)")
-    bench.set_defaults(func=cmd_bench)
-
-    profile = subparsers.add_parser(
-        "profile", help="execute a query with tracing on and print the span tree"
-    )
-    _add_federation_args(profile)
-    profile.add_argument("--engine", default="Lusail",
-                         choices=["Lusail", "FedX", "HiBISCuS", "SPLENDID"])
-    profile.add_argument("--name", help="named benchmark query")
-    profile.add_argument("--query-file", help="file containing a SPARQL query")
-    profile.add_argument("--trace-out", help="write the span trace")
-    profile.add_argument("--trace-format", default="jsonl", choices=["jsonl", "chrome"],
-                         help="trace file format (JSONL spans or Chrome trace events)")
-    profile.add_argument("--strategy", choices=["auto", "partial", "bound-join"],
-                         help="Lusail execution strategy (default: engine default)")
-    profile.add_argument("--json", help="write a metrics-registry snapshot as JSON")
-    profile.set_defaults(func=cmd_profile)
-
     explain_analyze = subparsers.add_parser(
         "explain-analyze",
         help="execute a query traced; print est→act rows, q-error, critical path",
     )
     _add_federation_args(explain_analyze)
-    explain_analyze.add_argument(
-        "--engine", default="Lusail",
-        choices=["Lusail", "FedX", "HiBISCuS", "SPLENDID", "all"],
-    )
+    explain_analyze.add_argument("--engine", default="Lusail", choices=[*ENGINE_ORDER, "all"])
     explain_analyze.add_argument("--name", help="named benchmark query")
     explain_analyze.add_argument("--query-file", help="file containing a SPARQL query")
     explain_analyze.add_argument(
         "--strategy", choices=["auto", "partial", "bound-join"],
         help="Lusail execution strategy (default: engine default)")
+    explain_analyze.add_argument("--trace-out", help="write the traced run's spans")
+    explain_analyze.add_argument("--trace-format", default="jsonl", choices=["jsonl", "chrome"],
+                                 help="trace file format (JSONL spans or Chrome trace events)")
     explain_analyze.add_argument("--json", help="write the ProfileReport(s) as JSON")
     explain_analyze.set_defaults(func=cmd_explain_analyze)
 

@@ -42,8 +42,8 @@ from repro.net import metrics as metrics_module
 from repro.net.metrics import QueryMetrics
 from repro.net.simulator import NetworkConfig, VirtualNetwork
 from repro.obs.audit import make_audit
-from repro.obs.registry import MetricsRegistry, get_default_registry
-from repro.obs.trace import Tracer, get_default_tracer
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import SelectQuery
 from repro.sparql.result import SelectResult
@@ -101,8 +101,8 @@ class FederationClient:
         self.caches = caches if caches is not None else EngineCaches()
         self.timeout_ms = timeout_ms
         self.metrics = metrics if metrics is not None else QueryMetrics()
-        self.tracer = tracer if tracer is not None else get_default_tracer()
-        self.registry = registry if registry is not None else get_default_registry()
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.engine = engine
         #: Estimate-vs-actual audit (see :mod:`repro.obs.audit`).  Rides
         #: on tracing: a real collector only when the tracer is enabled,

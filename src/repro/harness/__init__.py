@@ -10,13 +10,11 @@ from repro.harness.chaos import (
 from repro.harness.profiling import (
     ProfiledRun,
     profile_query,
-    profile_workload,
     reports_to_json,
 )
 from repro.harness.reporting import (
     format_table,
     results_by_query,
-    results_to_json,
     speedup_summary,
 )
 from repro.harness.runner import (
@@ -41,13 +39,11 @@ __all__ = [
     "generate_arrivals",
     "format_table",
     "profile_query",
-    "profile_workload",
     "reports_to_json",
     "resolve_profiles",
     "run_chaos",
     "make_engines",
     "results_by_query",
-    "results_to_json",
     "run_matrix",
     "run_query",
     "speedup_summary",

@@ -276,9 +276,9 @@ def fig10bc_endpoint_scaling(endpoint_counts: tuple[int, ...] = (4, 16, 64, 256)
 # Fig 11 — QFed, all systems.
 
 
-def fig11_qfed(config: LusailConfig | None = None) -> list[RunResult]:
+def fig11_qfed() -> list[RunResult]:
     federation = qfed_federation()
-    engines = make_engines(federation, lusail_config=config)
+    engines = make_engines(federation)
     return run_matrix(engines, qfed.queries())
 
 
@@ -286,11 +286,9 @@ def fig11_qfed(config: LusailConfig | None = None) -> list[RunResult]:
 # Fig 12 — LUBM on 2 and 4 endpoints, all systems.
 
 
-def fig12_lubm(
-    universities: int, config: LusailConfig | None = None
-) -> list[RunResult]:
+def fig12_lubm(universities: int) -> list[RunResult]:
     federation = lubm_federation(universities)
-    engines = make_engines(federation, lusail_config=config)
+    engines = make_engines(federation)
     return run_matrix(engines, lubm.queries())
 
 
@@ -298,18 +296,10 @@ def fig12_lubm(
 # Fig 13 — LargeRDFBench, all systems, local cluster.
 
 
-def fig13_largerdfbench(
-    category: str | None = None,
-    scale: float = 1.6,
-    config: LusailConfig | None = None,
-) -> list[RunResult]:
-    federation = largerdf_federation(scale=scale)
-    engines = make_engines(federation, lusail_config=config)
-    if category is None:
-        queries = queries_largerdf.paper_selection()
-    else:
-        queries = queries_largerdf.by_category(category)
-    return run_matrix(engines, queries)
+def fig13_largerdfbench(category: str) -> list[RunResult]:
+    federation = largerdf_federation(scale=1.6)
+    engines = make_engines(federation)
+    return run_matrix(engines, queries_largerdf.by_category(category))
 
 
 # --------------------------------------------------------------------------
@@ -324,13 +314,10 @@ def fig14_geo_largerdf(category: str) -> list[RunResult]:
     return run_matrix(engines, queries_largerdf.by_category(category))
 
 
-def fig14c_geo_lubm(config: LusailConfig | None = None) -> list[RunResult]:
+def fig14c_geo_lubm() -> list[RunResult]:
     federation = lubm_federation(2, geo=True)
     engines = make_engines(
-        federation,
-        network_config=geo_distributed_config(),
-        timeout_ms=GEO_TIMEOUT_MS,
-        lusail_config=config,
+        federation, network_config=geo_distributed_config(), timeout_ms=GEO_TIMEOUT_MS
     )
     return run_matrix(engines, lubm.queries())
 
@@ -339,14 +326,13 @@ def fig14c_geo_lubm(config: LusailConfig | None = None) -> list[RunResult]:
 # Sec VI-D — real (Bio2RDF-style) endpoints.
 
 
-def real_endpoints(config: LusailConfig | None = None) -> list[RunResult]:
+def real_endpoints() -> list[RunResult]:
     federation = bio2rdf_federation(geo=True)
     engines = make_engines(
         federation,
         which=("Lusail", "FedX"),
         network_config=geo_distributed_config(),
         timeout_ms=GEO_TIMEOUT_MS,
-        lusail_config=config,
     )
     return run_matrix(engines, bio2rdf.queries())
 

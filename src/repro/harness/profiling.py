@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.endpoint.federation import Federation
-from repro.harness.runner import DEFAULT_TIMEOUT_MS, ENGINE_ORDER, make_engines
+from repro.harness.runner import DEFAULT_TIMEOUT_MS, make_engines
 from repro.net.simulator import NetworkConfig
 from repro.obs.profile import ProfileReport, build_profile_report
 from repro.obs.registry import MetricsRegistry
@@ -68,31 +68,6 @@ def profile_query(
         audit=outcome.audit,
     )
     return ProfiledRun(report=report, root=root, outcome=outcome, registry=registry)
-
-
-def profile_workload(
-    federation: Federation,
-    queries: dict[str, str],
-    which: Sequence[str] = ENGINE_ORDER,
-    network_config: NetworkConfig | None = None,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-    lusail_config=None,
-) -> list[ProfileReport]:
-    """Profile every (engine, query) pair; engines outer, queries inner."""
-    reports: list[ProfileReport] = []
-    for engine_name in which:
-        for query_name, query_text in queries.items():
-            run = profile_query(
-                engine_name,
-                federation,
-                query_name,
-                query_text,
-                network_config=network_config,
-                timeout_ms=timeout_ms,
-                lusail_config=lusail_config,
-            )
-            reports.append(run.report)
-    return reports
 
 
 def reports_to_json(reports: Sequence[ProfileReport]) -> dict:

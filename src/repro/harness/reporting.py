@@ -46,15 +46,6 @@ def results_by_query(results: list[RunResult], engine_order: Sequence[str]) -> s
     return format_table(headers, table_rows)
 
 
-def results_to_json(results: list[RunResult] | list[dict]) -> list[dict]:
-    """Uniform JSON rows for ``repro bench --json``: accepts both the
-    RunResult-based experiments and the plain-dict ones."""
-    return [
-        result.to_dict() if isinstance(result, RunResult) else dict(result)
-        for result in results
-    ]
-
-
 def speedup_summary(results: list[RunResult], baseline: str, target: str) -> str:
     """Per-query speedup of ``target`` over ``baseline`` (ok runs only)."""
     lines = []

@@ -44,11 +44,11 @@ def make_engines(
 ) -> dict[str, FederatedEngine]:
     """Instantiate the requested engines against one federation.
 
-    ``tracer``/``registry`` override the process-wide observability
-    sinks for every created engine (profiling runs pass fresh,
-    isolated instances here).  ``fault_plan``/``resilience`` attach a
-    chaos fault plan and a client recovery policy (see
-    :mod:`repro.faults`) to every created engine.
+    ``tracer``/``registry`` replace each created engine's own
+    observability sinks, so the engines share them (profiling runs pass
+    a fresh enabled tracer and registry here).  ``fault_plan`` /
+    ``resilience`` attach a chaos fault plan and a client recovery
+    policy (see :mod:`repro.faults`) to every created engine.
     """
     factories: dict[str, Callable[[], FederatedEngine]] = {
         "Lusail": lambda: LusailEngine(
@@ -101,20 +101,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (``repro bench --json``)."""
-        return {
-            "engine": self.engine,
-            "query": self.query,
-            "status": self.status,
-            "virtual_ms": round(self.virtual_ms, 6),
-            "wall_ms": round(self.wall_ms, 6),
-            "requests": self.requests,
-            "rows_shipped": self.rows_shipped,
-            "result_rows": self.result_rows,
-            "phase_ms": {k: round(v, 6) for k, v in self.phase_ms.items()},
-        }
 
     def display_time(self) -> str:
         if self.status == "timeout":

@@ -154,7 +154,7 @@ class QueryMetrics:
 
     def endpoint_summary(self) -> dict[str, dict]:
         """Per-endpoint rollup: kind counts, cache hits, rows, bytes, and
-        total virtual busy time (the profile command's summary table)."""
+        total virtual busy time (explain-analyze's per-endpoint table)."""
         summary: dict[str, dict] = {}
         for record in self.records:
             stats = summary.setdefault(

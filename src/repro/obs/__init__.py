@@ -12,9 +12,12 @@ The instrumentation substrate of the reproduction (see
   q-error histograms recorded wherever an estimate drives a choice.
 * :mod:`repro.obs.profile` — post-hoc EXPLAIN ANALYZE: critical-path
   extraction, flamegraph exports, :class:`ProfileReport` artifacts.
-* :mod:`repro.obs.export` — JSONL / Chrome trace sinks, JSON metrics
-  snapshots, and the human-readable renderings behind
-  ``python -m repro profile`` and ``explain-analyze``.
+* :mod:`repro.obs.export` — JSONL / Chrome trace sinks and the
+  per-endpoint and compiled-plan summaries
+  ``python -m repro explain-analyze`` prints.
+
+Each engine owns one tracer and one registry; nothing here is
+process-wide.
 """
 
 from repro.obs.audit import (
@@ -30,10 +33,8 @@ from repro.obs.export import (
     endpoint_summary_table,
     load_trace_jsonl,
     plan_cache_summary,
-    render_span_tree,
     span_to_dict,
     validate_trace,
-    write_metrics_json,
     write_trace_chrome,
     write_trace_jsonl,
 )
@@ -48,8 +49,8 @@ from repro.obs.profile import (
     render_explain_analyze,
     render_q_error_table,
 )
-from repro.obs.registry import HistogramStats, MetricsRegistry, get_default_registry
-from repro.obs.trace import NULL_SPAN, Span, Tracer, get_default_tracer
+from repro.obs.registry import HistogramStats, MetricsRegistry
+from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "AUDIT_COUNTER",
@@ -69,8 +70,6 @@ __all__ = [
     "critical_path_ids",
     "critical_sections",
     "endpoint_summary_table",
-    "get_default_registry",
-    "get_default_tracer",
     "load_trace_jsonl",
     "make_audit",
     "plan_cache_summary",
@@ -78,10 +77,8 @@ __all__ = [
     "q_error_summary",
     "render_explain_analyze",
     "render_q_error_table",
-    "render_span_tree",
     "span_to_dict",
     "validate_trace",
-    "write_metrics_json",
     "write_trace_chrome",
     "write_trace_jsonl",
 ]

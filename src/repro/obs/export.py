@@ -1,16 +1,14 @@
-"""Exporters for traces and metrics.
-
-Three consumers, three formats:
+"""Exporters for traces, and the registry/metrics summaries
+``python -m repro explain-analyze`` prints.
 
 * **JSONL traces** — one span per line (``id``, ``parent_id``, ``name``,
   ``t0_ms``, ``t1_ms``, ``attrs``), depth-first so a parent always
-  precedes its children.  Machine-readable substrate for the benchmark
-  trajectory and for external tooling.
-* **JSON metrics snapshots** — a :class:`~repro.obs.registry.MetricsRegistry`
-  dump the harness can commit as ``BENCH_*.json``.
-* **Human-readable renderings** — the span tree with inclusive /
-  exclusive virtual time and the per-endpoint summary table that
-  ``python -m repro profile`` prints.
+  precedes its children.  Machine-readable substrate for external
+  tooling; :func:`validate_trace` checks one.
+* **Chrome traces** — trace-event JSON for ``chrome://tracing`` and
+  Perfetto.
+* **Human-readable summaries** — the per-endpoint table and the
+  compiled-plan line printed below each engine's q-error table.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ import json
 from typing import Any, Iterable, Sequence
 
 from repro.obs.trace import Span
-
-#: Span attributes promoted into their own tree-view columns.
-_TREE_COLUMNS = ("requests", "rows")
-
 
 # ----------------------------------------------------------------- JSONL
 
@@ -123,48 +117,7 @@ def validate_trace(spans: Sequence[dict[str, Any]]) -> list[str]:
     return problems
 
 
-# ------------------------------------------------------------------ JSON
-
-def write_metrics_json(registry, path: str) -> None:
-    """Dump a metrics registry snapshot (see MetricsRegistry.snapshot)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(registry.snapshot(), stream, indent=2, sort_keys=True)
-        stream.write("\n")
-
-
 # ------------------------------------------------------------ human view
-
-def _attr_text(attrs: dict[str, Any]) -> str:
-    parts = [
-        f"{key}={_jsonable(value)}"
-        for key, value in attrs.items()
-        if key not in _TREE_COLUMNS
-    ]
-    return " ".join(parts)
-
-
-def render_span_tree(root: Span) -> str:
-    """ASCII tree: inclusive/exclusive virtual ms, requests, rows, attrs."""
-    lines = [
-        f"{'span':<44} {'incl_ms':>10} {'excl_ms':>10} {'reqs':>6} {'rows':>8}  attrs"
-    ]
-
-    def visit(span: Span, prefix: str, is_last: bool, is_root: bool) -> None:
-        connector = "" if is_root else ("└─ " if is_last else "├─ ")
-        label = f"{prefix}{connector}{span.name}"
-        requests = span.attrs.get("requests", "")
-        rows = span.attrs.get("rows", "")
-        lines.append(
-            f"{label:<44} {span.inclusive_ms:>10.2f} {span.exclusive_ms:>10.2f} "
-            f"{requests!s:>6} {rows!s:>8}  {_attr_text(span.attrs)}".rstrip()
-        )
-        child_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
-        for index, child in enumerate(span.children):
-            visit(child, child_prefix, index == len(span.children) - 1, False)
-
-    visit(root, "", True, True)
-    return "\n".join(lines)
-
 
 def plan_cache_summary(registry) -> str:
     """One-line compiled-plan summary: cache hit rate + time split.

@@ -324,17 +324,23 @@ _RENDERED_ATTRS = (
 )
 
 
+#: Audited decisions whose estimate is a row count.  The others are
+#: cost units (``join_cost``), rows per binding (``bind_fanout``), a
+#: survival percentage (``strategy``) or per-endpoint probes.
+_ROW_DECISIONS = frozenset({"delay", "bound_join", "branch_rows", "join_rows", "void_estimate"})
+
+
 def _est_act(span: Span) -> str:
-    """``est→act`` row column: prefers audit records, falls back to attrs."""
-    audit_entries = span.attrs.get("audit") or ()
+    """``est→act`` row column: the span's estimated cardinality, else its
+    first row-count audit record; actual rows from ``rows``, else that record."""
     rows = span.attrs.get("rows")
     estimate = span.attrs.get("estimated_cardinality")
     if estimate is None:
-        for entry in audit_entries:
-            if entry.get("endpoint") == "*" or len(audit_entries) == 1:
-                estimate = entry.get("estimated")
+        for entry in span.attrs.get("audit") or ():
+            if entry["decision"] in _ROW_DECISIONS:
+                estimate = entry["estimated"]
                 if rows is None:
-                    rows = entry.get("actual")
+                    rows = entry["actual"]
                 break
     if estimate is None and rows is None:
         return ""

@@ -13,14 +13,16 @@ Metric series are keyed by ``(name, sorted labels)``.  Counters are
 monotonic floats; histograms keep count/sum/min/max plus fixed
 log2-scale buckets, from which approximate p50/p95/p99 are derived —
 still cheap enough to leave always on (the registry never touches
-virtual time), trivially serializable via :meth:`snapshot`.
+virtual time).  There is no process-wide registry: every engine builds
+its own, and whoever wants to read counters across engines (a traced
+run, a ``QueryServer``, the ledger) assigns one to each of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -49,8 +51,7 @@ class HistogramStats:
     Alongside count/sum/min/max, observations fall into fixed log2
     buckets (bucket ``i`` holds values in ``(2**(i-1), 2**i]``), giving
     approximate percentiles without storing samples.  ``min`` and
-    ``max`` are ``None`` while the series is empty — the same empty
-    semantics :meth:`MetricsRegistry.snapshot` exports — so sentinel
+    ``max`` are ``None`` while the series is empty, so sentinel
     infinities never leak into reports.
     """
 
@@ -116,7 +117,7 @@ class HistogramStats:
 
 
 class MetricsRegistry:
-    """Labeled counter / histogram store with snapshot export."""
+    """Labeled counter / histogram store."""
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], float] = {}
@@ -185,43 +186,3 @@ class MetricsRegistry:
             if metric == name
         }
 
-    def __iter__(self) -> Iterator[tuple[str, LabelKey, float]]:
-        for (name, key), value in sorted(self._counters.items()):
-            yield name, key, value
-
-    # --------------------------------------------------------------- export
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready view of every series, sorted for stable diffs."""
-        counters = [
-            {"name": name, "labels": dict(key), "value": value}
-            for (name, key), value in sorted(self._counters.items())
-        ]
-        histograms = [
-            {
-                "name": name,
-                "labels": dict(key),
-                "count": stats.count,
-                "sum": stats.sum,
-                "min": stats.min,
-                "max": stats.max,
-                "p50": stats.p50,
-                "p95": stats.p95,
-                "p99": stats.p99,
-            }
-            for (name, key), stats in sorted(self._histograms.items())
-        ]
-        return {"counters": counters, "histograms": histograms}
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-
-
-#: Process-wide registry engines default to; per-run tooling (the
-#: ``profile`` command, tests) passes its own for isolation.
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def get_default_registry() -> MetricsRegistry:
-    return _DEFAULT_REGISTRY

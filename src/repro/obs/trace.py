@@ -14,7 +14,10 @@ A span whose end was never set closes at the latest child end time.
 Tracing is **disabled by default** and designed to cost nothing when
 off: :meth:`Tracer.span` then returns a shared no-op span, no object is
 allocated per call, and virtual-time accounting is untouched either way
-(spans only *observe* timestamps the engines already compute).
+(spans only *observe* timestamps the engines already compute).  A
+tracer is on or off for its whole life, and there is no process-wide
+one: every engine builds its own disabled tracer, and a traced run
+assigns ``engine.tracer = Tracer(enabled=True)``.
 
 Spans nest through an explicit stack kept by the tracer, which matches
 the single-threaded structure of the virtual-time engines: ``with
@@ -163,18 +166,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._next_id = 1
 
-    # ------------------------------------------------------------- switches
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        """Drop collected spans (open spans survive on the stack)."""
-        self.roots = []
-
     # --------------------------------------------------------------- spans
 
     def span(self, name: str, t0: float | None = None, **attrs: Any) -> SpanLike:
@@ -221,13 +212,3 @@ class Tracer:
     def all_spans(self) -> Iterator[Span]:
         for root in self.roots:
             yield from root.walk()
-
-
-#: Process-wide tracer every engine uses unless given its own.  Disabled
-#: by default; ``repro profile`` and the ``--trace-out`` CLI flags enable
-#: it for the duration of a run.
-_DEFAULT_TRACER = Tracer(enabled=False)
-
-
-def get_default_tracer() -> Tracer:
-    return _DEFAULT_TRACER

@@ -26,8 +26,8 @@ from repro.exceptions import (
 )
 from repro.net.metrics import QueryMetrics
 from repro.net.simulator import NetworkConfig, local_cluster_config
-from repro.obs.registry import get_default_registry
-from repro.obs.trace import get_default_tracer
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.planning.normalize import Branch, NormalizedQuery, normalize
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.relational.kernels import KernelCounters, kernel_runtime
@@ -145,11 +145,11 @@ class FederatedEngine:
         self.caches = caches if caches is not None else EngineCaches()
         self.timeout_ms = timeout_ms
         self.stats = EngineStats()
-        #: Observability sinks.  Default to the process-wide tracer
-        #: (disabled unless a profiling run enables it) and registry;
-        #: assignable after construction for per-run isolation.
-        self.tracer = get_default_tracer()
-        self.registry = get_default_registry()
+        #: Observability sinks: the engine's own disabled tracer and
+        #: registry, assignable after construction (a traced run sets an
+        #: enabled tracer; a server or the ledger shares one registry).
+        self.tracer = Tracer()
+        self.registry = MetricsRegistry()
         #: Fault injection / resilience (see repro.faults).  Both are
         #: assignable after construction, like the observability sinks,
         #: and None by default: the engine then behaves bit-identically

@@ -39,6 +39,7 @@ Kernels are duck-typed over relations (``.vars`` / ``.columns`` /
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -113,12 +114,20 @@ class KernelRuntime:
         )
 
 
-_RUNTIME_STACK: list[KernelRuntime] = [KernelRuntime()]
+class _RuntimeStack(threading.local):
+    """The installed runtimes, one stack per thread: a ``QueryServer``
+    runs each query on its own worker, and workers interleave."""
+
+    def __init__(self) -> None:
+        self.runtimes: list[KernelRuntime] = [KernelRuntime()]
+
+
+_RUNTIME_STACK = _RuntimeStack()
 
 
 def last_join_cost() -> float:
     """Measured cost units of the most recent join under the active runtime."""
-    stats = _RUNTIME_STACK[-1].last_join
+    stats = _RUNTIME_STACK.runtimes[-1].last_join
     return stats.cost_units() if stats is not None else 0.0
 
 
@@ -134,11 +143,11 @@ def kernel_runtime(
         counters=counters if counters is not None else KernelCounters(),
         metrics=metrics,
     )
-    _RUNTIME_STACK.append(runtime)
+    _RUNTIME_STACK.runtimes.append(runtime)
     try:
         yield runtime
     finally:
-        _RUNTIME_STACK.pop()
+        _RUNTIME_STACK.runtimes.pop()
 
 
 # --------------------------------------------------------------- helpers
@@ -307,7 +316,7 @@ class JoinRuns:
 def join(left, right, shared, out_vars) -> "tuple[list[Column] | JoinRuns, int]":
     """Natural join kernel; returns (output, output length), the output
     as :class:`JoinRuns` from the fast path and as columns otherwise."""
-    runtime = _RUNTIME_STACK[-1]
+    runtime = _RUNTIME_STACK.runtimes[-1]
     if not shared:
         return _cross_join(left, right, out_vars, runtime)
 
@@ -457,7 +466,7 @@ def left_join(left, right, shared, out_vars, condition=None) -> tuple[list[Colum
     out as ``out_vars``: a compatible pair it rejects is no match, so a
     left row whose partners all fail is padded once, like one with none.
     """
-    runtime = _RUNTIME_STACK[-1]
+    runtime = _RUNTIME_STACK.runtimes[-1]
     counters = runtime.counters
     pad_width = len(out_vars) - len(left.vars)
 
@@ -610,7 +619,7 @@ def _general_left_join(
 
 def union(left, right, out_vars) -> tuple[list[Column], int]:
     """Multiset union, aligning schemas (missing vars become unbound)."""
-    runtime = _RUNTIME_STACK[-1]
+    runtime = _RUNTIME_STACK.runtimes[-1]
     left_len, right_len = len(left), len(right)
     total = left_len + right_len
     if runtime.max_rows is not None and total > runtime.max_rows:

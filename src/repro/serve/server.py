@@ -149,9 +149,9 @@ class QueryServer:
         self.federation = federation
         self.network_config = network_config or local_cluster_config()
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Serve-level spans only; engines run untraced by default so
-        #: interleaved workers cannot corrupt one span stack.
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        #: Serve-level spans only; each engine has its own (disabled)
+        #: tracer, so interleaved workers never share one span stack.
+        self.tracer = tracer if tracer is not None else Tracer()
         self.fault_plan = fault_plan
         self.resilience = resilience
         #: Probe/plan caches shared by every admitted query — concurrent
@@ -184,14 +184,12 @@ class QueryServer:
     # -------------------------------------------------------- construction
 
     def _default_engine(self):
-        engine = LusailEngine(
+        return LusailEngine(
             self.federation,
             network_config=self.network_config,
             caches=self.caches,
             timeout_ms=None,
         )
-        engine.tracer = Tracer(enabled=False)
-        return engine
 
     def _query_info(self, text: str) -> tuple:
         """Parse + canonical cache key, memoized per distinct text."""

@@ -3,6 +3,8 @@
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.cli as cli_module
 from repro.cli import main as cli_main
 from repro.datasets import lubm
-from repro.harness import ENGINE_ORDER, RunResult, make_engines
+from repro.harness import ENGINE_ORDER, make_engines
 from repro.net import metrics as metrics_module
 from repro.net.metrics import REQUEST_KINDS
 from repro.obs import (
@@ -21,10 +24,8 @@ from repro.obs import (
     Tracer,
     endpoint_summary_table,
     load_trace_jsonl,
-    render_span_tree,
     span_to_dict,
     validate_trace,
-    write_metrics_json,
     write_trace_jsonl,
 )
 
@@ -122,15 +123,6 @@ class TestTracer:
         assert root.find("subquery")[0].t1_ms == pytest.approx(4.5)
         assert root.find("execution")[0].t1_ms == pytest.approx(4.5)
 
-    def test_clear_drops_roots(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("x", t0=0.0) as span:
-            span.end(1.0)
-        tracer.clear()
-        assert tracer.roots == []
-        assert list(tracer.all_spans()) == []
-
-
 # ------------------------------------------------------------------- registry
 
 
@@ -166,24 +158,6 @@ class TestMetricsRegistry:
         only_a = registry.histogram("request_virtual_ms", endpoint="a")
         assert only_a.count == 2
         assert only_a.mean == pytest.approx(3.0)
-
-    def test_snapshot_and_reset(self):
-        registry = MetricsRegistry()
-        registry.inc("queries_total", engine="Lusail", status="ok")
-        registry.observe("request_virtual_ms", 1.5, endpoint="a", kind="ask")
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == [
-            {
-                "name": "queries_total",
-                "labels": {"engine": "Lusail", "status": "ok"},
-                "value": 1.0,
-            }
-        ]
-        assert snapshot["histograms"][0]["count"] == 1
-        json.dumps(snapshot)  # JSON-ready
-        registry.reset()
-        assert registry.snapshot() == {"counters": [], "histograms": []}
-
 
 # ------------------------------------------------------------------ exporters
 
@@ -235,16 +209,6 @@ class TestExport:
         assert any("negative duration" in p for p in validate_trace(negative))
         rootless = [dict(ok[1])]
         assert any("no root" in p for p in validate_trace(rootless))
-
-    def test_render_span_tree(self):
-        tracer = _sample_tracer()
-        text = render_span_tree(tracer.roots[0])
-        assert "query" in text and "source_selection" in text
-        assert "└─" in text  # tree connectors
-        lines = text.splitlines()
-        assert lines[0].startswith("span")
-        assert "incl_ms" in lines[0]
-
 
 # ---------------------------------------------------------------- integration
 
@@ -386,13 +350,17 @@ class TestEngineIntegration:
         assert paths[0][1] == paths[1][1]
 
     def test_disabled_default_tracer_collects_nothing(self, tiny_lubm):
-        from repro.obs import get_default_tracer
-
-        tracer = get_default_tracer()
-        before = len(tracer.roots)
-        engines = make_engines(tiny_lubm, which=("Lusail",))
-        assert engines["Lusail"].execute(lubm.queries()["Q4"]).ok
-        assert len(tracer.roots) == before
+        # A fresh engine's tracer is its own and disabled: it collects
+        # nothing, and no two engines share a tracer or a registry.
+        engine, other = (
+            make_engines(tiny_lubm, which=("Lusail",))["Lusail"] for __ in range(2)
+        )
+        assert not engine.tracer.enabled
+        assert engine.execute(lubm.queries()["Q4"]).ok
+        assert engine.tracer.roots == []
+        assert other.tracer is not engine.tracer
+        assert other.registry is not engine.registry
+        assert other.registry.counter_value("queries_total") == 0
 
     def test_all_engines_report_into_shared_registry(self, tiny_lubm):
         __, registry, outcomes = _run_traced(tiny_lubm, ENGINE_ORDER, Q1_FILTERED)
@@ -464,21 +432,50 @@ TINY_ARGS = ["--benchmark", "lubm", "--endpoints", "2", "--profile", "tiny"]
 
 class TestCli:
     def test_profile_command(self, tmp_path, capsys):
+        # The one traced-query command: the annotated tree, then what each
+        # layer did, then the trace file and the ProfileReport JSON.
         trace_path = str(tmp_path / "trace.jsonl")
-        json_path = str(tmp_path / "metrics.json")
+        json_path = str(tmp_path / "reports.json")
         code = cli_main(
-            ["profile", *TINY_ARGS, "--name", "Q4",
+            ["explain-analyze", *TINY_ARGS, "--name", "Q4",
              "--trace-out", trace_path, "--json", json_path]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "span" in out and "source_selection" in out
         assert "status: ok" in out
+        for line in (
+            "busy_ms",
+            "probe caches (hits/lookups)",
+            "mediator join kernels:",
+            "endpoint plans:",
+            "metadata requests per query:",
+            "request latency (virtual ms): p50",
+            "endpoint lane utilization:",
+        ):
+            assert line in out, line
         spans = load_trace_jsonl(trace_path)
         assert spans and validate_trace(spans) == []
-        snapshot = json.loads((tmp_path / "metrics.json").read_text())
-        names = {counter["name"] for counter in snapshot["counters"]}
-        assert "requests_total" in names and "queries_total" in names
+        (report,) = json.loads((tmp_path / "reports.json").read_text())["reports"]
+        assert report["engine"] == "Lusail" and report["status"] == "ok"
+        assert report["span_count"] == len(spans)
+
+    def test_trace_out_needs_one_engine(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        code = cli_main(
+            ["explain-analyze", *TINY_ARGS, "--name", "Q4", "--engine", "all",
+             "--trace-out", str(trace_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("repro: error: --trace-out")
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "profile"])
+    def test_removed_commands_are_invalid_choices(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, "--help"])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_query_trace_and_json_flags(self, tmp_path, capsys):
         trace_path = str(tmp_path / "q.jsonl")
@@ -495,59 +492,46 @@ class TestCli:
         assert summary["requests"] > 0
         assert set(summary["requests_by_kind"]) <= set(REQUEST_KINDS)
 
-    def test_bench_json_dict_rows(self, tmp_path, monkeypatch, capsys):
-        from repro.harness import experiments
 
-        rows = [{"query": "X", "endpoints": 1, "virtual_ms": 1.5, "requests": 2,
-                 "status": "ok"}]
-        monkeypatch.setattr(experiments, "fig03_fedx_sensitivity", lambda: rows)
-        json_path = str(tmp_path / "bench.json")
-        code = cli_main(["bench", "--experiment", "fig03", "--json", json_path])
-        assert code == 0
-        payload = json.loads((tmp_path / "bench.json").read_text())
-        assert payload["experiment"] == "fig03"
-        assert payload["rows"] == rows
+REPO = Path(__file__).resolve().parents[1]
 
-    def test_bench_json_run_results(self, tmp_path, monkeypatch, capsys):
-        from repro.harness import experiments
 
-        results = [
-            RunResult(engine="Lusail", query="C2", status="ok", virtual_ms=12.5,
-                      wall_ms=1.0, requests=7, rows_shipped=40, result_rows=3),
-            RunResult(engine="FedX", query="C2", status="timeout", virtual_ms=60000.0,
-                      wall_ms=2.0, requests=900, rows_shipped=0, result_rows=0),
-        ]
-        monkeypatch.setattr(experiments, "fig11_qfed", lambda config=None: results)
-        json_path = str(tmp_path / "bench.json")
-        code = cli_main(["bench", "--experiment", "fig11", "--json", json_path])
-        assert code == 0
-        payload = json.loads((tmp_path / "bench.json").read_text())
-        assert [row["engine"] for row in payload["rows"]] == ["Lusail", "FedX"]
-        assert payload["rows"][1]["status"] == "timeout"
-        out = capsys.readouterr().out
-        assert "TIMEOUT" in out
+def _documented_commands() -> list[str]:
+    """Every ``python -m repro ...`` line in the fenced code blocks of the
+    README, ``docs/*.md`` and the repository's skill notes (``SKILL.md``),
+    and in the CLI docstring's examples, with backslash continuations
+    joined."""
+    paths = [
+        REPO / "README.md",
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted(REPO.glob(".*/skills/*/SKILL.md")),
+    ]
+    blocks = [
+        block
+        for path in paths
+        for block in re.findall(r"^\s*```[^\n]*\n(.*?)^\s*```", path.read_text(), re.M | re.S)
+    ]
+    blocks.append(cli_module.__doc__.split("Examples::", 1)[1])
+    commands = []
+    for block in blocks:
+        for line in re.sub(r"\\\n", " ", block).splitlines():
+            match = re.search(r"python3? -m repro (.*)", line)
+            if match:
+                commands.append(match.group(1))
+    return commands
 
-    def test_bench_trace_out(self, tmp_path, monkeypatch, capsys):
-        from repro.harness import experiments
-        from repro.obs import get_default_tracer
 
-        def fake_experiment():
-            engines = make_engines(
-                lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42),
-                which=("Lusail",),
-            )
-            outcome = engines["Lusail"].execute(lubm.queries()["Q4"])
-            return [{"query": "Q4", "virtual_ms": outcome.metrics.virtual_ms,
-                     "status": outcome.status}]
-
-        monkeypatch.setattr(experiments, "fig03_fedx_sensitivity", fake_experiment)
-        trace_path = str(tmp_path / "bench_trace.jsonl")
-        code = cli_main(["bench", "--experiment", "fig03", "--trace-out", trace_path])
-        assert code == 0
-        assert not get_default_tracer().enabled  # switched back off
-        spans = load_trace_jsonl(trace_path)
-        assert spans and validate_trace(spans) == []
-        assert any(span["attrs"].get("engine") == "Lusail" for span in spans)
+def test_documented_commands_parse(capsys):
+    commands = _documented_commands()
+    assert len(commands) > 20  # the walk really finds the docs' examples
+    parser = cli_module.build_parser()
+    refused = []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True))
+        except SystemExit:
+            refused.append(f"{command}\n    {capsys.readouterr().err.strip().splitlines()[-1]}")
+    assert not refused, "documented commands argparse refuses:\n  " + "\n  ".join(refused)
 
 
 # ------------------------------------------------------- documented names

@@ -537,7 +537,7 @@ class TestStrategyCli:
         from repro.cli import main as cli_main
 
         code = cli_main(
-            ["profile", *self.TINY_ARGS, "--name", "Q4", "--strategy", "partial"]
+            ["explain-analyze", *self.TINY_ARGS, "--name", "Q4", "--strategy", "partial"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.datasets import lubm
-from repro.harness import profile_query, profile_workload, reports_to_json
+from repro.harness import profile_query, reports_to_json
 from repro.obs import (
     AUDIT_COUNTER,
     NULL_AUDIT,
@@ -117,8 +117,9 @@ class TestHistogramPercentiles:
     def test_snapshot_includes_percentiles(self):
         registry = MetricsRegistry()
         registry.observe("request_virtual_ms", 2.0, endpoint="a")
-        entry = registry.snapshot()["histograms"][0]
-        assert {"min", "max", "p50", "p95", "p99"} <= set(entry)
+        stats = registry.histogram("request_virtual_ms")
+        for value in (stats.min, stats.max, stats.p50, stats.p95, stats.p99):
+            assert value == pytest.approx(2.0)
 
 
 # -------------------------------------------------------------- critical path
@@ -299,11 +300,8 @@ print(json.dumps(rows))
 
     def test_baseline_engines_audit_too(self, tiny_lubm):
         reports = {
-            report.engine: report
-            for report in profile_workload(
-                tiny_lubm, {"Q4": lubm.queries()["Q4"]},
-                which=("FedX", "SPLENDID"),
-            )
+            engine: profile_query(engine, tiny_lubm, "Q4", lubm.queries()["Q4"]).report
+            for engine in ("FedX", "SPLENDID")
         }
         assert "probe_order" in reports["FedX"].q_error
         assert "void_estimate" in reports["SPLENDID"].q_error
@@ -316,6 +314,15 @@ print(json.dumps(rows))
         table = render_q_error_table(lusail_run.report.q_error)
         assert "sape_cardinality" in table and "p95" in table
         assert "no audited estimates" in render_q_error_table({})
+
+    def test_est_act_reads_row_counts_only(self, lusail_run):
+        # The execution span carries the strategy picker's survival
+        # percentage (23.171) first and the branch_rows record after it:
+        # the column shows rows, 66 estimated and 20 produced.
+        lines = render_explain_analyze(lusail_run.root).splitlines()
+        (execution,) = [line for line in lines if "─ execution " in line]
+        assert "66→20" in execution.split()
+        assert "23.171" not in execution
 
 
 class TestAuditNeutrality:
@@ -379,7 +386,7 @@ class TestExplainAnalyzeCli:
             assert f"== {engine} ==" in out
 
     def test_profile_shows_latency_percentiles(self, capsys):
-        code = cli_main(["profile", *TINY_ARGS, "--name", "Q4"])
+        code = cli_main(["explain-analyze", *TINY_ARGS, "--name", "Q4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "request latency (virtual ms): p50" in out
@@ -387,7 +394,7 @@ class TestExplainAnalyzeCli:
     def test_chrome_trace_format(self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.chrome.json")
         code = cli_main(
-            ["profile", *TINY_ARGS, "--name", "Q4",
+            ["explain-analyze", *TINY_ARGS, "--name", "Q4",
              "--trace-out", trace_path, "--trace-format", "chrome"]
         )
         assert code == 0
@@ -402,7 +409,7 @@ _REFUSED_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("command", ["query", "explain", "profile", "explain-analyze"])
+@pytest.mark.parametrize("command", ["query", "explain", "explain-analyze"])
 @pytest.mark.parametrize("kind", sorted(_REFUSED_QUERIES))
 def test_refused_query_is_one_error_line_and_status_2(command, kind, tmp_path, capsys):
     """A non-SELECT or unparsable query file is bad input: every

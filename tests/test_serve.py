@@ -152,6 +152,34 @@ class TestServing:
         assert (cache.hits, cache.misses, cache.invalidations, len(cache)) == (580, 20, 0, 14)
         assert server.mqo_subquery_hits == 3
 
+    def test_workers_keep_their_own_kernel_runtime(self):
+        # Every query runs on its own worker thread and parks at the gate
+        # inside its mediator runtime: with one process-wide runtime stack
+        # the workers popped each other's runtimes and lost kernel counts
+        # (17/29/26/5 build/probe/emitted/fast here instead of 22/35/31/8).
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
+        queries = queries_lubm.queries()
+        registry = MetricsRegistry()
+        records = QueryServer(federation, registry=registry).run(
+            generate_arrivals(queries, TrafficConfig(requests=200, tenants=4, seed=1))
+        )
+        serial = MetricsRegistry()
+        executed = [record.name for record in records if record.path == "executed"]
+        for name in executed:
+            engine = LusailEngine(federation)
+            engine.registry = serial
+            assert engine.execute(queries[name]).ok
+        assert len(executed) == 14
+        for metric in (
+            "mediator_kernel_build_rows_total",
+            "mediator_kernel_probe_rows_total",
+            "mediator_kernel_rows_emitted_total",
+            "mediator_kernel_fast_dispatches_total",
+            "mediator_kernel_general_dispatches_total",
+        ):
+            assert registry.counter_value(metric) == serial.counter_value(metric), metric
+        assert serial.counter_value("mediator_kernel_build_rows_total") == 22
+
     def test_per_tenant_quota_keeps_other_tenants_responsive(self, lubm4):
         queries = queries_lubm.queries()
         names = sorted(queries)
