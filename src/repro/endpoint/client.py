@@ -248,12 +248,26 @@ class FederationClient:
         with the request kind, separating the bound-join hot path (where
         skeletons repeat and hits are expected) from one-shot check /
         COUNT probes (client-cached, so each skeleton compiles once).
+        The member sets the request's plans built in the endpoint's
+        store (:meth:`Endpoint.member_stats`) are attributed the same way.
         """
         before = endpoint.plan_stats()
+        members_before = endpoint.member_stats()
         result = run()
         after = endpoint.plan_stats()
+        members_after = endpoint.member_stats()
         registry = self.registry
         engine = self.engine
+        member_sets = members_after[0] - members_before[0]
+        if member_sets:
+            registry.inc(
+                "member_sets_built_total", member_sets,
+                engine=engine, endpoint=endpoint.name, kind=kind,
+            )
+            registry.inc(
+                "member_set_ids_total", members_after[1] - members_before[1],
+                engine=engine, endpoint=endpoint.name, kind=kind,
+            )
         hits = after[0] - before[0]
         misses = after[1] - before[1]
         evictions = after[2] - before[2]

@@ -280,6 +280,15 @@ class Endpoint:
             self.plan_execute_s,
         )
 
+    def member_stats(self) -> tuple[int, int]:
+        """(member sets built, ids put in them) snapshot, cumulative.
+
+        The store's membership memo (:meth:`TripleStore.member_set`)
+        trades memory for plan execution time; the federation client
+        diffs snapshots around a request, as for :meth:`plan_stats`.
+        """
+        return self.store.member_sets_built, self.store.member_ids_built
+
     def charset_summary(self):
         """The endpoint's current characteristic-set summary.
 

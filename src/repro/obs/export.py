@@ -120,10 +120,11 @@ def validate_trace(spans: Sequence[dict[str, Any]]) -> list[str]:
 # ------------------------------------------------------------ human view
 
 def plan_cache_summary(registry) -> str:
-    """One-line compiled-plan summary: cache hit rate + time split.
+    """One-line compiled-plan summary: cache hit rate, member sets built,
+    time split.
 
-    Sources the ``plan_cache_*_total`` counters and the
-    ``endpoint_plan_{compile,execute}_seconds`` histograms the
+    Sources the ``plan_cache_*_total`` and ``member_set*_total`` counters
+    and the ``endpoint_plan_{compile,execute}_seconds`` histograms the
     federation client mirrors from endpoints.  Empty string when no
     endpoint evaluation happened (e.g. a purely cached run).
     """
@@ -133,12 +134,15 @@ def plan_cache_summary(registry) -> str:
     if not lookups:
         return ""
     evictions = int(registry.counter_value("plan_cache_evictions_total"))
+    member_sets = int(registry.counter_value("member_sets_built_total"))
+    member_ids = int(registry.counter_value("member_set_ids_total"))
     rate = hits / lookups
     compile_stats = registry.histogram("endpoint_plan_compile_seconds")
     execute_stats = registry.histogram("endpoint_plan_execute_seconds")
     return (
         f"endpoint plans: {hits}/{lookups} cache hits ({rate:.0%}), "
-        f"{misses} compiled, {evictions} evicted; "
+        f"{misses} compiled, {evictions} evicted, "
+        f"{member_sets} member sets built ({member_ids} ids); "
         f"compile {compile_stats.sum * 1e3:.2f} ms, "
         f"execute {execute_stats.sum * 1e3:.2f} ms wall"
     )

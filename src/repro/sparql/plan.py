@@ -37,9 +37,16 @@ probes read index streams in chunks of 1, 2, 4, … up to
 :data:`LAZY_CHUNK_LIMIT` matches and hand on each chunk, so draining
 stops after the first batch (:meth:`_GroupPlan.matches`) or at LIMIT.
 
+Semi-join and intersect steps test membership in the store's member
+sets (:meth:`~repro.store.triple_store.TripleStore.member_set`): one
+third-position range as a ``set``, built on first use and kept by the
+store until its next write, so every plan on the store shares it and the
+plans themselves hold no per-version state beyond the probes' memos.
+
 Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
-caches must drop plans whose :attr:`CompiledPlan.valid` is False.
+caches must drop plans whose :attr:`CompiledPlan.valid` is False, and
+executing such a plan raises :class:`~repro.exceptions.EvaluationError`.
 
 Nothing here is interpretive per row or per request.  The group
 interpreter in :mod:`repro.sparql.evaluator` is the correctness oracle
@@ -49,7 +56,6 @@ compiled results match it on randomized queries.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -238,8 +244,9 @@ class _ProbeOp:
     column is nullable (OPTIONAL / UNDEF upstream): a ``None`` there
     means the match must be written back into the slot.  In the default
     (cached) mode, matches are memoized per lookup key **on the plan
-    itself** — the plan is pinned to one store version, so memos can
-    never go stale within its lifetime, and bound-join blocks that share
+    itself** — the plan is pinned to one store version and refuses to
+    run once the store has moved on (:meth:`CompiledPlan._bind`), so
+    memos can never go stale, and bound-join blocks that share
     join-variable values (same advisor, same course) reuse them across
     executions.  In ``lazy`` mode the probe reads the index iterator in
     growing chunks and hands rows on after each, so ASK / LIMIT /
@@ -376,7 +383,7 @@ def _range_finder(store: TripleStore, op: _ProbeOp, position: int):
     ``position`` (0 subject, 2 object) of ``op``'s pattern once its
     constant predicate and its other position — the *key*, a constant or
     a column of ``row`` — are fixed.  One store lookup per distinct key
-    (:meth:`TripleStore.subject_range` / ``object_range``)."""
+    (:meth:`TripleStore.subject_range` / ``object_range``) per batch."""
     lookup = store.subject_range if position == 0 else store.object_range
     predicate = op.consts[1]
     key_slot = op.slots[2 - position]
@@ -395,8 +402,22 @@ def _range_finder(store: TripleStore, op: _ProbeOp, position: int):
     return find
 
 
-def _span(found: tuple) -> int:
-    """Length of a ``(values, lo, hi)`` candidate range."""
+def _member_finder(store: TripleStore, op: _ProbeOp, position: int):
+    """``row -> set``: the same ids as :func:`_range_finder`'s range, as
+    the store's memoised :meth:`TripleStore.member_set`, for membership
+    tests."""
+    member_set = store.member_set
+    predicate = op.consts[1]
+    key_slot = op.slots[2 - position]
+    if key_slot is None:
+        key = op.consts[2 - position]
+        return lambda row: member_set(position, predicate, key)
+    return lambda row: member_set(position, predicate, row[key_slot])
+
+
+def _step_span(step: tuple) -> int:
+    """Length of the ``(values, lo, hi)`` candidate range leading ``step``."""
+    found = step[0]
     return found[2] - found[1]
 
 
@@ -408,10 +429,11 @@ class _SemiJoinOp(_ProbeOp):
     column (at least one column, none twice), in a pipeline that runs
     list-at-a-time (:attr:`_Compiler.batch`).  Such a
     probe only keeps or drops rows, so it filters its input list in
-    order: one sorted run range per distinct key, one ``bisect`` per row
-    inside it — no match lists, nothing memoised.  Of two columns the
-    later-bound one is tested: it varies fastest down a pipeline, which
-    leaves the fewest distinct keys to look up.
+    order: a row stays when its tested column is in the store's member
+    set for the row's key (:meth:`TripleStore.member_set`) — no match
+    lists, nothing held by the plan.  Of two columns the later-bound one
+    is tested: it varies fastest down a pipeline, which leaves the fewest
+    distinct keys, and so the fewest member sets.
     """
 
     __slots__ = ("test_position", "test_slot")
@@ -425,15 +447,9 @@ class _SemiJoinOp(_ProbeOp):
 
     def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
         test_slot = self.test_slot
+        member = _member_finder(ctx.store, self, self.test_position)
         for rows in batches:
-            find = _range_finder(ctx.store, self, self.test_position)
-            out: list = []
-            for row in rows:
-                values, lo, hi = find(row)
-                value = row[test_slot]
-                at = bisect_left(values, value, lo, hi)
-                if at < hi and values[at] == value:
-                    out.append(row)
+            out = [row for row in rows if row[test_slot] in member(row)]
             if out:
                 yield out
 
@@ -448,9 +464,10 @@ class _IntersectOp:
     semi-joins on that variable that directly follow it (:func:`_fuse`).
     Per input row every member pattern names an ascending candidate
     range for the variable; the step walks the smallest and tests the
-    others, most selective first, by ``bisect`` — the variable-at-a-time
-    step of a leapfrog join.  All ranges being ascending, it emits
-    exactly the rows expand-then-check emits, in the same order.
+    others, most selective first, against their member sets
+    (:meth:`TripleStore.member_set`) — the variable-at-a-time step of a
+    leapfrog join.  The walked range being ascending, it emits exactly
+    the rows expand-then-check emits, in the same order.
     ``members`` stay runnable one by one: the probe audit reports them
     per pattern.
     """
@@ -463,28 +480,27 @@ class _IntersectOp:
         self._positions = (first.new_positions[0], *(op.test_position for op in checks))
 
     def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        store = ctx.store
+        members = [
+            _member_finder(store, member, position)
+            for member, position in zip(self.members, self._positions)
+        ]
         for rows in batches:
             finders = [
-                _range_finder(ctx.store, member, position)
+                _range_finder(store, member, position)
                 for member, position in zip(self.members, self._positions)
             ]
             out: list = []
             for row in rows:
-                (values, lo, hi), *others = sorted([find(row) for find in finders], key=_span)
+                ((values, lo, hi), __), *others = sorted(
+                    [(find(row), member) for find, member in zip(finders, members)],
+                    key=_step_span,
+                )
                 found = values[lo:hi]
-                for other, start, stop in others:
+                for __, member in others:
                     if not found:
                         break
-                    # Candidates ascend, so the tested range only shrinks:
-                    # nothing in it lies above the last candidate, and each
-                    # search starts where the previous one ended.
-                    stop = bisect_right(other, found[-1], start, stop)
-                    found = [
-                        value
-                        for value in found
-                        if (start := bisect_left(other, value, start, stop)) < stop
-                        and other[start] == value
-                    ]
+                    found = list(filter(member(row).__contains__, found))
                 out.extend([row + (value,) for value in found])
             if out:
                 yield out
@@ -786,8 +802,8 @@ class _Compiler:
         self.dictionary = store.dictionary
         self.lazy = lazy
         #: Whether the compiled operators receive whole row lists.  The
-        #: semi-join and intersect kernels pay one range lookup per
-        #: distinct key per batch, which only a long list amortises: lazy
+        #: semi-join and intersect kernels pay a range or member-set
+        #: lookup per distinct key, which only a long list amortises: lazy
         #: plans move small chunks and OPTIONAL sub-plans one row at a
         #: time, where the generic probe's plan-lifetime memo is the
         #: better kernel.
@@ -1423,8 +1439,15 @@ class CompiledPlan:
 
         Which parameter columns hold UNDEF is read off the block itself:
         none selects :attr:`core`; otherwise those columns key a variant
-        that treats just them as possibly unbound.
+        that treats just them as possibly unbound.  A plan the store has
+        moved past (:attr:`valid` False) raises instead: its order and
+        its probes' match memos describe data that is gone.
         """
+        if not self.valid:
+            raise EvaluationError(
+                f"stale plan: compiled at store version {self.store_version}, "
+                f"store is at {self.store.version}; recompile it"
+            )
         params = self._resolve_params(params)
         dictionary = self.store.dictionary
         if not any(None in row for block in params for row in block):

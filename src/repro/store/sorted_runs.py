@@ -209,8 +209,7 @@ class SortedRunIndex:
 
         The probe kernels' primitive: ``values`` is the run column itself
         whenever the prefix has neither tail rows nor tombstones (no copy),
-        so a membership test is one ``bisect_left(values, v, lo, hi)`` and
-        a walk is one slice; a prefix with deltas gets its merged list.
+        so a walk is one slice; a prefix with deltas gets its merged list.
         """
         lo, hi = self._bounds((first, second))
         if not self.is_compact:

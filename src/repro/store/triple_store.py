@@ -11,9 +11,11 @@ Each permutation is a :class:`~repro.store.sorted_runs.SortedRunIndex` —
 three parallel ``array('q')`` columns sorted lexicographically, probed
 with binary searches.  Every ``match_ids`` result comes back sorted in
 the probing permutation's order (see :meth:`TripleStore.match_order`),
-which is what the compiled plans' intersect steps walk and bisect,
-and bulk loads build each permutation with one list sort instead of
-per-row index maintenance.
+which is what the compiled plans' intersect steps walk, and bulk loads
+build each permutation with one list sort instead of per-row index
+maintenance.  The plans' membership tests read
+:meth:`TripleStore.member_set`: one third-position range as a ``set``,
+built on first use and kept until the next write.
 
 The public API still speaks :class:`~repro.rdf.terms.Term`; the id-space
 surface (``match_ids`` / ``count_ids`` / ``scan_ids`` and
@@ -56,6 +58,12 @@ MATCH_ORDERS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
     (False, False, False): (0, 1, 2),
 }
 
+#: The member-set memo (:meth:`TripleStore.member_set`) is cleared once
+#: the sets it holds would exceed this many ids in all (~64 bytes each):
+#: a plain clear, like the plans' match memos, keeps the lookup cheap.
+#: A 118k-triple LUBM endpoint holds ~60k ids after the ledger's lubm_crossing queries.
+MEMBER_SET_ID_LIMIT = 1 << 18
+
 
 class TripleStore:
     """A set of triples with id-keyed SPO / POS / OSP permutation indexes.
@@ -91,10 +99,20 @@ class TripleStore:
         # subjects/objects, distinct objects per predicate), memoized per
         # data version.
         self._stats_cache: dict = {}
+        # Member sets, (position, predicate id, key id) -> set of ids,
+        # memoized per data version (member_set), with the ids they hold.
+        self._member_sets: dict[tuple[int, int, int], set[int]] = {}
+        self._member_ids = 0
+        #: Member sets built and the ids put in them, cumulative over
+        #: the store's lifetime (:meth:`Endpoint.member_stats`).
+        self.member_sets_built = 0
+        self.member_ids_built = 0
 
     def _bump(self) -> None:
         self.version += 1
         self._stats_cache.clear()
+        self._member_sets.clear()
+        self._member_ids = 0
 
     def __len__(self) -> int:
         return self._size
@@ -286,13 +304,38 @@ class TripleStore:
     def subject_range(self, p: int, o: int) -> tuple[Sequence[int], int, int]:
         """``(values, lo, hi)``: ``values[lo:hi]`` are the subjects of
         ``(?, p, o)``, ascending — the POS run column itself when the
-        prefix has no pending writes, so membership is one ``bisect``
-        (:meth:`SortedRunIndex.third_range`)."""
+        prefix has no pending writes (:meth:`SortedRunIndex.third_range`),
+        so walking it is one slice."""
         return self._pos.third_range(p, o)
 
     def object_range(self, p: int, s: int) -> tuple[Sequence[int], int, int]:
         """Like :meth:`subject_range`, for the objects of ``(s, p, ?)`` on SPO."""
         return self._spo.third_range(s, p)
+
+    def member_set(self, position: int, p: int, key: int) -> set[int]:
+        """The ids of one third-position range as a ``set``: the subjects
+        of ``(?, p, key)`` (``position`` 0) or the objects of
+        ``(key, p, ?)`` (``position`` 2).
+
+        The compiled plans' membership test.  A set is built on first use
+        and kept until the next write, so every plan on this store shares
+        it; past :data:`MEMBER_SET_ID_LIMIT` ids in all the memo starts
+        over.  Callers must not mutate the set.
+        """
+        memo_key = (position, p, key)
+        found = self._member_sets.get(memo_key)
+        if found is None:
+            lookup = self.subject_range if position == 0 else self.object_range
+            values, lo, hi = lookup(p, key)
+            found = set(values[lo:hi])
+            if self._member_ids + len(found) > MEMBER_SET_ID_LIMIT:
+                self._member_sets.clear()
+                self._member_ids = 0
+            self._member_sets[memo_key] = found
+            self._member_ids += len(found)
+            self.member_sets_built += 1
+            self.member_ids_built += len(found)
+        return found
 
     def scan_ids(self, order: str = "spo") -> Iterator[IdTriple]:
         """Full scan of ``(s, p, o)`` id triples sorted by a permutation.

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.endpoint import Endpoint
+from repro.exceptions import EvaluationError
 from repro.endpoint.cache import (
     LRUCache,
     MISSING,
@@ -426,6 +427,21 @@ class TestPlanCache:
         assert fresh.valid
         rows = fresh.execute_select().rows
         assert (_iri("studentX"), _iri("profX")) in rows
+
+
+    def test_stale_plan_refuses_to_run(self):
+        # Before the guard the second execution still returned one row,
+        # served from the probe's match memo of the old data.
+        store = TripleStore()
+        store.add(Triple(_iri("student0"), ADVISOR, _iri("prof0")))
+        plan = self._plan(store, ADVISOR)
+        assert len(plan.execute_select().rows) == 1
+        store.add(Triple(_iri("student1"), ADVISOR, _iri("prof1")))
+        assert not plan.valid
+        for run in (plan.execute_select, plan.execute, plan.audit_probes):
+            with pytest.raises(EvaluationError, match="stale plan"):
+                run()
+        assert len(self._plan(store, ADVISOR).execute_select().rows) == 2
 
 
 class TestLRUCacheBounds:

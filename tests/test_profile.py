@@ -22,6 +22,7 @@ from repro.obs import (
     critical_path,
     critical_sections,
     make_audit,
+    plan_cache_summary,
     q_error,
     q_error_summary,
     render_explain_analyze,
@@ -323,6 +324,26 @@ print(json.dumps(rows))
         (execution,) = [line for line in lines if "─ execution " in line]
         assert "66→20" in execution.split()
         assert "23.171" not in execution
+
+
+class TestMemberSets:
+    def test_endpoint_plans_line_counts_this_requests_member_sets(self):
+        # Q1's endpoint plans test ?x, ?y and ?z against member sets the
+        # stores build on first use and keep until their next write: the
+        # first run's line counts what it built, a second run on the same
+        # stores builds none.
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
+        first = profile_query("Lusail", federation, "Q1", lubm.queries()["Q1"])
+        sets = first.registry.counter_value("member_sets_built_total")
+        ids = first.registry.counter_value("member_set_ids_total")
+        assert sets > 0 and ids >= sets
+        assert sum(endpoint.member_stats()[0] for endpoint in federation) == sets
+        assert sum(endpoint.member_stats()[1] for endpoint in federation) == ids
+        line = plan_cache_summary(first.registry)
+        assert f"{int(sets)} member sets built ({int(ids)} ids)" in line
+        again = profile_query("Lusail", federation, "Q1", lubm.queries()["Q1"])
+        assert again.report.result_rows == first.report.result_rows
+        assert "0 member sets built (0 ids)" in plan_cache_summary(again.registry)
 
 
 class TestAuditNeutrality:

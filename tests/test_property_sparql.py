@@ -10,8 +10,10 @@ from collections import Counter
 from itertools import product
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import EvaluationError
 from repro.rdf import IRI, Triple, TriplePattern, Variable
 from repro.sparql.ast import BGP, GroupPattern, SelectQuery
 from repro.sparql.evaluator import _Evaluator, evaluate_select
@@ -397,12 +399,17 @@ def test_compiled_ask_matches_interpretive(triples, patterns):
 # Probe kernels vs the generic probe path.
 #
 # A fully bound probe compiles to a semi-join, and a probe binding one
-# variable plus the semi-joins on it to one intersect step; both read the
-# sorted runs directly.  On cyclic and star BGPs, over stores that carry
-# tail rows and tombstones, the kernels must return the interpreter
-# oracle's multiset and — row for row, in order — what the same probes
-# return when each runs alone through the generic ``_ProbeOp`` path.
-# Shapes the kernels do not cover must keep compiling to generic probes.
+# variable plus the semi-joins on it to one intersect step; both walk the
+# sorted runs and test membership in the store's member sets.  On cyclic
+# and star BGPs, over stores that carry tail rows and tombstones (so a
+# range is a merged list, not the run column), the kernels must return
+# the interpreter oracle's multiset and — row for row, in order — what
+# the same probes return when each runs alone through the generic
+# ``_ProbeOp`` path: for every VALUES block one plan runs (the bound-join
+# shape, where the member sets are reused), and again from a fresh plan
+# after a write through ``add``, ``add_all``, ``remove`` or ``clear``,
+# which must drop them.  Shapes the kernels do not cover must keep
+# compiling to generic probes.
 
 from repro.sparql.plan import _SEED, _drain, _IntersectOp, _ProbeOp, _SemiJoinOp
 
@@ -450,12 +457,12 @@ def _kernel_shape(name, p, q, r, n, m):
 _KERNEL_SHAPES = ["triangle", "type + bound object", "two checks on one variable", "checks only"]
 
 
-def _run_generic(plan):
+def _run_generic(plan, params):
     """The WHERE pipeline with every probe — the members of each
     intersect step one by one — run through the generic
     ``_ProbeOp.run_batches``; also how many kernel steps the compiled
     plan holds."""
-    core, ctx = plan._bind(None)
+    core, ctx = plan._bind(params)
     rows = list(_SEED)
     kernels = 0
     for op in core.plan.ops:
@@ -468,9 +475,25 @@ def _run_generic(plan):
     return rows, kernels
 
 
-def _run_compiled(plan):
-    core, ctx = plan._bind(None)
+def _run_compiled(plan, params):
+    core, ctx = plan._bind(params)
     return _drain(core.plan.run_batches(ctx, [_SEED]))
+
+
+def _write(store: TripleStore, kind: str, patterns, binding: dict) -> None:
+    """One write through ``kind`` of the patterns' instances under
+    ``binding``: an added solution, or a removed one."""
+    triples = [Triple(*(binding.get(t, t) for t in p.positions())) for p in patterns]
+    if kind == "add":
+        for triple in triples:
+            store.add(triple)
+    elif kind == "add_all":
+        store.add_all(triples)
+    elif kind == "remove":
+        for triple in triples:
+            store.remove(triple)
+    else:
+        store.clear()
 
 
 @given(
@@ -478,20 +501,54 @@ def _run_compiled(plan):
     st.sampled_from(_KERNEL_SHAPES),
     st.tuples(*[st.sampled_from(_PREDICATES)] * 3),
     st.tuples(*[st.sampled_from(_IRIS)] * 2),
-    st.one_of(st.none(), st.lists(st.sampled_from(_IRIS), min_size=1, max_size=3)),
+    st.one_of(
+        st.none(),
+        st.lists(st.lists(st.sampled_from(_IRIS), min_size=1, max_size=3), min_size=1, max_size=3),
+    ),
+    st.sampled_from(["add", "add_all", "remove", "clear"]),
+    st.tuples(*[st.sampled_from(_IRIS)] * 3),
 )
 @settings(max_examples=120, deadline=None)
-def test_kernels_match_generic_probes_row_for_row(store, shape, predicates, constants, block):
-    elements = [BGP(_kernel_shape(shape, *predicates, *constants))]
-    if block is not None:
-        # A bound-join block: VALUES leads, so ?a arrives bound.
-        elements.insert(0, ValuesPattern((_A,), tuple((term,) for term in block)))
-    query = SelectQuery(where=GroupPattern(elements), select_vars=None)
+def test_kernels_match_generic_probes_row_for_row(
+    store, shape, predicates, constants, blocks, write, terms
+):
+    patterns = _kernel_shape(shape, *predicates, *constants)
+
+    def query_for(block):
+        elements = [BGP(patterns)]
+        if block is not None:
+            # A bound-join block: VALUES leads, so ?a arrives bound.
+            elements.insert(0, ValuesPattern((_A,), block))
+        return SelectQuery(where=GroupPattern(elements), select_vars=None)
+
+    # One plan runs every block, as an endpoint runs a bound join's blocks.
+    params = [None] if blocks is None else [(tuple((t,) for t in block),) for block in blocks]
+    query = query_for(None if blocks is None else params[0][0])
+
+    def check(plan):
+        for block in params:
+            generic_rows, kernels = _run_generic(plan, block)
+            assert kernels >= 1
+            assert _run_compiled(plan, block) == generic_rows
+            oracle = evaluate_select(store, query_for(None if block is None else block[0]))
+            assert Counter(plan.execute_select(block).rows) == Counter(oracle.rows)
+
     plan = compile_query(store, query)
-    generic_rows, kernels = _run_generic(plan)
-    assert kernels >= 1
-    assert _run_compiled(plan) == generic_rows
-    assert Counter(plan.execute_select().rows) == Counter(evaluate_select(store, query).rows)
+    check(plan)
+    # A write between two compilations that adds a solution of the first
+    # block, or removes one: a fresh plan must see it, and the old one
+    # refuses to run once the write moved the store's version.
+    binding = dict(zip(_VARIABLES, terms))
+    if blocks is not None:
+        binding[_A] = blocks[0][0]
+    solutions = evaluate_select(store, query)
+    if write == "remove" and solutions.rows:
+        binding = dict(zip(solutions.vars, solutions.rows[0]))
+    _write(store, write, patterns, binding)
+    check(compile_query(store, query))
+    if not plan.valid:
+        with pytest.raises(EvaluationError):
+            plan.execute_select()
 
 
 def _no_kernels(plan) -> bool:

@@ -202,6 +202,66 @@ class TestEdgeCases:
         assert len(endpoint.select(query).rows) == 2
 
 
+class TestMemberSets:
+    """``member_set``: one third-position range as a set, memoised until
+    the next write and bounded by ``MEMBER_SET_ID_LIMIT`` ids."""
+
+    @staticmethod
+    def _ids(store, *terms):
+        return [store.dictionary.lookup(term) for term in terms]
+
+    def test_member_set_is_the_range_as_a_set(self):
+        store = make_store()
+        s1, s2, p1, o1, o3 = self._ids(store, S1, S2, P1, O1, IRI("http://b.org/o3"))
+        assert store.member_set(0, p1, o1) == {s1, s2}
+        assert store.member_set(2, p1, s2) == {o1, o3}
+        assert store.member_set(0, p1, s1) == set()
+        assert store.member_set(0, p1, o1) is store.member_set(0, p1, o1)
+        assert (store.member_sets_built, store.member_ids_built) == (3, 4)
+
+    def test_memo_is_empty_after_every_write(self):
+        store = make_store()
+        s9 = IRI("http://a.org/s9")
+        writes = {
+            "add": lambda: store.add(Triple(s9, P1, O1)),
+            "add_all": lambda: store.add_all([Triple(s9, P2, O1), Triple(S1, P2, O1)]),
+            "remove": lambda: store.remove(Triple(S1, P1, O1)),
+            "_bump": store._bump,
+            "clear": store.clear,
+        }
+        for label, write in writes.items():
+            p1, o1 = self._ids(store, P1, O1)
+            subjects = {s for s, __, __ in store.match_ids(None, p1, o1)}
+            assert store.member_set(0, p1, o1) == subjects, label
+            assert store._member_sets, label
+            version = store.version
+            write()
+            assert store.version > version, label
+            assert not store._member_sets and store._member_ids == 0, label
+        # After the writes the range is read through tail rows and
+        # tombstones; the rebuilt set still equals it.
+        store.add_all([Triple(S1, P1, O1), Triple(S2, P1, O1)])
+        store.add(Triple(s9, P1, O1))
+        store.remove(Triple(S2, P1, O1))
+        s1, p1, o1, s9_id = self._ids(store, S1, P1, O1, s9)
+        assert store.member_set(0, p1, o1) == {s1, s9_id}
+
+    def test_memo_is_cleared_past_the_id_budget(self, monkeypatch):
+        from repro.store import triple_store
+
+        monkeypatch.setattr(triple_store, "MEMBER_SET_ID_LIMIT", 3)
+        store = make_store()
+        s1, s2, p1, o1 = self._ids(store, S1, S2, P1, O1)
+        first = store.member_set(0, p1, o1)  # 2 ids
+        store.member_set(2, p1, s1)  # 1 id: 3 in all, within the budget
+        assert len(store._member_sets) == 2 and store._member_ids == 3
+        store.member_set(2, p1, s2)  # 2 more ids: the memo starts over
+        assert list(store._member_sets) == [(2, p1, s2)] and store._member_ids == 2
+        again = store.member_set(0, p1, o1)
+        assert again == first and again is not first
+        assert (store.member_sets_built, store.member_ids_built) == (4, 7)
+
+
 _iris = st.integers(min_value=0, max_value=8).map(lambda i: IRI(f"http://h.org/r{i}"))
 _triples = st.builds(Triple, _iris, _iris, _iris)
 
