@@ -15,19 +15,56 @@ dominate those paths.
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Union
 
 from repro.exceptions import TermError
 
+_XSD = "http://www.w3.org/2001/XMLSchema#"
 #: Datatype IRIs used by typed literals.
-XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
-XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
-XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
-XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
-XSD_BOOLEAN = "http://www.w3.org/2001/XMLSchema#boolean"
-XSD_DATE = "http://www.w3.org/2001/XMLSchema#date"
+XSD_STRING = _XSD + "string"
+XSD_INTEGER = _XSD + "integer"
+XSD_DECIMAL = _XSD + "decimal"
+XSD_FLOAT = _XSD + "float"
+XSD_DOUBLE = _XSD + "double"
+XSD_BOOLEAN = _XSD + "boolean"
+XSD_DATE = _XSD + "date"
 
-_NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE})
+#: ``xsd:integer`` and the types derived from it, with the value bounds
+#: that restrict each one's lexical space.
+_INTEGER_BOUNDS: dict[str, tuple[float, float]] = {
+    XSD_INTEGER: (-math.inf, math.inf),
+    _XSD + "nonPositiveInteger": (-math.inf, 0),
+    _XSD + "negativeInteger": (-math.inf, -1),
+    _XSD + "long": (-(2**63), 2**63 - 1),
+    _XSD + "int": (-(2**31), 2**31 - 1),
+    _XSD + "short": (-(2**15), 2**15 - 1),
+    _XSD + "byte": (-(2**7), 2**7 - 1),
+    _XSD + "nonNegativeInteger": (0, math.inf),
+    _XSD + "unsignedLong": (0, 2**64 - 1),
+    _XSD + "unsignedInt": (0, 2**32 - 1),
+    _XSD + "unsignedShort": (0, 2**16 - 1),
+    _XSD + "unsignedByte": (0, 2**8 - 1),
+    _XSD + "positiveInteger": (1, math.inf),
+}
+# XSD lexical forms.  ``[0-9]``, not ``\d``: only ASCII digits are digits.
+_INTEGER_FORM = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_FORM = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+_DOUBLE_FORM = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+#: The special values of ``xsd:float`` / ``xsd:double`` (XSD 1.1 spelling).
+_FLOAT_SPECIALS = {"INF": math.inf, "+INF": math.inf, "-INF": -math.inf, "NaN": math.nan}
+#: What XSD's whitespace facet strips (Python's ``strip()`` strips more).
+_XSD_WHITESPACE = " \t\n\r"
+
+
+def _integer(text: str) -> int | float:
+    """An integer-form text as an ``int``; past Python's digit limit for
+    ``int()`` (``sys.get_int_max_str_digits``) as the nearest ``float``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 class Term:
@@ -154,25 +191,40 @@ class Literal(Term):
     def numeric_value(self) -> Union[int, float, None]:
         """The numeric interpretation of the literal, or None.
 
-        Plain literals that look like numbers are treated as numeric, which
+        Numeric are ``xsd:integer`` and its derived types, ``xsd:decimal``,
+        ``xsd:float`` and ``xsd:double`` — each only when the text, once
+        XSD whitespace is collapsed, is in the datatype's lexical space
+        (``"1.5"^^xsd:integer`` and ``"300"^^xsd:byte`` have no number;
+        ``INF`` / ``-INF`` / ``NaN`` only on ``float`` / ``double``).  A
+        plain literal in the decimal or double form is numeric too, which
         matches how SPARQL engines compare terms coming from untyped data.
+        Text in the integer form reads as an ``int``, any other as a
+        ``float``.
         """
         if self.language is not None:
             return None
-        if self.datatype is not None and self.datatype not in _NUMERIC_DATATYPES:
-            return None
-        text = self.value.strip()
-        try:
-            if self.datatype == XSD_INTEGER:
-                return int(text)
-            if any(ch in text for ch in ".eE") and text not in ("", ".", "-"):
-                return float(text)
-            return int(text)
-        except ValueError:
-            try:
-                return float(text)
-            except ValueError:
+        datatype = self.datatype
+        text = self.value.strip(_XSD_WHITESPACE)
+        if datatype is None:
+            form = _DOUBLE_FORM
+        elif datatype in _INTEGER_BOUNDS:
+            if not _INTEGER_FORM.fullmatch(text):
                 return None
+            number = _integer(text)
+            low, high = _INTEGER_BOUNDS[datatype]
+            return number if low <= number <= high else None
+        elif datatype == XSD_DECIMAL:
+            form = _DECIMAL_FORM
+        elif datatype == XSD_DOUBLE or datatype == XSD_FLOAT:
+            special = _FLOAT_SPECIALS.get(text)
+            if special is not None:
+                return special
+            form = _DOUBLE_FORM
+        else:
+            return None
+        if not form.fullmatch(text):
+            return None
+        return _integer(text) if _INTEGER_FORM.fullmatch(text) else float(text)
 
 
 class BNode(Term):
@@ -266,7 +318,10 @@ def typed_literal(value: Union[int, float, bool, str]) -> Literal:
     if isinstance(value, int):
         return Literal(str(value), datatype=XSD_INTEGER)
     if isinstance(value, float):
-        return Literal(repr(value), datatype=XSD_DOUBLE)
+        if math.isfinite(value):
+            return Literal(repr(value), datatype=XSD_DOUBLE)
+        text = "NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF")
+        return Literal(text, datatype=XSD_DOUBLE)
     return Literal(str(value))
 
 

@@ -22,7 +22,10 @@ Decided at compile time in id space (the dictionary is a bijection, so
 id equality *is* term identity): ``BOUND``, and ``sameTerm`` / ``=`` /
 ``!=`` between a variable and a constant — for ``=`` / ``!=`` only a
 constant that cannot take part in numeric coercion (an IRI, a blank
-node, a literal with no numeric value).  Constant ``REGEX`` patterns
+node, a literal with no numeric value).  ``<`` … ``>=`` between a
+variable and a numeric constant read the dictionary's per-id number
+column (:meth:`~repro.store.dictionary.TermDictionary.numeric_values`)
+and decode only an id that has no number.  Constant ``REGEX`` patterns
 compile once.
 
 Errors follow SPARQL 1.1 §17.2: an unbound variable, a type mismatch, a
@@ -94,7 +97,8 @@ class CompiledFilter(NamedTuple):
     #: ``row -> bool``; never raises — an error is ``False``.
     passes: Callable[[IdRow], bool]
     #: EXPLAIN label: ``id_eq(=)`` / ``id_eq(!=)`` when the whole test is
-    #: one id comparison, else ``filter``.
+    #: one id comparison, ``num_cmp(<)`` … ``num_cmp(>=)`` when it is one
+    #: numeric comparison, else ``filter``.
     kind: str
     #: The tree holds ``BOUND`` or an ``EXISTS``: its verdict depends on
     #: *when* in a group it runs, so it belongs at the group's end.
@@ -160,13 +164,13 @@ def _ordering(compare: Callable) -> Callable[[Term, Term], bool]:
     return ordered
 
 
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+#: ``c op ?v`` is ``?v flipped-op c``, for numbers and lexical forms alike.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _COMPARISONS: dict[str, Callable[[Term, Term], bool]] = {
     "=": _equal,
     "!=": lambda left, right: not _equal(left, right),
-    "<": _ordering(operator.lt),
-    "<=": _ordering(operator.le),
-    ">": _ordering(operator.gt),
-    ">=": _ordering(operator.ge),
+    **{op: _ordering(compare) for op, compare in _ORDERINGS.items()},
 }
 _ARITHMETIC = {
     "+": operator.add,
@@ -270,6 +274,22 @@ class _Scope:
         negated = isinstance(node, Comparison) and node.op == "!="
         return self.slots.get(left.variable), self.dictionary.encode(right.term), negated
 
+    def numeric_comparison(self, node: Expression) -> tuple[int | None, str, Term] | None:
+        """``(slot, op, constant)`` when ``node`` orders a variable against
+        a numeric literal with ``<`` … ``>=``, normalised so the variable
+        is on the left (``5 < ?v`` becomes ``?v > 5``).  ``slot`` is
+        ``None`` for a variable outside the schema."""
+        if not (isinstance(node, Comparison) and node.op in _ORDERINGS):
+            return None
+        left, op, right = node.left, node.op, node.right
+        if isinstance(left, TermExpr):
+            left, op, right = right, _FLIPPED[op], left
+        if not (isinstance(left, VarExpr) and isinstance(right, TermExpr)):
+            return None
+        if not _is_numeric(right.term):
+            return None
+        return self.slots.get(left.variable), op, right.term
+
     def test(self, node: Expression) -> Test:
         id_equality = self.id_equality(node)
         if id_equality is not None:
@@ -284,6 +304,10 @@ class _Scope:
                 return (term_id == const) != negated
 
             return id_test
+        numeric = self.numeric_comparison(node)
+        if numeric is not None:
+            slot, op, const = numeric
+            return _error if slot is None else self._numeric_test(slot, op, const)
         if isinstance(node, Comparison):
             return self._apply(_COMPARISONS[node.op], node.left, node.right)
         if isinstance(node, BooleanOp):
@@ -301,6 +325,33 @@ class _Scope:
             return self._call(node)
         value = self.value(node)
         return lambda row: effective_boolean_value(value(row))
+
+    def _numeric_test(self, slot: int, op: str, const: Literal) -> Test:
+        """``?v op const`` over the number column: an id with a number
+        compares it with the constant's; any other id — a non-numeric
+        literal (ordered by lexical form), an IRI or a blank node (an
+        error) — takes the general ordering on its decoded term, so the
+        verdict is the general comparison's by construction."""
+        compare, ordered = _ORDERINGS[op], _COMPARISONS[op]
+        bound = const.numeric_value()
+        dictionary = self.dictionary
+        numbers = dictionary.numeric_values()
+        decode = dictionary.decode
+
+        def num_cmp(row: IdRow) -> bool:
+            term_id = row[slot]
+            if term_id is None:
+                raise ExpressionError
+            try:
+                number = numbers[term_id]
+            except IndexError:
+                # Interned after the compile step (a VALUES parameter).
+                number = dictionary.numeric_values()[term_id]
+            if number is None:
+                return ordered(decode(term_id), const)
+            return compare(number, bound)
+
+        return num_cmp
 
     def _call(self, call: FunctionCall) -> Test:
         name, args = call.name, call.args
@@ -428,6 +479,8 @@ def compile_filter(
     kind = "filter"
     if isinstance(expression, Comparison) and scope.id_equality(expression):
         kind = f"id_eq({expression.op})"
+    elif scope.numeric_comparison(expression):
+        kind = f"num_cmp({expression.op})"
 
     def passes(row: IdRow) -> bool:
         try:

@@ -12,7 +12,9 @@ explicit operator pipeline that can be executed many times:
 * FILTERs are compiled by :mod:`repro.sparql.expressions` into closures
   over id rows and pushed down to the earliest operator at which all
   their variables are *certainly* bound; pure equality comparisons
-  against non-numeric constants run directly in id space;
+  against non-numeric constants run directly in id space, and ``<`` …
+  ``>=`` against a numeric constant read the dictionary's per-id number
+  column;
 * OPTIONAL / UNION / sub-SELECT compile to composed sub-plans;
 * ORDER BY (a compiled sort key over the *pre-projection* row, SPARQL
   §15), projection, DISTINCT and LIMIT/OFFSET form the pipeline tail;
@@ -36,6 +38,12 @@ is drained whole.  In a lazy plan (ASK, EXISTS, LIMIT without ORDER BY)
 probes read index streams in chunks of 1, 2, 4, … up to
 :data:`LAZY_CHUNK_LIMIT` matches and hand on each chunk, so draining
 stops after the first batch (:meth:`_GroupPlan.matches`) or at LIMIT.
+
+A memoised probe runs a whole batch in one pass: it reads the batch's
+key column (the values of its bound slots), looks up each distinct
+unseen key once, and appends the memoised extension tuples — the fresh
+columns of the key's matches — to every row.  Only lazy probes and
+probes with a nullable bound slot loop row by row.
 
 Semi-join and intersect steps test membership in the store's member
 sets (:meth:`~repro.store.triple_store.TripleStore.member_set`): one
@@ -236,25 +244,51 @@ def _merge_into(out: list, row: IdRow, pad: list, candidates, pairs) -> None:
             out.append(tuple(merged))
 
 
+def _extensions_of(new_positions: tuple):
+    """``matches -> list``: the fresh columns each index match adds to a
+    row, one tuple per match in schema order, built at C level where the
+    width allows."""
+    if not new_positions:
+        return lambda matches: [() for __ in matches]
+    if len(new_positions) == 1:
+        column = itemgetter(new_positions[0])
+        return lambda matches: list(zip(map(column, matches)))
+    if len(new_positions) == 3:
+        return list  # the matches themselves, (s, p, o)
+    columns = itemgetter(*new_positions)
+    return lambda matches: list(map(columns, matches))
+
+
 class _ProbeOp:
     """One triple-pattern index probe, compiled against the row schema.
 
     Each position is a constant id, a slot of an already-bound column,
     or a fresh output column.  ``maybe_pending`` lists bound slots whose
     column is nullable (OPTIONAL / UNDEF upstream): a ``None`` there
-    means the match must be written back into the slot.  In the default
-    (cached) mode, matches are memoized per lookup key **on the plan
-    itself** — the plan is pinned to one store version and refuses to
-    run once the store has moved on (:meth:`CompiledPlan._bind`), so
-    memos can never go stale, and bound-join blocks that share
-    join-variable values (same advisor, same course) reuse them across
-    executions.  In ``lazy`` mode the probe reads the index iterator in
-    growing chunks and hands rows on after each, so ASK / LIMIT /
-    EXISTS consumers stop after the first match.
+    means the match must be written back into the slot.
+
+    A memoised probe — the default — runs a whole batch in one pass.
+    Its memo maps the *key* of a row, the values of its bound slots (an
+    ``int`` for one slot, a tuple for more, ``()`` for none), to the
+    *extension tuples* the key's matches add to a row: the fresh
+    columns, repeated variables already checked.  Per batch it reads the
+    key column, fills the memo once per distinct unseen key, and emits
+    ``row + ext`` for every row and extension, row-major in index order.
+    The memo lives **on the plan itself** — the plan is pinned to one
+    store version and refuses to run once the store has moved on
+    (:meth:`CompiledPlan._bind`), so it can never go stale, and
+    bound-join blocks that share join-variable values (same advisor,
+    same course) reuse it across executions.
+
+    Two shapes keep a per-row loop, because their rows differ in more
+    than a key: a ``lazy`` probe reads the index iterator in growing
+    chunks and hands rows on after each, so ASK / LIMIT / EXISTS
+    consumers stop after the first match; a probe with a nullable bound
+    slot patches the match into each row whose slot is ``None``.
     """
 
-    #: Match memos are cleared past this many distinct lookup keys; a
-    #: plain clear keeps the hot path branch-free (no LRU bookkeeping).
+    #: The memo is cleared past this many distinct keys; a plain clear
+    #: keeps the hot path branch-free (no LRU bookkeeping).
     MATCH_CACHE_LIMIT = 65536
 
     __slots__ = (
@@ -267,10 +301,10 @@ class _ProbeOp:
         "base",
         "estimate",
         "pattern_text",
-        "_n_new",
-        "_first_new",
-        "_extract",
-        "_match_cache",
+        "_bound",
+        "_key_of",
+        "_extensions_of",
+        "_memo",
     )
 
     def __init__(self, consts, slots, new_positions, eq_checks, maybe_pending, lazy, base):
@@ -287,10 +321,12 @@ class _ProbeOp:
         # probe-order audit; filled in by the compiler's BGP walk.
         self.estimate: int | None = None
         self.pattern_text = ""
-        self._n_new = len(self.new_positions)
-        self._first_new = self.new_positions[0] if self.new_positions else None
-        self._extract = itemgetter(*self.new_positions) if self._n_new >= 2 else None
-        self._match_cache: dict | None = None if lazy else {}
+        #: Triple positions read from the row, and the row's memo key.
+        self._bound = tuple(i for i, slot in enumerate(slots) if slot is not None)
+        key_slots = [slots[i] for i in self._bound]
+        self._key_of = itemgetter(*key_slots) if key_slots else None
+        self._extensions_of = _extensions_of(self.new_positions)
+        self._memo: dict | None = None if lazy or maybe_pending else {}
 
     def _stream(self, match_ids, s, p, o):
         """The index matches of one lookup, repeated variables checked."""
@@ -300,48 +336,78 @@ class _ProbeOp:
             matches = (m for m in matches if all(m[i] == m[j] for i, j in eq_checks))
         return matches
 
+    def _extensions(self, match_ids, key) -> list:
+        """The memo entry of ``key``: one extension tuple per match."""
+        triple = list(self.consts)
+        bound = self._bound
+        if len(bound) == 1:
+            triple[bound[0]] = key
+        else:
+            for position, value in zip(bound, key):
+                triple[position] = value
+        return self._extensions_of(self._stream(match_ids, *triple))
+
     def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        if self._memo is None:
+            return self._run_rows(ctx, batches)
+        return self._run_memo(ctx, batches)
+
+    def _run_memo(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        match_ids = ctx.store.match_ids
+        memo = self._memo
+        key_of = self._key_of
+        for rows in batches:
+            if key_of is None:
+                # Constants only: one lookup serves every row.
+                found = memo.get(())
+                if found is None:
+                    found = memo[()] = self._extensions(match_ids, ())
+                out = [row + ext for row in rows for ext in found]
+            else:
+                keys = list(map(key_of, rows))
+                distinct = set(keys)
+                unseen = distinct.difference(memo)
+                if unseen:
+                    if len(memo) + len(unseen) > self.MATCH_CACHE_LIMIT:
+                        memo.clear()
+                        unseen = distinct
+                    for key in unseen:
+                        memo[key] = self._extensions(match_ids, key)
+                out = [
+                    row + ext
+                    for row, found in zip(rows, map(memo.__getitem__, keys))
+                    for ext in found
+                ]
+            if out:
+                yield out
+
+    def _run_rows(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        """The per-row loop of a lazy probe or one with a nullable slot."""
         s_const, p_const, o_const = self.consts
         s_slot, p_slot, o_slot = self.slots
         match_ids = ctx.store.match_ids
         maybe_pending = self.maybe_pending
-        new_positions = self.new_positions
-        n_new = self._n_new
-        first_new = self._first_new
-        extract = self._extract
-        match_cache = self._match_cache
-        stream = None  # a lazy probe's open index stream
+        extensions_of = self._extensions_of
+        lazy = self.lazy
         for rows in batches:
             out: list = []
             for row in rows:
                 s = s_const if s_slot is None else row[s_slot]
                 p = p_const if p_slot is None else row[p_slot]
                 o = o_const if o_slot is None else row[o_slot]
-                if match_cache is None:
-                    stream = self._stream(match_ids, s, p, o)
-                    size = 1
-                    matches = list(islice(stream, size))
-                    if not matches:
-                        continue
-                else:
-                    key = (s, p, o)
-                    matches = match_cache.get(key)
-                    if matches is None:
-                        matches = list(self._stream(match_ids, s, p, o))
-                        if len(match_cache) >= self.MATCH_CACHE_LIMIT:
-                            match_cache.clear()
-                        match_cache[key] = matches
-                    if not matches:
-                        continue
+                stream = self._stream(match_ids, s, p, o)
+                size = 1
+                matches = list(islice(stream, size)) if lazy else list(stream)
                 pending = maybe_pending and [
                     (i, slot) for i, slot in maybe_pending if row[slot] is None
                 ]
-                # One pass per match list: the memoised list, or each
-                # chunk of a lazy stream — 1, 2, 4, … matches up to
-                # LAZY_CHUNK_LIMIT — handed on as soon as it is read.
-                while True:
+                # One pass per match list: all of them, or each chunk of a
+                # lazy stream — 1, 2, 4, … matches up to LAZY_CHUNK_LIMIT —
+                # handed on as soon as it is read.
+                while matches:
+                    extensions = extensions_of(matches)
                     if pending:
-                        for match in matches:
+                        for match, ext in zip(matches, extensions):
                             patched = list(row)
                             for i, slot in pending:
                                 value = match[i]
@@ -351,26 +417,16 @@ class _ProbeOp:
                                 elif existing != value:
                                     break
                             else:
-                                out.append(
-                                    tuple(patched) + tuple(match[i] for i in new_positions)
-                                )
-                    elif n_new == 1:
-                        out.extend([row + (m[first_new],) for m in matches])
-                    elif n_new == 0:
-                        out.extend([row] * len(matches))
-                    elif n_new == 3:
-                        out.extend([row + m for m in matches])
+                                out.append(tuple(patched) + ext)
                     else:
-                        out.extend([row + extract(m) for m in matches])
-                    if stream is None:
+                        out.extend([row + ext for ext in extensions])
+                    if not lazy:
                         break
                     if out:
                         yield out
                         out = []
                     size = min(2 * size, LAZY_CHUNK_LIMIT)
                     matches = list(islice(stream, size))
-                    if not matches:
-                        break
             if out:
                 yield out
 
@@ -583,8 +639,12 @@ class _FilterOp:
     """A FILTER as a closure over the id row, built by
     :func:`repro.sparql.expressions.compile_filter` when the plan was
     compiled: variables are slot reads, an error drops the row.
-    ``label`` names the kernel the compile step chose: ``filter``, or
-    ``id_eq(=)`` / ``id_eq(!=)`` for one comparison of ids."""
+    ``label`` names the kernel the compile step chose: ``filter``,
+    ``id_eq(=)`` / ``id_eq(!=)`` for one comparison of ids, or
+    ``num_cmp(<)`` … ``num_cmp(>=)`` for one numeric comparison read off
+    the dictionary's number column.  A filter that runs at the group's
+    end because its variable is never certainly bound keeps the kernel
+    but is labelled ``filter``."""
 
     __slots__ = ("passes", "label")
 

@@ -18,13 +18,17 @@ Two instances play distinct roles in this codebase:
   DISTINCT, and VALUES extraction over results from *different* endpoints
   still compare plain ints.
 
-Responses cross between the two as id columns, so a dictionary also
-keeps what that hand-off needs, both grown lazily and never shrunk
-(ids are append-only, so neither goes stale when a store mutates):
+Responses cross between the two as id columns.  A dictionary also keeps
+what that hand-off and the compiled expressions need, each grown lazily
+and never shrunk (ids are append-only, so none goes stale when a store
+mutates):
 
 * in the **store** role, a per-id *text length*
   (:meth:`TermDictionary.text_lengths`), from which the client sizes a
   response without touching a term;
+* in either role, a per-id *number* (:meth:`TermDictionary.numeric_values`),
+  which a compiled numeric comparison (``FILTER(?v > 9)``) reads instead
+  of decoding and reparsing a literal per row;
 * in the **codec** role, one local-id -> own-id *translation table* per
   source dictionary (:meth:`TermDictionary.translate_columns`), so each
   distinct term of an endpoint is hashed into the codec once per
@@ -46,7 +50,7 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.rdf.terms import BNode, Term
+from repro.rdf.terms import BNode, Literal, Term
 
 #: An encoded solution row: ids aligned with a variable schema, ``None``
 #: marking an unbound position (e.g. from OPTIONAL).
@@ -80,15 +84,22 @@ def text_length(term: Term) -> int:
     return len(term.label if isinstance(term, BNode) else term.value)
 
 
+def numeric_value(term: Term) -> int | float | None:
+    """``term``'s number (:meth:`~repro.rdf.terms.Literal.numeric_value`);
+    ``None`` for a non-numeric literal, an IRI or a blank node."""
+    return term.numeric_value() if isinstance(term, Literal) else None
+
+
 class TermDictionary:
     """A bijective term <-> dense-int mapping (ids start at 0)."""
 
-    __slots__ = ("_ids", "_terms", "_text_lengths", "_tables", "__weakref__")
+    __slots__ = ("_ids", "_terms", "_text_lengths", "_numbers", "_tables", "__weakref__")
 
     def __init__(self):
         self._ids: dict[Term, int] = {}
         self._terms: list[Term] = []
         self._text_lengths = array("I")
+        self._numbers: list[int | float | None] = []
         #: source dictionary -> its translation table (see
         #: :meth:`translate_columns`); weakly keyed, so the tables of a
         #: discarded federation die with its stores.
@@ -188,6 +199,19 @@ class TermDictionary:
         if len(lengths) < len(terms):
             lengths.extend(map(text_length, terms[len(lengths):]))
         return lengths
+
+    def numeric_values(self) -> list[int | float | None]:
+        """:func:`numeric_value` of every interned term, indexed by id.
+
+        Filled lazily like :meth:`text_lengths`.  The same list object is
+        extended in place, so a holder of it reads an id interned since
+        by calling this method again once an index runs past its end.
+        """
+        numbers = self._numbers
+        terms = self._terms
+        if len(numbers) < len(terms):
+            numbers.extend(map(numeric_value, terms[len(numbers):]))
+        return numbers
 
     def translate_columns(
         self, source: "TermDictionary", columns: Sequence[Sequence[int | None]]

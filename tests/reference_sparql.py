@@ -236,6 +236,10 @@ def _num(term):
 def _num_literal(number) -> Literal:
     if isinstance(number, int):
         return Literal(str(number), datatype=XSD_INTEGER)
+    if number != number:
+        return Literal("NaN", datatype=XSD_DOUBLE)
+    if number in (float("inf"), float("-inf")):
+        return Literal("INF" if number > 0 else "-INF", datatype=XSD_DOUBLE)
     return Literal(repr(number), datatype=XSD_DOUBLE)
 
 

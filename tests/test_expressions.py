@@ -27,7 +27,7 @@ from repro.exceptions import EvaluationError, ReproError
 from repro.planning.base_engine import ExecutionOutcome
 from repro.planning.normalize import normalize
 from repro.rdf import IRI, BNode, Literal, Triple, TriplePattern, Variable, typed_literal
-from repro.rdf.terms import XSD_DATE, XSD_STRING
+from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT, XSD_STRING
 from repro.relational import Relation
 from repro.sparql import compile_query, evaluate_select, parse_query
 from repro.sparql.ast import (
@@ -44,6 +44,7 @@ from repro.sparql.ast import (
     OrderCondition,
     SelectQuery,
     TermExpr,
+    ValuesPattern,
     VarExpr,
 )
 from repro.sparql.expressions import compile_filter, compile_order_key
@@ -54,6 +55,7 @@ from tests.reference_sparql import reference_filter, reference_order
 
 A, B, S, U = Variable("a"), Variable("b"), Variable("s"), Variable("u")
 EX = "http://e.org/"
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 def iri(name: str) -> IRI:
@@ -112,9 +114,37 @@ class TestCompileStep:
     def test_ordering_and_var_var_comparisons_are_general(self):
         for expression in (
             Comparison("<", VarExpr(A), TermExpr(iri("x"))),
+            Comparison("<", VarExpr(A), TermExpr(Literal("abc"))),
+            Comparison("<", VarExpr(A), VarExpr(B)),
             Comparison("=", VarExpr(A), VarExpr(B)),
         ):
             assert compile_filter(expression, {A: 0, B: 1}, TermDictionary()).kind == "filter"
+
+    def test_numeric_ordering_reads_the_number_column(self, monkeypatch):
+        dictionary = TermDictionary()
+        nine, ten, word = typed_literal(9), typed_literal(10), Literal("abc")
+        ids = {term: dictionary.encode(term) for term in (nine, ten, word, iri("x"))}
+        decoded = []
+        original = TermDictionary.decode
+        monkeypatch.setattr(
+            TermDictionary, "decode", lambda self, i: decoded.append(i) or original(self, i)
+        )
+        for op in ("<", "<=", ">", ">="):
+            for flip in (False, True):
+                sides = (lit(9.5), VarExpr(A)) if flip else (VarExpr(A), lit(9.5))
+                compiled = compile_filter(Comparison(op, *sides), {A: 0}, dictionary)
+                assert compiled.kind == f"num_cmp({op})" and not compiled.anchored
+                below = op in ("<", "<=") and not flip or op in (">", ">=") and flip
+                assert compiled.passes((ids[nine],)) == below
+                assert compiled.passes((ids[ten],)) != below
+                assert not compiled.passes((None,))
+        # A number never decodes its term; a non-numeric literal orders
+        # by lexical form ("abc" > "9.5"), an IRI is a type error.
+        assert decoded == []
+        compiled = compile_filter(Comparison(">", VarExpr(A), lit(9.5)), {A: 0}, dictionary)
+        assert compiled.passes((ids[word],))
+        assert not compiled.passes((ids[iri("x")],))
+        assert decoded == [ids[word], ids[iri("x")]]
 
     def test_bound_and_exists_anchor_the_filter(self):
         bound = FunctionCall("BOUND", [VarExpr(A)])
@@ -487,6 +517,24 @@ class TestFederatedModifiers:
             assert Counter(outcome.result.rows) == Counter(oracle_rows(federation, text))
 
 
+class TestXsdNumbers:
+    def test_filter_compares_xsd_float_and_int_by_value(self):
+        # "10"^^xsd:float and "10"^^xsd:int are numbers; "1_000" is not
+        # (Python's int() would read it), so it orders by lexical form.
+        triples = [
+            Triple(iri("f"), P, Literal("10", datatype=XSD_FLOAT)),
+            Triple(iri("i"), P, Literal("10", datatype=XSD + "int")),
+            Triple(iri("u"), P, Literal("1_000")),
+        ]
+        text = f"SELECT ?s ?x WHERE {{ ?s <{P.value}> ?x FILTER(?x > 9) }}"
+        expected = Counter(triple.subject for triple in triples[:2])
+        for rows in _both(_store(triples), text):
+            assert Counter(row[0] for row in rows) == expected
+        relation = Relation([S, A], [(t.subject, t.object) for t in triples])
+        over_nine = Comparison(">", VarExpr(A), lit(9))
+        assert Counter(row[0] for row in relation.filter(over_nine).rows) == expected
+
+
 # --------------------------------------------------------------------------
 # Expression grammar vs the term-space reference
 
@@ -649,3 +697,93 @@ def test_order_by_sites_match_reference(finalizer, bindings, conditions, distinc
     assert evaluate_select(store, query).rows == expected
     relation = Relation([S, A, B], _rows(solutions))
     assert finalizer._finalize(relation, normalize(query)).rows == expected
+
+
+# --------------------------------------------------------------------------
+# The numeric kernel (``?v op c`` over the number column) vs the reference
+
+_ORDERED_OPERANDS = [
+    typed_literal(-1),
+    typed_literal(9),
+    typed_literal(10),
+    typed_literal(0.5),
+    typed_literal(9.5),
+    Literal("9.5", datatype=XSD_DECIMAL),
+    Literal("10", datatype=XSD_FLOAT),
+    Literal("10", datatype=XSD + "int"),
+    Literal("-INF", datatype=XSD_DOUBLE),
+    Literal("NaN", datatype=XSD_DOUBLE),
+    Literal("10"),
+    Literal("1_000"),
+    Literal("1.5", datatype=XSD + "integer"),
+    Literal("abc"),
+    Literal("9", language="en"),
+    Literal("9", datatype=XSD_STRING),
+    iri("x"),
+    BNode("b1"),
+]
+_NUMERIC_CONSTANTS = [
+    typed_literal(9),
+    typed_literal(9.5),
+    Literal("9.5", datatype=XSD_DECIMAL),
+    Literal("10", datatype=XSD_FLOAT),
+    Literal("09"),
+    Literal("INF", datatype=XSD_DOUBLE),
+]
+
+
+def _ordering(op, constant, flipped):
+    if flipped:
+        return Comparison(op, TermExpr(constant), VarExpr(A))
+    return Comparison(op, VarExpr(A), TermExpr(constant))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sampled_from(_ORDERED_OPERANDS)),
+            st.one_of(st.none(), st.sampled_from(_ORDERED_OPERANDS)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(["<", "<=", ">", ">="]),
+    st.sampled_from(_NUMERIC_CONSTANTS),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_numeric_kernel_matches_reference(bindings, op, constant, flipped):
+    expression = _ordering(op, constant, flipped)
+    assert compile_filter(expression, {A: 0}, TermDictionary()).kind == f"num_cmp({op})"
+    store, solutions = _data(bindings)
+    expected = Counter(_rows(s for s in solutions if reference_filter(expression, s)))
+    query = SelectQuery(where=_where(expression), select_vars=(S, A, B))
+    assert Counter(compile_query(store, query).execute_select().rows) == expected
+    assert Counter(evaluate_select(store, query).rows) == expected
+    relation = Relation([S, A, B], _rows(solutions))
+    assert Counter(relation.filter(expression).rows) == expected
+
+
+@given(
+    st.lists(
+        st.sampled_from(_ORDERED_OPERANDS + [Literal("7.25", datatype=XSD_DECIMAL)]), min_size=1
+    ),
+    st.sampled_from(["<", "<=", ">", ">="]),
+    st.sampled_from(_NUMERIC_CONSTANTS),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_numeric_kernel_reads_values_interned_after_compile(block, op, constant, flipped):
+    # The plan is compiled, and its number column filled, before the
+    # block's terms are in the store's dictionary: _bind interns them.
+    expression = _ordering(op, constant, flipped)
+    store = _store([Triple(iri("s"), PK, typed_literal(0))])
+    where = GroupPattern([ValuesPattern((A,), ((typed_literal(0),),)), Filter(expression)])
+    plan = compile_query(store, SelectQuery(where=where, select_vars=(A,)))
+    assert plan.explain() == ["values(param)", f"num_cmp({op})"]
+    plan.execute_select()
+    before = len(store.dictionary)
+    rows = tuple((term,) for term in block)
+    got = plan.execute_select([rows]).rows
+    assert len(store.dictionary) > before or all(term in store.dictionary for term in block)
+    assert got == [row for row in rows if reference_filter(expression, {A: row[0]})]

@@ -19,7 +19,7 @@ from repro.endpoint.cache import (
     PlanCache,
     ProbeCache,
 )
-from repro.rdf import IRI, Triple, TriplePattern, Variable
+from repro.rdf import IRI, Triple, TriplePattern, Variable, typed_literal
 from repro.sparql.ast import (
     BGP,
     AskQuery,
@@ -36,6 +36,7 @@ from repro.sparql.ast import (
 )
 from repro.sparql.evaluator import _Evaluator, evaluate_ask, evaluate_select
 from repro.sparql.plan import (
+    _ProbeOp,
     compile_query,
     split_parameters,
 )
@@ -47,7 +48,7 @@ ADVISOR = IRI(EX + "advisor")
 TEACHES = IRI(EX + "teacherOf")
 TAKES = IRI(EX + "takesCourse")
 
-X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+X, Y, Z, A = Variable("x"), Variable("y"), Variable("z"), Variable("a")
 
 
 def _iri(name: str) -> IRI:
@@ -168,6 +169,56 @@ class TestFilterPushdown:
         )
 
 
+class TestNumericFilters:
+    AGE = IRI(EX + "age")
+
+    @pytest.fixture
+    def aged(self, store):
+        for p in range(8):
+            store.add(Triple(_iri(f"prof{p}"), self.AGE, typed_literal(40 + p)))
+        return store
+
+    def _query(self, *filters):
+        return SelectQuery(
+            where=GroupPattern(
+                [
+                    BGP(
+                        [
+                            TriplePattern(X, ADVISOR, Y),
+                            TriplePattern(Y, self.AGE, A),
+                            TriplePattern(Y, TEACHES, Z),
+                        ]
+                    ),
+                    *map(Filter, filters),
+                ]
+            ),
+            select_vars=(X, Y, A),
+        )
+
+    def test_numeric_comparison_runs_right_after_the_probe_binding_it(self, aged):
+        query = self._query(Comparison("<", VarExpr(A), TermExpr(typed_literal(43))))
+        plan = compile_query(aged, query)
+        ops = plan.core.plan.ops
+        labels = plan.explain()
+        at = labels.index("num_cmp(<)")
+        assert "age" in ops[at - 1].pattern_text
+        # Pushed down: a probe still follows it.
+        assert any(label.startswith(("probe", "intersect")) for label in labels[at + 1:])
+        got = plan.execute_select().rows
+        assert Counter(got) == Counter(evaluate_select(aged, query).rows)
+        assert len(got) == 6
+
+    def test_numeric_equality_stays_a_general_filter(self, aged):
+        # "5" = "05": numeric equality is by value, not by id.
+        query = self._query(Comparison("=", VarExpr(A), TermExpr(typed_literal(41))))
+        plan = compile_query(aged, query)
+        assert not any(label.startswith(("id_eq", "num_cmp")) for label in plan.explain())
+        assert "filter" in plan.explain()
+        got = plan.execute_select().rows
+        assert Counter(got) == Counter(evaluate_select(aged, query).rows)
+        assert len(got) == 2
+
+
 class TestParameterSlots:
     def _values_query(self, rows):
         return SelectQuery(
@@ -209,6 +260,17 @@ class TestParameterSlots:
             # compiling the bound query from scratch.
             fresh = compile_query(store, bound).execute_select()
             assert got.rows == fresh.rows
+
+    def test_probe_memo_clear_refills_every_key_of_the_block(self, store, monkeypatch):
+        # Past MATCH_CACHE_LIMIT keys the memo is cleared; a block that
+        # mixes a remembered key with new ones must get all of them back.
+        monkeypatch.setattr(_ProbeOp, "MATCH_CACHE_LIMIT", 1)
+        plan = compile_query(store, self._values_query(((_iri("student0_0"),),)))
+        for names in (["student0_0"], ["student0_0", "student1_0"], ["student2_1", "student1_0"]):
+            block = tuple((_iri(name),) for name in names)
+            fresh = compile_query(store, self._values_query(block)).execute_select()
+            assert plan.execute_select([block]).rows == fresh.rows
+            assert len(fresh.rows) == len(names)
 
     def test_undef_parameter_runs_compiled(self, store, monkeypatch):
         # An UNDEF (None) in a bound row joins like an unbound column: the

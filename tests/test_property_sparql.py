@@ -400,15 +400,19 @@ def test_compiled_ask_matches_interpretive(triples, patterns):
 #
 # A fully bound probe compiles to a semi-join, and a probe binding one
 # variable plus the semi-joins on it to one intersect step; both walk the
-# sorted runs and test membership in the store's member sets.  On cyclic
-# and star BGPs, over stores that carry tail rows and tombstones (so a
-# range is a merged list, not the run column), the kernels must return
-# the interpreter oracle's multiset and — row for row, in order — what
-# the same probes return when each runs alone through the generic
-# ``_ProbeOp`` path: for every VALUES block one plan runs (the bound-join
-# shape, where the member sets are reused), and again from a fresh plan
-# after a write through ``add``, ``add_all``, ``remove`` or ``clear``,
-# which must drop them.  Shapes the kernels do not cover must keep
+# sorted runs and test membership in the store's member sets.  Every
+# other memoised probe runs a batch in one pass over its memo of
+# extension tuples.  On cyclic and star BGPs, over stores that carry
+# tail rows and tombstones (so a range is a merged list, not the run
+# column), the plans must return the interpreter oracle's multiset and —
+# row for row, in order — what the same probes return when each runs
+# alone through the generic per-row loop (``_ProbeOp._run_rows``): for
+# every VALUES block one plan runs (the bound-join shape, where member
+# sets and memos are reused), with the memo limit patched small or not,
+# and again from a fresh plan after a write through ``add``,
+# ``add_all``, ``remove`` or ``clear``, which must drop them.  The probe
+# shapes cover 0, 1, 2 and 3 fresh columns, repeated variables and
+# constant-only lookups.  Shapes the kernels do not cover must keep
 # compiling to generic probes.
 
 from repro.sparql.plan import _SEED, _drain, _IntersectOp, _ProbeOp, _SemiJoinOp
@@ -451,28 +455,57 @@ def _kernel_shape(name, p, q, r, n, m):
         ],
         # Behind a VALUES block over ?a these are two lone semi-joins.
         "checks only": [TriplePattern(_A, p, n), TriplePattern(m, q, _A)],
+        # Three fresh columns on a constant-only lookup; two behind a
+        # VALUES block over ?a.
+        "all variables": [TriplePattern(_A, _P, _B)],
+        # The last probe closes the cycle through the bound predicate
+        # variable: no fresh column, a three-slot key.
+        "probe widths": [
+            TriplePattern(_A, _P, _B),
+            TriplePattern(_B, q, _C),
+            TriplePattern(_A, _P, _C),
+        ],
+        # ?c r ?c checks a repeated variable and, like ?b p n, has no
+        # bound slot: one constant-only lookup serves every row.
+        "repeated variable": [
+            TriplePattern(_A, p, _B),
+            TriplePattern(_B, q, _B),
+            TriplePattern(_C, r, _C),
+        ],
+        "constants only": [TriplePattern(_B, p, n), TriplePattern(m, q, _C)],
     }[name]
 
 
+_P = Variable("p")
 _KERNEL_SHAPES = ["triangle", "type + bound object", "two checks on one variable", "checks only"]
+_PROBE_SHAPES = ["all variables", "probe widths", "repeated variable", "constants only"]
+
+
+def _kernel_query(patterns, block):
+    elements = [BGP(patterns)]
+    if block is not None:
+        # A bound-join block: VALUES leads, so ?a arrives bound.
+        elements.insert(0, ValuesPattern((_A,), block))
+    return SelectQuery(where=GroupPattern(elements), select_vars=None)
 
 
 def _run_generic(plan, params):
     """The WHERE pipeline with every probe — the members of each
-    intersect step one by one — run through the generic
-    ``_ProbeOp.run_batches``; also how many kernel steps the compiled
-    plan holds."""
+    intersect step one by one — run through the generic per-row loop
+    ``_ProbeOp._run_rows``; also how many kernel steps and memoised
+    probes the compiled plan holds."""
     core, ctx = plan._bind(params)
     rows = list(_SEED)
-    kernels = 0
+    kernels = memoised = 0
     for op in core.plan.ops:
         kernels += isinstance(op, (_IntersectOp, _SemiJoinOp))
+        memoised += type(op) is _ProbeOp
         for step in op.members if isinstance(op, _IntersectOp) else (op,):
             if isinstance(step, _ProbeOp):
-                rows = _drain(_ProbeOp.run_batches(step, ctx, [rows]))
+                rows = _drain(_ProbeOp._run_rows(step, ctx, [rows]))
             else:
                 rows = _drain(step.run_batches(ctx, [rows]))
-    return rows, kernels
+    return rows, kernels, memoised
 
 
 def _run_compiled(plan, params):
@@ -498,7 +531,7 @@ def _write(store: TripleStore, kind: str, patterns, binding: dict) -> None:
 
 @given(
     _written_stores(),
-    st.sampled_from(_KERNEL_SHAPES),
+    st.sampled_from(_KERNEL_SHAPES + _PROBE_SHAPES),
     st.tuples(*[st.sampled_from(_PREDICATES)] * 3),
     st.tuples(*[st.sampled_from(_IRIS)] * 2),
     st.one_of(
@@ -507,48 +540,66 @@ def _write(store: TripleStore, kind: str, patterns, binding: dict) -> None:
     ),
     st.sampled_from(["add", "add_all", "remove", "clear"]),
     st.tuples(*[st.sampled_from(_IRIS)] * 3),
+    st.sampled_from([None, 1, 2]),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_kernels_match_generic_probes_row_for_row(
-    store, shape, predicates, constants, blocks, write, terms
+    store, shape, predicates, constants, blocks, write, terms, memo_limit
 ):
     patterns = _kernel_shape(shape, *predicates, *constants)
-
-    def query_for(block):
-        elements = [BGP(patterns)]
-        if block is not None:
-            # A bound-join block: VALUES leads, so ?a arrives bound.
-            elements.insert(0, ValuesPattern((_A,), block))
-        return SelectQuery(where=GroupPattern(elements), select_vars=None)
-
     # One plan runs every block, as an endpoint runs a bound join's blocks.
     params = [None] if blocks is None else [(tuple((t,) for t in block),) for block in blocks]
-    query = query_for(None if blocks is None else params[0][0])
+    query = _kernel_query(patterns, None if blocks is None else params[0][0])
 
     def check(plan):
         for block in params:
-            generic_rows, kernels = _run_generic(plan, block)
-            assert kernels >= 1
+            generic_rows, kernels, memoised = _run_generic(plan, block)
+            assert kernels >= 1 if shape in _KERNEL_SHAPES else memoised >= 1
             assert _run_compiled(plan, block) == generic_rows
-            oracle = evaluate_select(store, query_for(None if block is None else block[0]))
+            bound = _kernel_query(patterns, None if block is None else block[0])
+            oracle = evaluate_select(store, bound)
             assert Counter(plan.execute_select(block).rows) == Counter(oracle.rows)
 
-    plan = compile_query(store, query)
-    check(plan)
-    # A write between two compilations that adds a solution of the first
-    # block, or removes one: a fresh plan must see it, and the old one
-    # refuses to run once the write moved the store's version.
-    binding = dict(zip(_VARIABLES, terms))
-    if blocks is not None:
-        binding[_A] = blocks[0][0]
-    solutions = evaluate_select(store, query)
-    if write == "remove" and solutions.rows:
-        binding = dict(zip(solutions.vars, solutions.rows[0]))
-    _write(store, write, patterns, binding)
-    check(compile_query(store, query))
+    limit = _ProbeOp.MATCH_CACHE_LIMIT if memo_limit is None else memo_limit
+    with patch.object(_ProbeOp, "MATCH_CACHE_LIMIT", limit):
+        plan = compile_query(store, query)
+        check(plan)
+        # A write between two compilations that adds a solution of the
+        # first block, or removes one: a fresh plan must see it, and the
+        # old one refuses to run once the write moved the store's version.
+        binding = dict(zip((*_VARIABLES, _P), (*terms, predicates[0])))
+        if blocks is not None:
+            binding[_A] = blocks[0][0]
+        solutions = evaluate_select(store, query)
+        if write == "remove" and solutions.rows:
+            binding = dict(zip(solutions.vars, solutions.rows[0]))
+        _write(store, write, patterns, binding)
+        check(compile_query(store, query))
     if not plan.valid:
         with pytest.raises(EvaluationError):
             plan.execute_select()
+
+
+def test_probe_shapes_cover_every_memo_key_and_width():
+    """The probe shapes above reach each case the memo pass has: 0, 1, 2
+    and 3 fresh columns, one- and many-slot keys, constant-only lookups
+    and repeated variables."""
+    store = TripleStore()
+    store.add_all(Triple(s, p, o) for s, p, o in zip(_IRIS, _PREDICATES * 2, reversed(_IRIS)))
+    seen = set()
+    for shape in _PROBE_SHAPES:
+        for block in (None, ((_IRIS[0],),)):
+            patterns = _kernel_shape(shape, *_PREDICATES, *_IRIS[:2])
+            plan = compile_query(store, _kernel_query(patterns, block))
+            for op in plan.core.plan.ops:
+                if type(op) is _ProbeOp:
+                    seen.add(f"{len(op.new_positions)} fresh")
+                    seen.add(f"{len(op._bound)}-slot key")
+                    seen.update(["repeated variable"] if op.eq_checks else [])
+    assert seen == {
+        "0 fresh", "1 fresh", "2 fresh", "3 fresh",
+        "0-slot key", "1-slot key", "2-slot key", "3-slot key", "repeated variable",
+    }  # fmt: skip
 
 
 def _no_kernels(plan) -> bool:

@@ -1,5 +1,7 @@
 """Unit tests for the RDF term model."""
 
+import math
+
 import pytest
 
 from repro.exceptions import TermError
@@ -8,8 +10,11 @@ from repro.rdf import (
     IRI,
     Literal,
     Variable,
+    XSD,
     XSD_BOOLEAN,
+    XSD_DECIMAL,
     XSD_DOUBLE,
+    XSD_FLOAT,
     XSD_INTEGER,
     effective_boolean_value,
     is_concrete,
@@ -94,6 +99,75 @@ class TestLiteral:
     def test_numeric_value_language_tagged(self):
         assert Literal("5", language="en").numeric_value() is None
 
+    @pytest.mark.parametrize(
+        "datatype",
+        [
+            XSD_INTEGER,
+            XSD_FLOAT,
+            *(
+                XSD[name].value
+                for name in (
+                    "long", "int", "short", "byte", "nonNegativeInteger", "positiveInteger",
+                    "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte",
+                )
+            ),
+        ],
+    )  # fmt: skip
+    def test_numeric_value_of_every_xsd_numeric_type(self, datatype):
+        assert Literal("10", datatype=datatype).numeric_value() == 10
+        assert Literal(" 10\n", datatype=datatype).numeric_value() == 10
+
+    def test_numeric_value_needs_the_datatypes_lexical_space(self):
+        for value, datatype in [
+            ("1.5", XSD_INTEGER),
+            ("1e3", XSD_INTEGER),
+            ("1e3", XSD_DECIMAL),
+            ("INF", XSD_DECIMAL),
+            ("300", XSD.byte.value),
+            ("-1", XSD.nonNegativeInteger.value),
+            ("0", XSD.positiveInteger.value),
+            ("1", XSD.negativeInteger.value),
+            ("1 000", XSD_INTEGER),
+            ("", XSD_DOUBLE),
+            ("abc", XSD_DOUBLE),
+        ]:
+            assert Literal(value, datatype=datatype).numeric_value() is None, (value, datatype)
+        assert Literal("-0", datatype=XSD.nonNegativeInteger.value).numeric_value() == 0
+        assert Literal("-1", datatype=XSD.nonPositiveInteger.value).numeric_value() == -1
+        assert Literal("1.50", datatype=XSD_DECIMAL).numeric_value() == 1.5
+        assert Literal(".5", datatype=XSD_DECIMAL).numeric_value() == 0.5
+        assert Literal("1e3", datatype=XSD_DOUBLE).numeric_value() == 1000.0
+
+    def test_python_number_syntax_is_not_xsd(self):
+        # int() / float() read all of these; XSD reads none of them.
+        python_only = ("1_000", "\u0661\u0662", "nan", "inf", "-inf", "Infinity", "0x10")
+        for value in (*python_only, "\u00a017"):
+            assert Literal(value).numeric_value() is None, value
+            assert Literal(value, datatype=XSD_DOUBLE).numeric_value() is None, value
+
+    def test_special_values_only_on_float_and_double(self):
+        for datatype in (XSD_FLOAT, XSD_DOUBLE):
+            assert Literal("INF", datatype=datatype).numeric_value() == math.inf
+            assert Literal("-INF", datatype=datatype).numeric_value() == -math.inf
+            assert math.isnan(Literal("NaN", datatype=datatype).numeric_value())
+        for datatype in (None, XSD_INTEGER, XSD_DECIMAL):
+            for value in ("INF", "-INF", "NaN"):
+                assert Literal(value, datatype=datatype).numeric_value() is None
+
+    def test_plain_literal_in_decimal_or_double_form(self):
+        assert Literal("17").numeric_value() == 17
+        assert Literal("-1.5").numeric_value() == -1.5
+        assert Literal("2.5E2").numeric_value() == 250.0
+        assert Literal(" 17 ").numeric_value() == 17
+        for value in ("", ".", "-", "1.2.3", "1e", "e3"):
+            assert Literal(value).numeric_value() is None, value
+
+    def test_numeric_value_keeps_int_for_integer_text(self):
+        assert isinstance(Literal("5", datatype=XSD_DOUBLE).numeric_value(), int)
+        assert isinstance(Literal("5.0", datatype=XSD_DOUBLE).numeric_value(), float)
+        # Past int()'s digit limit the nearest float, not a ValueError.
+        assert Literal("9" * 5000, datatype=XSD_INTEGER).numeric_value() == math.inf
+
     def test_sort_key_numeric_before_text_consistency(self):
         five = Literal("5", datatype=XSD_INTEGER)
         ten = Literal("10", datatype=XSD_INTEGER)
@@ -144,6 +218,12 @@ class TestTypedLiteral:
         lit = typed_literal(2.5)
         assert lit.datatype == XSD_DOUBLE
         assert lit.numeric_value() == pytest.approx(2.5)
+
+    def test_non_finite_float_writes_the_xsd_spelling(self):
+        assert typed_literal(math.inf) == Literal("INF", datatype=XSD_DOUBLE)
+        assert typed_literal(-math.inf) == Literal("-INF", datatype=XSD_DOUBLE)
+        assert typed_literal(math.nan) == Literal("NaN", datatype=XSD_DOUBLE)
+        assert typed_literal(math.inf).numeric_value() == math.inf
 
     def test_str(self):
         assert typed_literal("x") == Literal("x")
