@@ -21,8 +21,9 @@ id columns in the endpoint's own id space plus a reference to its
 dictionary (:class:`~repro.sparql.result.SelectResult`).  The client
 never decodes them: it charges the response as the *text* a SPARQL
 result document would hold, summed from the per-id text lengths cached
-beside the dictionary, and hands the result on for the mediator's
-relational layer to translate into its shared codec.
+beside the dictionary, and hands the result on to the mediator's
+relational layer, which translates it into its shared codec only where
+an operator compares ids.
 """
 
 from __future__ import annotations

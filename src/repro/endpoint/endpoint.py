@@ -12,9 +12,11 @@ integer term ids (the store's ``dictionary``), and so does what
 holding id columns plus a reference to the dictionary that minted them
 (over a real transport: the columns and the dictionary entries the
 mediator has not been sent yet).  Ids from different endpoints are
-incomparable, so the mediator translates them into its shared codec on
-ingest (:func:`repro.relational.relation.mediator_codec`), each
-distinct term once; the dictionary is append-only, so a mutation
+incomparable, so the mediator translates them into its shared codec
+(:func:`repro.relational.relation.mediator_codec`) where an operator
+first compares them, each distinct term once, and decodes an answer
+that never met such an operator with this dictionary directly; the
+dictionary is append-only, so a mutation
 between two requests never invalidates what was translated.  Terms
 appear only when a caller reads ``result.rows``.
 """

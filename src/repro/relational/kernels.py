@@ -619,11 +619,8 @@ def _general_left_join(
 
 def union(left, right, out_vars) -> tuple[list[Column], int]:
     """Multiset union, aligning schemas (missing vars become unbound)."""
-    runtime = _RUNTIME_STACK.runtimes[-1]
     left_len, right_len = len(left), len(right)
-    total = left_len + right_len
-    if runtime.max_rows is not None and total > runtime.max_rows:
-        runtime.overflow(total)
+    total = union_rows(left_len, right_len)
     left_pos = {var: i for i, var in enumerate(left.vars)}
     right_pos = {var: i for i, var in enumerate(right.vars)}
     columns: list[Column] = []
@@ -636,8 +633,18 @@ def union(left, right, out_vars) -> tuple[list[Column], int]:
         else:
             left_part.extend([None] * right_len)
         columns.append(left_part)
-    runtime.counters.rows_emitted += total
     return columns, total
+
+
+def union_rows(left_len: int, right_len: int) -> int:
+    """A union's row count, held to the row limit and counted as
+    emitted — for the kernel above and for a union that moves no ids."""
+    runtime = _RUNTIME_STACK.runtimes[-1]
+    total = left_len + right_len
+    if runtime.max_rows is not None and total > runtime.max_rows:
+        runtime.overflow(total)
+    runtime.counters.rows_emitted += total
+    return total
 
 
 def project(relation, variables) -> tuple[list[Column], int]:

@@ -34,13 +34,17 @@ The :class:`RowStore` wrapper keeps the external contract unchanged:
 iterating, indexing or comparing ``relation.rows`` yields plain term
 tuples, and ``extend``/``append`` accept them — encode on the way in,
 decode on the way out.  An endpoint response is not such a term
-producer: ``extend`` takes the :class:`SelectResult` itself and
-translates its id columns through the codec's per-endpoint table
-(:meth:`~repro.store.dictionary.TermDictionary.translate_columns`), so
-no term is touched between the endpoint's store and the final answer's
-decode, except where an expression operator reads a value.  The
-pre-columnar row runtime survives as the property-test
-oracle ``tests/reference_relational.py``.
+producer: ``extend`` takes the :class:`SelectResult` itself and keeps
+it as a *segment* in the endpoint's id space.  Ids enter the codec only
+where an operator compares them: the first read of ``columns``
+translates the segments through the codec's per-endpoint table
+(:meth:`~repro.store.dictionary.TermDictionary.translate_columns`),
+while projection and the union of two such relations keep them as
+they are, and an answer nothing else read is decoded by each
+endpoint's own dictionary.  So no term is touched between the
+endpoint's store and the final answer's decode, except where an
+expression operator reads a value.  The pre-columnar row runtime
+survives as the property-test oracle ``tests/reference_relational.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.relational import kernels
 from repro.sparql.ast import Expression, OrderCondition
 from repro.sparql.expressions import compile_filter, compile_order_key
 from repro.sparql.result import SelectResult
-from repro.store.dictionary import TermDictionary
+from repro.store.dictionary import TermDictionary, collector_paused
 
 Row = tuple  # tuple[Term | None, ...] externally; tuple[int | None, ...] encoded
 
@@ -79,33 +83,91 @@ class RowStore:
     explicit ``length`` (columns cannot carry the row count of a
     zero-width relation such as the join identity).
 
-    The output of an inner hash join arrives as ``runs``
-    (:class:`~repro.relational.kernels.JoinRuns`) instead: ``length`` is
-    known, ``columns`` are built — and the runs dropped — when something
-    first reads them, and :meth:`term_rows` writes the term rows from
-    the runs without building them at all.
+    Rows reach those codec columns by one of two deferred routes:
+
+    * **segments** — endpoint responses appended by :meth:`extend`, each
+      kept as ``(dictionary, columns, length)``: the response's own id
+      columns and the store dictionary that minted them, neither
+      copied.  The first read of ``columns`` translates them, in arrival
+      order, through the codec (``translate_columns``) into fresh codec
+      columns, the form every operator reads.  Until then
+      :meth:`term_rows` and slices decode each segment with its own
+      dictionary and nothing is translated.  Segment columns are shared
+      with the response (and, through :meth:`SelectResult.view`, with
+      other queries' stores): they are never mutated or adopted as this
+      store's columns.  A store holds segments only while it holds no
+      codec rows; a response that arrives after codec rows is
+      translated on arrival.  A projection keeps the segments narrowed
+      and its ``origin``, the store it narrows: read as ids, it
+      translates through that store and copies the kept columns, so a
+      response is translated once however many projections read it.
+    * **runs** — the output of an inner hash join
+      (:class:`~repro.relational.kernels.JoinRuns`): ``length`` is
+      known, ``columns`` are built — and the runs dropped — when
+      something first reads them, and :meth:`term_rows` writes the term
+      rows from the runs without building them at all.
     """
 
-    __slots__ = ("codec", "_columns", "runs", "length")
+    __slots__ = ("codec", "_columns", "segments", "origin", "runs", "length")
 
     def __init__(self, codec: TermDictionary | None = None, width: int = 0):
         self.codec = codec if codec is not None else _MEDIATOR_CODEC
         self._columns: list[list] = [[] for __ in range(width)]
+        #: Untranslated responses, ``(dictionary, columns, length)``
+        #: each, none of them empty; ``[]`` once translated.
+        self.segments: list[tuple] = []
+        #: For a projection of another store's segments: that store and
+        #: the position each column takes there (``None``: unbound).
+        self.origin: tuple[RowStore, list] | None = None
         self.runs: kernels.JoinRuns | None = None
         self.length = 0
 
     @property
     def columns(self) -> list[list]:
-        runs = self.runs
-        if runs is not None:
-            self._columns = runs.flatten()
+        if self.runs is not None:
+            self._columns = self.runs.flatten()
             self.runs = None
+        elif self.segments:
+            self._columns = self._translated()
+            self.segments = []
+            self.origin = None
         return self._columns
 
     @columns.setter
     def columns(self, columns: list[list]) -> None:
         self._columns = columns
+        self.segments = []
+        self.origin = None
         self.runs = None
+
+    def _translated(self) -> list[list]:
+        """The segments as fresh codec columns, translated in arrival
+        order (so ids are interned as eager translation would)."""
+        if self.origin is not None:
+            # Copied: the source may grow, and may be read as ids too.
+            source, positions = self.origin
+            columns, length = source.columns, self.length
+            return [
+                [None] * length if position is None else columns[position][:length]
+                for position in positions
+            ]
+        translate = self.codec.translate_columns
+        segments = self.segments
+        if len(segments) == 1:
+            dictionary, columns, __ = segments[0]
+            return translate(dictionary, columns)
+        merged: list[list] = [[] for __ in self._columns]
+        for dictionary, columns, __ in segments:
+            for column, part in zip(merged, translate(dictionary, columns)):
+                column.extend(part)
+        return merged
+
+    def untranslated(self) -> list[tuple] | None:
+        """This store's rows as segments (``[]`` when it has no rows),
+        or ``None`` when it holds codec columns or runs, even empty."""
+        if self.segments or (not self.length and self.runs is None):
+            return self.segments
+        return None
 
     # ------------------------------------------------------------- encode
 
@@ -118,18 +180,17 @@ class RowStore:
     def extend(self, rows: "Iterable[Sequence[Term | None]] | SelectResult") -> None:
         """Append term rows, another store's rows, or a whole response.
 
-        An encoded :class:`SelectResult` is translated column-wise and
-        assigns the ids its term rows would (see ``translate_columns``);
-        one that carries term rows only (a digest-pruned
-        fragment) goes through the term path like any row iterable.
+        An encoded :class:`SelectResult` becomes a segment, translated
+        only when something reads ``columns``; one that carries term
+        rows only (a digest-pruned fragment) goes through the term path
+        like any row iterable.
         """
         if isinstance(rows, RowStore) and rows.codec is self.codec:
             self._extend_ids(rows.columns, rows.length)
             return
         if isinstance(rows, SelectResult):
             if rows.columns is not None:
-                translated = self.codec.translate_columns(rows.dictionary, rows.columns)
-                self._extend_ids(translated, len(rows))
+                self._add_segment(rows.dictionary, rows.columns, len(rows))
                 return
             rows = rows.rows
         encode = self.codec.encode
@@ -143,6 +204,16 @@ class RowStore:
                 column.append(None if term is None else encode(term))
             count += 1
         self.length += count
+
+    def _add_segment(self, dictionary: TermDictionary, columns: Sequence, length: int) -> None:
+        """Append a response untranslated — or translated at once where
+        the store already holds codec rows or runs, which it must follow."""
+        if self.untranslated() is None:
+            self._extend_ids(self.codec.translate_columns(dictionary, columns), length)
+        elif length:
+            self.segments.append((dictionary, columns, length))
+            self.length += length
+            self.origin = None
 
     def _extend_ids(self, columns: Sequence[Sequence], length: int) -> None:
         """Append ``length`` rows given as columns of this codec's ids."""
@@ -165,6 +236,8 @@ class RowStore:
         """Every row as a term tuple, in a fresh list the caller owns."""
         if self.runs is not None:
             return self.codec.decode_runs(self.runs)
+        if self.segments:
+            return _segment_rows(self.segments)
         if not self._columns:
             return [()] * self.length
         return self.codec.decode_columns(self._columns)
@@ -173,6 +246,23 @@ class RowStore:
         return iter(self.term_rows())
 
     def __getitem__(self, index):
+        if self.segments:
+            if not isinstance(index, slice):
+                position = range(self.length)[index]
+                return self[position : position + 1][0]
+            start, stop, step = index.indices(self.length)
+            if step != 1:
+                return self.term_rows()[index]
+            window = []
+            base = 0
+            for dictionary, columns, length in self.segments:
+                low, high = max(start - base, 0), min(stop - base, length)
+                if low < high:
+                    window.append(
+                        (dictionary, [column[low:high] for column in columns], high - low)
+                    )
+                base += length
+            return _segment_rows(window)
         if isinstance(index, slice):
             if not self.columns:
                 return [() for __ in range(*index.indices(self.length))]
@@ -198,6 +288,39 @@ class RowStore:
     def __repr__(self) -> str:
         width = len(self._columns if self.runs is None else self.runs.sources)
         return f"RowStore(rows={self.length}, columns={width})"
+
+
+def _segment_rows(segments: Sequence[tuple]) -> list[Row]:
+    """Term rows of ``(dictionary, columns, length)`` segments, each
+    decoded by its own dictionary, under one collector pause."""
+    rows: list[Row] = []
+    with collector_paused():
+        for dictionary, columns, length in segments:
+            part = dictionary.decode_columns(columns) if columns else [()] * length
+            if rows:
+                rows.extend(part)
+            else:
+                rows = part
+    return rows
+
+
+def _positions(vars: Sequence[Variable], out_vars: Sequence[Variable]) -> list[int | None]:
+    """Where each of ``out_vars`` sits in ``vars`` (``None``: absent)."""
+    index = {var: i for i, var in enumerate(vars)}
+    return [index.get(var) for var in out_vars]
+
+
+def _aligned(segments: Sequence[tuple], positions: list[int | None]) -> list[tuple]:
+    """``segments`` narrowed and reordered to ``positions`` — their
+    columns shared, an absent position all ``None``."""
+    return [
+        (
+            dictionary,
+            [[None] * length if at is None else columns[at] for at in positions],
+            length,
+        )
+        for dictionary, columns, length in segments
+    ]
 
 
 class Relation:
@@ -243,6 +366,16 @@ class Relation:
         relation = cls(vars, (), partitions)
         relation.rows.runs = runs
         relation.rows.length = runs.length
+        return relation
+
+    @classmethod
+    def _from_segments(
+        cls, vars: Sequence[Variable], segments: list[tuple], length: int, partitions: int = 1
+    ) -> "Relation":
+        """Internal fast path: adopt untranslated response segments."""
+        relation = cls(vars, (), partitions)
+        relation.rows.segments = segments
+        relation.rows.length = length
         return relation
 
     #: Columnar view consumed by the kernels.
@@ -339,12 +472,28 @@ class Relation:
     def union(self, other: "Relation") -> "Relation":
         """Multiset union, aligning schemas (missing vars become unbound)."""
         out_vars = self._out_vars(other)
+        partitions = max(self.partitions, other.partitions)
+        left, right = self.rows.untranslated(), other.rows.untranslated()
+        if left is not None and right is not None and (left or right):
+            # Nothing translated on either side: segment lists concatenate.
+            length = kernels.union_rows(len(self), len(other))
+            segments = _aligned(left, _positions(self.vars, out_vars)) + _aligned(
+                right, _positions(other.vars, out_vars)
+            )
+            return Relation._from_segments(out_vars, segments, length, partitions)
         columns, length = kernels.union(self, other, out_vars)
-        return Relation._from_columns(
-            out_vars, columns, length, partitions=max(self.partitions, other.partitions)
-        )
+        return Relation._from_columns(out_vars, columns, length, partitions)
 
     def project(self, variables: Sequence[Variable]) -> "Relation":
+        if self.rows.segments:
+            # Segments narrow and stay untranslated, like runs below.
+            positions = _positions(self.vars, variables)
+            projected = Relation._from_segments(
+                tuple(variables), _aligned(self.rows.segments, positions), len(self),
+                self.partitions,
+            )
+            projected.rows.origin = (self.rows, positions)
+            return projected
         runs = self.rows.runs
         if runs is not None:
             # Runs narrow their sources and stay lazy — unless a variable

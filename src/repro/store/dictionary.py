@@ -44,7 +44,6 @@ without touching an index.
 from __future__ import annotations
 
 import gc
-from array import array
 from contextlib import contextmanager
 from functools import partial
 from typing import Iterable, Iterator, Sequence
@@ -98,7 +97,7 @@ class TermDictionary:
     def __init__(self):
         self._ids: dict[Term, int] = {}
         self._terms: list[Term] = []
-        self._text_lengths = array("I")
+        self._text_lengths: list[int] = []
         self._numbers: list[int | float | None] = []
         #: source dictionary -> its translation table (see
         #: :meth:`translate_columns`); weakly keyed, so the tables of a
@@ -188,11 +187,14 @@ class TermDictionary:
 
     # ------------------------------------------------- sizes / translation
 
-    def text_lengths(self) -> array:
+    def text_lengths(self) -> list[int]:
         """``text_length`` of every interned term, indexed by id.
 
         Filled lazily: a call measures just the terms interned since the
-        previous one.
+        previous one.  A list, not an ``array``, for the same reason as
+        the translation tables: the client sums it once per shipped
+        cell, and a list hands back the int it holds where an array
+        allocates a fresh one per read.
         """
         lengths = self._text_lengths
         terms = self._terms

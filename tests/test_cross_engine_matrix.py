@@ -238,25 +238,25 @@ def test_window_is_the_oracles_rows_in_order(engine_name, window, lubm2):
 
 
 def _finalize_decodes(engine, text, monkeypatch):
-    """Execute ``text``; the outcome plus one ``(seam, rows)`` per bulk
-    row builder call ``_finalize`` made — ``decode_columns`` or, for a
-    relation still held as join runs, ``decode_runs``."""
+    """Execute ``text``; the outcome, one ``(seam, rows)`` per bulk row
+    builder call ``_finalize`` made — ``decode_columns`` or, for a
+    relation still held as join runs, ``decode_runs`` — and the number
+    of calls made outside it (bound-join bindings decode too)."""
     from repro.planning.base_engine import FederatedEngine
     from repro.store.dictionary import TermDictionary
 
     decoded = []
-    finalizing = []  # non-empty inside _finalize: bound-join bindings decode too
+    outside = []
+    finalizing = []  # non-empty inside _finalize
     decode_columns, decode_runs = TermDictionary.decode_columns, TermDictionary.decode_runs
     finalize = FederatedEngine._finalize
 
     def counting_columns(self, columns):
-        if finalizing:
-            decoded.append(("columns", len(columns[0])))
+        (decoded if finalizing else outside).append(("columns", len(columns[0])))
         return decode_columns(self, columns)
 
     def counting_runs(self, runs):
-        if finalizing:
-            decoded.append(("runs", runs.length))
+        (decoded if finalizing else outside).append(("runs", runs.length))
         return decode_runs(self, runs)
 
     def marking(self, relation, normalized):
@@ -271,7 +271,7 @@ def _finalize_decodes(engine, text, monkeypatch):
     monkeypatch.setattr(FederatedEngine, "_finalize", marking)
     outcome = engine.execute(text)
     monkeypatch.undo()
-    return outcome, decoded
+    return outcome, decoded, len(outside)
 
 
 def _window_of(full: list, window: str) -> list:
@@ -282,16 +282,21 @@ def _window_of(full: list, window: str) -> list:
 @pytest.mark.parametrize("window", sorted(_WINDOWS))
 def test_only_the_returned_window_is_decoded(window, lubm2, monkeypatch):
     """``_finalize`` hands the bulk decoder the rows it returns — not
-    the relation behind the OFFSET, not the rows past the LIMIT."""
+    the relation behind the OFFSET, not the rows past the LIMIT.  The
+    query is local to each endpoint, so its answer is the two responses
+    untranslated: one decode per response the window reaches, each by
+    its endpoint's dictionary, and none before ``_finalize``."""
     engine = LusailEngine(lubm2)
     full = engine.execute(_sliced("crossing", "?x ?y ?z", "")).result.rows
     assert len(full) > 20
-    outcome, decoded = _finalize_decodes(
+    outcome, decoded, outside = _finalize_decodes(
         engine, _sliced("crossing", "?x ?y ?z", _WINDOWS[window]), monkeypatch
     )
     expected = _window_of(full, window)
     assert outcome.result.rows == expected
-    assert decoded == [("columns", len(expected))]
+    assert outside == 0
+    assert {seam for seam, __ in decoded} == {"columns"}
+    assert sum(rows for __, rows in decoded) == len(expected)
 
 
 @pytest.mark.parametrize("window", sorted(_WINDOWS))
@@ -302,7 +307,7 @@ def test_a_window_over_join_runs_decodes_only_the_window(window, lubm2, monkeypa
     engine = LusailEngine(lubm2)
     full = engine.execute(_sliced("fanout", "?y ?u ?x", "")).result.rows
     assert len(full) > 20
-    outcome, decoded = _finalize_decodes(
+    outcome, decoded, __ = _finalize_decodes(
         engine, _sliced("fanout", "?y ?u ?x", _WINDOWS[window]), monkeypatch
     )
     expected = _window_of(full, window)

@@ -13,7 +13,11 @@ number where the term-row hand-off had it:
 * the dictionary is append-only, so store mutations and lost responses
   leave the tables valid and nothing is ever translated twice;
 * term producers (digest-pruned fragments, the serving layer's
-  attached views) still flow through the same calls.
+  attached views) still flow through the same calls;
+* a response appended to a relation stays a segment in its endpoint's
+  id space until an operator reads ids, and any operator sequence over
+  segments gives the rows and ids eager translation gives, without
+  ever writing a response's columns.
 """
 
 from collections import Counter
@@ -32,12 +36,13 @@ from repro.datasets.random_federation import (
 from repro.endpoint import Endpoint, Federation
 from repro.endpoint.client import _TERM_OVERHEAD_BYTES, _payload_bytes
 from repro.faults import EndpointFaults, FaultPlan
-from repro.rdf import BNode, IRI, Literal, Triple
+from repro.rdf import BNode, IRI, Literal, Triple, Variable
 from repro.rdf.terms import typed_literal
 from repro.relational.relation import Relation, RowStore, mediator_codec
 from repro.serve import QueryRequest, QueryServer
 from repro.serve.client import ServingClient
 from repro.sparql import evaluate_select, parse_query, serialize_query
+from repro.sparql.ast import Comparison, FunctionCall, OrderCondition, TermExpr, VarExpr
 from repro.sparql.evaluator import SelectResult
 from repro.sparql.partial import prune_rows
 from repro.store.dictionary import TermDictionary
@@ -370,7 +375,6 @@ class TestTermProducers:
         endpoint = Endpoint(
             "e", [Triple(iri(f"s{i}"), iri("p"), Literal("v" * (i + 1))) for i in range(6)]
         )
-        from repro.rdf import Variable
         from repro.store.digests import stable_term_hash
 
         result = endpoint.select(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"))
@@ -446,3 +450,259 @@ class TestServeSharesTheEncodedResponse:
         first, second = records
         assert Counter(first.result.rows) == Counter(second.result.rows)
         assert first.result.vars != second.result.vars
+
+
+# --------------------------------------------------------------------------
+# Segments: a response stays in its endpoint's id space until read as ids
+
+_POOL = [iri(f"t{i}") for i in range(4)] + [
+    Literal("a"),
+    typed_literal(1),
+    typed_literal(7),
+    BNode("b0"),
+]
+_SCHEMA = [Variable(name) for name in "ABCD"]
+
+
+@st.composite
+def _endpoint_dictionary(draw) -> TermDictionary:
+    """A store dictionary over part of the pool, in its own id order."""
+    dictionary = TermDictionary()
+    for term in draw(st.lists(st.sampled_from(_POOL), min_size=1, unique=True)):
+        dictionary.encode(term)
+    return dictionary
+
+
+@st.composite
+def _responses(draw, dictionaries, vars=None) -> tuple:
+    """A schema (width 0 to 3) and 0 to 3 encoded responses over it,
+    each from one of ``dictionaries``, unbound cells included."""
+    if vars is None:
+        vars = tuple(draw(st.lists(st.sampled_from(_SCHEMA), unique=True, max_size=3)))
+    responses = []
+    for __ in range(draw(st.integers(0, 3))):
+        dictionary = draw(st.sampled_from(dictionaries))
+        length = draw(st.integers(0, 4))
+        cell = st.one_of(st.none(), st.integers(0, len(dictionary) - 1))
+        columns = [draw(st.lists(cell, min_size=length, max_size=length)) for __ in vars]
+        responses.append(SelectResult.encoded(vars, columns, length, dictionary))
+    return vars, responses
+
+
+def _ingested(vars, responses) -> tuple[Relation, Relation]:
+    """The responses extended into a store, and the eager reference:
+    their decoded term rows encoded through the codec."""
+    lazy = Relation(vars)
+    for response in responses:
+        lazy.rows.extend(response)
+    eager = Relation(vars, [row for response in responses for row in response.rows])
+    return lazy, eager
+
+
+def _assert_same_rows(lazy: Relation, eager: Relation) -> None:
+    assert lazy.vars == eager.vars
+    assert len(lazy) == len(eager)
+    assert lazy.rows.term_rows() == eager.rows.term_rows()
+
+
+def _step(data, dictionaries, lazy: Relation, eager: Relation) -> tuple[Relation, Relation]:
+    """One random operator applied to both sides, or one read compared."""
+    op = data.draw(
+        st.sampled_from(
+            (
+                "extend", "union", "project", "distinct", "join", "left_join",
+                "filter", "order_by", "limit", "slice", "count", "term_rows",
+            )
+        )
+    )
+    if op == "extend":
+        # Onto segments, codec columns, join runs or a projection alike.
+        for response in data.draw(_responses(dictionaries, lazy.vars))[1]:
+            lazy.rows.extend(response)
+            eager.rows.extend(response.rows)
+    if op in ("union", "join", "left_join"):
+        other_lazy, other_eager = _ingested(*data.draw(_responses(dictionaries)))
+        return getattr(lazy, op)(other_lazy), getattr(eager, op)(other_eager)
+    if op == "project":
+        # Unknown variables included: they project to unbound columns.
+        variables = data.draw(st.lists(st.sampled_from(_SCHEMA), unique=True, max_size=4))
+        return lazy.project(variables), eager.project(variables)
+    if op == "distinct":
+        return lazy.distinct(), eager.distinct()
+    if op == "filter" and lazy.vars:
+        variable = VarExpr(data.draw(st.sampled_from(lazy.vars)))
+        expression = data.draw(
+            st.one_of(
+                st.just(FunctionCall("BOUND", [variable])),
+                st.sampled_from(_POOL).map(lambda term: Comparison("=", variable, TermExpr(term))),
+            )
+        )
+        return lazy.filter(expression), eager.filter(expression)
+    if op == "order_by" and lazy.vars:
+        conditions = [
+            OrderCondition(VarExpr(var), data.draw(st.booleans()))
+            for var in data.draw(st.permutations(lazy.vars))
+        ]
+        return lazy.order_by(conditions), eager.order_by(conditions)
+    if op == "limit":
+        limit = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+        offset = data.draw(st.integers(0, 6))
+        return lazy.limit(limit, offset), eager.limit(limit, offset)
+    if op == "slice":
+        window = slice(
+            data.draw(st.one_of(st.none(), st.integers(-8, 8))),
+            data.draw(st.one_of(st.none(), st.integers(-8, 8))),
+            data.draw(st.sampled_from((None, 1, 2, -1))),
+        )
+        assert lazy.rows[window] == eager.rows[window]
+        if len(eager):
+            index = data.draw(st.integers(-len(eager), len(eager) - 1))
+            assert lazy.rows[index] == eager.rows[index]
+    if op == "count":
+        variable = data.draw(st.one_of(st.none(), st.sampled_from(_SCHEMA)))
+        distinct = data.draw(st.booleans())
+        assert lazy.count(variable, distinct) == eager.count(variable, distinct)
+    return lazy, eager
+
+
+class TestSegmentsEqualEagerTranslation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_operator_sequences(self, data):
+        dictionaries = data.draw(st.lists(_endpoint_dictionary(), min_size=1, max_size=3))
+        lazy, eager = _ingested(*data.draw(_responses(dictionaries)))
+        _assert_same_rows(lazy, eager)
+        for __ in range(data.draw(st.integers(0, 6))):
+            lazy, eager = _step(data, dictionaries, lazy, eager)
+            _assert_same_rows(lazy, eager)
+        # Forced: the ids every kernel reads are the reference's.
+        assert lazy.columns == eager.columns
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_response_shared_by_two_stores_is_never_written(self, data):
+        """Serve's attach path: one response feeds two queries' stores,
+        the second through a renamed ``view``; both go on to take more
+        responses and joins, and the shared columns stay bit-identical."""
+        dictionaries = data.draw(st.lists(_endpoint_dictionary(), min_size=1, max_size=3))
+        vars = tuple(
+            data.draw(st.lists(st.sampled_from(_SCHEMA), unique=True, min_size=1, max_size=3))
+        )
+        renamed = tuple(Variable(var.name.lower()) for var in vars)
+        shared = data.draw(_responses(dictionaries, vars))[1] or [
+            SelectResult.encoded(vars, [[0] for __ in vars], 1, dictionaries[0])
+        ]
+        shared = shared[0]
+        columns = list(shared.columns)
+        snapshot = [list(column) for column in columns]
+        view = shared.view(renamed)
+        more = data.draw(_responses(dictionaries, vars))[1]
+        first, first_eager = _ingested(vars, [shared, *more])
+        second, second_eager = _ingested(renamed, [view, *[r.view(renamed) for r in more]])
+        for __ in range(data.draw(st.integers(1, 4))):
+            first, first_eager = _step(data, dictionaries, first, first_eager)
+            second, second_eager = _step(data, dictionaries, second, second_eager)
+            _assert_same_rows(first, first_eager)
+            _assert_same_rows(second, second_eager)
+        assert first.columns == first_eager.columns
+        assert second.columns == second_eager.columns
+        assert all(now is before for now, before in zip(shared.columns, columns))
+        assert [list(column) for column in shared.columns] == snapshot
+
+    @given(st.lists(_endpoint_dictionary(), min_size=1, max_size=3), st.data())
+    def test_translation_interns_in_arrival_order(self, dictionaries, data):
+        """Deferred translation interns what eager translation would, in
+        the same order: a fresh codec per side, compared term by term."""
+        vars, responses = data.draw(_responses(dictionaries))
+        deferred = RowStore(TermDictionary(), len(vars))
+        eager = RowStore(TermDictionary(), len(vars))
+        for response in responses:
+            deferred.extend(response)
+            eager.extend(response)
+            assert len(eager.columns) == len(vars)  # translated on arrival
+        assert deferred.columns == eager.columns
+        assert list(deferred.codec) == list(eager.codec)
+
+
+class TestSegmentsStayUntranslated:
+    def test_union_project_and_the_answer_edge_translate_nothing(self, monkeypatch):
+        left, right = TermDictionary(), TermDictionary()
+        for term in _POOL:
+            left.encode(term)
+        for term in reversed(_POOL):
+            right.encode(term)
+        a, b, c = _SCHEMA[:3]
+        first = Relation((a, b))
+        first.rows.extend(SelectResult.encoded((a, b), [[0, 1, 2], [3, None, 5]], 3, left))
+        first.rows.extend(SelectResult.encoded((a, b), [[0, 1], [2, 3]], 2, right))
+        second = Relation((b, c))
+        second.rows.extend(SelectResult.encoded((b, c), [[4], [6]], 1, right))
+        calls = []
+        translate = TermDictionary.translate_columns
+        monkeypatch.setattr(
+            TermDictionary,
+            "translate_columns",
+            lambda self, source, columns: calls.append(source) or translate(self, source, columns),
+        )
+        answer = first.union(second).project((c, a, _SCHEMA[3]))
+        assert len(answer.rows.segments) == 3 and not calls
+        rows = answer.rows.term_rows()
+        assert rows[1:4] == answer.rows[1:4] and rows[-1] == answer.rows[-1]
+        assert rows == [
+            (None, _POOL[0], None),
+            (None, _POOL[1], None),
+            (None, _POOL[2], None),
+            (None, _POOL[-1], None),
+            (None, _POOL[-2], None),
+            (_POOL[1], None, None),
+        ]
+        assert not calls
+        # The first read as ids translates every segment, in arrival order.
+        assert answer.columns[1] == [mediator_codec().lookup(term) for __, term, __ in rows]
+        assert calls == [left, right, right] and not answer.rows.segments
+
+    def test_a_response_after_join_runs_follows_them(self):
+        """Even an empty join output is runs: a response appended to it
+        is translated on arrival, never left behind the runs."""
+        a, b = _SCHEMA[:2]
+        joined = Relation((a,), [(_POOL[0],)]).join(Relation((a, b), [(_POOL[1], _POOL[2])]))
+        assert joined.rows.runs is not None and not len(joined)
+        dictionary = TermDictionary()
+        dictionary.encode(_POOL[3])
+        joined.rows.extend(SelectResult.encoded((a, b), [[0], [None]], 1, dictionary))
+        assert joined.rows.term_rows() == [(_POOL[3], None)]
+        assert not joined.rows.segments and joined.rows.runs is None
+
+    def test_a_projection_translates_through_its_source_once(self, monkeypatch):
+        """Reading a projection as ids translates the store it narrows —
+        each response once, however many projections are read — and
+        keeps the rows the source held when it was projected."""
+        dictionary = TermDictionary()
+        for term in _POOL:
+            dictionary.encode(term)
+        a, b, c = _SCHEMA[:3]
+        first = SelectResult.encoded((a, b), [[0, 1, 2], [3, None, 5]], 3, dictionary)
+        source = Relation((a, b))
+        source.rows.extend(first)
+        narrow, widened = source.project((b,)), source.project((b, c, a))
+        grown = source.project((b,))
+        source.rows.extend(SelectResult.encoded((a, b), [[6], [7]], 1, dictionary))
+        # A projection given rows of its own no longer mirrors its source.
+        grown.rows.extend(SelectResult.encoded((b,), [[4]], 1, dictionary))
+        calls = []
+        translate = TermDictionary.translate_columns
+        monkeypatch.setattr(
+            TermDictionary,
+            "translate_columns",
+            lambda self, source, columns: calls.append(len(columns[0]))
+            or translate(self, source, columns),
+        )
+        assert widened.distinct().rows.term_rows() == [
+            (b_term, None, a_term) for a_term, b_term in first.rows
+        ]
+        assert narrow.columns == Relation((b,), [(row[1],) for row in first.rows]).columns
+        assert len(source.columns[0]) == 4 and len(narrow) == 3
+        assert calls == [3, 1]
+        assert grown.columns == Relation(
+            (b,), [(row[1],) for row in first.rows] + [(_POOL[4],)]
+        ).columns
