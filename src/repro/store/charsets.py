@@ -24,14 +24,20 @@ check-query answering:
     when their authorities are, so a bound join need not send an IRI to
     an endpoint where no entity in that position shares its authority.
 
-The summary is computed from the id-space sorted-run columns (three
-``scan_ids`` permutation passes, grouping in id space and decoding each
-id once) and is incrementally maintained by
-:class:`CharsetMaintainer` under the store's
+Every table but the histograms is a sum over entities of a function of
+the entity's *class*: its subject-side and object-side ``(predicate,
+triples)`` items, its classes and its IRI authority.  The build reads
+each entity's class straight off the sorted SPO and OSP run columns (one
+merge, ascending by entity id), counts the classes (a LUBM endpoint's
+41k entities fall into under a hundred) and folds each class into the
+tables once, weighted by its size (:func:`_fold`); the histograms come
+off the POS predicate ranges.  Nothing per entity is kept.
+:class:`CharsetMaintainer` keeps the summary current under the store's
 ``version`` counter with a recompute-on-threshold delta policy: small
-deltas recorded through the owning endpoint are applied in place (kept
-provably identical to a fresh rebuild by the property tests), bulk loads
-and out-of-band store mutations trigger a full recompute.
+deltas recorded through the owning endpoint re-fold only the entities
+they name, each entity's old class out and its new class in (kept
+identical to a fresh rebuild by the property tests); bulk loads and
+out-of-band store mutations trigger a full recompute.
 
 Everything in the summary is *exact at its version*; the provider layer
 (:mod:`repro.planning.stats`) only makes pruning decisions that are
@@ -40,8 +46,9 @@ sound for exact summaries and falls back to remote probes otherwise.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby, islice
 from typing import TYPE_CHECKING
 
 from repro.rdf.namespaces import RDF_TYPE
@@ -56,6 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: exact per-object histogram, making ``(?s, p, o)`` estimates and
 #: ``can_match`` verdicts exact (``rdf:type`` on every dataset we ship).
 DEFAULT_OBJECT_HISTOGRAM_LIMIT = 256
+
+#: :class:`CharsetMaintainer` rebuilds instead of re-folding once the
+#: pending deltas outnumber this share of the summary's triples.
+REBUILD_RATIO = 0.25
 
 #: Elements of a characteristic set: a predicate term, or a
 #: ``("class", C)`` marker recording that the subject has rdf:type C.
@@ -312,159 +323,197 @@ def _pairs_to_json(table: dict[tuple[Term, Term], int]) -> list:
 
 # ---------------------------------------------------------------- build
 
+#: An entity class: ``(subject items, classes, object items, authority)``.
+#: The items are ``(predicate id, triples)`` pairs ascending by
+#: predicate id, for the triples naming the entity as subject and as
+#: object; ``classes`` the ascending ids of its ``rdf:type`` objects;
+#: ``authority`` its IRI authority, or None for a literal or blank node.
+#: Every table of a summary is a sum over entities of a function of the
+#: entity's class, so entities of one class fold in together.
+EntityKey = tuple
+
 
 def build_charsets(
     store: "TripleStore",
     object_histogram_limit: int = DEFAULT_OBJECT_HISTOGRAM_LIMIT,
 ) -> CharacteristicSets:
-    """Compute the full summary from the store's id-space columns."""
-    return _build(store, object_histogram_limit)[0]
-
-
-def _build(
-    store: "TripleStore", object_histogram_limit: int
-) -> tuple[CharacteristicSets, dict[int, Counter], dict[int, Counter]]:
-    """The summary plus the two id-keyed entity maps it was folded from
-    (subject id -> Counter of predicate ids and ``("c", class id)``
-    markers, object id -> Counter of predicate ids), which
-    :class:`CharsetMaintainer` keeps as its working state."""
-    dictionary = store.dictionary
-    decode = dictionary.decode
-    decoded: dict[int, Term] = {}
-
-    def term(term_id: int) -> Term:
-        cached = decoded.get(term_id)
-        if cached is None:
-            cached = decoded[term_id] = decode(term_id)
-        return cached
-
-    type_id = dictionary.lookup(RDF_TYPE)
-
-    # Pass 1 (spo order): subject-grouped predicate/class multisets.
-    subj: dict[int, Counter] = {}
-    for s, p, o in store.scan_ids("spo"):
-        counter = subj.get(s)
-        if counter is None:
-            counter = subj[s] = Counter()
-        counter[p] += 1
-        if p == type_id:
-            counter[("c", o)] += 1
-
-    # Pass 2 (pos order): per-predicate exact object histograms.
-    histograms: dict[int, dict[int, int] | None] = {}
-    for s, p, o in store.scan_ids("pos"):
-        histogram = histograms.get(p, _ABSENT)
-        if histogram is None:
-            continue
-        if histogram is _ABSENT:
-            histogram = histograms[p] = {}
-        histogram[o] = histogram.get(o, 0) + 1
-        if len(histogram) > object_histogram_limit:
-            histograms[p] = None
-
-    # Pass 3 (osp order): object-grouped predicate multisets.
-    obj: dict[int, Counter] = {}
-    for s, p, o in store.scan_ids("osp"):
-        counter = obj.get(o)
-        if counter is None:
-            counter = obj[o] = Counter()
-        counter[p] += 1
-
-    sets: dict[frozenset, int] = {}
-    for counter in subj.values():
-        charset = _charset(counter, term)
-        sets[charset] = sets.get(charset, 0) + 1
-
-    os_pairs: dict[tuple[Term, Term], int] = {}
-    oo_pairs: dict[tuple[Term, Term], int] = {}
-    ss_rows: dict[tuple[Term, Term], int] = {}
-    os_rows: dict[tuple[Term, Term], int] = {}
-    oo_rows: dict[tuple[Term, Term], int] = {}
-    #: (predicate id, authority) -> distinct IRI subjects / objects.
-    subject_authorities: dict[tuple[int, str], int] = {}
-    object_authorities: dict[tuple[int, str], int] = {}
-    for entity in subj.keys() | obj.keys():
-        subject_counter = subj.get(entity, _EMPTY)
-        object_counter = obj.get(entity, _EMPTY)
-        subject_preds = [
-            (term(p), n) for p, n in subject_counter.items() if not isinstance(p, tuple)
-        ]
-        object_preds = [(term(p), n) for p, n in object_counter.items()]
-        value = decode(entity)
-        if isinstance(value, IRI):
-            authority = value.authority
-            for p in subject_counter:
-                if not isinstance(p, tuple):
-                    key = (p, authority)
-                    subject_authorities[key] = subject_authorities.get(key, 0) + 1
-            for p in object_counter:
-                key = (p, authority)
-                object_authorities[key] = object_authorities.get(key, 0) + 1
-        for p1, n1 in subject_preds:
-            for p2, n2 in subject_preds:
-                key = (p1, p2)
-                ss_rows[key] = ss_rows.get(key, 0) + n1 * n2
-        for p1, n1 in object_preds:
-            for p2, n2 in subject_preds:
-                key = (p1, p2)
-                os_pairs[key] = os_pairs.get(key, 0) + 1
-                os_rows[key] = os_rows.get(key, 0) + n1 * n2
-            for p2, n2 in object_preds:
-                key = (p1, p2)
-                oo_pairs[key] = oo_pairs.get(key, 0) + 1
-                oo_rows[key] = oo_rows.get(key, 0) + n1 * n2
-
-    predicates: dict[Term, PredicateStats] = {}
-    for p_id, histogram in histograms.items():
-        predicate = term(p_id)
-        predicates[predicate] = PredicateStats(
-            count=store.predicate_count(predicate),
-            distinct_subjects=store.distinct_subjects(predicate),
-            distinct_objects=store.distinct_objects(predicate),
-            objects=None
-            if histogram is None
-            else {term(o): n for o, n in histogram.items()},
-        )
-
+    """Compute the full summary from the store's id-space columns: the
+    object histograms off the POS predicate ranges, every other table
+    folded from the entity classes (:func:`_entity_classes`)."""
+    term = store.dictionary.decode
     summary = CharacteristicSets(
         version=store.version,
         triples=len(store),
-        distinct_subjects=store.distinct_subjects(),
-        distinct_objects=store.distinct_objects(),
-        predicates=predicates,
-        sets=sets,
-        os_pairs=os_pairs,
-        oo_pairs=oo_pairs,
-        ss_rows=ss_rows,
-        os_rows=os_rows,
-        oo_rows=oo_rows,
-        subject_authorities=_authority_tables(subject_authorities, term),
-        object_authorities=_authority_tables(object_authorities, term),
+        distinct_subjects=0,
+        distinct_objects=0,
+        predicates=_predicate_stats(store, object_histogram_limit),
+        sets={},
+        os_pairs={},
+        oo_pairs={},
+        ss_rows={},
+        os_rows={},
+        oo_rows={},
+        subject_authorities={},
+        object_authorities={},
     )
-    return summary, subj, obj
+    for key, count in _entity_classes(store).items():
+        _fold(summary, key, count, term)
+    return summary
 
 
-def _authority_tables(
-    counts: dict[tuple[int, str], int], term
-) -> dict[Term, dict[str, int]]:
-    """Per-predicate authority tables from ``(predicate id, authority)``
-    counts; ``term`` decodes an id."""
-    tables: dict[Term, dict[str, int]] = {}
-    for (p_id, authority), n in counts.items():
-        tables.setdefault(term(p_id), {})[authority] = n
-    return tables
+def _predicate_stats(store: "TripleStore", limit: int) -> dict[Term, PredicateStats]:
+    """Per-predicate triple counts and object histograms, ascending by
+    predicate id, off the POS run; the distinct counts start at zero for
+    :func:`_fold` to fill in."""
+    term = store.dictionary.decode
+    predicates, objects, __ = store.id_columns("pos")
+    stats: dict[Term, PredicateStats] = {}
+    lo, end = 0, len(predicates)
+    while lo < end:
+        hi = bisect_right(predicates, predicates[lo], lo)
+        histogram = _histogram(islice(objects, lo, hi), limit, term)
+        stats[term(predicates[lo])] = PredicateStats(hi - lo, 0, 0, histogram)
+        lo = hi
+    return stats
 
 
-def _charset(counter: Counter, term) -> frozenset:
-    """The term-space characteristic set of one subject's id-keyed
-    counter; ``term`` decodes an id."""
-    return frozenset(
-        class_marker(term(e[1])) if isinstance(e, tuple) else term(e) for e in counter
-    )
+def _histogram(objects, limit: int, term) -> dict[Term, int] | None:
+    """Object -> triples over one predicate's ascending object ids, or
+    None once more than ``limit`` distinct objects show up."""
+    histogram: dict[Term, int] = {}
+    for o, run in groupby(objects):
+        if len(histogram) == limit:
+            return None
+        histogram[term(o)] = sum(1 for __ in run)
+    return histogram
 
 
-_ABSENT = object()
-_EMPTY: Counter = Counter()
+def _entity_classes(store: "TripleStore") -> dict[EntityKey, int]:
+    """Entity class -> number of entities in it, in first-entity order.
+
+    One merge of the SPO run (each subject's predicates and classes)
+    with the OSP run (each object's predicates), both ascending by
+    entity id; an entity's predicates are read as one slice of its
+    range, so the per-entity work is a few C-level calls.  Slices stay
+    sorted tuples with repeats here and become items once per class.
+    """
+    dictionary = store.dictionary
+    decode = dictionary.decode
+    type_id = dictionary.lookup(RDF_TYPE)
+    subjects, subject_preds, subject_objects = store.id_columns("spo")
+    objects, __, object_preds = store.id_columns("osp")
+    s_end, o_end = len(subjects), len(objects)
+    end = max(subjects[-1] if s_end else -1, objects[-1] if o_end else -1) + 1
+    s_lo = o_lo = 0
+    s = subjects[0] if s_end else end
+    o = objects[0] if o_end else end
+    raw: dict[tuple, int] = {}
+    while s < end or o < end:
+        entity = s if s < o else o
+        preds = classes = incoming = ()
+        if s == entity:
+            s_hi = bisect_right(subjects, s, s_lo)
+            preds = tuple(subject_preds[s_lo:s_hi])
+            if type_id in preds:
+                t_lo = bisect_left(subject_preds, type_id, s_lo, s_hi)
+                t_hi = bisect_right(subject_preds, type_id, t_lo, s_hi)
+                classes = tuple(subject_objects[t_lo:t_hi])
+            s_lo = s_hi
+            s = subjects[s_lo] if s_lo < s_end else end
+        if o == entity:
+            o_hi = bisect_right(objects, o, o_lo)
+            incoming = tuple(sorted(object_preds[o_lo:o_hi]))
+            o_lo = o_hi
+            o = objects[o_lo] if o_lo < o_end else end
+        value = decode(entity)
+        key = (preds, classes, incoming, value.authority if isinstance(value, IRI) else None)
+        raw[key] = raw.get(key, 0) + 1
+    return {
+        (_items(preds), classes, _items(incoming), authority): count
+        for (preds, classes, incoming, authority), count in raw.items()
+    }
+
+
+def _items(ids) -> tuple[tuple[int, int], ...]:
+    """``(id, repeats)`` pairs of a sorted id sequence."""
+    return tuple((key, sum(1 for __ in run)) for key, run in groupby(ids))
+
+
+def _fold(
+    summary: CharacteristicSets,
+    key: EntityKey,
+    m: int,
+    term,
+    subject_side: bool = True,
+    object_side: bool = True,
+) -> None:
+    """Add ``m`` entities of class ``key`` to every entity-derived table
+    of ``summary`` (a negative ``m`` takes them out); ``term`` decodes an
+    id.  The build folds each class once with its size, maintenance an
+    entity's old class at -1 and its new one at +1.  A side passed False
+    is one the caller knows did not change: the tables of that side
+    alone are left as they are, the subject-object tables are not."""
+    subject_items, classes, object_items, authority = key
+    subject_preds = [(term(p), n) for p, n in subject_items]
+    object_preds = [(term(p), n) for p, n in object_items]
+    predicates = summary.predicates
+    if subject_side and subject_preds:
+        summary.distinct_subjects += m
+        charset = frozenset(
+            [p for p, __ in subject_preds] + [class_marker(term(c)) for c in classes]
+        )
+        _bump(summary.sets, charset, m)
+        for p, __ in subject_preds:
+            predicates[p].distinct_subjects += m
+            if authority is not None:
+                _bump_authority(summary.subject_authorities, p, authority, m)
+        _bump_products(summary.ss_rows, subject_preds, subject_preds, m, True)
+    if object_side and object_preds:
+        summary.distinct_objects += m
+        for p, __ in object_preds:
+            predicates[p].distinct_objects += m
+            if authority is not None:
+                _bump_authority(summary.object_authorities, p, authority, m)
+        _bump_products(summary.oo_pairs, object_preds, object_preds, m, False)
+        _bump_products(summary.oo_rows, object_preds, object_preds, m, True)
+    _bump_products(summary.os_pairs, object_preds, subject_preds, m, False)
+    _bump_products(summary.os_rows, object_preds, subject_preds, m, True)
+
+
+def _bump_products(table: dict, left: list, right: list, m: int, rows: bool) -> None:
+    """Add ``m`` to ``table[(p1, p2)]`` for every ``(p1, n1)`` of ``left``
+    and ``(p2, n2)`` of ``right``, times ``n1 * n2`` when counting
+    ``rows``; a zeroed entry leaves."""
+    for p1, n1 in left:
+        for p2, n2 in right:
+            key = (p1, p2)
+            value = table.get(key, 0) + (m * n1 * n2 if rows else m)
+            if value:
+                table[key] = value
+            else:
+                del table[key]
+
+
+def _bump_authority(
+    tables: dict[Term, dict[str, int]], predicate: Term, authority: str, delta: int
+) -> None:
+    """Count IRI entities of one authority in or out of ``predicate``'s
+    authority table; an emptied table leaves, as a rebuild would not
+    create it."""
+    table = tables.setdefault(predicate, {})
+    _bump(table, authority, delta)
+    if not table:
+        del tables[predicate]
+
+
+def _bump(table: dict, key, delta: int) -> None:
+    if not delta:
+        return
+    value = table.get(key, 0) + delta
+    if value:
+        table[key] = value
+    else:
+        table.pop(key, None)
 
 
 # ---------------------------------------------------------- maintenance
@@ -478,34 +527,30 @@ class CharsetMaintainer:
     for batch loads).  :meth:`summary` then reconciles:
 
     - version already matches -> return the cached summary;
-    - few recorded deltas covering the whole version gap -> apply them
-      incrementally (entity-level working maps make every table update
-      exact, verified against fresh rebuilds by the property tests);
+    - few recorded deltas covering the whole version gap -> re-fold
+      every entity they name: its class read from the store now, less
+      the batch's net deltas, out; its class now in (exact, verified
+      against fresh rebuilds by the property tests);
     - bulk loads, more deltas than the recompute threshold, or any
       out-of-band store mutation (version advanced without a recorded
       delta) -> full rebuild from the id-space columns.
+
+    Nothing per entity is kept between calls: the summary is the state.
     """
 
     def __init__(
         self,
         store: "TripleStore",
         object_histogram_limit: int = DEFAULT_OBJECT_HISTOGRAM_LIMIT,
-        rebuild_ratio: float = 0.25,
         min_rebuild: int = 64,
     ):
         self._store = store
         self._histogram_limit = object_histogram_limit
-        self._rebuild_ratio = rebuild_ratio
         self._min_rebuild = min_rebuild
         self._summary: CharacteristicSets | None = None
         self._deltas: list[tuple[int, "Triple"]] = []
         self._known_version = -1
         self._force_rebuild = False
-        #: Working entity maps for incremental updates, in the store's id
-        #: space as :func:`_build` leaves them: subject -> Counter of
-        #: elements, object -> Counter of predicates.
-        self._subj: dict[int, Counter] | None = None
-        self._obj: dict[int, Counter] | None = None
         #: Rebuild/incremental counters, exposed for tests and metrics.
         self.rebuilds = 0
         self.incremental_updates = 0
@@ -543,7 +588,7 @@ class CharsetMaintainer:
         threshold = (
             0
             if summary is None
-            else max(self._min_rebuild, int(self._rebuild_ratio * summary.triples))
+            else max(self._min_rebuild, int(REBUILD_RATIO * summary.triples))
         )
         if (
             summary is None
@@ -551,7 +596,8 @@ class CharsetMaintainer:
             or self._known_version != current
             or len(self._deltas) > threshold
         ):
-            self._rebuild()
+            self._summary = build_charsets(store, self._histogram_limit)
+            self.rebuilds += 1
         else:
             self._apply_deltas()
         self._deltas.clear()
@@ -560,182 +606,93 @@ class CharsetMaintainer:
         assert self._summary is not None
         return self._summary
 
-    def _rebuild(self) -> None:
-        self._summary, self._subj, self._obj = _build(self._store, self._histogram_limit)
-        self.rebuilds += 1
-
     # ------------------------------------------------------- incremental
 
     def _apply_deltas(self) -> None:
         summary = self._summary
-        assert summary is not None and self._subj is not None and self._obj is not None
+        assert summary is not None
         store = self._store
-        #: touched predicate -> net change in its distinct objects.
-        touched: dict[Term, int] = {}
+        dictionary = store.dictionary
+        lookup, term = dictionary.lookup, dictionary.decode
+        type_id = lookup(RDF_TYPE)
+        predicates = summary.predicates
+        #: entity id -> net deltas of its (subject items, classes, object
+        #: items), each ``id -> change``, in first-delta order.
+        entities: dict[int, tuple[dict, dict, dict]] = {}
+        touched: dict[Term, None] = {}
         for sign, triple in self._deltas:
-            self._apply_one(sign, triple, touched)
-            self.incremental_updates += 1
-        # The store maintains the per-predicate triple and subject tallies
-        # exactly; distinct objects it would have to re-scan a permutation
-        # for, and the entity maps already hold them.  Only touched
-        # predicates change.
-        for predicate, objects_delta in touched.items():
-            count = store.predicate_count(predicate)
-            if count == 0:
-                summary.predicates.pop(predicate, None)
-                continue
-            stats = summary.predicates.get(predicate)
-            if stats is None:
-                # Predicate newly appeared: count and histogram it directly.
-                distinct_objects = store.distinct_objects(predicate)
-                histogram = self._histogram_for(predicate)
-            else:
-                distinct_objects = stats.distinct_objects + objects_delta
+            p = triple.predicate
+            touched[p] = None
+            # Histogram update (exact while it stays under the width limit).
+            stats = predicates.get(p)
+            if stats is not None and stats.objects is not None:
                 histogram = stats.objects
-            summary.predicates[predicate] = PredicateStats(
-                count=count,
-                distinct_subjects=store.distinct_subjects(predicate),
-                distinct_objects=distinct_objects,
-                objects=histogram,
+                _bump(histogram, triple.object, sign)
+                if len(histogram) > self._histogram_limit:
+                    stats.objects = None
+            # The store interned the triple's terms when it went in and
+            # never retires an id.
+            s, p_id, o = map(lookup, triple)
+            subject = entities.setdefault(s, ({}, {}, {}))
+            subject[0][p_id] = subject[0].get(p_id, 0) + sign
+            if p_id == type_id:
+                subject[1][o] = subject[1].get(o, 0) + sign
+            incoming = entities.setdefault(o, ({}, {}, {}))[2]
+            incoming[p_id] = incoming.get(p_id, 0) + sign
+            self.incremental_updates += 1
+        for p in touched:
+            p_id = lookup(p)
+            if p not in predicates and store.count_ids(None, p_id):
+                # Newly appeared: histogram it directly; folds count the rest.
+                objects = (o for __, __, o in store.match_ids(None, p_id))
+                histogram = _histogram(objects, self._histogram_limit, term)
+                predicates[p] = PredicateStats(0, 0, 0, histogram)
+        predicate_ids = store.predicate_ids()
+        for entity, (subject_delta, class_delta, object_delta) in entities.items():
+            new = _entity_key(store, entity, type_id, predicate_ids)
+            subject_items, classes, object_items, authority = new
+            old_classes = _minus([(c, 1) for c in classes], class_delta)
+            old = (
+                _minus(subject_items, subject_delta),
+                tuple(c for c, __ in old_classes),
+                _minus(object_items, object_delta),
+                authority,
             )
+            sides = (old[:2] != new[:2], old[2] != new[2])
+            if any(sides):
+                _fold(summary, old, -1, term, *sides)
+                _fold(summary, new, 1, term, *sides)
+        for p in touched:
+            count = store.predicate_count(p)
+            if count:
+                predicates[p].count = count
+            else:
+                predicates.pop(p, None)
         summary.triples = len(store)
-        # An emptied entity leaves its map, so the maps' sizes are the counts.
-        summary.distinct_subjects = len(self._subj)
-        summary.distinct_objects = len(self._obj)
         summary.version = store.version
 
-    def _histogram_for(self, predicate: Term) -> dict[Term, int] | None:
-        store = self._store
-        p_id = store.dictionary.lookup(predicate)
-        if p_id is None:
-            return {}
-        histogram: dict[int, int] = {}
-        for __, __, o in store.match_ids(None, p_id, None):
-            histogram[o] = histogram.get(o, 0) + 1
-            if len(histogram) > self._histogram_limit:
-                return None
-        decode = store.dictionary.decode
-        return {decode(o): n for o, n in histogram.items()}
 
-    def _apply_one(self, sign: int, triple: "Triple", touched: dict[Term, int]) -> None:
-        summary = self._summary
-        assert summary is not None and self._subj is not None and self._obj is not None
-        p, o_term = triple.predicate, triple.object
-        touched.setdefault(p, 0)
-        # The entity maps are id-keyed, the summary's tables term-keyed.
-        # The store interned the triple's terms when it went in and never
-        # retires an id; only the predicates a bump names are decoded.
-        dictionary = self._store.dictionary
-        decode = dictionary.decode
-        s, p_id, o = map(dictionary.lookup, triple)
-
-        # Histogram update (exact while it stays under the width limit).
-        stats = summary.predicates.get(p)
-        if stats is not None and stats.objects is not None:
-            histogram = stats.objects
-            value = histogram.get(o_term, 0) + sign
-            if value > 0:
-                histogram[o_term] = value
-            else:
-                histogram.pop(o_term, None)
-            if len(histogram) > self._histogram_limit:
-                stats.objects = None
-
-        # ---- subject side: c_s(s, p) changes by sign -------------------
-        subject = self._subj.get(s)
-        if subject is None:
-            subject = self._subj[s] = Counter()
-        old_charset = _charset(subject, decode) if subject else None
-        subject_objects = self._obj.get(s, _EMPTY)
-        old_count = subject[p_id]
-        for q_id, n in subject.items():
-            if isinstance(q_id, tuple) or q_id == p_id:
-                continue
-            q = decode(q_id)
-            _bump(summary.ss_rows, (p, q), sign * n)
-            _bump(summary.ss_rows, (q, p), sign * n)
-        _bump(summary.ss_rows, (p, p), 2 * old_count + 1 if sign > 0 else -(2 * old_count - 1))
-        for q_id, n in subject_objects.items():
-            _bump(summary.os_rows, (decode(q_id), p), sign * n)
-        if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
-            # ``s`` becomes, or stops being, a subject of ``p``.
-            _bump_authority(summary.subject_authorities, p, triple.subject, sign)
-            for q_id in subject_objects:
-                _bump(summary.os_pairs, (decode(q_id), p), sign)
-        subject[p_id] += sign
-        if subject[p_id] <= 0:
-            del subject[p_id]
-        if p == RDF_TYPE:
-            marker = ("c", o)
-            subject[marker] += sign
-            if subject[marker] <= 0:
-                del subject[marker]
-        new_charset = _charset(subject, decode) if subject else None
-        if old_charset != new_charset:
-            if old_charset is not None:
-                _bump(summary.sets, old_charset, -1)
-            if new_charset is not None:
-                _bump(summary.sets, new_charset, 1)
-        if not subject:
-            del self._subj[s]
-
-        # ---- object side: c_o(o, p) changes by sign --------------------
-        objects = self._obj.get(o)
-        if objects is None:
-            objects = self._obj[o] = Counter()
-        object_subjects = self._subj.get(o, _EMPTY)
-        old_count = objects[p_id]
-        for q_id, n in objects.items():
-            if q_id == p_id:
-                continue
-            q = decode(q_id)
-            _bump(summary.oo_rows, (p, q), sign * n)
-            _bump(summary.oo_rows, (q, p), sign * n)
-        _bump(summary.oo_rows, (p, p), 2 * old_count + 1 if sign > 0 else -(2 * old_count - 1))
-        for q_id, n in object_subjects.items():
-            if isinstance(q_id, tuple):
-                continue
-            _bump(summary.os_rows, (p, decode(q_id)), sign * n)
-        if (sign > 0 and old_count == 0) or (sign < 0 and old_count == 1):
-            # ``o`` becomes, or stops being, an object of ``p``.
-            touched[p] += sign
-            _bump_authority(summary.object_authorities, p, o_term, sign)
-            for q_id in object_subjects:
-                if isinstance(q_id, tuple):
-                    continue
-                _bump(summary.os_pairs, (p, decode(q_id)), sign)
-            for q_id in objects:
-                if q_id == p_id:
-                    continue
-                q = decode(q_id)
-                _bump(summary.oo_pairs, (p, q), sign)
-                _bump(summary.oo_pairs, (q, p), sign)
-            _bump(summary.oo_pairs, (p, p), sign)
-        objects[p_id] += sign
-        if objects[p_id] <= 0:
-            del objects[p_id]
-        if not objects:
-            del self._obj[o]
+def _entity_key(
+    store: "TripleStore", entity: int, type_id: int | None, predicate_ids: list[int]
+) -> EntityKey:
+    """One entity's class read from the store: its SPO prefix, and one
+    POS range count per predicate (an entity many triples point at, a
+    class say, is not scanned)."""
+    rows = list(store.match_ids(entity))
+    value = store.dictionary.decode(entity)
+    return (
+        _items([p for __, p, __ in rows]),
+        tuple(o for __, p, o in rows if p == type_id),
+        tuple(
+            (p, n) for p in predicate_ids if (n := store.count_ids(None, p, entity))
+        ),
+        value.authority if isinstance(value, IRI) else None,
+    )
 
 
-def _bump_authority(
-    tables: dict[Term, dict[str, int]], predicate: Term, entity: Term, delta: int
-) -> None:
-    """Count one IRI entity in or out of ``predicate``'s authority table;
-    an emptied table leaves, as a rebuild would not create it."""
-    if not isinstance(entity, IRI):
-        return
-    table = tables.setdefault(predicate, {})
-    _bump(table, entity.authority, delta)
-    if not table:
-        del tables[predicate]
-
-
-def _bump(table: dict, key, delta: int) -> None:
-    if not delta:
-        return
-    value = table.get(key, 0) + delta
-    if value:
-        table[key] = value
-    else:
-        table.pop(key, None)
+def _minus(items, delta: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """``items`` less the net ``delta`` per id, ascending, zeros dropped."""
+    counts = dict(items)
+    for key, change in delta.items():
+        counts[key] = counts.get(key, 0) - change
+    return tuple(sorted((key, n) for key, n in counts.items() if n))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 IdRow = tuple  # (a, b, c) in this index's permutation order
@@ -74,12 +74,14 @@ class SortedRunIndex:
         return not self.tail and not self.tombstones
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview]:
-        """Read-only memoryviews over the run columns (kernel surface)."""
-        return (
-            memoryview(self._a).toreadonly(),
-            memoryview(self._b).toreadonly(),
-            memoryview(self._c).toreadonly(),
-        )
+        """Read-only memoryviews over the three columns of every row, in
+        permutation order (kernel surface): the run columns themselves on
+        a compact index, else fresh columns of the merged view."""
+        columns = (self._a, self._b, self._c)
+        if not self.is_compact:
+            flat = array("q", chain.from_iterable(self.iter_prefix()))
+            columns = (flat[0::3], flat[1::3], flat[2::3])
+        return tuple(memoryview(column).toreadonly() for column in columns)
 
     def nbytes(self) -> int:
         """Bytes held by the run columns (the dominant storage term)."""

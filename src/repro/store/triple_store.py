@@ -172,8 +172,12 @@ class TripleStore:
                 for triple in triples
             }
         )
-        contains = self._spo.contains
-        fresh = [row for row in rows if not contains(row)]
+        if self._size:
+            contains = self._spo.contains
+            fresh = [row for row in rows if not contains(row)]
+        else:
+            # An empty store holds none of them: every deduplicated row is new.
+            fresh = rows
         if not fresh:
             return 0
         self._spo.bulk_insert(fresh)
@@ -351,6 +355,20 @@ class TripleStore:
             return ((row[1], row[2], row[0]) for row in self._osp.iter_prefix(()))
         raise ValueError(f"unknown scan order {order!r}")
 
+    def id_columns(self, order: str) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """The three id columns of every row, sorted by a permutation.
+
+        ``order`` is one of ``"spo"``, ``"pos"``, ``"osp"``; the columns
+        are in that permutation's position order (``"osp"`` gives object,
+        subject, predicate), read-only, and the run's own columns when
+        the index has no pending writes
+        (:meth:`~repro.store.sorted_runs.SortedRunIndex.columns`).
+        """
+        index = {"spo": self._spo, "pos": self._pos, "osp": self._osp}.get(order)
+        if index is None:
+            raise ValueError(f"unknown scan order {order!r}")
+        return index.columns()
+
     def match_pattern(self, pattern: TriplePattern) -> Iterator[Triple]:
         """Iterate triples matching a :class:`TriplePattern`."""
         return self.match(pattern.subject, pattern.predicate, pattern.object)
@@ -420,6 +438,10 @@ class TripleStore:
         """All distinct predicates present in the store."""
         decode = self.dictionary.decode
         return {decode(p) for p in self._predicate_counts}
+
+    def predicate_ids(self) -> list[int]:
+        """The ids of the store's predicates, ascending."""
+        return sorted(self._predicate_counts)
 
     def predicate_count(self, predicate: Term) -> int:
         p = self.dictionary.lookup(predicate)

@@ -7,6 +7,7 @@ to a fresh :func:`build_charsets` over the mutated store — the stats
 provider's pruning soundness rests on that exactness.
 """
 
+import tracemalloc
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -158,7 +159,124 @@ class TestBuild:
         assert summary.can_match(TriplePattern(Variable("s"), PREDS[0], Variable("o"))) is False
 
 
+class TestBuildFromMergedView:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(triple_strategy(), min_size=1, max_size=25),
+        st.lists(triple_strategy(), max_size=10),
+        st.data(),
+    )
+    def test_build_with_tail_rows_and_tombstones(self, base, added, data):
+        """Writes since the last bulk load sit in each index's tail and
+        tombstones; the build reads them through the merged view."""
+        store = TripleStore("ep")
+        store.add_all(base)
+        present = sorted(set(base), key=repr)
+        for triple in data.draw(st.lists(st.sampled_from(present), unique=True)):
+            store.remove(triple)
+        for triple in added:
+            store.add(triple)
+        assert build_charsets(store).to_dict() == reference_summary(store).to_dict()
+
+
+def pivot_triple(pivot):
+    """Triples naming ``pivot`` as subject, object or typed subject, and
+    any other triple now and then."""
+    predicates = st.sampled_from(PREDS)
+    return st.one_of(
+        st.builds(Triple, st.just(pivot), predicates, st.sampled_from(NODES + VALUES)),
+        st.builds(Triple, st.sampled_from(NODES), predicates, st.just(pivot)),
+        st.builds(Triple, st.just(pivot), st.just(RDF_TYPE), st.sampled_from(CLASSES)),
+        triple_strategy(),
+    )
+
+
 class TestIncrementalMaintenance:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(triple_strategy(), max_size=25), st.sampled_from(NODES), st.data())
+    def test_refold_batches(self, base, pivot, data):
+        """One batch touching a pivot entity as subject and object: plain
+        adds and removes, a triple added and removed (or removed and
+        re-added) within the batch, rdf:type markers, literal and
+        blank-node objects, and the pivot emptied and re-created."""
+        store = TripleStore("ep")
+        store.add_all(base)
+        maintainer = CharsetMaintainer(store, min_rebuild=1000)
+        maintainer.summary()
+
+        def add(triple):
+            if store.add(triple):
+                maintainer.record_add(triple)
+
+        def remove(triple):
+            if store.remove(triple):
+                maintainer.record_remove(triple)
+
+        steps = st.sampled_from(("add", "remove", "toggle", "empty"))
+        for step in data.draw(st.lists(steps, min_size=1, max_size=8)):
+            if step == "empty":
+                for triple in [t for t in store if pivot in (t.subject, t.object)]:
+                    remove(triple)
+                for triple in data.draw(st.lists(pivot_triple(pivot), max_size=3)):
+                    add(triple)
+                continue
+            triple = data.draw(pivot_triple(pivot))
+            if step == "add":
+                add(triple)
+            elif step == "remove":
+                remove(triple)
+            elif triple in store:
+                remove(triple)
+                add(triple)
+            else:
+                add(triple)
+                remove(triple)
+        incremental = maintainer.summary()
+        assert maintainer.rebuilds == 1
+        assert incremental.to_dict() == build_charsets(store).to_dict()
+        assert incremental.to_dict() == reference_summary(store).to_dict()
+
+    def test_class_swap_keeps_type_count(self):
+        """A batch that retypes a subject leaves its predicate counts as
+        they were: only its classes say that its charset moved."""
+        student = Triple(ENTITIES[0], RDF_TYPE, CLASSES[0])
+        professor = Triple(ENTITIES[0], RDF_TYPE, CLASSES[1])
+        store = TripleStore("ep")
+        store.add_all([student, Triple(ENTITIES[0], PREDS[0], ENTITIES[1])])
+        maintainer = CharsetMaintainer(store, min_rebuild=1000)
+        maintainer.summary()
+        assert store.remove(student) and store.add(professor)
+        maintainer.record_remove(student)
+        maintainer.record_add(professor)
+        assert maintainer.summary().to_dict() == reference_summary(store).to_dict()
+        assert maintainer.rebuilds == 1
+
+    def test_maintainer_retains_only_the_summary(self):
+        """No per-entity state outlives the build: after summarising a
+        12,000-triple store (3,000 subjects) the maintainer holds under
+        128 KiB of new allocations, where per-subject and per-object
+        counters took ~2.2 MB on this store."""
+        store = TripleStore("ep")
+        triples = []
+        for i in range(3000):
+            entity = IRI(f"{EX}e{i}")
+            triples += [
+                Triple(entity, RDF_TYPE, CLASSES[i % 2]),
+                Triple(entity, PREDS[0], IRI(f"{EX}e{i // 10}")),
+                Triple(entity, PREDS[2], IRI(f"{EX}c{i % 50}")),
+                Triple(entity, PREDS[1], Literal(f"n{i}")),
+            ]
+        store.add_all(triples)
+        assert len(store) >= 10_000
+        tracemalloc.start()
+        try:
+            maintainer = CharsetMaintainer(store)
+            maintainer.summary()
+            retained, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 128 * 1024, retained
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(triple_strategy(), max_size=25),

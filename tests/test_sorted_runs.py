@@ -146,6 +146,14 @@ class TestSortedRunIndex:
             a[0] = 9
         assert idx.nbytes() > 0
 
+    def test_columns_read_pending_writes_through_the_merged_view(self):
+        idx = SortedRunIndex()
+        idx.bulk_insert([(1, 2, 3), (4, 5, 6)])
+        idx.add((2, 0, 0))
+        idx.remove((4, 5, 6))
+        assert not idx.is_compact
+        assert [list(column) for column in idx.columns()] == [[1, 2], [2, 0], [3, 0]]
+
     def test_distinct_helpers(self):
         idx = SortedRunIndex()
         idx.bulk_insert([(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])

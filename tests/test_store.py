@@ -294,3 +294,32 @@ def test_property_remove_inverts_add(triples):
         store.remove(triple)
     assert len(store) == 0
     assert store.predicates() == set()
+
+
+def _store_state(store: TripleStore) -> tuple:
+    """Everything ``add`` and ``add_all`` maintain, compared by value."""
+    predicates = sorted(store.predicates(), key=lambda p: p.sort_key())
+    return (
+        [list(store.scan_ids(order)) for order in ("spo", "pos", "osp")],
+        len(store),
+        [(store.predicate_count(p), store.distinct_subjects(p)) for p in predicates],
+    )
+
+
+@given(st.lists(_triples, max_size=30), st.lists(_triples, max_size=30))
+def test_property_add_all_equals_repeated_add(first, second):
+    """``add_all`` into an empty store (which skips the membership pass),
+    into a non-empty one, and into one emptied by removals (its runs
+    still hold tombstones) leaves what one ``add`` per triple leaves."""
+    bulk, single = TripleStore(), TripleStore()
+    for batch in (first, second, None, second):
+        if batch is None:
+            for triple in set(first + second):
+                assert bulk.remove(triple) == single.remove(triple)
+            assert len(bulk) == 0
+            continue
+        assert bulk.add_all(batch) == sum(single.add(t) for t in batch)
+        for term in {term for t in batch for term in t}:
+            # Same ids on both sides, so the index rows compare directly.
+            assert bulk.dictionary.lookup(term) == single.dictionary.lookup(term)
+        assert _store_state(bulk) == _store_state(single)
