@@ -2,8 +2,8 @@
 execution (features the paper supports via its extended report [11])."""
 
 from repro.core.engine import LusailEngine
-from repro.core.mqo import MultiQueryExecutor
 from repro.harness import experiments
+from repro.serve import QueryRequest, QueryServer
 
 from conftest import dicts_to_table, emit
 
@@ -18,12 +18,13 @@ def test_multi_machine(benchmark):
 
 
 def test_multi_query_optimization(benchmark):
-    from repro.datasets import lubm
+    from collections import Counter
 
     federation = experiments.lubm_federation(4)
     # A realistic dashboard batch: three queries over the same advisor/
     # course core with different projections and constraints — their
-    # decompositions share subqueries, which the MQO cache deduplicates.
+    # decompositions ship projections of the same subqueries, which the
+    # server's per-endpoint share answers from one response.
     base_where = (
         "?x a ub:GraduateStudent . ?x ub:advisor ?y . ?y ub:teacherOf ?z . "
         "?x ub:takesCourse ?z . ?y ub:doctoralDegreeFrom ?u . ?u ub:name ?n ."
@@ -36,21 +37,27 @@ def test_multi_query_optimization(benchmark):
     ]
 
     def run():
-        shared_engine = LusailEngine(federation)
-        batch = MultiQueryExecutor(shared_engine).execute_batch(queries)
-        solo_engine = LusailEngine(federation)
-        solo_requests = sum(
-            solo_engine.execute(text).metrics.request_count() for text in queries
+        # A batch is a set of arrivals at one instant on a QueryServer.
+        server = QueryServer(federation)
+        batch = server.run(
+            [QueryRequest(0.0, "batch", f"q{i}", text) for i, text in enumerate(queries)]
         )
-        return batch, solo_requests
+        solo_engine = LusailEngine(federation)
+        solo = [solo_engine.execute(text) for text in queries]
+        return server, batch, solo
 
-    batch, solo_requests = benchmark.pedantic(run, rounds=1, iterations=1)
+    server, batch, solo = benchmark.pedantic(run, rounds=1, iterations=1)
+    batch_requests = sum(record.requests for record in batch)
+    solo_requests = sum(outcome.metrics.request_count() for outcome in solo)
     emit(
         "multi_query_optimization",
-        f"batch requests: {batch.total_requests}\n"
+        f"batch requests: {batch_requests}\n"
         f"individual requests: {solo_requests}\n"
-        f"shared subquery hits: {batch.shared_hits}",
+        f"shared subquery hits: {server.mqo_subquery_hits}",
     )
-    assert all(outcome.ok for outcome in batch.outcomes)
-    assert batch.shared_hits > 0
-    assert batch.total_requests < solo_requests
+    assert all(record.ok and record.path == "executed" for record in batch)
+    for record, outcome in zip(batch, solo):
+        assert record.result.vars == outcome.result.vars
+        assert Counter(record.result.rows) == Counter(outcome.result.rows)
+    assert server.mqo_subquery_hits > 0
+    assert batch_requests < solo_requests

@@ -3,12 +3,3 @@
 from repro.core.engine import LusailConfig, LusailEngine, QueryPlanInfo
 
 __all__ = ["LusailConfig", "LusailEngine", "QueryPlanInfo"]
-
-from repro.core.mqo import (
-    BatchOutcome,
-    MultiQueryExecutor,
-    SharedSubqueryCache,
-    SubqueryMatcher,
-)
-
-__all__ += ["BatchOutcome", "MultiQueryExecutor", "SharedSubqueryCache", "SubqueryMatcher"]

@@ -20,7 +20,6 @@ delay policy, Chauvenet on/off and delaying on/off.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -172,9 +171,6 @@ class LusailEngine(FederatedEngine):
         self.mediator = mediator or MediatorCostModel(
             threads=POOL_SIZE * machines
         )
-        #: The batch cache every scheduler of this engine consults; set
-        #: only on the engine value :meth:`sharing` returns.
-        self.shared = None
 
     # ------------------------------------------------------------ pipeline
 
@@ -284,7 +280,7 @@ class LusailEngine(FederatedEngine):
                 "execution", t0=now, strategy=decision.strategy
             ) as span:
                 scheduler = SCHEDULERS[decision.strategy](
-                    client, branch_plan, self.mediator, self.config, self.shared
+                    client, branch_plan, self.mediator, self.config
                 )
                 outcome = scheduler.run(now)
                 now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
@@ -335,18 +331,11 @@ class LusailEngine(FederatedEngine):
 
     def _resolve_strategy(self, plan, needed_vars, estimates, client) -> StrategyDecision:
         """The picker's verdict, overruled where the configuration names
-        a strategy or a batch cache is present: partial evaluation ships
-        whole branches, which leaves no subquery relation to share."""
+        a strategy."""
         requested = self.config.strategy
         if requested != "auto" and requested not in SCHEDULERS:
             raise ValueError(f"unknown execution strategy {requested!r}")
         decision = choose_strategy(plan, needed_vars, estimates, client)
-        if self.shared is not None:
-            return replace(
-                decision,
-                strategy="bound-join",
-                reason="subqueries shared across a batch (multi-query optimizer)",
-            )
         if requested != "auto" and requested != decision.strategy:
             return replace(decision, strategy=requested, reason="forced by configuration")
         return decision
@@ -562,15 +551,6 @@ class LusailEngine(FederatedEngine):
             timeout_ms=self.timeout_ms,
             mediator=self.mediator,
         )
-
-    def sharing(self, shared) -> "LusailEngine":
-        """This engine as one batch runs it: the same federation, config,
-        caches, statistics and sinks, every scheduler it builds consulting
-        ``shared`` (a :class:`~repro.core.mqo.SharedSubqueryCache`).  The
-        receiver is not modified."""
-        twin = copy.copy(self)
-        twin.shared = shared
-        return twin
 
 
 def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tuple[str, ...]:

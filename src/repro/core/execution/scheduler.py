@@ -57,7 +57,6 @@ from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
     from repro.core.engine import BranchPlan, LusailConfig
-    from repro.core.mqo import SharedSubqueryCache
 
 #: Elastic Request Handler worker threads per mediator machine.
 POOL_SIZE = 8
@@ -90,9 +89,7 @@ class BranchScheduler:
     """Executes one planned branch against the federation.
 
     Everything it decides from is on the ``branch_plan`` it is built
-    with.  ``shared``, when given, is a batch's
-    :class:`~repro.core.mqo.SharedSubqueryCache`: required subqueries are
-    looked up there before they ship, and eager ones stored after.
+    with.
     """
 
     #: See :attr:`BranchOutcome.crossing_selectivity`.
@@ -104,7 +101,6 @@ class BranchScheduler:
         branch_plan: BranchPlan,
         mediator: MediatorCostModel,
         config: LusailConfig,
-        shared: SharedSubqueryCache | None = None,
     ):
         self.client = client
         self.plan = branch_plan.decomposition
@@ -112,7 +108,6 @@ class BranchScheduler:
         self.estimates = branch_plan.estimates
         self.mediator = mediator
         self.config = config
-        self.shared = shared
         self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
         self.join_cost_units = 0.0
         #: Endpoints dropped in partial-results mode; their contribution
@@ -160,15 +155,6 @@ class BranchScheduler:
     def _execute_subquery(self, subquery: Subquery, at_ms: float) -> tuple[Relation, float]:
         """Evaluate a subquery at all its endpoints concurrently."""
         projection = self._projection(subquery)
-        # A batch shares required subqueries only: an OPTIONAL block's
-        # rows depend on its own query's bindings, as a delayed
-        # subquery's do once it has run bound — so only eager results
-        # are stored.
-        shareable = self.shared is not None and subquery.optional_group is None
-        if shareable:
-            reused = self.shared.get(subquery, projection)
-            if reused is not None:
-                return reused, at_ms
         query = subquery.to_select(projection)
         relation = Relation(projection, partitions=1)
         finish = at_ms
@@ -216,8 +202,6 @@ class BranchScheduler:
             ).end(finish)
         relation.partitions = self.handler.partitions_for(subquery.sources, len(relation))
         self._guard_rows(len(relation))
-        if shareable and not subquery.delayed:
-            self.shared.put(subquery, relation)
         return relation, finish
 
     def _execute_bound_subquery(

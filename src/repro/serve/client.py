@@ -15,11 +15,11 @@ the query's admission time before booking.
 
 :class:`ServingClient` additionally shares *subquery* SELECT results
 across concurrently admitted queries (in-flight cross-query MQO): the
-first query to issue a canonically-equivalent subquery against an
-endpoint pays for the request; later queries attach to the shipped
-response — the encoded result itself, seen through their own projection
-header, nothing copied or decoded — and only wait until the producer's
-response has arrived.
+first query to issue a subquery against an endpoint that no registered
+response covers pays for the request; later queries attach to the
+shipped response — the encoded result itself, seen through their own
+projection as a header over a subset of its columns, nothing copied or
+decoded — and only wait until the producer's response has arrived.
 """
 
 from __future__ import annotations
@@ -85,14 +85,13 @@ class ServingClient(FederationClient):
         server = self.server
         ticket = self.ticket
         endpoint = self.federation.get(endpoint_name)
-        key = server.subquery_key(query)
         ready = max(at_ms, ticket.admitted_ms)
         # Acquire the turn BEFORE consulting the share registry: every
         # request with an earlier global ready time has then already
         # booked (and registered), so an in-flight equivalent subquery
         # is never missed by run-to-block scheduling.
         server.gate(ticket, ready)
-        shared = server.shared_select(endpoint_name, key, endpoint.store.version)
+        shared = server.shared_select(endpoint_name, query, endpoint.store.version)
         if shared is not None:
             produced, done_ms = shared
             end = max(ready, done_ms)
@@ -116,7 +115,7 @@ class ServingClient(FederationClient):
                 engine=self.engine,
                 endpoint=endpoint_name,
             )
-            return produced.view(query.projected_variables()), end
+            return produced, end
         # Miss: this query is the producer.  The turn acquired above is
         # handed to the booking inside the base select path.
         ticket.turn_held = True
@@ -126,5 +125,5 @@ class ServingClient(FederationClient):
             ticket.turn_held = False
         # Register only successful responses — a failed attempt must
         # never feed other queries.
-        server.register_select(endpoint_name, key, endpoint.store.version, result, end)
+        server.register_select(endpoint_name, query, endpoint.store.version, result, end)
         return result, end

@@ -17,9 +17,12 @@ Three sharing layers, always on, cut the work a concurrent mix needs:
   arrival for a flat :data:`CACHE_HIT_MS`, without admission;
 * **whole-query attach**: an arrival whose skeleton matches a queued or
   in-flight query waits for that execution and shares its result;
-* **in-flight subquery MQO**: concurrently admitted queries that issue
-  canonically-equivalent endpoint subqueries share one shipped response
-  (:class:`~repro.serve.client.ServingClient`).
+* **in-flight subquery MQO**, the one multi-query optimiser: a SELECT
+  shipped to an endpoint is answered from a response an earlier query
+  shipped there at the same store version, when that response's
+  projection covers it (:meth:`QueryServer.subquery_key`,
+  :class:`~repro.serve.client.ServingClient`).  A batch is a set of
+  arrivals at one instant.
 
 Admission is quota-bound (:data:`MAX_INFLIGHT` queries in flight, at
 most :data:`PER_TENANT_INFLIGHT` per tenant) with deficit-round-robin
@@ -45,10 +48,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve.cache import ResultCache, result_key, shared_result
 from repro.serve.client import ServingClient
-from repro.sparql.ast import SelectQuery
+from repro.sparql.ast import SelectQuery, ValuesPattern
 from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
-from repro.sparql.skeleton import canonicalize_query
+from repro.sparql.skeleton import canonicalize_query, occurrence_order
 
 __all__ = ["QueryRequest", "ServedQuery", "QueryServer"]
 
@@ -163,9 +166,9 @@ class QueryServer:
         #: The shared booking state all in-flight queries contend on.
         self.lanes = LaneBook(self.network_config.mediator_slots)
         self.result_cache = ResultCache(registry=self.registry)
-        #: In-flight/completed subquery share registry:
-        #: key -> (endpoint store version, response, completion global ms).
-        self._subquery_shares: dict[tuple, tuple[int, SelectResult, float]] = {}
+        #: In-flight/completed subquery share registry: (endpoint, key) ->
+        #: (store version, [(names, response, completion global ms), ...]).
+        self._subquery_shares: dict[tuple, tuple[int, list]] = {}
         self._subquery_keys: dict = {}
         self._parsed: dict[str, tuple] = {}
         self._cost_sum: dict[str, float] = {}
@@ -214,26 +217,85 @@ class QueryServer:
         ticket.go.clear()
         ticket.blocked = False
 
-    def subquery_key(self, query) -> tuple:
-        key = self._subquery_keys.get(query)
-        if key is None:
-            canonical = canonicalize_query(query)
-            key = ("raw", query) if canonical is None else ("skeleton", canonical.query)
-            self._subquery_keys[query] = key
-        return key
+    def subquery_key(self, query: SelectQuery) -> tuple[tuple, tuple]:
+        """``(key, names)`` of a shipped SELECT, memoised per query.
 
-    def shared_select(self, endpoint_name: str, key: tuple, version: int):
-        """Response + completion time of an equivalent subquery, or None."""
+        A *plain* SELECT (no DISTINCT, COUNT, ORDER BY, LIMIT or OFFSET)
+        is keyed by its WHERE body alone, canonicalised with every
+        variable projected in first-occurrence order, and ``names`` are
+        its projection's canonical names: any response under the key
+        whose names cover these holds its rows, since a plain
+        projection keeps the body's multiplicities.  A body with
+        top-level VALUES (a bound-join block) is keyed raw, under its
+        own names.  Any other SELECT is keyed whole: only an exact twin
+        answers it.
+        """
+        entry = self._subquery_keys.get(query)
+        if entry is None:
+            projected = query.projected_variables()
+            plain = not (
+                query.distinct
+                or query.aggregate is not None
+                or query.order_by
+                or query.limit is not None
+                or query.offset
+            )
+            if plain and any(isinstance(el, ValuesPattern) for el in query.where.elements):
+                entry = ("body", query.where), projected
+            elif plain:
+                order = occurrence_order(query.where)
+                unbound = tuple(var for var in projected if var not in order)
+                canonical = canonicalize_query(
+                    SelectQuery(where=query.where, select_vars=order + unbound)
+                )
+                entry = (
+                    ("body", canonical.query),
+                    tuple(canonical.rename[var] for var in projected),
+                )
+            else:
+                canonical = canonicalize_query(query)
+                if canonical is None:
+                    entry = ("raw", query), projected
+                else:
+                    entry = ("skeleton", canonical.query), canonical.query.projected_variables()
+            self._subquery_keys[query] = entry
+        return entry
+
+    def shared_select(self, endpoint_name: str, query: SelectQuery, version: int):
+        """The first response registered at ``endpoint_name`` and store
+        ``version`` whose names cover ``query``'s, seen through
+        ``query``'s projection (a column-subset view, nothing copied),
+        and its completion time; or None."""
+        key, names = self.subquery_key(query)
         entry = self._subquery_shares.get((endpoint_name, key))
         if entry is None or entry[0] != version:
             return None
-        self.mqo_subquery_hits += 1
-        return entry[1], entry[2]
+        for produced_names, result, done_ms in entry[1]:
+            index = {name: position for position, name in enumerate(produced_names)}
+            if all(name in index for name in names):
+                self.mqo_subquery_hits += 1
+                positions = [index[name] for name in names]
+                return result.view(query.projected_variables(), positions), done_ms
+        return None
 
     def register_select(
-        self, endpoint_name: str, key: tuple, version: int, result: SelectResult, done_ms: float
+        self,
+        endpoint_name: str,
+        query: SelectQuery,
+        version: int,
+        result: SelectResult,
+        done_ms: float,
     ) -> None:
-        self._subquery_shares[(endpoint_name, key)] = (version, result, done_ms)
+        """Register ``query``'s shipped response beside the others of
+        the same store version under its key (one per projection), or
+        in place of an older version's."""
+        key, names = self.subquery_key(query)
+        share_key = (endpoint_name, key)
+        entry = self._subquery_shares.get(share_key)
+        if entry is None or entry[0] != version:
+            self._subquery_shares[share_key] = (version, [(names, result, done_ms)])
+        else:
+            entry[1].append((names, result, done_ms))
 
     # ------------------------------------------------------------ the loop
 
@@ -466,6 +528,9 @@ class QueryServer:
         )
         self._record(record)
         for waiter_seq, waiter in ticket.waiters:
+            # Rows are positional in the canonical projection: the waiter
+            # sees them under its own variable names.
+            waiter_projected = self._query_info(waiter.text)[2]
             waiter_finish = max(finish, waiter.at_ms) + CACHE_HIT_MS
             self._record(
                 ServedQuery(
@@ -478,7 +543,7 @@ class QueryServer:
                     start_ms=waiter.at_ms,
                     finish_ms=waiter_finish,
                     result_rows=len(outcome.result),
-                    result=outcome.result,
+                    result=outcome.result.view(waiter_projected),
                     error=outcome.error,
                 )
             )
@@ -523,7 +588,7 @@ class QueryServer:
         dropped = self.result_cache.sweep(self.federation)
         stale = [
             share_key
-            for share_key, (version, __, __done) in self._subquery_shares.items()
+            for share_key, (version, __) in self._subquery_shares.items()
             if share_key[0] not in self.federation
             or self.federation.get(share_key[0]).store.version != version
         ]

@@ -74,17 +74,26 @@ class SelectResult:
         result._rows = rows
         return result
 
-    def view(self, vars: Sequence[Variable]) -> "SelectResult":
-        """The same rows under another (positionally aligned) header.
+    def view(
+        self, vars: Sequence[Variable], positions: Sequence[int] | None = None
+    ) -> "SelectResult":
+        """The same rows under another header: ``vars[i]`` reads column
+        ``positions[i]`` of ``self`` (by default, column ``i``; a column
+        subset needs an encoded result).
 
         Shares columns, dictionary and any decoded rows with ``self`` —
-        nothing is copied, so both sides must treat them as read-only.
+        nothing is copied or decoded, so both sides must treat them as
+        read-only.
         """
         view = SelectResult(vars, ())
-        view.columns = self.columns
         view.dictionary = self.dictionary
-        view._length = self._length
-        view._rows = self._rows
+        view._length = len(self)
+        if positions is None or tuple(positions) == tuple(range(len(self.vars))):
+            view.columns = self.columns
+            view._rows = self._rows
+        else:
+            view.columns = [self.columns[position] for position in positions]
+            view._rows = None
         return view
 
     @property

@@ -56,7 +56,7 @@ from repro.sparql.ast import (
     VarExpr,
 )
 
-__all__ = ["Canonicalized", "canonicalize_query", "is_fragment_shape"]
+__all__ = ["Canonicalized", "canonicalize_query", "is_fragment_shape", "occurrence_order"]
 
 
 def is_fragment_shape(query: Query) -> bool:
@@ -216,6 +216,16 @@ class _Renamer:
             limit=query.limit,
             offset=query.offset,
         )
+
+
+def occurrence_order(where: GroupPattern) -> tuple[Variable, ...]:
+    """The variables of ``where`` in the order canonicalization first
+    meets them.  Projecting a query in this order keeps its canonical
+    names independent of the original variable *names* — a sorted
+    ``SELECT *`` projection would leak them."""
+    renamer = _Renamer()
+    renamer.group(where)
+    return tuple(renamer.rename)
 
 
 def _lift_constants(

@@ -6,12 +6,14 @@ adding endpoints after caches are warm, removing them, and endpoints
 becoming unavailable mid-workload.
 """
 
-from repro.baselines import FedXEngine, SplendidEngine
+import pytest
+
+from repro.baselines import FedXEngine, HibiscusEngine, SplendidEngine
 from repro.core.engine import LusailEngine
 from repro.endpoint import Endpoint, Federation
 from repro.rdf import Literal, Namespace, Triple, UB
 
-from tests.conftest import QA, assert_same_bag, build_paper_federation, oracle_rows
+from tests.conftest import CMU, MIT, QA, assert_same_bag, build_paper_federation, oracle_rows
 
 ETH = Namespace("http://eth.example.org/")
 
@@ -81,6 +83,35 @@ class TestLeavingEndpoints:
         endpoints_hit = {record.endpoint for record in outcome.metrics.records}
         assert "EP2" not in endpoints_hit
         assert len(outcome.result) == 1  # only Lee/Ben/MIT remains
+
+
+class TestWritesBetweenQueries:
+    """A write to an endpoint a warm engine has probed.  The ASK, check
+    and COUNT probe caches are keyed on ``(endpoint, pattern)`` with no
+    store version, and charset summaries abstain on a concrete subject,
+    so the cached ASK decides source selection after the write."""
+
+    KIM_ADVISORS = (
+        "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+        "PREFIX cmu: <http://cmu.example.org/>\n"
+        "SELECT ?P WHERE { cmu:Kim ub:advisor ?P }"
+    )
+
+    @pytest.mark.xfail(
+        strict=True, reason="probe caches are not keyed on the store version"
+    )
+    @pytest.mark.parametrize("engine_class", [LusailEngine, FedXEngine, HibiscusEngine])
+    def test_a_warm_engine_sees_a_write(self, engine_class):
+        federation = build_paper_federation()
+        engine = engine_class(federation)
+        assert len(engine.execute(self.KIM_ADVISORS).result) == 2
+        federation.get("EP1").add_all([Triple(CMU.Kim, UB.advisor, MIT.Ben)])
+        expected = oracle_rows(federation, self.KIM_ADVISORS)
+        assert len(expected) == 3
+        assert len(engine_class(federation).execute(self.KIM_ADVISORS).result) == 3
+        warm = engine.execute(self.KIM_ADVISORS)
+        assert warm.ok
+        assert_same_bag(warm.result.rows, expected)
 
 
 class TestUnavailableEndpoints:

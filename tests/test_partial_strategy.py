@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.engine import SCHEDULERS, LusailConfig, LusailEngine
 from repro.core.execution.scheduler import BranchScheduler
-from repro.core.mqo import SharedSubqueryCache
 from repro.datasets import lubm
 from repro.datasets.random_federation import (
     FederationShape,
@@ -333,16 +332,6 @@ class TestStrategyPicker:
         engine = _engine(build_paper_federation(), "eager")
         with pytest.raises(ValueError, match="unknown execution strategy"):
             engine.execute(QA)
-
-    def test_share_cache_forces_bound_join(self):
-        # Partial evaluation ships whole branches: nothing to share.
-        engine = _engine(build_paper_federation(), "partial").sharing(SharedSubqueryCache())
-        outcome = engine.execute(QA)
-        assert outcome.ok
-        assert metrics_module.PARTIAL not in outcome.metrics.requests_by_kind()
-        decision = outcome.plan.branch_plans[0].strategy
-        assert decision.strategy == "bound-join"
-        assert "multi-query optimizer" in decision.reason
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_plan_scheduler_and_span_agree(self, strategy, monkeypatch):

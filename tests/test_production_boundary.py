@@ -8,7 +8,8 @@ endpoint request of the benchmark query sets constructs one.
 
 The same kind of walk pins the collector boundary: one module under
 ``src/`` names ``gc``, and only to note, switch and restore whether the
-collector is enabled.  And the plan boundary: what Lusail decided
+collector is enabled.  And the layering boundary: ``repro.core`` and
+``repro.planning`` never import ``repro.serve``.  And the plan boundary: what Lusail decided
 travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
 last.  And the options boundary: every field of ``LusailConfig`` and
@@ -42,29 +43,31 @@ REEXPORTER = SRC / "sparql" / "__init__.py"
 ORACLE_NAMES = {"evaluator", "evaluate", "evaluate_select", "evaluate_ask"}
 
 
-def _oracle_imports(path: Path, root: Path = SRC) -> list[str]:
-    """Import statements of ``path`` (a module of the package rooted at
-    ``root``) that reach the interpreter, directly or through the names
-    ``repro.sparql`` re-exports."""
+def _imports(path: Path, root: Path = SRC):
+    """``(module, imported names, line)`` of every import statement of
+    ``path`` (a module of the package rooted at ``root``), relative
+    imports resolved to absolute module names."""
     package = list(path.relative_to(root.parent).parts[:-1])
-    found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-            names: set[str] = set()
+            for alias in node.names:
+                yield alias.name, set(), node.lineno
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:  # relative: resolve against the importing package
                 base = package[: len(package) - node.level + 1]
                 module = ".".join([*base, module] if module else base)
-            modules = [module]
-            names = {alias.name for alias in node.names}
-        else:
-            continue
-        for module in modules:
-            if module == ORACLE or (module == "repro.sparql" and names & ORACLE_NAMES):
-                found.append(f"{path.relative_to(root.parent)}:{node.lineno}")
-    return found
+            yield module, {alias.name for alias in node.names}, node.lineno
+
+
+def _oracle_imports(path: Path, root: Path = SRC) -> list[str]:
+    """Import statements of ``path`` that reach the interpreter, directly
+    or through the names ``repro.sparql`` re-exports."""
+    return [
+        f"{path.relative_to(root.parent)}:{line}"
+        for module, names, line in _imports(path, root)
+        if module == ORACLE or (module == "repro.sparql" and names & ORACLE_NAMES)
+    ]
 
 
 def test_only_the_reexporter_imports_the_interpreter():
@@ -94,6 +97,44 @@ def test_walker_resolves_relative_and_reexported_imports(tmp_path, source, reach
     probe.parent.mkdir(parents=True)
     probe.write_text(source)
     assert bool(_oracle_imports(probe, root=tmp_path / "repro")) is reaches
+
+
+def _serve_imports(path: Path, root: Path = SRC) -> list[str]:
+    """Import statements of ``path`` that reach the serving layer."""
+    return [
+        f"{path.relative_to(root.parent)}:{line}"
+        for module, names, line in _imports(path, root)
+        if module == "repro.serve"
+        or module.startswith("repro.serve.")
+        or (module == "repro" and "serve" in names)
+    ]
+
+
+def test_core_and_planning_do_not_import_the_serving_layer():
+    # Cross-query sharing (multi-query optimisation) lives in one place,
+    # the serving layer's per-endpoint request share; the engine layers
+    # it drives must not grow a back-reference to it.
+    modules = sorted((SRC / "core").rglob("*.py")) + sorted((SRC / "planning").rglob("*.py"))
+    assert len(modules) > 15
+    offenders = [hit for path in modules for hit in _serve_imports(path)]
+    assert not offenders, f"engine modules import repro.serve: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "source, reaches",
+    [
+        ("from repro.serve import QueryServer", True),
+        ("from repro.serve.client import ServingClient", True),
+        ("from ... import serve", True),
+        ("def f():\n    import repro.serve.server", True),
+        ("from repro.serving_notes import x\nfrom .engine import LusailEngine", False),
+    ],
+)
+def test_serve_walker_sees_each_form(tmp_path, source, reaches):
+    probe = tmp_path / "repro" / "core" / "execution" / "probe.py"
+    probe.parent.mkdir(parents=True)
+    probe.write_text(source)
+    assert bool(_serve_imports(probe, root=tmp_path / "repro")) is reaches
 
 
 #: The module that owns the collector pause (``collector_paused``), and
