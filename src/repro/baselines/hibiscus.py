@@ -62,8 +62,8 @@ class HibiscusEngine(FedXEngine):
     requires_preprocessing = True
     index: dict[str, AuthoritySummary]
 
-    def _build_index(self) -> dict[str, AuthoritySummary]:
-        return build_authority_index(self.federation)
+    def _build_index(self, federation: Federation) -> dict[str, AuthoritySummary]:
+        return build_authority_index(federation)
 
     def _select_sources(
         self, client: FederationClient, patterns: list[TriplePattern], at_ms: float

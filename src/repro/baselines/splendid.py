@@ -30,6 +30,7 @@ from repro.baselines.pipeline import OperandEngine
 from repro.baselines.void_index import VoidIndex, build_void_index
 from repro.core.decomposition.subquery import Subquery
 from repro.endpoint.client import FederationClient
+from repro.endpoint.federation import Federation
 from repro.planning.source_selection import SourceSelection
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
@@ -55,8 +56,8 @@ class SplendidEngine(OperandEngine):
     source_index = "void"
     index: VoidIndex
 
-    def _build_index(self) -> VoidIndex:
-        return build_void_index(self.federation)
+    def _build_index(self, federation: Federation) -> VoidIndex:
+        return build_void_index(federation)
 
     def _select_sources(
         self, client: FederationClient, patterns: list[TriplePattern], at_ms: float

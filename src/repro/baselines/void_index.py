@@ -74,6 +74,12 @@ class VoidIndex:
             if name in self.endpoints and self.endpoints[name].has_predicate(predicate)
         ]
 
+    def update(self, other: "VoidIndex") -> None:
+        """Take ``other``'s endpoint descriptions in place of this one's."""
+        self.endpoints.update(other.endpoints)
+        self.build_ms += other.build_ms
+        self.triples_scanned += other.triples_scanned
+
     def estimate(self, pattern: TriplePattern, sources: tuple[str, ...]) -> float:
         return sum(
             self.endpoints[name].estimate(pattern)

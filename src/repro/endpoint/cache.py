@@ -7,7 +7,12 @@ source-selection ASKs the same way, and SAPE's COUNT statistics are also
 cacheable.
 
 Keys are ``(endpoint_name, query AST)``; AST nodes are immutable and
-hashable, so no serialization is needed.
+hashable, so no serialization is needed.  A probe entry also holds the
+store version it was probed at and the triple patterns the probe reads,
+and a lookup serves it only while no later write could match one of
+them (:meth:`ProbeCache.get_current`, which reads
+:meth:`repro.store.TripleStore.last_write`): a write to another
+predicate, or to another ``rdf:type`` class, keeps the entry.
 
 Both cache kinds share one LRU eviction policy (:class:`LRUCache`):
 probe caches are bounded so the chaos / bench harnesses no longer leak,
@@ -119,6 +124,26 @@ class ProbeCache(LRUCache):
     def put(self, key: Hashable, value: object) -> None:
         if self.enabled:
             super().put(key, value)
+
+    def get_current(self, key: Hashable, store):
+        """The probe answer cached under ``key``, or :data:`MISSING`.
+
+        Entries are ``(version, patterns, answer)``: the answer was
+        probed at store ``version`` and reads only triples matching
+        ``patterns``.  It is served while ``store.last_write(patterns)``
+        has not passed ``version``; a stale entry is dropped here and
+        counted as a miss, not a hit.
+        """
+        entry = self.get(key)
+        if entry is MISSING:
+            return MISSING
+        version, patterns, answer = entry
+        if store.written_since(patterns, version):
+            self.discard(key)
+            self.hits -= 1
+            self.misses += 1
+            return MISSING
+        return answer
 
 
 class PlanCache(LRUCache):

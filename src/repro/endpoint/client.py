@@ -5,7 +5,8 @@ the baselines) uses for remote requests.  It combines:
 
 * the actual endpoint evaluation (the work the remote server would do),
 * virtual-time accounting through :class:`~repro.net.VirtualNetwork`,
-* ASK / check / COUNT caching,
+* ASK / check / COUNT caching, each entry served only while no write
+  since its probe could match the patterns it reads,
 * the query timeout (the paper's one-hour limit, scaled),
 * resilience against injected faults (see :mod:`repro.faults`): optional
   per-request timeouts, retry with exponential backoff + deterministic
@@ -298,70 +299,85 @@ class FederationClient:
 
     # ------------------------------------------------------------- probes
 
+    def _cached_probe(self, kind: str, cache, endpoint_name: str, key, patterns, at_ms, probe):
+        """One ASK / check / COUNT probe through its cache.
+
+        A hit (:meth:`ProbeCache.get_current`: no write since the probe
+        could match ``patterns``) costs a cached request; a miss runs
+        ``probe(endpoint) -> (answer, end)`` and caches the answer with
+        the store version it was probed at and ``patterns``.
+        """
+        endpoint = self.federation.get(endpoint_name)
+        hit = cache.get_current(key, endpoint.store)
+        if cache.enabled:
+            self._count_cache(kind, hit is not MISSING)
+        if hit is not MISSING:
+            return hit, self._issue(endpoint_name, kind, at_ms, 0, 0, cached=True)
+        version = endpoint.store.version
+        answer, end = probe(endpoint)
+        cache.put(key, (version, patterns, answer))
+        return answer, end
+
     def ask(self, endpoint_name: str, pattern: TriplePattern, at_ms: float) -> tuple[bool, float]:
         """Source-selection ASK for one triple pattern."""
-        key = (endpoint_name, pattern)
-        hit = self.caches.ask.get(key)
-        if self.caches.ask.enabled:
-            self._count_cache("ask", hit is not MISSING)
-        if hit is not MISSING:
-            end = self._issue(endpoint_name, metrics_module.ASK, at_ms, 0, 0, cached=True)
-            return bool(hit), end
-        endpoint = self.federation.get(endpoint_name)
-        answer = endpoint.ask_pattern(pattern)
-        end = self._issue(endpoint_name, metrics_module.ASK, at_ms, 1, 80, cached=False)
-        self.caches.ask.put(key, answer)
-        return answer, end
+
+        def probe(endpoint):
+            answer = endpoint.ask_pattern(pattern)
+            return answer, self._issue(
+                endpoint_name, metrics_module.ASK, at_ms, 1, 80, cached=False
+            )
+
+        answer, end = self._cached_probe(
+            metrics_module.ASK, self.caches.ask, endpoint_name,
+            (endpoint_name, pattern), (pattern,), at_ms, probe,
+        )
+        return bool(answer), end
 
     def check(self, endpoint_name: str, query: SelectQuery, at_ms: float) -> tuple[bool, float]:
         """Lusail locality check query; True iff it returned any row.
 
         Check queries carry ``LIMIT 1``, so at most one row is shipped.
         """
-        key = (endpoint_name, query)
-        hit = self.caches.check.get(key)
-        if self.caches.check.enabled:
-            self._count_cache("check", hit is not MISSING)
-        if hit is not MISSING:
-            end = self._issue(endpoint_name, metrics_module.CHECK, at_ms, 0, 0, cached=True)
-            return bool(hit), end
-        endpoint = self.federation.get(endpoint_name)
-        result = self._evaluate_with_plan_metrics(
-            endpoint, metrics_module.CHECK, lambda: endpoint.select(query)
+
+        def probe(endpoint):
+            result = self._evaluate_with_plan_metrics(
+                endpoint, metrics_module.CHECK, lambda: endpoint.select(query)
+            )
+            end = self._issue(
+                endpoint_name,
+                metrics_module.CHECK,
+                at_ms,
+                len(result),
+                query_bytes(query),
+                cached=False,
+            )
+            return len(result) > 0, end
+
+        answer, end = self._cached_probe(
+            metrics_module.CHECK, self.caches.check, endpoint_name,
+            (endpoint_name, query), query.triple_patterns(), at_ms, probe,
         )
-        non_empty = len(result) > 0
-        end = self._issue(
-            endpoint_name,
-            metrics_module.CHECK,
-            at_ms,
-            len(result),
-            query_bytes(query),
-            cached=False,
-        )
-        self.caches.check.put(key, non_empty)
-        return non_empty, end
+        return bool(answer), end
 
     def count(self, endpoint_name: str, query: SelectQuery, at_ms: float) -> tuple[int, float]:
         """SAPE per-triple-pattern COUNT statistics query."""
-        key = (endpoint_name, query)
-        hit = self.caches.count.get(key)
-        if self.caches.count.enabled:
-            self._count_cache("count", hit is not MISSING)
-        if hit is not MISSING:
-            end = self._issue(endpoint_name, metrics_module.COUNT, at_ms, 0, 0, cached=True)
-            return int(hit), end  # type: ignore[arg-type]
-        endpoint = self.federation.get(endpoint_name)
-        result = self._evaluate_with_plan_metrics(
-            endpoint, metrics_module.COUNT, lambda: endpoint.select(query)
+
+        def probe(endpoint):
+            result = self._evaluate_with_plan_metrics(
+                endpoint, metrics_module.COUNT, lambda: endpoint.select(query)
+            )
+            value = result.rows[0][0]
+            count = int(value.value) if value is not None else 0  # type: ignore[union-attr]
+            end = self._issue(
+                endpoint_name, metrics_module.COUNT, at_ms, 1, query_bytes(query), cached=False
+            )
+            return count, end
+
+        answer, end = self._cached_probe(
+            metrics_module.COUNT, self.caches.count, endpoint_name,
+            (endpoint_name, query), query.triple_patterns(), at_ms, probe,
         )
-        row = result.rows[0]
-        value = row[0]
-        count = int(value.value) if value is not None else 0  # type: ignore[union-attr]
-        end = self._issue(
-            endpoint_name, metrics_module.COUNT, at_ms, 1, query_bytes(query), cached=False
-        )
-        self.caches.count.put(key, count)
-        return count, end
+        return int(answer), end
 
     def stats_summary(self, endpoint_name: str, at_ms: float):
         """Fetch one endpoint's characteristic-set summary.

@@ -8,10 +8,16 @@ canonicalizer declines (top-level VALUES) fall back to the raw query AST
 as key — AST nodes are hashable, so no serialization is needed.
 
 Every entry also pins the ``store.version`` of each federation member
-that contributed to the result.  A lookup re-validates those versions
-lazily, so a store mutation anywhere in the federation invalidates
-exactly the entries whose key includes that endpoint — counted per
-endpoint in the metrics registry (``serve_result_cache_invalidations_total``).
+that contributed to the result, and keeps the triple patterns of the
+*parsed* query (the canonical key lifts constants into VALUES, which
+would lose an ``rdf:type`` class).  A lookup re-validates lazily: an
+entry pinned at version ``v`` stays valid while the endpoint's
+``store.last_write(patterns) <= v``
+(:meth:`repro.store.TripleStore.last_write`), so a write invalidates
+exactly the entries that touched that endpoint *and* read a predicate
+(or ``rdf:type`` class) the write matches — counted per endpoint in the
+metrics registry (``serve_result_cache_invalidations_total``).  The
+check is modelled as free, like an ETag'd conditional request.
 """
 
 from __future__ import annotations
@@ -64,10 +70,14 @@ class CachedResult:
     #: ``(endpoint_name, store_version)`` for every federation member
     #: that contributed to (or was probed for) this result.
     endpoint_versions: tuple[tuple[str, int], ...]
+    #: The triple patterns the query reads; None validates against
+    #: each store's whole version.
+    patterns: tuple | None = None
 
 
 class ResultCache:
-    """Skeleton-keyed result cache with store-version invalidation."""
+    """Skeleton-keyed result cache, validated by the writes its entries'
+    patterns could match."""
 
     def __init__(self, registry=None):
         self.entries: dict[tuple, CachedResult] = {}
@@ -88,11 +98,12 @@ class ResultCache:
     # ------------------------------------------------------------- lookup
 
     def _stale_endpoint(self, entry: CachedResult, federation) -> str | None:
-        """The first endpoint whose pinned store version no longer holds."""
+        """The first endpoint written, since the entry was pinned, in a way
+        its patterns could match."""
         for name, version in entry.endpoint_versions:
             if name not in federation:
                 return name
-            if federation.get(name).store.version != version:
+            if federation.get(name).store.written_since(entry.patterns, version):
                 return name
         return None
 
@@ -100,8 +111,9 @@ class ResultCache:
         """A still-valid entry, or None (counted as a miss).
 
         Validation is lazy: the entry's pinned store versions are checked
-        against the live federation on every hit, and a stale entry is
-        dropped (counted as an invalidation *and* a miss) right here.
+        against the live federation's last writes on every hit, and a
+        stale entry is dropped (counted as an invalidation *and* a miss)
+        right here.
         """
         entry = self.entries.get(key)
         if entry is not None:
@@ -117,8 +129,12 @@ class ResultCache:
         self._count("serve_result_cache_misses_total")
         return None
 
-    def store(self, key: tuple, rows: list, endpoints, federation) -> CachedResult:
-        """Cache ``rows`` pinned to the current versions of ``endpoints``."""
+    def store(
+        self, key: tuple, rows: list, endpoints, federation, patterns=None
+    ) -> CachedResult:
+        """Cache ``rows`` pinned to the current versions of ``endpoints``;
+        ``patterns`` are the triple patterns the query reads (None: any
+        write to those endpoints retires the entry)."""
         entry = CachedResult(
             rows=rows,
             endpoint_versions=tuple(
@@ -126,6 +142,7 @@ class ResultCache:
                 for name in sorted(endpoints)
                 if name in federation
             ),
+            patterns=None if patterns is None else tuple(patterns),
         )
         self.entries[key] = entry
         return entry
@@ -133,7 +150,7 @@ class ResultCache:
     # -------------------------------------------------------- invalidation
 
     def sweep(self, federation) -> int:
-        """Drop every entry whose pinned versions went stale.
+        """Drop every entry a write since its pin could change.
 
         The lazy per-lookup check already guarantees correctness; the
         sweep exists for explicit maintenance (and bounds memory after a

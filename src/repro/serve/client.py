@@ -84,14 +84,13 @@ class ServingClient(FederationClient):
     ) -> tuple[SelectResult, float]:
         server = self.server
         ticket = self.ticket
-        endpoint = self.federation.get(endpoint_name)
         ready = max(at_ms, ticket.admitted_ms)
         # Acquire the turn BEFORE consulting the share registry: every
         # request with an earlier global ready time has then already
         # booked (and registered), so an in-flight equivalent subquery
         # is never missed by run-to-block scheduling.
         server.gate(ticket, ready)
-        shared = server.shared_select(endpoint_name, query, endpoint.store.version)
+        shared = server.shared_select(endpoint_name, query)
         if shared is not None:
             produced, done_ms = shared
             end = max(ready, done_ms)
@@ -125,5 +124,5 @@ class ServingClient(FederationClient):
             ticket.turn_held = False
         # Register only successful responses — a failed attempt must
         # never feed other queries.
-        server.register_select(endpoint_name, query, endpoint.store.version, result, end)
+        server.register_select(endpoint_name, query, result, end)
         return result, end

@@ -12,15 +12,16 @@ virtual timestamps and the execution is deterministic and replayable.
 
 Three sharing layers, always on, cut the work a concurrent mix needs:
 
-* a **result cache** keyed on canonical plan skeletons + federation
-  store versions (:mod:`repro.serve.cache`) answers repeat queries at
-  arrival for a flat :data:`CACHE_HIT_MS`, without admission;
+* a **result cache** keyed on canonical plan skeletons
+  (:mod:`repro.serve.cache`) answers repeat queries at arrival for a
+  flat :data:`CACHE_HIT_MS`, without admission, while no write since
+  the entry was filled could match one of the query's triple patterns;
 * **whole-query attach**: an arrival whose skeleton matches a queued or
   in-flight query waits for that execution and shares its result;
 * **in-flight subquery MQO**, the one multi-query optimiser: a SELECT
   shipped to an endpoint is answered from a response an earlier query
-  shipped there at the same store version, when that response's
-  projection covers it (:meth:`QueryServer.subquery_key`,
+  shipped there, when that response's projection covers it and no write
+  since could match the body's patterns (:meth:`QueryServer.subquery_key`,
   :class:`~repro.serve.client.ServingClient`).  A batch is a set of
   arrivals at one instant.
 
@@ -158,7 +159,8 @@ class QueryServer:
         self.fault_plan = fault_plan
         self.resilience = resilience
         #: Probe/plan caches shared by every admitted query — concurrent
-        #: executions warm ASK/check/COUNT results for each other.
+        #: executions warm ASK/check/COUNT results for each other.  Their
+        #: entries validate themselves against the stores' writes.
         self.caches = EngineCaches()
         #: Builds the engine each admitted query runs on; assignable, so
         #: a caller can wrap the default.
@@ -167,8 +169,9 @@ class QueryServer:
         self.lanes = LaneBook(self.network_config.mediator_slots)
         self.result_cache = ResultCache(registry=self.registry)
         #: In-flight/completed subquery share registry: (endpoint, key) ->
-        #: (store version, [(names, response, completion global ms), ...]).
-        self._subquery_shares: dict[tuple, tuple[int, list]] = {}
+        #: (store version, body patterns,
+        #: [(names, response, completion global ms), ...]).
+        self._subquery_shares: dict[tuple, tuple[int, list | None, list]] = {}
         self._subquery_keys: dict = {}
         self._parsed: dict[str, tuple] = {}
         self._cost_sum: dict[str, float] = {}
@@ -195,14 +198,17 @@ class QueryServer:
         )
 
     def _query_info(self, text: str) -> tuple:
-        """Parse + canonical cache key, memoized per distinct text."""
+        """``(query, key, projected, patterns)``: the parsed query, its
+        canonical cache key and projection, and the triple patterns it
+        reads (None for a shape the walk does not know); memoized per
+        distinct text."""
         info = self._parsed.get(text)
         if info is None:
             query = parse_query(text)
             if not isinstance(query, SelectQuery):
                 raise UnsupportedQueryError("the serving layer executes SELECT queries")
             key, projected = result_key(query)
-            info = (query, key, projected)
+            info = (query, key, projected, query.triple_patterns())
             self._parsed[text] = info
         return info
 
@@ -261,16 +267,23 @@ class QueryServer:
             self._subquery_keys[query] = entry
         return entry
 
-    def shared_select(self, endpoint_name: str, query: SelectQuery, version: int):
-        """The first response registered at ``endpoint_name`` and store
-        ``version`` whose names cover ``query``'s, seen through
-        ``query``'s projection (a column-subset view, nothing copied),
-        and its completion time; or None."""
+    def _share_current(self, endpoint_name: str, entry) -> bool:
+        """True while no write to the endpoint since ``entry``'s version
+        could match the body patterns it holds."""
+        version, patterns, __ = entry
+        store = self.federation.get(endpoint_name).store
+        return not store.written_since(patterns, version)
+
+    def shared_select(self, endpoint_name: str, query: SelectQuery):
+        """The first response registered at ``endpoint_name``, still
+        current, whose names cover ``query``'s, seen through ``query``'s
+        projection (a column-subset view, nothing copied), and its
+        completion time; or None."""
         key, names = self.subquery_key(query)
         entry = self._subquery_shares.get((endpoint_name, key))
-        if entry is None or entry[0] != version:
+        if entry is None or not self._share_current(endpoint_name, entry):
             return None
-        for produced_names, result, done_ms in entry[1]:
+        for produced_names, result, done_ms in entry[2]:
             index = {name: position for position, name in enumerate(produced_names)}
             if all(name in index for name in names):
                 self.mqo_subquery_hits += 1
@@ -282,20 +295,23 @@ class QueryServer:
         self,
         endpoint_name: str,
         query: SelectQuery,
-        version: int,
         result: SelectResult,
         done_ms: float,
     ) -> None:
-        """Register ``query``'s shipped response beside the others of
-        the same store version under its key (one per projection), or
-        in place of an older version's."""
+        """Register ``query``'s shipped response, just evaluated, beside
+        the still-current others under its key (one per projection), or
+        in place of stale ones, pinned at the store's version with the
+        triple patterns the body reads."""
         key, names = self.subquery_key(query)
         share_key = (endpoint_name, key)
         entry = self._subquery_shares.get(share_key)
-        if entry is None or entry[0] != version:
-            self._subquery_shares[share_key] = (version, [(names, result, done_ms)])
+        if entry is None or not self._share_current(endpoint_name, entry):
+            version = self.federation.get(endpoint_name).store.version
+            self._subquery_shares[share_key] = (
+                version, query.triple_patterns(), [(names, result, done_ms)]
+            )
         else:
-            entry[1].append((names, result, done_ms))
+            entry[2].append((names, result, done_ms))
 
     # ------------------------------------------------------------ the loop
 
@@ -355,7 +371,7 @@ class QueryServer:
     def _on_arrival(self, request: QueryRequest) -> None:
         seq = self._seq
         self._seq += 1
-        query, key, projected = self._query_info(request.text)
+        query, key, projected, __ = self._query_info(request.text)
         entry = self.result_cache.lookup(key, self.federation)
         if entry is not None:
             finish = request.at_ms + CACHE_HIT_MS
@@ -510,7 +526,11 @@ class QueryServer:
         if outcome.ok and outcome.complete:
             touched = {record.endpoint for record in outcome.metrics.records}
             self.result_cache.store(
-                ticket.key, outcome.result.rows, touched, self.federation
+                ticket.key,
+                outcome.result.rows,
+                touched,
+                self.federation,
+                patterns=self._query_info(request.text)[3],
             )
         record = ServedQuery(
             seq=ticket.seq,
@@ -580,19 +600,19 @@ class QueryServer:
     def invalidate(self) -> int:
         """Drop state invalidated by federation mutations.
 
-        Sweeps the result cache (per-entry store versions), clears the
-        subquery share registry entries whose endpoint version moved on,
-        and clears the shared probe caches, which are not versioned.
-        Returns the number of result-cache entries dropped.
+        Sweeps the result cache and the subquery share registry, each
+        entry by the writes its patterns could match.  Lookups validate
+        lazily anyway, and so do the shared probe caches, which this
+        leaves alone: the sweep only bounds memory.  Returns the number
+        of result-cache entries dropped.
         """
         dropped = self.result_cache.sweep(self.federation)
         stale = [
             share_key
-            for share_key, (version, __) in self._subquery_shares.items()
+            for share_key, entry in self._subquery_shares.items()
             if share_key[0] not in self.federation
-            or self.federation.get(share_key[0]).store.version != version
+            or not self._share_current(share_key[0], entry)
         ]
         for share_key in stale:
             del self._subquery_shares[share_key]
-        self.caches.clear()
         return dropped

@@ -448,22 +448,68 @@ class GroupPattern(PatternNode):
             found |= element.variables()
         return found
 
-    def triple_patterns(self) -> list[TriplePattern]:
-        """All triple patterns anywhere under this group (incl. OPTIONAL/UNION)."""
+    def triple_patterns(self) -> list[TriplePattern] | None:
+        """All triple patterns anywhere under this group — OPTIONAL,
+        UNION, sub-SELECT and FILTER (NOT) EXISTS included — or None
+        when the group holds a node this walk does not know.
+
+        An answer to the group reads only triples that match one of
+        them, which is what store-side cache validation keys on
+        (:meth:`repro.store.TripleStore.last_write`).
+        """
         collected: list[TriplePattern] = []
         for element in self.elements:
             if isinstance(element, BGP):
                 collected.extend(element.triples)
-            elif isinstance(element, GroupPattern):
-                collected.extend(element.triple_patterns())
+                continue
+            if isinstance(element, ValuesPattern):
+                continue
+            if isinstance(element, GroupPattern):
+                found = element.triple_patterns()
             elif isinstance(element, OptionalPattern):
-                collected.extend(element.pattern.triple_patterns())
+                found = element.pattern.triple_patterns()
             elif isinstance(element, UnionPattern):
-                for branch in element.branches:
-                    collected.extend(branch.triple_patterns())
+                found = _all_patterns(branch.triple_patterns() for branch in element.branches)
             elif isinstance(element, SubSelect):
-                collected.extend(element.query.where.triple_patterns())
+                found = element.query.triple_patterns()
+            elif isinstance(element, Filter):
+                found = _expression_patterns(element.expression)
+            else:
+                return None
+            if found is None:
+                return None
+            collected.extend(found)
         return collected
+
+
+def _all_patterns(parts) -> list[TriplePattern] | None:
+    """The concatenated pattern lists of ``parts``, or None if one is."""
+    collected: list[TriplePattern] = []
+    for found in parts:
+        if found is None:
+            return None
+        collected.extend(found)
+    return collected
+
+
+def _expression_patterns(expression: Expression) -> list[TriplePattern] | None:
+    """The triple patterns of the EXISTS groups inside an expression, or
+    None for an expression node the walk does not know."""
+    if isinstance(expression, ExistsExpr):
+        return expression.pattern.triple_patterns()
+    if isinstance(expression, (VarExpr, TermExpr)):
+        return []
+    if isinstance(expression, (Comparison, Arithmetic)):
+        children: Sequence[Expression] = (expression.left, expression.right)
+    elif isinstance(expression, BooleanOp):
+        children = expression.operands
+    elif isinstance(expression, Not):
+        children = (expression.operand,)
+    elif isinstance(expression, FunctionCall):
+        children = expression.args
+    else:
+        return None
+    return _all_patterns(_expression_patterns(child) for child in children)
 
 
 # --------------------------------------------------------------------------
@@ -580,6 +626,17 @@ class SelectQuery:
         if self.select_vars is not None:
             return self.select_vars
         return tuple(sorted(self.where.variables(), key=lambda v: v.name))
+
+    def triple_patterns(self) -> list[TriplePattern] | None:
+        """Every triple pattern the answer can read: the WHERE group's
+        (:meth:`GroupPattern.triple_patterns`) and those of EXISTS in
+        ORDER BY; None for a node the walk does not know."""
+        return _all_patterns(
+            [
+                self.where.triple_patterns(),
+                *(_expression_patterns(condition.expression) for condition in self.order_by),
+            ]
+        )
 
 
 class AskQuery:

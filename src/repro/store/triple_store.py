@@ -23,6 +23,13 @@ the ``dictionary`` attribute) is what the SPARQL evaluator runs on.
 Terms are decoded back only when a caller asks for
 :class:`~repro.rdf.triple.Triple` objects.
 
+Every write is also recorded by what it can change: the store keeps the
+version of the last write per predicate and per ``rdf:type`` class, and
+:meth:`TripleStore.last_write` reads it for a set of triple patterns.
+An answer reads only triples that match one of its patterns, so a cache
+entry filled from those patterns stays valid while their last write
+does not move: the one validity rule every endpoint-derived cache uses.
+
 Per-predicate statistics (triple counts, distinct subjects) are maintained
 incrementally.  The paper notes that "cardinality statistics per
 predicate are usually collected by RDF engines for their runtime query
@@ -35,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import IRI, PatternTerm, Term, Variable
 from repro.rdf.triple import Triple, TriplePattern
 from repro.store.dictionary import TermDictionary
@@ -89,6 +97,13 @@ class TripleStore:
         #: statistics-driven choices are only valid while the data —
         #: and hence the statistics — are unchanged.
         self.version = 0
+        # The version of the last write per predicate id and per
+        # rdf:type class id, and the version of the last write that
+        # retired everything (a bulk load into an empty store, a clear):
+        # what last_write reads.
+        self._predicate_writes: dict[int, int] = {}
+        self._class_writes: dict[int, int] = {}
+        self._retired = 0
         self._predicate_counts: Counter[int] = Counter()
         # Incremental distinct-subject statistics: predicate id ->
         # {subject id: number of triples with that (subject, predicate)}.
@@ -113,6 +128,63 @@ class TripleStore:
         self._stats_cache.clear()
         self._member_sets.clear()
         self._member_ids = 0
+
+    def _note_write(self, p: int, o: int) -> None:
+        """Record a write of ``(?, p, o)`` at the current version."""
+        self._predicate_writes[p] = self.version
+        if p == self._type_id():
+            self._class_writes[o] = self.version
+
+    def _type_id(self) -> int | None:
+        """The id of ``rdf:type``, or None while the dictionary lacks it."""
+        return self.dictionary.lookup(RDF_TYPE)
+
+    def last_write(self, patterns: Iterable[TriplePattern] | None) -> int:
+        """The version of the last write any of ``patterns`` could match.
+
+        A constant predicate reads its own last write, and ``rdf:type``
+        with a constant class reads that class's; a variable predicate,
+        or ``patterns`` None (a query shape whose patterns are not
+        known), reads :attr:`version`.  A pattern with a constant the
+        dictionary does not know matches no triple ever written, so it
+        reads 0.  An answer computed from ``patterns`` at version ``v``
+        is still this store's answer while ``last_write(patterns) <= v``.
+        """
+        if patterns is None:
+            return self.version
+        latest = 0
+        lookup = self.dictionary.lookup
+        type_id = self._type_id()
+        predicate_writes = self._predicate_writes
+        for pattern in patterns:
+            predicate = pattern.predicate
+            if isinstance(predicate, Variable):
+                return self.version
+            p = lookup(predicate)
+            if p is None:
+                continue
+            obj = pattern.object
+            o = None
+            if not isinstance(obj, Variable):
+                o = lookup(obj)
+                if o is None:
+                    continue
+            subject = pattern.subject
+            if not isinstance(subject, Variable) and lookup(subject) is None:
+                continue
+            if p == type_id and o is not None:
+                written = self._class_writes.get(o, 0)
+            else:
+                written = predicate_writes.get(p, 0)
+            latest = max(latest, written, self._retired)
+        return latest
+
+    def written_since(self, patterns: Iterable[TriplePattern] | None, version: int) -> bool:
+        """True when a write after ``version`` could match ``patterns``:
+        the check that retires a cache entry pinned at ``version``
+        (``last_write(patterns) > version``, without the walk while no
+        write at all came after ``version``)."""
+        return self.version > version and self.last_write(patterns) > version
 
     def __len__(self) -> int:
         return self._size
@@ -153,6 +225,7 @@ class TripleStore:
         self._osp.add((o, s, p))
         self._size += 1
         self._bump()
+        self._note_write(p, o)
         self._predicate_counts[p] += 1
         subjects = self._predicate_subjects.setdefault(p, {})
         subjects[s] = subjects.get(s, 0) + 1
@@ -172,7 +245,8 @@ class TripleStore:
                 for triple in triples
             }
         )
-        if self._size:
+        loaded = bool(self._size)
+        if loaded:
             contains = self._spo.contains
             fresh = [row for row in rows if not contains(row)]
         else:
@@ -191,6 +265,12 @@ class TripleStore:
             subjects[s] = subjects.get(s, 0) + 1
         self._size += len(fresh)
         self._bump()
+        if loaded:
+            for __, p, o in fresh:
+                self._note_write(p, o)
+        else:
+            # A load into an empty store retires every earlier answer.
+            self._retired = self.version
         return len(fresh)
 
     def remove(self, triple: Triple) -> bool:
@@ -206,6 +286,7 @@ class TripleStore:
         self._osp.remove((o, s, p))
         self._size -= 1
         self._bump()
+        self._note_write(p, o)
         self._predicate_counts[p] -= 1
         if self._predicate_counts[p] == 0:
             del self._predicate_counts[p]
@@ -524,6 +605,9 @@ class TripleStore:
         self._predicate_subjects.clear()
         self._size = 0
         self._bump()
+        self._predicate_writes.clear()
+        self._class_writes.clear()
+        self._retired = self.version
 
 
 def _repeated_variable_check(

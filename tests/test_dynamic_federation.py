@@ -2,13 +2,14 @@
 
 The paper argues for index-free engines because "endpoints can join and
 leave the federation at no cost".  These tests exercise exactly that:
-adding endpoints after caches are warm, removing them, and endpoints
-becoming unavailable mid-workload.
+adding endpoints after caches are warm, removing them, endpoints
+becoming unavailable mid-workload, and writes between two queries of a
+warm engine.
 """
 
 import pytest
 
-from repro.baselines import FedXEngine, HibiscusEngine, SplendidEngine
+from repro.baselines import AnapsidEngine, FedXEngine, HibiscusEngine, SplendidEngine
 from repro.core.engine import LusailEngine
 from repro.endpoint import Endpoint, Federation
 from repro.rdf import Literal, Namespace, Triple, UB
@@ -85,22 +86,27 @@ class TestLeavingEndpoints:
         assert len(outcome.result) == 1  # only Lee/Ben/MIT remains
 
 
+ALL_ENGINES = [LusailEngine, FedXEngine, HibiscusEngine, SplendidEngine, AnapsidEngine]
+
+
 class TestWritesBetweenQueries:
-    """A write to an endpoint a warm engine has probed.  The ASK, check
-    and COUNT probe caches are keyed on ``(endpoint, pattern)`` with no
-    store version, and charset summaries abstain on a concrete subject,
-    so the cached ASK decides source selection after the write."""
+    """A write to an endpoint a warm engine has probed or indexed.  The
+    ASK, check and COUNT probe caches hold the store version they were
+    probed at and are served only while no later write could match
+    their patterns, and the index-based engines rebuild the entries of
+    the endpoints written since they were indexed."""
 
     KIM_ADVISORS = (
         "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
         "PREFIX cmu: <http://cmu.example.org/>\n"
         "SELECT ?P WHERE { cmu:Kim ub:advisor ?P }"
     )
-
-    @pytest.mark.xfail(
-        strict=True, reason="probe caches are not keyed on the store version"
+    WORKS_FOR = (
+        "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+        "SELECT ?S ?P WHERE { ?S ub:worksFor ?P }"
     )
-    @pytest.mark.parametrize("engine_class", [LusailEngine, FedXEngine, HibiscusEngine])
+
+    @pytest.mark.parametrize("engine_class", ALL_ENGINES)
     def test_a_warm_engine_sees_a_write(self, engine_class):
         federation = build_paper_federation()
         engine = engine_class(federation)
@@ -112,6 +118,47 @@ class TestWritesBetweenQueries:
         warm = engine.execute(self.KIM_ADVISORS)
         assert warm.ok
         assert_same_bag(warm.result.rows, expected)
+
+    @pytest.mark.parametrize("engine_class", ALL_ENGINES)
+    def test_an_index_follows_an_add_then_a_remove(self, engine_class):
+        federation = build_paper_federation()
+        federation.get("EP2").add(Triple(CMU.Joy, UB.worksFor, CMU.CMU))
+        engine = engine_class(federation)
+        counts = []
+        for write in (
+            None,
+            lambda: federation.get("EP1").add(Triple(MIT.Ben, UB.worksFor, MIT.MIT)),
+            lambda: federation.get("EP2").remove(Triple(CMU.Joy, UB.worksFor, CMU.CMU)),
+        ):
+            if write is not None:
+                write()
+            outcome = engine.execute(self.WORKS_FOR)
+            assert outcome.ok
+            expected = oracle_rows(federation, self.WORKS_FOR)
+            assert_same_bag(outcome.result.rows, expected)
+            counts.append(len(outcome.result))
+        assert counts == [1, 2, 1]
+
+    @pytest.mark.parametrize("engine_class", [SplendidEngine, AnapsidEngine, HibiscusEngine])
+    def test_only_written_endpoints_are_reindexed_and_charged(self, engine_class):
+        federation = build_paper_federation()
+        engine = engine_class(federation)
+        engine.execute(self.WORKS_FOR)
+        built = engine.stats.preprocessing_ms
+        untouched = _index_entry(engine, "EP2")
+        federation.get("EP1").add(Triple(MIT.Ben, UB.worksFor, MIT.MIT))
+        engine.execute(self.WORKS_FOR)
+        assert engine.stats.preprocessing_ms > built
+        assert _index_entry(engine, "EP2") is untouched
+        assert engine.index_versions["EP1"] == federation.get("EP1").store.version
+        charged = engine.stats.preprocessing_ms
+        engine.execute(self.WORKS_FOR)
+        assert engine.stats.preprocessing_ms == charged
+
+
+def _index_entry(engine, name: str):
+    index = engine.index
+    return (index.endpoints if hasattr(index, "endpoints") else index)[name]
 
 
 class TestUnavailableEndpoints:
@@ -174,7 +221,6 @@ class TestResultCaps:
         """Under a tight cap, ANAPSID's full-extent fetches are truncated
         harder than Lusail's bound subqueries: Lusail retains at least as
         many correct rows."""
-        from repro.baselines import AnapsidEngine
         from repro.datasets import lubm
 
         federation = self._capped_lubm(cap=60)

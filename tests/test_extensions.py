@@ -39,14 +39,14 @@ def _registered(server, endpoint, text):
     producing ServingClient does; returns the response."""
     query = parse_query(text)
     result = endpoint.select(query)
-    server.register_select(endpoint.name, query, endpoint.store.version, result, 1.0)
+    server.register_select(endpoint.name, query, result, 1.0)
     return result
 
 
 def _shared(server, endpoint, text):
     """What a ServingClient shipping ``text`` to ``endpoint`` would read
     from the share registry (the response view, or None)."""
-    found = server.shared_select(endpoint.name, parse_query(text), endpoint.store.version)
+    found = server.shared_select(endpoint.name, parse_query(text))
     return None if found is None else found[0]
 
 

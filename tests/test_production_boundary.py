@@ -14,7 +14,8 @@ travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
 last.  And the options boundary: every field of ``LusailConfig`` and
 ``TrafficConfig`` is set by name by some caller outside the tests, or
-is listed with the reason it stays an option.
+is listed with the reason it stays an option.  And a ratchet: reads of
+a store's whole version outside ``repro/store/`` do not grow.
 """
 
 import ast
@@ -187,6 +188,58 @@ def test_collector_walker_sees_every_way_to_name_gc(tmp_path, source, uses):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert _gc_uses(probe) == uses
+
+
+#: Reads of a store's whole version (``….store.version``) outside
+#: ``repro/store/``: the compiled plans' pin, the summary and digest
+#: caches, the partial path's digests, the baselines' index versions and
+#: the pins of the caches that validate by
+#: ``TripleStore.last_write``.  A ratchet toward one notion of "stale":
+#: the count may fall, never grow.
+STORE_VERSION_READS = 10
+
+
+def _store_version_reads(path: Path) -> int:
+    """Loads of ``<…>.store.version`` or ``store.version`` in a module."""
+    reads = 0
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "version"
+            and isinstance(node.ctx, ast.Load)
+            and (
+                (isinstance(node.value, ast.Attribute) and node.value.attr == "store")
+                or (isinstance(node.value, ast.Name) and node.value.id == "store")
+            )
+        ):
+            reads += 1
+    return reads
+
+
+def test_whole_store_version_reads_do_not_grow():
+    store_package = SRC / "store"
+    reads = sum(
+        _store_version_reads(path)
+        for path in sorted(SRC.rglob("*.py"))
+        if store_package not in path.parents
+    )
+    assert reads <= STORE_VERSION_READS
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("def f(endpoint):\n    return endpoint.store.version", 1),
+        ("def f(self):\n    return self.federation.get('a').store.version", 1),
+        ("def f(store):\n    v = store.version\n    return v, store.version", 2),
+        ("def f(store):\n    store.version = 3", 0),
+        ("def f(summary, store):\n    return summary.version, store.last_write(None)", 0),
+    ],
+)
+def test_store_version_walker_counts_each_read(tmp_path, source, reads):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert _store_version_reads(probe) == reads
 
 
 SCHEDULERS = {"BranchScheduler", "PartialBranchScheduler"}
