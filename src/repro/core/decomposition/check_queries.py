@@ -18,6 +18,13 @@ The check carries ``LIMIT 1`` (only emptiness matters), keeps an
 ``rdf:type`` constraint on ``v`` when the query has one, and replaces
 constants inside the FILTER side with fresh variables (the check cares
 about *any* local match of the predicate, not the specific constant).
+
+Cost at the endpoint: the generalized inner side is one pattern keyed on
+``v`` alone, which the plan compiler answers with one index range read
+per distinct ``v`` the outer pattern yields (``not_exists_range[...]``
+in :meth:`~repro.sparql.plan.CompiledPlan.explain`), so a check costs
+its outer probe's first chunks, not a pass over the inner predicate's
+extent.
 """
 
 from __future__ import annotations

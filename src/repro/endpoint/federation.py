@@ -22,6 +22,9 @@ class Federation:
 
     def __init__(self, endpoints: Iterable[Endpoint] = ()):
         self._endpoints: dict[str, Endpoint] = {}
+        #: Bumped by every :meth:`add` and :meth:`remove`: a cache that
+        #: pins it sees an endpoint join that none of its entries touched.
+        self.membership_version = 0
         for endpoint in endpoints:
             self.add(endpoint)
 
@@ -29,12 +32,15 @@ class Federation:
         if endpoint.name in self._endpoints:
             raise ValueError(f"duplicate endpoint name {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
+        self.membership_version += 1
 
     def remove(self, name: str) -> Endpoint:
         try:
-            return self._endpoints.pop(name)
+            endpoint = self._endpoints.pop(name)
         except KeyError:
             raise UnknownEndpointError(name) from None
+        self.membership_version += 1
+        return endpoint
 
     def get(self, name: str) -> Endpoint:
         try:

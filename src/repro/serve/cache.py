@@ -7,17 +7,21 @@ constants remain part of the key as lifted VALUES data.  Queries the
 canonicalizer declines (top-level VALUES) fall back to the raw query AST
 as key — AST nodes are hashable, so no serialization is needed.
 
-Every entry also pins the ``store.version`` of each federation member
-that contributed to the result, and keeps the triple patterns of the
-*parsed* query (the canonical key lifts constants into VALUES, which
-would lose an ``rdf:type`` class).  A lookup re-validates lazily: an
+Every entry also pins the federation's ``membership_version`` and the
+``store.version`` of each federation member that contributed to the
+result, and keeps the triple patterns of the *parsed* query (the
+canonical key lifts constants into VALUES, which would lose an
+``rdf:type`` class).  A lookup re-validates lazily: an
 entry pinned at version ``v`` stays valid while the endpoint's
 ``store.last_write(patterns) <= v``
 (:meth:`repro.store.TripleStore.last_write`), so a write invalidates
 exactly the entries that touched that endpoint *and* read a predicate
 (or ``rdf:type`` class) the write matches — counted per endpoint in the
-metrics registry (``serve_result_cache_invalidations_total``).  The
-check is modelled as free, like an ETag'd conditional request.
+metrics registry (``serve_result_cache_invalidations_total``).  An
+endpoint joining or leaving retires every entry (label ``endpoint="*"``):
+an answer pinned to the members it touched cannot know what a newcomer
+holds.  The check is modelled as free, like an ETag'd conditional
+request.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ class CachedResult:
     #: ``(endpoint_name, store_version)`` for every federation member
     #: that contributed to (or was probed for) this result.
     endpoint_versions: tuple[tuple[str, int], ...]
+    #: The federation's ``membership_version`` when the entry was stored.
+    membership_version: int
     #: The triple patterns the query reads; None validates against
     #: each store's whole version.
     patterns: tuple | None = None
@@ -99,10 +105,10 @@ class ResultCache:
 
     def _stale_endpoint(self, entry: CachedResult, federation) -> str | None:
         """The first endpoint written, since the entry was pinned, in a way
-        its patterns could match."""
+        its patterns could match; ``*`` when an endpoint joined or left."""
+        if entry.membership_version != federation.membership_version:
+            return "*"
         for name, version in entry.endpoint_versions:
-            if name not in federation:
-                return name
             if federation.get(name).store.written_since(entry.patterns, version):
                 return name
         return None
@@ -142,6 +148,7 @@ class ResultCache:
                 for name in sorted(endpoints)
                 if name in federation
             ),
+            membership_version=federation.membership_version,
             patterns=None if patterns is None else tuple(patterns),
         )
         self.entries[key] = entry

@@ -15,7 +15,10 @@ explicit operator pipeline that can be executed many times:
   against non-numeric constants run directly in id space, and ``<`` …
   ``>=`` against a numeric constant read the dictionary's per-id number
   column;
-* OPTIONAL / UNION / sub-SELECT compile to composed sub-plans;
+* OPTIONAL / UNION / sub-SELECT compile to composed sub-plans, and so
+  does ``FILTER [NOT] EXISTS`` — except over one pattern keyed on one
+  bound variable (every Lusail locality check), which is one index range
+  read per distinct key (:class:`_ExistsRangeOp`);
 * ORDER BY (a compiled sort key over the *pre-projection* row, SPARQL
   §15), projection, DISTINCT and LIMIT/OFFSET form the pipeline tail;
 * top-level VALUES clauses compile to **parameter slots**: an endpoint
@@ -149,8 +152,8 @@ class _ExecutionContext:
     """Mutable per-execution state; the compiled plan itself is immutable.
 
     Holds the encoded parameter blocks and per-operator scratch state
-    (materialized sub-selects).  Expressions need nothing from it: their
-    closures are part of the plan.
+    (materialized sub-selects, existence verdicts per key).  Expressions
+    need nothing from it: their closures are part of the plan.
     """
 
     __slots__ = ("store", "dictionary", "param_rows", "_state")
@@ -686,6 +689,59 @@ class _ExistsFilterOp:
         return f"{tag}[{', '.join(self.plan.describe())}]"
 
 
+class _ExistsRangeOp:
+    """``FILTER [NOT] EXISTS`` over one triple pattern as one index range
+    read per distinct key.
+
+    The compiler picks this kernel (:meth:`_Compiler._exists_range`) when
+    the group is a lone pattern ``(?v p ?x)`` or ``(?x p ?v)``, bare or in
+    a plain sub-SELECT, with ``p`` constant, ``?v`` the only variable the
+    outer rows see and certainly bound there, and ``?x`` a variable they
+    cannot see — the shape of every Lusail locality check.  A row then
+    matches exactly when its key has a non-empty
+    :meth:`TripleStore.object_range` (``?v`` the subject) or
+    ``subject_range`` (``?v`` the object); the verdict is memoised per
+    distinct key for the execution, so nothing is materialised.  A
+    predicate the data lacks has a fresh id with empty ranges, like any
+    compiled constant, and the plan is recompiled after the write that
+    adds it.  The filter keeps its group-end place and the rows their
+    order, so it keeps exactly the rows the general sub-plan keeps.
+    """
+
+    __slots__ = ("predicate", "key_position", "key_slot", "negated", "pattern_text")
+
+    def __init__(self, predicate, key_position, key_slot, negated, pattern_text):
+        self.predicate = predicate
+        self.key_position = key_position
+        self.key_slot = key_slot
+        self.negated = negated
+        self.pattern_text = pattern_text
+
+    def run_batches(self, ctx: _ExecutionContext, batches) -> Iterator[list]:
+        store = ctx.store
+        lookup = store.object_range if self.key_position == 0 else store.subject_range
+        predicate = self.predicate
+        key_slot = self.key_slot
+        negated = self.negated
+        known = ctx.state(self)
+        for rows in batches:
+            out: list = []
+            for row in rows:
+                key = row[key_slot]
+                found = known.get(key)
+                if found is None:
+                    __, lo, hi = lookup(predicate, key)
+                    found = known[key] = hi > lo
+                if found != negated:
+                    out.append(row)
+            if out:
+                yield out
+
+    def describe(self) -> str:
+        tag = "not_exists_range" if self.negated else "exists_range"
+        return f"{tag}[{self.pattern_text}]"
+
+
 class _OptionalOp:
     """Left join: each row runs the sub-plan; on no match the row is
     padded with ``None`` for the sub-plan's fresh columns."""
@@ -1119,13 +1175,18 @@ class _Compiler:
     def _compile_filter(self, expression, schema, timeline, certain_final):
         end = len(timeline) - 1
         # EXISTS (and !EXISTS) keep group-end semantics: they see the
-        # complete row, and a compiled lazy sub-plan takes only the
+        # complete row; a lone-pattern group reads one index range per
+        # key, any other a compiled lazy sub-plan that takes only the
         # first inner solution per row.
         exists = _as_exists(expression)
         if exists is not None:
             pattern, negated = exists
-            sub = self._compile_exists(pattern, schema, certain_final)
-            return _ExistsFilterOp(sub, negated), end
+            op = self._exists_range(pattern, negated, schema, certain_final)
+            if op is None:
+                op = _ExistsFilterOp(
+                    self._compile_exists(pattern, schema, certain_final), negated
+                )
+            return op, end
         slot_of = {var: i for i, var in enumerate(schema)}
         passes, kind, anchored = compile_filter(
             expression, slot_of, self.dictionary, self._exists_hook(schema, certain_final)
@@ -1144,6 +1205,37 @@ class _Compiler:
 
     def _compile_exists(self, pattern, schema, certain) -> _GroupPlan:
         return _Compiler(self.store, lazy=True).compile_group(pattern, schema, certain)
+
+    def _exists_range(self, group, negated, schema, certain) -> _ExistsRangeOp | None:
+        """The range-read kernel for a top-level ``FILTER [NOT] EXISTS``
+        over ``schema`` rows, or None where its shape does not fit (see
+        :class:`_ExistsRangeOp`): a variable predicate, a repeated
+        variable, a key that is not certainly bound, a constant or a
+        visible variable opposite the key, a group of more than one
+        pattern, a sub-SELECT with modifiers or ``SELECT *``."""
+        found = _lone_pattern(group, set(schema))
+        if found is None:
+            return None
+        pattern, visible = found
+        if isinstance(pattern.predicate, Variable):
+            return None
+        seen = pattern.variables() & visible
+        if len(seen) != 1:
+            return None
+        (key,) = seen
+        if pattern.subject == key:
+            key_position, other = 0, pattern.object
+        else:
+            key_position, other = 2, pattern.subject
+        if key not in certain or not isinstance(other, Variable) or other in visible:
+            return None
+        return _ExistsRangeOp(
+            self.dictionary.encode(pattern.predicate),
+            key_position,
+            schema.index(key),
+            negated,
+            pattern.n3(),
+        )
 
     def _exists_hook(self, schema, certain):
         """The ``exists`` hook for an expression over ``schema`` rows: an
@@ -1236,6 +1328,29 @@ def _as_exists(expression: Expression):
         inner = expression.operand
         return inner.pattern, not inner.negated
     return None
+
+
+def _lone_pattern(group: GroupPattern, visible: set) -> tuple[TriplePattern, set] | None:
+    """``(pattern, visible)`` when ``group`` is one triple pattern, bare or
+    in a sub-SELECT with an explicit projection and no modifier; the
+    outer ``visible`` variables narrow to the projected ones."""
+    elements = group.elements
+    if len(elements) == 1 and isinstance(elements[0], SubSelect):
+        query = elements[0].query
+        if (
+            query.select_vars is None
+            or query.distinct
+            or query.aggregate is not None
+            or query.order_by
+            or query.limit is not None
+            or query.offset
+        ):
+            return None
+        visible = visible & set(query.select_vars)
+        elements = query.where.elements
+    if len(elements) != 1 or not isinstance(elements[0], BGP) or len(elements[0].triples) != 1:
+        return None
+    return elements[0].triples[0], visible
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.endpoint import EngineCaches, FederationClient
 from repro.net.simulator import local_cluster_config
 from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf import IRI, RDF_TYPE, UB, TriplePattern, Variable
+from repro.sparql.evaluator import evaluate_select
 from repro.sparql.serializer import serialize_query
 
 from tests.conftest import build_paper_federation
@@ -265,3 +266,54 @@ class TestCheckQueryCacheStability:
         engine.execute(text)
         warm = engine.execute(text)
         assert warm.metrics.request_count("check") == 0
+
+
+class TestCheckPlansReadRanges:
+    """Every check query compiles, at the endpoint, to the range-read
+    kernel (``not_exists_range[...]``), never to the general sub-plan:
+    a change to check formulation that leaves the kernel's shape shows
+    here rather than as a slower check."""
+
+    GRAD = TriplePattern(S, RDF_TYPE, UB.GraduateStudent)
+    PROF = TriplePattern(P, RDF_TYPE, UB.FullProfessor)
+    CONST_OUTER = TriplePattern(S, UB.advisor, IRI("http://mit.example.org/Ben"))
+    CONST_INNER = TriplePattern(U, UB.address, IRI("http://x.org/addr"))
+
+    # (case, variable, pattern a, pattern b, the variable's type constraint)
+    CASES = [
+        ("object/subject", P, TP_ADVISOR, TP_PHD, PROF),
+        ("object/subject", U, TP_PHD, CONST_INNER, None),
+        ("subject only", S, TP_ADVISOR, TP_TAKES, GRAD),
+        ("subject only", S, CONST_OUTER, TP_TAKES, GRAD),
+        ("object only", C, TP_TAKES, TP_TEACHER, None),
+    ]
+
+    @pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+    @pytest.mark.parametrize(
+        "case, variable, pattern_a, pattern_b, type_pattern",
+        CASES,
+        ids=[f"{case} ?{var.name} {i}" for i, (case, var, *__) in enumerate(CASES)],
+    )
+    def test_check_compiles_to_range_kernel(
+        self, case, variable, pattern_a, pattern_b, type_pattern, typed
+    ):
+        if typed and type_pattern is None:
+            type_pattern = TriplePattern(variable, RDF_TYPE, UB.Course)
+        patterns = [*QA_PATTERNS, pattern_a, pattern_b]
+        if typed:
+            patterns.append(type_pattern)
+        checks = checks_for_pair(variable, pattern_a, pattern_b, patterns, ("EP1",))
+        assert len(checks) == (1 if case == "object/subject" else 2)
+        endpoint = build_paper_federation().get("EP1")
+        for check in checks:
+            assert (check.type_pattern is not None) == typed
+            canonical, canonicalized = endpoint._canonicalize(check.query)
+            assert canonicalized is not None  # checks share canonical plans
+            plan, params, __ = endpoint._plan_for(check.query)
+            labels = plan.explain()
+            assert [label.split("[")[0] for label in labels if "exists" in label] == [
+                "not_exists_range"
+            ], labels
+            assert plan.execute_select(params).rows == evaluate_select(
+                endpoint.store, canonical
+            ).rows

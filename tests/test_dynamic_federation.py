@@ -13,6 +13,7 @@ from repro.baselines import AnapsidEngine, FedXEngine, HibiscusEngine, SplendidE
 from repro.core.engine import LusailEngine
 from repro.endpoint import Endpoint, Federation
 from repro.rdf import Literal, Namespace, Triple, UB
+from repro.serve import QueryRequest, QueryServer
 
 from tests.conftest import CMU, MIT, QA, assert_same_bag, build_paper_federation, oracle_rows
 
@@ -53,6 +54,28 @@ class TestJoiningEndpoints:
         federation.add(third_university())
         after = engine.execute(QA)
         assert_same_bag(after.result.rows, oracle_rows(federation, QA))
+
+    def test_warm_server_result_cache_sees_a_joined_endpoint(self):
+        """A cached answer pins only the endpoints its execution touched;
+        the federation's membership version retires it when EP3 joins."""
+        federation = build_paper_federation()
+        server = QueryServer(federation)
+        request = [QueryRequest(at_ms=0.0, tenant="t", name="QA", text=QA)]
+        (first,) = server.run(request)
+        assert (first.path, first.result_rows) == ("executed", 3)
+        (cached,) = server.run(request)
+        assert cached.path == "cache"
+
+        federation.add(third_university())
+        (after,) = server.run(request)
+        assert after.status == "ok"
+        assert after.path == "executed"
+        assert after.result_rows == 4
+        assert_same_bag(after.result.rows, oracle_rows(federation, QA))
+
+        federation.remove("EP3")
+        (left,) = server.run(request)
+        assert (left.path, left.result_rows) == ("executed", 3)
 
     def test_splendid_index_goes_stale(self):
         """Index-based engines miss data added after preprocessing —

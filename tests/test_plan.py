@@ -77,20 +77,26 @@ def store():
 
 
 def _count_probes(store):
-    """Wrap ``store.match_ids`` with an invocation counter.
+    """Wrap ``store.match_ids``, ``subject_range`` and ``object_range``
+    with an invocation counter.
 
-    Returns the counter list; each index probe issued by a plan appends
-    one entry.  Works through an instance attribute, so only this store
-    is affected.
+    Returns the counter list; each index stream a plan opens and each
+    range it reads appends one entry.  Works through instance
+    attributes, so only this store is affected.
     """
     calls = []
-    original = store.match_ids
 
-    def counting(s, p, o):
-        calls.append((s, p, o))
-        return original(s, p, o)
+    def counted(name):
+        original = getattr(store, name)
 
-    store.match_ids = counting
+        def counting(*ids):
+            calls.append((name, *ids))
+            return original(*ids)
+
+        setattr(store, name, counting)
+
+    for name in ("match_ids", "subject_range", "object_range"):
+        counted(name)
     return calls
 
 
@@ -344,6 +350,9 @@ class TestEarlyTermination:
                     select_vars=(X, Y),
                     limit=1,
                 ),
+                # One stream for the edge, then one range read: the lone
+                # pattern EXISTS { ?y teaches ?z } asks object_range
+                # (teaches, y) of the first row's ?y, no stream.
                 2,
             ),
         ],
