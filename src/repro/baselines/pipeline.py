@@ -9,9 +9,10 @@ engines differ only in their *decisions*, which subclasses express by
 overriding methods of :class:`OperandEngine`:
 
 * where source lists come from (:meth:`~OperandEngine._select_sources`,
-  :meth:`~OperandEngine._build_index`);  an index records the store
-  version of each endpoint it read, and before source selection the
-  entries of endpoints written since are rebuilt and charged as
+  :meth:`~OperandEngine._build_index`);  an index pins the store state
+  of each endpoint it read, and before source selection the entries of
+  endpoints whose pinned state is no longer current (written since, or
+  replaced by a same-named endpoint) are rebuilt and charged as
   preprocessing (endpoints that join later stay unindexed: the
   drawback the paper names for index-based engines);
 * the operand order (:meth:`~OperandEngine._order`);
@@ -55,25 +56,25 @@ class OperandEngine(FederatedEngine):
         if self.requires_preprocessing:
             start = time.perf_counter()
             self.index = self._build_index(federation)
-            #: The store version each indexed endpoint was read at.
-            self.index_versions = _store_versions(federation)
+            #: The store state each indexed endpoint was read at.
+            self.index_pins = {endpoint.name: endpoint.store.state for endpoint in federation}
             self.stats.preprocessing_ms = (time.perf_counter() - start) * 1000.0
 
     def _refresh_index(self) -> None:
-        """Rebuild the index entries of the endpoints written since they
-        were indexed, charging the rebuild to ``stats.preprocessing_ms``."""
-        versions = _store_versions(self.federation)
+        """Rebuild the index entries whose pinned store state is not
+        current, charging the rebuild to ``stats.preprocessing_ms``."""
         moved = [
-            name
-            for name, version in versions.items()
-            if self.index_versions.get(name, version) != version
+            endpoint
+            for endpoint in self.federation
+            if endpoint.name in self.index_pins
+            and not endpoint.store.current(self.index_pins[endpoint.name])
         ]
         if not moved:
             return
         start = time.perf_counter()
-        self.index.update(self._build_index(self.federation.subset(moved)))
-        for name in moved:
-            self.index_versions[name] = versions[name]
+        self.index.update(self._build_index(Federation(moved)))
+        for endpoint in moved:
+            self.index_pins[endpoint.name] = endpoint.store.state
         self.stats.preprocessing_ms += (time.perf_counter() - start) * 1000.0
 
     # -------------------------------------------------------- decisions
@@ -194,10 +195,6 @@ class OperandEngine(FederatedEngine):
         phases["execution"] = now - execution_start
         client.metrics.mediator_rows = max(client.metrics.mediator_rows, len(relation))
         return relation, now, phases
-
-
-def _store_versions(federation: Federation) -> dict[str, int]:
-    return {endpoint.name: endpoint.store.version for endpoint in federation}
 
 
 def _carried_variables(

@@ -434,15 +434,15 @@ def _digests_are_cold(required: list[Subquery], client) -> bool:
     """Whether the partial round must be preceded by a digest fetch round.
 
     Peeks at the engine-level digest cache (no counters touched) for
-    the keys the round will request: a digest is warm only while its
-    cached store version still matches the endpoint's.
+    the keys the round will request: a digest is warm only while the
+    store state it pins is current.
     """
     cache = client.caches.digest
-    for key in _digest_keys(required):
-        hit = cache.peek(key)
-        if hit is MISSING or hit[0] != client.federation.get(key[0]).store.version:
-            return True
-    return False
+    federation = client.federation
+    return any(
+        cache.peek_current(key, federation.get(key[0]).store) is MISSING
+        for key in _digest_keys(required)
+    )
 
 
 def choose_strategy(

@@ -7,12 +7,14 @@ source-selection ASKs the same way, and SAPE's COUNT statistics are also
 cacheable.
 
 Keys are ``(endpoint_name, query AST)``; AST nodes are immutable and
-hashable, so no serialization is needed.  A probe entry also holds the
-store version it was probed at and the triple patterns the probe reads,
-and a lookup serves it only while no later write could match one of
-them (:meth:`ProbeCache.get_current`, which reads
-:meth:`repro.store.TripleStore.last_write`): a write to another
-predicate, or to another ``rdf:type`` class, keeps the entry.
+hashable, so no serialization is needed.  Every entry (statistics
+summaries and join digests too) pins the store state it was fetched at
+and the triple patterns it reads, and is served only while
+:meth:`repro.store.TripleStore.current` says so
+(:meth:`ProbeCache.get_current`): a write to another predicate or
+``rdf:type`` class keeps a probe entry, and an endpoint replaced by a
+same-named one retires all of its predecessor's.  Compiled plans pin
+their store's state the same way.
 
 Both cache kinds share one LRU eviction policy (:class:`LRUCache`):
 probe caches are bounded so the chaos / bench harnesses no longer leak,
@@ -94,21 +96,19 @@ class LRUCache:
     def discard(self, key: Hashable) -> None:
         self._table.pop(key, None)
 
-    def clear(self) -> None:
-        self._table.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def _stale(self):
+        """Count the hit :meth:`get` made on a stale entry as a miss."""
+        self.hits -= 1
+        self.misses += 1
+        return MISSING
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._table
-
 
 class ProbeCache(LRUCache):
-    """An LRU cache for one kind of probe result (ASK / check / COUNT)."""
+    """An LRU cache for one kind of metadata answer (ASK / check / COUNT,
+    summaries, digests)."""
 
     def __init__(
         self, enabled: bool = True, capacity: int | None = DEFAULT_PROBE_CACHE_CAPACITY
@@ -128,32 +128,40 @@ class ProbeCache(LRUCache):
     def get_current(self, key: Hashable, store):
         """The probe answer cached under ``key``, or :data:`MISSING`.
 
-        Entries are ``(version, patterns, answer)``: the answer was
-        probed at store ``version`` and reads only triples matching
-        ``patterns``.  It is served while ``store.last_write(patterns)``
-        has not passed ``version``; a stale entry is dropped here and
-        counted as a miss, not a hit.
+        Entries are ``(pin, patterns, answer)``, served while
+        ``store.current(pin, patterns)``; a stale one counts as a miss
+        and stays until the fresh answer replaces it.  A pin of None
+        means the answer carries its own ``pin``: a charset summary,
+        which its endpoint refreshes in place for every holder.
         """
         entry = self.get(key)
         if entry is MISSING:
             return MISSING
-        version, patterns, answer = entry
-        if store.written_since(patterns, version):
-            self.discard(key)
-            self.hits -= 1
-            self.misses += 1
+        if not _current(entry, store):
+            return self._stale()
+        return entry[2]
+
+    def peek_current(self, key: Hashable, store):
+        """Like :meth:`get_current` but counter-neutral (see :meth:`peek`)."""
+        entry = self.peek(key)
+        if entry is MISSING or not _current(entry, store):
             return MISSING
-        return answer
+        return entry[2]
+
+
+def _current(entry: tuple, store) -> bool:
+    pin, patterns, answer = entry
+    return store.current(answer.pin if pin is None else pin, patterns)
 
 
 class PlanCache(LRUCache):
     """Per-endpoint cache of compiled physical plans.
 
     Keys are query *skeletons* (VALUES rows stripped), so every
-    bound-join block of the same subquery hits one entry.  A cached plan
-    is only served while its store version still matches — a mutated
-    store invalidates the entry (counted in ``invalidations`` and as a
-    miss, since the caller must recompile).
+    bound-join block of the same subquery hits one entry.  A plan is
+    served while the store state it pins is current
+    (:attr:`CompiledPlan.valid`); after any write it is dropped, counted
+    in ``invalidations`` and as a miss.
     """
 
     def __init__(self, capacity: int | None = DEFAULT_PLAN_CACHE_CAPACITY):
@@ -168,11 +176,7 @@ class PlanCache(LRUCache):
         if not plan.valid:
             self.discard(key)
             self.invalidations += 1
-            # The hit counter already advanced; correct it to a miss so
-            # hit rates reflect compilations actually avoided.
-            self.hits -= 1
-            self.misses += 1
-            return MISSING
+            return self._stale()
         return plan
 
     def peek_plan(self, key: Hashable):
@@ -182,26 +186,24 @@ class PlanCache(LRUCache):
             return MISSING
         return plan
 
-    def clear(self) -> None:
-        super().clear()
-        self.invalidations = 0
-
 
 @dataclass
 class EngineCaches:
-    """The cache set a federation engine keeps across queries."""
+    """The cache set a federation engine keeps across queries.  Every
+    entry is ``(pin, patterns, answer)``, served only while the
+    endpoint's store says ``current(pin, patterns)``."""
 
+    #: ASK / check / COUNT probes: an entry reads the probe's patterns.
     ask: ProbeCache = field(default_factory=ProbeCache)
     check: ProbeCache = field(default_factory=ProbeCache)
     count: ProbeCache = field(default_factory=ProbeCache)
-    #: Characteristic-set summaries keyed by endpoint name.  Entries are
-    #: validated against the endpoint's ``store.version`` on every use
-    #: (the simulator's stand-in for an ETag'd HEAD request), so a stale
-    #: summary is re-fetched rather than served.
+    #: Characteristic-set summaries keyed by endpoint name, and join
+    #: digests keyed by ``(endpoint, predicate, position)``: an entry
+    #: reads the whole store (patterns None), so any write retires it
+    #: (the simulator's stand-in for an ETag'd HEAD request) until a
+    #: fresh fetch; a summary is current again once any holder's fetch
+    #: has refreshed it in place.
     stats: ProbeCache = field(default_factory=ProbeCache)
-    #: Join-value digests keyed by ``(endpoint, predicate, position)``.
-    #: Validated against ``store.version`` like the stats summaries, so
-    #: partial-evaluation pruning never uses a stale fingerprint set.
     digest: ProbeCache = field(default_factory=ProbeCache)
 
     @classmethod
@@ -213,10 +215,3 @@ class EngineCaches:
             stats=ProbeCache(enabled=False),
             digest=ProbeCache(enabled=False),
         )
-
-    def clear(self) -> None:
-        self.ask.clear()
-        self.check.clear()
-        self.count.clear()
-        self.stats.clear()
-        self.digest.clear()

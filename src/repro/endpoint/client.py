@@ -299,23 +299,27 @@ class FederationClient:
 
     # ------------------------------------------------------------- probes
 
-    def _cached_probe(self, kind: str, cache, endpoint_name: str, key, patterns, at_ms, probe):
-        """One ASK / check / COUNT probe through its cache.
+    def _cached_probe(
+        self, kind, cache, endpoint_name, key, patterns, at_ms, probe,
+        label=None, self_pinned=False,
+    ):
+        """One metadata request through its cache.
 
-        A hit (:meth:`ProbeCache.get_current`: no write since the probe
-        could match ``patterns``) costs a cached request; a miss runs
-        ``probe(endpoint) -> (answer, end)`` and caches the answer with
-        the store version it was probed at and ``patterns``.
+        A hit (:meth:`ProbeCache.get_current`) costs a cached ``kind``
+        request; a miss runs ``probe(endpoint) -> (answer, end)`` and
+        caches the answer pinned to the store state it was probed at
+        (``self_pinned``: to the answer's own ``pin``).  Hits and misses
+        are counted under ``label`` (default ``kind``).
         """
         endpoint = self.federation.get(endpoint_name)
         hit = cache.get_current(key, endpoint.store)
         if cache.enabled:
-            self._count_cache(kind, hit is not MISSING)
+            self._count_cache(label or kind, hit is not MISSING)
         if hit is not MISSING:
             return hit, self._issue(endpoint_name, kind, at_ms, 0, 0, cached=True)
-        version = endpoint.store.version
+        pin = endpoint.store.state
         answer, end = probe(endpoint)
-        cache.put(key, (version, patterns, answer))
+        cache.put(key, (None if self_pinned else pin, patterns, answer))
         return answer, end
 
     def ask(self, endpoint_name: str, pattern: TriplePattern, at_ms: float) -> tuple[bool, float]:
@@ -382,34 +386,28 @@ class FederationClient:
     def stats_summary(self, endpoint_name: str, at_ms: float):
         """Fetch one endpoint's characteristic-set summary.
 
-        Cached in :attr:`EngineCaches.stats` across queries; each use
-        validates the cached copy against the endpoint's current
-        ``store.version`` (the simulator's stand-in for an ETag'd HEAD
-        request), so a stale summary is re-fetched, never served.  The
-        fetch itself is a virtual ``stats`` request whose payload is the
-        summary's serialized size estimate.
+        Cached in :attr:`EngineCaches.stats` across queries and
+        validated by the summary's own pin, like an ETag; a stale one is
+        re-fetched, never served.  The fetch is a virtual ``stats``
+        request whose payload is the summary's serialized size estimate.
         """
-        endpoint = self.federation.get(endpoint_name)
-        version = endpoint.store.version
-        hit = self.caches.stats.get(endpoint_name)
-        fresh = hit is not MISSING and hit.version == version
-        if self.caches.stats.enabled:
-            self._count_cache("stats", fresh)
-        if fresh:
-            end = self._issue(endpoint_name, metrics_module.STATS, at_ms, 0, 0, cached=True)
-            return hit, end
-        summary = endpoint.charset_summary()
-        end = self._issue(
-            endpoint_name,
-            metrics_module.STATS,
-            at_ms,
-            len(summary.sets) + len(summary.predicates),
-            64,
-            cached=False,
-            response_bytes=summary.approx_bytes(),
+
+        def probe(endpoint):
+            summary = endpoint.charset_summary()
+            return summary, self._issue(
+                endpoint_name,
+                metrics_module.STATS,
+                at_ms,
+                len(summary.sets) + len(summary.predicates),
+                64,
+                cached=False,
+                response_bytes=summary.approx_bytes(),
+            )
+
+        return self._cached_probe(
+            metrics_module.STATS, self.caches.stats, endpoint_name,
+            endpoint_name, None, at_ms, probe, self_pinned=True,
         )
-        self.caches.stats.put(endpoint_name, summary)
-        return summary, end
 
     def join_digest(
         self, endpoint_name: str, predicate, position: str, at_ms: float
@@ -418,33 +416,27 @@ class FederationClient:
 
         Digests (:mod:`repro.store.digests`) are planner metadata like
         the charset summaries: fetched as a ``stats`` request, cached in
-        :attr:`EngineCaches.digest` across queries, and validated
-        against the endpoint's ``store.version`` on every use — so the
-        partial path pays for each digest once per federation state, not
-        once per query.
+        :attr:`EngineCaches.digest` across queries, and retired by any
+        write to the endpoint — so the partial path pays for each digest
+        once per federation state, not once per query.
         """
-        endpoint = self.federation.get(endpoint_name)
-        version = endpoint.store.version
-        key = (endpoint_name, predicate, position)
-        hit = self.caches.digest.get(key)
-        fresh = hit is not MISSING and hit[0] == version
-        if self.caches.digest.enabled:
-            self._count_cache("digest", fresh)
-        if fresh:
-            end = self._issue(endpoint_name, metrics_module.STATS, at_ms, 0, 0, cached=True)
-            return hit[1], end
-        digest = endpoint.join_digest(predicate, position)
-        end = self._issue(
-            endpoint_name,
-            metrics_module.STATS,
-            at_ms,
-            0,
-            72,
-            cached=False,
-            response_bytes=digest_bytes(digest),
+
+        def probe(endpoint):
+            digest = endpoint.join_digest(predicate, position)
+            return digest, self._issue(
+                endpoint_name,
+                metrics_module.STATS,
+                at_ms,
+                0,
+                72,
+                cached=False,
+                response_bytes=digest_bytes(digest),
+            )
+
+        return self._cached_probe(
+            metrics_module.STATS, self.caches.digest, endpoint_name,
+            (endpoint_name, predicate, position), None, at_ms, probe, label="digest",
         )
-        self.caches.digest.put(key, (version, digest))
-        return digest, end
 
     # ----------------------------------------------------------- retrieval
 

@@ -153,8 +153,8 @@ class Endpoint:
         constants lifted into a parameter block — so a bound-join
         re-issuing one subquery with fresh blocks, or a probe family
         re-issued over different patterns, compiles exactly once.
-        Stale plans (store mutated since compilation) are dropped by
-        the cache and recompiled here.
+        Stale plans (the store written since compilation) are dropped
+        by the cache and recompiled here.
         """
         query, canonical = self._canonicalize(query)
         skeleton, params = split_parameters(query)
@@ -218,7 +218,7 @@ class Endpoint:
     def join_digest(self, predicate, position) -> frozenset[int]:
         """Fingerprints of this store's values for ``predicate`` at
         ``position`` (see :mod:`repro.store.digests`); lazily built and
-        invalidated with ``store.version``."""
+        kept while the store's state is current."""
         index = self._digest_index
         if index is None:
             from repro.store.digests import JoinDigestIndex
@@ -295,10 +295,9 @@ class Endpoint:
         """The endpoint's current characteristic-set summary.
 
         Built lazily on first use from the store's id-space columns and
-        kept current by the :class:`~repro.store.charsets.CharsetMaintainer`:
-        mutations through :meth:`add` / :meth:`remove` are applied as
-        incremental deltas, bulk loads and out-of-band store mutations
-        (detected through ``store.version``) trigger a full recompute.
+        kept current by the :class:`~repro.store.charsets.CharsetMaintainer`,
+        which folds in the store's journalled writes, however they were
+        made, and rebuilds after a bulk load.
         """
         maintainer = self._charset_maintainer
         if maintainer is None:
@@ -308,19 +307,10 @@ class Endpoint:
         return maintainer.summary()
 
     def add(self, triple: Triple) -> bool:
-        added = self.store.add(triple)
-        if added and self._charset_maintainer is not None:
-            self._charset_maintainer.record_add(triple)
-        return added
+        return self.store.add(triple)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        added = self.store.add_all(triples)
-        if added and self._charset_maintainer is not None:
-            self._charset_maintainer.record_bulk()
-        return added
+        return self.store.add_all(triples)
 
     def remove(self, triple: Triple) -> bool:
-        removed = self.store.remove(triple)
-        if removed and self._charset_maintainer is not None:
-            self._charset_maintainer.record_remove(triple)
-        return removed
+        return self.store.remove(triple)

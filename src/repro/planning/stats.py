@@ -23,7 +23,7 @@ exact for that question; anything unprovable returns ``None`` and the
 caller falls back to the existing remote probe.  Summaries are fetched
 through the owning :class:`~repro.endpoint.client.FederationClient`
 (one virtual ``stats`` request per endpoint, cached across queries and
-invalidated by the store version), so the savings are visible in the
+validated by the summary's pin), so the savings are visible in the
 same virtual-time accounting as the probes they replace.
 """
 

@@ -8,13 +8,12 @@ canonicalizer declines (top-level VALUES) fall back to the raw query AST
 as key — AST nodes are hashable, so no serialization is needed.
 
 Every entry also pins the federation's ``membership_version`` and the
-``store.version`` of each federation member that contributed to the
-result, and keeps the triple patterns of the *parsed* query (the
-canonical key lifts constants into VALUES, which would lose an
-``rdf:type`` class).  A lookup re-validates lazily: an
-entry pinned at version ``v`` stays valid while the endpoint's
-``store.last_write(patterns) <= v``
-(:meth:`repro.store.TripleStore.last_write`), so a write invalidates
+store state of each federation member that contributed to the result,
+and keeps the triple patterns of the *parsed* query (the canonical key
+lifts constants into VALUES, which would lose an ``rdf:type`` class).
+A lookup re-validates lazily: an entry stays valid while each pinned
+store says ``current(pin, patterns)``
+(:meth:`repro.store.TripleStore.current`), so a write invalidates
 exactly the entries that touched that endpoint *and* read a predicate
 (or ``rdf:type`` class) the write matches — counted per endpoint in the
 metrics registry (``serve_result_cache_invalidations_total``).  An
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 from repro.sparql.ast import Query, SelectQuery
 from repro.sparql.result import SelectResult
 from repro.sparql.skeleton import canonicalize_query
+from repro.store.triple_store import StoreState
 
 __all__ = ["CachedResult", "ResultCache", "result_key", "shared_result"]
 
@@ -68,16 +68,16 @@ def result_key(query: Query) -> tuple[tuple, tuple]:
 
 @dataclass
 class CachedResult:
-    """One cached result: positional rows + the store versions it pins."""
+    """One cached result: positional rows + the store states it pins."""
 
     rows: list
-    #: ``(endpoint_name, store_version)`` for every federation member
+    #: ``(endpoint_name, store state)`` for every federation member
     #: that contributed to (or was probed for) this result.
-    endpoint_versions: tuple[tuple[str, int], ...]
+    endpoint_pins: tuple[tuple[str, StoreState], ...]
     #: The federation's ``membership_version`` when the entry was stored.
     membership_version: int
-    #: The triple patterns the query reads; None validates against
-    #: each store's whole version.
+    #: The triple patterns the query reads; None: any write to a pinned
+    #: store retires the entry.
     patterns: tuple | None = None
 
 
@@ -108,16 +108,16 @@ class ResultCache:
         its patterns could match; ``*`` when an endpoint joined or left."""
         if entry.membership_version != federation.membership_version:
             return "*"
-        for name, version in entry.endpoint_versions:
-            if federation.get(name).store.written_since(entry.patterns, version):
+        for name, pin in entry.endpoint_pins:
+            if not federation.get(name).store.current(pin, entry.patterns):
                 return name
         return None
 
     def lookup(self, key: tuple, federation) -> CachedResult | None:
         """A still-valid entry, or None (counted as a miss).
 
-        Validation is lazy: the entry's pinned store versions are checked
-        against the live federation's last writes on every hit, and a
+        Validation is lazy: the entry's pinned store states are checked
+        against the live federation's stores on every hit, and a
         stale entry is dropped (counted as an invalidation *and* a miss)
         right here.
         """
@@ -138,13 +138,13 @@ class ResultCache:
     def store(
         self, key: tuple, rows: list, endpoints, federation, patterns=None
     ) -> CachedResult:
-        """Cache ``rows`` pinned to the current versions of ``endpoints``;
+        """Cache ``rows`` pinned to the current states of ``endpoints``;
         ``patterns`` are the triple patterns the query reads (None: any
         write to those endpoints retires the entry)."""
         entry = CachedResult(
             rows=rows,
-            endpoint_versions=tuple(
-                (name, federation.get(name).store.version)
+            endpoint_pins=tuple(
+                (name, federation.get(name).store.state)
                 for name in sorted(endpoints)
                 if name in federation
             ),

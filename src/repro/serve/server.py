@@ -53,6 +53,7 @@ from repro.sparql.ast import SelectQuery, ValuesPattern
 from repro.sparql.result import SelectResult
 from repro.sparql.parser import parse_query
 from repro.sparql.skeleton import canonicalize_query, occurrence_order
+from repro.store.triple_store import StoreState
 
 __all__ = ["QueryRequest", "ServedQuery", "QueryServer"]
 
@@ -169,9 +170,9 @@ class QueryServer:
         self.lanes = LaneBook(self.network_config.mediator_slots)
         self.result_cache = ResultCache(registry=self.registry)
         #: In-flight/completed subquery share registry: (endpoint, key) ->
-        #: (store version, body patterns,
+        #: (store state pin, body patterns,
         #: [(names, response, completion global ms), ...]).
-        self._subquery_shares: dict[tuple, tuple[int, list | None, list]] = {}
+        self._subquery_shares: dict[tuple, tuple[StoreState, list | None, list]] = {}
         self._subquery_keys: dict = {}
         self._parsed: dict[str, tuple] = {}
         self._cost_sum: dict[str, float] = {}
@@ -268,11 +269,10 @@ class QueryServer:
         return entry
 
     def _share_current(self, endpoint_name: str, entry) -> bool:
-        """True while no write to the endpoint since ``entry``'s version
-        could match the body patterns it holds."""
-        version, patterns, __ = entry
-        store = self.federation.get(endpoint_name).store
-        return not store.written_since(patterns, version)
+        """True while the endpoint's store state ``entry`` pins is
+        current for the body patterns it holds."""
+        pin, patterns, __ = entry
+        return self.federation.get(endpoint_name).store.current(pin, patterns)
 
     def shared_select(self, endpoint_name: str, query: SelectQuery):
         """The first response registered at ``endpoint_name``, still
@@ -300,15 +300,16 @@ class QueryServer:
     ) -> None:
         """Register ``query``'s shipped response, just evaluated, beside
         the still-current others under its key (one per projection), or
-        in place of stale ones, pinned at the store's version with the
+        in place of stale ones, pinned to the store's state with the
         triple patterns the body reads."""
         key, names = self.subquery_key(query)
         share_key = (endpoint_name, key)
         entry = self._subquery_shares.get(share_key)
         if entry is None or not self._share_current(endpoint_name, entry):
-            version = self.federation.get(endpoint_name).store.version
             self._subquery_shares[share_key] = (
-                version, query.triple_patterns(), [(names, result, done_ms)]
+                self.federation.get(endpoint_name).store.state,
+                query.triple_patterns(),
+                [(names, result, done_ms)],
             )
         else:
             entry[2].append((names, result, done_ms))

@@ -277,8 +277,8 @@ class _ProbeOp:
     columns, repeated variables already checked.  Per batch it reads the
     key column, fills the memo once per distinct unseen key, and emits
     ``row + ext`` for every row and extension, row-major in index order.
-    The memo lives **on the plan itself** — the plan is pinned to one
-    store version and refuses to run once the store has moved on
+    The memo lives **on the plan itself** — the plan pins its store's
+    state and refuses to run once the store has moved on
     (:meth:`CompiledPlan._bind`), so it can never go stale, and
     bound-join blocks that share join-variable values (same advisor,
     same course) reuse it across executions.
@@ -1513,7 +1513,7 @@ class CompiledPlan:
         "_nullable_cores",
         "param_specs",
         "default_params",
-        "store_version",
+        "pin",
         "is_ask",
     )
 
@@ -1524,13 +1524,14 @@ class CompiledPlan:
         self._nullable_cores: dict[frozenset, _SelectCore] = {}
         self.param_specs = param_specs
         self.default_params = default_params
-        self.store_version = store.version
+        #: The store state the plan was compiled at.
+        self.pin = store.state
         self.is_ask = is_ask
 
     @property
     def valid(self) -> bool:
-        """False once the store mutated after compilation."""
-        return self.store.version == self.store_version
+        """False once the store was written after compilation."""
+        return self.store.current(self.pin)
 
     def explain(self) -> list[str]:
         """Operator chain of the WHERE pipeline, for tests and debugging."""
@@ -1620,8 +1621,8 @@ class CompiledPlan:
         """
         if not self.valid:
             raise EvaluationError(
-                f"stale plan: compiled at store version {self.store_version}, "
-                f"store is at {self.store.version}; recompile it"
+                f"stale plan: the store was written after version "
+                f"{self.pin.version}, when it was compiled; recompile it"
             )
         params = self._resolve_params(params)
         dictionary = self.store.dictionary

@@ -32,14 +32,15 @@ merge, ascending by entity id), counts the classes (a LUBM endpoint's
 41k entities fall into under a hundred) and folds each class into the
 tables once, weighted by its size (:func:`_fold`); the histograms come
 off the POS predicate ranges.  Nothing per entity is kept.
-:class:`CharsetMaintainer` keeps the summary current under the store's
-``version`` counter with a recompute-on-threshold delta policy: small
-deltas recorded through the owning endpoint re-fold only the entities
-they name, each entity's old class out and its new class in (kept
-identical to a fresh rebuild by the property tests); bulk loads and
-out-of-band store mutations trigger a full recompute.
+:class:`CharsetMaintainer` keeps the summary current with a
+recompute-on-threshold policy over the store's write journal: a few
+writes re-fold only the entities they name, each entity's old class out
+and its new class in (kept identical to a fresh rebuild by the property
+tests); bulk loads and clears trigger a full recompute.
 
-Everything in the summary is *exact at its version*; the provider layer
+Everything in the summary is *exact at its pin*, the store state it
+describes, which the maintainer moves forward as it refreshes the
+summary in place; the provider layer
 (:mod:`repro.planning.stats`) only makes pruning decisions that are
 sound for exact summaries and falls back to remote probes otherwise.
 """
@@ -55,9 +56,8 @@ from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, is_concrete
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.rdf.triples import Triple
     from repro.sparql.ast import TriplePattern
-    from repro.store.triple_store import TripleStore
+    from repro.store.triple_store import StoreState, TripleStore
 
 #: Predicates whose distinct-object count is at or below this keep an
 #: exact per-object histogram, making ``(?s, p, o)`` estimates and
@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 DEFAULT_OBJECT_HISTOGRAM_LIMIT = 256
 
 #: :class:`CharsetMaintainer` rebuilds instead of re-folding once the
-#: pending deltas outnumber this share of the summary's triples.
+#: writes since its summary outnumber this share of the summary's triples.
 REBUILD_RATIO = 0.25
 
 #: Elements of a characteristic set: a predicate term, or a
@@ -92,10 +92,11 @@ class PredicateStats:
 
 
 class CharacteristicSets:
-    """One endpoint's characteristic-set summary, exact at ``version``."""
+    """One endpoint's characteristic-set summary, exact at the store
+    state ``pin``."""
 
     __slots__ = (
-        "version",
+        "pin",
         "triples",
         "distinct_subjects",
         "distinct_objects",
@@ -112,7 +113,7 @@ class CharacteristicSets:
 
     def __init__(
         self,
-        version: int,
+        pin: "StoreState",
         triples: int,
         distinct_subjects: int,
         distinct_objects: int,
@@ -126,7 +127,7 @@ class CharacteristicSets:
         subject_authorities: dict[Term, dict[str, int]],
         object_authorities: dict[Term, dict[str, int]],
     ):
-        self.version = version
+        self.pin = pin
         self.triples = triples
         self.distinct_subjects = distinct_subjects
         self.distinct_objects = distinct_objects
@@ -142,7 +143,7 @@ class CharacteristicSets:
 
     def __repr__(self) -> str:
         return (
-            f"CharacteristicSets(version={self.version}, triples={self.triples}, "
+            f"CharacteristicSets(version={self.pin.version}, triples={self.triples}, "
             f"predicates={len(self.predicates)}, sets={len(self.sets)})"
         )
 
@@ -164,7 +165,7 @@ class CharacteristicSets:
         """Exact triple-pattern matchability, or None when unprovable.
 
         A True/False answer here is equivalent to what an ASK probe would
-        return against the store at this summary's version; ``None``
+        return against the store at this summary's pin; ``None``
         means the caller must fall back to the probe.
         """
         if self.triples == 0:
@@ -237,7 +238,7 @@ class CharacteristicSets:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": self.pin.version,
             "triples": self.triples,
             "distinct_subjects": self.distinct_subjects,
             "distinct_objects": self.distinct_objects,
@@ -342,7 +343,7 @@ def build_charsets(
     folded from the entity classes (:func:`_entity_classes`)."""
     term = store.dictionary.decode
     summary = CharacteristicSets(
-        version=store.version,
+        pin=store.state,
         triples=len(store),
         distinct_subjects=0,
         distinct_objects=0,
@@ -520,20 +521,20 @@ def _bump(table: dict, key, delta: int) -> None:
 
 
 class CharsetMaintainer:
-    """Keeps one store's summary current under its ``version`` counter.
+    """Keeps one store's summary current.
 
-    The owning endpoint records term-level deltas through
-    :meth:`record_add` / :meth:`record_remove` (and :meth:`record_bulk`
-    for batch loads).  :meth:`summary` then reconciles:
+    The summary pins the store state it describes; :meth:`summary`
+    asks the store (:meth:`TripleStore.current`) whether it still holds
+    and otherwise reconciles, in place, from the store's write journal
+    (:meth:`TripleStore.writes_since`), whoever made the writes:
 
-    - version already matches -> return the cached summary;
-    - few recorded deltas covering the whole version gap -> re-fold
+    - no write since the pin -> return the summary;
+    - journalled writes, no more than the recompute threshold -> re-fold
       every entity they name: its class read from the store now, less
-      the batch's net deltas, out; its class now in (exact, verified
+      the writes' net deltas, out; its class now in (exact, verified
       against fresh rebuilds by the property tests);
-    - bulk loads, more deltas than the recompute threshold, or any
-      out-of-band store mutation (version advanced without a recorded
-      delta) -> full rebuild from the id-space columns.
+    - a bulk load or clear since, more writes than the journal or the
+      threshold holds -> full rebuild from the id-space columns.
 
     Nothing per entity is kept between calls: the summary is the state.
     """
@@ -548,67 +549,30 @@ class CharsetMaintainer:
         self._histogram_limit = object_histogram_limit
         self._min_rebuild = min_rebuild
         self._summary: CharacteristicSets | None = None
-        self._deltas: list[tuple[int, "Triple"]] = []
-        self._known_version = -1
-        self._force_rebuild = False
         #: Rebuild/incremental counters, exposed for tests and metrics.
         self.rebuilds = 0
         self.incremental_updates = 0
-
-    # ------------------------------------------------------- delta intake
-
-    def record_add(self, triple: "Triple") -> None:
-        self._record(1, triple)
-
-    def record_remove(self, triple: "Triple") -> None:
-        self._record(-1, triple)
-
-    def record_bulk(self) -> None:
-        """A batch load happened: always recompute on next access."""
-        self._force_rebuild = True
-        self._deltas.clear()
-        self._known_version = self._store.version
-
-    def _record(self, sign: int, triple: "Triple") -> None:
-        if self._summary is None:
-            # Nothing built yet; the first summary() builds from scratch.
-            self._known_version = self._store.version
-            return
-        self._deltas.append((sign, triple))
-        self._known_version = self._store.version
 
     # ----------------------------------------------------------- summary
 
     def summary(self) -> CharacteristicSets:
         store = self._store
-        current = store.version
         summary = self._summary
-        if summary is not None and summary.version == current and not self._force_rebuild:
+        if summary is not None and store.current(summary.pin):
             return summary
-        threshold = (
-            0
-            if summary is None
-            else max(self._min_rebuild, int(REBUILD_RATIO * summary.triples))
-        )
-        if (
-            summary is None
-            or self._force_rebuild
-            or self._known_version != current
-            or len(self._deltas) > threshold
+        writes = None if summary is None else store.writes_since(summary.pin)
+        if writes is None or len(writes) > max(
+            self._min_rebuild, int(REBUILD_RATIO * summary.triples)
         ):
             self._summary = build_charsets(store, self._histogram_limit)
             self.rebuilds += 1
         else:
-            self._apply_deltas()
-        self._deltas.clear()
-        self._force_rebuild = False
-        self._known_version = current
-        assert self._summary is not None
+            self._apply_deltas(writes)
         return self._summary
 
     # ------------------------------------------------------- incremental
 
-    def _apply_deltas(self) -> None:
+    def _apply_deltas(self, writes: list[tuple[int, int, int, int, int]]) -> None:
         summary = self._summary
         assert summary is not None
         store = self._store
@@ -620,19 +584,16 @@ class CharsetMaintainer:
         #: items), each ``id -> change``, in first-delta order.
         entities: dict[int, tuple[dict, dict, dict]] = {}
         touched: dict[Term, None] = {}
-        for sign, triple in self._deltas:
-            p = triple.predicate
+        for __, sign, s, p_id, o in writes:
+            p = term(p_id)
             touched[p] = None
             # Histogram update (exact while it stays under the width limit).
             stats = predicates.get(p)
             if stats is not None and stats.objects is not None:
                 histogram = stats.objects
-                _bump(histogram, triple.object, sign)
+                _bump(histogram, term(o), sign)
                 if len(histogram) > self._histogram_limit:
                     stats.objects = None
-            # The store interned the triple's terms when it went in and
-            # never retires an id.
-            s, p_id, o = map(lookup, triple)
             subject = entities.setdefault(s, ({}, {}, {}))
             subject[0][p_id] = subject[0].get(p_id, 0) + sign
             if p_id == type_id:
@@ -669,7 +630,7 @@ class CharsetMaintainer:
             else:
                 predicates.pop(p, None)
         summary.triples = len(store)
-        summary.version = store.version
+        summary.pin = store.state
 
 
 def _entity_key(

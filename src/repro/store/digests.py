@@ -17,8 +17,9 @@ CRC collisions can only keep extra rows, never drop one, so pruning is
 sound — the mediator join discards survivors that do not actually match.
 
 Digests are built lazily per ``(predicate, position)`` from the store's
-match index and cached under ``store.version``, the same invalidation
-discipline as the plan cache and the characteristic-set summaries.
+match index and pinned to the store's state, the one validity rule of
+the plan cache and the characteristic-set summaries
+(:meth:`~repro.store.triple_store.TripleStore.current`).
 """
 
 from __future__ import annotations
@@ -52,17 +53,17 @@ def stable_term_hash(term: "Term") -> int:
 class JoinDigestIndex:
     """Lazy per-store cache of join-value digests.
 
-    One instance lives on each endpoint.  Digests are computed on first
-    request for a ``(predicate, position)`` pair and reused until the
-    store mutates (``store.version`` changes), when the whole cache is
-    dropped — the store has no per-predicate dirty tracking, and a full
-    rebuild of one digest is a single index scan.
+    One instance lives on each endpoint.  A digest is computed on first
+    request for a ``(predicate, position)`` pair and kept in the store's
+    per-state memo (:meth:`TripleStore.memo`), so any write retires it,
+    as the mediator's digest cache retires every digest of a written
+    endpoint (``FederationClient.join_digest``).  The store could tell a
+    write to another predicate apart (:meth:`TripleStore.last_write`),
+    but rebuilding one digest is a single index scan.
     """
 
     def __init__(self, store: "TripleStore"):
         self._store = store
-        self._version = store.version
-        self._digests: dict[tuple["Term", str], frozenset[int]] = {}
         #: Full scans performed (observability; cache hits don't count).
         self.builds = 0
 
@@ -70,28 +71,17 @@ class JoinDigestIndex:
         """Fingerprints of the predicate's distinct values at ``position``."""
         if position not in POSITIONS:
             raise ValueError(f"unknown digest position: {position!r}")
-        store = self._store
-        if store.version != self._version:
-            self._digests.clear()
-            self._version = store.version
-        key = (predicate, position)
-        cached = self._digests.get(key)
-        if cached is not None:
-            return cached
-        subject_end = position == SUBJECT
-        values = {
-            stable_term_hash(triple.subject if subject_end else triple.object)
-            for triple in store.match(None, predicate, None)
-        }
-        digest = frozenset(values)
-        self._digests[key] = digest
-        self.builds += 1
-        return digest
+        return self._store.memo(
+            ("digest", predicate, position), lambda: self._build(predicate, position)
+        )
 
-    @property
-    def version(self) -> int:
-        """Store version the cached digests are valid for."""
-        return self._version
+    def _build(self, predicate: "Term", position: str) -> frozenset[int]:
+        subject_end = position == SUBJECT
+        self.builds += 1
+        return frozenset(
+            stable_term_hash(triple.subject if subject_end else triple.object)
+            for triple in self._store.match(None, predicate, None)
+        )
 
 
 def digest_bytes(digest: frozenset[int]) -> int:

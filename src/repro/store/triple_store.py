@@ -23,12 +23,15 @@ the ``dictionary`` attribute) is what the SPARQL evaluator runs on.
 Terms are decoded back only when a caller asks for
 :class:`~repro.rdf.triple.Triple` objects.
 
-Every write is also recorded by what it can change: the store keeps the
-version of the last write per predicate and per ``rdf:type`` class, and
-:meth:`TripleStore.last_write` reads it for a set of triple patterns.
-An answer reads only triples that match one of its patterns, so a cache
-entry filled from those patterns stays valid while their last write
-does not move: the one validity rule every endpoint-derived cache uses.
+Every write replaces the store's :class:`StoreState`.  Whatever is
+derived from a store pins the state it was derived at and asks
+:meth:`TripleStore.current` whether it still holds: the one validity
+rule.  The store keeps the version of the last write per predicate and
+per ``rdf:type`` class (:meth:`TripleStore.last_write`), and an answer
+reads only triples matching its patterns, so it stays current while no
+later write could match them.  A pin from another store is never
+current, whatever its version.  Single writes are also journalled
+(:meth:`TripleStore.writes_since`) for the charset summaries to fold in.
 
 Per-predicate statistics (triple counts, distinct subjects) are maintained
 incrementally.  The paper notes that "cardinality statistics per
@@ -39,7 +42,7 @@ read these numbers.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.rdf.namespaces import RDF_TYPE
@@ -66,11 +69,43 @@ MATCH_ORDERS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
     (False, False, False): (0, 1, 2),
 }
 
+#: Single writes the journal keeps (:meth:`TripleStore.writes_since`); a
+#: consumer pinned before the oldest starts over.
+JOURNAL_LIMIT = 1 << 15
+
 #: The member-set memo (:meth:`TripleStore.member_set`) is cleared once
 #: the sets it holds would exceed this many ids in all (~64 bytes each):
 #: a plain clear, like the plans' match memos, keeps the lookup cheap.
 #: A 118k-triple LUBM endpoint holds ~60k ids after the ledger's lubm_crossing queries.
 MEMBER_SET_ID_LIMIT = 1 << 18
+
+
+class StoreState:
+    """One store at one version: the pin a store-derived value holds.
+
+    ``lineage`` is shared by the states of one store and by no other
+    store's.  A state refers to neither the store nor its memos, so a
+    stale pin keeps nothing of a retired version alive.
+    """
+
+    __slots__ = ("lineage", "version")
+
+    def __init__(self, lineage: object, version: int):
+        self.lineage = lineage
+        self.version = version
+
+
+class _Memos:
+    """What the store derives for one state: member sets (with the ids
+    they hold) and :meth:`TripleStore.memo` values."""
+
+    __slots__ = ("state", "member_sets", "member_ids", "values")
+
+    def __init__(self, state: StoreState):
+        self.state = state
+        self.member_sets: dict[tuple[int, int, int], set[int]] = {}
+        self.member_ids = 0
+        self.values: dict = {}
 
 
 class TripleStore:
@@ -91,12 +126,11 @@ class TripleStore:
         self._pos = SortedRunIndex()
         self._osp = SortedRunIndex()
         self._size = 0
-        #: Data version, bumped on every mutation (add/remove/clear).
-        #: Compiled plans (:mod:`repro.sparql.plan`) are pinned to the
-        #: version they were built against: their pattern order and
-        #: statistics-driven choices are only valid while the data —
-        #: and hence the statistics — are unchanged.
-        self.version = 0
+        self._lineage = object()
+        #: The store's current :class:`StoreState`; every write replaces
+        #: it.  A value derived from the store pins the state it was
+        #: derived at, and :meth:`current` says whether it still holds.
+        self.state = StoreState(self._lineage, 0)
         # The version of the last write per predicate id and per
         # rdf:type class id, and the version of the last write that
         # retired everything (a bulk load into an empty store, a clear):
@@ -104,30 +138,35 @@ class TripleStore:
         self._predicate_writes: dict[int, int] = {}
         self._class_writes: dict[int, int] = {}
         self._retired = 0
+        # The last single writes, (version, sign, s, p, o), oldest first;
+        # a bulk load or a clear empties it.
+        self._journal: deque[tuple[int, int, int, int, int]] = deque(maxlen=JOURNAL_LIMIT)
         self._predicate_counts: Counter[int] = Counter()
         # Incremental distinct-subject statistics: predicate id ->
         # {subject id: number of triples with that (subject, predicate)}.
         # distinct_subjects(p) is then an O(1) len() instead of the full
         # SPO scan it used to be.
         self._predicate_subjects: dict[int, dict[int, int]] = {}
-        # Derived statistics that cost a scan (store-wide distinct
-        # subjects/objects, distinct objects per predicate), memoized per
-        # data version.
-        self._stats_cache: dict = {}
-        # Member sets, (position, predicate id, key id) -> set of ids,
-        # memoized per data version (member_set), with the ids they hold.
-        self._member_sets: dict[tuple[int, int, int], set[int]] = {}
-        self._member_ids = 0
+        self._memos = _Memos(self.state)
         #: Member sets built and the ids put in them, cumulative over
         #: the store's lifetime (:meth:`Endpoint.member_stats`).
         self.member_sets_built = 0
         self.member_ids_built = 0
 
+    @property
+    def version(self) -> int:
+        """Writes so far.  It names a state only within this store: ask
+        :meth:`current`, do not compare it."""
+        return self.state.version
+
     def _bump(self) -> None:
-        self.version += 1
-        self._stats_cache.clear()
-        self._member_sets.clear()
-        self._member_ids = 0
+        self.state = StoreState(self._lineage, self.state.version + 1)
+
+    def _current_memos(self) -> _Memos:
+        memos = self._memos
+        if memos.state is not self.state:
+            memos = self._memos = _Memos(self.state)
+        return memos
 
     def _note_write(self, p: int, o: int) -> None:
         """Record a write of ``(?, p, o)`` at the current version."""
@@ -179,12 +218,25 @@ class TripleStore:
             latest = max(latest, written, self._retired)
         return latest
 
-    def written_since(self, patterns: Iterable[TriplePattern] | None, version: int) -> bool:
-        """True when a write after ``version`` could match ``patterns``:
-        the check that retires a cache entry pinned at ``version``
-        (``last_write(patterns) > version``, without the walk while no
-        write at all came after ``version``)."""
-        return self.version > version and self.last_write(patterns) > version
+    def current(self, pin: StoreState, patterns: Iterable[TriplePattern] | None = None) -> bool:
+        """True when ``pin`` is a state of this store and no write since
+        it could match ``patterns`` (None: any write retires it): the one
+        check every holder of store-derived state makes."""
+        if pin is self.state:
+            return True
+        return pin.lineage is self._lineage and self.last_write(patterns) <= pin.version
+
+    def writes_since(self, pin: StoreState) -> list[tuple[int, int, int, int, int]] | None:
+        """The writes after ``pin``, oldest first, as ``(version, sign, s,
+        p, o)`` id rows (sign 1 an add, -1 a remove); None when the
+        journal does not hold them all: ``pin`` is another store's, or a
+        bulk load, a clear or more than :data:`JOURNAL_LIMIT` writes came
+        since."""
+        journal = self._journal
+        oldest = journal[0][0] if journal else self.version + 1
+        if pin.lineage is not self._lineage or pin.version + 1 < oldest:
+            return None
+        return [write for write in journal if write[0] > pin.version]
 
     def __len__(self) -> int:
         return self._size
@@ -226,6 +278,7 @@ class TripleStore:
         self._size += 1
         self._bump()
         self._note_write(p, o)
+        self._journal.append((self.version, 1, s, p, o))
         self._predicate_counts[p] += 1
         subjects = self._predicate_subjects.setdefault(p, {})
         subjects[s] = subjects.get(s, 0) + 1
@@ -265,6 +318,7 @@ class TripleStore:
             subjects[s] = subjects.get(s, 0) + 1
         self._size += len(fresh)
         self._bump()
+        self._journal.clear()
         if loaded:
             for __, p, o in fresh:
                 self._note_write(p, o)
@@ -287,6 +341,7 @@ class TripleStore:
         self._size -= 1
         self._bump()
         self._note_write(p, o)
+        self._journal.append((self.version, -1, s, p, o))
         self._predicate_counts[p] -= 1
         if self._predicate_counts[p] == 0:
             del self._predicate_counts[p]
@@ -403,21 +458,24 @@ class TripleStore:
         ``(key, p, ?)`` (``position`` 2).
 
         The compiled plans' membership test.  A set is built on first use
-        and kept until the next write, so every plan on this store shares
+        and kept while the store's state is current, so every plan on it shares
         it; past :data:`MEMBER_SET_ID_LIMIT` ids in all the memo starts
         over.  Callers must not mutate the set.
         """
+        memos = self._memos
+        if memos.state is not self.state:
+            memos = self._current_memos()
         memo_key = (position, p, key)
-        found = self._member_sets.get(memo_key)
+        found = memos.member_sets.get(memo_key)
         if found is None:
             lookup = self.subject_range if position == 0 else self.object_range
             values, lo, hi = lookup(p, key)
             found = set(values[lo:hi])
-            if self._member_ids + len(found) > MEMBER_SET_ID_LIMIT:
-                self._member_sets.clear()
-                self._member_ids = 0
-            self._member_sets[memo_key] = found
-            self._member_ids += len(found)
+            if memos.member_ids + len(found) > MEMBER_SET_ID_LIMIT:
+                memos.member_sets.clear()
+                memos.member_ids = 0
+            memos.member_sets[memo_key] = found
+            memos.member_ids += len(found)
             self.member_sets_built += 1
             self.member_ids_built += len(found)
         return found
@@ -530,13 +588,18 @@ class TripleStore:
             return 0
         return self._predicate_counts.get(p, 0)
 
+    def memo(self, key, build: Callable[[], object]):
+        """``build()``, kept under ``key`` while the store's state is
+        current: a derived value of the whole store at this state."""
+        values = self._current_memos().values
+        value = values.get(key)
+        if value is None:
+            value = values[key] = build()
+        return value
+
     def distinct_subjects(self, predicate: Term | None = None) -> int:
         if predicate is None:
-            cached = self._stats_cache.get("distinct_subjects")
-            if cached is None:
-                cached = self._spo.distinct_firsts()
-                self._stats_cache["distinct_subjects"] = cached
-            return cached
+            return self.memo("distinct_subjects", self._spo.distinct_firsts)
         p = self.dictionary.lookup(predicate)
         if p is None:
             return 0
@@ -544,20 +607,11 @@ class TripleStore:
 
     def distinct_objects(self, predicate: Term | None = None) -> int:
         if predicate is None:
-            cached = self._stats_cache.get("distinct_objects")
-            if cached is None:
-                cached = self._osp.distinct_firsts()
-                self._stats_cache["distinct_objects"] = cached
-            return cached
+            return self.memo("distinct_objects", self._osp.distinct_firsts)
         p = self.dictionary.lookup(predicate)
         if p is None:
             return 0
-        key = ("distinct_objects_of", p)
-        cached = self._stats_cache.get(key)
-        if cached is None:
-            cached = self._pos.distinct_seconds(p)
-            self._stats_cache[key] = cached
-        return cached
+        return self.memo(("distinct_objects_of", p), lambda: self._pos.distinct_seconds(p))
 
     def subject_authorities(self, predicate: Term) -> set[str]:
         """Distinct IRI authorities of subjects of ``predicate``.
@@ -605,6 +659,7 @@ class TripleStore:
         self._predicate_subjects.clear()
         self._size = 0
         self._bump()
+        self._journal.clear()
         self._predicate_writes.clear()
         self._class_writes.clear()
         self._retired = self.version

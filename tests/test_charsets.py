@@ -12,6 +12,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+from repro.endpoint import Endpoint
 from repro.rdf import IRI, BNode, Literal, Triple, TriplePattern, Variable
 from repro.rdf.namespaces import RDF_TYPE
 from repro.store import TripleStore
@@ -94,7 +95,7 @@ def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSet
         )
 
     return CharacteristicSets(
-        version=store.version,
+        pin=store.state,
         triples=len(triples),
         distinct_subjects=len({t.subject for t in triples}),
         distinct_objects=len({t.object for t in triples}),
@@ -204,14 +205,7 @@ class TestIncrementalMaintenance:
         maintainer = CharsetMaintainer(store, min_rebuild=1000)
         maintainer.summary()
 
-        def add(triple):
-            if store.add(triple):
-                maintainer.record_add(triple)
-
-        def remove(triple):
-            if store.remove(triple):
-                maintainer.record_remove(triple)
-
+        add, remove = store.add, store.remove
         steps = st.sampled_from(("add", "remove", "toggle", "empty"))
         for step in data.draw(st.lists(steps, min_size=1, max_size=8)):
             if step == "empty":
@@ -246,8 +240,6 @@ class TestIncrementalMaintenance:
         maintainer = CharsetMaintainer(store, min_rebuild=1000)
         maintainer.summary()
         assert store.remove(student) and store.add(professor)
-        maintainer.record_remove(student)
-        maintainer.record_add(professor)
         assert maintainer.summary().to_dict() == reference_summary(store).to_dict()
         assert maintainer.rebuilds == 1
 
@@ -289,16 +281,11 @@ class TestIncrementalMaintenance:
         maintainer.summary()
         assert maintainer.rebuilds == 1
         for is_add, triple in ops:
-            if is_add:
-                if store.add(triple):
-                    maintainer.record_add(triple)
-            else:
-                if store.remove(triple):
-                    maintainer.record_remove(triple)
+            (store.add if is_add else store.remove)(triple)
         incremental = maintainer.summary()
         assert maintainer.rebuilds == 1, "deltas under threshold must not rebuild"
         assert incremental.to_dict() == build_charsets(store).to_dict()
-        assert incremental.version == store.version
+        assert incremental.pin is store.state
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(triple_strategy(), min_size=1, max_size=25), st.data())
@@ -312,7 +299,6 @@ class TestIncrementalMaintenance:
         present = sorted(set(base), key=repr)
         for triple in data.draw(st.lists(st.sampled_from(present), unique=True, min_size=1)):
             assert store.remove(triple)
-            maintainer.record_remove(triple)
         assert maintainer.summary().to_dict() == build_charsets(store).to_dict()
         assert maintainer.rebuilds == 1
 
@@ -332,7 +318,6 @@ class TestIncrementalMaintenance:
         assert summary.subject_authorities[knows] == {EX.rstrip("/"): 1, "urn:isbn": 1}
         for triple, objects in ((first, {"urn:isbn": 1}), (second, None)):
             store.remove(triple)
-            maintainer.record_remove(triple)
             summary = maintainer.summary()
             assert summary.object_authorities.get(knows) == objects
             assert summary.to_dict() == build_charsets(store).to_dict()
@@ -348,20 +333,34 @@ class TestIncrementalMaintenance:
         for i in range(4):
             t = Triple(ENTITIES[2], PREDS[1], IRI(EX + f"x{i}"))
             store.add(t)
-            maintainer.record_add(t)
         maintainer.summary()
         assert maintainer.rebuilds == 2
 
-    def test_out_of_band_mutation_forces_rebuild(self):
+    def test_store_writes_refold_from_the_journal(self):
+        """The maintainer reads its deltas from the store's write journal,
+        so a write made straight to an endpoint's store is re-folded, not
+        rebuilt."""
+        endpoint = Endpoint("ep", [Triple(ENTITIES[0], PREDS[0], ENTITIES[1])])
+        endpoint.charset_summary()
+        maintainer = endpoint._charset_maintainer
+        endpoint.store.add(Triple(ENTITIES[2], PREDS[1], ENTITIES[3]))
+        summary = endpoint.charset_summary()
+        assert summary.to_dict() == build_charsets(endpoint.store).to_dict()
+        assert maintainer.rebuilds == 1 and maintainer.incremental_updates == 1
+
+    def test_writes_past_the_journal_rebuild(self, monkeypatch):
+        from repro.store import triple_store
+
+        monkeypatch.setattr(triple_store, "JOURNAL_LIMIT", 4)
         store = TripleStore("ep")
         store.add(Triple(ENTITIES[0], PREDS[0], ENTITIES[1]))
-        maintainer = CharsetMaintainer(store)
-        maintainer.summary()
-        # Direct store mutation, not recorded with the maintainer.
-        store.add(Triple(ENTITIES[2], PREDS[1], ENTITIES[3]))
-        summary = maintainer.summary()
+        maintainer = CharsetMaintainer(store, min_rebuild=1000)
+        pin = maintainer.summary().pin
+        for i in range(5):
+            store.add(Triple(ENTITIES[2], PREDS[1], IRI(EX + f"x{i}")))
+        assert store.writes_since(pin) is None
+        assert maintainer.summary().to_dict() == build_charsets(store).to_dict()
         assert maintainer.rebuilds == 2
-        assert summary.to_dict() == build_charsets(store).to_dict()
 
     def test_bulk_load_forces_rebuild(self):
         store = TripleStore("ep")
@@ -369,7 +368,6 @@ class TestIncrementalMaintenance:
         maintainer = CharsetMaintainer(store, min_rebuild=1000)
         maintainer.summary()
         store.add_all([Triple(ENTITIES[2], PREDS[1], ENTITIES[3])])
-        maintainer.record_bulk()
         assert maintainer.summary().to_dict() == build_charsets(store).to_dict()
         assert maintainer.rebuilds == 2
 

@@ -173,9 +173,65 @@ class TestWritesBetweenQueries:
         engine.execute(self.WORKS_FOR)
         assert engine.stats.preprocessing_ms > built
         assert _index_entry(engine, "EP2") is untouched
-        assert engine.index_versions["EP1"] == federation.get("EP1").store.version
+        assert engine.index_pins["EP1"] is federation.get("EP1").store.state
         charged = engine.stats.preprocessing_ms
         engine.execute(self.WORKS_FOR)
+        assert engine.stats.preprocessing_ms == charged
+
+
+class TestReplacedEndpoints:
+    """EP1 removed and a different endpoint of the same name added, its
+    store at the same version as its predecessor's.  A warm engine's
+    caches pin the predecessor's store, so nothing it learned about the
+    old EP1 may answer for the new one."""
+
+    KIM_ADVISORS = TestWritesBetweenQueries.KIM_ADVISORS
+
+    @staticmethod
+    def _replace_ep1(federation: Federation) -> Endpoint:
+        old = federation.remove("EP1")
+        new = Endpoint("EP1", [*old.store, Triple(CMU.Kim, UB.advisor, MIT.Ben)])
+        assert new.store.version == old.store.version
+        federation.add(new)
+        return new
+
+    @pytest.mark.parametrize("engine_class", ALL_ENGINES)
+    def test_a_warm_engine_sees_a_replaced_endpoint(self, engine_class):
+        federation = build_paper_federation()
+        engine = engine_class(federation)
+        assert len(engine.execute(self.KIM_ADVISORS).result) == 2
+        self._replace_ep1(federation)
+        expected = oracle_rows(federation, self.KIM_ADVISORS)
+        assert len(expected) == 3
+        warm = engine.execute(self.KIM_ADVISORS)
+        assert warm.status == "ok"
+        assert_same_bag(warm.result.rows, expected)
+
+    def test_a_warm_server_sees_a_replaced_endpoint(self):
+        federation = build_paper_federation()
+        server = QueryServer(federation)
+        request = [QueryRequest(at_ms=0.0, tenant="t", name="Kim", text=self.KIM_ADVISORS)]
+        (first,) = server.run(request)
+        assert (first.status, first.result_rows) == ("ok", 2)
+        self._replace_ep1(federation)
+        (after,) = server.run(request)
+        assert after.status == "ok"
+        assert_same_bag(after.result.rows, oracle_rows(federation, self.KIM_ADVISORS))
+
+    @pytest.mark.parametrize("engine_class", [SplendidEngine, AnapsidEngine, HibiscusEngine])
+    def test_a_replaced_endpoint_is_reindexed_and_charged(self, engine_class):
+        federation = build_paper_federation()
+        engine = engine_class(federation)
+        engine.execute(self.KIM_ADVISORS)
+        built = engine.stats.preprocessing_ms
+        replaced, untouched = _index_entry(engine, "EP1"), _index_entry(engine, "EP2")
+        self._replace_ep1(federation)
+        engine.execute(self.KIM_ADVISORS)
+        assert engine.stats.preprocessing_ms > built
+        assert _index_entry(engine, "EP1") is not replaced
+        assert _index_entry(engine, "EP2") is untouched
+        charged = engine.stats.preprocessing_ms
+        engine.execute(self.KIM_ADVISORS)
         assert engine.stats.preprocessing_ms == charged
 
 

@@ -126,7 +126,7 @@ class TestJoinDigests:
         digest = index.digest(self.P, OBJECT)
         assert stable_term_hash(EX.z) in digest
         assert index.builds == 2
-        assert index.version == store.version
+        assert index.digest(self.P, OBJECT) is digest and index.builds == 2
 
     def test_unknown_position_rejected(self):
         index = JoinDigestIndex(self._store([EX.a]))

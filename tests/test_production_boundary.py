@@ -191,12 +191,10 @@ def test_collector_walker_sees_every_way_to_name_gc(tmp_path, source, uses):
 
 
 #: Reads of a store's whole version (``….store.version``) outside
-#: ``repro/store/``: the compiled plans' pin, the summary and digest
-#: caches, the partial path's digests, the baselines' index versions and
-#: the pins of the caches that validate by
-#: ``TripleStore.last_write``.  A ratchet toward one notion of "stale":
-#: the count may fall, never grow.
-STORE_VERSION_READS = 10
+#: ``repro/store/``.  Every holder of store-derived state pins
+#: ``store.state`` and asks ``store.current(pin, patterns)`` instead, so
+#: only the store decides what is stale: the count stays at zero.
+STORE_VERSION_READS = 0
 
 
 def _store_version_reads(path: Path) -> int:

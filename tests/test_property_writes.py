@@ -1,7 +1,8 @@
 """Interleaved writes: answers follow the store, whatever the caches hold.
 
 Random SELECTs over a seeded random federation, with random ``add`` /
-``remove`` writes between them, run on one warm engine of each kind and
+``remove`` writes and endpoint replacements between them, run on one
+warm engine of each kind and
 on one :class:`~repro.serve.QueryServer`.  Every answer must equal the
 union-store oracle's bag at that state: probe caches, indexes, the
 serving result cache and the subquery share all carry state across the
@@ -10,7 +11,10 @@ writes, and none of it may show.
 Writes keep the generator's authority discipline (DESIGN.md): a triple
 is added at its subject's home endpoint, with a shared predicate and a
 local object or the endpoint's own interlink predicate and a remote
-object, and a removal drops a triple the endpoint holds.  Before the
+object, and a removal drops a triple the endpoint holds.  A "replace"
+write swaps an endpoint for a new one of the same name holding other
+triples (one dropped, one added), so a cache that pinned the old
+endpoint by name alone would answer from a store that left.  Before the
 engines start, each endpoint loses every triple of one vocabulary term,
 and a "revive" write adds one back: that is the write which turns an
 endpoint every probe and index saw as irrelevant into a source.
@@ -33,6 +37,7 @@ from repro.datasets.random_federation import (
     build_random_query,
     remote_link,
 )
+from repro.endpoint import Endpoint
 from repro.rdf import IRI, RDF_TYPE, Triple, typed_literal
 from repro.serve import QueryRequest, QueryServer
 from repro.sparql import evaluate_select, serialize_query
@@ -86,7 +91,7 @@ def _scenario(draw):
     # index saw as irrelevant.
     dropped = draw(st.lists(st.sampled_from(TERMS), min_size=endpoints, max_size=endpoints))
     write = st.tuples(
-        st.sampled_from(["add", "revive", "remove"]),
+        st.sampled_from(["add", "revive", "remove", "replace"]),
         st.integers(0, endpoints - 1),
         st.sampled_from(TERMS),
         st.integers(0, 10_000),
@@ -112,7 +117,15 @@ def _apply(federation, endpoints: int, dropped, write) -> None:
         return
     if kind == "revive":
         term = dropped[index]
-    endpoint.add(_triple(endpoints, index, term, subject, obj))
+    added = _triple(endpoints, index, term, subject, obj)
+    if kind == "replace":
+        federation.remove(endpoint.name)
+        held = sorted(endpoint.store, key=repr)
+        if held:
+            del held[subject % len(held)]
+        federation.add(Endpoint(endpoint.name, [*held, added], region=endpoint.region))
+        return
+    endpoint.add(added)
 
 
 @given(_scenario())

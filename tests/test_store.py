@@ -194,7 +194,7 @@ class TestEdgeCases:
             "SELECT ?s WHERE { ?s <http://a.org/p1> <http://a.org/o1> . }"
         )
         assert len(endpoint.select(query).rows) == 2
-        # The compiled plan is pinned to store.version: a later insert
+        # The compiled plan pins the store's state: a later insert
         # must not serve stale rows from the cache.
         endpoint.add(Triple(IRI("http://a.org/s9"), P1, O1))
         assert len(endpoint.select(query).rows) == 3
@@ -233,11 +233,12 @@ class TestMemberSets:
             p1, o1 = self._ids(store, P1, O1)
             subjects = {s for s, __, __ in store.match_ids(None, p1, o1)}
             assert store.member_set(0, p1, o1) == subjects, label
-            assert store._member_sets, label
+            assert store._current_memos().member_sets, label
             version = store.version
             write()
             assert store.version > version, label
-            assert not store._member_sets and store._member_ids == 0, label
+            memos = store._current_memos()
+            assert not memos.member_sets and memos.member_ids == 0, label
         # After the writes the range is read through tail rows and
         # tombstones; the rebuilt set still equals it.
         store.add_all([Triple(S1, P1, O1), Triple(S2, P1, O1)])
@@ -254,9 +255,10 @@ class TestMemberSets:
         s1, s2, p1, o1 = self._ids(store, S1, S2, P1, O1)
         first = store.member_set(0, p1, o1)  # 2 ids
         store.member_set(2, p1, s1)  # 1 id: 3 in all, within the budget
-        assert len(store._member_sets) == 2 and store._member_ids == 3
+        memos = store._current_memos()
+        assert len(memos.member_sets) == 2 and memos.member_ids == 3
         store.member_set(2, p1, s2)  # 2 more ids: the memo starts over
-        assert list(store._member_sets) == [(2, p1, s2)] and store._member_ids == 2
+        assert list(memos.member_sets) == [(2, p1, s2)] and memos.member_ids == 2
         again = store.member_set(0, p1, o1)
         assert again == first and again is not first
         assert (store.member_sets_built, store.member_ids_built) == (4, 7)
