@@ -32,18 +32,19 @@ def main() -> None:
         marketed = f"marketed as {medicine.local_name} ({route.value})" if medicine else "not marketed"
         print(f"  {name.value:12s} -> {marketed}")
 
-    plan = outcome.plan.branch_plans[0].decomposition
+    branch = outcome.plan.branch_plans[0]
+    delays = branch.delays
     print("\nLADE decomposition:")
-    for subquery in plan.subqueries:
+    for subquery in branch.decomposition.subqueries:
         kind = "OPTIONAL" if subquery.optional_group is not None else "required"
-        delayed = "delayed" if subquery.delayed else "eager"
+        delayed = "delayed" if subquery.id in delays.delayed_ids else "eager"
         predicates = ", ".join(
             getattr(p.predicate, "local_name", "?") for p in subquery.patterns
         )
         print(
             f"  subquery {subquery.id} [{kind}, {delayed}] "
             f"patterns=({predicates}) sources={list(subquery.sources)} "
-            f"estimated cardinality={subquery.estimated_cardinality:.0f}"
+            f"estimated cardinality={delays.cardinalities[subquery.id]:.0f}"
         )
 
     print(

@@ -25,17 +25,16 @@ from repro.sparql.ast import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subquery:
-    """One locality-safe group of triple patterns."""
+    """One locality-safe group of triple patterns, as LADE produced it;
+    what SAPE decides about it lives on the branch plan."""
 
     id: int
     patterns: tuple[TriplePattern, ...]
     sources: tuple[str, ...]
     filters: tuple[Expression, ...] = ()
     optional_group: int | None = None  # OPTIONAL block index, None = required
-    delayed: bool = False
-    estimated_cardinality: float = 0.0
 
     def variables(self) -> set[Variable]:
         found: set[Variable] = set()
@@ -69,15 +68,8 @@ class Subquery:
             select_vars=tuple(projection) if projection else None,
         )
 
-    def __repr__(self) -> str:
-        tag = "optional" if self.optional_group is not None else "required"
-        return (
-            f"Subquery(id={self.id}, patterns={len(self.patterns)}, "
-            f"sources={list(self.sources)}, {tag}, delayed={self.delayed})"
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class DecompositionPlan:
     """The output of LADE for one conjunctive branch."""
 

@@ -27,7 +27,6 @@ from repro.core.decomposition.decomposer import decompose
 from repro.core.decomposition.gjv import GJVResult, detect_gjvs
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import (
-    MAX_BLOCK,
     CardinalityEstimates,
     DelayDecision,
     DelayPolicy,
@@ -98,7 +97,9 @@ SCHEDULERS: dict[str, type[BranchScheduler]] = {
 class BranchPlan:
     """Everything planning decided about one branch, as one value:
     :meth:`LusailEngine.explain` renders it, the scheduler is built from
-    it and ``ExecutionOutcome.plan`` carries it."""
+    it and ``ExecutionOutcome.plan`` carries it.  It is the only holder
+    of each decision: a test forces one with :func:`dataclasses.replace`
+    on a planned value."""
 
     #: Virtual time when source selection ended / when analysis ended.
     selected_ms: float
@@ -108,10 +109,14 @@ class BranchPlan:
     decomposition: DecompositionPlan | None = None
     needed_vars: frozenset[Variable] = frozenset()
     estimates: CardinalityEstimates | None = None
-    #: ``None`` under ``enable_delay=False``.
-    delays: DelayDecision | None = None
+    #: Which subqueries phase two binds, and each one's C(sq); under
+    #: ``enable_delay=False`` the cardinalities and no delay.
+    delays: DelayDecision = DelayDecision()
     #: Which of :data:`SCHEDULERS` runs the branch, and why.
     strategy: StrategyDecision | None = None
+    #: Bindings per bound-join ``VALUES`` block: the block the cost rule
+    #: priced and phase two ships.
+    block_size: int = 0
 
 
 @dataclass
@@ -138,7 +143,7 @@ class QueryPlanInfo:
 
     @property
     def delayed_count(self) -> int:
-        return sum(sq.delayed for plan in self._decompositions() for sq in plan.subqueries)
+        return sum(len(plan.delays.delayed_ids) for plan in self.branch_plans)
 
     @property
     def check_queries(self) -> int:
@@ -203,46 +208,35 @@ class LusailEngine(FederatedEngine):
                 ).end(now)
             needed_vars = frozenset(self._needed_variables(plan, normalized))
             estimates, now = collect_statistics(client, plan.subqueries, now)
+            endpoints = {ep for sq in plan.subqueries for ep in sq.sources}
+            costs = RequestCosts.of(client.config, client.federation, endpoints)
             with tracer.span("delay_decision", t0=now) as span:
-                delays = None
-                if self.config.enable_delay:
-                    costs = RequestCosts.of(
-                        client.config,
-                        client.federation,
-                        {ep for sq in plan.subqueries for ep in sq.sources},
-                    )
-                    delays = decide_delays(
-                        plan.subqueries,
-                        estimates,
-                        projected=needed_vars,
-                        policy=self.config.delay_policy,
-                        use_chauvenet=self.config.use_chauvenet,
-                        provider=client.stats,
-                        costs=costs,
-                    )
-                    span.set(
-                        policy=str(self.config.delay_policy.value),
-                        cardinality_threshold=delays.cardinality_threshold,
-                        endpoint_threshold=delays.endpoint_threshold,
-                        delayed=sorted(delays.delayed_ids),
-                        chauvenet_rejected=sorted(delays.cardinality_rejected_ids),
-                        estimated_cardinalities=delays.cardinalities,
-                        reasons=delays.reasons,
-                        bindings=delays.bindings,
-                        bound_ms=delays.bound_ms,
-                        ship_ms=delays.ship_ms,
-                    )
-                else:
-                    for subquery in plan.subqueries:
-                        subquery.estimated_cardinality = estimates.subquery_cardinality(
-                            subquery, needed_vars
-                        )
-                        subquery.delayed = False
-                    span.set(policy="disabled", delayed=[])
-                span.end(now)
+                delays = decide_delays(
+                    plan.subqueries,
+                    estimates,
+                    projected=needed_vars,
+                    policy=self.config.delay_policy if self.config.enable_delay else None,
+                    use_chauvenet=self.config.use_chauvenet,
+                    provider=client.stats,
+                    costs=costs,
+                )
+                span.set(
+                    policy="disabled" if delays.policy is None else delays.policy.value,
+                    cardinality_threshold=delays.cardinality_threshold,
+                    endpoint_threshold=delays.endpoint_threshold,
+                    delayed=sorted(delays.delayed_ids),
+                    chauvenet_rejected=sorted(delays.cardinality_rejected_ids),
+                    estimated_cardinalities=delays.cardinalities,
+                    reasons=delays.reasons,
+                    bindings=delays.bindings,
+                    bound_ms=delays.bound_ms,
+                    ship_ms=delays.ship_ms,
+                ).end(now)
             analysis_span.end(now)
-        strategy = self._resolve_strategy(plan, needed_vars, estimates, client)
-        return BranchPlan(selected_ms, now, plan, needed_vars, estimates, delays, strategy)
+        strategy = self._resolve_strategy(plan, needed_vars, estimates, delays, client)
+        return BranchPlan(
+            selected_ms, now, plan, needed_vars, estimates, delays, strategy, costs.block
+        )
 
     def _execute_branch(
         self,
@@ -265,9 +259,7 @@ class LusailEngine(FederatedEngine):
 
             client.registry.inc("subqueries_total", len(plan.subqueries), engine=self.name)
             client.registry.inc(
-                "delayed_subqueries_total",
-                sum(sq.delayed for sq in plan.subqueries),
-                engine=self.name,
+                "delayed_subqueries_total", len(branch_plan.delays.delayed_ids), engine=self.name
             )
             client.registry.inc(
                 "check_queries_total", plan.check_query_count, engine=self.name
@@ -285,30 +277,31 @@ class LusailEngine(FederatedEngine):
                 outcome = scheduler.run(now)
                 now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
                 if client.audit.enabled:
-                    # The picker's crossing-selectivity estimate against
-                    # the digest-pruning survival the partial round
-                    # actually measured (echoed for bound-join runs,
-                    # where nothing measures it).  Recorded as percent:
-                    # the q-error histogram clamps values below 1.
-                    actual = outcome.crossing_selectivity
-                    if actual is None:
-                        actual = decision.estimated_crossing_selectivity
-                    client.audit.record(
-                        "strategy",
-                        100.0 * decision.estimated_crossing_selectivity,
-                        100.0 * actual,
-                        span=span,
-                        strategy=decision.strategy,
-                        reason=decision.reason,
-                        est_partial_rows=round(decision.est_partial_rows, 1),
-                        est_bound_rows=round(decision.est_bound_rows, 1),
-                    )
+                    estimate = decision.estimated_crossing_selectivity
+                    if estimate is not None:
+                        # The picker's crossing-selectivity estimate
+                        # against the digest-pruning survival the partial
+                        # round measured (echoed where the picker chose
+                        # bound-join, which measures nothing).  Recorded
+                        # as percent: the q-error histogram clamps values
+                        # below 1.
+                        actual = outcome.crossing_selectivity
+                        client.audit.record(
+                            "strategy",
+                            100.0 * estimate,
+                            100.0 * (estimate if actual is None else actual),
+                            span=span,
+                            strategy=decision.strategy,
+                            reason=decision.reason,
+                            est_partial_rows=round(decision.est_partial_rows, 1),
+                            est_bound_rows=round(decision.est_bound_rows, 1),
+                        )
                     # SAPE treats max C(sq) as the bound on what the
                     # branch can produce; audit it against the branch's
                     # actual result size.
                     client.audit.record(
                         "branch_rows",
-                        max(sq.estimated_cardinality for sq in plan.subqueries),
+                        max(branch_plan.delays.cardinalities.values()),
                         len(outcome.relation),
                         span=span,
                     )
@@ -329,13 +322,16 @@ class LusailEngine(FederatedEngine):
 
     # ------------------------------------------------------------ strategy
 
-    def _resolve_strategy(self, plan, needed_vars, estimates, client) -> StrategyDecision:
+    def _resolve_strategy(self, plan, needed_vars, estimates, delays, client) -> StrategyDecision:
         """The picker's verdict, overruled where the configuration names
-        a strategy."""
+        a strategy.  The picker runs only where its verdict is read
+        (``auto``) or audited (``partial``)."""
         requested = self.config.strategy
         if requested != "auto" and requested not in SCHEDULERS:
             raise ValueError(f"unknown execution strategy {requested!r}")
-        decision = choose_strategy(plan, needed_vars, estimates, client)
+        if requested == "bound-join":
+            return StrategyDecision(requested, reason="configured")
+        decision = choose_strategy(plan, needed_vars, estimates, delays, client)
         if requested != "auto" and requested != decision.strategy:
             return replace(decision, strategy=requested, reason="forced by configuration")
         return decision
@@ -471,17 +467,17 @@ class LusailEngine(FederatedEngine):
                 continue
             lines.append(f"  global join variables: {plan.gjv_names() or '(none)'}")
             lines.append(f"  check queries run: {plan.check_query_count}")
+            estimate = strategy.estimated_crossing_selectivity
             lines.append(
-                f"  strategy [{self.config.strategy}]: "
-                f"{strategy.strategy} ({strategy.reason}; "
-                f"est. crossing selectivity "
-                f"{strategy.estimated_crossing_selectivity:.2f})"
+                f"  strategy [{self.config.strategy}]: {strategy.strategy} ({strategy.reason}"
+                + ("" if estimate is None else f"; est. crossing selectivity {estimate:.2f}")
+                + ")"
             )
-            if delays is None:
+            if delays.policy is None:
                 lines.append("  delay decision: disabled")
             else:
                 lines.append(
-                    f"  delay decision [{self.config.delay_policy.value}]: "
+                    f"  delay decision [{delays.policy.value}]: "
                     f"cardinality threshold={delays.cardinality_threshold:.1f}, "
                     f"endpoint threshold={delays.endpoint_threshold:.1f}"
                 )
@@ -500,10 +496,11 @@ class LusailEngine(FederatedEngine):
                 lines.append("  disjoint: whole branch evaluated per endpoint")
             for subquery in plan.subqueries:
                 tag = "OPTIONAL " if subquery.optional_group is not None else ""
-                verdict = "delayed" if subquery.delayed else "eager"
-                cardinality = subquery.estimated_cardinality
+                delayed = subquery.id in delays.delayed_ids
+                verdict = "delayed" if delayed else "eager"
+                cardinality = delays.cardinalities[subquery.id]
                 details = f", endpoints={len(subquery.sources)}"
-                if delays is not None:
+                if delays.policy is not None:
                     verdict += f": {delays.reasons[subquery.id]}"
                     comparison = ">=" if cardinality >= delays.cardinality_threshold else "<"
                     details = (
@@ -525,9 +522,9 @@ class LusailEngine(FederatedEngine):
                     f"est.card={cardinality:.0f}{details}] "
                     f"sources={list(subquery.sources)}"
                 )
-                if subquery.delayed:
+                if delayed:
                     lines.append(
-                        f"    bound-join blocks: ≤{MAX_BLOCK} bindings per source, "
+                        f"    bound-join blocks: ≤{branch_plan.block_size} bindings per source, "
                         "routed by IRI authority"
                     )
                 for pattern in subquery.patterns:

@@ -28,8 +28,9 @@ required subqueries one at a time, like phase two will run them: the
 smallest stays eager, then the connected subquery with the fewest
 estimated bindings ``b`` follows, ``b`` being the fewest distinct values
 a placed neighbour can bind a shared variable to.  Binding it costs
-the requests :func:`_priced_requests` charges — ``ceil(b /
-MAX_BLOCK)``, plus a premium where more rows than bindings come back —
+the requests :func:`_priced_requests` charges — ``ceil(b / block)``
+for the plan's block size, plus a premium where more rows than bindings
+come back —
 and the rows ``b`` bindings fetch at the subquery's per-value fan-out
 (that price is the ``bound≈`` figure ``explain`` prints); shipping it
 costs one request plus its whole extent, less what the smallest
@@ -68,8 +69,8 @@ from repro.sparql.ast import (
 )
 
 #: Bindings per bound-join ``VALUES`` block (a stand-in for an endpoint's
-#: query-size limit): phase two ships ``ceil(bindings / MAX_BLOCK)``
-#: blocks to each source.
+#: query-size limit): the block :class:`RequestCosts` prices, which the
+#: planner records as ``BranchPlan.block_size`` and phase two ships.
 MAX_BLOCK = 500
 #: The fewest bindings per request :func:`_priced_requests` assumes.
 _PRICED_MIN_BLOCK = 50
@@ -86,15 +87,15 @@ class DelayPolicy(str, Enum):
     COST = "cost"
 
 
-def _priced_requests(bindings: float, cardinality: float) -> int:
+def _priced_requests(bindings: float, cardinality: float, block: int) -> int:
     """The requests per source the cost rule charges for binding a
     subquery of estimated cardinality ``cardinality`` to ``bindings``
-    values: one per :data:`MAX_BLOCK` bindings, or, where more than one
-    row per binding is expected back, one per ~:data:`MAX_BLOCK` rows of
-    the extent, never more than one per :data:`_PRICED_MIN_BLOCK`
-    bindings.
+    values in blocks of ``block``: one per ``block`` bindings, or, where
+    more than one row per binding is expected back, one per ~``block``
+    rows of the extent, never more than one per
+    :data:`_PRICED_MIN_BLOCK` bindings.
 
-    Phase two ships ``ceil(bindings / MAX_BLOCK)``; the difference is a
+    Phase two ships ``ceil(bindings / block)``; the difference is a
     premium on unselective bindings.  Charging the exact count picks
     worse plans, because it lays bare two errors in the rule's inputs:
     the cardinality of a filtered star (C2P2F: 6,000 rows estimated, 30
@@ -104,22 +105,24 @@ def _priced_requests(bindings: float, cardinality: float) -> int:
     LargeRDF at scale 1 and 1.17 → 1.24 on QFed, and six of Fig 11's
     eight Lusail rows get slower.
     """
-    block = MAX_BLOCK
+    size = block
     if bindings > 0 and cardinality / bindings > 1.0:
-        floor = max(1, min(_PRICED_MIN_BLOCK, MAX_BLOCK))
-        block = max(floor, min(MAX_BLOCK, int(MAX_BLOCK / (cardinality / bindings))))
-    return math.ceil(bindings / block)
+        floor = max(1, min(_PRICED_MIN_BLOCK, block))
+        size = max(floor, min(block, int(block / (cardinality / bindings))))
+    return math.ceil(bindings / size)
 
 
 @dataclass(frozen=True)
 class RequestCosts:
     """The virtual-time model of :class:`~repro.net.simulator.NetworkConfig`
-    as the cost rule reads it: a fixed price per request and per row."""
+    as the cost rule reads it: a fixed price per request and per row, and
+    the bindings one bound-join request carries."""
 
     #: Per endpoint: round trip + request overhead + base evaluation.
     request_ms: Mapping[str, float]
     #: Evaluation + transfer per result row, at the fallback row payload.
     row_ms: float
+    block: int = MAX_BLOCK
 
     @classmethod
     def of(
@@ -283,19 +286,24 @@ def collect_statistics(
     return estimates, finish
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayDecision:
-    """The outcome of the delay heuristic, for inspection and tests."""
+    """The outcome of the delay heuristic: the one record of which
+    subqueries phase two binds and of each subquery's C(sq).  The
+    default value delays nothing and knows no subquery."""
 
-    cardinalities: dict[int, float]
-    endpoint_counts: dict[int, int]
-    cardinality_threshold: float
-    endpoint_threshold: float
-    delayed_ids: set[int]
+    #: C(sq) per subquery id.
+    cardinalities: Mapping[int, float] = field(default_factory=dict)
+    endpoint_counts: Mapping[int, int] = field(default_factory=dict)
+    cardinality_threshold: float = math.inf
+    endpoint_threshold: float = math.inf
+    delayed_ids: frozenset[int] = frozenset()
+    #: The policy that decided; ``None`` when delaying is disabled.
+    policy: DelayPolicy | None = None
     #: Subquery ids whose cardinality / endpoint count Chauvenet's
     #: criterion rejected before computing mu and sigma.
-    cardinality_rejected_ids: set[int] = field(default_factory=set)
-    endpoint_rejected_ids: set[int] = field(default_factory=set)
+    cardinality_rejected_ids: frozenset[int] = frozenset()
+    endpoint_rejected_ids: frozenset[int] = frozenset()
     #: Why each subquery is delayed or eager, one of :data:`DELAY_REASONS`.
     reasons: dict[int, str] = field(default_factory=dict)
     #: The required subquery the cost rule placed first (eager under
@@ -346,31 +354,29 @@ def decide_delays(
     subqueries: list[Subquery],
     estimates: CardinalityEstimates,
     projected: set[Variable],
-    policy: DelayPolicy = DelayPolicy.MU_SIGMA,
+    policy: DelayPolicy | None = DelayPolicy.MU_SIGMA,
     use_chauvenet: bool = True,
     provider: CharsetStatisticsProvider | None = None,
     costs: RequestCosts | None = None,
 ) -> DelayDecision:
-    """Mark subqueries as delayed according to the policy.
+    """Decide which subqueries to delay according to the policy.
 
-    ``costs`` prices the cost rule's requests and rows and ``provider``
-    answers its distinct-value questions; :attr:`DelayPolicy.COST` needs
-    both.  Given them, a threshold policy records the same estimates for
-    its own verdict, which it does not change.
+    ``costs`` prices the cost rule's requests (in blocks of
+    ``costs.block``) and rows and ``provider`` answers its
+    distinct-value questions; :attr:`DelayPolicy.COST` needs both.
+    Given them, a threshold policy records the same estimates for its
+    own verdict, which it does not change.  ``policy=None`` (delaying
+    disabled) records each C(sq) and delays nothing.
 
-    Mutates ``subquery.delayed`` and ``subquery.estimated_cardinality``;
-    guarantees at least one required subquery stays non-delayed so phase
-    one always produces bindings.
+    Assigns to none of its arguments; guarantees at least one required
+    subquery stays non-delayed so phase one always produces bindings.
     """
     if policy == DelayPolicy.COST and costs is None:
         raise ValueError("the cost delay policy needs request costs")
-    cardinalities: dict[int, float] = {}
-    endpoint_counts: dict[int, int] = {}
-    for subquery in subqueries:
-        cardinality = estimates.subquery_cardinality(subquery, projected)
-        subquery.estimated_cardinality = cardinality
-        cardinalities[subquery.id] = cardinality
-        endpoint_counts[subquery.id] = len(subquery.sources)
+    cardinalities = {sq.id: estimates.subquery_cardinality(sq, projected) for sq in subqueries}
+    endpoint_counts = {sq.id: len(sq.sources) for sq in subqueries}
+    if policy is None:
+        return DelayDecision(cardinalities, endpoint_counts)
 
     values = [cardinalities[sq.id] for sq in subqueries]
     endpoint_values = [float(endpoint_counts[sq.id]) for sq in subqueries]
@@ -385,8 +391,8 @@ def decide_delays(
         DelayPolicy.COST: 1.0,
     }[policy]
 
-    card_rejected = {subqueries[i].id for i in card_stats.outliers}
-    endpoint_rejected = {subqueries[i].id for i in endpoint_stats.outliers}
+    card_rejected = frozenset(subqueries[i].id for i in card_stats.outliers)
+    endpoint_rejected = frozenset(subqueries[i].id for i in endpoint_stats.outliers)
     reasons: dict[int, str] = {}
     if multiplier is None:
         card_threshold = float("inf")
@@ -452,18 +458,13 @@ def decide_delays(
     if costs is not None and required:
         placement.run(required, reasons, override=policy == DelayPolicy.COST)
 
-    delayed_ids = set()
-    for subquery in subqueries:
-        subquery.delayed = _delays(reasons, subquery.id)
-        if subquery.delayed:
-            delayed_ids.add(subquery.id)
-
     return DelayDecision(
         cardinalities=cardinalities,
         endpoint_counts=endpoint_counts,
         cardinality_threshold=card_threshold,
         endpoint_threshold=endpoint_threshold,
-        delayed_ids=delayed_ids,
+        delayed_ids=frozenset(sq.id for sq in subqueries if _delays(reasons, sq.id)),
+        policy=policy,
         cardinality_rejected_ids=card_rejected,
         endpoint_rejected_ids=endpoint_rejected,
         reasons=reasons,
@@ -537,7 +538,7 @@ class _CostPlacement:
         distinct = self.distinct(subquery, variable)
         rows = min(cardinality, bindings * cardinality / distinct) if distinct > 0 else 0.0
         share = rows / cardinality if cardinality > 0 else 0.0
-        requests = _priced_requests(bindings, cardinality)
+        requests = _priced_requests(bindings, cardinality, costs.block)
         ms = max(
             (
                 requests * request_ms + extent * share * costs.row_ms

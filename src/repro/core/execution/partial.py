@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
-from repro.core.execution.cost_model import CardinalityEstimates
+from repro.core.execution.cost_model import CardinalityEstimates, DelayDecision
 from repro.core.execution.scheduler import BranchScheduler
 from repro.endpoint.cache import MISSING
 from repro.rdf.terms import IRI, Variable, is_concrete
@@ -379,12 +379,13 @@ class PartialBranchScheduler(BranchScheduler):
 # Strategy picker
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyDecision:
-    """The picker's verdict plus the estimates behind it (for the audit)."""
+    """The picker's verdict plus the estimates behind it (for the audit);
+    a configured strategy the picker did not weigh carries no estimate."""
 
     strategy: str
-    estimated_crossing_selectivity: float
+    estimated_crossing_selectivity: float | None = None
     est_partial_rows: float = 0.0
     est_bound_rows: float = 0.0
     est_partial_ms: float = 0.0
@@ -449,6 +450,7 @@ def choose_strategy(
     plan: DecompositionPlan,
     needed_vars: set[Variable],
     estimates: CardinalityEstimates,
+    delays: DelayDecision,
     client,
 ) -> StrategyDecision:
     """Pick partial vs. bound-join for one branch from planner estimates.
@@ -484,15 +486,15 @@ def choose_strategy(
     # Volume-weighted survival: directly comparable to the shipped /
     # (shipped + pruned) fraction the partial round measures.
     selectivity = est_partial_rows / total_extent if total_extent else 1.0
-    delayed = [sq for sq in required if sq.delayed]
+    delayed = [sq for sq in required if sq.id in delays.delayed_ids]
     # Eager subqueries ship unpruned; a delayed subquery's VALUES-bound
     # replies are already join-filtered by the eager bindings, which is
     # first-order the same cut a digest applies — so the same survival
     # fraction discounts them.
     est_bound_rows = sum(
-        extents[sq.id] for sq in required if not sq.delayed
+        extents[sq.id] for sq in required if sq.id not in delays.delayed_ids
     ) + sum(
-        survival[sq.id] * sq.estimated_cardinality for sq in delayed
+        survival[sq.id] * delays.cardinalities[sq.id] for sq in delayed
     )
 
     regions = [

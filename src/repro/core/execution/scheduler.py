@@ -10,9 +10,9 @@ Execution of one decomposed conjunctive branch:
    (with the DP join-order optimizer) to obtain the found bindings.
 3. **Phase two** — delayed subqueries run serially, most selective
    first, as block-wise bound joins: found bindings of the shared
-   variables are shipped in ``VALUES`` blocks of ``MAX_BLOCK``
-   bindings.  Each endpoint receives only the bindings its IRI
-   authorities can match (the decentralized-authority model of the
+   variables are shipped in ``VALUES`` blocks of the plan's
+   ``block_size`` bindings.  Each endpoint receives only the bindings
+   its IRI authorities can match (the decentralized-authority model of the
    paper's Fig 1 puts an entity's triples at its authority's endpoint):
    a binding is routed away from an endpoint when a pattern binding it
    in subject or object position has no entity of that authority
@@ -21,8 +21,8 @@ Execution of one decomposed conjunctive branch:
    from a sample.  One ``route`` call per bound subquery decides it for
    every live source, reading each binding's authority once and ruling
    once per distinct authority.  An endpoint gets
-   ``ceil(routed / MAX_BLOCK)`` requests, none when nothing is routed to
-   it.  A request costs its endpoint a fixed round trip, overhead and
+   ``ceil(routed / block_size)`` requests, none when nothing is routed
+   to it.  A request costs its endpoint a fixed round trip, overhead and
    base evaluation, while rows cost the same however the bindings are
    split, so blocks are never shrunk for an unselective subquery: that
    would only add requests.
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import Subquery, values_block
-from repro.core.execution.cost_model import MAX_BLOCK
 from repro.core.execution.join_order import (
     JoinHints,
     execute_plan,
@@ -88,8 +87,9 @@ _Bindings = tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]]
 class BranchScheduler:
     """Executes one planned branch against the federation.
 
-    Everything it decides from is on the ``branch_plan`` it is built
-    with.
+    Everything it decides from — which subqueries are delayed, each
+    one's C(sq), the block size — is on the ``branch_plan`` it is built
+    with, and is read from nowhere else.
     """
 
     #: See :attr:`BranchOutcome.crossing_selectivity`.
@@ -106,6 +106,10 @@ class BranchScheduler:
         self.plan = branch_plan.decomposition
         self.needed_vars = branch_plan.needed_vars
         self.estimates = branch_plan.estimates
+        self.delayed_ids = branch_plan.delays.delayed_ids
+        #: C(sq) per subquery id.
+        self.cardinalities = branch_plan.delays.cardinalities
+        self.block_size = branch_plan.block_size
         self.mediator = mediator
         self.config = config
         self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
@@ -164,8 +168,8 @@ class BranchScheduler:
             "subquery",
             t0=at_ms,
             subquery=subquery.id,
-            delayed=subquery.delayed,
-            estimated_cardinality=subquery.estimated_cardinality,
+            delayed=subquery.id in self.delayed_ids,
+            estimated_cardinality=self.cardinalities[subquery.id],
             endpoints=list(subquery.sources),
         ) as span:
             for endpoint in self._live(subquery.sources):
@@ -190,11 +194,11 @@ class BranchScheduler:
                 # The aggregate C(sq) that drove the delay decision.
                 audit.record(
                     "delay",
-                    subquery.estimated_cardinality,
+                    self.cardinalities[subquery.id],
                     len(relation),
                     span=span,
                     subquery=subquery.id,
-                    delayed=subquery.delayed,
+                    delayed=subquery.id in self.delayed_ids,
                 )
             span.set(
                 rows=len(relation),
@@ -215,7 +219,7 @@ class BranchScheduler:
 
         Each live source gets only the bindings its IRI authorities can
         match (:meth:`~repro.planning.stats.CharsetStatisticsProvider.route`,
-        one call for all of them), in ``ceil(routed / MAX_BLOCK)``
+        one call for all of them), in ``ceil(routed / block_size)``
         requests; a source with none gets no request, and one dropped
         earlier in the branch is not routed.  Block *b* goes to every
         source that has one before block *b* + 1 goes to any.
@@ -223,7 +227,8 @@ class BranchScheduler:
         projection = self._projection(subquery)
         relation = Relation(projection, partitions=1)
         finish = at_ms
-        block_size = MAX_BLOCK
+        block_size = self.block_size
+        cardinality = self.cardinalities[subquery.id]
         tracer = self.client.tracer
         metrics = self.client.metrics
         registry = self.client.registry
@@ -249,7 +254,7 @@ class BranchScheduler:
             subquery=subquery.id,
             bindings=len(binding_rows),
             block_size=block_size,
-            estimated_cardinality=subquery.estimated_cardinality,
+            estimated_cardinality=cardinality,
             endpoints=list(sources),
             routed_bindings={endpoint: len(rows) for endpoint, rows in routed.items()},
             skipped_sources=[endpoint for endpoint, rows in routed.items() if not rows],
@@ -292,7 +297,7 @@ class BranchScheduler:
                 # Total rows the COUNT estimate predicted vs. received...
                 audit.record(
                     "bound_join",
-                    subquery.estimated_cardinality,
+                    cardinality,
                     len(relation),
                     span=subquery_span,
                     subquery=subquery.id,
@@ -302,7 +307,7 @@ class BranchScheduler:
                 if binding_rows:
                     audit.record(
                         "bind_fanout",
-                        subquery.estimated_cardinality / len(binding_rows),
+                        cardinality / len(binding_rows),
                         len(relation) / len(binding_rows),
                         span=subquery_span,
                         subquery=subquery.id,
@@ -395,11 +400,11 @@ class BranchScheduler:
                 best = (shared, rows)
         return best
 
-    @staticmethod
-    def _refined_cardinality(subquery: Subquery, bindings: _Bindings | None) -> float:
+    def _refined_cardinality(self, subquery: Subquery, bindings: _Bindings | None) -> float:
+        cardinality = self.cardinalities[subquery.id]
         if bindings is None:
-            return subquery.estimated_cardinality
-        return min(subquery.estimated_cardinality, float(len(bindings[1])))
+            return cardinality
+        return min(cardinality, float(len(bindings[1])))
 
     # ------------------------------------------------------------- phases
 
@@ -448,7 +453,7 @@ class BranchScheduler:
         now = at_ms
 
         # Phase one: non-delayed required subqueries, concurrently.
-        eager = [sq for sq in required if not sq.delayed]
+        eager = [sq for sq in required if sq.id not in self.delayed_ids]
         eager_results: list[tuple[Subquery, Relation]] = []
         with tracer.span("phase1", t0=now, subqueries=[sq.id for sq in eager]) as span:
             phase_end = now
@@ -463,7 +468,7 @@ class BranchScheduler:
             span.set(rows=sum(len(r) for __, r in eager_results)).end(now)
 
         # Phase two: delayed required subqueries, most selective first.
-        delayed = [sq for sq in required if sq.delayed]
+        delayed = [sq for sq in required if sq.id in self.delayed_ids]
         if delayed:
             with tracer.span(
                 "phase2", t0=now, subqueries=[sq.id for sq in delayed]
@@ -588,7 +593,7 @@ class BranchScheduler:
         group_id = subqueries[0].optional_group
         base_component = _Component(relation=base, variables=set(base.vars))
         group_relation: Relation | None = None
-        for subquery in sorted(subqueries, key=lambda sq: sq.estimated_cardinality):
+        for subquery in sorted(subqueries, key=lambda sq: self.cardinalities[sq.id]):
             context = [base_component]
             if group_relation is not None:
                 context.append(

@@ -1,17 +1,18 @@
 """Exhaustive delay-regret oracle for SAPE's delay decision.
 
 For one query, run the engine's own delay decision, then every delay
-set of each branch's required subqueries, each forced onto the plan by
-wrapping ``repro.core.engine.decide_delays`` for the duration of one
-execution (``src/`` has no switch for it).  The set that delays every
-required subquery is left out: phase one needs an eager subquery, and
-the engine never plans that.  OPTIONAL subqueries keep the engine's
-decision.
+set of each branch's required subqueries, each forced onto the plan for
+one execution by replacing ``delays.delayed_ids`` of the planned
+``BranchPlan`` (:class:`tests.plan_forcing.ForcedPlanEngine`): the plan
+is the only holder of the verdicts the scheduler obeys.  The set that
+delays every required subquery is left out: phase one needs an eager
+subquery, and the engine never plans that.  OPTIONAL subqueries keep the
+engine's decision.
 
-A UNION is enumerated one branch at a time: the wrapper counts the
-``decide_delays`` calls of the execution (one per branch that has
-sources, in branch order), forces the chosen branch's set and leaves
-every other branch at the engine's verdict.
+A UNION is enumerated one branch at a time: the forcing counts the
+planned branches of the execution that have sources, in branch order,
+replaces the chosen branch's set and leaves every other branch at the
+engine's verdict.
 
 The measure is the deterministic virtual time of one execution, on a
 warm engine (the query runs once first, so the ASK / COUNT / check
@@ -26,14 +27,13 @@ Used by ``tests/test_delay_regret.py`` (the tier-1 bounds) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, count
-from unittest import mock
 
-import repro.core.engine as engine_module
-from repro.core.engine import LusailEngine
 from repro.endpoint.federation import Federation
 from repro.planning.base_engine import parse_select
+
+from tests.plan_forcing import Force, ForcedPlanEngine
 
 
 @dataclass(frozen=True)
@@ -80,38 +80,32 @@ class DelayRegret:
         return self.heuristic.virtual_ms / self.best.virtual_ms
 
 
-def forced_delays(delayed: frozenset[int], branch: int = 0):
-    """A patch that makes the engine's delay decision delay exactly
-    ``delayed`` among the required subqueries of the ``branch``-th
-    planned branch of one execution."""
-    decide = engine_module.decide_delays
-    calls = count()
-
-    def forcing(subqueries, *args, **kwargs):
-        decision = decide(subqueries, *args, **kwargs)
-        if next(calls) != branch:
-            return decision
-        for subquery in subqueries:
-            if subquery.optional_group is None:
-                subquery.delayed = subquery.id in delayed
-        decision.delayed_ids = {sq.id for sq in subqueries if sq.delayed}
-        return decision
-
-    return mock.patch.object(engine_module, "decide_delays", forcing)
+def _required_ids(plan) -> frozenset[int]:
+    return frozenset(sq.id for sq in plan.decomposition.required_subqueries())
 
 
-def _run(engine: LusailEngine, text: str) -> tuple[DelayRun, list]:
+def forced_delays(delayed: frozenset[int], branch: int = 0) -> Force:
+    """The forcing that delays exactly ``delayed`` among the required
+    subqueries of the ``branch``-th planned branch of one execution."""
+    planned = count()
+
+    def force(plan):
+        if plan.decomposition is None or next(planned) != branch:
+            return plan
+        optional = plan.delays.delayed_ids - _required_ids(plan)
+        return replace(plan, delays=replace(plan.delays, delayed_ids=delayed | optional))
+
+    return force
+
+
+def _run(engine: ForcedPlanEngine, text: str, force: Force | None = None) -> tuple[DelayRun, list]:
+    engine.force = force
     outcome = engine.execute(text)
     assert outcome.ok, outcome.error
     planned = [
-        branch.decomposition
-        for branch in outcome.plan.branch_plans
-        if branch.decomposition is not None
+        branch for branch in outcome.plan.branch_plans if branch.decomposition is not None
     ]
-    delayed = tuple(
-        frozenset(sq.id for sq in plan.required_subqueries() if sq.delayed)
-        for plan in planned
-    )
+    delayed = tuple(plan.delays.delayed_ids & _required_ids(plan) for plan in planned)
     query = parse_select(text)
     sliced = query.limit is not None or bool(query.offset)
     answer = 0 if sliced else sum(map(hash, outcome.result.rows)) & (2**64 - 1)
@@ -132,10 +126,10 @@ def delay_regret(
     """Run the heuristic and, branch by branch, every proper subset of
     the branch's required subqueries as its delay set, on one warmed
     engine or (``warm=False``) on a fresh engine per run."""
-    engine = LusailEngine(federation)
+    engine = ForcedPlanEngine(federation)
 
-    def run() -> tuple[DelayRun, list]:
-        return _run(engine if warm else LusailEngine(federation), text)
+    def run(force: Force | None = None) -> tuple[DelayRun, list]:
+        return _run(engine if warm else ForcedPlanEngine(federation), text, force)
 
     if warm:
         run()
@@ -144,11 +138,10 @@ def delay_regret(
         return DelayRegret(name, heuristic, "no source for a required pattern")
     runs = []
     for branch, plan in enumerate(planned):
-        required = [sq.id for sq in plan.required_subqueries()]
+        required = [sq.id for sq in plan.decomposition.required_subqueries()]
         for size in range(len(required)):
             for delayed in combinations(required, size):
-                with forced_delays(frozenset(delayed), branch):
-                    forced, __ = run()
+                forced, __ = run(forced_delays(frozenset(delayed), branch))
                 expected = list(heuristic.delayed)
                 expected[branch] = frozenset(delayed)
                 assert forced.delayed == tuple(expected), (name, branch, delayed)

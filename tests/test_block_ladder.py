@@ -1,14 +1,15 @@
 """Bound-join block size against a ladder of smaller blocks.
 
 Phase two ships a delayed subquery's bindings in ``VALUES`` blocks of
-``scheduler.MAX_BLOCK`` (500) bindings.  A request costs its endpoint a
-fixed round trip, overhead and base evaluation, and rows cost the same
+the plan's ``block_size`` (500) bindings.  A request costs its endpoint
+a fixed round trip, overhead and base evaluation, and rows cost the same
 however the bindings are split, so no smaller block may be cheaper.
-Each query runs with the block patched to 50, 100, 250 and 500 —
-``scheduler.MAX_BLOCK`` only, so the cost rule's delay verdicts, which
-read ``cost_model.MAX_BLOCK``, stay fixed.  Along the ladder the answer
-must stay the union-store oracle's, the delay sets and rows shipped the
-same, and virtual time and requests must not increase.
+Each query runs with the planned block replaced by 50, 100, 250 and 500
+(``tests.plan_forcing.block_size``): only ``BranchPlan.block_size``
+changes, so the delay verdicts, priced at the planner's block, stay
+fixed.  Along the ladder the answer must stay the union-store oracle's,
+the delay sets and rows shipped the same, and virtual time and requests
+must not increase.
 
 Covers the 17 LUBM queries (L1–L14, Q4–Q6) at ``scaled_profile(1)`` on
 a warm engine and the LargeRDFBench paper selection at scale 1 on a
@@ -17,15 +18,14 @@ fresh engine per run (``largerdf_cold``); about 3 s in all.
 
 from collections import Counter
 from dataclasses import dataclass
-from unittest import mock
 
 import pytest
 
-from repro.core.engine import LusailEngine
-from repro.core.execution import scheduler
 from repro.datasets import largerdf, lubm, queries_largerdf, queries_lubm
 from repro.planning.base_engine import parse_select
 from repro.sparql import evaluate_select
+
+from tests.plan_forcing import ForcedPlanEngine, block_size
 
 LADDER = (50, 100, 250, 500)
 #: Dataset -> (queries, warm engine).
@@ -58,20 +58,23 @@ def _climb(federation, union, queries, warm: bool, name: str) -> tuple[Rung, ...
     query = parse_select(queries[name])
     expected = Counter(evaluate_select(union, query).rows)
     sliced = query.limit is not None or bool(query.offset)
-    engine = LusailEngine(federation)
+    engine = ForcedPlanEngine(federation)
     if warm:
         engine.execute(query)
     rungs = []
     for block in LADDER:
-        with mock.patch.object(scheduler, "MAX_BLOCK", block):
-            outcome = (engine if warm else LusailEngine(federation)).execute(query)
+        if not warm:
+            engine = ForcedPlanEngine(federation)
+        engine.force = block_size(block)
+        outcome = engine.execute(query)
         assert outcome.ok, (name, block, outcome.error)
         if sliced:  # any window is an answer: compare its size
             assert len(outcome.result) == sum(expected.values()), (name, block)
         else:
             assert Counter(outcome.result.rows) == expected, (name, block)
         delayed = tuple(
-            frozenset(sq.id for sq in branch.decomposition.required_subqueries() if sq.delayed)
+            branch.delays.delayed_ids
+            & {sq.id for sq in branch.decomposition.required_subqueries()}
             for branch in outcome.plan.branch_plans
             if branch.decomposition is not None
         )

@@ -1,13 +1,14 @@
 """Unit tests for SAPE's cost model, Chauvenet rejection, delay policies."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.decomposition.subquery import Subquery
-from repro.core.execution import cost_model
 from repro.core.execution.cost_model import (
+    MAX_BLOCK,
     CardinalityEstimates,
     DelayPolicy,
     RequestCosts,
@@ -196,16 +197,14 @@ class TestDecideDelays:
 
     def test_optional_subqueries_always_delayed(self):
         subqueries, estimates = make_subqueries([10, 10])
-        subqueries[1].optional_group = 0
+        subqueries[1] = replace(subqueries[1], optional_group=0)
         decision = decide_delays(subqueries, estimates, projected=set())
         assert 1 in decision.delayed_ids
 
     def test_at_least_one_required_stays_eager(self):
         subqueries, estimates = make_subqueries([100, 100])
-        for subquery in subqueries:
-            subquery.delayed = True
         decision = decide_delays(subqueries, estimates, projected=set())
-        eager = [sq for sq in subqueries if not sq.delayed and sq.optional_group is None]
+        eager = [sq for sq in subqueries if sq.id not in decision.delayed_ids]
         assert eager
 
     def test_endpoint_count_triggers_delay(self):
@@ -256,8 +255,7 @@ class TestDecideDelays:
         # The only required subquery qualifies on cardinality, so it is
         # the one kept eager; the OPTIONAL ones are delayed as a class.
         subqueries, estimates = make_subqueries([5000, 10, 10, 10, 10])
-        for subquery in subqueries[1:]:
-            subquery.optional_group = 0
+        subqueries[1:] = [replace(sq, optional_group=0) for sq in subqueries[1:]]
         decision = decide_delays(subqueries, estimates, projected=set())
         assert decision.delayed_ids == {1, 2, 3, 4}
         assert decision.reasons == {
@@ -266,9 +264,17 @@ class TestDecideDelays:
 
     def test_estimated_cardinality_recorded(self):
         subqueries, estimates = make_subqueries([10, 20])
-        decide_delays(subqueries, estimates, projected=set())
-        assert subqueries[0].estimated_cardinality == 10
-        assert subqueries[1].estimated_cardinality == 20
+        before = list(subqueries)
+        decision = decide_delays(subqueries, estimates, projected=set())
+        assert decision.cardinalities == {0: 10, 1: 20}
+        assert subqueries == before
+
+    def test_disabled_records_cardinalities_and_delays_nothing(self):
+        subqueries, estimates = make_subqueries([10, 10, 10, 10, 5000])
+        decision = decide_delays(subqueries, estimates, projected=set(), policy=None)
+        assert decision.policy is None
+        assert decision.delayed_ids == frozenset()
+        assert decision.cardinalities[4] == 5000
 
 
 # ------------------------------------------------------------- cost rule
@@ -338,33 +344,51 @@ class TestRequestCosts:
 
 
 class TestBindRequestPremium:
-    """The requests the cost rule charges a bound join: one per
-    ``MAX_BLOCK`` bindings, as phase two ships them, or one per ~500
-    rows expected back where that is more."""
+    """The requests the cost rule charges a bound join: one per block of
+    bindings, as phase two ships them, or one per ~block rows expected
+    back where that is more."""
 
     def test_selective_binding_pays_per_block_of_bindings(self):
         # <= 1 row per binding: exactly the blocks phase two ships.
-        assert _priced_requests(200, 100.0) == 1
-        assert _priced_requests(1200, 100.0) == 3
+        assert _priced_requests(200, 100.0, MAX_BLOCK) == 1
+        assert _priced_requests(1200, 100.0, MAX_BLOCK) == 3
 
     def test_unselective_binding_pays_per_rows_back(self):
         # 10 rows per binding: 1,000 rows back, two requests of ~500.
-        assert _priced_requests(100, 1000.0) == 2
-        assert _priced_requests(1000, 10_000.0) == 20
+        assert _priced_requests(100, 1000.0, MAX_BLOCK) == 2
+        assert _priced_requests(1000, 10_000.0, MAX_BLOCK) == 20
 
     def test_premium_capped_at_one_request_per_fifty_bindings(self):
-        assert _priced_requests(10, 100_000.0) == 1
-        assert _priced_requests(1000, 1_000_000.0) == 20
+        assert _priced_requests(10, 100_000.0, MAX_BLOCK) == 1
+        assert _priced_requests(1000, 1_000_000.0, MAX_BLOCK) == 20
 
     def test_empty_extent_pays_per_block(self):
-        assert _priced_requests(100, 0.0) == 1
+        assert _priced_requests(100, 0.0, MAX_BLOCK) == 1
 
     def test_no_bindings_no_requests(self):
-        assert _priced_requests(0, 1000.0) == 0
+        assert _priced_requests(0, 1000.0, MAX_BLOCK) == 0
 
-    def test_floor_never_above_max_block(self, monkeypatch):
-        monkeypatch.setattr(cost_model, "MAX_BLOCK", 1)
-        assert _priced_requests(7, 1000.0) == 7
+    def test_floor_never_above_max_block(self):
+        assert _priced_requests(7, 1000.0, 1) == 7
+
+    def test_the_rule_prices_the_block_it_is_given(self):
+        # C1's shape on the local cluster: ~80 bindings reach each far
+        # subquery.  In one block each, binding them is clearly cheaper;
+        # at one binding per request, shipping them is.
+        specs = (
+            (("x", "a"), {"drugbank": 80}),
+            (("x", "b"), {"drugbank": 848, "kegg": 848, "linkedmdb": 848, "nytimes": 848}),
+            (("x", "c"), {"chebi": 2250}),
+        )
+        costs = costs_for(
+            LOCAL, dict.fromkeys(("drugbank", "kegg", "linkedmdb", "nytimes", "chebi"), "local")
+        )
+        assert costs.block == MAX_BLOCK
+        planned = decide(DelayPolicy.COST, specs, costs)
+        assert planned.delayed_ids == {1, 2}
+        one = decide(DelayPolicy.COST, specs, replace(costs, block=1))
+        assert one.delayed_ids == set()
+        assert one.reasons[1] == one.reasons[2] == "ship-cheaper"
 
 
 class TestCostRule:
@@ -458,7 +482,7 @@ class TestCostRule:
             (("x", "o"), {"ep0": 10}),
         )
         subqueries, estimates = shaped(*specs)
-        subqueries[3].optional_group = 0
+        subqueries[3] = replace(subqueries[3], optional_group=0)
         decision = decide_delays(
             subqueries, estimates, projected=set(), policy=DelayPolicy.COST,
             provider=DistinctStub({}), costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),

@@ -52,13 +52,12 @@ class TestSectionVIClaims:
         engine = LusailEngine(lubm_fed)
         outcome = engine.execute(lubm.query_q4())
         assert outcome.ok
-        plan = outcome.plan.branch_plans[0].decomposition
-        assert len(plan.subqueries) == 2
-        delayed = [sq for sq in plan.subqueries if sq.delayed]
-        assert len(delayed) == 1
-        assert delayed[0].estimated_cardinality == max(
-            sq.estimated_cardinality for sq in plan.subqueries
-        )
+        branch = outcome.plan.branch_plans[0]
+        assert len(branch.decomposition.subqueries) == 2
+        delays = branch.delays
+        assert len(delays.delayed_ids) == 1
+        (delayed,) = delays.delayed_ids
+        assert delays.cardinalities[delayed] == max(delays.cardinalities.values())
 
     def test_fedx_requests_grow_with_endpoints(self):
         """Fig 3: FedX's request count grows with the number of

@@ -12,7 +12,10 @@ collector is enabled.  And the layering boundary: ``repro.core`` and
 ``repro.planning`` never import ``repro.serve``.  And the plan boundary: what Lusail decided
 travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
-last.  And the options boundary: every field of ``LusailConfig`` and
+last.  The plan is frozen and is the one holder of each decision the
+scheduler obeys: only the cost model names the bound-join block
+constant, and no test forces a planning decision by patching module
+state.  And the options boundary: every field of ``LusailConfig`` and
 ``TrafficConfig`` is set by name by some caller outside the tests, or
 is listed with the reason it stays an option.  And a ratchet: reads of
 a store's whole version outside ``repro/store/`` do not grow.
@@ -26,7 +29,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.engine import LusailConfig
+from repro.core.decomposition.subquery import DecompositionPlan, Subquery
+from repro.core.engine import BranchPlan, LusailConfig
+from repro.core.execution.cost_model import DelayDecision
 from repro.datasets import lubm, queries_largerdf, queries_lubm
 from repro.endpoint import Endpoint
 from repro.harness.traffic import TrafficConfig
@@ -308,6 +313,78 @@ def test_class_substitution_walker_sees_each_form(tmp_path, source, hits):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert _class_substitution(probe) == hits
+
+
+def test_plan_values_are_frozen():
+    for cls in (Subquery, DecompositionPlan, DelayDecision, BranchPlan):
+        assert cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_only_the_cost_model_names_the_block_constant():
+    naming = {
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "MAX_BLOCK" in path.read_text()
+    }
+    assert naming == {"core/execution/cost_model.py"}
+
+
+#: Module state a test could patch to force a planning decision; each is
+#: a field of ``BranchPlan`` instead (``tests/plan_forcing.py``).
+PLANNING_STATE = {"MAX_BLOCK", "decide_delays"}
+#: Test sites that patch one of them: the count stays at zero.
+PLANNING_PATCHES = 0
+PATCHERS = {"patch", "object", "setattr"}
+
+
+def _planning_patches(path: Path) -> int:
+    """Calls of ``mock.patch`` / ``mock.patch.object`` /
+    ``monkeypatch.setattr`` (any spelling) whose arguments name
+    :data:`PLANNING_STATE`, as an identifier or inside a string."""
+    patches = 0
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in PATCHERS:
+            continue
+        spelled = set()
+        for argument in (*node.args, *(keyword.value for keyword in node.keywords)):
+            spelled |= _identifiers(argument)
+            spelled |= {
+                part
+                for inner in ast.walk(argument)
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+                for part in inner.value.split(".")
+            }
+        patches += bool(spelled & PLANNING_STATE)
+    return patches
+
+
+def test_no_test_forces_a_planning_decision_by_patching():
+    repo = SRC.parent.parent
+    paths = [path for root in ("tests", "benchmarks") for path in sorted((repo / root).rglob("*.py"))]
+    assert len(paths) > 50
+    assert sum(_planning_patches(path) for path in paths) <= PLANNING_PATCHES
+
+
+@pytest.mark.parametrize(
+    "source, patches",
+    [
+        ('with mock.patch("repro.core.execution.scheduler.MAX_BLOCK", 50):\n    pass', 1),
+        ("mock.patch.object(scheduler, 'MAX_BLOCK', block)", 1),
+        ("monkeypatch.setattr(cost_model, 'MAX_BLOCK', 1)", 1),
+        ("mock.patch.object(engine_module, 'decide_delays', forcing)", 1),
+        ("patch('repro.core.engine.decide_delays', new=f)", 1),
+        ("monkeypatch.setattr(BranchScheduler, 'run', recording_run)", 0),
+        ("replace(plan, block_size=1)\ndecide_delays(subqueries, estimates, set())", 0),
+    ],
+)
+def test_planning_patch_walker_sees_each_form(tmp_path, source, patches):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert _planning_patches(probe) == patches
 
 
 #: Config classes whose every field some caller outside the tests sets.

@@ -373,10 +373,7 @@ def _run(federation, text, warm_engine=None):
     engine = warm_engine or LusailEngine(federation)
     outcome = engine.execute(text)
     assert outcome.ok, outcome.error
-    reasons = [
-        branch.delays.reasons if branch.delays is not None else None
-        for branch in outcome.plan.branch_plans
-    ]
+    reasons = [branch.delays.reasons for branch in outcome.plan.branch_plans]
     metrics = outcome.metrics
     return (
         Counter(outcome.result.rows),

@@ -2,17 +2,24 @@
 optional groups, and the disjoint fast path."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.core.engine import LusailConfig, LusailEngine
-from repro.core.execution import cost_model, scheduler
-from repro.core.execution.cost_model import DelayPolicy
+from repro.core.execution.cost_model import (
+    MAX_BLOCK,
+    DelayPolicy,
+    RequestCosts,
+    decide_delays,
+)
 from repro.datasets import lubm, queries_lubm
 from repro.net import metrics as metrics_module
 from repro.obs.trace import Tracer
 
 from tests.conftest import assert_same_bag, oracle_rows
+from tests.plan_forcing import ForcedPlanEngine, block_size
 
 UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 
@@ -27,14 +34,37 @@ def lubm_scale1():
     return lubm.build_federation(2, lubm.scaled_profile(1), seed=1)
 
 
-def _routed_requests(root) -> int:
+def _routed_requests(root, block: int) -> int:
     """Σ over bound subqueries and their sources of
-    ⌈routed bindings / MAX_BLOCK⌉: the bound requests phase two sends."""
+    ⌈routed bindings / block⌉: the bound requests phase two sends."""
     return sum(
-        math.ceil(routed / scheduler.MAX_BLOCK)
+        math.ceil(routed / block)
         for span in root.find("bound_subquery")
         for routed in span.attrs["routed_bindings"].values()
     )
+
+
+class PricedAtBlockOne(LusailEngine):
+    """Plans as the planner would at one binding per request: the cost
+    rule re-decides with that block, and the plan ships it."""
+
+    def _analyze_branch(self, client, branch, normalized):
+        plan = super()._analyze_branch(client, branch, normalized)
+        decomposition = plan.decomposition
+        costs = RequestCosts.of(
+            client.config,
+            client.federation,
+            {ep for sq in decomposition.subqueries for ep in sq.sources},
+        )
+        delays = decide_delays(
+            decomposition.subqueries,
+            plan.estimates,
+            projected=plan.needed_vars,
+            policy=DelayPolicy.COST,
+            provider=client.stats,
+            costs=replace(costs, block=1),
+        )
+        return replace(plan, delays=delays, block_size=1)
 
 
 class TestDisjointFastPath:
@@ -54,11 +84,10 @@ class TestDelayedSubqueries:
     def test_q4_delays_the_name_subquery(self, federation):
         engine = LusailEngine(federation)
         outcome = engine.execute(lubm.query_q4())
-        plan = outcome.plan.branch_plans[0].decomposition
-        delayed = [sq for sq in plan.subqueries if sq.delayed]
-        assert delayed, "the generic ?u ub:name ?n subquery should be delayed"
-        name_subquery = max(plan.subqueries, key=lambda sq: sq.estimated_cardinality)
-        assert name_subquery.delayed
+        delays = outcome.plan.branch_plans[0].delays
+        assert delays.delayed_ids, "the generic ?u ub:name ?n subquery should be delayed"
+        name_subquery = max(delays.cardinalities, key=delays.cardinalities.get)
+        assert name_subquery in delays.delayed_ids
         assert outcome.metrics.request_count(metrics_module.BOUND) > 0
 
     def test_q4_matches_oracle(self, federation):
@@ -73,28 +102,30 @@ class TestDelayedSubqueries:
         assert_same_bag(delayed_outcome.result.rows, eager_outcome.result.rows)
         assert delayed_outcome.metrics.rows_shipped() < eager_outcome.metrics.rows_shipped()
 
-    def test_block_size_one_more_requests(self, lubm_scale1, monkeypatch):
-        # Only the scheduler's block changes, so the delay verdicts stay
-        # and the two runs differ only in how the routed bindings ship.
+    def test_block_size_one_more_requests(self, lubm_scale1):
+        # Only the plan's block changes, so the delay verdicts stay and
+        # the two runs differ only in how the routed bindings ship.
         text = queries_lubm.queries()["L10"]
         requests = {}
-        for block in (scheduler.MAX_BLOCK, 1):
-            monkeypatch.setattr(scheduler, "MAX_BLOCK", block)
-            engine = LusailEngine(lubm_scale1)
+        for block in (MAX_BLOCK, 1):
+            engine = ForcedPlanEngine(lubm_scale1, force=block_size(block))
             engine.tracer = Tracer(enabled=True)
             outcome = engine.execute(text)
             assert_same_bag(outcome.result.rows, oracle_rows(lubm_scale1, text))
             requests[block] = outcome.metrics.request_count(metrics_module.BOUND)
-            assert requests[block] == _routed_requests(engine.tracer.roots[0])
-        assert requests[1] > requests[500]
+            assert requests[block] == _routed_requests(engine.tracer.roots[0], block)
+        assert requests[1] > requests[MAX_BLOCK]
 
     def test_bound_blocks_hold_max_block_bindings_however_unselective(self, lubm_scale1):
         # L10's delayed subquery is estimated at ~15 rows per binding
         # (2182 for 140 bindings): its bindings still ship in blocks of
-        # MAX_BLOCK, one request per block per source they are routed to.
+        # the planned size, one request per block per source they are
+        # routed to.
         engine = LusailEngine(lubm_scale1)
         engine.tracer = Tracer(enabled=True)
         outcome = engine.execute(queries_lubm.queries()["L10"])
+        block = outcome.plan.branch_plans[0].block_size
+        assert block == MAX_BLOCK
         (bound,) = engine.tracer.roots[0].find("bound_subquery")
         bindings = bound.attrs["bindings"]
         assert bound.attrs["estimated_cardinality"] > 10 * bindings > 10 * 50
@@ -102,21 +133,22 @@ class TestDelayedSubqueries:
         assert sorted(routed) == sorted(bound.attrs["endpoints"])
         assert bound.attrs["skipped_sources"] == [name for name, n in routed.items() if not n]
         blocks = bound.find("bound_block")
-        assert len(blocks) == math.ceil(max(routed.values()) / scheduler.MAX_BLOCK)
+        assert len(blocks) == math.ceil(max(routed.values()) / block)
         assert outcome.metrics.request_count(metrics_module.BOUND) == sum(
-            math.ceil(n / scheduler.MAX_BLOCK) for n in routed.values()
+            math.ceil(n / block) for n in routed.values()
         )
 
     def test_explain_prints_the_blocks_phase_two_ships(self, federation):
         text = LusailEngine(federation).explain(lubm.query_q4())
         assert "bound-join blocks: ≤500 bindings per source, routed by IRI authority" in text
         assert "adaptive" not in text
+        forced = ForcedPlanEngine(federation, force=block_size(7)).explain(lubm.query_q4())
+        assert "bound-join blocks: ≤7 bindings per source" in forced
 
-    def test_cost_rule_prices_the_block_size(self, federation, monkeypatch):
+    def test_cost_rule_prices_the_block_size(self, federation):
         # One binding per request makes binding the name subquery cost a
         # round trip per binding: the cost rule ships it whole instead.
-        monkeypatch.setattr(cost_model, "MAX_BLOCK", 1)
-        outcome = LusailEngine(federation).execute(lubm.query_q4())
+        outcome = PricedAtBlockOne(federation).execute(lubm.query_q4())
         delays = outcome.plan.branch_plans[0].delays
         assert not delays.delayed_ids
         assert "ship-cheaper" in delays.reasons.values()
@@ -135,6 +167,56 @@ class TestDelayedSubqueries:
         assert outcome.ok and len(outcome.result) == 0
 
 
+#: The performance ledger's ``lubm_crossing`` queries.
+CROSSING = ("Q4", "Q5", "Q6", "L1", "L3", "L4", "L7", "L8", "L10", "L11", "L12")
+
+
+def _eager(plan):
+    """The plan with no required subquery delayed."""
+    required = {sq.id for sq in plan.decomposition.required_subqueries()}
+    return replace(plan, delays=replace(plan.delays, delayed_ids=plan.delays.delayed_ids - required))
+
+
+class TestThePlanIsWhatRan:
+    """Phase two, read off the trace, does what the branch plan says and
+    nothing else: it binds exactly the plan's delayed required subqueries
+    (at this scale each has bindings), in ``ceil(routed / block_size)``
+    blocks of the plan's block, and a plan forced by replacing a field
+    changes the requests, never the answer."""
+
+    @staticmethod
+    def _run(federation, text, force=None):
+        engine = ForcedPlanEngine(federation, force=force)
+        engine.tracer = Tracer(enabled=True)
+        outcome = engine.execute(text)
+        assert outcome.ok, outcome.error
+        (plan,) = outcome.plan.branch_plans
+        root = engine.tracer.roots[0]
+        required = {sq.id for sq in plan.decomposition.required_subqueries()}
+        spans = root.find("bound_subquery")
+        assert {span.attrs["subquery"] for span in spans} == plan.delays.delayed_ids & required
+        for span in spans:
+            routed = max(span.attrs["routed_bindings"].values(), default=0)
+            assert len(span.find("bound_block")) == math.ceil(routed / plan.block_size)
+        bound = outcome.metrics.request_count(metrics_module.BOUND)
+        assert bound == _routed_requests(root, plan.block_size)
+        return Counter(outcome.result.rows), bound
+
+    @pytest.mark.parametrize("name", CROSSING)
+    def test_the_plan_is_what_ran(self, lubm_scale1, name):
+        text = {**queries_lubm.queries(), **lubm.crossing_queries()}[name]
+        answer, bound = self._run(lubm_scale1, text)
+        assert bound > 0
+        assert self._run(lubm_scale1, text, block_size(1))[0] == answer
+        assert self._run(lubm_scale1, text, _eager) == (answer, 0)
+
+    def test_a_smaller_block_sends_more_requests(self, lubm_scale1):
+        text = queries_lubm.queries()["L10"]
+        __, planned = self._run(lubm_scale1, text)
+        __, forced = self._run(lubm_scale1, text, block_size(1))
+        assert forced > planned
+
+
 class TestOptionalGroups:
     def test_optional_left_join(self, federation):
         text = UB_PREFIX + (
@@ -151,9 +233,11 @@ class TestOptionalGroups:
             "SELECT ?y ?u ?n WHERE { ?x ub:advisor ?y . ?y ub:doctoralDegreeFrom ?u "
             "OPTIONAL { ?u ub:name ?n } }"
         )
-        plan = LusailEngine(federation).execute(text).plan.branch_plans[0].decomposition
-        optional_subqueries = [sq for sq in plan.subqueries if sq.optional_group is not None]
-        assert optional_subqueries and all(sq.delayed for sq in optional_subqueries)
+        branch = LusailEngine(federation).execute(text).plan.branch_plans[0]
+        optional_ids = {
+            sq.id for sq in branch.decomposition.subqueries if sq.optional_group is not None
+        }
+        assert optional_ids and optional_ids <= branch.delays.delayed_ids
 
     def test_optional_with_filter(self, federation):
         text = UB_PREFIX + (

@@ -1,7 +1,6 @@
 """Tests for the concurrent serving layer (:mod:`repro.serve`)."""
 
 from collections import Counter
-from unittest import mock
 
 from repro.core.engine import LusailEngine
 from repro.datasets import lubm, queries_lubm
@@ -21,6 +20,7 @@ from tests.conftest import (
     oracle_rows,
     serial_runs,
 )
+from tests.plan_forcing import ForcedPlanEngine, block_size, serving_engines
 
 UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 
@@ -330,19 +330,18 @@ class TestBoundPlanCacheHits:
 
     def test_the_span_counts_its_blocks_hits(self):
         federation = lubm.build_federation(4, lubm.BENCH_PROFILE, seed=1)
-        engine = LusailEngine(federation)
+        engine = ForcedPlanEngine(federation, force=block_size(self.BLOCK))
         text = queries_lubm.queries()["L10"]
         readings = []
-        with mock.patch("repro.core.execution.scheduler.MAX_BLOCK", self.BLOCK):
-            for __ in range(2):
-                engine.tracer = Tracer(enabled=True)
-                before = self._bound_hits(engine.registry)
-                engine.execute(text)
-                (bound,) = engine.tracer.roots[0].find("bound_subquery")
-                assert len(bound.find("bound_block")) == 3
-                readings.append(
-                    (bound.attrs["plan_cache_hits"], self._bound_hits(engine.registry) - before)
-                )
+        for __ in range(2):
+            engine.tracer = Tracer(enabled=True)
+            before = self._bound_hits(engine.registry)
+            engine.execute(text)
+            (bound,) = engine.tracer.roots[0].find("bound_subquery")
+            assert len(bound.find("bound_block")) == 3
+            readings.append(
+                (bound.attrs["plan_cache_hits"], self._bound_hits(engine.registry) - before)
+            )
         # The first run compiles the skeleton once; the second reuses it.
         assert readings == [(2, 2), (3, 3)]
 
@@ -351,9 +350,10 @@ class TestBoundPlanCacheHits:
         queries = queries_lubm.queries()
         server = QueryServer(federation)
         engines = []
+        forced = serving_engines(server, block_size(self.BLOCK))
 
         def traced():
-            engine = server._default_engine()
+            engine = forced()
             engine.tracer = Tracer(enabled=True)
             engines.append(engine)
             return engine
@@ -362,8 +362,7 @@ class TestBoundPlanCacheHits:
         arrivals = _requests(
             [(0.0, f"tenant{index % 4}", name, queries[name]) for index, name in enumerate(sorted(queries))]
         )
-        with mock.patch("repro.core.execution.scheduler.MAX_BLOCK", self.BLOCK):
-            records = server.run(arrivals)
+        records = server.run(arrivals)
         assert all(record.ok for record in records)
         spans = [
             span
