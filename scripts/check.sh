@@ -15,7 +15,7 @@
 #    scale through the same code path as the benchmark, every answer
 #    checked against the union-store oracle (benchmarks/ledger/test_smoke.py;
 #    wall-clock numbers live on the ledger, see benchmarks/ledger/README.md)
-#    — then five full-scale ledger runs, the commands the benchmark
+#    — then six full-scale ledger runs, the commands the benchmark
 #    driver itself executes (~25 s each; exit 1 on a wrong answer, on a
 #    deterministic number that differs between rounds, or on a trace that
 #    does not cover the round): lubm_local traced, lubm_crossing
@@ -23,11 +23,15 @@
 #    made on — an earlier claim on it ended `run_failed` at the driver),
 #    largerdf_cold untraced, the only full-scale workload that runs
 #    numeric FILTERs (the number-column kernel) and probe-only star plans
-#    (the memoised probe's batch pass), and serve_churn untraced, the
-#    only one where one endpoint response feeds several queries'
-#    relations (the serving layer's attached views, kept untranslated in
-#    each relation until something reads its ids); below them only the
-#    tiny-scale smoke reaches these paths.
+#    (the memoised probe's batch pass), and serve_churn untraced and
+#    traced, the only one where one endpoint response feeds several
+#    queries' relations (the serving layer's attached views, kept
+#    untranslated in each relation until something reads its ids); below
+#    them only the tiny-scale smoke reaches these paths.
+#    serve_churn reuses its serving threads across queries (the thread
+#    holding the turn runs the next admitted query itself), so a span or
+#    kernel runtime left on a thread by one query would show only as a
+#    root gap or as changed counters on its traced run at full scale.
 #    The traced lubm_crossing run is the only gate that sees a collector
 #    pass pushed outside the root span: the answer edge pauses the
 #    collector (docs/architecture.md, "Collector"), and a pause that let
@@ -63,12 +67,13 @@ python -m pytest -x -q
 echo "== ledger: smoke =="
 python -m pytest benchmarks/ledger -q
 
-echo "== ledger: full-scale runs (lubm_local traced, lubm_crossing untraced + traced, largerdf_cold and serve_churn untraced) =="
+echo "== ledger: full-scale runs (lubm_local traced, lubm_crossing untraced + traced, largerdf_cold untraced, serve_churn untraced + traced) =="
 python3 benchmarks/ledger/run.py --workload lubm_local --seed 1 --seconds 10 --trace 1
 python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 0
 python3 benchmarks/ledger/run.py --workload lubm_crossing --seed 1 --seconds 10 --trace 1
 python3 benchmarks/ledger/run.py --workload largerdf_cold --seed 1 --seconds 10 --trace 0
 python3 benchmarks/ledger/run.py --workload serve_churn --seed 1 --seconds 10 --trace 0
+python3 benchmarks/ledger/run.py --workload serve_churn --seed 1 --seconds 10 --trace 1
 
 echo "== figures and delay regret equal results: benchmarks vs committed benchmarks/results =="
 committed=$(mktemp -d)

@@ -116,7 +116,7 @@ class KernelRuntime:
 
 class _RuntimeStack(threading.local):
     """The installed runtimes, one stack per thread: a ``QueryServer``
-    runs each query on its own worker, and workers interleave."""
+    runs queries on several threads, which interleave."""
 
     def __init__(self) -> None:
         self.runtimes: list[KernelRuntime] = [KernelRuntime()]

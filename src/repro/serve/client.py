@@ -2,10 +2,12 @@
 
 :class:`ServingNetwork` is a :class:`~repro.net.simulator.VirtualNetwork`
 whose booking state is the *server's* shared :class:`~repro.net.LaneBook`
-and whose request path is gated by the server's cooperative scheduler:
-before booking lane time, the issuing worker parks and waits for its
-turn, which the scheduler grants strictly in global virtual-time order.
-That single rule is what makes N concurrent queries deterministic — the
+and whose request path is gated by the server's turn: before booking
+lane time, the issuing thread takes a scheduler step
+(:meth:`~repro.serve.server.QueryServer.gate`), which grants bookings
+strictly in global virtual-time order — it books at once when the grant
+is its own, and otherwise parks until another thread grants it.  That
+single rule is what makes N concurrent queries deterministic — the
 interleaving of lane reservations depends only on virtual timestamps
 (ties broken by admission order), never on OS thread scheduling.
 

@@ -1,14 +1,14 @@
 """Admission-controlled cooperative serving of concurrent queries.
 
 :class:`QueryServer` multiplexes N in-flight federated queries over one
-shared :class:`~repro.net.LaneBook` in virtual time.  Each admitted
-query runs on its own worker thread, but **exactly one thread is ever
-runnable**: workers park at every network request (the gate in
-:class:`~repro.serve.client.ServingNetwork`) and the scheduler resumes
-the worker whose next request has the smallest global ready time (ties
-broken by admission order).  The thread handoff is a pair of events per
-ticket — a baton, not a lock — so the interleaving is a pure function of
-virtual timestamps and the execution is deterministic and replayable.
+shared :class:`~repro.net.LaneBook` in virtual time.  Queries run on
+pooled threads, but **exactly one thread holds the turn**, and it runs
+the scheduler itself: at a gate (:class:`~repro.serve.client.ServingNetwork`)
+it grants the parked request with the smallest global ready time (ties
+by admission order) — going on if that is its own, else waking exactly
+the granted thread, or one for a query it admits — and a thread whose
+query finished runs the next admitted one.  Decisions read only virtual
+timestamps and admission order: the execution is deterministic.
 
 Three sharing layers, always on, cut the work a concurrent mix needs:
 
@@ -108,13 +108,30 @@ class ServedQuery:
         return self.status == "ok"
 
 
+class _Cancelled(BaseException):
+    """Raised out of a parked query's gate once its replay failed."""
+
+
+class _Worker:
+    """A serving thread: the lock it parks on, the query it runs, and its
+    pooled thread (None for the thread in :meth:`QueryServer.run`)."""
+
+    __slots__ = ("baton", "ticket", "thread")
+
+    def __init__(self):
+        self.baton = threading.Lock()
+        self.baton.acquire()  # held while the thread waits for the turn
+        self.ticket: _Ticket | None = None
+        self.thread: threading.Thread | None = None
+
+
 class _Ticket:
-    """One admitted (or queued) query execution and its scheduler baton."""
+    """One admitted (or queued) query execution."""
 
     __slots__ = (
         "seq", "request", "query", "key", "projected",
-        "admitted_ms", "ready_ms", "blocked", "done", "turn_held",
-        "go", "back", "thread", "outcome", "error", "waiters",
+        "admitted_ms", "ready_ms", "blocked", "cancelled", "turn_held",
+        "worker", "outcome", "waiters",
     )
 
     def __init__(self, seq: int, request: QueryRequest, query, key, projected):
@@ -126,15 +143,12 @@ class _Ticket:
         self.admitted_ms = 0.0
         self.ready_ms = 0.0
         self.blocked = False
-        self.done = False
+        self.cancelled = False
         #: Set when the holder acquired its scheduling turn ahead of the
         #: network booking (the subquery-MQO producer path).
         self.turn_held = False
-        self.go = threading.Event()
-        self.back = threading.Event()
-        self.thread: threading.Thread | None = None
+        self.worker: _Worker | None = None
         self.outcome = None
-        self.error: BaseException | None = None
         #: Arrivals attached to this execution (whole-query MQO).
         self.waiters: list[tuple[int, QueryRequest]] = []
 
@@ -186,6 +200,14 @@ class QueryServer:
         self._rr = 0
         self._pending: dict[tuple, _Ticket] = {}
         self._records: list[ServedQuery] = []
+        #: The replay in flight, sorted, and its next arrival's index.
+        self._arrivals: list[QueryRequest] = []
+        self._index = 0
+        #: The admission rotation under way; None at its fixpoint.
+        self._admitting = None
+        self._host = _Worker()
+        self._idle: list[_Worker] = []
+        self._failure: BaseException | None = None
         self.mqo_subquery_hits = 0
 
     # -------------------------------------------------------- construction
@@ -216,13 +238,23 @@ class QueryServer:
     # ---------------------------------------------- scheduler-facing hooks
 
     def gate(self, ticket: _Ticket, ready_ms: float) -> None:
-        """Worker-side: park until the scheduler grants this request."""
+        """Worker-side, holding the turn: step the scheduler until it
+        grants this request, parking while other threads hold the turn;
+        raise :class:`_Cancelled` once the replay failed."""
         ticket.ready_ms = ready_ms
         ticket.blocked = True
-        ticket.back.set()
-        ticket.go.wait()
-        ticket.go.clear()
+        try:
+            if not ticket.cancelled:
+                granted = self._next()
+                if granted is not ticket:
+                    self._pass(granted, ticket.worker)
+                    ticket.worker.baton.acquire()
+        except BaseException as exc:  # a step failed here; run() re-raises it
+            self._failure = exc
+            ticket.cancelled = True
         ticket.blocked = False
+        if ticket.cancelled:
+            raise _Cancelled
 
     def subquery_key(self, query: SelectQuery) -> tuple[tuple, tuple]:
         """``(key, names)`` of a shipped SELECT, memoised per query.
@@ -322,17 +354,63 @@ class QueryServer:
         Arrivals are processed open-loop in timestamp order (ties by
         position).  The call is synchronous and deterministic: the same
         request list against the same federation yields byte-identical
-        records.
+        records.  If a query or a scheduler step raises, the other queries
+        are unwound and dropped and the exception is raised here.
 
         A server can serve several replays in sequence (state — caches,
         the global clock, cost estimates — carries over); each call
         returns only its own records.
         """
         self._records = []
-        arrivals = sorted(enumerate(requests), key=lambda pair: (pair[1].at_ms, pair[0]))
-        index, total = 0, len(arrivals)
+        order = sorted(enumerate(requests), key=lambda pair: (pair[1].at_ms, pair[0]))
+        self._arrivals = [request for __, request in order]
+        self._index = 0
+        host = self._host
+        try:
+            upcoming = self._next()
+        except BaseException as exc:
+            self._failure, upcoming = exc, None
+        if upcoming is not None:
+            # This thread runs queries too, and is back once all are done.
+            self._idle.append(host)
+            self._pass(upcoming, host)
+            self._work(host)
+        failure = self._failure
+        if failure is not None:
+            # Unwind each parked query: its gate raises, its thread returns.
+            for ticket in list(self._inflight.values()):
+                if ticket.worker is not None and not ticket.cancelled:
+                    ticket.cancelled = True
+                    self._pass(ticket, host)
+                    host.baton.acquire()
+            for queue in self._queues.values():
+                queue.clear()
+            self._inflight, self._pending, self._draining = {}, {}, []
+            self._admitting = self._failure = None
+        for worker in self._idle:
+            worker.baton.release()
+            worker.thread.join()
+        self._idle = []
+        if failure is not None:
+            raise failure
+        if self._inflight or any(self._queues.values()):
+            raise RuntimeError("serving scheduler stalled with work outstanding")
+        self._records.sort(key=lambda record: record.seq)
+        return self._records
+
+    def _next(self) -> _Ticket | None:
+        """The ticket to run next — just admitted (no thread yet) or the
+        granted parked request — or None once the replay is served."""
+        arrivals = self._arrivals
         while True:
-            t_arrival = arrivals[index][1].at_ms if index < total else _INF
+            if self._admitting is not None:
+                ticket = next(self._admitting, None)
+                if ticket is not None:
+                    self._start(ticket)
+                    return ticket
+                self._admitting = None
+            index = self._index
+            t_arrival = arrivals[index].at_ms if index < len(arrivals) else _INF
             t_release = self._draining[0][0] if self._draining else _INF
             granted = None
             t_grant = _INF
@@ -347,25 +425,72 @@ class QueryServer:
                 release, __, __tenant = heapq.heappop(self._draining)
                 self.clock = max(self.clock, release)
             elif t_arrival <= t_grant:
-                if index >= total:
+                if index >= len(arrivals):
                     if not any(self._queues.values()):
-                        break
+                        return None
                     # Everything idle but work queued: only reachable if
                     # admission is stuck, which the quota invariants rule
                     # out — fail loudly rather than spin.
                     raise RuntimeError("serving scheduler stalled with queued work")
-                __, request = arrivals[index]
-                index += 1
+                request = arrivals[index]
+                self._index = index + 1
                 self.clock = max(self.clock, request.at_ms)
                 self._on_arrival(request)
             else:
+                # A grant changes no admission input: no rotation after it.
                 self.clock = max(self.clock, t_grant)
-                self._resume(granted)
-            self._admit()
-        if self._inflight or any(self._queues.values()):
-            raise RuntimeError("serving scheduler stalled with work outstanding")
-        self._records.sort(key=lambda record: record.seq)
-        return self._records
+                return granted
+            self._admitting = self._admit()
+
+    # ------------------------------------------------------------ the turn
+
+    def _pass(self, ticket: _Ticket | None, me: _Worker) -> None:
+        """Give the turn to ``ticket``'s thread (None: :meth:`run`'s); a
+        query just admitted takes the thread idled last, or a new one."""
+        worker = self._host if ticket is None else ticket.worker
+        if worker is None:
+            if self._idle:
+                worker = self._idle.pop()
+            else:
+                worker = _Worker()
+                worker.thread = threading.Thread(target=self._work, args=(worker,), daemon=True)
+                worker.thread.start()
+                self.registry.inc("serve_worker_threads_started_total")
+            ticket.worker, worker.ticket = worker, ticket
+        if worker is not me:
+            self.registry.inc("serve_turn_handoffs_total")
+        worker.baton.release()
+
+    def _work(self, me: _Worker) -> None:
+        """Park until handed the turn, run the query, finalize it, step
+        the scheduler; return when woken without a query."""
+        host = self._host
+        while True:
+            me.baton.acquire()
+            ticket, upcoming = me.ticket, None
+            if ticket is None:
+                return
+            try:
+                self._execute(ticket)
+                self._finalize(ticket)
+                if self._admitting is None:
+                    self._admitting = self._admit()
+                upcoming = self._next()
+            except BaseException as exc:  # a query or a step failed; run() re-raises it
+                ticket.cancelled = True  # not parked: nothing to unwind
+                if self._failure is None:
+                    self._failure = exc
+            me.ticket = None
+            if upcoming is None:
+                if me is host:
+                    return
+                # Served or failed: the turn goes back to run().
+                if host.ticket is not None:
+                    host.ticket.cancelled = True
+                elif host in self._idle:
+                    self._idle.remove(host)
+            self._idle.append(me)
+            self._pass(upcoming, me)
 
     # ----------------------------------------------------------- arrivals
 
@@ -375,21 +500,9 @@ class QueryServer:
         query, key, projected, __ = self._query_info(request.text)
         entry = self.result_cache.lookup(key, self.federation)
         if entry is not None:
+            result = shared_result(projected, entry.rows)
             finish = request.at_ms + CACHE_HIT_MS
-            self._record(
-                ServedQuery(
-                    seq=seq,
-                    name=request.name,
-                    tenant=request.tenant,
-                    path="cache",
-                    status="ok",
-                    arrival_ms=request.at_ms,
-                    start_ms=request.at_ms,
-                    finish_ms=finish,
-                    result_rows=len(entry.rows),
-                    result=shared_result(projected, entry.rows),
-                )
-            )
+            self._record(seq, request, "cache", request.at_ms, finish, result)
             return
         producer = self._pending.get(key)
         if producer is not None:
@@ -426,8 +539,10 @@ class QueryServer:
         draining = sum(1 for __, __seq, name in self._draining if name == tenant)
         return executing + draining
 
-    def _admit(self) -> None:
-        """Deficit-round-robin admission across tenant queues."""
+    def _admit(self):
+        """Deficit-round-robin admission across tenant queues: yields
+        each ticket to start.  A started query runs to its first gate
+        before the rotation resumes where it stopped."""
         tenants = sorted(self._queues)
         count = len(tenants)
         if count == 0:
@@ -462,7 +577,7 @@ class QueryServer:
                 ):
                     ticket = queue.popleft()
                     self._deficit[tenant] -= self._cost(ticket.request.name)
-                    self._start(ticket)
+                    yield ticket
                 if not queue:
                     # Classic DRR: an emptied queue forfeits its deficit.
                     self._deficit[tenant] = 0.0
@@ -477,49 +592,26 @@ class QueryServer:
             ticket.admitted_ms - ticket.request.at_ms,
             tenant=ticket.request.tenant,
         )
-        ticket.thread = threading.Thread(
-            target=self._worker, args=(ticket,), name=f"serve-q{ticket.seq}", daemon=True
+
+    def _execute(self, ticket: _Ticket) -> None:
+        engine = self.engine_factory()
+        # Engine clocks run on the global serving timeline, so a
+        # per-query virtual budget would misfire for late arrivals.
+        engine.timeout_ms = None
+        engine.fault_plan = self.fault_plan
+        engine.resilience = self.resilience
+        engine.registry = self.registry
+        engine.client_factory = lambda **kwargs: ServingClient(
+            server=self, ticket=ticket, **kwargs
         )
-        ticket.back.clear()
-        ticket.thread.start()
-        ticket.back.wait()
-        if ticket.done:
-            self._finalize(ticket)
+        ticket.outcome = engine.execute(ticket.query)
 
-    def _worker(self, ticket: _Ticket) -> None:
-        try:
-            engine = self.engine_factory()
-            # Engine clocks run on the global serving timeline, so a
-            # per-query virtual budget would misfire for late arrivals.
-            engine.timeout_ms = None
-            engine.fault_plan = self.fault_plan
-            engine.resilience = self.resilience
-            engine.registry = self.registry
-            engine.client_factory = lambda **kwargs: ServingClient(
-                server=self, ticket=ticket, **kwargs
-            )
-            ticket.outcome = engine.execute(ticket.query)
-        except BaseException as exc:  # surfaced on the scheduler thread
-            ticket.error = exc
-        finally:
-            ticket.done = True
-            ticket.back.set()
-
-    # --------------------------------------------------------- resumption
-
-    def _resume(self, ticket: _Ticket) -> None:
-        ticket.back.clear()
-        ticket.go.set()
-        ticket.back.wait()
-        if ticket.done:
-            self._finalize(ticket)
+    # --------------------------------------------------------- completion
 
     def _finalize(self, ticket: _Ticket) -> None:
         del self._inflight[ticket.seq]
         if self._pending.get(ticket.key) is ticket:
             del self._pending[ticket.key]
-        if ticket.error is not None:
-            raise ticket.error
         outcome = ticket.outcome
         request = ticket.request
         finish = max(ticket.admitted_ms, outcome.metrics.virtual_ms)
@@ -533,58 +625,35 @@ class QueryServer:
                 self.federation,
                 patterns=self._query_info(request.text)[3],
             )
-        record = ServedQuery(
-            seq=ticket.seq,
-            name=request.name,
-            tenant=request.tenant,
-            path="executed",
-            status=outcome.status,
-            arrival_ms=request.at_ms,
-            start_ms=ticket.admitted_ms,
-            finish_ms=finish,
-            result_rows=len(outcome.result),
-            requests=outcome.metrics.request_count(),
-            result=outcome.result,
-            error=outcome.error,
+        self._record(
+            ticket.seq, request, "executed", ticket.admitted_ms, finish, outcome.result,
+            status=outcome.status, requests=outcome.metrics.request_count(), error=outcome.error,
         )
-        self._record(record)
         for waiter_seq, waiter in ticket.waiters:
             # Rows are positional in the canonical projection: the waiter
             # sees them under its own variable names.
-            waiter_projected = self._query_info(waiter.text)[2]
-            waiter_finish = max(finish, waiter.at_ms) + CACHE_HIT_MS
+            result = outcome.result.view(self._query_info(waiter.text)[2])
+            finish_waiter = max(finish, waiter.at_ms) + CACHE_HIT_MS
             self._record(
-                ServedQuery(
-                    seq=waiter_seq,
-                    name=waiter.name,
-                    tenant=waiter.tenant,
-                    path="attach",
-                    status=outcome.status,
-                    arrival_ms=waiter.at_ms,
-                    start_ms=waiter.at_ms,
-                    finish_ms=waiter_finish,
-                    result_rows=len(outcome.result),
-                    result=outcome.result.view(waiter_projected),
-                    error=outcome.error,
-                )
+                waiter_seq, waiter, "attach", waiter.at_ms, finish_waiter, result,
+                status=outcome.status, error=outcome.error,
             )
         if finish > self.clock:
             # The admission slot stays occupied until the query's virtual
             # completion, not the scheduler's (earlier) last event.
             heapq.heappush(self._draining, (finish, ticket.seq, request.tenant))
 
-    def _record(self, record: ServedQuery) -> None:
+    def _record(
+        self, seq: int, request: QueryRequest, path: str, start_ms: float, finish_ms: float,
+        result: SelectResult, status: str = "ok", requests: int = 0, error: str | None = None,
+    ) -> None:
+        record = ServedQuery(
+            seq, request.name, request.tenant, path, status, request.at_ms,
+            start_ms, finish_ms, len(result), requests, result, error,
+        )
         self._records.append(record)
-        registry = self.registry
-        registry.inc(
-            "serve_queries_total",
-            tenant=record.tenant,
-            path=record.path,
-            status=record.status,
-        )
-        registry.observe(
-            "serve_latency_virtual_ms", record.latency_ms, tenant=record.tenant
-        )
+        self.registry.inc("serve_queries_total", tenant=request.tenant, path=path, status=status)
+        self.registry.observe("serve_latency_virtual_ms", record.latency_ms, tenant=request.tenant)
         if self.tracer.enabled:
             with self.tracer.span(
                 "serve.query",

@@ -1,13 +1,19 @@
 """Tests for the concurrent serving layer (:mod:`repro.serve`)."""
 
+import sys
+import threading
 from collections import Counter
+
+import pytest
 
 from repro.core.engine import LusailEngine
 from repro.datasets import lubm, queries_lubm
+from repro.exceptions import UnsupportedQueryError
 from repro.harness.traffic import TrafficConfig, generate_arrivals
 from repro.net import metrics as metrics_module
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import Triple, UB
+from repro.relational.kernels import _RUNTIME_STACK
 from repro.serve import QueryRequest, QueryServer, ResultCache
 from repro.serve.server import MAX_INFLIGHT, PER_TENANT_INFLIGHT
 
@@ -151,6 +157,9 @@ class TestServing:
         cache = server.result_cache
         assert (cache.hits, cache.misses, cache.invalidations, len(cache)) == (580, 20, 0, 14)
         assert server.mqo_subquery_hits == 3
+        # 14 executions on the calling thread and three pooled ones; the
+        # turn changes threads 12 times.
+        assert _handoff_counters(server.registry) == (3, 12)
 
     def test_workers_keep_their_own_kernel_runtime(self):
         # Every query runs on its own worker thread and parks at the gate
@@ -374,3 +383,271 @@ class TestBoundPlanCacheHits:
         span_hits = sum(span.attrs["plan_cache_hits"] for span in spans)
         # Each bound hit is counted on exactly one span.
         assert span_hits == self._bound_hits(server.registry) > 0
+
+
+#: The turn hand-off counters, which the recorded snapshot predates.
+HANDOFF_COUNTERS = ("serve_worker_threads_started_total", "serve_turn_handoffs_total")
+
+
+def _handoff_counters(registry) -> tuple[int, int]:
+    """``(threads started, turn hand-offs)`` a server recorded."""
+    return tuple(int(registry.counter_value(name)) for name in HANDOFF_COUNTERS)
+
+
+def _counter_lines(registry) -> list[str]:
+    """Every counter series of ``registry``, one ``name{labels} value``
+    line each, sorted."""
+    return [
+        f"{name}{{{','.join(f'{label}={value}' for label, value in labels)}}} {total!r}"
+        for (name, labels), total in sorted(registry._counters.items())
+    ]
+
+
+class TestInterleavingPin:
+    """A t=0 burst past the admission slots, with twins and a late
+    repeat, replays to the exact records and counters recorded when the
+    server still ran a scheduler thread beside its workers.  The burst
+    grants the turn to other tickets, admits queries while the turn
+    holder is parked mid-query, attaches twins, feeds subqueries across
+    queries and hits the result cache: a change to how the turn passes
+    between threads must leave all of it byte-identical."""
+
+    @staticmethod
+    def _burst() -> list[QueryRequest]:
+        queries = dict(queries_lubm.queries())
+        queries.update(lubm.queries())
+        names = sorted(queries)[:12]
+        assert len(names) > MAX_INFLIGHT
+        return _requests(
+            [(0.0, f"t{index % 3}", name, queries[name]) for index, name in enumerate(names)]
+            + [(0.0, "t1", name, queries[name]) for name in names[:3]]
+            + [(5.0, "t2", name, queries[name]) for name in names[3:5]]
+            + [(100.0, "t0", names[0], queries[names[0]])]
+        )
+
+    def test_burst_replays_to_the_recorded_interleaving(self):
+        # A fresh federation: the endpoints' plan and member-set memos
+        # feed counters, so a shared fixture would pin test order.
+        federation = lubm.build_federation(universities=2, seed=7)
+        registry = MetricsRegistry()
+        server = QueryServer(federation, registry=registry)
+        records = server.run(self._burst())
+        assert _signature(records) == BURST_SIGNATURE
+        lines = _counter_lines(registry)
+        assert [line for line in lines if not line.startswith(HANDOFF_COUNTERS)] == BURST_COUNTERS
+        assert server.mqo_subquery_hits == 2
+        # Eight queries are admitted at t=0, each parked at its first
+        # gate: the calling thread runs one, seven pooled threads the
+        # rest.  A scheduler thread made 50 round trips here (38 gates,
+        # 12 starts); the turn now changes threads 32 times.
+        assert _handoff_counters(registry) == (7, 32)
+
+    def test_burst_holds_under_preemptive_thread_switching(self):
+        """The pooled threads share the server's state under the turn
+        alone: with the interpreter switching threads every microsecond,
+        a step taken outside the turn would lose an update or reorder the
+        replay."""
+        federation = lubm.build_federation(universities=2, seed=7)
+        server = QueryServer(federation)
+        served = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            replay = threading.Thread(target=lambda: served.extend(server.run(self._burst())))
+            replay.start()
+            replay.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not replay.is_alive()
+        assert _signature(served) == BURST_SIGNATURE
+        assert _handoff_counters(server.registry) == (7, 32)
+
+
+class TestTurnPassing:
+    """Pooled serving threads: none outlives ``run``, a reused thread
+    starts each query with a clean kernel runtime, and a failure unwinds
+    every other in-flight query before it reaches the caller."""
+
+    @staticmethod
+    def _federation():
+        return lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=42)
+
+    @staticmethod
+    def _distinct(count: int) -> list[QueryRequest]:
+        queries = queries_lubm.queries()
+        names = sorted(queries)[:count]
+        return _requests(
+            [(0.0, f"t{index % 2}", name, queries[name]) for index, name in enumerate(names)]
+        )
+
+    @staticmethod
+    def _assert_drained(server) -> None:
+        assert server._inflight == {} and server._pending == {} and server._draining == []
+        assert not any(server._queues.values())
+        assert len(_RUNTIME_STACK.runtimes) == 1
+
+    def test_threads_are_reused_and_none_outlives_run(self):
+        server = QueryServer(self._federation())
+        untouched = server.engine_factory
+        runs = []
+
+        def recording():
+            engine = untouched()
+            execute = engine.execute
+
+            def recorded(query, *args, **kwargs):
+                runs.append((threading.get_ident(), len(_RUNTIME_STACK.runtimes)))
+                return execute(query, *args, **kwargs)
+
+            engine.execute = recorded
+            return engine
+
+        server.engine_factory = recording
+        before = threading.active_count()
+        records = server.run(self._distinct(12))
+        assert threading.active_count() == before
+        assert all(record.ok for record in records) and len(runs) == 12
+        per_thread = Counter(ident for ident, __ in runs)
+        pooled = [ident for ident in per_thread if ident != threading.get_ident()]
+        assert max(per_thread[ident] for ident in pooled) > 1
+        assert {depth for __, depth in runs} == {1}
+        threads, __ = _handoff_counters(server.registry)
+        assert threads == len(pooled) < len(runs)
+
+    def test_a_failing_query_unwinds_its_peers(self):
+        server = QueryServer(self._federation())
+        untouched = server.engine_factory
+        failure = RuntimeError("the third engine fails")
+        built = []
+
+        def third_fails():
+            built.append(True)
+            if len(built) == 3:
+                raise failure
+            return untouched()
+
+        server.engine_factory = third_fails
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            server.run(self._distinct(6))
+        assert raised.value is failure
+        assert threading.active_count() == before
+        self._assert_drained(server)
+        # The first two queries were parked mid-query, not finished.
+        assert server.registry.counter_value("serve_queries_total") == 0
+        server.engine_factory = untouched
+        (again,) = server.run(self._distinct(1))
+        assert again.ok and again.path == "executed"
+
+    def test_a_failing_step_on_a_worker_unwinds_every_query(self):
+        server = QueryServer(self._federation())
+        ask = UB_PREFIX + "ASK { ?x ub:advisor ?y }"
+        arrivals = self._distinct(3) + _requests([(1.0, "t0", "ask", ask)])
+        before = threading.active_count()
+        # The ASK arrives while the queries are in flight: the thread
+        # holding the turn at a gate refuses it.
+        with pytest.raises(UnsupportedQueryError):
+            server.run(arrivals)
+        assert threading.active_count() == before
+        self._assert_drained(server)
+        assert len(server.run(self._distinct(2))) == 2
+
+
+# Recorded from the scheduler-thread server (one worker per query, the
+# scheduler resuming each at every gate) on a fresh two-university LUBM
+# federation (seed 7).
+BURST_SIGNATURE = [
+    (0, 'L1', 't0', 'executed', 'ok', 0.0, 0.0, 29.183470000000003, 3, 4),
+    (1, 'L10', 't1', 'executed', 'ok', 0.0, 0.0, 30.875412, 22, 3),
+    (2, 'L11', 't2', 'executed', 'ok', 0.0, 0.0, 32.200621999999996, 3, 3),
+    (3, 'L12', 't0', 'executed', 'ok', 0.0, 0.0, 33.55191799999999, 3, 2),
+    (4, 'L13', 't1', 'executed', 'ok', 0.0, 0.0, 22.02756, 30, 3),
+    (5, 'L14', 't2', 'executed', 'ok', 0.0, 0.0, 23.89036, 72, 3),
+    (6, 'L2', 't0', 'executed', 'ok', 0.0, 0.0, 38.301992, 38, 7),
+    (7, 'L3', 't1', 'executed', 'ok', 0.0, 0.0, 39.621542, 1, 5),
+    (8, 'L4', 't2', 'executed', 'ok', 0.0, 23.89036, 42.341176000000004, 4, 2),
+    (9, 'L5', 't0', 'executed', 'ok', 0.0, 22.02756, 22.02756, 22, 0),
+    (10, 'L6', 't1', 'executed', 'ok', 0.0, 22.02756, 35.31776, 60, 2),
+    (11, 'L7', 't2', 'executed', 'ok', 0.0, 29.183470000000003, 43.742776, 6, 2),
+    (12, 'L1', 't1', 'attach', 'ok', 0.0, 0.0, 29.383470000000003, 3, 0),
+    (13, 'L10', 't1', 'attach', 'ok', 0.0, 0.0, 31.075412, 22, 0),
+    (14, 'L11', 't1', 'attach', 'ok', 0.0, 0.0, 32.400622, 3, 0),
+    (15, 'L12', 't2', 'attach', 'ok', 5.0, 5.0, 33.751917999999996, 3, 0),
+    (16, 'L13', 't2', 'attach', 'ok', 5.0, 5.0, 22.22756, 30, 0),
+    (17, 'L1', 't0', 'cache', 'ok', 100.0, 100.0, 100.2, 3, 0),
+]
+BURST_COUNTERS = [
+    "bound_bindings_routed_out_total{endpoint=university1,engine=Lusail} 42.0",
+    "bound_join_blocks_total{engine=Lusail} 7.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=ask} 200.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=bound} 9609.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=check} 677.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=select} 15253.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=stats} 212608.0",
+    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=ask} 200.0",
+    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=check} 677.0",
+    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=select} 10884.0",
+    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=stats} 26576.0",
+    "check_queries_total{engine=Lusail} 4.0",
+    "delayed_subqueries_total{engine=Lusail} 7.0",
+    "lane_busy_virtual_ms_total{endpoint=university0,engine=Lusail} 43.736776",
+    "lane_busy_virtual_ms_total{endpoint=university1,engine=Lusail} 12.491696",
+    "mediator_join_rows_total{engine=Lusail} 42.0",
+    "mediator_kernel_build_rows_total{engine=Lusail} 39.0",
+    "mediator_kernel_fast_dispatches_total{engine=Lusail} 7.0",
+    "mediator_kernel_probe_rows_total{engine=Lusail} 45.0",
+    "mediator_kernel_rows_emitted_total{engine=Lusail} 42.0",
+    "member_set_ids_total{endpoint=university0,engine=Lusail,kind=bound} 51.0",
+    "member_set_ids_total{endpoint=university0,engine=Lusail,kind=select} 58.0",
+    "member_set_ids_total{endpoint=university1,engine=Lusail,kind=select} 60.0",
+    "member_sets_built_total{endpoint=university0,engine=Lusail,kind=bound} 3.0",
+    "member_sets_built_total{endpoint=university0,engine=Lusail,kind=select} 2.0",
+    "member_sets_built_total{endpoint=university1,engine=Lusail,kind=select} 3.0",
+    "metadata_requests_total{engine=Lusail,kind=ask} 2.0",
+    "metadata_requests_total{engine=Lusail,kind=check} 4.0",
+    "metadata_requests_total{engine=Lusail,kind=stats} 9.0",
+    "plan_cache_misses_total{endpoint=university0,engine=Lusail,kind=bound} 7.0",
+    "plan_cache_misses_total{endpoint=university0,engine=Lusail,kind=check} 2.0",
+    "plan_cache_misses_total{endpoint=university0,engine=Lusail,kind=select} 10.0",
+    "plan_cache_misses_total{endpoint=university1,engine=Lusail,kind=check} 2.0",
+    "plan_cache_misses_total{endpoint=university1,engine=Lusail,kind=select} 4.0",
+    "probe_cache_hits_total{engine=Lusail,kind=stats} 15.0",
+    "probe_cache_misses_total{engine=Lusail,kind=ask} 2.0",
+    "probe_cache_misses_total{engine=Lusail,kind=check} 4.0",
+    "probe_cache_misses_total{engine=Lusail,kind=stats} 9.0",
+    "queries_total{engine=Lusail,status=ok} 12.0",
+    "requests_cached_total{endpoint=university0,engine=Lusail,kind=stats} 4.0",
+    "requests_cached_total{endpoint=university1,engine=Lusail,kind=stats} 11.0",
+    "requests_total{endpoint=university0,engine=Lusail,kind=ask} 1.0",
+    "requests_total{endpoint=university0,engine=Lusail,kind=bound} 7.0",
+    "requests_total{endpoint=university0,engine=Lusail,kind=check} 2.0",
+    "requests_total{endpoint=university0,engine=Lusail,kind=select} 10.0",
+    "requests_total{endpoint=university0,engine=Lusail,kind=stats} 8.0",
+    "requests_total{endpoint=university1,engine=Lusail,kind=ask} 1.0",
+    "requests_total{endpoint=university1,engine=Lusail,kind=check} 2.0",
+    "requests_total{endpoint=university1,engine=Lusail,kind=select} 4.0",
+    "requests_total{endpoint=university1,engine=Lusail,kind=stats} 1.0",
+    "rows_shipped_total{endpoint=university0,engine=Lusail,kind=ask} 1.0",
+    "rows_shipped_total{endpoint=university0,engine=Lusail,kind=bound} 42.0",
+    "rows_shipped_total{endpoint=university0,engine=Lusail,kind=check} 0.0",
+    "rows_shipped_total{endpoint=university0,engine=Lusail,kind=select} 143.0",
+    "rows_shipped_total{endpoint=university0,engine=Lusail,kind=stats} 176.0",
+    "rows_shipped_total{endpoint=university1,engine=Lusail,kind=ask} 1.0",
+    "rows_shipped_total{endpoint=university1,engine=Lusail,kind=check} 0.0",
+    "rows_shipped_total{endpoint=university1,engine=Lusail,kind=select} 96.0",
+    "rows_shipped_total{endpoint=university1,engine=Lusail,kind=stats} 22.0",
+    "serve_admitted_total{tenant=t0} 4.0",
+    "serve_admitted_total{tenant=t1} 4.0",
+    "serve_admitted_total{tenant=t2} 4.0",
+    "serve_mqo_query_attached_total{} 5.0",
+    "serve_mqo_subquery_hits_total{endpoint=university0,engine=Lusail} 2.0",
+    "serve_queries_total{path=attach,status=ok,tenant=t1} 3.0",
+    "serve_queries_total{path=attach,status=ok,tenant=t2} 2.0",
+    "serve_queries_total{path=cache,status=ok,tenant=t0} 1.0",
+    "serve_queries_total{path=executed,status=ok,tenant=t0} 4.0",
+    "serve_queries_total{path=executed,status=ok,tenant=t1} 4.0",
+    "serve_queries_total{path=executed,status=ok,tenant=t2} 4.0",
+    "serve_result_cache_hits_total{} 1.0",
+    "serve_result_cache_misses_total{} 17.0",
+    "subqueries_total{engine=Lusail} 19.0",
+]
