@@ -31,7 +31,6 @@ from repro.relational.relation import Relation
 
 @dataclass
 class FedXConfig:
-    block_size: int = DEFAULT_BLOCK_SIZE
     max_mediator_rows: int | None = 2_000_000
 
 
@@ -43,7 +42,7 @@ class FedXEngine(OperandEngine):
 
     @property
     def _block_size(self) -> int:
-        return self.config.block_size
+        return DEFAULT_BLOCK_SIZE
 
     def _join_operand(
         self,

@@ -37,13 +37,15 @@ from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
 
 
+#: SPLENDID ships bindings one at a time (no block trick).
+BIND_JOIN_BLOCK_SIZE = 1
+#: Estimated virtual cost units of one remote request, used by the
+#: hash-vs-bind decision.
+REQUEST_COST_UNITS = 40.0
+
+
 @dataclass
 class SplendidConfig:
-    #: SPLENDID ships bindings one at a time (no block trick).
-    bind_join_block_size: int = 1
-    #: Estimated virtual cost units of one remote request, used by the
-    #: hash-vs-bind decision.
-    request_cost_units: float = 40.0
     max_mediator_rows: int | None = 2_000_000
 
 
@@ -89,7 +91,7 @@ class SplendidEngine(OperandEngine):
 
     @property
     def _block_size(self) -> int:
-        return self.config.bind_join_block_size
+        return BIND_JOIN_BLOCK_SIZE
 
     def _join_operand(
         self,
@@ -121,9 +123,9 @@ class SplendidEngine(OperandEngine):
         """Hash-vs-bind decision from estimated shipped work."""
         bind_cost = (
             len(relation)
-            / max(1, self.config.bind_join_block_size)
-            * self.config.request_cost_units
+            / BIND_JOIN_BLOCK_SIZE
+            * REQUEST_COST_UNITS
             * max(1, len(operand.sources))
         )
-        hash_cost = estimate + self.config.request_cost_units * max(1, len(operand.sources))
+        hash_cost = estimate + REQUEST_COST_UNITS * max(1, len(operand.sources))
         return bind_cost < hash_cost

@@ -15,11 +15,12 @@ This is the paper's system (Fig 4) end to end:
    (Alg 3).
 
 Configuration flags expose the paper's ablations: decomposition mode,
-delay policy, Chauvenet on/off and delaying on/off.
+delay policy (``None`` turns delaying off) and Chauvenet on/off.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -47,6 +48,7 @@ from repro.net.simulator import MediatorCostModel, NetworkConfig
 from repro.planning.base_engine import DEFAULT_TIMEOUT_MS, FederatedEngine, parse_select
 from repro.planning.normalize import Branch, NormalizedQuery, normalize, partition_filters
 from repro.planning.source_selection import SourceSelection
+from repro.planning.stats import RouteCheck
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
@@ -65,10 +67,9 @@ class LusailConfig:
     decomposition: str = "lade"
     #: The paper's ``mu + sigma`` verdict, overridden where binding vs
     #: shipping clearly disagrees with it; ``MU_SIGMA`` is the paper's
-    #: rule alone.
-    delay_policy: DelayPolicy = DelayPolicy.COST
+    #: rule alone, and ``None`` delays nothing.
+    delay_policy: DelayPolicy | None = DelayPolicy.COST
     use_chauvenet: bool = True
-    enable_delay: bool = True
     max_mediator_rows: int | None = 2_000_000
     #: Multi-machine execution (paper Sec V, supported feature): the
     #: mediator's worker pool and join parallelism scale with the number
@@ -110,13 +111,20 @@ class BranchPlan:
     needed_vars: frozenset[Variable] = frozenset()
     estimates: CardinalityEstimates | None = None
     #: Which subqueries phase two binds, and each one's C(sq); under
-    #: ``enable_delay=False`` the cardinalities and no delay.
+    #: ``delay_policy=None`` the cardinalities and no delay.
     delays: DelayDecision = DelayDecision()
     #: Which of :data:`SCHEDULERS` runs the branch, and why.
     strategy: StrategyDecision | None = None
     #: Bindings per bound-join ``VALUES`` block: the block the cost rule
     #: priced and phase two ships.
     block_size: int = 0
+    #: Where a bound join may send each binding: per subquery id, per
+    #: source, the IRI-authority checks of
+    #: :func:`repro.planning.stats.route`.  Every subquery phase two can
+    #: bind has an entry (all of them, unless the branch is disjoint),
+    #: so a plan forced to delay another subquery still routes it; a
+    #: source with no entry receives every binding.
+    routes: Mapping[int, Mapping[str, tuple[RouteCheck, ...]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -215,9 +223,8 @@ class LusailEngine(FederatedEngine):
                     plan.subqueries,
                     estimates,
                     projected=needed_vars,
-                    policy=self.config.delay_policy if self.config.enable_delay else None,
+                    policy=self.config.delay_policy,
                     use_chauvenet=self.config.use_chauvenet,
-                    provider=client.stats,
                     costs=costs,
                 )
                 span.set(
@@ -234,8 +241,12 @@ class LusailEngine(FederatedEngine):
                 ).end(now)
             analysis_span.end(now)
         strategy = self._resolve_strategy(plan, needed_vars, estimates, delays, client)
+        routes = (
+            {} if plan.disjoint
+            else {sq.id: client.stats.plan_routes(sq) for sq in plan.subqueries}
+        )
         return BranchPlan(
-            selected_ms, now, plan, needed_vars, estimates, delays, strategy, costs.block
+            selected_ms, now, plan, needed_vars, estimates, delays, strategy, costs.block, routes
         )
 
     def _execute_branch(
@@ -527,6 +538,9 @@ class LusailEngine(FederatedEngine):
                         f"    bound-join blocks: ≤{branch_plan.block_size} bindings per source, "
                         "routed by IRI authority"
                     )
+                    lines.extend(
+                        _route_lines(subquery.sources, branch_plan.routes.get(subquery.id, {}))
+                    )
                 for pattern in subquery.patterns:
                     lines.append(f"    {pattern.n3()}")
                 for expression in subquery.filters:
@@ -538,16 +552,6 @@ class LusailEngine(FederatedEngine):
             for expression in plan.residue_filters:
                 lines.append(f"  mediator FILTER {serialize_expression(expression)}")
         return "\n".join(lines)
-
-    def with_config(self, **overrides) -> "LusailEngine":
-        """A copy of this engine with config overrides (fresh caches)."""
-        return LusailEngine(
-            federation=self.federation,
-            config=replace(self.config, **overrides),
-            network_config=self.network_config,
-            timeout_ms=self.timeout_ms,
-            mediator=self.mediator,
-        )
 
 
 def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tuple[str, ...]:
@@ -562,3 +566,26 @@ def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tu
         sources &= set(selection.relevant(pattern))
     # Preserve the deterministic order of the first pattern's list.
     return tuple(name for name in selection.relevant(group[0]) if name in sources)
+
+
+#: Authorities ``explain`` names per route check before summarising.
+_NAMED_AUTHORITIES = 3
+
+
+def _route_lines(
+    sources: tuple[str, ...], routes: Mapping[str, tuple[RouteCheck, ...]]
+) -> list[str]:
+    """``explain``'s rendering of one subquery's planned routes: per
+    source, each checked variable's position and allowed authorities,
+    or that the source receives every binding."""
+    lines = []
+    for source in sources:
+        rendered = []
+        for variable, position, allowed in routes.get(source, ()):
+            names = sorted(allowed)
+            shown = ", ".join(names[:_NAMED_AUTHORITIES])
+            if len(names) > _NAMED_AUTHORITIES:
+                shown += f", +{len(names) - _NAMED_AUTHORITIES} more"
+            rendered.append(f"{variable.n3()} {position} in {{{shown}}}")
+        lines.append(f"      route to {source}: " + ("; ".join(rendered) or "every binding"))
+    return lines

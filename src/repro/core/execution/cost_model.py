@@ -56,7 +56,6 @@ from repro.core.execution.outliers import RobustStats, robust_stats
 from repro.endpoint.client import FederationClient
 from repro.endpoint.federation import Federation
 from repro.net.simulator import NetworkConfig
-from repro.planning.stats import CharsetStatisticsProvider
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.sparql.ast import (
@@ -176,9 +175,18 @@ class CardinalityEstimates:
     # their hash at construction, so repeated probe lookups cost a dict
     # probe, not a recursive re-hash of the pattern's terms.
     pattern_counts: dict[tuple[TriplePattern, str], int] = field(default_factory=dict)
+    #: The summaries' bound on a variable's distinct values in a
+    #: subquery, per (subquery id, variable), where they prove one
+    #: (:meth:`CharsetStatisticsProvider.distinct_values`).
+    distinct: dict[tuple[int, Variable], int] = field(default_factory=dict)
 
     def pattern_count(self, pattern: TriplePattern, endpoint: str) -> int:
         return self.pattern_counts.get((pattern, endpoint), 0)
+
+    def distinct_values(self, subquery: Subquery, variable: Variable) -> int | None:
+        """The recorded distinct-value bound, or None where no summary
+        proves one."""
+        return self.distinct.get((subquery.id, variable))
 
     def variable_cardinality(self, subquery: Subquery, variable: Variable) -> float:
         """C(sq, v): summed per-endpoint min over patterns containing v."""
@@ -228,7 +236,8 @@ def collect_statistics(
     subqueries: list[Subquery],
     at_ms: float,
 ) -> tuple[CardinalityEstimates, float]:
-    """Collect per-(pattern, endpoint) cardinalities.
+    """Collect per-(pattern, endpoint) cardinalities, and per (subquery,
+    variable) the summaries' distinct-value bound.
 
     Filter-free patterns are answered from the endpoint's
     characteristic-set summary (the client's
@@ -278,6 +287,10 @@ def collect_statistics(
                         count, end = client.count(endpoint, query, at_ms)
                     finish = max(finish, end)
                     estimates.pattern_counts[key] = count
+            for variable in subquery.variables():
+                distinct = provider.distinct_values(subquery, variable)
+                if distinct is not None:
+                    estimates.distinct[(subquery.id, variable)] = distinct
         span.set(
             probes=len(estimates.pattern_counts),
             from_summary=from_summary,
@@ -356,14 +369,13 @@ def decide_delays(
     projected: set[Variable],
     policy: DelayPolicy | None = DelayPolicy.MU_SIGMA,
     use_chauvenet: bool = True,
-    provider: CharsetStatisticsProvider | None = None,
     costs: RequestCosts | None = None,
 ) -> DelayDecision:
     """Decide which subqueries to delay according to the policy.
 
     ``costs`` prices the cost rule's requests (in blocks of
-    ``costs.block``) and rows and ``provider`` answers its
-    distinct-value questions; :attr:`DelayPolicy.COST` needs both.
+    ``costs.block``) and rows, and ``estimates`` answers its
+    distinct-value questions; :attr:`DelayPolicy.COST` needs ``costs``.
     Given them, a threshold policy records the same estimates for its
     own verdict, which it does not change.  ``policy=None`` (delaying
     disabled) records each C(sq) and delays nothing.
@@ -454,7 +466,7 @@ def decide_delays(
     for subquery in subqueries:
         reasons.setdefault(subquery.id, "below")
 
-    placement = _CostPlacement(estimates, projected, cardinalities, provider, costs)
+    placement = _CostPlacement(estimates, projected, cardinalities, costs)
     if costs is not None and required:
         placement.run(required, reasons, override=policy == DelayPolicy.COST)
 
@@ -480,11 +492,10 @@ class _CostPlacement:
     the module docstring): the order phase two would bind them in, each
     one's estimated bindings, and the cost of binding vs shipping it."""
 
-    def __init__(self, estimates, projected, cardinalities, provider, costs):
+    def __init__(self, estimates, projected, cardinalities, costs):
         self.estimates = estimates
         self.projected = projected
         self.cardinalities = cardinalities
-        self.provider = provider
         self.costs = costs
         self.seed_id: int | None = None
         self.bindings: dict[int, float] = {}
@@ -500,7 +511,7 @@ class _CostPlacement:
         known = self._distinct.get(key)
         if known is None:
             known = self.estimates.variable_cardinality(subquery, variable)
-            count = self.provider.distinct_values(subquery, variable)
+            count = self.estimates.distinct_values(subquery, variable)
             if count is not None:
                 known = min(known, float(count))
             self._distinct[key] = known

@@ -30,19 +30,14 @@ from repro.relational.relation import Relation
 class JoinHints:
     """Statistics-derived hints for the join-row estimator.
 
-    Built by the scheduler from the characteristic-set statistics
-    provider (already-fetched summaries only, so consulting the hints is
-    free in virtual time):
-
-    * ``var_counts[(i, v)]`` — an upper bound on relation ``i``'s
-      distinct values of ``v`` (summed per-endpoint distinct subject /
-      object tallies of the tightest pattern holding ``v``);
-    * ``pair_rows[{i, j}]`` — the exact same-endpoint join fan-out for a
-      leaf pair, from the summaries' predicate-pair tables.
+    Built by the scheduler from the distinct-value bounds the planner
+    recorded (``CardinalityEstimates.distinct``):
+    ``var_counts[(i, v)]`` is an upper bound on relation ``i``'s
+    distinct values of ``v`` (summed per-endpoint distinct subject /
+    object tallies of the tightest pattern holding ``v``).
     """
 
     var_counts: dict[tuple[int, Variable], float] = field(default_factory=dict)
-    pair_rows: dict[frozenset, float] = field(default_factory=dict)
 
     def _distinct(self, node: "JoinPlanNode", variable: Variable) -> float | None:
         """Distinct-value bound for a subtree: min over its leaves."""
@@ -65,13 +60,6 @@ class JoinHints:
             # Independence estimate over the join variable's domain.
             estimate = left.rows * right.rows / max(left_distinct, right_distinct)
             best = estimate if best is None else min(best, estimate)
-        if left.is_leaf() and right.is_leaf():
-            # The same-endpoint pair fan-out is a certain lower bound
-            # (cross-endpoint join rows come on top of it): floor the
-            # independence estimate with it rather than replacing it.
-            exact = self.pair_rows.get(frozenset((left.base_index, right.base_index)))
-            if exact is not None and exact > 0.0:
-                best = exact if best is None else max(best, exact)
         return best
 
 

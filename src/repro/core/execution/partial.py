@@ -394,9 +394,10 @@ class StrategyDecision:
 
 
 def _fragment_selectivities(
-    required: list[Subquery], provider
+    required: list[Subquery], estimates: CardinalityEstimates
 ) -> dict[int, float]:
-    """Charset-based per-fragment digest-pruning survival estimates.
+    """Per-fragment digest-pruning survival estimates, from the
+    summaries' distinct-value bounds the plan recorded.
 
     For each fragment and crossing variable: the other fragments can
     bind at most their own distinct-value count for that variable, so a
@@ -415,14 +416,14 @@ def _fragment_selectivities(
             if other.id == subquery.id:
                 continue
             for variable in subquery.variables() & other.variables():
-                count = provider.distinct_values(other, variable)
+                count = estimates.distinct_values(other, variable)
                 if count is None:
                     continue
                 other_vars[variable] = min(
                     other_vars.get(variable, float("inf")), float(count)
                 )
         for variable, other_count in other_vars.items():
-            own = provider.distinct_values(subquery, variable)
+            own = estimates.distinct_values(subquery, variable)
             if own is None or own <= 0:
                 continue
             survival[subquery.id] = min(
@@ -477,7 +478,7 @@ def choose_strategy(
         )
         for sq in required
     }
-    survival = _fragment_selectivities(required, client.stats)
+    survival = _fragment_selectivities(required, estimates)
 
     est_partial_rows = sum(
         survival[sq.id] * extents[sq.id] for sq in required

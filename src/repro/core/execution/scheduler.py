@@ -18,9 +18,10 @@ Execution of one decomposed conjunctive branch:
    in subject or object position has no entity of that authority
    there — for a generic ``?s ?p ?o`` pattern, no entity of it under any
    predicate, which is Alg 3 line 13 decided per binding rather than
-   from a sample.  One ``route`` call per bound subquery decides it for
-   every live source, reading each binding's authority once and ruling
-   once per distinct authority.  An endpoint gets
+   from a sample.  The planner records each source's checks on the
+   branch plan (``BranchPlan.routes``); one ``route`` call per bound
+   subquery applies them to every live source, reading each binding's
+   authority once and ruling once per distinct authority.  An endpoint gets
    ``ceil(routed / block_size)`` requests, none when nothing is routed
    to it.  A request costs its endpoint a fixed round trip, overhead and
    base evaluation, while rows cost the same however the bindings are
@@ -50,6 +51,7 @@ from repro.exceptions import NetworkError
 from repro.net import metrics as metrics_module
 from repro.net.simulator import MediatorCostModel
 from repro.planning.base_engine import guard_rows, mediator_runtime
+from repro.planning.stats import route
 from repro.rdf.terms import Term, Variable
 from repro.relational import kernels
 from repro.relational.relation import Relation
@@ -88,8 +90,10 @@ class BranchScheduler:
     """Executes one planned branch against the federation.
 
     Everything it decides from — which subqueries are delayed, each
-    one's C(sq), the block size — is on the ``branch_plan`` it is built
-    with, and is read from nowhere else.
+    one's C(sq), the block size, where each binding may go and the
+    summaries' distinct-value bounds — is on the ``branch_plan`` it is
+    built with, and is read from nowhere else: the client only carries
+    its requests.
     """
 
     #: See :attr:`BranchOutcome.crossing_selectivity`.
@@ -110,6 +114,7 @@ class BranchScheduler:
         #: C(sq) per subquery id.
         self.cardinalities = branch_plan.delays.cardinalities
         self.block_size = branch_plan.block_size
+        self.routes = branch_plan.routes
         self.mediator = mediator
         self.config = config
         self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
@@ -218,8 +223,8 @@ class BranchScheduler:
         """Evaluate a delayed subquery with VALUES blocks of bindings.
 
         Each live source gets only the bindings its IRI authorities can
-        match (:meth:`~repro.planning.stats.CharsetStatisticsProvider.route`,
-        one call for all of them), in ``ceil(routed / block_size)``
+        match (:func:`~repro.planning.stats.route` over the plan's
+        routes, one call for all of them), in ``ceil(routed / block_size)``
         requests; a source with none gets no request, and one dropped
         earlier in the branch is not routed.  Block *b* goes to every
         source that has one before block *b* + 1 goes to any.
@@ -235,7 +240,7 @@ class BranchScheduler:
         engine = self.client.engine
         sources = subquery.sources
         live = self._live(sources)
-        routed = self.client.stats.route(subquery, live, bind_vars, binding_rows)
+        routed = route(self.routes.get(subquery.id, {}), live, bind_vars, binding_rows)
         for endpoint, rows in routed.items():
             if len(rows) < len(binding_rows):
                 registry.inc(
@@ -525,33 +530,15 @@ class BranchScheduler:
         return components
 
     def _join_hints(self, group: list[tuple[Subquery, Relation]]) -> JoinHints | None:
-        """Statistics hints for one eager join group.
-
-        Uses only summaries the provider already fetched this query, so
-        building the hints is free in virtual time; returns None (the
-        min-rule estimator) when nothing is provable.
-        """
-        provider = self.client.stats
+        """The plan's distinct-value bounds for one eager join group, or
+        None (the min-rule estimator) when none is recorded."""
         hints = JoinHints()
         for index, (subquery, relation) in enumerate(group):
             for variable in relation.vars:
-                count = provider.distinct_values(subquery, variable)
+                count = self.estimates.distinct_values(subquery, variable)
                 if count is not None:
                     hints.var_counts[(index, variable)] = float(count)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                left_sq, left_rel = group[i]
-                right_sq, right_rel = group[j]
-                for variable in set(left_rel.vars) & set(right_rel.vars):
-                    rows = provider.pair_fanout(left_sq, variable, right_sq)
-                    if rows is None:
-                        continue
-                    key = frozenset((i, j))
-                    known = hints.pair_rows.get(key)
-                    hints.pair_rows[key] = rows if known is None else min(known, rows)
-        if not hints.var_counts and not hints.pair_rows:
-            return None
-        return hints
+        return hints if hints.var_counts else None
 
     def _run_delayed(
         self,

@@ -361,7 +361,7 @@ ABLATION_VARIANTS = (
     AblationVariant("full", LusailConfig()),
     AblationVariant("no-lade (exclusive groups)", LusailConfig(decomposition="exclusive")),
     AblationVariant("no-lade (per-triple)", LusailConfig(decomposition="triple")),
-    AblationVariant("no-delay", LusailConfig(enable_delay=False)),
+    AblationVariant("no-delay", LusailConfig(delay_policy=None)),
     AblationVariant("no-chauvenet", LusailConfig(use_chauvenet=False)),
 )
 

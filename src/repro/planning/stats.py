@@ -14,9 +14,11 @@ questions from per-endpoint characteristic-set summaries
   (exact for predicate-only and histogram-covered patterns);
 - ``check_empty`` answers a locality check from characteristic-set and
   characteristic-pair coverage when provable in either direction;
-- ``distinct_values`` / ``pair_fanout`` feed the DP join enumerator;
-- ``route`` keeps a bound join's bindings off the endpoints whose IRI
-  authorities prove they cannot match there.
+- ``distinct_values`` bounds a variable's distinct values for the
+  planner's cost rule, strategy picker and join hints;
+- ``plan_routes`` records, per source, the IRI-authority checks with
+  which :func:`route` keeps a bound join's bindings off the endpoints
+  that provably cannot match them.
 
 Every yes/no decision that prunes work is made only when the summary is
 exact for that question; anything unprovable returns ``None`` and the
@@ -29,7 +31,7 @@ same virtual-time accounting as the probes they replace.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Mapping
 from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -72,6 +74,12 @@ def _authority_keys(
     number = numbering.setdefault
     numbers = [number(key, len(numbering)) for key in zip(*per_column)]
     return numbers, list(numbering)
+
+
+#: One authority check of a planned route: a variable, its position
+#: (``"subject"`` / ``"object"``) in a pattern, and the IRI authorities a
+#: binding of it may have at the source.
+RouteCheck = tuple[Variable, str, Container[str]]
 
 
 def _allowed_authorities(
@@ -227,7 +235,7 @@ class CharsetStatisticsProvider:
             return True
         return False if exact else None
 
-    # -------------------------------------------------- join estimation
+    # -------------------------------------------------- distinct bounds
 
     def distinct_values(self, subquery: "Subquery", variable: Variable) -> int | None:
         """Upper bound on the variable's distinct values in the subquery.
@@ -235,7 +243,8 @@ class CharsetStatisticsProvider:
         Minimum over the subquery's concrete-predicate patterns holding
         the variable of the summed per-endpoint distinct counts; uses
         only summaries already fetched this query (never issues a
-        request mid-planning).
+        request).  ``collect_statistics`` asks it once per (subquery,
+        variable) and records the answer on the plan.
         """
         best: int | None = None
         for pattern in subquery.patterns:
@@ -256,108 +265,77 @@ class CharsetStatisticsProvider:
             best = total if best is None else min(best, total)
         return best
 
-    def pair_fanout(
-        self, left: "Subquery", variable: Variable, right: "Subquery"
-    ) -> float | None:
-        """Exact same-endpoint join rows for the best pattern pair.
-
-        For each (left pattern, right pattern) holding the variable with
-        concrete predicates, sums the summaries' predicate-pair join
-        fan-out tables over the endpoints both subqueries target; the
-        minimum over pairs is a defensible single-pair join size.  Uses
-        only already-fetched summaries.
-        """
-        shared_sources = set(left.sources) & set(right.sources)
-        best: float | None = None
-        for left_pattern in left.patterns:
-            left_role = _role(left_pattern, variable)
-            if left_role is None or not is_concrete(left_pattern.predicate):
-                continue
-            for right_pattern in right.patterns:
-                right_role = _role(right_pattern, variable)
-                if right_role is None or not is_concrete(right_pattern.predicate):
-                    continue
-                total = 0.0
-                usable = True
-                for source in shared_sources:
-                    summary = self._summaries.get(source)
-                    if summary is None:
-                        usable = False
-                        break
-                    total += self._pair_rows(
-                        summary,
-                        left_pattern.predicate,
-                        left_role,
-                        right_pattern.predicate,
-                        right_role,
-                    )
-                if usable:
-                    best = total if best is None else min(best, total)
-        return best
-
     # ------------------------------------------------------ bound joins
 
-    def route(
-        self,
-        subquery: "Subquery",
-        endpoints: Iterable[str],
-        bind_vars: tuple[Variable, ...],
-        rows: list[tuple[Term | None, ...]],
-    ) -> dict[str, list[tuple[Term | None, ...]]]:
-        """The binding rows a bound join must send to each endpoint.
-
-        A row stays unless one of the subquery's patterns proves it
-        cannot match there: the row binds the pattern's subject (object)
-        variable to an IRI whose authority no subject (object) of the
-        pattern's predicate has at the endpoint — or, for a variable
-        predicate, no subject (object) of any predicate.  Literals,
-        blank nodes and UNDEF never prune.  Uses only summaries already
-        fetched this query: an endpoint without one receives ``rows``
-        itself.
-
-        Each row's authorities are read once, whatever the number of
-        endpoints: rows are grouped by their authority key (one entry per
-        checked column), each endpoint decides once per distinct key, and
-        every endpoint's list keeps the input order.
-        """
-        # (bind column, position, predicate — None for a variable one)
-        checks: list[tuple[int, str, Term | None]] = []
+    def plan_routes(self, subquery: "Subquery") -> dict[str, tuple[RouteCheck, ...]]:
+        """The authority checks a bound join of ``subquery`` applies at
+        each of its sources (see :func:`route`): per pattern, each
+        subject or object variable with the authorities an IRI bound
+        there may have at the source — those of the pattern's
+        predicate's subjects (objects), or of any predicate's for a
+        variable predicate.  Uses only summaries already fetched this
+        query: a source without one, like a source with nothing to
+        check, gets no entry."""
+        terms: list[tuple[Variable, str, Term | None]] = []
         for pattern in subquery.patterns:
             predicate = pattern.predicate if is_concrete(pattern.predicate) else None
             for term, position in ((pattern.subject, "subject"), (pattern.object, "object")):
-                if isinstance(term, Variable) and term in bind_vars:
-                    checks.append((bind_vars.index(term), position, predicate))
-        routed = dict.fromkeys(endpoints, rows)
-        summaries = [
-            (endpoint, summary)
-            for endpoint in routed
-            if (summary := self._summaries.get(endpoint)) is not None
-        ]
-        if not checks or not summaries:
-            return routed
-        columns = list(dict.fromkeys(column for column, __, __ in checks))
-        numbers, keys = _authority_keys(rows, columns)
-        for endpoint, summary in summaries:
-            allowed = [
-                (columns.index(column), _allowed_authorities(summary, position, predicate))
-                for column, position, predicate in checks
-            ]
-            verdicts = [
-                all(key[slot] is None or key[slot] in authorities for slot, authorities in allowed)
-                for key in keys
-            ]
-            if not all(verdicts):
-                routed[endpoint] = list(compress(rows, map(verdicts.__getitem__, numbers)))
-        return routed
+                if isinstance(term, Variable):
+                    terms.append((term, position, predicate))
+        routes: dict[str, tuple[RouteCheck, ...]] = {}
+        if not terms:
+            return routes
+        for source in subquery.sources:
+            summary = self._summaries.get(source)
+            if summary is not None:
+                routes[source] = tuple(
+                    (variable, position, _allowed_authorities(summary, position, predicate))
+                    for variable, position, predicate in terms
+                )
+        return routes
 
-    @staticmethod
-    def _pair_rows(
-        summary: CharacteristicSets, p1, role1: str, p2, role2: str
-    ) -> float:
-        if role1 == "subject" and role2 == "subject":
-            return float(summary.ss_rows.get((p1, p2), 0))
-        if role1 == "object" and role2 == "object":
-            return float(summary.oo_rows.get((p1, p2), 0))
-        if role1 == "object" and role2 == "subject":
-            return float(summary.os_rows.get((p1, p2), 0))
-        return float(summary.os_rows.get((p2, p1), 0))
+
+def route(
+    routes: Mapping[str, tuple[RouteCheck, ...]],
+    endpoints: Iterable[str],
+    bind_vars: tuple[Variable, ...],
+    rows: list[tuple[Term | None, ...]],
+) -> dict[str, list[tuple[Term | None, ...]]]:
+    """The binding rows a bound join must send to each endpoint.
+
+    ``routes`` is the subquery's planned record
+    (:meth:`CharsetStatisticsProvider.plan_routes`).  A row stays unless
+    one of the endpoint's checks on a bound variable proves it cannot
+    match there: the row binds the variable to an IRI whose authority
+    the check does not allow.  Literals, blank nodes and UNDEF never
+    prune, and an endpoint with no entry receives ``rows`` itself.
+
+    Each row's authorities are read once, whatever the number of
+    endpoints: rows are grouped by their authority key (one entry per
+    checked column), each endpoint decides once per distinct key, and
+    every endpoint's list keeps the input order.
+    """
+    routed = dict.fromkeys(endpoints, rows)
+    checks = {}
+    for endpoint in routed:
+        checked = [
+            (bind_vars.index(variable), allowed)
+            for variable, __, allowed in routes.get(endpoint, ())
+            if variable in bind_vars
+        ]
+        if checked:
+            checks[endpoint] = checked
+    if not checks:
+        return routed
+    columns = list(dict.fromkeys(column for checked in checks.values() for column, __ in checked))
+    slots = {column: slot for slot, column in enumerate(columns)}
+    numbers, keys = _authority_keys(rows, columns)
+    for endpoint, checked in checks.items():
+        allowed = [(slots[column], authorities) for column, authorities in checked]
+        verdicts = [
+            all(key[slot] is None or key[slot] in authorities for slot, authorities in allowed)
+            for key in keys
+        ]
+        if not all(verdicts):
+            routed[endpoint] = list(compress(rows, map(verdicts.__getitem__, numbers)))
+    return routed

@@ -6,18 +6,13 @@ on the *set of predicates* they carry (extended here with the subject's
 records, per distinct predicate/class set, how many subjects share it,
 plus per-predicate tallies (triple count, distinct subjects/objects, an
 exact per-object histogram for low-cardinality predicates) and the
-characteristic-*pair* tables that power join fan-out estimation and
-check-query answering:
+characteristic-*pair* coverage tables that answer check queries:
 
 ``os_pairs[(p1, p2)]``
     number of entities that appear as an *object* of ``p1`` and as a
     *subject* of ``p2`` (the path-join coverage table);
 ``oo_pairs[(p1, p2)]``
     number of entities appearing as objects of both predicates;
-``ss_rows / os_rows / oo_rows``
-    exact two-pattern join row counts ``sum_e c(e, p1) * c(e, p2)``
-    where ``c`` counts the entity's triples in the respective role
-    (the predicate-pair join fan-outs);
 ``subject_authorities[p] / object_authorities[p]``
     IRI authority -> number of distinct IRI subjects (objects) of ``p``
     with that authority, HiBISCuS's summary: two IRIs can only be equal
@@ -104,9 +99,6 @@ class CharacteristicSets:
         "sets",
         "os_pairs",
         "oo_pairs",
-        "ss_rows",
-        "os_rows",
-        "oo_rows",
         "subject_authorities",
         "object_authorities",
     )
@@ -121,9 +113,6 @@ class CharacteristicSets:
         sets: dict[frozenset, int],
         os_pairs: dict[tuple[Term, Term], int],
         oo_pairs: dict[tuple[Term, Term], int],
-        ss_rows: dict[tuple[Term, Term], int],
-        os_rows: dict[tuple[Term, Term], int],
-        oo_rows: dict[tuple[Term, Term], int],
         subject_authorities: dict[Term, dict[str, int]],
         object_authorities: dict[Term, dict[str, int]],
     ):
@@ -135,9 +124,6 @@ class CharacteristicSets:
         self.sets = sets
         self.os_pairs = os_pairs
         self.oo_pairs = oo_pairs
-        self.ss_rows = ss_rows
-        self.os_rows = os_rows
-        self.oo_rows = oo_rows
         self.subject_authorities = subject_authorities
         self.object_authorities = object_authorities
 
@@ -268,9 +254,6 @@ class CharacteristicSets:
             ),
             "os_pairs": _pairs_to_json(self.os_pairs),
             "oo_pairs": _pairs_to_json(self.oo_pairs),
-            "ss_rows": _pairs_to_json(self.ss_rows),
-            "os_rows": _pairs_to_json(self.os_rows),
-            "oo_rows": _pairs_to_json(self.oo_rows),
             "subject_authorities": _authorities_to_json(self.subject_authorities),
             "object_authorities": _authorities_to_json(self.object_authorities),
         }
@@ -282,7 +265,6 @@ class CharacteristicSets:
             + sum(len(stats.objects) for stats in self.predicates.values() if stats.objects)
             + sum(len(charset) + 1 for charset in self.sets)
             + 3 * (len(self.os_pairs) + len(self.oo_pairs))
-            + 3 * (len(self.ss_rows) + len(self.os_rows) + len(self.oo_rows))
             + sum(len(table) for table in self.subject_authorities.values())
             + sum(len(table) for table in self.object_authorities.values())
         )
@@ -351,9 +333,6 @@ def build_charsets(
         sets={},
         os_pairs={},
         oo_pairs={},
-        ss_rows={},
-        os_rows={},
-        oo_rows={},
         subject_authorities={},
         object_authorities={},
     )
@@ -468,27 +447,23 @@ def _fold(
             predicates[p].distinct_subjects += m
             if authority is not None:
                 _bump_authority(summary.subject_authorities, p, authority, m)
-        _bump_products(summary.ss_rows, subject_preds, subject_preds, m, True)
     if object_side and object_preds:
         summary.distinct_objects += m
         for p, __ in object_preds:
             predicates[p].distinct_objects += m
             if authority is not None:
                 _bump_authority(summary.object_authorities, p, authority, m)
-        _bump_products(summary.oo_pairs, object_preds, object_preds, m, False)
-        _bump_products(summary.oo_rows, object_preds, object_preds, m, True)
-    _bump_products(summary.os_pairs, object_preds, subject_preds, m, False)
-    _bump_products(summary.os_rows, object_preds, subject_preds, m, True)
+        _bump_products(summary.oo_pairs, object_preds, object_preds, m)
+    _bump_products(summary.os_pairs, object_preds, subject_preds, m)
 
 
-def _bump_products(table: dict, left: list, right: list, m: int, rows: bool) -> None:
-    """Add ``m`` to ``table[(p1, p2)]`` for every ``(p1, n1)`` of ``left``
-    and ``(p2, n2)`` of ``right``, times ``n1 * n2`` when counting
-    ``rows``; a zeroed entry leaves."""
-    for p1, n1 in left:
-        for p2, n2 in right:
+def _bump_products(table: dict, left: list, right: list, m: int) -> None:
+    """Add ``m`` to ``table[(p1, p2)]`` for every predicate ``p1`` of
+    ``left`` and ``p2`` of ``right``; a zeroed entry leaves."""
+    for p1, __ in left:
+        for p2, __ in right:
             key = (p1, p2)
-            value = table.get(key, 0) + (m * n1 * n2 if rows else m)
+            value = table.get(key, 0) + m
             if value:
                 table[key] = value
             else:

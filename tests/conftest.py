@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from functools import cache
 
 import pytest
 
@@ -80,32 +81,101 @@ def lusail(paper_federation) -> LusailEngine:
     return LusailEngine(paper_federation)
 
 
-@pytest.fixture(scope="session")
-def lubm2() -> Federation:
+def _lubm(universities: int) -> Federation:
     from repro.datasets import lubm
 
-    return lubm.build_federation(universities=2, seed=7)
+    return lubm.build_federation(universities=universities, seed=7)
 
 
-@pytest.fixture(scope="session")
-def lubm4() -> Federation:
-    from repro.datasets import lubm
-
-    return lubm.build_federation(universities=4, seed=7)
-
-
-@pytest.fixture(scope="session")
-def qfed_federation() -> Federation:
+def _qfed() -> Federation:
     from repro.datasets import qfed
 
     return qfed.build_federation(seed=7)
 
 
-@pytest.fixture(scope="session")
-def largerdf_federation() -> Federation:
+def _largerdf() -> Federation:
     from repro.datasets import largerdf
 
     return largerdf.build_federation(scale=0.5, seed=7)
+
+
+#: The session federations' builders, by fixture name.
+SESSION_BUILDERS = {
+    "lubm2": lambda: _lubm(2),
+    "lubm4": lambda: _lubm(4),
+    "qfed_federation": _qfed,
+    "largerdf_federation": _largerdf,
+}
+#: The session federations built so far: one object per fixture name,
+#: shared by every test that names the fixture.
+_SESSION_FEDERATIONS: dict[str, Federation] = {}
+
+
+def _session_federation(name: str) -> Federation:
+    federation = _SESSION_FEDERATIONS[name] = SESSION_BUILDERS[name]()
+    return federation
+
+
+@pytest.fixture(scope="session")
+def lubm2() -> Federation:
+    return _session_federation("lubm2")
+
+
+@pytest.fixture(scope="session")
+def lubm4() -> Federation:
+    return _session_federation("lubm4")
+
+
+@pytest.fixture(scope="session")
+def qfed_federation() -> Federation:
+    return _session_federation("qfed_federation")
+
+
+@pytest.fixture(scope="session")
+def largerdf_federation() -> Federation:
+    return _session_federation("largerdf_federation")
+
+
+def _written(federation: Federation) -> list:
+    """What a write to ``federation`` replaces: its endpoints and each
+    one's store state."""
+    return [(endpoint, endpoint.store.state) for endpoint in federation]
+
+
+@pytest.fixture(autouse=True)
+def session_federations_stay_unwritten():
+    """A test that writes to a session federation — a store state moved,
+    an endpoint joined, left or was replaced — fails: every later test
+    sharing the fixture would read its writes.  Session fixtures are set
+    up before this one, so a test's first use of one is covered too."""
+    before = {name: _written(federation) for name, federation in _SESSION_FEDERATIONS.items()}
+    yield
+    for name, written in before.items():
+        after = _written(_SESSION_FEDERATIONS[name])
+        unchanged = len(after) == len(written) and all(
+            endpoint is was and state is old
+            for (endpoint, state), (was, old) in zip(after, written)
+        )
+        assert unchanged, f"the test wrote to the session federation {name}"
+
+
+@cache
+def _session_triples(name: str) -> tuple[tuple[str, str, tuple[Triple, ...]], ...]:
+    """Each endpoint of the session federation ``name``: its name, region
+    and triples, read once from a copy nothing else touches."""
+    return tuple(
+        (endpoint.name, endpoint.region, tuple(endpoint.store))
+        for endpoint in SESSION_BUILDERS[name]()
+    )
+
+
+def fresh_federation(name: str) -> Federation:
+    """The data of the session fixture ``name`` on endpoints built for the
+    caller: no compiled plan, member set or summary another test left.
+    A test that pins counters those caches move runs on one of these."""
+    return Federation(
+        Endpoint(endpoint, triples, region) for endpoint, region, triples in _session_triples(name)
+    )
 
 
 def assert_same_bag(left_rows, right_rows):

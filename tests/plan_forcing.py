@@ -2,7 +2,9 @@
 
 Every decision the scheduler obeys — which subqueries phase two binds
 (``BranchPlan.delays``), the bound-join block (``BranchPlan.block_size``),
-the strategy — is a field of the frozen ``BranchPlan``.  A test forces one
+the strategy, where each binding may go (``BranchPlan.routes``) and the
+join hints' distinct bounds (``BranchPlan.estimates``) — is a field of
+the frozen ``BranchPlan``.  A test forces one
 with :func:`dataclasses.replace` on the plan the engine made, through
 :class:`ForcedPlanEngine`, and never by patching module state: ``src/``
 has no hook for it and needs none.

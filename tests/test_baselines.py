@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     AnapsidEngine,
-    FedXConfig,
     FedXEngine,
     HibiscusEngine,
     SplendidEngine,
@@ -169,10 +168,14 @@ class TestFedXBehaviour:
         assert outcome.metrics.request_count(metrics_module.BOUND) > 0
 
     def test_block_size_controls_requests(self, paper_federation):
-        small_blocks = FedXEngine(paper_federation, config=FedXConfig(block_size=1))
-        big_blocks = FedXEngine(paper_federation, config=FedXConfig(block_size=100))
-        small = small_blocks.execute(QA)
-        big = big_blocks.execute(QA)
+        class OneBinding(FedXEngine):
+            _block_size = 1
+
+        class HundredBindings(FedXEngine):
+            _block_size = 100
+
+        small = OneBinding(paper_federation).execute(QA)
+        big = HundredBindings(paper_federation).execute(QA)
         assert small.metrics.request_count(metrics_module.BOUND) >= big.metrics.request_count(
             metrics_module.BOUND
         )

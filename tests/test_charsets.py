@@ -53,22 +53,14 @@ def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSet
 
     os_pairs: dict = {}
     oo_pairs: dict = {}
-    ss_rows: dict = {}
-    os_rows: dict = {}
-    oo_rows: dict = {}
     for entity in set(subj) | set(obj):
-        sp = [(p, n) for p, n in subj.get(entity, {}).items() if not isinstance(p, tuple)]
-        op = list(obj.get(entity, {}).items())
-        for p1, n1 in sp:
-            for p2, n2 in sp:
-                ss_rows[(p1, p2)] = ss_rows.get((p1, p2), 0) + n1 * n2
-        for p1, n1 in op:
-            for p2, n2 in sp:
+        sp = [p for p in subj.get(entity, {}) if not isinstance(p, tuple)]
+        op = list(obj.get(entity, {}))
+        for p1 in op:
+            for p2 in sp:
                 os_pairs[(p1, p2)] = os_pairs.get((p1, p2), 0) + 1
-                os_rows[(p1, p2)] = os_rows.get((p1, p2), 0) + n1 * n2
-            for p2, n2 in op:
+            for p2 in op:
                 oo_pairs[(p1, p2)] = oo_pairs.get((p1, p2), 0) + 1
-                oo_rows[(p1, p2)] = oo_rows.get((p1, p2), 0) + n1 * n2
 
     from repro.store.charsets import PredicateStats
 
@@ -103,9 +95,6 @@ def reference_summary(store: TripleStore, limit: int = 256) -> CharacteristicSet
         sets=sets,
         os_pairs=os_pairs,
         oo_pairs=oo_pairs,
-        ss_rows=ss_rows,
-        os_rows=os_rows,
-        oo_rows=oo_rows,
         subject_authorities=subject_authorities,
         object_authorities=object_authorities,
     )

@@ -289,16 +289,6 @@ def costs_for(config, regions):
     return RequestCosts.of(config, federation, regions)
 
 
-class DistinctStub:
-    """A statistics provider that knows only hand-written distinct counts."""
-
-    def __init__(self, counts):
-        self.counts = counts
-
-    def distinct_values(self, subquery, variable):
-        return self.counts.get((subquery.id, variable.name))
-
-
 def shaped(*specs):
     """Subqueries from ``(variables, {endpoint: count})`` specs, each one
     pattern ``?a p<i> ?b`` over the named variables, with its count."""
@@ -311,11 +301,13 @@ def shaped(*specs):
     return subqueries, estimates
 
 
-def decide(policy, specs, costs, provider=DistinctStub({})):
+def decide(policy, specs, costs, distinct=None):
+    """The decision over :func:`shaped` subqueries, with hand-written
+    distinct-value bounds ``{(subquery id, variable name): count}``."""
     subqueries, estimates = shaped(*specs)
-    return decide_delays(
-        subqueries, estimates, projected=set(), policy=policy, provider=provider, costs=costs
-    )
+    for (index, name), count in (distinct or {}).items():
+        estimates.distinct[(index, Variable(name))] = count
+    return decide_delays(subqueries, estimates, projected=set(), policy=policy, costs=costs)
 
 
 #: LargeRDF S2: one drug name, its 2640 sameAs links over four
@@ -416,10 +408,10 @@ class TestCostRule:
             (("x", "e"), {"tcga-e": 3840}),
         )
         costs = costs_for(LOCAL, {"affymetrix": "local", "tcga-m": "local", "tcga-e": "local"})
-        provider = DistinctStub({(0, "x"): 320, (1, "x"): 320, (2, "x"): 320})
-        paper = decide(DelayPolicy.MU_SIGMA, specs, costs, provider)
+        distinct = {(0, "x"): 320, (1, "x"): 320, (2, "x"): 320}
+        paper = decide(DelayPolicy.MU_SIGMA, specs, costs, distinct)
         assert paper.delayed_ids == {1}
-        cost = decide(DelayPolicy.COST, specs, costs, provider)
+        cost = decide(DelayPolicy.COST, specs, costs, distinct)
         assert cost.delayed_ids == set()
         assert cost.reasons[1] == cost.reasons[2] == "ship-cheaper"
         assert cost.bindings[1] == 320
@@ -485,7 +477,7 @@ class TestCostRule:
         subqueries[3] = replace(subqueries[3], optional_group=0)
         decision = decide_delays(
             subqueries, estimates, projected=set(), policy=DelayPolicy.COST,
-            provider=DistinctStub({}), costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),
+            costs=costs_for(LOCAL, {"ep0": "local", "ep1": "local"}),
         )
         assert set(decision.bindings) == {1}
         assert decision.reasons[2] in ("cardinality", "below")

@@ -307,7 +307,7 @@ class TestExplain:
 
         federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=3)
         assert "[delayed" in LusailEngine(federation).explain(lubm.query_q4())
-        engine = LusailEngine(federation, config=LusailConfig(enable_delay=False))
+        engine = LusailEngine(federation, config=LusailConfig(delay_policy=None))
         text = engine.explain(lubm.query_q4())
         assert "delay decision: disabled" in text
         assert "[delayed" not in text and "bound-join blocks" not in text

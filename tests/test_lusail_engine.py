@@ -230,15 +230,10 @@ class TestConfigurations:
         assert_same_bag(outcome.result.rows, oracle_rows(paper_federation, QA))
 
     def test_no_delay_config(self, paper_federation):
-        engine = LusailEngine(paper_federation, config=LusailConfig(enable_delay=False))
+        engine = LusailEngine(paper_federation, config=LusailConfig(delay_policy=None))
         outcome = engine.execute(QA)
         assert outcome.ok
         assert outcome.plan.delayed_count == 0
-
-    def test_with_config_builds_variant(self, lusail):
-        variant = lusail.with_config(enable_delay=False)
-        assert variant.config.enable_delay is False
-        assert variant.config.decomposition == lusail.config.decomposition
 
     def test_geo_config_slower(self, paper_federation):
         local = LusailEngine(paper_federation).execute(QA)

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.baselines import AnapsidConfig, FedXConfig, SplendidConfig
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.engine import BranchPlan, LusailConfig
 from repro.core.execution.cost_model import DelayDecision
@@ -330,8 +331,10 @@ def test_only_the_cost_model_names_the_block_constant():
 
 
 #: Module state a test could patch to force a planning decision; each is
-#: a field of ``BranchPlan`` instead (``tests/plan_forcing.py``).
-PLANNING_STATE = {"MAX_BLOCK", "decide_delays"}
+#: a field of ``BranchPlan`` instead (``tests/plan_forcing.py``): the
+#: block, the delay verdicts, the routes (``BranchPlan.routes``) and the
+#: distinct-value bounds (``BranchPlan.estimates``).
+PLANNING_STATE = {"MAX_BLOCK", "decide_delays", "route", "distinct_values"}
 #: Test sites that patch one of them: the count stays at zero.
 PLANNING_PATCHES = 0
 PATCHERS = {"patch", "object", "setattr"}
@@ -377,6 +380,8 @@ def test_no_test_forces_a_planning_decision_by_patching():
         ("monkeypatch.setattr(cost_model, 'MAX_BLOCK', 1)", 1),
         ("mock.patch.object(engine_module, 'decide_delays', forcing)", 1),
         ("patch('repro.core.engine.decide_delays', new=f)", 1),
+        ('mock.patch("repro.planning.stats.route", unrouted)', 1),
+        ("mock.patch.object(CharsetStatisticsProvider, 'distinct_values', none)", 1),
         ("monkeypatch.setattr(BranchScheduler, 'run', recording_run)", 0),
         ("replace(plan, block_size=1)\ndecide_delays(subqueries, estimates, set())", 0),
     ],
@@ -388,7 +393,7 @@ def test_planning_patch_walker_sees_each_form(tmp_path, source, patches):
 
 
 #: Config classes whose every field some caller outside the tests sets.
-CONFIG_CLASSES = (LusailConfig, TrafficConfig)
+CONFIG_CLASSES = (LusailConfig, TrafficConfig, FedXConfig, SplendidConfig, AnapsidConfig)
 CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
 #: Fields no caller sets, each with the reason it stays an option.
 UNSET_FIELDS = {
@@ -414,7 +419,7 @@ def test_every_config_field_has_a_caller():
     repo = SRC.parent.parent
     paths = [path for root in CALLER_ROOTS for path in sorted((repo / root).rglob("*.py"))]
     assert len(paths) > 100  # the walk really covers the callers
-    callees = {cls.__name__ for cls in CONFIG_CLASSES} | {"replace", "with_config"}
+    callees = {cls.__name__ for cls in CONFIG_CLASSES} | {"replace"}
     passed = set().union(*(_passed_by_name(path, callees) for path in paths))
     fields = {field.name for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)}
     assert fields - passed == set(UNSET_FIELDS)
@@ -427,7 +432,7 @@ def test_every_config_field_has_a_caller():
         ("engine.LusailConfig(decomposition='triple')", {"decomposition"}),
         ("replace(config, delay_policy=policy)", {"delay_policy"}),
         ("dataclasses.replace(self.config, use_chauvenet=False)", {"use_chauvenet"}),
-        ("engine.with_config(refine_sources=False)", {"refine_sources"}),
+        ("replace(LusailConfig(strategy='auto'), machines=2)", {"strategy", "machines"}),
         ("TrafficConfig(**options)", set()),
         ("make_engines(federation, machines=2)\nTrafficConfig()", set()),
     ],
@@ -435,7 +440,7 @@ def test_every_config_field_has_a_caller():
 def test_options_walker_sees_each_form(tmp_path, source, names):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
-    callees = {"LusailConfig", "TrafficConfig", "replace", "with_config"}
+    callees = {"LusailConfig", "TrafficConfig", "replace"}
     assert _passed_by_name(probe, callees) == names
 
 

@@ -87,7 +87,7 @@ def test_lusail_ablations_match_oracle(case):
     for config in (
         LusailConfig(decomposition="exclusive"),
         LusailConfig(decomposition="triple"),
-        LusailConfig(enable_delay=False),
+        LusailConfig(delay_policy=None),
         LusailConfig(use_chauvenet=False),
     ):
         outcome = LusailEngine(federation, config=config).execute(query)

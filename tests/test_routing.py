@@ -1,10 +1,11 @@
 """Bound joins routed by IRI authority.
 
-``CharsetStatisticsProvider.route`` keeps a binding off an endpoint only
-when a pattern proves it cannot match there: the binding is an IRI in
-the subject (object) position of a pattern whose predicate has no
-subject (object) of that authority at the endpoint — for a variable
-predicate, none under any predicate.  Five groups of checks:
+``route`` keeps a binding off an endpoint only when a planned check
+(``CharsetStatisticsProvider.plan_routes``, recorded on the branch plan)
+proves it cannot match there: the binding is an IRI in the subject
+(object) position of a pattern whose predicate has no subject (object)
+of that authority at the endpoint — for a variable predicate, none
+under any predicate.  Five groups of checks:
 
 - soundness, case by case, on a two-authority federation;
 - ``route`` against :func:`reference_route`, the same rule applied one
@@ -14,14 +15,15 @@ predicate, none under any predicate.  Five groups of checks:
 - the Alg 3 line 13 regression: source refinement for a generic pattern
   used to ASK with the first three bindings only and dropped an endpoint
   only later bindings reach;
-- a differential run against routing patched to send every binding
-  everywhere, at its module seam: same answers, same rows shipped, same
+- a differential run against plans whose routes are cleared, so that
+  every binding goes everywhere: same answers, same rows shipped, same
   delay verdicts, no more bound requests, on LUBM, LargeRDF and QFed.
 """
 
 from collections import Counter
 from collections.abc import Container
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -35,10 +37,12 @@ from repro.endpoint import Endpoint, Federation
 from repro.harness import experiments
 from repro.net import metrics as metrics_module
 from repro.obs.trace import Tracer
+from repro.planning.stats import route
 from repro.rdf import IRI, BNode, Literal, Triple, TriplePattern, Variable
 from repro.rdf.terms import is_concrete
 
 from tests.conftest import oracle_rows
+from tests.plan_forcing import ForcedPlanEngine
 
 A, B = "http://a.org/", "http://b.org/"
 P, Q, R = (IRI(f"http://ex.org/{name}") for name in ("p", "q", "r"))
@@ -46,8 +50,9 @@ X, Y = Variable("x"), Variable("y")
 
 
 def reference_route(provider, subquery, endpoint_name, bind_vars, rows):
-    """The routing rule one row at a time, for one endpoint: what
-    ``route(...)[endpoint_name]`` must equal, order included."""
+    """The routing rule one row at a time, for one endpoint, read off
+    the provider's summaries: what ``route(provider.plan_routes(subquery),
+    ...)[endpoint_name]`` must equal, order included."""
     summary = provider._summaries.get(endpoint_name)
     if summary is None:
         return rows
@@ -110,7 +115,7 @@ def _subquery(*patterns: TriplePattern) -> Subquery:
 
 
 def _route(provider, subquery, bind_vars, rows):
-    return provider.route(subquery, ("A", "B"), bind_vars, rows)
+    return route(provider.plan_routes(subquery), ("A", "B"), bind_vars, rows)
 
 
 class TestRouteSoundness:
@@ -224,7 +229,7 @@ def test_route_matches_the_per_row_reference(case):
         if fetch:
             provider.summary(name, 0.0)
     subquery = Subquery(id=0, patterns=patterns, sources=tuple(names))
-    routed = provider.route(subquery, names, bind_vars, rows)
+    routed = route(provider.plan_routes(subquery), names, bind_vars, rows)
     assert list(routed) == names
     for name in names:
         assert routed[name] == reference_route(provider, subquery, name, bind_vars, rows), name
@@ -314,11 +319,12 @@ class TestRouteCostShape:
             (TriplePattern(X, KNOWS, Y), (X, Y)),
         ):
             subquery = Subquery(id=0, patterns=(pattern,), sources=tuple(names))
+            routes = provider.plan_routes(subquery)
             bindings = [row[: len(bind_vars)] for row in rows]
             reads = {}
             for count in (1, 2, 4):
                 with _authority_reads() as counter:
-                    provider.route(subquery, names[:count], bind_vars, bindings)
+                    route(routes, names[:count], bind_vars, bindings)
                 reads[count] = counter[0]
             assert len(set(reads.values())) == 1, reads
             assert reads[4] <= len(bindings) * len(bind_vars), reads
@@ -365,12 +371,13 @@ def test_generic_pattern_reaches_every_endpoint_a_binding_needs():
 # ---------------------------------------------- differential vs. unrouted
 
 
-def _unrouted(self, subquery, endpoints, bind_vars, rows):
-    return dict.fromkeys(endpoints, rows)
+def _unrouted(plan):
+    """The plan with its routes cleared: every binding to every source."""
+    return replace(plan, routes={})
 
 
-def _run(federation, text, warm_engine=None):
-    engine = warm_engine or LusailEngine(federation)
+def _run(federation, text, warm_engine=None, force=None):
+    engine = warm_engine or ForcedPlanEngine(federation, force=force)
     outcome = engine.execute(text)
     assert outcome.ok, outcome.error
     reasons = [branch.delays.reasons for branch in outcome.plan.branch_plans]
@@ -402,19 +409,18 @@ def _qfed():
     ids=["LUBM", "LargeRDF", "QFed"],
 )
 def test_routing_changes_nothing_but_the_empty_requests(dataset, routes_some):
-    """Each query against routing patched to send every binding to every
-    source: the same answer bag, rows shipped and delay verdicts, and no
-    more bound requests.  LUBM runs on a warm engine per side, the
+    """Each query against its plan with the routes cleared, which sends
+    every binding to every source: the same answer bag, rows shipped and
+    delay verdicts, and no more bound requests.  LUBM runs on a warm engine per side, the
     others cold.  QFed's bound joins each have one source, so nothing is
     routed out there."""
     federation, queries, warm = dataset()
     routed_engine = LusailEngine(federation) if warm else None
-    unrouted_engine = LusailEngine(federation) if warm else None
+    unrouted_engine = ForcedPlanEngine(federation, force=_unrouted) if warm else None
     routed_total = unrouted_total = 0
     for name, text in sorted(queries.items()):
         answer, shipped, reasons, routed = _run(federation, text, routed_engine)
-        with mock.patch("repro.planning.stats.CharsetStatisticsProvider.route", _unrouted):
-            expected = _run(federation, text, unrouted_engine)
+        expected = _run(federation, text, unrouted_engine, force=_unrouted)
         assert (answer, shipped, reasons) == expected[:3], name
         assert routed <= expected[3], name
         routed_total += routed

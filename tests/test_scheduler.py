@@ -4,6 +4,7 @@ optional groups, and the disjoint fast path."""
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -14,9 +15,11 @@ from repro.core.execution.cost_model import (
     RequestCosts,
     decide_delays,
 )
+from repro.core.execution.scheduler import BranchScheduler
 from repro.datasets import lubm, queries_lubm
 from repro.net import metrics as metrics_module
 from repro.obs.trace import Tracer
+from repro.planning.stats import CharsetStatisticsProvider, route
 
 from tests.conftest import assert_same_bag, oracle_rows
 from tests.plan_forcing import ForcedPlanEngine, block_size
@@ -61,7 +64,6 @@ class PricedAtBlockOne(LusailEngine):
             plan.estimates,
             projected=plan.needed_vars,
             policy=DelayPolicy.COST,
-            provider=client.stats,
             costs=replace(costs, block=1),
         )
         return replace(plan, delays=delays, block_size=1)
@@ -96,7 +98,7 @@ class TestDelayedSubqueries:
 
     def test_delayed_ships_fewer_rows_than_eager(self, federation):
         delayed_engine = LusailEngine(federation)
-        eager_engine = LusailEngine(federation, config=LusailConfig(enable_delay=False))
+        eager_engine = LusailEngine(federation, config=LusailConfig(delay_policy=None))
         delayed_outcome = delayed_engine.execute(lubm.query_q4())
         eager_outcome = eager_engine.execute(lubm.query_q4())
         assert_same_bag(delayed_outcome.result.rows, eager_outcome.result.rows)
@@ -180,22 +182,35 @@ def _eager(plan):
 class TestThePlanIsWhatRan:
     """Phase two, read off the trace, does what the branch plan says and
     nothing else: it binds exactly the plan's delayed required subqueries
-    (at this scale each has bindings), in ``ceil(routed / block_size)``
-    blocks of the plan's block, and a plan forced by replacing a field
-    changes the requests, never the answer."""
+    (at this scale each has bindings), sends each source the bindings the
+    plan's routes let through, in ``ceil(routed / block_size)`` blocks of
+    the plan's block, and a plan forced by replacing a field changes the
+    requests, never the answer."""
 
     @staticmethod
     def _run(federation, text, force=None):
         engine = ForcedPlanEngine(federation, force=force)
         engine.tracer = Tracer(enabled=True)
-        outcome = engine.execute(text)
+        bound_calls = []
+        run_bound = BranchScheduler._execute_bound_subquery
+
+        def recorded(scheduler, subquery, bind_vars, rows, at_ms):
+            bound_calls.append((subquery, bind_vars, rows))
+            return run_bound(scheduler, subquery, bind_vars, rows, at_ms)
+
+        with mock.patch.object(BranchScheduler, "_execute_bound_subquery", recorded):
+            outcome = engine.execute(text)
         assert outcome.ok, outcome.error
         (plan,) = outcome.plan.branch_plans
         root = engine.tracer.roots[0]
         required = {sq.id for sq in plan.decomposition.required_subqueries()}
         spans = root.find("bound_subquery")
         assert {span.attrs["subquery"] for span in spans} == plan.delays.delayed_ids & required
-        for span in spans:
+        assert len(bound_calls) == len(spans)
+        for span, (subquery, bind_vars, rows) in zip(spans, bound_calls):
+            assert span.attrs["subquery"] == subquery.id
+            planned = route(plan.routes[subquery.id], subquery.sources, bind_vars, rows)
+            assert span.attrs["routed_bindings"] == {ep: len(r) for ep, r in planned.items()}
             routed = max(span.attrs["routed_bindings"].values(), default=0)
             assert len(span.find("bound_block")) == math.ceil(routed / plan.block_size)
         bound = outcome.metrics.request_count(metrics_module.BOUND)
@@ -215,6 +230,65 @@ class TestThePlanIsWhatRan:
         __, planned = self._run(lubm_scale1, text)
         __, forced = self._run(lubm_scale1, text, block_size(1))
         assert forced > planned
+
+
+class _WatchedProvider(CharsetStatisticsProvider):
+    """Logs each public method called on it, with the engine's phase."""
+
+    def __init__(self, client, engine):
+        super().__init__(client)
+        self._engine = engine
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if not name.startswith("_") and callable(value):
+            engine = object.__getattribute__(self, "_engine")
+            engine.calls.append((engine.phase, name))
+        return value
+
+    def distinct_values(self, subquery, variable):
+        self._engine.distinct.append((self._engine.branch, subquery.id, variable))
+        return super().distinct_values(subquery, variable)
+
+
+class _WatchingEngine(LusailEngine):
+    """Records every statistics question and whether a branch was being
+    planned or run when it was asked."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls, self.distinct = [], []
+        self.phase, self.branch = "run", -1
+
+    def build_client(self, *args, **kwargs):
+        client = super().build_client(*args, **kwargs)
+        client.stats = _WatchedProvider(client, self)
+        return client
+
+    def _analyze_branch(self, client, branch, normalized):
+        self.phase, self.branch = "plan", self.branch + 1
+        try:
+            return super()._analyze_branch(client, branch, normalized)
+        finally:
+            self.phase = "run"
+
+
+class TestExecutionAsksNoStatistics:
+    """The scheduler reads routes and distinct bounds off the plan: every
+    statistics question is asked while a branch is planned, and the
+    distinct bound of a (subquery, variable) at most once."""
+
+    @pytest.mark.parametrize("strategy", ["bound-join", "partial"])
+    def test_statistics_answer_planning_only(self, lubm_scale1, strategy):
+        queries = {**queries_lubm.queries(), **lubm.crossing_queries()}
+        for name in CROSSING:
+            engine = _WatchingEngine(lubm_scale1, config=LusailConfig(strategy=strategy))
+            outcome = engine.execute(queries[name])
+            assert outcome.ok, (name, outcome.error)
+            assert_same_bag(outcome.result.rows, oracle_rows(lubm_scale1, queries[name]))
+            assert {phase for phase, __ in engine.calls} == {"plan"}, name
+            assert engine.distinct, name
+            assert len(engine.distinct) == len(set(engine.distinct)), name
 
 
 class TestOptionalGroups:

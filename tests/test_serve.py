@@ -23,6 +23,7 @@ from tests.conftest import (
     assert_same_bag,
     assert_served_as_serial,
     build_paper_federation,
+    fresh_federation,
     oracle_rows,
     serial_runs,
 )
@@ -139,16 +140,19 @@ class TestServing:
                 expected = serial.execute(queries[record.name]).result.rows
                 assert_same_bag(record.result.rows, expected)
 
-    def test_seeded_replay_counters_are_golden(self, lubm2):
+    def test_seeded_replay_counters_are_golden(self):
         """The exact sharing counters of one small Zipfian replay (the
         gate the 10⁵-request smoke held, at a size a test can run): a
-        scheduler, cache or MQO change that moves them must say so here."""
+        scheduler, cache or MQO change that moves them must say so here.
+        The replay runs on endpoints built for it, so no test that ran
+        before leaves compiled plans or member sets behind."""
         queries = queries_lubm.queries()
-        server = QueryServer(lubm2)
+        federation = fresh_federation("lubm2")
+        server = QueryServer(federation)
         records = server.run(
             generate_arrivals(queries, TrafficConfig(requests=600, tenants=4, seed=0))
         )
-        assert_served_as_serial(records, serial_runs(lubm2, queries)[1])
+        assert_served_as_serial(records, serial_runs(federation, queries)[1])
         assert Counter(record.path for record in records) == {
             "cache": 580,
             "attach": 6,
@@ -406,7 +410,8 @@ def _counter_lines(registry) -> list[str]:
 class TestInterleavingPin:
     """A t=0 burst past the admission slots, with twins and a late
     repeat, replays to the exact records and counters recorded when the
-    server still ran a scheduler thread beside its workers.  The burst
+    server still ran a scheduler thread beside its workers (re-timed
+    once since, for smaller summaries: see the literals).  The burst
     grants the turn to other tickets, admits queries while the turn
     holder is parked mid-query, attaches twins, feeds subqueries across
     queries and hits the result cache: a change to how the turn passes
@@ -555,25 +560,29 @@ class TestTurnPassing:
 
 # Recorded from the scheduler-thread server (one worker per query, the
 # scheduler resuming each at every gate) on a fresh two-university LUBM
-# federation (seed 7).
+# federation (seed 7).  Since the summaries dropped their pair fan-out
+# tables, each endpoint's ``stats`` payload is half its recorded size:
+# every finish time is 0.857 ms earlier, the ``stats`` bytes and lane
+# busy times are lower, and the interleaving, paths and every other
+# counter are as recorded.
 BURST_SIGNATURE = [
-    (0, 'L1', 't0', 'executed', 'ok', 0.0, 0.0, 29.183470000000003, 3, 4),
-    (1, 'L10', 't1', 'executed', 'ok', 0.0, 0.0, 30.875412, 22, 3),
-    (2, 'L11', 't2', 'executed', 'ok', 0.0, 0.0, 32.200621999999996, 3, 3),
-    (3, 'L12', 't0', 'executed', 'ok', 0.0, 0.0, 33.55191799999999, 3, 2),
-    (4, 'L13', 't1', 'executed', 'ok', 0.0, 0.0, 22.02756, 30, 3),
-    (5, 'L14', 't2', 'executed', 'ok', 0.0, 0.0, 23.89036, 72, 3),
-    (6, 'L2', 't0', 'executed', 'ok', 0.0, 0.0, 38.301992, 38, 7),
-    (7, 'L3', 't1', 'executed', 'ok', 0.0, 0.0, 39.621542, 1, 5),
-    (8, 'L4', 't2', 'executed', 'ok', 0.0, 23.89036, 42.341176000000004, 4, 2),
-    (9, 'L5', 't0', 'executed', 'ok', 0.0, 22.02756, 22.02756, 22, 0),
-    (10, 'L6', 't1', 'executed', 'ok', 0.0, 22.02756, 35.31776, 60, 2),
-    (11, 'L7', 't2', 'executed', 'ok', 0.0, 29.183470000000003, 43.742776, 6, 2),
-    (12, 'L1', 't1', 'attach', 'ok', 0.0, 0.0, 29.383470000000003, 3, 0),
-    (13, 'L10', 't1', 'attach', 'ok', 0.0, 0.0, 31.075412, 22, 0),
-    (14, 'L11', 't1', 'attach', 'ok', 0.0, 0.0, 32.400622, 3, 0),
-    (15, 'L12', 't2', 'attach', 'ok', 5.0, 5.0, 33.751917999999996, 3, 0),
-    (16, 'L13', 't2', 'attach', 'ok', 5.0, 5.0, 22.22756, 30, 0),
+    (0, 'L1', 't0', 'executed', 'ok', 0.0, 0.0, 28.326382000000002, 3, 4),
+    (1, 'L10', 't1', 'executed', 'ok', 0.0, 0.0, 30.018324, 22, 3),
+    (2, 'L11', 't2', 'executed', 'ok', 0.0, 0.0, 31.343534000000002, 3, 3),
+    (3, 'L12', 't0', 'executed', 'ok', 0.0, 0.0, 32.694829999999996, 3, 2),
+    (4, 'L13', 't1', 'executed', 'ok', 0.0, 0.0, 21.170472, 30, 3),
+    (5, 'L14', 't2', 'executed', 'ok', 0.0, 0.0, 23.033272, 72, 3),
+    (6, 'L2', 't0', 'executed', 'ok', 0.0, 0.0, 37.444904, 38, 7),
+    (7, 'L3', 't1', 'executed', 'ok', 0.0, 0.0, 38.764454, 1, 5),
+    (8, 'L4', 't2', 'executed', 'ok', 0.0, 23.033272, 41.48408800000001, 4, 2),
+    (9, 'L5', 't0', 'executed', 'ok', 0.0, 21.170472, 21.170472, 22, 0),
+    (10, 'L6', 't1', 'executed', 'ok', 0.0, 21.170472, 34.460672, 60, 2),
+    (11, 'L7', 't2', 'executed', 'ok', 0.0, 28.326382000000002, 42.885688, 6, 2),
+    (12, 'L1', 't1', 'attach', 'ok', 0.0, 0.0, 28.526382, 3, 0),
+    (13, 'L10', 't1', 'attach', 'ok', 0.0, 0.0, 30.218324, 22, 0),
+    (14, 'L11', 't1', 'attach', 'ok', 0.0, 0.0, 31.543534, 3, 0),
+    (15, 'L12', 't2', 'attach', 'ok', 5.0, 5.0, 32.89483, 3, 0),
+    (16, 'L13', 't2', 'attach', 'ok', 5.0, 5.0, 21.370472, 30, 0),
     (17, 'L1', 't0', 'cache', 'ok', 100.0, 100.0, 100.2, 3, 0),
 ]
 BURST_COUNTERS = [
@@ -583,15 +592,15 @@ BURST_COUNTERS = [
     "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=bound} 9609.0",
     "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=check} 677.0",
     "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=select} 15253.0",
-    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=stats} 212608.0",
+    "bytes_shipped_total{endpoint=university0,engine=Lusail,kind=stats} 105472.0",
     "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=ask} 200.0",
     "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=check} 677.0",
     "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=select} 10884.0",
-    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=stats} 26576.0",
+    "bytes_shipped_total{endpoint=university1,engine=Lusail,kind=stats} 13184.0",
     "check_queries_total{engine=Lusail} 4.0",
     "delayed_subqueries_total{engine=Lusail} 7.0",
-    "lane_busy_virtual_ms_total{endpoint=university0,engine=Lusail} 43.736776",
-    "lane_busy_virtual_ms_total{endpoint=university1,engine=Lusail} 12.491696",
+    "lane_busy_virtual_ms_total{endpoint=university0,engine=Lusail} 42.879688",
+    "lane_busy_virtual_ms_total{endpoint=university1,engine=Lusail} 12.38456",
     "mediator_join_rows_total{engine=Lusail} 42.0",
     "mediator_kernel_build_rows_total{engine=Lusail} 39.0",
     "mediator_kernel_fast_dispatches_total{engine=Lusail} 7.0",

@@ -31,7 +31,7 @@ from repro.planning.source_selection import refine_sources_with_bindings, select
 from repro.rdf import IRI, RDF_TYPE, UB, Triple, TriplePattern, Variable
 from repro.sparql.ast import Comparison, TermExpr, VarExpr
 
-from tests.conftest import QA, build_paper_federation, oracle_rows
+from tests.conftest import QA, build_paper_federation, fresh_federation, oracle_rows
 
 S, P, U, C, A = (Variable(name) for name in "SPUCA")
 
@@ -188,26 +188,31 @@ class TestAnswerIdentity:
 
 
 class TestMetadataReduction:
+    """Request counts on endpoints built for each test: a summary or
+    probe state left by an earlier test cannot move them."""
+
     #: Metadata requests of each LUBM query on a fresh engine: one
     #: summary fetch per endpoint, plus Q1's four check queries no
     #: summary can decide.  The remote probes alone sent 52 / 52 / 12 /
     #: 49; a provider that stops answering lands far above these.
     COLD_METADATA = {"Q1": 6, "Q2": 2, "Q3": 2, "Q4": 2}
 
-    def test_lusail_metadata_requests_under_ceiling(self, lubm2):
+    def test_lusail_metadata_requests_under_ceiling(self):
+        federation = fresh_federation("lubm2")
         for qname, ceiling in self.COLD_METADATA.items():
-            engine = make_engines(lubm2, which=("Lusail",))["Lusail"]
+            engine = make_engines(federation, which=("Lusail",))["Lusail"]
             outcome = engine.execute(lubm.queries()[qname])
             assert outcome.ok
             assert outcome.metrics.metadata_request_count() <= ceiling, qname
 
-    def test_summary_fetched_once_per_endpoint(self, lubm2):
-        engine = make_engines(lubm2, which=("Lusail",))["Lusail"]
+    def test_summary_fetched_once_per_endpoint(self):
+        federation = fresh_federation("lubm2")
+        engine = make_engines(federation, which=("Lusail",))["Lusail"]
         stats_requests = 0
         for qtext in lubm.queries().values():
             outcome = engine.execute(qtext)
             stats_requests += outcome.metrics.requests_by_kind().get(metrics_module.STATS, 0)
-        assert 0 < stats_requests <= len(lubm2.names())
+        assert 0 < stats_requests <= len(federation.names())
 
 
 class TestStatsAccuracy:
