@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from typing import Iterator
 
 from repro.endpoint.endpoint import Endpoint
 from repro.endpoint.federation import Federation
@@ -93,12 +95,16 @@ def scaled_profile(scale: float, base: UniversityProfile = BENCH_PROFILE) -> Uni
     )
 
 
+@cache
 def university_iri(index: int) -> IRI:
+    """One IRI object per university: every degree triple names one."""
     return IRI(f"http://www.university{index}.example.org/university")
 
 
 class _UniversityBuilder:
-    """Generates one university's triples."""
+    """Generates one university's triples, as a stream: a triple is
+    yielded as soon as it is made, so a consumer that stores it
+    (``TripleStore.add_all``) holds no list of the whole university."""
 
     def __init__(self, index: int, total: int, profile: UniversityProfile, rng: random.Random):
         self.index = index
@@ -106,13 +112,9 @@ class _UniversityBuilder:
         self.profile = profile
         self.rng = rng
         self.base = f"http://www.university{index}.example.org/"
-        self.triples: list[Triple] = []
 
     def iri(self, local: str) -> IRI:
         return IRI(self.base + local)
-
-    def add(self, s, p, o) -> None:
-        self.triples.append(Triple(s, p, o))
 
     def degree_university(self) -> IRI:
         """The local university, or a random one (possibly remote)."""
@@ -120,84 +122,90 @@ class _UniversityBuilder:
             return university_iri(self.index)
         return university_iri(self.rng.randrange(self.total))
 
-    def build(self) -> list[Triple]:
+    def triples(self) -> Iterator[Triple]:
         profile = self.profile
         university = university_iri(self.index)
-        self.add(university, RDF_TYPE, UB.University)
-        self.add(university, UB.name, Literal(f"University{self.index}"))
-        self.add(university, UB.address, Literal(f"{self.index} College Road"))
+        yield Triple(university, RDF_TYPE, UB.University)
+        yield Triple(university, UB.name, Literal(f"University{self.index}"))
+        yield Triple(university, UB.address, Literal(f"{self.index} College Road"))
 
         for dept_index in range(profile.departments):
             department = self.iri(f"department{dept_index}")
-            self.add(department, RDF_TYPE, UB.Department)
-            self.add(department, UB.name, Literal(f"Department{dept_index}"))
-            self.add(department, UB.subOrganizationOf, university)
+            yield Triple(department, RDF_TYPE, UB.Department)
+            yield Triple(department, UB.name, Literal(f"Department{dept_index}"))
+            yield Triple(department, UB.subOrganizationOf, university)
 
             professors: list[IRI] = []
             courses: list[IRI] = []
-            course_of: dict[IRI, IRI] = {}
+            # each professor's courses, in the order of ``professors``
+            courses_of: list[list[IRI]] = []
             for prof_index in range(profile.professors_per_department):
                 professor = self.iri(f"department{dept_index}/professor{prof_index}")
                 professors.append(professor)
+                courses_of.append([])
                 prof_type = UB.FullProfessor if prof_index == 0 else UB.AssociateProfessor
-                self.add(professor, RDF_TYPE, prof_type)
-                self.add(professor, UB.name, Literal(f"Professor{dept_index}_{prof_index}"))
-                self.add(professor, UB.worksFor, department)
-                self.add(
+                yield Triple(professor, RDF_TYPE, prof_type)
+                yield Triple(professor, UB.name, Literal(f"Professor{dept_index}_{prof_index}"))
+                yield Triple(professor, UB.worksFor, department)
+                yield Triple(
                     professor,
                     UB.emailAddress,
                     Literal(f"prof{dept_index}_{prof_index}@university{self.index}.example.org"),
                 )
-                self.add(professor, UB.undergraduateDegreeFrom, self.degree_university())
-                self.add(professor, UB.mastersDegreeFrom, self.degree_university())
-                self.add(professor, UB.doctoralDegreeFrom, self.degree_university())
+                yield Triple(professor, UB.undergraduateDegreeFrom, self.degree_university())
+                yield Triple(professor, UB.mastersDegreeFrom, self.degree_university())
+                yield Triple(professor, UB.doctoralDegreeFrom, self.degree_university())
                 if prof_index == 0:
-                    self.add(professor, UB.headOf, department)
+                    yield Triple(professor, UB.headOf, department)
                 for course_index in range(profile.courses_per_professor):
                     course = self.iri(
                         f"department{dept_index}/course{prof_index}_{course_index}"
                     )
                     courses.append(course)
-                    course_of[course] = professor
+                    courses_of[-1].append(course)
                     course_type = UB.GraduateCourse if course_index % 2 == 0 else UB.Course
-                    self.add(course, RDF_TYPE, course_type)
-                    self.add(
+                    yield Triple(course, RDF_TYPE, course_type)
+                    yield Triple(
                         course, UB.name, Literal(f"Course{dept_index}_{prof_index}_{course_index}")
                     )
-                    self.add(professor, UB.teacherOf, course)
+                    yield Triple(professor, UB.teacherOf, course)
 
             for student_index in range(profile.graduate_students_per_department):
                 student = self.iri(f"department{dept_index}/gradstudent{student_index}")
-                self.add(student, RDF_TYPE, UB.GraduateStudent)
-                self.add(student, UB.name, Literal(f"GradStudent{dept_index}_{student_index}"))
-                self.add(student, UB.memberOf, department)
-                self.add(student, UB.undergraduateDegreeFrom, self.degree_university())
+                yield Triple(student, RDF_TYPE, UB.GraduateStudent)
+                yield Triple(student, UB.name, Literal(f"GradStudent{dept_index}_{student_index}"))
+                yield Triple(student, UB.memberOf, department)
+                yield Triple(student, UB.undergraduateDegreeFrom, self.degree_university())
                 # Round-robin advisors so every professor advises someone,
                 # and the first course taken is the advisor's first
                 # (graduate) course — LUBM Q9-style queries stay answerable
                 # at every endpoint, which LADE's locality checks rely on.
-                advisor = professors[student_index % len(professors)]
-                self.add(student, UB.advisor, advisor)
-                advisor_courses = [c for c in courses if course_of[c] == advisor]
-                taken = {advisor_courses[0]}
+                advisor_index = student_index % len(professors)
+                yield Triple(student, UB.advisor, professors[advisor_index])
+                taken = {courses_of[advisor_index][0]}
                 while len(taken) < min(profile.courses_taken_per_student, len(courses)):
                     taken.add(self.rng.choice(courses))
                 for course in sorted(taken, key=lambda iri: iri.value):
-                    self.add(student, UB.takesCourse, course)
+                    yield Triple(student, UB.takesCourse, course)
 
             for student_index in range(profile.undergraduate_students_per_department):
                 student = self.iri(f"department{dept_index}/undergrad{student_index}")
-                self.add(student, RDF_TYPE, UB.UndergraduateStudent)
-                self.add(student, UB.name, Literal(f"Undergrad{dept_index}_{student_index}"))
-                self.add(student, UB.memberOf, department)
+                yield Triple(student, RDF_TYPE, UB.UndergraduateStudent)
+                yield Triple(student, UB.name, Literal(f"Undergrad{dept_index}_{student_index}"))
+                yield Triple(student, UB.memberOf, department)
                 # Round-robin plus one random course: every course ends up
                 # taken by at least one student (given enough undergrads).
                 taken_courses = {courses[student_index % len(courses)]}
                 taken_courses.add(self.rng.choice(courses))
                 for course in sorted(taken_courses, key=lambda iri: iri.value):
-                    self.add(student, UB.takesCourse, course)
+                    yield Triple(student, UB.takesCourse, course)
 
-        return self.triples
+
+def _university_triples(
+    index: int, total: int, profile: UniversityProfile, seed: int
+) -> Iterator[Triple]:
+    rng = random.Random(f"{seed}:{index}:{total}")
+    return _UniversityBuilder(index, total, profile, rng).triples()
 
 
 def generate_university(
@@ -207,8 +215,7 @@ def generate_university(
     seed: int = 42,
 ) -> list[Triple]:
     """Generate the triples of one university endpoint."""
-    rng = random.Random(f"{seed}:{index}:{total}")
-    return _UniversityBuilder(index, total, profile, rng).build()
+    return list(_university_triples(index, total, profile, seed))
 
 
 def build_federation(
@@ -229,9 +236,10 @@ def build_federation(
     )
     federation = Federation()
     for index in range(universities):
+        # Streamed into the store: no university is ever held as a list.
         endpoint = Endpoint(
             name=f"university{index}",
-            triples=generate_university(index, universities, profile, seed),
+            triples=_university_triples(index, universities, profile, seed),
             region=regions[index],
         )
         federation.add(endpoint)

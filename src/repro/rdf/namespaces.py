@@ -6,6 +6,12 @@ A :class:`Namespace` builds IRIs by attribute access or indexing::
     UB.advisor            # IRI('...univ-bench.owl#advisor')
     UB["takesCourse"]     # same thing, for names that are not identifiers
 
+Attribute access names vocabulary written in the code, so each name's
+IRI is minted once and the same object returned on every later access
+(a generator loop that writes ``UB.memberOf`` per row allocates
+nothing).  Indexing mints a fresh IRI per call: generators index with
+data-driven names (``DRUG[f"drug{i}"]``), which a memo would only hoard.
+
 A :class:`PrefixMap` resolves ``prefix:local`` names in parsed SPARQL and
 renders compact names in output.
 """
@@ -27,9 +33,13 @@ class Namespace:
         return self._base
 
     def __getattr__(self, name: str) -> IRI:
+        # Only reached on a name's first access: the IRI is then an
+        # instance attribute, which ordinary lookup finds from then on.
         if name.startswith("_"):
             raise AttributeError(name)
-        return IRI(self._base + name)
+        iri = IRI(self._base + name)
+        setattr(self, name, iri)
+        return iri
 
     def __getitem__(self, name: str) -> IRI:
         return IRI(self._base + name)

@@ -20,13 +20,14 @@ characteristic-*pair* coverage tables that answer check queries:
     an endpoint where no entity in that position shares its authority.
 
 Every table but the histograms is a sum over entities of a function of
-the entity's *class*: its subject-side and object-side ``(predicate,
-triples)`` items, its classes and its IRI authority.  The build reads
-each entity's class straight off the sorted SPO and OSP run columns (one
-merge, ascending by entity id), counts the classes (a LUBM endpoint's
-41k entities fall into under a hundred) and folds each class into the
-tables once, weighted by its size (:func:`_fold`); the histograms come
-off the POS predicate ranges.  Nothing per entity is kept.
+the entity's *class*: the sets of predicates naming it as subject and as
+object, its classes and its IRI authority (how many triples carry each
+predicate does not matter).  The build reads each entity's class
+straight off the sorted SPO and OSP run columns (one merge, ascending by
+entity id), counts the classes (a ledger-scale LUBM endpoint's 41k
+entities fall into 13) and folds each class into the tables once,
+weighted by its size (:func:`_fold`); the histograms come off the POS
+predicate ranges.  Nothing per entity is kept.
 :class:`CharsetMaintainer` keeps the summary current with a
 recompute-on-threshold policy over the store's write journal: a few
 writes re-fold only the entities they name, each entity's old class out
@@ -306,13 +307,13 @@ def _pairs_to_json(table: dict[tuple[Term, Term], int]) -> list:
 
 # ---------------------------------------------------------------- build
 
-#: An entity class: ``(subject items, classes, object items, authority)``.
-#: The items are ``(predicate id, triples)`` pairs ascending by
-#: predicate id, for the triples naming the entity as subject and as
-#: object; ``classes`` the ascending ids of its ``rdf:type`` objects;
-#: ``authority`` its IRI authority, or None for a literal or blank node.
-#: Every table of a summary is a sum over entities of a function of the
-#: entity's class, so entities of one class fold in together.
+#: An entity class: ``(subject predicates, classes, object predicates,
+#: authority)``.  The predicates are the ascending ids of those of the
+#: triples naming the entity as subject and as object; ``classes`` the
+#: ascending ids of its ``rdf:type`` objects; ``authority`` its IRI
+#: authority, or None for a literal or blank node.  Every table of a
+#: summary is a sum over entities of a function of the entity's class, so
+#: entities of one class fold in together.
 EntityKey = tuple
 
 
@@ -375,7 +376,8 @@ def _entity_classes(store: "TripleStore") -> dict[EntityKey, int]:
     with the OSP run (each object's predicates), both ascending by
     entity id; an entity's predicates are read as one slice of its
     range, so the per-entity work is a few C-level calls.  Slices stay
-    sorted tuples with repeats here and become items once per class.
+    sorted tuples with repeats here, and lose their repeats once per
+    distinct slice.
     """
     dictionary = store.dictionary
     decode = dictionary.decode
@@ -408,10 +410,16 @@ def _entity_classes(store: "TripleStore") -> dict[EntityKey, int]:
         value = decode(entity)
         key = (preds, classes, incoming, value.authority if isinstance(value, IRI) else None)
         raw[key] = raw.get(key, 0) + 1
-    return {
-        (_items(preds), classes, _items(incoming), authority): count
-        for (preds, classes, incoming, authority), count in raw.items()
-    }
+    classes: dict[EntityKey, int] = {}
+    for (preds, types, incoming, authority), count in raw.items():
+        key = (_distinct(preds), types, _distinct(incoming), authority)
+        classes[key] = classes.get(key, 0) + count
+    return classes
+
+
+def _distinct(ids) -> tuple[int, ...]:
+    """The distinct ids of a sorted id sequence."""
+    return tuple(key for key, __ in groupby(ids))
 
 
 def _items(ids) -> tuple[tuple[int, int], ...]:
@@ -433,23 +441,21 @@ def _fold(
     entity's old class at -1 and its new one at +1.  A side passed False
     is one the caller knows did not change: the tables of that side
     alone are left as they are, the subject-object tables are not."""
-    subject_items, classes, object_items, authority = key
-    subject_preds = [(term(p), n) for p, n in subject_items]
-    object_preds = [(term(p), n) for p, n in object_items]
+    subject_ids, classes, object_ids, authority = key
+    subject_preds = [term(p) for p in subject_ids]
+    object_preds = [term(p) for p in object_ids]
     predicates = summary.predicates
     if subject_side and subject_preds:
         summary.distinct_subjects += m
-        charset = frozenset(
-            [p for p, __ in subject_preds] + [class_marker(term(c)) for c in classes]
-        )
+        charset = frozenset(subject_preds + [class_marker(term(c)) for c in classes])
         _bump(summary.sets, charset, m)
-        for p, __ in subject_preds:
+        for p in subject_preds:
             predicates[p].distinct_subjects += m
             if authority is not None:
                 _bump_authority(summary.subject_authorities, p, authority, m)
     if object_side and object_preds:
         summary.distinct_objects += m
-        for p, __ in object_preds:
+        for p in object_preds:
             predicates[p].distinct_objects += m
             if authority is not None:
                 _bump_authority(summary.object_authorities, p, authority, m)
@@ -460,8 +466,8 @@ def _fold(
 def _bump_products(table: dict, left: list, right: list, m: int) -> None:
     """Add ``m`` to ``table[(p1, p2)]`` for every predicate ``p1`` of
     ``left`` and ``p2`` of ``right``; a zeroed entry leaves."""
-    for p1, __ in left:
-        for p2, __ in right:
+    for p1 in left:
+        for p2 in right:
             key = (p1, p2)
             value = table.get(key, 0) + m
             if value:
@@ -585,13 +591,14 @@ class CharsetMaintainer:
                 predicates[p] = PredicateStats(0, 0, 0, histogram)
         predicate_ids = store.predicate_ids()
         for entity, (subject_delta, class_delta, object_delta) in entities.items():
-            new = _entity_key(store, entity, type_id, predicate_ids)
-            subject_items, classes, object_items, authority = new
-            old_classes = _minus([(c, 1) for c in classes], class_delta)
+            subject_items, classes, object_items, authority = _entity_items(
+                store, entity, type_id, predicate_ids
+            )
+            new = (_keys(subject_items), classes, _keys(object_items), authority)
             old = (
-                _minus(subject_items, subject_delta),
-                tuple(c for c, __ in old_classes),
-                _minus(object_items, object_delta),
+                _keys(_minus(subject_items, subject_delta)),
+                _keys(_minus([(c, 1) for c in classes], class_delta)),
+                _keys(_minus(object_items, object_delta)),
                 authority,
             )
             sides = (old[:2] != new[:2], old[2] != new[2])
@@ -608,12 +615,14 @@ class CharsetMaintainer:
         summary.pin = store.state
 
 
-def _entity_key(
+def _entity_items(
     store: "TripleStore", entity: int, type_id: int | None, predicate_ids: list[int]
-) -> EntityKey:
-    """One entity's class read from the store: its SPO prefix, and one
-    POS range count per predicate (an entity many triples point at, a
-    class say, is not scanned)."""
+) -> tuple:
+    """One entity's class read from the store, each predicate with its
+    triples (``(predicate id, triples)`` items: what a write's deltas are
+    subtracted from): its SPO prefix, and one POS range count per
+    predicate (an entity many triples point at, a class say, is not
+    scanned)."""
     rows = list(store.match_ids(entity))
     value = store.dictionary.decode(entity)
     return (
@@ -632,3 +641,8 @@ def _minus(items, delta: dict[int, int]) -> tuple[tuple[int, int], ...]:
     for key, change in delta.items():
         counts[key] = counts.get(key, 0) - change
     return tuple(sorted((key, n) for key, n in counts.items() if n))
+
+
+def _keys(items) -> tuple[int, ...]:
+    """The ids of ``(id, count)`` items."""
+    return tuple(key for key, __ in items)

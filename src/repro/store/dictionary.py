@@ -133,6 +133,17 @@ class TermDictionary:
         """The id of ``term`` if already interned, else ``None``."""
         return self._ids.get(term)
 
+    def id_objects(self) -> list[int]:
+        """Every id, ascending, as the ``int`` the dictionary holds for it.
+
+        An id read back from an ``array`` is a fresh ``int`` per read; a
+        structure that keeps ids read from arrays as keys looks each one
+        up here instead and shares the dictionary's.  (Only
+        :meth:`encode` mints an id, the next one, and none is ever
+        removed, so the id map's insertion order is id order.)
+        """
+        return list(self._ids.values())
+
     def encode_row(self, row: Iterable[Term | None]) -> IdRow:
         """Encode one solution row; ``None`` (unbound) passes through."""
         encode = self.encode

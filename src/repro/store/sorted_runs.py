@@ -18,9 +18,11 @@ answered from the run alone, exactly as on a compact index.  When either
 side-structure outgrows an amortization bound proportional to the run
 length, the whole index is flushed into one fresh run (an O(n) merge paid
 once per O(n/8) mutations).
-Bulk loads bypass the tail entirely: :meth:`bulk_insert` merges a pre-sorted
-row block straight into the run, which is how ``TripleStore.add_all`` builds
-each permutation with one sort and no per-row dict churn.
+Bulk loads bypass the tail entirely: :meth:`bulk_insert` takes a pre-sorted
+block as three columns, which is how ``TripleStore.add_all`` builds each
+permutation with one sort and no per-row tuple.  Sorting is done on packed
+keys (:func:`pack` / :func:`unpack`): one int per row that orders as the
+row does, so a block never exists as row tuples.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import and_, lshift, or_, rshift
 from typing import Iterable, Iterator, Sequence
 
 IdRow = tuple  # (a, b, c) in this index's permutation order
@@ -39,6 +42,28 @@ IdRow = tuple  # (a, b, c) in this index's permutation order
 #: incremental mutation at O(_TAIL_FRACTION) array writes per row.
 _MIN_TAIL = 1024
 _TAIL_FRACTION = 8
+
+
+def pack(first: Iterable[int], second: Iterable[int], third: Iterable[int], width: int):
+    """One key per row of three id columns, ``first << 2w | second << w |
+    third`` for ``w = width``: while every id is below ``2 ** width`` the
+    keys order exactly as the rows do, lexicographically.  An iterator,
+    computed at C level."""
+    return map(
+        or_,
+        map(or_, map(lshift, first, repeat(2 * width)), map(lshift, second, repeat(width))),
+        third,
+    )
+
+
+def unpack(keys: Sequence[int], width: int) -> tuple[array, array, array]:
+    """The three ``array('q')`` id columns of packed ``keys`` (:func:`pack`)."""
+    mask = (1 << width) - 1
+    return (
+        array("q", map(rshift, keys, repeat(2 * width))),
+        array("q", map(and_, map(rshift, keys, repeat(width)), repeat(mask))),
+        array("q", map(and_, keys, repeat(mask))),
+    )
 
 
 class SortedRunIndex:
@@ -77,11 +102,13 @@ class SortedRunIndex:
         """Read-only memoryviews over the three columns of every row, in
         permutation order (kernel surface): the run columns themselves on
         a compact index, else fresh columns of the merged view."""
-        columns = (self._a, self._b, self._c)
-        if not self.is_compact:
-            flat = array("q", chain.from_iterable(self.iter_prefix()))
-            columns = (flat[0::3], flat[1::3], flat[2::3])
-        return tuple(memoryview(column).toreadonly() for column in columns)
+        return tuple(memoryview(column).toreadonly() for column in self._merged_columns())
+
+    def _merged_columns(self) -> tuple[array, array, array]:
+        if self.is_compact:
+            return self._a, self._b, self._c
+        flat = array("q", chain.from_iterable(self.iter_prefix()))
+        return flat[0::3], flat[1::3], flat[2::3]
 
     def nbytes(self) -> int:
         """Bytes held by the run columns (the dominant storage term)."""
@@ -125,34 +152,39 @@ class SortedRunIndex:
         """Merge tail and tombstones into one fresh sorted run."""
         if self.is_compact:
             return
-        self._rebuild(list(self.iter_prefix()))
+        self._adopt(*self._merged_columns())
 
-    def bulk_insert(self, rows: Sequence[IdRow]) -> None:
-        """Merge a sorted, deduplicated block of new rows into the run.
+    def bulk_insert(self, a: array, b: array, c: array) -> None:
+        """Merge a block of new rows into the run, given as three
+        ``array('q')`` columns.
 
-        ``rows`` must be sorted in this permutation's order and disjoint
-        from the rows already present.  An empty index takes the columns
-        straight from the block (the bulk-load fast path: one sort done by
-        the caller, three array builds here, zero per-row overhead).
+        The block must be sorted in this permutation's order,
+        deduplicated and disjoint from the rows already present.  An
+        index with no rows adopts the columns as its run (the bulk-load
+        fast path: the caller sorted once, nothing is copied here);
+        otherwise the present rows and the block are packed into keys
+        (:func:`pack`) and sorted together, a linear merge of two runs.
         """
-        if not rows:
+        if not len(a):
             self.flush()
             return
-        if len(self._a) == 0 and not self.tail:
-            self._rebuild(rows)
-            return
-        self._rebuild(list(heapq.merge(self.iter_prefix(), rows)))
+        if len(self):
+            present = self._merged_columns()
+            width = max(map(max, (*present, a, b, c))).bit_length()
+            keys = list(pack(*present, width))
+            keys += pack(a, b, c, width)
+            keys.sort()
+            a, b, c = unpack(keys, width)
+        self._adopt(a, b, c)
 
-    def _rebuild(self, rows: Sequence[IdRow]) -> None:
-        self._a = array("q", [row[0] for row in rows])
-        self._b = array("q", [row[1] for row in rows])
-        self._c = array("q", [row[2] for row in rows])
+    def _adopt(self, a: array, b: array, c: array) -> None:
+        self._a, self._b, self._c = a, b, c
         self.tail.clear()
         self.tombstones.clear()
         self._sorted_deltas = None
 
     def clear(self) -> None:
-        self._rebuild(())
+        self._adopt(array("q"), array("q"), array("q"))
 
     # --------------------------------------------------------------- probes
 

@@ -12,8 +12,8 @@ three parallel ``array('q')`` columns sorted lexicographically, probed
 with binary searches.  Every ``match_ids`` result comes back sorted in
 the probing permutation's order (see :meth:`TripleStore.match_order`),
 which is what the compiled plans' intersect steps walk, and bulk loads
-build each permutation with one list sort instead of per-row index
-maintenance.  The plans' membership tests read
+build each permutation with one sort of packed integer keys instead of
+per-row index maintenance.  The plans' membership tests read
 :meth:`TripleStore.member_set`: one third-position range as a ``set``,
 built on first use and kept until the next write.
 
@@ -42,6 +42,8 @@ read these numbers.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter, deque
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -49,7 +51,7 @@ from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import IRI, PatternTerm, Term, Variable
 from repro.rdf.triple import Triple, TriplePattern
 from repro.store.dictionary import TermDictionary
-from repro.store.sorted_runs import SortedRunIndex
+from repro.store.sorted_runs import SortedRunIndex, pack, unpack
 
 #: An encoded triple: (subject id, predicate id, object id).
 IdTriple = tuple
@@ -146,7 +148,7 @@ class TripleStore:
         # {subject id: number of triples with that (subject, predicate)}.
         # distinct_subjects(p) is then an O(1) len() instead of the full
         # SPO scan it used to be.
-        self._predicate_subjects: dict[int, dict[int, int]] = {}
+        self._predicate_subjects: dict[int, Counter[int]] = {}
         self._memos = _Memos(self.state)
         #: Member sets built and the ids put in them, cumulative over
         #: the store's lifetime (:meth:`Endpoint.member_stats`).
@@ -280,52 +282,90 @@ class TripleStore:
         self._note_write(p, o)
         self._journal.append((self.version, 1, s, p, o))
         self._predicate_counts[p] += 1
-        subjects = self._predicate_subjects.setdefault(p, {})
-        subjects[s] = subjects.get(s, 0) + 1
+        subjects = self._predicate_subjects.get(p)
+        if subjects is None:
+            subjects = self._predicate_subjects[p] = Counter()
+        subjects[s] += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns how many were new.
 
-        This is the bulk-load fast path: encode everything, sort/dedupe
-        once, and merge each permutation in one pass — no per-row index
-        maintenance.
+        The bulk-load path, one pass over ``triples`` (a generator streams
+        straight in): each triple is encoded subject, predicate, object —
+        the order :meth:`add` encodes in, so ids do not depend on the
+        path — into three id columns.  Each row then becomes one packed
+        key (:func:`~repro.store.sorted_runs.pack`) at the dictionary's id
+        width after encoding, exact at any size; the keys are deduplicated
+        and sorted once per permutation and unpacked into that
+        permutation's columns.  No row is ever a tuple: what set-up frees
+        is where a round's first small objects land
+        (``docs/architecture.md``, "Collector").
         """
-        encode = self.dictionary.encode
-        rows = sorted(
-            {
-                (encode(triple.subject), encode(triple.predicate), encode(triple.object))
-                for triple in triples
-            }
-        )
+        width, keys = self._encoded_keys(triples)
         loaded = bool(self._size)
         if loaded:
-            contains = self._spo.contains
-            fresh = [row for row in rows if not contains(row)]
-        else:
-            # An empty store holds none of them: every deduplicated row is new.
-            fresh = rows
-        if not fresh:
+            keys.difference_update(pack(*self._spo.columns(), width))
+        if not keys:
             return 0
-        self._spo.bulk_insert(fresh)
-        self._pos.bulk_insert(sorted((p, o, s) for s, p, o in fresh))
-        self._osp.bulk_insert(sorted((o, s, p) for s, p, o in fresh))
-        counts = self._predicate_counts
-        subjects_by_predicate = self._predicate_subjects
-        for s, p, __ in fresh:
-            counts[p] += 1
-            subjects = subjects_by_predicate.setdefault(p, {})
-            subjects[s] = subjects.get(s, 0) + 1
-        self._size += len(fresh)
+        s, p, o = unpack(sorted(keys), width)
+        del keys  # before the other two permutations' keys exist
+        pos = unpack(sorted(pack(p, o, s, width)), width)
+        osp = unpack(sorted(pack(o, s, p, width)), width)
+        self._spo.bulk_insert(s, p, o)
+        self._pos.bulk_insert(*pos)
+        self._osp.bulk_insert(*osp)
+        # Counted in SPO order, so predicates are met in the order the
+        # per-row path would meet them.
+        self._predicate_counts.update(p)
+        self._size += len(s)
         self._bump()
         self._journal.clear()
-        if loaded:
-            for __, p, o in fresh:
-                self._note_write(p, o)
-        else:
+        if not loaded:
             # A load into an empty store retires every earlier answer.
             self._retired = self.version
-        return len(fresh)
+        self._note_load(*pos, loaded)
+        return len(s)
+
+    def _encoded_keys(self, triples: Iterable[Triple]) -> tuple[int, set[int]]:
+        """``(width, packed keys)`` of ``triples``, encoded in subject,
+        predicate, object order; ``width`` is the dictionary's id width
+        after encoding them."""
+        encode = self.dictionary.encode
+        subjects, predicates, objects = array("q"), array("q"), array("q")
+        add_s, add_p, add_o = subjects.append, predicates.append, objects.append
+        for triple in triples:
+            add_s(encode(triple.subject))
+            add_p(encode(triple.predicate))
+            add_o(encode(triple.object))
+        width = len(self.dictionary).bit_length()
+        return width, set(pack(subjects, predicates, objects, width))
+
+    def _note_load(self, predicates: array, objects: array, subjects: array, loaded: bool) -> None:
+        """Fold the POS-sorted columns of freshly loaded rows into the
+        per-predicate subject counts, one predicate range at a time; into
+        a ``loaded`` store they are writes, noted like :meth:`add`'s."""
+        subjects_by_predicate = self._predicate_subjects
+        type_id = self._type_id()
+        version = self.version
+        # Counter keys are the dictionary's ints, not one fresh int per key.
+        shared = self.dictionary.id_objects()
+        lo, end = 0, len(predicates)
+        while lo < end:
+            p = predicates[lo]
+            hi = bisect_right(predicates, p, lo)
+            run = map(shared.__getitem__, subjects[lo:hi])
+            counts = subjects_by_predicate.get(p)
+            if counts is None:
+                subjects_by_predicate[p] = Counter(run)
+            else:
+                counts.update(run)
+            if loaded:
+                self._predicate_writes[p] = version
+                if p == type_id:
+                    for o in objects[lo:hi]:
+                        self._class_writes[o] = version
+            lo = hi
 
     def remove(self, triple: Triple) -> bool:
         """Delete a triple; returns True if it was present."""

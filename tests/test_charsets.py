@@ -10,6 +10,7 @@ provider's pruning soundness rests on that exactness.
 import tracemalloc
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.endpoint import Endpoint
@@ -17,8 +18,14 @@ from repro.rdf import IRI, BNode, Literal, Triple, TriplePattern, Variable
 from repro.rdf.namespaces import RDF_TYPE
 from repro.store import TripleStore
 from repro.store.charsets import (
+    DEFAULT_OBJECT_HISTOGRAM_LIMIT,
     CharacteristicSets,
     CharsetMaintainer,
+    _entity_classes,
+    _entity_items,
+    _fold,
+    _keys,
+    _predicate_stats,
     build_charsets,
     class_marker,
 )
@@ -147,6 +154,65 @@ class TestBuild:
         assert summary.triples == 0
         assert summary.sets == {}
         assert summary.can_match(TriplePattern(Variable("s"), PREDS[0], Variable("o"))) is False
+
+
+def per_entity_fold(store: TripleStore) -> CharacteristicSets:
+    """The summary folded one entity at a time (each at weight 1), its
+    class read the way maintenance reads it: the reference for the
+    build's grouping of entities into classes."""
+    dictionary = store.dictionary
+    type_id = dictionary.lookup(RDF_TYPE)
+    predicate_ids = store.predicate_ids()
+    summary = CharacteristicSets(
+        pin=store.state,
+        triples=len(store),
+        distinct_subjects=0,
+        distinct_objects=0,
+        predicates=_predicate_stats(store, DEFAULT_OBJECT_HISTOGRAM_LIMIT),
+        sets={},
+        os_pairs={},
+        oo_pairs={},
+        subject_authorities={},
+        object_authorities={},
+    )
+    entities = {s for s, __, __ in store.scan_ids()} | {o for __, __, o in store.scan_ids()}
+    for entity in sorted(entities):
+        subject_items, classes, object_items, authority = _entity_items(
+            store, entity, type_id, predicate_ids
+        )
+        key = (_keys(subject_items), classes, _keys(object_items), authority)
+        _fold(summary, key, 1, dictionary.decode)
+    return summary
+
+
+class TestBuildOnGeneratedEndpoints:
+    """The build groups entities by predicate sets, classes and
+    authority, and folds each group once: on every endpoint of the
+    generated federations it equals folding entity by entity, and the
+    term-level oracle."""
+
+    @pytest.mark.parametrize("federation", ["lubm2", "qfed_federation", "largerdf_federation"])
+    def test_build_equals_the_per_entity_fold(self, federation, request):
+        for endpoint in request.getfixturevalue(federation):
+            store = endpoint.store
+            built = build_charsets(store).to_dict()
+            assert built == per_entity_fold(store).to_dict(), endpoint.name
+            assert built == reference_summary(store).to_dict(), endpoint.name
+
+    def test_a_class_is_a_predicate_set_not_a_triple_count(self):
+        # Two subjects with the same predicates, one with two triples of
+        # one of them: one class.
+        store = TripleStore("ep")
+        store.add_all(
+            [
+                Triple(ENTITIES[0], PREDS[0], ENTITIES[1]),
+                Triple(ENTITIES[2], PREDS[0], ENTITIES[1]),
+                Triple(ENTITIES[2], PREDS[0], ENTITIES[3]),
+            ]
+        )
+        subjects = [key for key in _entity_classes(store) if key[0]]
+        assert len(subjects) == 1
+        assert _entity_classes(store)[subjects[0]] == 2
 
 
 class TestBuildFromMergedView:

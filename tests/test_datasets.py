@@ -1,5 +1,7 @@
 """Tests for the dataset generators: determinism, structure, interlinks."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets import bio2rdf, largerdf, lubm, qfed
@@ -15,6 +17,49 @@ from repro.datasets.queries_largerdf import (
 )
 from repro.rdf import RDF_TYPE, UB
 from repro.sparql import evaluate_select, parse_query
+from repro.store import TripleStore
+
+
+def triples_digest(triples) -> str:
+    """SHA-256 of the triples' N-Triples lines, in the order given."""
+    digest = hashlib.sha256()
+    for triple in triples:
+        digest.update(
+            f"{triple.subject.n3()} {triple.predicate.n3()} {triple.object.n3()}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+#: ``((index, total, profile, seed), triples, digest)`` of generated
+#: universities, pinned: the triples' order fixes every dictionary id
+#: (and with it every plan and figure), so it may not move either.
+GENERATED_UNIVERSITIES = [
+    (
+        (0, 2, lubm.SMALL_PROFILE, 7),
+        554,
+        "27eff68cd331bd305e2f05f6749225e4df91a03b18bc446b96aa928bf7e7c6bc",
+    ),
+    (
+        (1, 2, lubm.SMALL_PROFILE, 7),
+        555,
+        "736950341ffccb9ace6cead28e246efbdedf10da094dea07bdd2f8154cb75450",
+    ),
+    (
+        (0, 2, lubm.SMALL_PROFILE, 42),
+        555,
+        "994997d0ed3dc7b209e08eeadcf82e8cd836315988601b68cb8b88e506df19a8",
+    ),
+    (
+        (1, 2, lubm.SMALL_PROFILE, 42),
+        559,
+        "de8bf59e296122dff162fe81ee8a62ee33be8eaa7f829399344e80da445776ee",
+    ),
+    (
+        (1, 2, lubm.BENCH_PROFILE, 3),
+        3522,
+        "9163d504d758d1b9f8597b2aa4439b1e2d6f0d52190d5af80655952cf5b7ceea",
+    ),
+]
 
 
 class TestLubmGenerator:
@@ -27,6 +72,24 @@ class TestLubmGenerator:
         first = lubm.generate_university(0, 4, seed=1)
         second = lubm.generate_university(0, 4, seed=2)
         assert first != second
+
+    @pytest.mark.parametrize(("args", "size", "expected"), GENERATED_UNIVERSITIES)
+    def test_generated_triples_are_pinned(self, args, size, expected):
+        triples = lubm.generate_university(*args)
+        assert len(triples) == size
+        assert triples_digest(triples) == expected
+
+    def test_federation_holds_the_generated_triples_under_the_same_ids(self):
+        """The federation's stores hold each university's generated
+        triples, and the dictionary ids a store built from the list
+        assigns."""
+        federation = lubm.build_federation(2, lubm.SMALL_PROFILE, seed=42)
+        for index, endpoint in enumerate(federation):
+            expected = TripleStore()
+            expected.add_all(lubm.generate_university(index, 2, lubm.SMALL_PROFILE, 42))
+            store = endpoint.store
+            assert list(store.dictionary) == list(expected.dictionary)
+            assert list(store.scan_ids()) == list(expected.scan_ids())
 
     def test_federation_structure(self, lubm2):
         assert len(lubm2) == 2

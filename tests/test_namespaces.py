@@ -24,6 +24,25 @@ class TestNamespace:
         with pytest.raises(AttributeError):
             ns._private
 
+    def test_attribute_access_returns_one_object_per_name(self):
+        ns = Namespace("http://ex.org/v#")
+        first = ns.thing
+        assert ns.thing is first
+        assert ns.other is not first
+        assert UB.memberOf is UB.memberOf
+        assert RDF.type is RDF.type
+
+    def test_item_access_is_equal_and_memoises_nothing(self):
+        ns = Namespace("http://ex.org/v#")
+        before = dict(vars(ns))
+        item = ns["drug7"]
+        assert item == IRI("http://ex.org/v#drug7")
+        assert ns["drug7"] is not item
+        assert vars(ns) == before
+        # An indexed name stays unmemoised after its attribute is read.
+        assert ns["thing"] is not ns.thing
+        assert ns["thing"] == ns.thing
+
 
 class TestPrefixMap:
     def test_default_prefixes_present(self):

@@ -23,6 +23,11 @@ def rows(*triples):
     return [tuple(t) for t in triples]
 
 
+def load(idx, block):
+    """``idx.bulk_insert`` of a sorted row block, given as its columns."""
+    idx.bulk_insert(*(array("q", [row[i] for row in block]) for i in range(3)))
+
+
 class TestSortedRunIndex:
     def test_add_contains_len(self):
         idx = SortedRunIndex()
@@ -41,7 +46,7 @@ class TestSortedRunIndex:
 
     def test_iter_prefix_merges_run_and_tail_sorted(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (3, 3, 3), (5, 5, 5)])
+        load(idx, [(1, 1, 1), (3, 3, 3), (5, 5, 5)])
         # These land in the un-flushed delta tail.
         idx.add((2, 2, 2))
         idx.add((4, 4, 4))
@@ -56,7 +61,7 @@ class TestSortedRunIndex:
 
     def test_prefix_probes(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)])
+        load(idx, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)])
         assert list(idx.iter_prefix((1,))) == [(1, 1, 1), (1, 1, 2), (1, 2, 1)]
         assert list(idx.iter_prefix((1, 1))) == [(1, 1, 1), (1, 1, 2)]
         assert list(idx.iter_prefix((1, 1, 2))) == [(1, 1, 2)]
@@ -71,7 +76,7 @@ class TestSortedRunIndex:
 
     def test_remove_from_run_uses_tombstone(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (2, 2, 2)])
+        load(idx, [(1, 1, 1), (2, 2, 2)])
         idx.remove((1, 1, 1))
         assert len(idx) == 1
         assert not idx.contains((1, 1, 1))
@@ -81,7 +86,7 @@ class TestSortedRunIndex:
 
     def test_add_resurrects_tombstoned_row(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (2, 2, 2)])
+        load(idx, [(1, 1, 1), (2, 2, 2)])
         idx.remove((1, 1, 1))
         idx.add((1, 1, 1))
         assert len(idx) == 2
@@ -90,7 +95,7 @@ class TestSortedRunIndex:
 
     def test_remove_from_tail(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1)])
+        load(idx, [(1, 1, 1)])
         idx.add((2, 2, 2))  # tail row
         idx.remove((2, 2, 2))
         assert len(idx) == 1
@@ -98,7 +103,7 @@ class TestSortedRunIndex:
 
     def test_flush_compacts(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (3, 3, 3)])
+        load(idx, [(1, 1, 1), (3, 3, 3)])
         idx.add((2, 2, 2))
         idx.remove((3, 3, 3))
         assert not idx.is_compact
@@ -119,15 +124,15 @@ class TestSortedRunIndex:
     def test_bulk_insert_into_empty_adopts_block(self):
         # bulk_insert's contract: the caller pre-sorts and dedupes.
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+        load(idx, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
         assert idx.is_compact
         assert idx.run_length == 3
         assert list(idx.iter_prefix()) == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
 
     def test_bulk_insert_merges_with_existing_run(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (4, 4, 4)])
-        idx.bulk_insert([(2, 2, 2), (3, 3, 3)])
+        load(idx, [(1, 1, 1), (4, 4, 4)])
+        load(idx, [(2, 2, 2), (3, 3, 3)])
         assert list(idx.iter_prefix()) == [
             (1, 1, 1),
             (2, 2, 2),
@@ -135,9 +140,34 @@ class TestSortedRunIndex:
             (4, 4, 4),
         ]
 
+    def test_bulk_insert_merges_pending_writes_at_a_wider_key(self):
+        # The block's ids need more bits than the run's: the merge packs
+        # both at the wider width, and the pending writes land in the run.
+        idx = SortedRunIndex()
+        load(idx, [(1, 1, 1), (2, 2, 2), (3, 0, 1)])
+        idx.add((1, 2, 0))
+        idx.remove((2, 2, 2))
+        load(idx, [(0, 900, 7), (2, 2, 1 << 40)])
+        assert idx.is_compact
+        assert list(idx.iter_prefix()) == [
+            (0, 900, 7),
+            (1, 1, 1),
+            (1, 2, 0),
+            (2, 2, 1 << 40),
+            (3, 0, 1),
+        ]
+
+    def test_bulk_insert_of_nothing_compacts(self):
+        idx = SortedRunIndex()
+        load(idx, [(1, 1, 1)])
+        idx.add((2, 2, 2))
+        load(idx, [])
+        assert idx.is_compact
+        assert list(idx.iter_prefix()) == [(1, 1, 1), (2, 2, 2)]
+
     def test_columns_are_readonly_and_sized(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 2, 3), (4, 5, 6)])
+        load(idx, [(1, 2, 3), (4, 5, 6)])
         a, b, c = idx.columns()
         assert list(a) == [1, 4]
         assert list(b) == [2, 5]
@@ -148,7 +178,7 @@ class TestSortedRunIndex:
 
     def test_columns_read_pending_writes_through_the_merged_view(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 2, 3), (4, 5, 6)])
+        load(idx, [(1, 2, 3), (4, 5, 6)])
         idx.add((2, 0, 0))
         idx.remove((4, 5, 6))
         assert not idx.is_compact
@@ -156,7 +186,7 @@ class TestSortedRunIndex:
 
     def test_distinct_helpers(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])
+        load(idx, [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])
         assert idx.distinct_firsts() == 2
         assert list(idx.iter_distinct_seconds(1)) == [1, 2]
         assert idx.distinct_seconds(1) == 2
@@ -164,7 +194,7 @@ class TestSortedRunIndex:
 
     def test_clear(self):
         idx = SortedRunIndex()
-        idx.bulk_insert([(1, 1, 1)])
+        load(idx, [(1, 1, 1)])
         idx.add((2, 2, 2))
         idx.clear()
         assert len(idx) == 0
@@ -218,7 +248,7 @@ def test_property_third_range_is_exact_under_interleaved_writes(loaded, writes):
     writes so a stale sorted view of the deltas would show."""
     idx = SortedRunIndex()
     model = set(loaded)
-    idx.bulk_insert(sorted(model))
+    load(idx, sorted(model))
     for action, row in [("probe", None), *writes]:
         if action == "flush":
             idx.flush()
@@ -245,7 +275,7 @@ def test_a_prefix_without_pending_writes_is_served_from_the_run():
     # One unrelated tail row and one unrelated tombstone used to send
     # every probe through a scan of both sets and a merged list.
     idx = SortedRunIndex()
-    idx.bulk_insert([(1, 1, 1), (1, 1, 2), (2, 2, 2), (3, 3, 3)])
+    load(idx, [(1, 1, 1), (1, 1, 2), (2, 2, 2), (3, 3, 3)])
     idx.add((9, 9, 9))
     idx.remove((3, 3, 3))
     assert not idx.is_compact

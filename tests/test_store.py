@@ -1,14 +1,16 @@
 """Unit and property tests for the indexed triple store."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable
+from repro.rdf.namespaces import RDF_TYPE
 from repro.store import TripleStore
 
 S1, S2 = IRI("http://a.org/s1"), IRI("http://a.org/s2")
 P1, P2 = IRI("http://a.org/p1"), IRI("http://a.org/p2")
 O1, O2 = IRI("http://a.org/o1"), Literal("two")
 X = Variable("x")
+X2, X3 = Variable("x2"), Variable("x3")
 
 
 def make_store():
@@ -325,3 +327,108 @@ def test_property_add_all_equals_repeated_add(first, second):
             # Same ids on both sides, so the index rows compare directly.
             assert bulk.dictionary.lookup(term) == single.dictionary.lookup(term)
         assert _store_state(bulk) == _store_state(single)
+
+
+# ----------------------------------------------------------- bulk loads
+
+#: Terms of the bulk-load property: subjects and predicates come from the
+#: IRIs of two authorities and ``rdf:type``, objects from those and a
+#: literal.  A load's pool is a prefix of the list, so a small pool keeps
+#: the dictionary (and the packed keys' width) small and a larger second
+#: pool widens it.
+BULK_IRIS = [IRI(f"http://{'a' if i % 3 else 'b'}.org/t{i}") for i in range(40)]
+BULK_IRIS[1] = RDF_TYPE
+BULK_OBJECTS = BULK_IRIS + [Literal("v")]
+#: Duplicates into a one-term dictionary; a second load that widens the
+#: packed keys from one bit per id to nine.
+ONE_TERM = Triple(BULK_IRIS[0], BULK_IRIS[0], BULK_IRIS[0])
+WIDENING = [Triple(IRI(f"http://a.org/w{i}"), BULK_IRIS[2], O1) for i in range(300)]
+
+
+def bulk_triples(pool_size: int):
+    iris = st.sampled_from(BULK_IRIS[:pool_size])
+    objects = st.sampled_from(BULK_OBJECTS[: pool_size + 1])
+    return st.lists(st.builds(Triple, iris, iris, objects), max_size=30)
+
+
+@st.composite
+def bulk_loads(draw):
+    """``(first, second)`` triple lists: the first from a pool of one to
+    three terms (a one-term dictionary included), the second from any
+    pool, so the dictionary often grows between the loads."""
+    first = draw(bulk_triples(draw(st.integers(1, 3))))
+    second = draw(bulk_triples(draw(st.integers(1, 40))))
+    return first, second
+
+
+def store_readings(store: TripleStore) -> dict:
+    """Everything the bulk-load property compares, in id space."""
+    rows = list(store.scan_ids("spo"))
+    masks = [(bs, bp, bo) for bs in (0, 1) for bp in (0, 1) for bo in (0, 1)]
+    counts = [
+        store.count_ids(s if bs else None, p if bp else None, o if bo else None)
+        for s, p, o in rows
+        for bs, bp, bo in masks
+    ]
+    absent = len(store.dictionary)
+    counts += [
+        store.count_ids(absent),
+        store.count_ids(None, absent),
+        store.count_ids(None, None, absent),
+    ]
+    return {
+        "terms": list(store.dictionary),
+        "orders": {order: list(store.scan_ids(order)) for order in ("spo", "pos", "osp")},
+        "len": len(store),
+        "counts": counts,
+        "predicates": {
+            term: (
+                store.predicate_count(term),
+                store.distinct_subjects(term),
+                store.subject_authorities(term),
+            )
+            for term in BULK_IRIS
+        },
+        "distinct_subjects": store.distinct_subjects(),
+    }
+
+
+class TestBulkLoad:
+    """``add_all`` reads its input once, packs each row into one integer
+    key at the dictionary's width, and builds every permutation from
+    sorted keys: a one-shot generator, a list and a loop of ``add`` must
+    leave the same store, whatever the width does between loads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bulk_loads())
+    @example(([ONE_TERM] * 3, [ONE_TERM]))
+    @example(([ONE_TERM], WIDENING))
+    def test_generator_list_and_add_loop_agree(self, loads):
+        first, second = loads
+        streamed, listed, looped = TripleStore(), TripleStore(), TripleStore()
+        pins, returned = [], []
+        for batch in (first, second):
+            pins.append((streamed.state, listed.state, looped.state))
+            returned.append(
+                (
+                    streamed.add_all(triple for triple in batch),
+                    listed.add_all(list(batch)),
+                    sum(looped.add(triple) for triple in batch),
+                )
+            )
+        for got_streamed, got_listed, got_looped in returned:
+            assert got_streamed == got_listed == got_looped
+        assert store_readings(streamed) == store_readings(listed) == store_readings(looped)
+        # A load into a loaded store retires exactly the answers a new
+        # row matches, as the writes of an add loop do; a load into an
+        # empty store retires every answer, which a loop does not.
+        stores = (streamed, listed, looped) if first else (streamed, listed)
+        patterns = (
+            [TriplePattern(X, p, X2) for p in BULK_IRIS[:5]]
+            + [TriplePattern(X, RDF_TYPE, c) for c in BULK_OBJECTS[:5]]
+            + [TriplePattern(X, X3, X2)]
+        )
+        for pattern in patterns:
+            verdicts = {store.current(pin, [pattern]) for store, pin in zip(stores, pins[1])}
+            assert len(verdicts) == 1, pattern
+        assert streamed.last_write(patterns[:10]) == listed.last_write(patterns[:10])
