@@ -10,7 +10,8 @@ RDF graphs.  This package rebuilds the full system in Python:
   network and federation layer;
 * :mod:`repro.core` — Lusail itself: locality-aware decomposition (LADE)
   and selectivity-aware parallel execution (SAPE);
-* :mod:`repro.baselines` — FedX, SPLENDID, and HiBISCuS re-implementations;
+* :mod:`repro.baselines` — FedX, SPLENDID, HiBISCuS and ANAPSID
+  re-implementations;
 * :mod:`repro.datasets` — LUBM / QFed / LargeRDFBench / Bio2RDF-style
   workload generators;
 * :mod:`repro.harness` — the experiment runner behind ``benchmarks/``.

@@ -14,14 +14,18 @@ This is the paper's system (Fig 4) end to end:
    block-wise, and join results with the DP join-order optimizer
    (Alg 3).
 
+Each branch is planned (:meth:`LusailEngine.plan_branch`) into a frozen
+:class:`BranchPlan`, then run from it (:meth:`LusailEngine.run_branch`).
+
 Configuration flags expose the paper's ablations: decomposition mode,
 delay policy (``None`` turns delaying off) and Chauvenet on/off.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 
 from repro.core.decomposition.decomposer import decompose
@@ -35,12 +39,13 @@ from repro.core.execution.cost_model import (
     collect_statistics,
     decide_delays,
 )
+from repro.core.execution.join_order import fewest_bindings, most_selective_first, plan_joins
 from repro.core.execution.partial import (
     PartialBranchScheduler,
     StrategyDecision,
     choose_strategy,
 )
-from repro.core.execution.scheduler import POOL_SIZE, BranchScheduler
+from repro.core.execution.scheduler import BranchScheduler
 from repro.endpoint.cache import EngineCaches
 from repro.endpoint.client import FederationClient
 from repro.endpoint.federation import Federation
@@ -125,6 +130,16 @@ class BranchPlan:
     #: so a plan forced to delay another subquery still routes it; a
     #: source with no entry receives every binding.
     routes: Mapping[int, Mapping[str, tuple[RouteCheck, ...]]] = field(default_factory=dict)
+    #: The rules of the choices execution makes from measured values:
+    #: each the function the scheduler calls, with the planned inputs it
+    #: reads bound by :func:`functools.partial`.  ``joins(relations,
+    #: subqueries)`` orders every multi-way mediator join;
+    #: ``rank(candidates)`` orders phase two's ``(subquery, bindings)``
+    #: and, with none measured, an OPTIONAL block's subqueries;
+    #: ``binding_source(components, variables)`` picks the bindings.
+    joins: Callable | None = None
+    rank: Callable | None = None
+    binding_source: Callable | None = None
 
 
 @dataclass
@@ -148,10 +163,6 @@ class QueryPlanInfo:
     @property
     def subquery_count(self) -> int:
         return sum(len(plan.subqueries) for plan in self._decompositions())
-
-    @property
-    def delayed_count(self) -> int:
-        return sum(len(plan.delays.delayed_ids) for plan in self.branch_plans)
 
     @property
     def check_queries(self) -> int:
@@ -181,22 +192,21 @@ class LusailEngine(FederatedEngine):
                 self.network_config,
                 mediator_slots=self.network_config.mediator_slots * machines,
             )
-        self.mediator = mediator or MediatorCostModel(
-            threads=POOL_SIZE * machines
-        )
+        self.mediator = mediator or MediatorCostModel()
 
     # ------------------------------------------------------------ pipeline
 
     def _new_plan(self) -> QueryPlanInfo:
         return QueryPlanInfo()
 
-    def _analyze_branch(
+    def plan_branch(
         self, client: FederationClient, branch: Branch, normalized: NormalizedQuery
     ) -> BranchPlan:
-        """Plan one branch: sources, LADE, statistics, delays, strategy.
+        """Plan one branch: sources, LADE, statistics, delays, strategy,
+        routes and the execution rules.
 
-        The one place the analysis sequence is written; execution and
-        :meth:`explain` both read its result.
+        The one place the analysis sequence is written; :meth:`run_branch`
+        and :meth:`explain` both read its result.
         """
         tracer = client.tracer
         # ---- Phase 1: source selection --------------------------------
@@ -246,7 +256,11 @@ class LusailEngine(FederatedEngine):
             else {sq.id: client.stats.plan_routes(sq) for sq in plan.subqueries}
         )
         return BranchPlan(
-            selected_ms, now, plan, needed_vars, estimates, delays, strategy, costs.block, routes
+            selected_ms, now, plan, needed_vars, estimates, delays, strategy, costs.block, routes,
+            # ``plan_joins`` is read when planning: what the name is bound to then runs.
+            partial(plan_joins, distinct=estimates.distinct),
+            partial(most_selective_first, cardinalities=delays.cardinalities),
+            fewest_bindings,
         )
 
     def _execute_branch(
@@ -256,80 +270,81 @@ class LusailEngine(FederatedEngine):
         normalized: NormalizedQuery,
         plan_info: QueryPlanInfo,
     ) -> tuple[Relation, float, dict[str, float]]:
-        tracer = client.tracer
-        with tracer.span("branch", t0=0.0) as branch_span:
-            branch_plan = self._analyze_branch(client, branch, normalized)
+        with client.tracer.span("branch", t0=0.0) as branch_span:
+            branch_plan = self.plan_branch(client, branch, normalized)
             plan_info.branch_plans.append(branch_plan)
-            plan, now = branch_plan.decomposition, branch_plan.end_ms
+            now = branch_plan.end_ms
             phases = {"source_selection": branch_plan.selected_ms}
-            if plan is None:
+            if branch_plan.decomposition is None:
                 # Some required pattern has no source anywhere: empty answer.
                 branch_span.set(empty="no source for required pattern").end(now)
                 return Relation(tuple(normalized.projected_variables())), now, phases
             phases["analysis"] = now - branch_plan.selected_ms
+            relation, end = self.run_branch(client, branch_plan, now)
+            phases["execution"] = end - now
+            branch_span.set(rows=len(relation)).end(end)
+        return relation, end, phases
 
-            client.registry.inc("subqueries_total", len(plan.subqueries), engine=self.name)
-            client.registry.inc(
-                "delayed_subqueries_total", len(branch_plan.delays.delayed_ids), engine=self.name
-            )
-            client.registry.inc(
-                "check_queries_total", plan.check_query_count, engine=self.name
-            )
+    def run_branch(
+        self, client: FederationClient, branch_plan: BranchPlan, at_ms: float
+    ) -> tuple[Relation, float]:
+        """Run one planned branch (one with sources) from ``at_ms``: its
+        relation and end time.  Every choice it makes is read off
+        ``branch_plan``."""
+        plan = branch_plan.decomposition
+        client.registry.inc("subqueries_total", len(plan.subqueries), engine=self.name)
+        client.registry.inc(
+            "delayed_subqueries_total", len(branch_plan.delays.delayed_ids), engine=self.name
+        )
+        client.registry.inc("check_queries_total", plan.check_query_count, engine=self.name)
 
-            # ---- Phase 3: execution (SAPE or partial evaluation) -------
-            execution_start = now
-            decision = branch_plan.strategy
-            with tracer.span(
-                "execution", t0=now, strategy=decision.strategy
-            ) as span:
-                scheduler = SCHEDULERS[decision.strategy](
-                    client, branch_plan, self.mediator, self.config
-                )
-                outcome = scheduler.run(now)
-                now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
-                if client.audit.enabled:
-                    estimate = decision.estimated_crossing_selectivity
-                    if estimate is not None:
-                        # The picker's crossing-selectivity estimate
-                        # against the digest-pruning survival the partial
-                        # round measured (echoed where the picker chose
-                        # bound-join, which measures nothing).  Recorded
-                        # as percent: the q-error histogram clamps values
-                        # below 1.
-                        actual = outcome.crossing_selectivity
-                        client.audit.record(
-                            "strategy",
-                            100.0 * estimate,
-                            100.0 * (estimate if actual is None else actual),
-                            span=span,
-                            strategy=decision.strategy,
-                            reason=decision.reason,
-                            est_partial_rows=round(decision.est_partial_rows, 1),
-                            est_bound_rows=round(decision.est_bound_rows, 1),
-                        )
-                    # SAPE treats max C(sq) as the bound on what the
-                    # branch can produce; audit it against the branch's
-                    # actual result size.
+        # ---- Phase 3: execution (SAPE or partial evaluation) -----------
+        decision = branch_plan.strategy
+        with client.tracer.span("execution", t0=at_ms, strategy=decision.strategy) as span:
+            scheduler = SCHEDULERS[decision.strategy](
+                client, branch_plan, self.mediator, self.config
+            )
+            outcome = scheduler.run(at_ms)
+            now = outcome.end_ms + self.mediator.row_ms * outcome.join_cost_units
+            if client.audit.enabled:
+                estimate = decision.estimated_crossing_selectivity
+                if estimate is not None:
+                    # The picker's crossing-selectivity estimate
+                    # against the digest-pruning survival the partial
+                    # round measured (echoed where the picker chose
+                    # bound-join, which measures nothing).  Recorded
+                    # as percent: the q-error histogram clamps values
+                    # below 1.
+                    actual = outcome.crossing_selectivity
                     client.audit.record(
-                        "branch_rows",
-                        max(branch_plan.delays.cardinalities.values()),
-                        len(outcome.relation),
+                        "strategy",
+                        100.0 * estimate,
+                        100.0 * (estimate if actual is None else actual),
                         span=span,
+                        strategy=decision.strategy,
+                        reason=decision.reason,
+                        est_partial_rows=round(decision.est_partial_rows, 1),
+                        est_bound_rows=round(decision.est_bound_rows, 1),
                     )
-                counters = scheduler.kernel_counters
-                span.set(
-                    rows=len(outcome.relation),
-                    join_cost_units=outcome.join_cost_units,
-                    kernel_fast=counters.fast_dispatches,
-                    kernel_general=counters.general_dispatches,
-                    kernel_rows_emitted=counters.rows_emitted,
-                ).end(now)
-            phases["execution"] = now - execution_start
-            client.metrics.mediator_rows = max(
-                client.metrics.mediator_rows, len(outcome.relation)
-            )
-            branch_span.set(rows=len(outcome.relation)).end(now)
-        return outcome.relation, now, phases
+                # SAPE treats max C(sq) as the bound on what the
+                # branch can produce; audit it against the branch's
+                # actual result size.
+                client.audit.record(
+                    "branch_rows",
+                    max(branch_plan.delays.cardinalities.values()),
+                    len(outcome.relation),
+                    span=span,
+                )
+            counters = scheduler.kernel_counters
+            span.set(
+                rows=len(outcome.relation),
+                join_cost_units=outcome.join_cost_units,
+                kernel_fast=counters.fast_dispatches,
+                kernel_general=counters.general_dispatches,
+                kernel_rows_emitted=counters.rows_emitted,
+            ).end(now)
+        client.metrics.mediator_rows = max(client.metrics.mediator_rows, len(outcome.relation))
+        return outcome.relation, now
 
     # ------------------------------------------------------------ strategy
 
@@ -459,7 +474,9 @@ class LusailEngine(FederatedEngine):
         return needed
 
     def explain(self, query) -> str:
-        """Compile-time plan report: sources, GJVs, subqueries, delays.
+        """Compile-time plan report: what :meth:`plan_branch` returned for
+        each branch — sources, GJVs, subqueries, delays, routes and the
+        execution rules.
 
         Runs source selection and the full LADE/SAPE analysis (issuing
         the same probe requests an execution would, and warming the same
@@ -470,7 +487,7 @@ class LusailEngine(FederatedEngine):
         lines: list[str] = []
         for branch_index, branch in enumerate(normalized.branches):
             lines.append(f"branch {branch_index}:")
-            branch_plan = self._analyze_branch(client, branch, normalized)
+            branch_plan = self.plan_branch(client, branch, normalized)
             plan, delays = branch_plan.decomposition, branch_plan.delays
             strategy = branch_plan.strategy
             if plan is None:
@@ -551,6 +568,7 @@ class LusailEngine(FederatedEngine):
                 )
             for expression in plan.residue_filters:
                 lines.append(f"  mediator FILTER {serialize_expression(expression)}")
+            lines.extend(_rule_lines(branch_plan))
         return "\n".join(lines)
 
 
@@ -566,6 +584,29 @@ def _group_sources(group: list[TriplePattern], selection: SourceSelection) -> tu
         sources &= set(selection.relevant(pattern))
     # Preserve the deterministic order of the first pattern's list.
     return tuple(name for name in selection.relevant(group[0]) if name in sources)
+
+
+def _rule_lines(branch_plan: BranchPlan) -> list[str]:
+    """``explain``'s rendering of the execution rules: per rule, the
+    function the scheduler calls and the planned inputs bound to it."""
+    lines = []
+    for label, rule in (
+        ("join order", branch_plan.joins),
+        ("phase-two rank", branch_plan.rank),
+        ("binding source", branch_plan.binding_source),
+    ):
+        inputs = ", ".join(
+            f"{name} {_planned(values)}" for name, values in getattr(rule, "keywords", {}).items()
+        )
+        function = getattr(rule, "func", rule)
+        lines.append(f"  {label}: {function.__name__}, {inputs or 'no planned input'}")
+    return lines
+
+
+def _planned(values: Mapping) -> str:
+    """A planned input keyed by subquery id, or by (subquery id, variable)."""
+    named = {(k[0], k[1].n3()) if isinstance(k, tuple) else (k,): v for k, v in values.items()}
+    return "{" + ", ".join(f"{':'.join(map(str, k))}={v:.0f}" for k, v in sorted(named.items())) + "}"
 
 
 #: Authorities ``explain`` names per route check before summarising.

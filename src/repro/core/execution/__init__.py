@@ -12,7 +12,6 @@ from repro.core.execution.cost_model import (
 from repro.core.execution.join_order import JoinPlanNode, execute_plan, plan_joins
 from repro.core.execution.outliers import RobustStats, chauvenet_outliers, robust_stats
 from repro.core.execution.partial import PartialBranchScheduler, StrategyDecision, choose_strategy
-from repro.core.execution.request_handler import ElasticRequestHandler
 from repro.core.execution.scheduler import BranchOutcome, BranchScheduler
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "DelayDecision",
     "DelayPolicy",
     "RequestCosts",
-    "ElasticRequestHandler",
     "JoinPlanNode",
     "RobustStats",
     "chauvenet_outliers",

@@ -12,16 +12,20 @@ follows the paper's parallel hash-join model::
 Cross products are avoided unless the join graph is disconnected.  When
 the DP finds no full plan (a cross product is needed below the top, as
 for three inputs that share no variable), the greedy fallback pairs the
-cheapest join first.
+cheapest join first.  This order, phase two's rank and its binding
+source are rules a ``BranchPlan`` holds for the scheduler (see "rules").
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from repro.rdf.terms import Variable
+from repro.core.decomposition.subquery import Subquery
+from repro.rdf.terms import Term, Variable
 from repro.relational import kernels
 from repro.relational.relation import Relation
 
@@ -30,8 +34,7 @@ from repro.relational.relation import Relation
 class JoinHints:
     """Statistics-derived hints for the join-row estimator.
 
-    Built by the scheduler from the distinct-value bounds the planner
-    recorded (``CardinalityEstimates.distinct``):
+    Built by :func:`plan_joins` from the planned distinct-value bounds:
     ``var_counts[(i, v)]`` is an upper bound on relation ``i``'s
     distinct values of ``v`` (summed per-endpoint distinct subject /
     object tallies of the tightest pattern holding ``v``).
@@ -114,15 +117,17 @@ def _estimate_join_rows(
 
 def plan_joins(
     relations: Sequence[Relation],
-    hints: JoinHints | None = None,
+    subqueries: Sequence[Subquery] = (),
+    distinct: Mapping[tuple[int, Variable], int] | None = None,
 ) -> JoinPlanNode:
     """Choose a join order over the given relations.
 
-    ``hints`` (optional) refines the intermediate-row estimates with
-    characteristic-set statistics; without it the estimator falls back
-    to the paper's min-rule.  Returns the root plan node;
-    ``root.order()`` gives the sequence in which :func:`execute_plan`
-    combines the inputs.
+    Where ``subqueries[i]`` produced ``relations[i]``, ``distinct`` —
+    the summaries' bound per (subquery id, variable),
+    ``CardinalityEstimates.distinct`` — refines the intermediate-row
+    estimates; without a bound the estimator falls back to the paper's
+    min-rule.  Returns the root plan node; ``root.order()`` gives the
+    sequence in which :func:`execute_plan` combines the inputs.
     """
     if not relations:
         raise ValueError("plan_joins needs at least one relation")
@@ -140,8 +145,14 @@ def plan_joins(
     if len(leaves) == 1:
         return leaves[0]
 
+    distinct, hints = distinct or {}, JoinHints()
+    for index, (subquery, relation) in enumerate(zip(subqueries, relations)):
+        for variable in relation.vars:
+            count = distinct.get((subquery.id, variable))
+            if count is not None:
+                hints.var_counts[(index, variable)] = float(count)
     var_sets = [set(relation.vars) for relation in relations]
-    return _dp_plan(leaves, var_sets, hints)
+    return _dp_plan(leaves, var_sets, hints if hints.var_counts else None)
 
 
 def _subset_vars(subset: frozenset[int], var_sets: list[set[Variable]]) -> set[Variable]:
@@ -277,3 +288,50 @@ def execute_plan(
     right_rel, right_cost = execute_plan(root.right, relations)
     joined = left_rel.join(right_rel)
     return joined, left_cost + right_cost + kernels.last_join_cost()
+
+
+# ------------------------------------------------------------------ rules
+
+
+@dataclass
+class Component:
+    """A connected group of already-evaluated relations, joined eagerly."""
+
+    relation: Relation
+    variables: set[Variable] = field(default_factory=set)
+
+
+#: A delayed subquery's bindings: the variables it shares with a
+#: component, and that component's distinct fully bound rows of them.
+Bindings = tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]]
+
+
+def most_selective_first(
+    candidates: list[tuple[Subquery, Bindings | None]], cardinalities: Mapping[int, float]
+) -> list[tuple[Subquery, Bindings | None]]:
+    """Phase two's rank (Alg 3) of ``(subquery, its measured bindings or
+    None)`` candidates: least first by C(sq) or, where fewer, the
+    distinct bindings; ties keep their order."""
+    return sorted(
+        candidates,
+        key=lambda item: min(
+            cardinalities[item[0].id], math.inf if item[1] is None else float(len(item[1][1]))
+        ),
+    )
+
+
+def fewest_bindings(components: Sequence[Component], variables: set[Variable]) -> Bindings | None:
+    """Where a bound subquery's bindings come from: of the components
+    sharing variables with it, (shared variables, distinct fully bound
+    rows) of the one with the fewest; None when nothing evaluated so far
+    connects to the subquery."""
+    best = None
+    for component in components:
+        shared = tuple(sorted(component.variables & variables, key=lambda v: v.name))
+        if not shared:
+            continue
+        projected = component.relation.project(shared).distinct()
+        rows = [row for row in projected.rows if None not in row]
+        if best is None or len(rows) < len(best[1]):
+            best = (shared, rows)
+    return best

@@ -7,11 +7,13 @@ Execution of one decomposed conjunctive branch:
    endpoint and the results concatenated (Alg 3 lines 2-4).
 2. **Phase one** — non-delayed subqueries go to all their endpoints
    concurrently; results of connected subqueries are joined eagerly
-   (with the DP join-order optimizer) to obtain the found bindings.
-3. **Phase two** — delayed subqueries run serially, most selective
-   first, as block-wise bound joins: found bindings of the shared
-   variables are shipped in ``VALUES`` blocks of the plan's
-   ``block_size`` bindings.  Each endpoint receives only the bindings
+   (in the order the plan's join rule chooses) to obtain the found
+   bindings.
+3. **Phase two** — delayed subqueries run serially, next the one the
+   plan's rank rule puts first, as block-wise bound joins: found
+   bindings of the shared variables, taken from the component the
+   plan's binding-source rule picks, are shipped in ``VALUES`` blocks of
+   the plan's ``block_size`` bindings.  Each endpoint receives only the bindings
    its IRI authorities can match (the decentralized-authority model of the
    paper's Fig 1 puts an entity's triples at its authority's endpoint):
    a binding is routed away from an endpoint when a pattern binding it
@@ -35,17 +37,17 @@ Execution of one decomposed conjunctive branch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.decomposition.subquery import Subquery, values_block
 from repro.core.execution.join_order import (
-    JoinHints,
+    Bindings,
+    Component,
     execute_plan,
-    plan_joins,
     plan_summary,
 )
-from repro.core.execution.request_handler import ElasticRequestHandler
+from repro.core.execution.request_handler import partitions_for
 from repro.endpoint.client import FederationClient
 from repro.exceptions import NetworkError
 from repro.net import metrics as metrics_module
@@ -59,9 +61,6 @@ from repro.relational.relation import Relation
 if TYPE_CHECKING:
     from repro.core.engine import BranchPlan, LusailConfig
 
-#: Elastic Request Handler worker threads per mediator machine.
-POOL_SIZE = 8
-
 
 @dataclass
 class BranchOutcome:
@@ -73,27 +72,15 @@ class BranchOutcome:
     crossing_selectivity: float | None = None
 
 
-@dataclass
-class _Component:
-    """A connected group of already-evaluated relations, joined eagerly."""
-
-    relation: Relation
-    variables: set[Variable] = field(default_factory=set)
-
-
-#: A delayed subquery's bindings: the variables it shares with a
-#: component, and that component's distinct fully bound rows of them.
-_Bindings = tuple[tuple[Variable, ...], list[tuple[Term | None, ...]]]
-
-
 class BranchScheduler:
     """Executes one planned branch against the federation.
 
-    Everything it decides from — which subqueries are delayed, each
-    one's C(sq), the block size, where each binding may go and the
-    summaries' distinct-value bounds — is on the ``branch_plan`` it is
-    built with, and is read from nowhere else: the client only carries
-    its requests.
+    Everything it obeys — which subqueries are delayed, each one's
+    C(sq), the block size, where each binding may go, and the rules for
+    the join order, phase two's next subquery and its binding source —
+    is on the ``branch_plan`` it is built with, and is read from nowhere
+    else: the client only carries its requests, and the scheduler
+    orders nothing itself.
     """
 
     #: See :attr:`BranchOutcome.crossing_selectivity`.
@@ -115,9 +102,11 @@ class BranchScheduler:
         self.cardinalities = branch_plan.delays.cardinalities
         self.block_size = branch_plan.block_size
         self.routes = branch_plan.routes
+        self.joins = branch_plan.joins
+        self.rank = branch_plan.rank
+        self.binding_source = branch_plan.binding_source
         self.mediator = mediator
         self.config = config
-        self.handler = ElasticRequestHandler(pool_size=POOL_SIZE * max(1, config.machines))
         self.join_cost_units = 0.0
         #: Endpoints dropped in partial-results mode; their contribution
         #: is skipped for the rest of the branch.
@@ -209,7 +198,7 @@ class BranchScheduler:
                 rows=len(relation),
                 requests=self.client.metrics.requests_since(mark),
             ).end(finish)
-        relation.partitions = self.handler.partitions_for(subquery.sources, len(relation))
+        relation.partitions = partitions_for(subquery.sources, len(relation), self.config.machines)
         self._guard_rows(len(relation))
         return relation, finish
 
@@ -324,14 +313,15 @@ class BranchScheduler:
                 ),
                 plan_cache_hits=self.client.plan_cache_hits - plan_hits_before,
             ).end(finish)
-        relation.partitions = self.handler.partitions_for(sources, len(relation))
+        relation.partitions = partitions_for(sources, len(relation), self.config.machines)
         self._guard_rows(len(relation))
         return relation, finish
 
-    def _join_planned(self, relations: list[Relation], span, at_ms: float, hints=None) -> Relation:
-        """Order and run one multi-way join under ``span``: its cost is
-        charged, and the enumerator's estimates audited against it."""
-        plan = plan_joins(relations, hints=hints)
+    def _join_planned(self, relations: list[Relation], span, at_ms: float, subqueries=()):
+        """Run one multi-way join under ``span`` in the order of the
+        plan's join rule: its cost is charged, and the rule's estimates
+        audited against it."""
+        plan = self.joins(relations, subqueries)
         joined, cost = execute_plan(plan, relations)
         self.join_cost_units += cost
         span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
@@ -352,7 +342,7 @@ class BranchScheduler:
     # ----------------------------------------------------------- components
 
     def _merge_into_components(
-        self, components: list[_Component], relation: Relation, at_ms: float = 0.0
+        self, components: list[Component], relation: Relation, at_ms: float = 0.0
     ) -> None:
         """Join a new relation into every component it connects with."""
         vars = set(relation.vars)
@@ -381,35 +371,7 @@ class BranchScheduler:
             "mediator_join_rows_total", len(merged_relation), engine=self.client.engine
         )
         self._guard_rows(len(merged_relation))
-        components.append(_Component(relation=merged_relation, variables=merged_vars))
-
-    def _bindings_for(
-        self, components: list[_Component], variables: set[Variable]
-    ) -> _Bindings | None:
-        """Find the component sharing variables with a delayed subquery.
-
-        Returns (shared variables, distinct binding rows) of the one
-        with the fewest bindings, or None when nothing evaluated so far
-        connects to the subquery.
-        """
-        best = None
-        for component in components:
-            shared = tuple(
-                sorted(component.variables & variables, key=lambda v: v.name)
-            )
-            if not shared:
-                continue
-            projected = component.relation.project(shared).distinct()
-            rows = [row for row in projected.rows if None not in row]
-            if best is None or len(rows) < len(best[1]):
-                best = (shared, rows)
-        return best
-
-    def _refined_cardinality(self, subquery: Subquery, bindings: _Bindings | None) -> float:
-        cardinality = self.cardinalities[subquery.id]
-        if bindings is None:
-            return cardinality
-        return min(cardinality, float(len(bindings[1])))
+        components.append(Component(relation=merged_relation, variables=merged_vars))
 
     # ------------------------------------------------------------- phases
 
@@ -468,11 +430,12 @@ class BranchScheduler:
                 eager_results.append((subquery, relation))
             now = phase_end
 
-            # Join connected eager results (DP order inside each component).
+            # Join connected eager results (the plan's join order inside
+            # each component).
             components = self._join_eager(eager_results, now)
             span.set(rows=sum(len(r) for __, r in eager_results)).end(now)
 
-        # Phase two: delayed required subqueries, most selective first.
+        # Phase two: delayed required subqueries, in the plan's rank.
         delayed = [sq for sq in required if sq.id in self.delayed_ids]
         if delayed:
             with tracer.span(
@@ -480,13 +443,11 @@ class BranchScheduler:
             ) as span:
                 while delayed:
                     # Each remaining subquery's bindings, once per step:
-                    # they rank the subqueries, and the first one runs on
-                    # its own.
-                    ranked = sorted(
-                        ((sq, self._bindings_for(components, sq.variables())) for sq in delayed),
-                        key=lambda item: self._refined_cardinality(*item),
+                    # the plan's rank orders the subqueries by them, and
+                    # the first one runs on its own.
+                    (subquery, bindings), *rest = self.rank(
+                        [(sq, self.binding_source(components, sq.variables())) for sq in delayed]
                     )
-                    (subquery, bindings), *rest = ranked
                     delayed = [sq for sq, __ in rest]
                     now = self._run_delayed(subquery, bindings, components, now)
                 span.end(now)
@@ -497,9 +458,9 @@ class BranchScheduler:
 
     def _join_eager(
         self, eager_results: list[tuple[Subquery, Relation]], at_ms: float = 0.0
-    ) -> list[_Component]:
+    ) -> list[Component]:
         """Group eager relations into connected components and join each."""
-        components: list[_Component] = []
+        components: list[Component] = []
         remaining = list(eager_results)
         while remaining:
             seed_sq, seed_rel = remaining.pop(0)
@@ -521,30 +482,19 @@ class BranchScheduler:
                 with self.client.tracer.span(
                     "join_ordering", t0=at_ms, inputs=len(relations)
                 ) as span:
-                    joined = self._join_planned(relations, span, at_ms, self._join_hints(group))
+                    joined = self._join_planned(relations, span, at_ms, [s for s, __ in group])
                 self.client.registry.inc(
                     "mediator_join_rows_total", len(joined), engine=self.client.engine
                 )
             self._guard_rows(len(joined))
-            components.append(_Component(relation=joined, variables=set(joined.vars)))
+            components.append(Component(relation=joined, variables=set(joined.vars)))
         return components
-
-    def _join_hints(self, group: list[tuple[Subquery, Relation]]) -> JoinHints | None:
-        """The plan's distinct-value bounds for one eager join group, or
-        None (the min-rule estimator) when none is recorded."""
-        hints = JoinHints()
-        for index, (subquery, relation) in enumerate(group):
-            for variable in relation.vars:
-                count = self.estimates.distinct_values(subquery, variable)
-                if count is not None:
-                    hints.var_counts[(index, variable)] = float(count)
-        return hints if hints.var_counts else None
 
     def _run_delayed(
         self,
         subquery: Subquery,
-        bindings: _Bindings | None,
-        components: list[_Component],
+        bindings: Bindings | None,
+        components: list[Component],
         now: float,
     ) -> float:
         if bindings is None:
@@ -559,7 +509,7 @@ class BranchScheduler:
         return end
 
     def _combine_components(
-        self, components: list[_Component], at_ms: float = 0.0
+        self, components: list[Component], at_ms: float = 0.0
     ) -> Relation:
         if not components:
             return Relation.unit()
@@ -576,17 +526,18 @@ class BranchScheduler:
     def _run_optional_group(
         self, subqueries: list[Subquery], base: Relation, now: float
     ) -> tuple[Relation, float]:
-        """Evaluate one OPTIONAL block and left-join it onto the base."""
+        """Evaluate one OPTIONAL block, its subqueries in the plan's rank
+        with no bindings measured, and left-join it onto the base."""
         group_id = subqueries[0].optional_group
-        base_component = _Component(relation=base, variables=set(base.vars))
+        base_component = Component(relation=base, variables=set(base.vars))
         group_relation: Relation | None = None
-        for subquery in sorted(subqueries, key=lambda sq: self.cardinalities[sq.id]):
+        for subquery, __ in self.rank([(sq, None) for sq in subqueries]):
             context = [base_component]
             if group_relation is not None:
                 context.append(
-                    _Component(relation=group_relation, variables=set(group_relation.vars))
+                    Component(relation=group_relation, variables=set(group_relation.vars))
                 )
-            bindings = self._bindings_for(context, subquery.variables())
+            bindings = self.binding_source(context, subquery.variables())
             if bindings is not None and bindings[1]:
                 relation, now = self._execute_bound_subquery(subquery, *bindings, now)
             else:

@@ -16,7 +16,6 @@ from repro.baselines.hibiscus import build_authority_index
 from repro.baselines.void_index import build_void_index
 from repro.core.engine import LusailConfig, LusailEngine
 from repro.core.execution.cost_model import DelayPolicy
-from repro.core.execution.scheduler import POOL_SIZE
 from repro.datasets import bio2rdf, largerdf, lubm, qfed, queries_largerdf, queries_lubm
 from repro.endpoint.cache import EngineCaches
 from repro.endpoint.federation import Federation
@@ -384,7 +383,7 @@ def multi_machine(machine_counts: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
             timeout_ms=DEFAULT_TIMEOUT_MS,
             # Join-heavy queries: model a mediator whose per-row join work
             # is non-negligible so machine scaling is observable.
-            mediator=MediatorCostModel(row_ms=0.01, threads=POOL_SIZE * machines),
+            mediator=MediatorCostModel(row_ms=0.01),
         )
         for name in ("B3", "B7"):
             text = queries_largerdf.BIG[name]

@@ -20,7 +20,7 @@ serial-vs-parallel structure exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import InjectedFaultError, RequestTimeoutError
 from repro.net import regions as regions_module
@@ -284,21 +284,13 @@ class VirtualNetwork:
 class MediatorCostModel:
     """Virtual-time costs for work done at the mediator itself.
 
-    The paper's join evaluation divides hash/probe work across the
-    threads holding each relation (Sec V-B).  ``join_ms`` applies that
-    formula; ``threads`` is the Elastic Request Handler pool size.
+    ``row_ms`` prices one row of mediator work: a scan row, or one unit
+    of the paper's JoinCost (Sec V-B), which the join kernels measure
+    with each side's rows divided by the threads holding it (the
+    Elastic Request Handler's partitions).
     """
 
     row_ms: float = 0.0005
-    threads: int = 8
-    per_thread: dict[str, int] = field(default_factory=dict)
-
-    def join_ms(self, build_rows: int, probe_rows: int, build_threads: int, probe_threads: int) -> float:
-        build_threads = max(1, build_threads)
-        probe_threads = max(1, probe_threads)
-        hashing = build_rows / build_threads
-        probing = probe_rows / probe_threads
-        return (hashing + probing) * self.row_ms
 
     def scan_ms(self, rows: int) -> float:
         return rows * self.row_ms

@@ -1,11 +1,13 @@
 """Reference term-space data plane (pre-dictionary-encoding semantics).
 
-The production path (:mod:`repro.store.triple_store`,
-:mod:`repro.sparql.evaluator`) runs on dictionary-encoded integer ids.
-This module preserves the original term-object implementation — nested
-indexes keyed on terms, ``Triple`` materialization per match — as a
-property-test oracle: the encoded evaluator must produce the same
-solution multiset on randomized data.  It lives under ``tests/`` so no
+The encoded store (:mod:`repro.store.triple_store`) and the group
+interpreter the tests take their answers from
+(:mod:`repro.sparql.evaluator`, the oracle; production answers from
+compiled plans) run on dictionary-encoded integer ids.  This module
+preserves the original term-object implementation — nested indexes
+keyed on terms, ``Triple`` materialization per match — as a
+property-test oracle for them: the encoded evaluator must produce the
+same solution multiset on randomized data.  It lives under ``tests/`` so no
 engine can import it.
 
 It intentionally mirrors the seed algorithms line for line (same

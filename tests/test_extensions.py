@@ -312,7 +312,7 @@ class TestExplain:
         assert "delay decision: disabled" in text
         assert "[delayed" not in text and "bound-join blocks" not in text
         outcome = engine.execute(lubm.query_q4())
-        assert outcome.plan.delayed_count == 0
+        assert not any(plan.delays.delayed_ids for plan in outcome.plan.branch_plans)
         assert outcome.metrics.request_count("bound") == 0
 
     def test_explain_does_not_fetch_data(self, paper_federation):

@@ -233,7 +233,7 @@ class TestConfigurations:
         engine = LusailEngine(paper_federation, config=LusailConfig(delay_policy=None))
         outcome = engine.execute(QA)
         assert outcome.ok
-        assert outcome.plan.delayed_count == 0
+        assert not any(plan.delays.delayed_ids for plan in outcome.plan.branch_plans)
 
     def test_geo_config_slower(self, paper_federation):
         local = LusailEngine(paper_federation).execute(QA)

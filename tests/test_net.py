@@ -194,15 +194,5 @@ class TestQueryMetrics:
 
 
 class TestMediatorCostModel:
-    def test_join_cost_divides_by_threads(self):
-        model = MediatorCostModel(row_ms=1.0)
-        serial = model.join_ms(100, 100, 1, 1)
-        parallel = model.join_ms(100, 100, 4, 4)
-        assert parallel == pytest.approx(serial / 4)
-
-    def test_join_cost_formula(self):
-        model = MediatorCostModel(row_ms=1.0)
-        assert model.join_ms(10, 100, 2, 5) == pytest.approx(10 / 2 + 100 / 5)
-
     def test_scan(self):
         assert MediatorCostModel(row_ms=0.5).scan_ms(10) == pytest.approx(5.0)

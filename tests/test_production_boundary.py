@@ -14,8 +14,9 @@ travels as a value (``BranchPlan`` on ``ExecutionOutcome.plan``), never
 as which class got instantiated or which engine attribute was written
 last.  The plan is frozen and is the one holder of each decision the
 scheduler obeys: only the cost model names the bound-join block
-constant, and no test forces a planning decision by patching module
-state.  And the options boundary: every field of ``LusailConfig`` and
+constant, the scheduler orders no join and ranks no subquery itself
+(the plan's rules do), and no test forces a planning decision by
+patching module state.  And the options boundary: every field of ``LusailConfig`` and
 ``TrafficConfig`` is set by name by some caller outside the tests, or
 is listed with the reason it stays an option.  And a ratchet: reads of
 a store's whole version outside ``repro/store/`` do not grow.
@@ -332,9 +333,20 @@ def test_only_the_cost_model_names_the_block_constant():
 
 #: Module state a test could patch to force a planning decision; each is
 #: a field of ``BranchPlan`` instead (``tests/plan_forcing.py``): the
-#: block, the delay verdicts, the routes (``BranchPlan.routes``) and the
-#: distinct-value bounds (``BranchPlan.estimates``).
-PLANNING_STATE = {"MAX_BLOCK", "decide_delays", "route", "distinct_values"}
+#: block, the delay verdicts, the routes (``BranchPlan.routes``), the
+#: distinct-value bounds (``BranchPlan.estimates`` for the cost rule,
+#: ``BranchPlan.joins`` for the join estimator), and the execution rules
+#: with their production functions (``BranchPlan.joins`` / ``rank`` /
+#: ``binding_source``).
+PLANNING_STATE = {
+    "MAX_BLOCK",
+    "decide_delays",
+    "route",
+    "distinct_values",
+    "plan_joins",
+    "most_selective_first",
+    "fewest_bindings",
+}
 #: Test sites that patch one of them: the count stays at zero.
 PLANNING_PATCHES = 0
 PATCHERS = {"patch", "object", "setattr"}
@@ -382,6 +394,11 @@ def test_no_test_forces_a_planning_decision_by_patching():
         ("patch('repro.core.engine.decide_delays', new=f)", 1),
         ('mock.patch("repro.planning.stats.route", unrouted)', 1),
         ("mock.patch.object(CharsetStatisticsProvider, 'distinct_values', none)", 1),
+        ('mock.patch("repro.core.engine.plan_joins", left_deep)', 1),
+        ("mock.patch.object(join_order, 'plan_joins', left_deep)", 1),
+        ("monkeypatch.setattr(join_order, 'most_selective_first', by_id)", 1),
+        ("mock.patch.object(engine_module, 'fewest_bindings', first_component)", 1),
+        ("replace(plan, joins=left_deep, rank=partial(fixed, **plan.rank.keywords))", 0),
         ("monkeypatch.setattr(BranchScheduler, 'run', recording_run)", 0),
         ("replace(plan, block_size=1)\ndecide_delays(subqueries, estimates, set())", 0),
     ],
@@ -390,6 +407,57 @@ def test_planning_patch_walker_sees_each_form(tmp_path, source, patches):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert _planning_patches(probe) == patches
+
+
+SCHEDULER = SRC / "core" / "execution" / "scheduler.py"
+ORDERING_CALLS = {"sorted", "sort", "min", "max"}
+
+
+def _ranking_calls(path: Path) -> int:
+    """Calls of ``sorted`` / ``.sort`` / ``min`` / ``max`` whose ``key``
+    names a cardinality or bindings: ranking subqueries by them."""
+    calls = 0
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ORDERING_CALLS:
+            continue
+        keys = [keyword.value for keyword in node.keywords if keyword.arg == "key"]
+        calls += any(
+            "cardinal" in identifier.lower() or "bindings" in identifier
+            for key in keys
+            for identifier in _identifiers(key)
+        )
+    return calls
+
+
+def test_the_scheduler_orders_nothing_itself():
+    # The join order, phase two's next subquery and its binding source
+    # are the plan's rules (BranchPlan.joins / rank / binding_source).
+    imported = {name for module, names, __ in _imports(SCHEDULER) for name in names | {module}}
+    assert "plan_joins" not in imported
+    assert "plan_joins" not in _identifiers(ast.parse(SCHEDULER.read_text()))
+    assert _ranking_calls(SCHEDULER) == 0
+
+
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        ("sorted(subqueries, key=lambda sq: self.cardinalities[sq.id])", 1),
+        ("sorted(items, key=lambda item: self._refined_cardinality(*item))", 1),
+        ("delayed.sort(key=lambda sq: len(bindings[sq.id][1]))", 1),
+        ("min(delayed, key=cardinality)", 1),
+        ("sorted(subquery.variables(), key=lambda v: v.name)", 0),
+        ("self.rank([(sq, None) for sq in subqueries])", 0),
+        ("max(finish, end)", 0),
+    ],
+)
+def test_ranking_walker_sees_each_form(tmp_path, source, calls):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert _ranking_calls(probe) == calls
 
 
 #: Config classes whose every field some caller outside the tests sets.

@@ -51,8 +51,8 @@ class PricedAtBlockOne(LusailEngine):
     """Plans as the planner would at one binding per request: the cost
     rule re-decides with that block, and the plan ships it."""
 
-    def _analyze_branch(self, client, branch, normalized):
-        plan = super()._analyze_branch(client, branch, normalized)
+    def plan_branch(self, client, branch, normalized):
+        plan = super().plan_branch(client, branch, normalized)
         decomposition = plan.decomposition
         costs = RequestCosts.of(
             client.config,
@@ -179,17 +179,43 @@ def _eager(plan):
     return replace(plan, delays=replace(plan.delays, delayed_ids=plan.delays.delayed_ids - required))
 
 
+def _recording(force, ranked: list, joined: list):
+    """``force``, then the plan's rank and join rules wrapped to append
+    what each call chose: the subquery ranked first, the join order."""
+
+    def record(plan):
+        plan = plan if force is None else force(plan)
+        rank, joins = plan.rank, plan.joins
+
+        def ranking(candidates):
+            order = rank(candidates)
+            ranked.append(order[0][0].id)
+            return order
+
+        def ordering(relations, subqueries=()):
+            tree = joins(relations, subqueries)
+            joined.append(tree.order())
+            return tree
+
+        return replace(plan, rank=ranking, joins=ordering)
+
+    return record
+
+
 class TestThePlanIsWhatRan:
     """Phase two, read off the trace, does what the branch plan says and
     nothing else: it binds exactly the plan's delayed required subqueries
-    (at this scale each has bindings), sends each source the bindings the
-    plan's routes let through, in ``ceil(routed / block_size)`` blocks of
-    the plan's block, and a plan forced by replacing a field changes the
-    requests, never the answer."""
+    (at this scale each has bindings), in the order the plan's rank rule
+    chose, sends each source the bindings the plan's routes let through,
+    in ``ceil(routed / block_size)`` blocks of the plan's block; every
+    mediator join runs in the order the plan's join rule chose; and a
+    plan forced by replacing a field changes the requests, never the
+    answer."""
 
     @staticmethod
     def _run(federation, text, force=None):
-        engine = ForcedPlanEngine(federation, force=force)
+        ranked, joined = [], []
+        engine = ForcedPlanEngine(federation, force=_recording(force, ranked, joined))
         engine.tracer = Tracer(enabled=True)
         bound_calls = []
         run_bound = BranchScheduler._execute_bound_subquery
@@ -207,6 +233,9 @@ class TestThePlanIsWhatRan:
         spans = root.find("bound_subquery")
         assert {span.attrs["subquery"] for span in spans} == plan.delays.delayed_ids & required
         assert len(bound_calls) == len(spans)
+        assert [span.attrs["subquery"] for span in spans] == ranked
+        ran = [span.attrs["join_order"] for span in root.walk() if "join_order" in span.attrs]
+        assert ran == joined
         for span, (subquery, bind_vars, rows) in zip(spans, bound_calls):
             assert span.attrs["subquery"] == subquery.id
             planned = route(plan.routes[subquery.id], subquery.sources, bind_vars, rows)
@@ -265,10 +294,10 @@ class _WatchingEngine(LusailEngine):
         client.stats = _WatchedProvider(client, self)
         return client
 
-    def _analyze_branch(self, client, branch, normalized):
+    def plan_branch(self, client, branch, normalized):
         self.phase, self.branch = "plan", self.branch + 1
         try:
-            return super()._analyze_branch(client, branch, normalized)
+            return super().plan_branch(client, branch, normalized)
         finally:
             self.phase = "run"
 
